@@ -24,6 +24,7 @@
 #include "common/inject.hpp"
 #include "core/device_pool.hpp"
 #include "core/dirty_tracker.hpp"
+#include "core/streaming_exchange.hpp"
 #include "cuem/san.hpp"
 #include "oacc/oacc.hpp"
 #include "sim/snapshot.hpp"
@@ -111,6 +112,7 @@ class AccTileArray : public tida::TileArray<T> {
         loc_(this->num_regions()),
         dirty_(this->num_regions()),
         pending_xfer_(static_cast<std::size_t>(this->num_regions()), -1),
+        device_(cuem::current_device()),
         disable_caching_(opts.disable_caching),
         delta_transfers_(opts.delta_transfers),
         streaming_guard_(opts.streaming_guard),
@@ -140,6 +142,9 @@ class AccTileArray : public tida::TileArray<T> {
 
   int num_slots() const { return pool_.num_slots(); }
   bool all_regions_fit() const { return pool_.one_to_one(); }
+  /// Device every region lives on: the one current at construction, where
+  /// the slot pool and its streams were created.
+  int device_of_region(int /*region*/) const { return device_; }
   int slot_of_region(int region) const { return pool_.slot_of_region(region); }
   cuemStream_t stream_of_region(int region) const {
     return pool_.stream_of_slot(pool_.slot_of_region(region));
@@ -458,100 +463,17 @@ class AccTileArray : public tida::TileArray<T> {
     if (delta_transfers_ &&
         (streaming_guard_ == StreamingGuard::kForceStreaming ||
          (streaming_guard_ == StreamingGuard::kAuto &&
-          streaming_cheaper(bc)))) {
-      // Mixed/limited-memory with dirty tracking: exchange the shells only —
-      // but only when the exchange-level cost model says the pitched-copy
-      // latency storm actually beats one pipelined drain (periodic BCs on
-      // slab partitions generate hundreds of tiny wrap faces per exchange,
-      // each paying the full transfer-setup latency).
-      fill_boundary_streaming(bc);
+          detail::streaming_cheaper<T>(*this, bc)))) {
+      // Mixed/limited-memory with dirty tracking: pipeline the shells
+      // region by region (core/streaming_exchange.hpp) — but only when the
+      // exchange-level cost model says it beats one pipelined drain.
+      detail::streaming_exchange(*this, bc);
       return;
     }
     // Mixed/limited-memory: drain to host and exchange there.
     release_all_to_host();
     note_host_buffers("fill_boundary_host");
     this->fill_boundary_host(bc);
-  }
-
-  /// Out-of-core ghost exchange without the full drain (delta mode only):
-  /// pulls just the device-written source cells the plan reads (at most the
-  /// face shells) down per resident region, runs the host-side exchange,
-  /// then eagerly pushes each resident region's freshened ghost boxes back
-  /// up on its own slot stream — pipelined, with no trailing sync (stream
-  /// order protects later kernels). Regions keep their device residency and
-  /// location throughout, so the next compute pass pays no re-upload.
-  void fill_boundary_streaming(tida::Boundary bc) {
-    TIDACC_CHECK_MSG(delta_transfers_,
-                     "streaming exchange requires delta_transfers");
-    const auto& plan = this->exchange_plan(bc);
-
-    // Phase 1: per source region, the planned source cells the device has
-    // written since the copies last agreed — only those must come home.
-    std::vector<std::vector<tida::Box>> pulls(
-        static_cast<std::size_t>(this->num_regions()));
-    for (const auto& c : plan) {
-      if (loc_.location(c.src_region) != Loc::kDevice) {
-        continue;
-      }
-      auto& list = pulls[static_cast<std::size_t>(c.src_region)];
-      for (const tida::Box& d : dirty_.dev_dirty(c.src_region)) {
-        const tida::Box x = d.intersect(c.src_box);
-        if (x.empty()) {
-          continue;
-        }
-        // Several ghost copies may read overlapping source cells; keep the
-        // pull list disjoint so nothing is transferred twice.
-        std::vector<tida::Box> fresh = tida::subtract_box(x, list);
-        list.insert(list.end(), fresh.begin(), fresh.end());
-      }
-    }
-    StreamSyncList streams;
-    for (int r = 0; r < this->num_regions(); ++r) {
-      const auto& list = pulls[static_cast<std::size_t>(r)];
-      if (list.empty()) {
-        continue;
-      }
-      const int slot = pool_.slot_of_region(r);
-      TIDACC_CHECK_MSG(pool_.cache().resident(slot) == r,
-                       "region marked on-device but not resident");
-      copy_boxes(r, list, cuemMemcpyDeviceToHost, pool_.stream_of_slot(slot),
-                 sim::PayloadKind::kFaceShell);
-      for (const tida::Box& b : list) {
-        dirty_.note_device_shipped(r, b);
-      }
-      streams.add(pool_.stream_of_slot(slot));
-    }
-    streams.sync_all();
-    // The pulls above synced their own streams; still-pending pushes from
-    // the *previous* exchange (phase 3 queues without a trailing sync) may
-    // sit on streams that pulled nothing this round — the host exchange
-    // below would race them.
-    sync_all_pending_host();
-
-    // Phase 2: exchange on the host. The freshened ghost boxes are host
-    // writes the device copies have not seen yet.
-    note_host_buffers("fill_boundary_streaming");
-    this->fill_boundary_host(bc);
-    for (const auto& c : plan) {
-      dirty_.note_host_write(c.dst_region, c.dst_box);
-    }
-
-    // Phase 3: eagerly push every resident device-current region's
-    // host-dirty boxes (the ghost shells phase 2 wrote) back up. Non-
-    // resident regions keep theirs until their next acquire.
-    for (int r = 0; r < this->num_regions(); ++r) {
-      if (loc_.location(r) != Loc::kDevice) {
-        continue;
-      }
-      const auto& hd = dirty_.host_dirty(r);
-      if (hd.empty()) {
-        continue;
-      }
-      copy_boxes(r, hd, cuemMemcpyHostToDevice, stream_of_region(r),
-                 sim::PayloadKind::kGhostRefresh);
-      dirty_.clear_host(r);
-    }
-    ++streaming_exchanges_;
   }
 
   /// Number of streaming (delta) ghost exchanges performed so far.
@@ -729,6 +651,9 @@ class AccTileArray : public tida::TileArray<T> {
   }
 
  private:
+  template <typename A>
+  friend void detail::streaming_exchange(A& a, tida::Boundary bc);
+
   /// True when the platform trace records full per-op events — per-op label
   /// strings are only worth building then (the fuzz hot path turns
   /// recording off and keeps stats-only accounting).
@@ -904,104 +829,6 @@ class AccTileArray : public tida::TileArray<T> {
     }
   }
 
-  /// Chunk count of a pitched copy of `box` out of the grown-box layout of
-  /// one component, mirroring the cuem coalescing rules: full-width rows
-  /// merge into slices, full slices into one contiguous burst.
-  static std::uint64_t chunks_for(const tida::Box& grown,
-                                  const tida::Box& box) {
-    const tida::Index3 e = box.extent();
-    const tida::Index3 ge = grown.extent();
-    if (e.i != ge.i) {
-      return static_cast<std::uint64_t>(e.j) * static_cast<std::uint64_t>(e.k);
-    }
-    return e.j == ge.j ? 1 : static_cast<std::uint64_t>(e.k);
-  }
-
-  /// Exchange-level cost model behind StreamingGuard::kAuto: predicts the
-  /// serial pitched-copy cost of one whole streaming exchange (every pull
-  /// the dedup logic would issue plus every ghost-box push into a resident
-  /// region) against one pipelined drain + re-upload, and streams only when
-  /// cheaper. The per-region delta_cheaper guard below cannot see this:
-  /// each region's shells look cheap in isolation, but a periodic exchange
-  /// on a slab partition issues hundreds of self-wrap face/edge/corner ops
-  /// that each pay the full transfer-setup latency.
-  bool streaming_cheaper(tida::Boundary bc) {
-    const sim::DeviceConfig& cfg = sim::Platform::instance().config();
-    const auto& plan = this->exchange_plan(bc);
-
-    const auto op_ns = [this, &cfg](const tida::Box& grown,
-                                    const tida::Box& b, double gbps) {
-      const std::uint64_t comp_bytes = b.volume() * sizeof(T);
-      return static_cast<SimTime>(this->ncomp()) *
-                 (cfg.host_api_overhead_ns + cfg.transfer_latency_ns +
-                  cfg.memcpy3d_overhead_ns(comp_bytes,
-                                           chunks_for(grown, b))) +
-             transfer_time_ns(comp_bytes * this->ncomp(), gbps);
-    };
-
-    SimTime stream_ns = 0;
-    // Phase-1 pulls, with the same disjoint-dedup the real exchange does.
-    std::vector<std::vector<tida::Box>> pulls(
-        static_cast<std::size_t>(this->num_regions()));
-    for (const auto& c : plan) {
-      if (loc_.location(c.src_region) != Loc::kDevice) {
-        continue;
-      }
-      auto& list = pulls[static_cast<std::size_t>(c.src_region)];
-      for (const tida::Box& d : dirty_.dev_dirty(c.src_region)) {
-        const tida::Box x = d.intersect(c.src_box);
-        if (x.empty()) {
-          continue;
-        }
-        std::vector<tida::Box> fresh = tida::subtract_box(x, list);
-        list.insert(list.end(), fresh.begin(), fresh.end());
-      }
-    }
-    for (int r = 0; r < this->num_regions(); ++r) {
-      const tida::Box& grown = this->region(r).grown;
-      for (const tida::Box& b : pulls[static_cast<std::size_t>(r)]) {
-        stream_ns += op_ns(grown, b, cfg.pinned_d2h_gbps);
-      }
-    }
-    // Phase-3 pushes: every plan ghost box lands host-dirty on its
-    // destination and is pushed into each resident region, on top of any
-    // host-dirty boxes those regions already carry.
-    for (const auto& c : plan) {
-      if (loc_.location(c.dst_region) != Loc::kDevice) {
-        continue;
-      }
-      stream_ns += op_ns(this->region(c.dst_region).grown, c.dst_box,
-                         cfg.pinned_h2d_gbps);
-    }
-    for (int r = 0; r < this->num_regions(); ++r) {
-      if (loc_.location(r) != Loc::kDevice) {
-        continue;
-      }
-      const tida::Box& grown = this->region(r).grown;
-      for (const tida::Box& b : dirty_.host_dirty(r)) {
-        stream_ns += op_ns(grown, b, cfg.pinned_h2d_gbps);
-      }
-    }
-
-    // The drain alternative: D2H of every device-resident region now, flat
-    // H2D re-upload of every region at its next acquire. The two engines
-    // overlap each other and the re-uploads overlap compute, so the
-    // predicted cost is the busier direction, not the sum.
-    SimTime d2h_ns = 0;
-    SimTime h2d_ns = 0;
-    for (int r = 0; r < this->num_regions(); ++r) {
-      const std::uint64_t bytes = this->region_bytes(r);
-      if (loc_.location(r) == Loc::kDevice) {
-        d2h_ns += cfg.host_api_overhead_ns + cfg.transfer_latency_ns +
-                  transfer_time_ns(bytes, cfg.pinned_d2h_gbps);
-      }
-      h2d_ns += cfg.host_api_overhead_ns + cfg.transfer_latency_ns +
-                transfer_time_ns(bytes, cfg.pinned_h2d_gbps);
-    }
-    const SimTime drain_ns = std::max(d2h_ns, h2d_ns);
-    return stream_ns <= drain_ns;
-  }
-
   /// True when shipping `boxes` as pitched sub-box copies is modeled
   /// cheaper than one flat whole-region transfer in direction `h2d`
   /// (latency + chunk overhead per box/component vs one full burst).
@@ -1018,7 +845,7 @@ class AccTileArray : public tida::TileArray<T> {
       const std::uint64_t bytes = b.volume() * sizeof(T);
       delta += static_cast<SimTime>(this->ncomp()) *
                (cfg.transfer_latency_ns +
-                cfg.memcpy3d_overhead_ns(bytes, chunks_for(grown, b)) +
+                cfg.memcpy3d_overhead_ns(bytes, detail::chunks_for(grown, b)) +
                 transfer_time_ns(bytes, gbps));
       if (delta >= flat) {
         return false;
@@ -1161,6 +988,7 @@ class AccTileArray : public tida::TileArray<T> {
   std::uint64_t device_ghost_updates_ = 0;
   std::uint64_t prefetches_issued_ = 0;
   std::uint64_t streaming_exchanges_ = 0;
+  int device_ = 0;
   bool disable_caching_ = false;
   bool delta_transfers_ = false;
   StreamingGuard streaming_guard_ = StreamingGuard::kAuto;

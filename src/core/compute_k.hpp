@@ -187,6 +187,12 @@ inline int choose_time_block_k(const tida::Box& domain,
            static_cast<double>(re.k + 2 * g);
   };
   const double valid_cells = grown_volume(0);
+  const auto regions_along = [](int extent, int size) {
+    return static_cast<double>((extent + size - 1) / size);
+  };
+  const double regions = regions_along(de.i, re.i) *
+                         regions_along(de.j, re.j) *
+                         regions_along(de.k, re.k);
 
   int best_k = 1;
   double best_step = 0.0;
@@ -216,18 +222,25 @@ inline int choose_time_block_k(const tida::Box& domain,
     }
 
     // The widened ghost ring crosses the link twice per exchange (shells
-    // down, refreshed ghosts up) — the bytes that grow with k. The handful
-    // of per-face setups is second-order next to the ring payload.
+    // down, refreshed ghosts up) — the bytes that grow with k. The
+    // pipelined exchange (core/streaming_exchange.hpp) overlaps the two
+    // legs and the host copies across regions, so a region costs its
+    // busiest leg plus its share of one region's pull → copy → push
+    // latency. The handful of per-face setups is second-order next to the
+    // ring payload.
     const double ring_bytes =
         (grown_cells - valid_cells) * static_cast<double>(elem_bytes);
-    const double tex = ring_bytes / cfg.pinned_d2h_gbps +
-                       ring_bytes / cfg.pinned_h2d_gbps +
-                       2.0 * static_cast<double>(cfg.transfer_latency_ns +
-                                                 cfg.host_api_overhead_ns);
+    const double setup = static_cast<double>(cfg.transfer_latency_ns +
+                                             cfg.host_api_overhead_ns);
+    const double pull = ring_bytes / cfg.pinned_d2h_gbps + setup;
+    const double push = ring_bytes / cfg.pinned_h2d_gbps + setup;
+    const double host = ring_bytes / cfg.host_copy_gbps;
+    const double tex =
+        std::max({pull, push, host}) + (pull + host + push) / regions;
 
     // Out-of-core steady state: every region's transfers overlap other
-    // regions' kernels, so the slower pipeline bounds the block; the
-    // exchange is serial between blocks. All per region, per k steps.
+    // regions' kernels, so the slower pipeline bounds the block, and the
+    // exchange follows it. All per region, per k steps.
     const double step_ns = (std::max(tx, tc) + tex) / static_cast<double>(k);
     const double bytes_per_update =
         (2.0 * flat_bytes + 2.0 * ring_bytes) /

@@ -83,6 +83,10 @@ void DirtyTracker::note_write(int region, const Box& box, bool host_side) {
     same.insert(same.end(), fresh.begin(), fresh.end());
   }
 
+  // Merge pieces that tile a box first (a slab's 26 ghost pieces are 6
+  // boxes), so the cap below only fires on genuinely scattered writes.
+  same = tida::coalesce(std::move(same));
+
   // Cap fragmentation: coarsen to the bounding box, carved so it never
   // claims cells the *other* side has dirtied (that would legalize a flat
   // copy that overwrites them).

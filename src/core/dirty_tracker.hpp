@@ -104,7 +104,8 @@ class DirtyTracker {
     return tida::list_volume(dev_dirty(region));
   }
 
-  /// Fragmentation cap: when a side's list exceeds this many boxes it is
+  /// Fragmentation cap: when a side's list still exceeds this many boxes
+  /// after tida::coalesce has merged every pair that unions to a box, it is
   /// collapsed to its bounding box minus the other side's boxes (coarser —
   /// never loses dirtiness, never swallows the other side's cells).
   static constexpr std::size_t kMaxPiecesPerSide = 16;

@@ -160,6 +160,12 @@ class MultiAccTileArray : public tida::TileArray<T> {
   /// Region's index within its owning device's pool.
   int local_region(int region) const { return local_[checked(region)]; }
 
+  /// Slot `region` is bound to on its owning device.
+  int slot_of_region(int region) const {
+    return pool_of(owner_[checked(region)])
+        .slot_of_region(local_[static_cast<std::size_t>(region)]);
+  }
+
   /// Global region ids owned by one device, in local order.
   const std::vector<int>& regions_of_device(int device) const {
     TIDACC_CHECK_MSG(device >= 0 && device < num_devices_,
@@ -509,93 +515,15 @@ class MultiAccTileArray : public tida::TileArray<T> {
     if (delta_transfers_ &&
         (streaming_guard_ == StreamingGuard::kForceStreaming ||
          (streaming_guard_ == StreamingGuard::kAuto &&
-          streaming_cheaper(bc)))) {
-      fill_boundary_streaming(bc);
+          detail::streaming_cheaper<T>(*this, bc)))) {
+      // The same per-region pipeline as AccTileArray; pulls and pushes run
+      // under each region's owning device.
+      detail::streaming_exchange(*this, bc);
       return;
     }
     release_all_to_host();
     note_host_buffers("fill_boundary_host");
     this->fill_boundary_host(bc);
-  }
-
-  /// Out-of-core ghost exchange without the full drain (delta mode only) —
-  /// the multi-device mirror of AccTileArray::fill_boundary_streaming:
-  /// pull only the device-written source cells the plan reads, exchange on
-  /// the host, eagerly push the freshened ghost boxes back to resident
-  /// regions on their owners' slot streams.
-  void fill_boundary_streaming(tida::Boundary bc) {
-    TIDACC_CHECK_MSG(delta_transfers_,
-                     "streaming exchange requires delta_transfers");
-    const auto& plan = this->exchange_plan(bc);
-
-    std::vector<std::vector<tida::Box>> pulls(
-        static_cast<std::size_t>(this->num_regions()));
-    for (const auto& c : plan) {
-      if (loc_.location(c.src_region) != Loc::kDevice) {
-        continue;
-      }
-      auto& list = pulls[static_cast<std::size_t>(c.src_region)];
-      for (const tida::Box& d : dirty_.dev_dirty(c.src_region)) {
-        const tida::Box x = d.intersect(c.src_box);
-        if (x.empty()) {
-          continue;
-        }
-        std::vector<tida::Box> fresh = tida::subtract_box(x, list);
-        list.insert(list.end(), fresh.begin(), fresh.end());
-      }
-    }
-    StreamSyncList streams;
-    for (int r = 0; r < this->num_regions(); ++r) {
-      const auto& list = pulls[static_cast<std::size_t>(r)];
-      if (list.empty()) {
-        continue;
-      }
-      const int dev = owner_[checked(r)];
-      // stream_of_slot resolves its queue id against the *current* device;
-      // without the guard a pull for this region would land on whichever
-      // device was selected last — unordered with the region's own slot
-      // stream (and the prefetch/eviction transfers already queued on it).
-      cuem::DeviceGuard guard(dev);
-      const DevicePool& pool = pool_of(dev);
-      const int slot =
-          pool.slot_of_region(local_[static_cast<std::size_t>(r)]);
-      TIDACC_CHECK_MSG(pool.cache().resident(slot) ==
-                           local_[static_cast<std::size_t>(r)],
-                       "region marked on-device but not resident");
-      const cuemStream_t stream = pool.stream_of_slot(slot);
-      copy_boxes(r, list, cuemMemcpyDeviceToHost, stream,
-                 sim::PayloadKind::kFaceShell);
-      for (const tida::Box& b : list) {
-        dirty_.note_device_shipped(r, b);
-      }
-      streams.add(stream);
-    }
-    streams.sync_all();
-    // The pulls above synced their own streams; still-pending pushes from
-    // the *previous* exchange (phase 3 queues without a trailing sync) may
-    // sit on streams that pulled nothing this round — the host exchange
-    // below would race them.
-    sync_all_pending_host();
-
-    note_host_buffers("fill_boundary_streaming");
-    this->fill_boundary_host(bc);
-    for (const auto& c : plan) {
-      dirty_.note_host_write(c.dst_region, c.dst_box);
-    }
-
-    for (int r = 0; r < this->num_regions(); ++r) {
-      if (loc_.location(r) != Loc::kDevice) {
-        continue;
-      }
-      const auto& hd = dirty_.host_dirty(r);
-      if (hd.empty()) {
-        continue;
-      }
-      copy_boxes(r, hd, cuemMemcpyHostToDevice, stream_of_region(r),
-                 sim::PayloadKind::kGhostRefresh);
-      dirty_.clear_host(r);
-    }
-    ++streaming_exchanges_;
   }
 
   /// Number of streaming (delta) ghost exchanges performed so far.
@@ -816,6 +744,9 @@ class MultiAccTileArray : public tida::TileArray<T> {
   }
 
  protected:
+  template <typename A>
+  friend void detail::streaming_exchange(A& a, tida::Boundary bc);
+
   // Protected rather than private: ClusterTileArray extends the exchange
   // across simulated nodes and reuses the pools, location/dirty tracking
   // and copy plumbing wholesale.
@@ -1000,91 +931,6 @@ class MultiAccTileArray : public tida::TileArray<T> {
     }
   }
 
-  /// Chunk count of a pitched copy of `box` out of the grown-box layout,
-  /// mirroring the cuem coalescing rules.
-  static std::uint64_t chunks_for(const tida::Box& grown,
-                                  const tida::Box& box) {
-    const tida::Index3 e = box.extent();
-    const tida::Index3 ge = grown.extent();
-    if (e.i != ge.i) {
-      return static_cast<std::uint64_t>(e.j) * static_cast<std::uint64_t>(e.k);
-    }
-    return e.j == ge.j ? 1 : static_cast<std::uint64_t>(e.k);
-  }
-
-  /// Exchange-level cost model behind StreamingGuard::kAuto — the
-  /// multi-device mirror of AccTileArray::streaming_cheaper (link costs are
-  /// identical on every simulated device, so the aggregate predictor needs
-  /// no per-device split).
-  bool streaming_cheaper(tida::Boundary bc) {
-    const sim::DeviceConfig& cfg = sim::Platform::instance().config();
-    const auto& plan = this->exchange_plan(bc);
-
-    const auto op_ns = [this, &cfg](const tida::Box& grown,
-                                    const tida::Box& b, double gbps) {
-      const std::uint64_t comp_bytes = b.volume() * sizeof(T);
-      return static_cast<SimTime>(this->ncomp()) *
-                 (cfg.host_api_overhead_ns + cfg.transfer_latency_ns +
-                  cfg.memcpy3d_overhead_ns(comp_bytes,
-                                           chunks_for(grown, b))) +
-             transfer_time_ns(comp_bytes * this->ncomp(), gbps);
-    };
-
-    SimTime stream_ns = 0;
-    std::vector<std::vector<tida::Box>> pulls(
-        static_cast<std::size_t>(this->num_regions()));
-    for (const auto& c : plan) {
-      if (loc_.location(c.src_region) != Loc::kDevice) {
-        continue;
-      }
-      auto& list = pulls[static_cast<std::size_t>(c.src_region)];
-      for (const tida::Box& d : dirty_.dev_dirty(c.src_region)) {
-        const tida::Box x = d.intersect(c.src_box);
-        if (x.empty()) {
-          continue;
-        }
-        std::vector<tida::Box> fresh = tida::subtract_box(x, list);
-        list.insert(list.end(), fresh.begin(), fresh.end());
-      }
-    }
-    for (int r = 0; r < this->num_regions(); ++r) {
-      const tida::Box& grown = this->region(r).grown;
-      for (const tida::Box& b : pulls[static_cast<std::size_t>(r)]) {
-        stream_ns += op_ns(grown, b, cfg.pinned_d2h_gbps);
-      }
-    }
-    for (const auto& c : plan) {
-      if (loc_.location(c.dst_region) != Loc::kDevice) {
-        continue;
-      }
-      stream_ns += op_ns(this->region(c.dst_region).grown, c.dst_box,
-                         cfg.pinned_h2d_gbps);
-    }
-    for (int r = 0; r < this->num_regions(); ++r) {
-      if (loc_.location(r) != Loc::kDevice) {
-        continue;
-      }
-      const tida::Box& grown = this->region(r).grown;
-      for (const tida::Box& b : dirty_.host_dirty(r)) {
-        stream_ns += op_ns(grown, b, cfg.pinned_h2d_gbps);
-      }
-    }
-
-    SimTime d2h_ns = 0;
-    SimTime h2d_ns = 0;
-    for (int r = 0; r < this->num_regions(); ++r) {
-      const std::uint64_t bytes = this->region_bytes(r);
-      if (loc_.location(r) == Loc::kDevice) {
-        d2h_ns += cfg.host_api_overhead_ns + cfg.transfer_latency_ns +
-                  transfer_time_ns(bytes, cfg.pinned_d2h_gbps);
-      }
-      h2d_ns += cfg.host_api_overhead_ns + cfg.transfer_latency_ns +
-                transfer_time_ns(bytes, cfg.pinned_h2d_gbps);
-    }
-    const SimTime drain_ns = std::max(d2h_ns, h2d_ns);
-    return stream_ns <= drain_ns;
-  }
-
   /// True when shipping `boxes` as pitched sub-box copies is modeled
   /// cheaper than one flat whole-region transfer in direction `h2d`.
   bool delta_cheaper(int region, const std::vector<tida::Box>& boxes,
@@ -1100,7 +946,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
       const std::uint64_t bytes = b.volume() * sizeof(T);
       delta += static_cast<SimTime>(this->ncomp()) *
                (cfg.transfer_latency_ns +
-                cfg.memcpy3d_overhead_ns(bytes, chunks_for(grown, b)) +
+                cfg.memcpy3d_overhead_ns(bytes, detail::chunks_for(grown, b)) +
                 transfer_time_ns(bytes, gbps));
       if (delta >= flat) {
         return false;

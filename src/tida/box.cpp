@@ -1,5 +1,6 @@
 #include "tida/box.hpp"
 
+#include <cstddef>
 #include <ostream>
 #include <sstream>
 
@@ -105,6 +106,62 @@ Box bounding_box(const std::vector<Box>& list) {
     }
   }
   return bb;
+}
+
+namespace {
+
+int component(const Index3& p, int axis) {
+  return axis == 0 ? p.i : (axis == 1 ? p.j : p.k);
+}
+
+/// The box `a ∪ b` when it is one: `b` inside `a` (or the reverse), or
+/// both equal on the two axes other than `axis` and touching or
+/// overlapping along it. Empty otherwise.
+Box union_along(const Box& a, const Box& b, int axis) {
+  if (a.contains(b)) {
+    return a;
+  }
+  if (b.contains(a)) {
+    return b;
+  }
+  for (int d = 0; d < 3; ++d) {
+    if (d != axis && (component(a.lo, d) != component(b.lo, d) ||
+                      component(a.hi, d) != component(b.hi, d))) {
+      return Box{};
+    }
+  }
+  if (component(a.lo, axis) > component(b.hi, axis) + 1 ||
+      component(b.lo, axis) > component(a.hi, axis) + 1) {
+    return Box{};
+  }
+  return Box{Index3::min(a.lo, b.lo), Index3::max(a.hi, b.hi)};
+}
+
+}  // namespace
+
+std::vector<Box> coalesce(std::vector<Box> list) {
+  std::erase_if(list, [](const Box& b) { return b.empty(); });
+  bool merged = true;
+  while (merged) {
+    merged = false;
+    for (int axis = 0; axis < 3; ++axis) {
+      for (std::size_t a = 0; a < list.size(); ++a) {
+        for (std::size_t b = a + 1; b < list.size();) {
+          const Box u = union_along(list[a], list[b], axis);
+          if (u.empty()) {
+            ++b;
+            continue;
+          }
+          // The grown box may now merge with a piece it skipped before.
+          list[a] = u;
+          list.erase(list.begin() + static_cast<std::ptrdiff_t>(b));
+          b = a + 1;
+          merged = true;
+        }
+      }
+    }
+  }
+  return list;
 }
 
 std::vector<Box> ghost_shells(const Box& valid, int g) {

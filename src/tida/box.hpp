@@ -89,6 +89,14 @@ std::uint64_t list_volume(const std::vector<Box>& list);
 /// Smallest box containing every box of the list (empty for an empty list).
 Box bounding_box(const std::vector<Box>& list);
 
+/// Merges any two boxes of `list` whose union is itself a box — one
+/// contains the other, or both share their extent on two axes and touch or
+/// overlap on the third — until no such pair is left. Empty boxes are
+/// dropped; the result covers exactly the input's cells. Merges are swept
+/// axis by axis (i, then j, then k, repeated), so a periodic slab's 26 ghost
+/// pieces become its 6-box ghost ring rather than an L-shaped leftover.
+std::vector<Box> coalesce(std::vector<Box> list);
+
 /// The ghost ring of `valid` grown by `g`, decomposed into at most 6
 /// disjoint face shells — subtract(valid.grow(g), valid).
 std::vector<Box> ghost_shells(const Box& valid, int g);

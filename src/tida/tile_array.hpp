@@ -187,13 +187,25 @@ class TileArray {
   /// exchange plan with row-wise memcpy; in timing-only mode only the cost
   /// is charged. Returns the number of ghost cells refreshed.
   std::uint64_t fill_boundary_host(Boundary bc) {
+    return fill_boundary_host(bc, 0, exchange_plan(bc).size());
+  }
+
+  /// Range form: executes plan copies [begin, end) only and charges just
+  /// their share of the host copy time — one destination group at a time
+  /// for the pipelined out-of-core exchange.
+  std::uint64_t fill_boundary_host(Boundary bc, std::size_t begin,
+                                   std::size_t end) {
     const std::vector<GhostCopy>& plan = exchange_plan(bc);
-    if (cuem::functional()) {
-      for (const GhostCopy& c : plan) {
-        apply_copy_host(c);
+    TIDACC_CHECK_MSG(begin <= end && end <= plan.size(),
+                     "exchange plan range out of bounds");
+    std::uint64_t cells = 0;
+    for (std::size_t c = begin; c < end; ++c) {
+      if (cuem::functional()) {
+        apply_copy_host(plan[c]);
       }
+      cells += plan[c].dst_box.volume();
     }
-    const std::uint64_t cells = plan_cells(plan) * ncomp_;
+    cells *= static_cast<std::uint64_t>(ncomp_);
     sim::Platform& p = sim::Platform::instance();
     p.host_advance(
         transfer_time_ns(cells * sizeof(T), p.config().host_copy_gbps));

@@ -430,6 +430,74 @@ TEST_F(CuemSanTest, TemporalBlockingEvictionIsClean) {
       << "unexpected findings:\n" << cuem::san::report_json();
 }
 
+/// The pipelined streaming exchange out of core: one slot fewer than
+/// regions on every device, so each exchange pulls the resident regions'
+/// face shells, refreshes the ghosts one destination group at a time and
+/// pushes each ring while later groups' pulls are still landing — and the
+/// evicted region's group waits on its eviction stream.
+void sweep_region(AccTileArray<double>& u, int r, const LoopCost& cost) {
+  const tida::Region<double> reg = u.region(r);
+  const core::AccTile<double> tile{&u, tida::Tile<double>{reg, reg.valid},
+                                   /*gpu=*/true};
+  compute(tile, cost, [](DeviceView<double> v, int i, int j, int k) {
+    v(i, j, k) = 0.5 * v(i, j, k) +
+                 0.125 * (v(i, j, k - 1) + v(i, j, k + 1) + v(i - 1, j, k) +
+                          v(i, j + 1, k));
+  });
+}
+
+void sweep_region(core::MultiAccTileArray<double>& u, int r,
+                  const LoopCost& cost) {
+  core::compute_gpu(u, r, cost, [](DeviceView<double> v, int i, int j, int k) {
+    v(i, j, k) = 0.5 * v(i, j, k) +
+                 0.125 * (v(i, j, k - 1) + v(i, j, k + 1) + v(i - 1, j, k) +
+                          v(i, j + 1, k));
+  });
+}
+
+template <typename Array, typename Options>
+void run_streaming_workload(Options opts) {
+  opts.delta_transfers = true;
+  opts.streaming_guard = core::StreamingGuard::kForceStreaming;
+  Array u(Box::cube(12), Index3{12, 12, 2}, 1, opts);
+  u.fill([](const Index3& p) {
+    return std::sin(0.1 * p.i) + 0.5 * std::cos(0.2 * p.j) + 0.01 * p.k;
+  });
+  LoopCost cost;
+  cost.flops_per_iter = 8;
+  cost.dev_bytes_per_iter = 16;
+  for (int s = 0; s < 3; ++s) {
+    u.fill_boundary(Boundary::kPeriodic);
+    for (int r = 0; r < u.num_regions(); ++r) {
+      sweep_region(u, r, cost);
+    }
+  }
+  EXPECT_EQ(u.streaming_exchanges(), 2u);
+  u.release_all_to_host();
+}
+
+TEST_F(CuemSanTest, StreamingExchangeOneDeviceIsClean) {
+  AccOptions opts;
+  opts.max_slots = 5;  // 6 regions
+  run_streaming_workload<AccTileArray<double>>(opts);
+  EXPECT_TRUE(cuem::san::clean())
+      << "unexpected findings:\n" << cuem::san::report_json();
+  EXPECT_EQ(cuem::san::count(cuem::san::Severity::kWarning), 0u);
+}
+
+TEST_F(CuemSanTest, StreamingExchangeTwoDevicesIsClean) {
+  cuem::configure(test_config(), /*functional=*/true, /*num_devices=*/2,
+                  Interconnect::pcie());
+  oacc::reset();
+  core::MultiAccOptions opts;
+  opts.devices = 2;
+  opts.max_slots_per_device = 2;  // 3 regions per device
+  run_streaming_workload<core::MultiAccTileArray<double>>(opts);
+  EXPECT_TRUE(cuem::san::clean())
+      << "unexpected findings:\n" << cuem::san::report_json();
+  EXPECT_EQ(cuem::san::count(cuem::san::Severity::kWarning), 0u);
+}
+
 TEST_F(CuemSanTest, StaticMhpAgreesWithDynamicRacecheck) {
   // The schedule analyzer's static may-happen-in-parallel relation
   // (op-graph reachability, engine edges excluded) must coincide with the

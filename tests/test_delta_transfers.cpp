@@ -120,6 +120,28 @@ TEST(DirtyTrackerTest, FragmentationCapNeverSwallowsTheOtherSide) {
   EXPECT_EQ(t.dev_dirty_volume(0), 6u);
 }
 
+TEST(DirtyTrackerTest, GhostPiecesCoalesceInsteadOfHittingTheCap) {
+  // The 26 ghost pieces a periodic exchange writes into one slab exceed the
+  // cap, but they tile the 6-box ring: the host side must end up as exactly
+  // the ring, not a bounding box that swallows the valid face shells.
+  const tida::Partition part(Box::cube(8), Index3{8, 8, 4});
+  const Box valid = part.region_box(0);
+  DirtyTracker t(part.num_regions());
+  t.note_device_write(0, valid);
+  std::size_t pieces = 0;
+  for (const tida::GhostCopy& c :
+       tida::compute_exchange_plan(part, 1, Boundary::kPeriodic)) {
+    if (c.dst_region == 0) {
+      t.note_host_write(0, c.dst_box);
+      ++pieces;
+    }
+  }
+  ASSERT_GT(pieces, DirtyTracker::kMaxPiecesPerSide);
+  EXPECT_LE(t.host_dirty(0).size(), 6u);
+  EXPECT_EQ(t.host_dirty_volume(0), valid.grow(1).volume() - valid.volume());
+  EXPECT_EQ(t.dev_dirty(0), (std::vector<Box>{valid}));
+}
+
 // --- delta-off guarantee ---
 
 TEST_F(DeltaTest, DeltaOffIssuesNoPitchedCopies) {
@@ -354,6 +376,107 @@ TEST_F(DeltaTest, DeltaReducesOutOfCoreTraffic) {
   EXPECT_LT(delta, full);
 }
 
+TEST_F(DeltaTest, StreamingExchangeShipsExactShellsAndGhostRings) {
+  // Three 12x12x4 slabs on two slots: after one sweep regions 1 and 2 are
+  // resident and device-dirty, region 0 was evicted. One exchange must pull
+  // each resident region's valid face shell once and push back exactly its
+  // ghost ring — no face shell on the way up, nothing shipped twice.
+  AccOptions opts;
+  opts.max_slots = 2;
+  opts.delta_transfers = true;
+  opts.streaming_guard = StreamingGuard::kForceStreaming;
+  AccTileArray<double> u(Box::cube(12), Index3{12, 12, 4}, 1, opts);
+  u.fill([](const Index3& p) { return 1.0 * p.i + 0.5 * p.k; });
+  LoopCost cost;
+  cost.flops_per_iter = 2;
+  cost.dev_bytes_per_iter = 16;
+  u.fill_boundary(Boundary::kPeriodic);  // host path: nothing on device yet
+  AccTileIterator<double> it(u);
+  for (it.reset(true); it.isValid(); it.next()) {
+    compute(it.tile(), cost, [](DeviceView<double> v, int i, int j, int k) {
+      v(i, j, k) += 0.25 * (v(i, j, k - 1) - v(i, j, k + 1));
+    });
+  }
+  ASSERT_EQ(u.location(0), Loc::kHost);
+  std::uint64_t shells = 0;
+  std::uint64_t rings = 0;
+  for (const int r : {1, 2}) {
+    ASSERT_EQ(u.location(r), Loc::kDevice);
+    const Box valid = u.region(r).valid;
+    shells += (valid.volume() - valid.grow(-1).volume()) * sizeof(double);
+    rings += (valid.grow(1).volume() - valid.volume()) * sizeof(double);
+  }
+  const TransferAccounting before = u.transfers();
+  u.fill_boundary(Boundary::kPeriodic);
+  const TransferAccounting& after = u.transfers();
+  EXPECT_EQ(u.streaming_exchanges(), 1u);
+  EXPECT_EQ(after.d2h_bytes - before.d2h_bytes, shells);
+  EXPECT_EQ(after.h2d_bytes - before.h2d_bytes, rings);
+  // Coalesced: each shell and each ring ships as (at most) six boxes.
+  EXPECT_LE(after.delta_d2h_ops - before.delta_d2h_ops, 12u);
+  EXPECT_LE(after.delta_h2d_ops - before.delta_h2d_ops, 12u);
+  EXPECT_EQ(after.flat_h2d_ops, before.flat_h2d_ops);
+  EXPECT_EQ(after.flat_d2h_ops, before.flat_d2h_ops);
+  for (const int r : {1, 2}) {
+    EXPECT_TRUE(u.dirty().host_clean(r)) << "region " << r;
+  }
+}
+
+/// Jacobi heat on a 2-device MultiAccTileArray (3 regions per device, 2
+/// slots each), returning the final field.
+HeatRun run_multi_heat(bool delta) {
+  cuem::configure(fast_config(), /*functional=*/true, /*num_devices=*/2,
+                  sim::Interconnect::pcie());
+  oacc::reset();
+  constexpr int n = 12;
+  MultiAccOptions opts;
+  opts.devices = 2;
+  opts.max_slots_per_device = 2;
+  opts.delta_transfers = delta;
+  opts.streaming_guard = StreamingGuard::kForceStreaming;
+  MultiAccTileArray<double> u(Box::cube(n), Index3{n, n, 2}, 1, opts);
+  MultiAccTileArray<double> un(Box::cube(n), Index3{n, n, 2}, 1, opts);
+  u.fill([](const Index3& p) {
+    return std::sin(0.1 * p.i) + 0.5 * std::cos(0.2 * p.j) + 0.01 * p.k;
+  });
+  LoopCost cost;
+  cost.flops_per_iter = 8;
+  cost.dev_bytes_per_iter = 16;
+  MultiAccTileArray<double>* src = &u;
+  MultiAccTileArray<double>* dst = &un;
+  for (int s = 0; s < 4; ++s) {
+    src->fill_boundary(Boundary::kPeriodic);
+    for (int r = 0; r < src->num_regions(); ++r) {
+      compute_gpu(*src, *dst, r, cost,
+                  [](DeviceView<double> us, DeviceView<double> uns, int i,
+                     int j, int k) {
+                    uns(i, j, k) =
+                        us(i, j, k) +
+                        0.15 * (us(i - 1, j, k) + us(i + 1, j, k) +
+                                us(i, j - 1, k) + us(i, j + 1, k) +
+                                us(i, j, k - 1) + us(i, j, k + 1) -
+                                6.0 * us(i, j, k));
+                  });
+    }
+    std::swap(src, dst);
+  }
+  src->release_all_to_host();
+  HeatRun out;
+  out.data.resize(Box::cube(n).volume());
+  src->copy_out(out.data.data());
+  out.streaming_exchanges =
+      u.streaming_exchanges() + un.streaming_exchanges();
+  return out;
+}
+
+TEST_F(DeltaTest, TwoDeviceStreamingMatchesTheDrainBitForBit) {
+  const HeatRun drain = run_multi_heat(/*delta=*/false);
+  const HeatRun streamed = run_multi_heat(/*delta=*/true);
+  EXPECT_EQ(drain.streaming_exchanges, 0u);
+  EXPECT_GT(streamed.streaming_exchanges, 0u);
+  EXPECT_EQ(streamed.data, drain.data);
+}
+
 // --- eviction invariants across policies ---
 
 class DeltaPolicySweep
@@ -378,6 +501,32 @@ TEST_P(DeltaPolicySweep, DeltaOnStaysCorrectAndEndsClean) {
   opts.slot_policy = policy;
   opts.disable_caching = disable_caching;
   const HeatRun got = run_tida_heat(n, steps, fac, opts);
+  EXPECT_EQ(got.data, reference.data);
+}
+
+TEST_P(DeltaPolicySweep, ForcedStreamingMatchesTheDrainBitForBit) {
+  // The pipelined exchange reorders host copies and pushes by pull
+  // completion; whatever the slot policy, the field must not change.
+  const auto [policy, disable_caching] = GetParam();
+  constexpr int n = 8;
+  constexpr int steps = 4;
+  constexpr double fac = 0.1;
+
+  cuem::configure(fast_config(), /*functional=*/true);
+  oacc::reset();
+  AccOptions base;
+  base.max_slots = 3;  // 4 regions: one evicted per sweep
+  const HeatRun reference = run_tida_heat(n, steps, fac, base);
+
+  cuem::configure(fast_config(), /*functional=*/true);
+  oacc::reset();
+  AccOptions opts = base;
+  opts.delta_transfers = true;
+  opts.streaming_guard = StreamingGuard::kForceStreaming;
+  opts.slot_policy = policy;
+  opts.disable_caching = disable_caching;
+  const HeatRun got = run_tida_heat(n, steps, fac, opts);
+  EXPECT_GT(got.streaming_exchanges, 0u);
   EXPECT_EQ(got.data, reference.data);
 }
 

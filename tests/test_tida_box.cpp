@@ -202,6 +202,68 @@ TEST(BoxAlgebra, GhostShellsTileTheRingExactly) {
   EXPECT_TRUE(ghost_shells(Box::cube(4), 0).empty());
 }
 
+// The 26 face/edge/corner ghost pieces the periodic plan writes into one
+// slab of an 8^3 domain cut into four k-slabs.
+std::vector<Box> periodic_slab_ghost_pieces(Box* valid) {
+  const Partition part(Box::cube(8), Index3{8, 8, 2});
+  *valid = part.region_box(1);
+  std::vector<Box> pieces;
+  for (const GhostCopy& c :
+       compute_exchange_plan(part, 1, Boundary::kPeriodic)) {
+    if (c.dst_region == 1) {
+      pieces.push_back(c.dst_box);
+    }
+  }
+  return pieces;
+}
+
+TEST(BoxCoalesce, CoversExactlyTheSameCells) {
+  // Disjoint pieces of a cube with a hole and a notch, plus a stray box and
+  // an empty one (dropped).
+  std::vector<Box> list = subtract_box(
+      Box::cube(6), {Box{{1, 1, 1}, {2, 4, 3}}, Box{{5, 0, 0}, {5, 2, 5}}});
+  list.push_back(Box{{10, 10, 10}, {11, 10, 12}});
+  list.push_back(Box{});
+  const auto before = cells_of(list);
+  const std::vector<Box> merged = coalesce(list);
+  EXPECT_LT(merged.size(), list.size());
+  EXPECT_EQ(cells_of(merged), before);  // also asserts disjointness
+  for (const Box& b : merged) {
+    EXPECT_FALSE(b.empty());
+  }
+}
+
+TEST(BoxCoalesce, NeverMergesAnLShape) {
+  const std::vector<Box> l{Box{{0, 0, 0}, {1, 0, 0}}, Box{{0, 1, 0}, {0, 1, 0}}};
+  EXPECT_EQ(coalesce(l), l);
+  // Same extents on two axes but a gap on the third: no box either.
+  const std::vector<Box> gap{Box{{0, 0, 0}, {1, 1, 1}},
+                             Box{{3, 0, 0}, {4, 1, 1}}};
+  EXPECT_EQ(coalesce(gap), gap);
+  // Touching along one axis with equal extents otherwise: one box.
+  EXPECT_EQ(coalesce({Box{{0, 0, 0}, {1, 1, 1}}, Box{{2, 0, 0}, {4, 1, 1}}}),
+            (std::vector<Box>{Box{{0, 0, 0}, {4, 1, 1}}}));
+}
+
+TEST(BoxCoalesce, PeriodicSlabGhostPiecesBecomeTheSixBoxRing) {
+  Box valid;
+  const std::vector<Box> pieces = periodic_slab_ghost_pieces(&valid);
+  ASSERT_EQ(pieces.size(), 26u);
+  const std::vector<Box> ring = coalesce(pieces);
+  EXPECT_EQ(ring.size(), 6u);
+  EXPECT_EQ(cells_of(ring), cells_of(ghost_shells(valid, 1)));
+}
+
+TEST(BoxCoalesce, SecondCallChangesNothing) {
+  Box valid;
+  const std::vector<Box> once = coalesce(periodic_slab_ghost_pieces(&valid));
+  EXPECT_EQ(coalesce(once), once);
+  const std::vector<Box> scattered =
+      coalesce(subtract_box(Box::cube(5), {Box{{1, 1, 1}, {3, 3, 3}},
+                                           Box{{0, 4, 0}, {4, 4, 1}}}));
+  EXPECT_EQ(coalesce(scattered), scattered);
+}
+
 // --- Partition ---
 
 TEST(Partition, ExactDivision) {

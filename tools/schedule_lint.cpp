@@ -14,8 +14,9 @@
 //     agree pairwise with the dynamic happens-before vector clocks.
 //
 // The scenarios are deterministic re-runs of the workloads the benches and
-// tests exercise (limited-memory sincos streaming, out-of-core halo sweep,
-// multi-GPU exchange, cluster exchange over both fabric paths), so a
+// tests exercise (limited-memory sincos streaming, out-of-core halo sweep
+// with the drain and with the pipelined streaming exchange, multi-GPU
+// exchange, cluster exchange over both fabric paths), so a
 // regression in any ordering edge shows up as a diff here before it shows
 // up as a slowdown. CI runs this over every scenario and fails on findings
 // (exit 1); --json=<path> writes a machine-readable summary.
@@ -220,14 +221,20 @@ ScenarioResult scenario_sincos() {
 }
 
 /// Out-of-core halo sweep: fill_boundary + in-place ghost-reading stencil
-/// with fewer slots than regions (eviction D2H racing the next H2D).
-ScenarioResult scenario_halo() {
+/// with fewer slots than regions (eviction D2H racing the next H2D). With
+/// `streaming`, delta transfers on and one slot short: every exchange runs
+/// the pipelined streaming path (per-region pull events, per-group pushes)
+/// while the previous sweep's kernels drain.
+ScenarioResult scenario_halo(const char* name, bool streaming) {
   sim::OpGraph g;
   fresh_world(g);
   const int n = 32, regions = 8;
   const int slab = (n + regions - 1) / regions;
   core::AccOptions o;
-  o.max_slots = 3;
+  o.max_slots = streaming ? regions - 1 : 3;
+  o.delta_transfers = streaming;
+  o.streaming_guard = streaming ? core::StreamingGuard::kForceStreaming
+                                : core::StreamingGuard::kAuto;
   core::AccTileArray<double> u(tida::Box::cube(n),
                                tida::Index3{n, n, slab}, /*ghost=*/1, o);
   u.assume_host_initialized();
@@ -243,7 +250,7 @@ ScenarioResult scenario_halo() {
   }
   u.release_all_to_host();
   cuem::platform().set_op_graph(nullptr);
-  return analyze("halo_out_of_core", g);
+  return analyze(name, g);
 }
 
 /// Multi-GPU exchange: regions sharded over two devices, peer copies and
@@ -354,7 +361,10 @@ int main(int argc, char** argv) {
     results.push_back(scenario_sincos());
   }
   if (want("halo_out_of_core")) {
-    results.push_back(scenario_halo());
+    results.push_back(scenario_halo("halo_out_of_core", /*streaming=*/false));
+  }
+  if (want("halo_streaming")) {
+    results.push_back(scenario_halo("halo_streaming", /*streaming=*/true));
   }
   if (want("multigpu_exchange")) {
     results.push_back(scenario_multigpu());
