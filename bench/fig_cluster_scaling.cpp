@@ -32,6 +32,7 @@
 #include "bench_util.hpp"
 #include "common/table.hpp"
 #include "core/cluster_tile_array.hpp"
+#include "core/compute.hpp"
 #include "kernels/heat.hpp"
 #include "kernels/sincos.hpp"
 

@@ -22,6 +22,7 @@
 #include "baselines/common.hpp"
 #include "bench_util.hpp"
 #include "common/table.hpp"
+#include "core/compute.hpp"
 #include "core/multi_acc_array.hpp"
 #include "kernels/heat.hpp"
 #include "kernels/sincos.hpp"

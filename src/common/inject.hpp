@@ -6,10 +6,10 @@
 // have caught it). The env var is read once per process.
 //
 // Known injection points:
-//   evict_race — AccTileArray::order_after_pending returns early, skipping
-//     the event edge that orders a re-acquire's H2D after the in-flight
-//     eviction D2H still reading the same host buffer (the cross-stream
-//     race fixed alongside the dynamic slot policies).
+//   evict_race — MultiAccTileArray::order_after_pending returns early,
+//     skipping the event edge that orders a re-acquire's H2D after the
+//     in-flight eviction D2H still reading the same host buffer (the
+//     cross-stream race fixed alongside the dynamic slot policies).
 #pragma once
 
 #include <cstdlib>

@@ -1,11 +1,12 @@
 // compute() — the paper's uniform execution method (§IV-B5, §V).
 //
 // The programmer traverses tiles with an AccTileIterator and calls
-// compute(tile..., cost, lambda). The same call runs the lambda over the
-// tile's cells on the CPU (GPU-disabled traversal) or launches a generated
-// kernel on the tile's stream (GPU-enabled traversal). Data pointers are
-// delivered to the lambda as parameters — DeviceViews — which is the
-// paper's §V-A workaround for OpenACC's lambda/deviceptr limitation.
+// compute(tile..., cost, lambda), or compute_gpu(array, region, ...) for a
+// whole region. The same call runs the lambda over the tile's cells on the
+// CPU (GPU-disabled traversal) or launches a generated kernel on the tile's
+// stream (GPU-enabled traversal). Data pointers are delivered to the lambda
+// as parameters — DeviceViews — which is the paper's §V-A workaround for
+// OpenACC's lambda/deviceptr limitation.
 //
 // Lambda signature, for N tiles:
 //   [](DeviceView<T0> v0, ..., DeviceView<TN-1> vN-1, int i, int j, int k)
@@ -256,6 +257,108 @@ void compute(const AccTile<T0>& t0, const AccTile<T1>& t1,
              const oacc::LoopCost& cost, Fn&& body) {
   detail::compute_range(t0.tile.box, cost, std::forward<Fn>(body), t0, t1,
                         t2, t3);
+}
+
+// --- whole-region compute on the owning device ---
+
+/// Launches `body` over `region`'s valid box on the region's owning device:
+/// compute() over the region's single whole-region GPU tile.
+template <typename T, typename Fn>
+void compute_gpu(MultiAccTileArray<T>& a, int region,
+                 const oacc::LoopCost& cost, Fn&& body) {
+  const tida::Region<T> reg = a.region(region);
+  compute(AccTile<T>{&a, tida::Tile<T>{reg, reg.valid}, /*gpu=*/true}, cost,
+          std::forward<Fn>(body));
+}
+
+/// Two-array variant (Jacobi-style in/out): body(in, out, i, j, k). Both
+/// arrays must place the region on the same device; when the slot streams
+/// differ the kernel stream waits on the output's staging (event ordering,
+/// as compute() does for multi-tile calls).
+template <typename T, typename Fn>
+void compute_gpu(MultiAccTileArray<T>& in, MultiAccTileArray<T>& out,
+                 int region, const oacc::LoopCost& cost, Fn&& body) {
+  TIDACC_CHECK_MSG(in.partition() == out.partition(),
+                   "in/out arrays must share the partition geometry");
+  TIDACC_CHECK_MSG(in.device_of_region(region) ==
+                       out.device_of_region(region),
+                   "in/out region must live on the same device");
+  sim::Platform& p = sim::Platform::instance();
+  const tida::Region<T> rin = in.region(region);
+  const tida::Region<T> rout = out.region(region);
+  const DeviceView<T> vin{in.acquire_on_device(region), rin.grown,
+                          rin.ncomp};
+  const DeviceView<T> vout{out.acquire_on_device(region), rout.grown,
+                           rout.ncomp};
+  const cuemStream_t kstream = in.stream_of_region(region);
+  const cuemStream_t ostream = out.stream_of_region(region);
+  if (ostream != kstream) {
+    cuemEvent_t ev = 0;
+    CUEM_CHECK(cuemEventCreate(&ev));
+    CUEM_CHECK(cuemEventRecord(ev, ostream));
+    CUEM_CHECK(cuemStreamWaitEvent(kstream, ev, 0));
+    CUEM_CHECK(cuemEventDestroy(ev));
+  }
+
+  sim::KernelProfile prof;
+  prof.elements = rin.valid.volume();
+  prof.flops_per_element = cost.flops_per_iter;
+  prof.dev_bytes_per_element = cost.dev_bytes_per_iter;
+  prof.math_units_per_element = cost.math_units_per_iter;
+  prof.math = cost.math;
+  prof.tuned_geometry = false;
+  prof.efficiency_factor = cost.efficiency_factor;
+
+  auto action = [range = rin.valid, vin, vout,
+                 body = std::forward<Fn>(body)]() {
+    for (int k = range.lo.k; k <= range.hi.k; ++k) {
+      for (int j = range.lo.j; j <= range.hi.j; ++j) {
+        for (int i = range.lo.i; i <= range.hi.i; ++i) {
+          body(vin, vout, i, j, k);
+        }
+      }
+    }
+  };
+  p.enqueue_kernel(kstream, prof, p.config().oacc_dispatch_extra_ns,
+                   std::move(action),
+                   p.trace().recording() ? "C:R" + std::to_string(region)
+                                         : std::string());
+  in.note_device_write(region, rin.valid);
+  out.note_device_write(region, rout.valid);
+  if (cuem::san::enabled()) {
+    const std::string op = "C:R" + std::to_string(region);
+    cuem::san::note_kernel_access(
+        kstream, vin.data,
+        static_cast<std::size_t>(rin.grown.volume()) *
+            static_cast<std::size_t>(rin.ncomp) * sizeof(T),
+        /*write=*/true, op.c_str());
+    cuem::san::note_kernel_access(
+        kstream, vout.data,
+        static_cast<std::size_t>(rout.grown.volume()) *
+            static_cast<std::size_t>(rout.ncomp) * sizeof(T),
+        /*write=*/true, op.c_str());
+  }
+  // Schedule-lint attribution (sanitizer-independent): input is read-only,
+  // output is written — the roles the event edges above/below protect.
+  p.graph_note_stream_access(kstream, vin.data,
+                             static_cast<std::size_t>(rin.grown.volume()) *
+                                 static_cast<std::size_t>(rin.ncomp) *
+                                 sizeof(T),
+                             /*write=*/false);
+  p.graph_note_stream_access(kstream, vout.data,
+                             static_cast<std::size_t>(rout.grown.volume()) *
+                                 static_cast<std::size_t>(rout.ncomp) *
+                                 sizeof(T),
+                             /*write=*/true);
+  // Close the cross-stream edge: the kernel writes the output array's slot,
+  // so later work on the output's stream must wait for this launch.
+  if (ostream != kstream) {
+    cuemEvent_t ev = 0;
+    CUEM_CHECK(cuemEventCreate(&ev));
+    CUEM_CHECK(cuemEventRecord(ev, kstream));
+    CUEM_CHECK(cuemStreamWaitEvent(ostream, ev, 0));
+    CUEM_CHECK(cuemEventDestroy(ev));
+  }
 }
 
 // --- reductions ---

@@ -12,8 +12,8 @@
 // PAPERS.md).
 //
 // Contract:
-//   * the array was built with AccOptions::time_block_k = k (slots carry
-//     scratch buffers) and ghost >= k * radius;
+//   * the array was built with time_block_k = k (slots carry scratch
+//     buffers) and ghost >= k * radius;
 //   * a fill_boundary() ran since the last writes, so the full ghost ring
 //     is current on entry (every exchange refreshes the whole ring);
 //   * the body is a Jacobi-style per-cell update reading `in` and writing
@@ -31,22 +31,19 @@
 #include <utility>
 #include <vector>
 
-#include "core/acc_tile_array.hpp"
 #include "core/compute.hpp"
-#include "core/multi_acc_array.hpp"
 #include "oacc/oacc.hpp"
 #include "sim/platform.hpp"
 #include "tida/box.hpp"
 
 namespace tidacc::core {
 
-namespace detail {
-
-/// Shared k-step launcher: `array` only provides bookkeeping callbacks so
-/// AccTileArray and MultiAccTileArray reuse one implementation.
-template <typename T, typename A, typename Fn>
-void compute_k_region(A& a, int region, int k, int radius,
-                      const oacc::LoopCost& cost, Fn&& body) {
+/// Runs k stencil sub-steps over `region` in its slot on the region's
+/// owning device, double-buffering against the slot's scratch buffer (see
+/// file header for the contract).
+template <typename T, typename Fn>
+void compute_k(MultiAccTileArray<T>& a, int region, int k, int radius,
+               const oacc::LoopCost& cost, Fn&& body) {
   TIDACC_CHECK_MSG(k >= 2, "compute_k needs k >= 2 — use compute() for k=1");
   TIDACC_CHECK_MSG(radius >= 1, "stencil radius must be positive");
   TIDACC_CHECK_MSG(a.time_block_k() >= k,
@@ -122,26 +119,6 @@ void compute_k_region(A& a, int region, int k, int radius,
   }
   a.note_device_write(region,
                       tida::trapezoid_range(reg.valid, radius, k, 0));
-}
-
-}  // namespace detail
-
-/// Runs k stencil sub-steps over `region` in its slot, double-buffering
-/// against the slot's scratch buffer (see file header for the contract).
-template <typename T, typename Fn>
-void compute_k(AccTileArray<T>& a, int region, int k, int radius,
-               const oacc::LoopCost& cost, Fn&& body) {
-  detail::compute_k_region<T>(a, region, k, radius, cost,
-                              std::forward<Fn>(body));
-}
-
-/// Multi-device variant: the k-step block runs on `region`'s owning device
-/// (same staging, streams and labels as the single-device path).
-template <typename T, typename Fn>
-void compute_k(MultiAccTileArray<T>& a, int region, int k, int radius,
-               const oacc::LoopCost& cost, Fn&& body) {
-  detail::compute_k_region<T>(a, region, k, radius, cost,
-                              std::forward<Fn>(body));
 }
 
 // --- auto-tuner ---

@@ -1,25 +1,33 @@
-// MultiAccTileArray — the multi-GPU tileArray: regions distributed across
-// the platform's simulated devices.
+// MultiAccTileArray — the paper's GPU-extended tileArray (TiDA-acc), with
+// regions distributed across the platform's simulated devices.
 //
-// Extends tida::TileArray<T> the same way AccTileArray does, but with one
-// DevicePool (+ CacheTable + SlotScheduler) per device: each region has an
-// owning device chosen by a placement policy (block or round-robin), demand
-// acquires and prefetches run the §IV-B4 caching protocol against the
-// owner's pool, and the ghost exchange of §IV-B6 is extended across device
-// boundaries: interior faces whose source and destination live on the same
-// device use the usual device-side update kernels; faces crossing devices
-// travel as peer copies (direct over the interconnect when peer access is
-// enabled, staged D2H+H2D through pinned host memory otherwise). Both reuse
-// the CPU index-list pipelining — the host computes the copy descriptors
-// for region k+1 while device engines work on region k's updates.
+// Extends tida::TileArray<T> with one device slot pool (DevicePool +
+// CacheTable + SlotScheduler) per device, the caching protocol of §IV-B4
+// (on-demand transfers, eviction through shared slots), per-slot streams,
+// and the dual-path ghost exchange of §IV-B6 (host-side exchange when data
+// lives on the host; device-side kernels with CPU index computation when
+// data lives on the device). Each region has an owning device chosen by a
+// placement policy (block or round-robin); acquires and prefetches run the
+// protocol against the owner's pool. Ghost faces whose source and
+// destination share a device go into update kernels; faces crossing
+// devices travel as peer copies (direct over the interconnect when peer
+// access is enabled, staged D2H+H2D through pinned host memory otherwise).
+// Both reuse the CPU index-list pipelining — the host computes the copy
+// descriptors for region k+1 while device engines work on region k's
+// updates.
 //
-// With one device this class reproduces AccTileArray's operation sequence
-// bit-for-bit (same streams, same transfers, same kernels, same trace) —
-// the golden-trace equality test in tests/test_multi_gpu.cpp pins that.
+// Access protocol (paper §III "caching"):
+//   * acquire_on_device(r): makes region r usable by kernels; queues the
+//     needed async transfers on r's slot stream and returns the device
+//     pointer. Never blocks the host.
+//   * acquire_on_host(r): makes region r readable/writable on the host;
+//     blocks (cuemStreamSynchronize) if a device→host transfer is needed,
+//     because the caller touches the data immediately (§IV-B3).
+//
+// AccTileArray (core/acc_tile_array.hpp) is this class on one device.
 #pragma once
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -28,10 +36,9 @@
 
 #include "common/error.hpp"
 #include "common/inject.hpp"
-#include "core/acc_tile_array.hpp"
-#include "core/compute.hpp"
 #include "core/device_pool.hpp"
 #include "core/dirty_tracker.hpp"
+#include "core/streaming_exchange.hpp"
 #include "cuem/cuem.hpp"
 #include "cuem/san.hpp"
 #include "oacc/oacc.hpp"
@@ -39,6 +46,31 @@
 #include "tida/tile_array.hpp"
 
 namespace tidacc::core {
+
+/// How fill_boundary picks between the streaming (delta) exchange and the
+/// drain-to-host exchange in the out-of-core regime.
+///   kAuto           — consult the exchange-level cost model each time:
+///                     stream only when the predicted pitched-copy cost
+///                     (latency + chunk overhead per shell box) beats the
+///                     predicted drain cost. Default.
+///   kForceStreaming — always stream (ablation / tests pinning the path).
+///   kForceDrain     — never stream; drain and exchange on the host.
+enum class StreamingGuard : int { kAuto = 0, kForceStreaming, kForceDrain };
+
+/// Transfer compression policy for the host<->device link (and, through
+/// ClusterOptions, the inter-node wire).
+///   kOff  — every transfer moves raw bytes. Default; reproduces the
+///           uncompressed transfer timings bit-for-bit.
+///   kOn   — every eligible transfer runs through the codec, paying
+///           encode + decode while only the shrunken payload crosses the
+///           link (DeviceConfig::codec prices both stages).
+///   kAuto — per-transfer cost model: compress exactly when the modeled
+///           encode + wire-at-ratio + decode time beats the raw wire time
+///           for this payload size, kind and link rate.
+/// Prefetches always move raw: they ride a dedicated early-upload path
+/// whose whole point is hiding wire time under compute, so shrinking the
+/// wire buys nothing while the codec stages would delay the hint.
+enum class Compression : int { kOff = 0, kOn = 1, kAuto = 2 };
 
 /// Region→device placement policy.
 ///   kBlock:      contiguous chunks (region r on device r / ceil(R/N)) —
@@ -60,23 +92,35 @@ struct MultiAccOptions {
   /// platform exposes. Must not exceed cuemGetDeviceCount.
   int devices = 0;
   DevicePlacement placement = DevicePlacement::kBlock;
-  /// Cap on device slots per device (limited-memory experiments).
+  /// Cap on device slots per device; used by the limited-memory
+  /// experiments (Fig. 8) to emulate a device that only holds N regions.
   int max_slots_per_device = std::numeric_limits<int>::max();
-  /// Components per cell.
+  /// Components per cell (BoxLib-style multi-component arrays).
   int ncomp = 1;
-  /// Region→slot scheduling policy within each device's pool.
+  /// Region→slot scheduling policy within each device's pool. The default
+  /// reproduces the paper's static region % num_slots mapping bit-for-bit;
+  /// kLru/kBeladyOracle place regions dynamically (out-of-core eviction
+  /// policies).
   SlotPolicyKind slot_policy = SlotPolicyKind::kStaticModulo;
-  /// Enables dirty-region tracking and delta transfers, exactly as
-  /// AccOptions::delta_transfers does for the single-device array.
+  /// Enables dirty-region tracking and delta transfers: acquires,
+  /// evictions, and the out-of-core ghost exchange ship only the boxes one
+  /// side has written since the copies last agreed, as pitched
+  /// cuemMemcpy3DAsync copies, falling back to one flat copy when that is
+  /// both safe and modeled cheaper. Off by default — the seed's
+  /// whole-region transfer shapes are reproduced exactly.
   bool delta_transfers = false;
-  /// Streaming-vs-drain dispatch for the out-of-core ghost exchange (see
-  /// AccOptions::streaming_guard).
+  /// Streaming-vs-drain dispatch for the out-of-core ghost exchange (only
+  /// consulted when delta_transfers is on and not every region fits).
   StreamingGuard streaming_guard = StreamingGuard::kAuto;
-  /// Temporal blocking depth (see AccOptions::time_block_k): k > 1 gives
-  /// every slot on every device a scratch double buffer and deepens the
-  /// prefetch hint.
+  /// Temporal blocking depth: number of stencil sub-steps compute_k() runs
+  /// per residency. 1 (default) allocates nothing extra and reproduces the
+  /// seed's behaviour bit-for-bit; k > 1 gives every slot a scratch double
+  /// buffer and deepens the prefetch hint to k. The array must then be
+  /// built with ghost = k * stencil_radius (see choose_time_block_k).
   int time_block_k = 1;
-  /// Codec policy for host<->device transfers (see AccOptions::compression).
+  /// Codec policy for host<->device transfers (flat region copies and
+  /// pitched delta copies; prefetches stay raw). kOff keeps the transfer
+  /// timings bit-identical to an uncompressed build.
   Compression compression = Compression::kOff;
 };
 
@@ -141,6 +185,8 @@ class MultiAccTileArray : public tida::TileArray<T> {
           opts.max_slots_per_device, make_slot_policy(opts.slot_policy),
           /*with_scratch=*/opts.time_block_k > 1);
       if (opts.time_block_k > 1) {
+        // A k-deep residency spans k kernel launches; let the prefetcher
+        // run as many regions ahead so the copy engine stays busy.
         shard(d).pool->scheduler().set_prefetch_depth(opts.time_block_k);
       }
     }
@@ -157,13 +203,10 @@ class MultiAccTileArray : public tida::TileArray<T> {
     return owner_[checked(region)];
   }
 
-  /// Region's index within its owning device's pool.
-  int local_region(int region) const { return local_[checked(region)]; }
-
   /// Slot `region` is bound to on its owning device.
   int slot_of_region(int region) const {
-    return pool_of(owner_[checked(region)])
-        .slot_of_region(local_[static_cast<std::size_t>(region)]);
+    return region_pool(region).slot_of_region(
+        local_[static_cast<std::size_t>(region)]);
   }
 
   /// Global region ids owned by one device, in local order.
@@ -183,11 +226,13 @@ class MultiAccTileArray : public tida::TileArray<T> {
     return true;
   }
 
-  int num_slots(int device) const { return pool_of(device).num_slots(); }
-  const CacheTable& cache(int device) const {
+  /// Slot pool bookkeeping of one device (device 0 by default — the only
+  /// one of a single-device array).
+  int num_slots(int device = 0) const { return pool_of(device).num_slots(); }
+  const CacheTable& cache(int device = 0) const {
     return pool_of(device).cache();
   }
-  const SlotScheduler& scheduler(int device) const {
+  const SlotScheduler& scheduler(int device = 0) const {
     return pool_of(device).scheduler();
   }
 
@@ -197,55 +242,43 @@ class MultiAccTileArray : public tida::TileArray<T> {
   /// Codec policy this array was built with.
   Compression compression() const { return compression_; }
 
-  /// True when slots carry scratch double buffers (time_block_k > 1).
-  bool has_scratch() const {
-    for (const DeviceShard& s : shards_) {
-      if (s.pool) {
-        return s.pool->has_scratch();
-      }
-    }
-    return false;
-  }
+  /// True when every slot carries an in-slot scratch double buffer
+  /// (time_block_k > 1 at construction).
+  bool has_scratch() const { return time_block_k_ > 1; }
 
-  /// Scratch device pointer backing `region`'s slot on its owning device.
+  /// Device pointer of the scratch buffer backing `region`'s slot on its
+  /// owning device — the write target of compute_k's odd sub-steps.
+  /// Requires has_scratch().
   T* scratch_of_region(int region) {
-    const int dev = owner_[checked(region)];
-    const DevicePool& pool = pool_of(dev);
-    return static_cast<T*>(pool.scratch_ptr(
-        pool.slot_of_region(local_[static_cast<std::size_t>(region)])));
+    return static_cast<T*>(
+        region_pool(region).scratch_ptr(slot_of_region(region)));
   }
 
-  /// Swaps `region`'s slot primary/scratch pointers (see AccTileArray).
+  /// Swaps `region`'s slot primary/scratch pointers after a sub-step wrote
+  /// the scratch buffer (no device copy — pointer bookkeeping only).
   void swap_region_buffers(int region) {
-    const int dev = owner_[checked(region)];
-    DevicePool& pool = *shard(dev).pool;
-    pool.swap_slot_buffers(
-        pool.slot_of_region(local_[static_cast<std::size_t>(region)]));
+    shard(owner_[checked(region)]).pool->swap_slot_buffers(
+        slot_of_region(region));
   }
 
   /// Remaps slot→stream on one device's pool (see
   /// DevicePool::set_stream_permutation). Fuzzing/ablation hook.
   void set_stream_permutation(int device, const std::vector<int>& perm) {
-    TIDACC_CHECK_MSG(device >= 0 && device < num_devices_,
-                     "device ordinal out of range");
-    TIDACC_CHECK_MSG(shards_[static_cast<std::size_t>(device)].pool != nullptr,
-                     "device owns no regions");
+    pool_of(device);  // validates the ordinal and that the device has slots
     cuem::DeviceGuard guard(device);
-    shards_[static_cast<std::size_t>(device)].pool->set_stream_permutation(
-        perm);
+    shard(device).pool->set_stream_permutation(perm);
   }
 
   /// Stream serving a region's slot, on the owning device.
   cuemStream_t stream_of_region(int region) const {
-    const int dev = owner_[checked(region)];
-    cuem::DeviceGuard guard(dev);
-    const DevicePool& pool = pool_of(dev);
-    return pool.stream_of_slot(
-        pool.slot_of_region(local_[static_cast<std::size_t>(region)]));
+    cuem::DeviceGuard guard(device_of_region(region));
+    return region_pool(region).stream_of_slot(slot_of_region(region));
   }
 
-  /// Installs the recorded future region-access order (global ids) for the
-  /// BeladyOracle policy, splitting it into each device's local sequence.
+  /// Installs the recorded future region-access order (global ids, one
+  /// entry per demand acquire, in order) for the BeladyOracle policy,
+  /// splitting it into each device's local sequence; other policies
+  /// ignore it.
   void set_future_accesses(std::vector<int> sequence) {
     for (int d = 0; d < num_devices_; ++d) {
       if (!shard(d).pool) {
@@ -264,8 +297,8 @@ class MultiAccTileArray : public tida::TileArray<T> {
   /// Last-access location of a region.
   Loc location(int region) const { return loc_.location(region); }
 
-  /// Fills valid cells on the host (records host ownership, as
-  /// AccTileArray::fill does).
+  /// Fills valid cells on the host (hides Base::fill to record that every
+  /// region now has authoritative host data).
   template <typename Fn>
   void fill(Fn&& fn) {
     sync_all_pending_host();
@@ -274,6 +307,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
     assume_host_initialized();
   }
 
+  /// Per-component fill; same host-ownership bookkeeping as fill().
   template <typename Fn>
   void fill_components(Fn&& fn) {
     sync_all_pending_host();
@@ -282,7 +316,9 @@ class MultiAccTileArray : public tida::TileArray<T> {
     assume_host_initialized();
   }
 
-  /// Timing-only-mode stand-in for fill().
+  /// Declares that host buffers hold meaningful data without writing them —
+  /// the timing-only-mode stand-in for fill(), so transfer shapes match
+  /// functional runs.
   void assume_host_initialized() {
     for (int r = 0; r < this->num_regions(); ++r) {
       loc_.set(r, Loc::kHost);
@@ -292,7 +328,10 @@ class MultiAccTileArray : public tida::TileArray<T> {
     }
   }
 
-  /// Host cell access under the access protocol (see AccTileArray::at).
+  /// Host cell access (hides Base::at to enforce the access protocol: the
+  /// region must not be device-current — call acquire_on_host first). The
+  /// returned reference may be written, so the host becomes the
+  /// authoritative side.
   T& at(const tida::Index3& cell) {
     const int id = this->partition().region_of_cell(cell);
     TIDACC_CHECK_MSG(id >= 0, "cell outside the domain");
@@ -314,32 +353,40 @@ class MultiAccTileArray : public tida::TileArray<T> {
   }
 
   /// Device-side view of `region` laid out in its slot buffer on the
-  /// owning device.
+  /// owning device (valid whether or not the region is currently
+  /// resident).
   tida::Region<T> device_region(int region) const {
-    const int dev = owner_[checked(region)];
-    const DevicePool& pool = pool_of(dev);
     tida::Region<T> r = this->region(region);
-    r.data = static_cast<T*>(pool.slot_ptr(
-        pool.slot_of_region(local_[static_cast<std::size_t>(region)])));
+    r.data = static_cast<T*>(
+        region_pool(region).slot_ptr(slot_of_region(region)));
     return r;
   }
 
   // --- the caching protocol (per-device pools) ---
 
-  /// AccTileArray::acquire_on_device against the owner's pool: resident →
-  /// refresh if the host touched it since; else evict a slot-sharing victim
-  /// (its D2H stream-ordered before the newcomer's H2D) and upload.
+  /// Ensures region `region` is resident and current on its owning device;
+  /// returns its device pointer. The slot comes from the owner's scheduler
+  /// (resident slot, else a policy-chosen victim); transfers (and the
+  /// eviction of a slot-sharing victim) are queued asynchronously on the
+  /// slot's stream.
   T* acquire_on_device(int region) {
     const int dev = owner_[checked(region)];
     cuem::DeviceGuard guard(dev);
-    DevicePool& pool = *shard(dev).pool;
+    DeviceShard& s = shard(dev);
     const int lr = local_[static_cast<std::size_t>(region)];
-    const int slot = pool.place_region(lr);
-    const cuemStream_t stream = pool.stream_of_slot(slot);
-    CacheTable& cache = pool.cache();
-    T* dev_ptr = static_cast<T*>(pool.slot_ptr(slot));
+    const int slot = s.pool->place_region(lr);
+    const cuemStream_t stream = s.pool->stream_of_slot(slot);
+    T* dev_ptr = static_cast<T*>(s.pool->slot_ptr(slot));
 
-    if (cache.resident(slot) == lr) {
+    if (s.pool->cache().resident(slot) == lr) {
+      // Cache hit; if the host touched it since, refresh the device copy.
+      // With caching disabled (ablation) the data round-trips on every
+      // acquire — D2H then H2D, the per-kernel-clause behaviour a runtime
+      // without the cache table would exhibit.
+      if (disable_caching_ && loc_.location(region) == Loc::kDevice) {
+        drain_device(region, dev_ptr, stream);
+        loc_.set(region, Loc::kHost);
+      }
       if (loc_.location(region) == Loc::kHost) {
         refresh_device(region, dev_ptr, stream);
       }
@@ -348,120 +395,104 @@ class MultiAccTileArray : public tida::TileArray<T> {
     }
 
     const bool needs_upload = loc_.location(region) == Loc::kHost;
-
-    if (cache.resident(slot) != -1) {
-      const int victim =
-          shard(dev).regions[static_cast<std::size_t>(cache.resident(slot))];
-      if (loc_.location(victim) == Loc::kDevice) {
-        drain_device(victim, dev_ptr, stream);
-        loc_.set(victim, Loc::kHost);
-      }
-      cache.evict(slot);
-    }
-
-    // A miss leaves no device copy to delta against: the flat upload (or
-    // the absent upload of a kUninit region) re-baselines both sides.
-    if (delta_transfers_) {
-      dirty_.reset(region);
-    }
+    claim_slot(s, slot, region, dev_ptr, stream);
+    // No H2D for a region whose host side never produced data (kUninit):
+    // there is nothing meaningful to upload. Output arrays of Jacobi-style
+    // solvers hit this path and save half the upload traffic.
     if (needs_upload) {
       order_after_pending(region, stream);
       copy_region(dev_ptr, this->region(region).data, region,
                   cuemMemcpyHostToDevice, stream);
     }
-    cache.set(slot, lr);
+    s.pool->cache().set(slot, lr);
     loc_.set(region, Loc::kDevice);
     return dev_ptr;
   }
 
-  /// AccTileArray::prefetch_to_device against the owner's pool. Returns
-  /// false when nothing was queued.
+  /// Queues the asynchronous H2D bringing `region` into a policy-chosen
+  /// slot of its owning device *ahead* of its demand acquire, so the
+  /// transfer overlaps the kernels still running on other slots
+  /// (out-of-core pipelining). Never blocks the host. The receiving slot
+  /// stays pinned — protected from eviction — until a demand acquire
+  /// consumes the region. Returns false when nothing was queued: the region
+  /// is already resident, caching is disabled, every slot is pinned, or the
+  /// static mapping lands on a slot holding another in-flight prefetch
+  /// (skipped rather than evicted).
   bool prefetch_to_device(int region) {
+    if (disable_caching_) {
+      return false;
+    }
     const int dev = owner_[checked(region)];
     cuem::DeviceGuard guard(dev);
-    DevicePool& pool = *shard(dev).pool;
+    DeviceShard& s = shard(dev);
     const int lr = local_[static_cast<std::size_t>(region)];
-    const int slot = pool.place_prefetch(lr);
+    const int slot = s.pool->place_prefetch(lr);
     if (slot < 0) {
       return false;
     }
-    CacheTable& cache = pool.cache();
-    const cuemStream_t stream = pool.stream_of_slot(slot);
-    T* dev_ptr = static_cast<T*>(pool.slot_ptr(slot));
+    const cuemStream_t stream = s.pool->stream_of_slot(slot);
+    T* dev_ptr = static_cast<T*>(s.pool->slot_ptr(slot));
 
-    if (cache.resident(slot) != -1) {
-      const int victim =
-          shard(dev).regions[static_cast<std::size_t>(cache.resident(slot))];
-      if (loc_.location(victim) == Loc::kDevice) {
-        drain_device(victim, dev_ptr, stream);
-        loc_.set(victim, Loc::kHost);
-      }
-      cache.evict(slot);
-    }
-
-    // Like a demand miss, the prefetch upload is a full flat transfer that
-    // re-baselines the dirty bookkeeping.
-    if (delta_transfers_) {
-      dirty_.reset(region);
-    }
+    // Like a demand miss, the prefetch upload is a full flat transfer.
+    claim_slot(s, slot, region, dev_ptr, stream);
     if (loc_.location(region) == Loc::kHost) {
       order_after_pending(region, stream);
-      CUEM_CHECK(cuem::prefetch_h2d_async(dev_ptr, this->region(region).data,
-                                          this->region_bytes(region), stream,
-                                          "P:R" + std::to_string(region)));
+      CUEM_CHECK(cuem::prefetch_h2d_async(
+          dev_ptr, this->region(region).data, this->region_bytes(region),
+          stream, labeled() ? "P:R" + std::to_string(region) : std::string()));
       pending_xfer_[static_cast<std::size_t>(region)] = stream;
       xfer_.h2d_bytes += this->region_bytes(region);
       xfer_.h2d_wire_bytes += this->region_bytes(region);
       ++xfer_.prefetch_ops;
       ++prefetches_issued_;
     }
-    cache.set(slot, lr);
+    s.pool->cache().set(slot, lr);
     loc_.set(region, Loc::kDevice);
     return true;
   }
 
+  /// Number of prefetch transfers issued so far.
   std::uint64_t prefetches_issued() const { return prefetches_issued_; }
 
-  /// Makes the host copy of `region` current; blocks on the transfer.
+  /// Ensures the host copy of `region` is current. Blocks until the
+  /// transfer completes when one is needed (§IV-B3: the caller may touch
+  /// the data right after the request).
   void acquire_on_host(int region) {
     if (loc_.location(region) != Loc::kDevice) {
-      // The caller is about to read or write host data; an earlier eviction
-      // may have left an async D2H in flight into this buffer — wait first.
+      // The caller is about to read or write host data; either way the host
+      // now holds the authoritative copy. An earlier eviction may have left
+      // an async D2H in flight into this buffer — wait for it first.
       sync_pending_host(region);
-      cuem::san::note_host_access(this->region(region).data,
-                                  this->region_bytes(region),
-                                  /*write=*/true, "acquire_on_host");
-      set_host_authoritative(region);
-      return;
+    } else {
+      const int dev = owner_[checked(region)];
+      cuem::DeviceGuard guard(dev);
+      DevicePool& pool = *shard(dev).pool;
+      const int lr = local_[static_cast<std::size_t>(region)];
+      const int slot = pool.slot_of_region(lr);
+      const cuemStream_t stream = pool.stream_of_slot(slot);
+      TIDACC_CHECK_MSG(pool.cache().resident(slot) == lr,
+                       "region marked on-device but not resident");
+      if (pending_xfer_[static_cast<std::size_t>(region)] >= 0 &&
+          pending_xfer_[static_cast<std::size_t>(region)] != stream) {
+        // A stale transfer on another stream (the region migrated slots)
+        // still references this host buffer; the drain below would race it.
+        sync_pending_host(region);
+      }
+      drain_device(region, static_cast<T*>(pool.slot_ptr(slot)), stream);
+      CUEM_CHECK(cuemStreamSynchronize(stream));
+      pending_xfer_[static_cast<std::size_t>(region)] = -1;
     }
-    const int dev = owner_[checked(region)];
-    cuem::DeviceGuard guard(dev);
-    DevicePool& pool = *shard(dev).pool;
-    const int lr = local_[static_cast<std::size_t>(region)];
-    const int slot = pool.slot_of_region(lr);
-    const cuemStream_t stream = pool.stream_of_slot(slot);
-    TIDACC_CHECK_MSG(pool.cache().resident(slot) == lr,
-                     "region marked on-device but not resident");
-    if (pending_xfer_[static_cast<std::size_t>(region)] >= 0 &&
-        pending_xfer_[static_cast<std::size_t>(region)] != stream) {
-      // A stale transfer on another stream (the region migrated slots) still
-      // references this host buffer; the drain below would race it.
-      sync_pending_host(region);
-    }
-    drain_device(region, static_cast<T*>(pool.slot_ptr(slot)), stream);
-    CUEM_CHECK(cuemStreamSynchronize(stream));
-    pending_xfer_[static_cast<std::size_t>(region)] = -1;
     cuem::san::note_host_access(this->region(region).data,
                                 this->region_bytes(region),
                                 /*write=*/true, "acquire_on_host");
     set_host_authoritative(region);
   }
 
-  /// Brings every device-held region home and waits. All downloads are
-  /// queued first — pipelined across every device's slot streams — then
-  /// each stream is synchronized exactly once (same batching as
-  /// AccTileArray::release_all_to_host, so the 1-device traces stay
-  /// identical).
+  /// Brings every device-held region home and waits (end-of-run helper).
+  /// All downloads are queued first — pipelined across every device's slot
+  /// streams — and each stream is synchronized exactly once, instead of
+  /// the one blocking round-trip per region a loop of acquire_on_host
+  /// would pay.
   void release_all_to_host() {
     StreamSyncList streams;
     for (int r = 0; r < this->num_regions(); ++r) {
@@ -497,10 +528,13 @@ class MultiAccTileArray : public tida::TileArray<T> {
     }
   }
 
-  // --- distributed ghost exchange (paper §IV-B6, extended across devices)
+  // --- ghost exchange (paper §IV-B6, extended across devices) ---
 
-  /// Refreshes all ghost cells, dispatching by data location exactly as
-  /// AccTileArray::fill_boundary does.
+  /// Refreshes all ghost cells. Dispatches by data location: pure host
+  /// exchange when everything was last touched on the host; device-side
+  /// update kernels and peer copies (with pipelined CPU index computation)
+  /// when the data lives on the devices and every region fits; otherwise
+  /// the streaming exchange or a drain to the host and a host exchange.
   void fill_boundary(tida::Boundary bc) {
     if (!loc_.any_on_device()) {
       sync_all_pending_host();
@@ -516,11 +550,13 @@ class MultiAccTileArray : public tida::TileArray<T> {
         (streaming_guard_ == StreamingGuard::kForceStreaming ||
          (streaming_guard_ == StreamingGuard::kAuto &&
           detail::streaming_cheaper<T>(*this, bc)))) {
-      // The same per-region pipeline as AccTileArray; pulls and pushes run
-      // under each region's owning device.
+      // Mixed/limited-memory with dirty tracking: pipeline the shells
+      // region by region (core/streaming_exchange.hpp) — but only when the
+      // exchange-level cost model says it beats one pipelined drain.
       detail::streaming_exchange(*this, bc);
       return;
     }
+    // Mixed/limited-memory: drain to host and exchange there.
     release_all_to_host();
     note_host_buffers("fill_boundary_host");
     this->fill_boundary_host(bc);
@@ -530,159 +566,60 @@ class MultiAccTileArray : public tida::TileArray<T> {
   std::uint64_t streaming_exchanges() const { return streaming_exchanges_; }
 
   /// Device-side exchange across all devices: `acc wait`, then per
-  /// destination region the CPU computes the index lists while the device
-  /// engines apply the previous region's updates. Faces whose source lives
-  /// on the same device go into one update kernel on the destination's
-  /// stream; faces crossing devices are issued as stream-ordered peer
-  /// copies (direct interconnect when peer access is enabled, staged
-  /// through pinned host memory otherwise).
+  /// destination region the CPU computes the index lists (this is the
+  /// exchange plan) while the device engines apply the previous region's
+  /// updates — the overlap of Fig. 4.
   void fill_boundary_device(tida::Boundary bc) {
     for (int r = 0; r < this->num_regions(); ++r) {
       acquire_on_device(r);
     }
     oacc::wait_all();
-
-    sim::Platform& p = sim::Platform::instance();
-    const auto& plan = this->exchange_plan(bc);
-    std::size_t begin = 0;
-    while (begin < plan.size()) {
-      // The plan is grouped by destination region.
-      const int dst = plan[begin].dst_region;
-      const int dst_dev = owner_[static_cast<std::size_t>(dst)];
-      std::size_t end = begin;
-      std::uint64_t local_cells = 0;
-      while (end < plan.size() && plan[end].dst_region == dst) {
-        if (owner_[static_cast<std::size_t>(plan[end].src_region)] ==
-            dst_dev) {
-          local_cells += plan[end].dst_box.volume();
-        }
-        ++end;
-      }
-
-      // CPU index computation covers the whole group — intra-device and
-      // peer faces alike ride the same pipelined descriptors (Fig. 4).
-      p.host_advance(static_cast<SimTime>(end - begin) *
-                     p.config().host_index_calc_ns_per_copy);
-
-      const cuemStream_t dstream = stream_of_region(dst);
-
-      if (local_cells > 0) {
-        sim::KernelProfile prof;
-        prof.elements = local_cells * this->ncomp();
-        prof.dev_bytes_per_element = 2.0 * sizeof(T);
-        prof.flops_per_element = 0.0;
-        prof.tuned_geometry = false;  // OpenACC-generated update kernel
-
-        auto action = [this, bc, dst_dev, begin, end]() {
-          const auto& pl = this->exchange_plan(bc);
-          for (std::size_t c = begin; c < end; ++c) {
-            if (owner_[static_cast<std::size_t>(pl[c].src_region)] ==
-                dst_dev) {
-              apply_copy_device(pl[c]);
-            }
-          }
-        };
-        p.enqueue_kernel(dstream, prof, p.config().oacc_dispatch_extra_ns,
-                         std::move(action), "ghost:R" + std::to_string(dst));
-        ++device_ghost_updates_;
-      }
-
-      for (std::size_t c = begin; c < end; ++c) {
-        const tida::GhostCopy& gc = plan[c];
-        const int src_dev = owner_[static_cast<std::size_t>(gc.src_region)];
-        if (src_dev == dst_dev) {
-          continue;
-        }
-        const std::uint64_t bytes =
-            gc.dst_box.volume() * this->ncomp() * sizeof(T);
-        auto action = [this, bc, c]() {
-          apply_copy_device(this->exchange_plan(bc)[c]);
-        };
-        CUEM_CHECK(cuem::peer_copy_async(
-            dst_dev, src_dev, bytes, dstream,
-            "G:R" + std::to_string(gc.src_region) + ">R" +
-                std::to_string(dst),
-            std::move(action)));
-        ++peer_ghost_copies_;
-      }
-      if (cuem::san::enabled()) {
-        const std::string op = "ghost:R" + std::to_string(dst);
-        for (std::size_t c = begin; c < end; ++c) {
-          note_ghost_copy_access(dstream, plan[c], op.c_str());
-        }
-      }
-      for (std::size_t c = begin; c < end; ++c) {
-        note_device_write(dst, plan[c].dst_box);
-      }
-      // Stream order protects the *destination*; the sources sit on other
-      // streams (possibly other devices). Record an event after this
-      // group's update kernel and peer copies and make each source stream
-      // wait, so later kernels there cannot overwrite cells still being
-      // read (mirrors AccTileArray::fill_boundary_device exactly).
-      std::vector<cuemStream_t> src_streams;
-      for (std::size_t c = begin; c < end; ++c) {
-        const cuemStream_t s = stream_of_region(plan[c].src_region);
-        if (s != dstream &&
-            std::find(src_streams.begin(), src_streams.end(), s) ==
-                src_streams.end()) {
-          src_streams.push_back(s);
-        }
-      }
-      if (!src_streams.empty()) {
-        cuemEvent_t ev = 0;
-        CUEM_CHECK(cuemEventCreate(&ev));
-        CUEM_CHECK(cuemEventRecord(ev, dstream));
-        for (const cuemStream_t s : src_streams) {
-          CUEM_CHECK(cuemStreamWaitEvent(s, ev, 0));
-        }
-        CUEM_CHECK(cuemEventDestroy(ev));
-      }
-      begin = end;
-    }
+    exchange_on_devices(bc, [](int, int) { return true; }, 1);
   }
 
+  /// Number of device-side ghost-update kernels launched so far.
   std::uint64_t device_ghost_updates() const { return device_ghost_updates_; }
 
   /// Number of cross-device ghost transfers issued so far (direct or
   /// host-staged, depending on peer access).
   std::uint64_t peer_ghost_copies() const { return peer_ghost_copies_; }
 
-  // --- dirty tracking / delta transfers (see AccTileArray) ---
+  // --- dirty tracking / delta transfers ---
 
+  /// Whether delta transfers were enabled at construction.
   bool delta_transfers() const { return delta_transfers_; }
+
+  /// The per-region dirty-box bookkeeping (empty lists when delta
+  /// transfers are off).
   const DirtyTracker& dirty() const { return dirty_; }
+
+  /// Cumulative host↔device traffic of this array, split by transfer shape.
   const TransferAccounting& transfers() const { return xfer_; }
   std::uint64_t h2d_bytes() const { return xfer_.h2d_bytes; }
   std::uint64_t d2h_bytes() const { return xfer_.d2h_bytes; }
 
-  /// Records that a device kernel wrote `box` of `region`; no-op unless
-  /// delta transfers are on.
+  /// Records that a device kernel wrote `box` of `region` (grown-box
+  /// coordinates) — compute() calls this for every GPU tile it launches.
+  /// No-op unless delta transfers are on.
   void note_device_write(int region, const tida::Box& box) {
     if (delta_transfers_) {
       dirty_.note_device_write(region, box);
     }
   }
 
-  /// Records a host-side write into `box` of `region`.
-  void note_host_write(int region, const tida::Box& box) {
-    if (delta_transfers_) {
-      dirty_.note_host_write(region, box);
-    }
-  }
-
   // --- snapshot (see docs/FUZZING.md) ---
 
-  /// Snapshot of the distributed protocol state: every shard's pool
-  /// bookkeeping plus the global location/dirty/pending/accounting tables.
-  /// Buffer contents ride in the cuem snapshot; restore requires an array
-  /// of identical geometry, placement and options — the multi-device
-  /// mirror of AccTileArray::capture, so the schedule fuzzer can explore
-  /// multi-device schedules from one warm snapshot.
+  /// Snapshot of the protocol state: every shard's pool bookkeeping plus
+  /// the global location/dirty/pending/accounting tables. Buffer
+  /// *contents* (host and device) live in cuem-registered allocations and
+  /// ride in the cuem snapshot; restore requires an array of identical
+  /// geometry, placement and options.
   void capture(sim::SnapshotWriter& w) const {
     w.section("multi_acc_tile_array");
     w.put_int(this->num_regions());
     w.put_int(num_devices_);
     w.put_int(static_cast<int>(placement_));
+    w.put_bool(disable_caching_);
     w.put_bool(delta_transfers_);
     w.put_int(static_cast<int>(streaming_guard_));
     w.put_int(time_block_k_);
@@ -712,6 +649,8 @@ class MultiAccTileArray : public tida::TileArray<T> {
                      "array snapshot has a different device count");
     TIDACC_CHECK_MSG(static_cast<DevicePlacement>(r.get_int()) == placement_,
                      "array snapshot disagrees on placement");
+    TIDACC_CHECK_MSG(r.get_bool() == disable_caching_,
+                     "array snapshot disagrees on disable_caching");
     TIDACC_CHECK_MSG(r.get_bool() == delta_transfers_,
                      "array snapshot disagrees on delta_transfers");
     TIDACC_CHECK_MSG(static_cast<StreamingGuard>(r.get_int()) ==
@@ -749,7 +688,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
 
   // Protected rather than private: ClusterTileArray extends the exchange
   // across simulated nodes and reuses the pools, location/dirty tracking
-  // and copy plumbing wholesale.
+  // and copy plumbing wholesale; AccTileArray sets the caching ablation.
   struct DeviceShard {
     std::unique_ptr<DevicePool> pool;
     std::vector<int> regions;  ///< global region ids, in local order
@@ -773,9 +712,23 @@ class MultiAccTileArray : public tida::TileArray<T> {
     return static_cast<std::size_t>(region);
   }
 
+  /// Pool of `region`'s owning device (a device owning a region has one).
+  const DevicePool& region_pool(int region) const {
+    return *shards_[static_cast<std::size_t>(owner_[checked(region)])].pool;
+  }
+
+  /// True when per-op label strings have a reader: the recorded trace or
+  /// the sanitizer's findings. The fuzz hot path turns recording off and
+  /// keeps stats-only accounting, so without the sanitizer it skips them.
+  static bool labeled() {
+    return sim::Platform::instance().trace().recording() ||
+           cuem::san::enabled();
+  }
+
   /// Waits for the last async transfer still touching `region`'s host
-  /// buffer, if any (see AccTileArray::sync_pending_host — a successful
-  /// query costs nothing; only an in-flight transfer pays a synchronize).
+  /// buffer, if any. A successful query is enough (the transfer already
+  /// completed — nothing to wait for and no host time spent); only a
+  /// genuinely in-flight transfer costs a synchronize.
   void sync_pending_host(int region) {
     cuemStream_t& s = pending_xfer_[static_cast<std::size_t>(region)];
     if (s < 0) {
@@ -803,8 +756,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
   void order_after_pending(int region, cuemStream_t stream) {
     if (injected("evict_race")) {
       // Re-opens the pre-fix behaviour: no cross-stream edge, so the H2D
-      // races the in-flight eviction D2H (fuzzer/sanitizer regression bait,
-      // same defect class as the single-device array's).
+      // races the in-flight eviction D2H (fuzzer/sanitizer regression bait).
       return;
     }
     cuemStream_t& pending = pending_xfer_[static_cast<std::size_t>(region)];
@@ -822,6 +774,32 @@ class MultiAccTileArray : public tida::TileArray<T> {
     CUEM_CHECK(cuemEventDestroy(ev));
   }
 
+  /// Readies `slot` for a flat load of `region`. Paper's eviction: the
+  /// D2H of the region resident there (if any) is queued on the slot's own
+  /// stream before the newcomer's H2D — stream order guarantees
+  /// correctness with no global synchronization. The D2H is skipped when
+  /// the victim's newest data already lives on the host (e.g. it was pulled
+  /// back for a host-side ghost exchange): writing the stale device copy
+  /// over it would clobber fresher host data. A miss leaves no device copy
+  /// to delta against, so the flat upload (or the absent upload of a
+  /// kUninit region) re-baselines both sides' dirty bookkeeping.
+  void claim_slot(DeviceShard& s, int slot, int region, T* dev_ptr,
+                  cuemStream_t stream) {
+    CacheTable& cache = s.pool->cache();
+    if (cache.resident(slot) != -1) {
+      const int victim =
+          s.regions[static_cast<std::size_t>(cache.resident(slot))];
+      if (loc_.location(victim) == Loc::kDevice) {
+        drain_device(victim, dev_ptr, stream);
+        loc_.set(victim, Loc::kHost);
+      }
+      cache.evict(slot);
+    }
+    if (delta_transfers_) {
+      dirty_.reset(region);
+    }
+  }
+
   /// Sanitizer bookkeeping: conservative whole-buffer host access note for
   /// every region (no-op when the sanitizer is off or disabled).
   void note_host_buffers(const char* op) {
@@ -835,12 +813,15 @@ class MultiAccTileArray : public tida::TileArray<T> {
   }
 
   /// Sanitizer bookkeeping: the exact byte boxes one planned ghost copy
-  /// touches in the source and destination slot buffers, per component
-  /// (see AccTileArray::note_ghost_copy_access).
+  /// touches in the source and destination slot buffers (the pinned host
+  /// buffers when `on_host`), per component. Box-precise so concurrent
+  /// update kernels into *disjoint* ghost shells do not read as racing.
   void note_ghost_copy_access(cuemStream_t stream, const tida::GhostCopy& c,
-                              const char* op) {
-    const tida::Region<T> src = device_region(c.src_region);
-    const tida::Region<T> dst = device_region(c.dst_region);
+                              const char* op, bool on_host = false) {
+    const tida::Region<T> src = on_host ? this->region(c.src_region)
+                                        : device_region(c.src_region);
+    const tida::Region<T> dst = on_host ? this->region(c.dst_region)
+                                        : device_region(c.dst_region);
     const tida::Index3 e = c.dst_box.extent();
     for (int comp = 0; comp < this->ncomp(); ++comp) {
       cuem::san::BoxShape box;
@@ -860,9 +841,135 @@ class MultiAccTileArray : public tida::TileArray<T> {
     }
   }
 
-  /// Raw-vs-compressed decision for one host<->device transfer (see
-  /// AccTileArray::compress_transfer — identical model, so single-device
-  /// programs make identical choices through either class).
+  /// The device-side exchange of every planned copy `keep(src, dst)`
+  /// accepts (ClusterTileArray keeps the same-node ones; its wire carries
+  /// the rest), with every region resident and earlier kernels waited for.
+  /// Per destination group the CPU computes the index lists — work shared
+  /// by `host_cpus` concurrent CPUs — while the device engines apply the
+  /// previous group's updates: same-device faces go into one update kernel
+  /// on the destination's stream, faces crossing devices are issued as
+  /// stream-ordered peer copies (direct interconnect when peer access is
+  /// enabled, staged through pinned host memory otherwise).
+  template <typename Keep>
+  void exchange_on_devices(tida::Boundary bc, Keep keep, SimTime host_cpus) {
+    sim::Platform& p = sim::Platform::instance();
+    const auto& plan = this->exchange_plan(bc);
+    std::size_t begin = 0;
+    while (begin < plan.size()) {
+      // The plan is grouped by destination region.
+      const int dst = plan[begin].dst_region;
+      const int dst_dev = owner_[static_cast<std::size_t>(dst)];
+      std::size_t end = begin;
+      std::size_t copies = 0;
+      std::uint64_t local_cells = 0;
+      for (; end < plan.size() && plan[end].dst_region == dst; ++end) {
+        const int src = plan[end].src_region;
+        if (keep(src, dst)) {
+          ++copies;
+          if (owner_[static_cast<std::size_t>(src)] == dst_dev) {
+            local_cells += plan[end].dst_box.volume();
+          }
+        }
+      }
+      if (copies == 0) {
+        begin = end;
+        continue;
+      }
+      // CPU index computation covers the whole group — intra-device and
+      // peer faces alike ride the same pipelined descriptors (Fig. 4).
+      p.host_advance(static_cast<SimTime>(copies) *
+                     p.config().host_index_calc_ns_per_copy / host_cpus);
+
+      const cuemStream_t dstream = stream_of_region(dst);
+      if (local_cells > 0) {
+        // GPU applies the same-device copies: one update kernel per
+        // destination region, queued on that region's stream (async
+        // clause). The kernel reads the source cells and writes the ghost
+        // cells: 2 * sizeof(T) traffic.
+        sim::KernelProfile prof;
+        prof.elements = local_cells * this->ncomp();
+        prof.dev_bytes_per_element = 2.0 * sizeof(T);
+        prof.flops_per_element = 0.0;
+        prof.tuned_geometry = false;  // OpenACC-generated update kernel
+
+        auto action = [this, bc, dst_dev, begin, end]() {
+          const auto& pl = this->exchange_plan(bc);
+          for (std::size_t c = begin; c < end; ++c) {
+            if (owner_[static_cast<std::size_t>(pl[c].src_region)] ==
+                dst_dev) {
+              apply_copy_device(pl[c]);
+            }
+          }
+        };
+        p.enqueue_kernel(dstream, prof, p.config().oacc_dispatch_extra_ns,
+                         std::move(action),
+                         labeled() ? "ghost:R" + std::to_string(dst)
+                                   : std::string());
+        ++device_ghost_updates_;
+      }
+      for (std::size_t c = begin; c < end; ++c) {
+        const tida::GhostCopy& gc = plan[c];
+        const int src_dev = owner_[static_cast<std::size_t>(gc.src_region)];
+        if (src_dev == dst_dev || !keep(gc.src_region, dst)) {
+          continue;
+        }
+        auto action = [this, bc, c]() {
+          apply_copy_device(this->exchange_plan(bc)[c]);
+        };
+        CUEM_CHECK(cuem::peer_copy_async(
+            dst_dev, src_dev, gc.dst_box.volume() * this->ncomp() * sizeof(T),
+            dstream,
+            labeled() ? "G:R" + std::to_string(gc.src_region) + ">R" +
+                            std::to_string(dst)
+                      : std::string(),
+            std::move(action)));
+        ++peer_ghost_copies_;
+      }
+      // Stream order protects the *destination*: its stream runs this
+      // group's updates before later kernels on that region. The *sources*
+      // sit on other streams (possibly other devices), though — without an
+      // edge, the next compute kernel on a source's stream could overwrite
+      // cells still being read. Record an event here and make each source
+      // stream wait.
+      const std::string op =
+          cuem::san::enabled() ? "ghost:R" + std::to_string(dst) : "";
+      std::vector<cuemStream_t> src_streams;
+      for (std::size_t c = begin; c < end; ++c) {
+        if (!keep(plan[c].src_region, dst)) {
+          continue;
+        }
+        if (cuem::san::enabled()) {
+          note_ghost_copy_access(dstream, plan[c], op.c_str());
+        }
+        note_device_write(dst, plan[c].dst_box);
+        const cuemStream_t s = stream_of_region(plan[c].src_region);
+        if (s != dstream &&
+            std::find(src_streams.begin(), src_streams.end(), s) ==
+                src_streams.end()) {
+          src_streams.push_back(s);
+        }
+      }
+      if (!src_streams.empty()) {
+        cuemEvent_t ev = 0;
+        CUEM_CHECK(cuemEventCreate(&ev));
+        CUEM_CHECK(cuemEventRecord(ev, dstream));
+        for (const cuemStream_t s : src_streams) {
+          CUEM_CHECK(cuemStreamWaitEvent(s, ev, 0));
+        }
+        CUEM_CHECK(cuemEventDestroy(ev));
+      }
+      begin = end;
+    }
+  }
+
+  /// Raw-vs-compressed decision for one host<->device transfer of `bytes`
+  /// logical payload. Mirrors the platform's compressed-copy pricing
+  /// exactly: setup, latency and (for pitched copies) the memcpy3d
+  /// overhead are identical on both paths, so the comparison reduces to
+  /// the codec stages plus the shrunken wire against the raw wire. Because
+  /// the discrete-event schedule is monotone in op durations and the op
+  /// *sequence* is mode-independent, picking the per-op minimum here means
+  /// kAuto's makespan never exceeds kOff's or kOn's.
   bool compress_transfer(std::uint64_t bytes, bool h2d,
                          sim::PayloadKind payload) const {
     if (compression_ == Compression::kOff || bytes == 0) {
@@ -882,48 +989,56 @@ class MultiAccTileArray : public tida::TileArray<T> {
            transfer_time_ns(bytes, gbps);
   }
 
-  /// Wire-byte accounting shared by every transfer path (see AccTileArray).
-  void note_wire(bool h2d, std::uint64_t wire_bytes) {
+  /// Accounting of one queued host<->device transfer of `bytes` logical
+  /// payload for `region` — a whole-region copy when `flat`, else one
+  /// pitched delta box. Raw transfers put their full payload on the wire,
+  /// compressed ones only the codec output at `payload`'s ratio. The
+  /// transfer touches the region's host buffer until `stream` passes it.
+  void note_transfer(int region, cuemStream_t stream, bool h2d, bool flat,
+                     std::uint64_t bytes, bool compressed,
+                     sim::PayloadKind payload) {
+    const std::uint64_t wire =
+        compressed ? sim::Platform::instance().config().codec.wire_bytes(
+                         bytes, payload)
+                   : bytes;
+    pending_xfer_[static_cast<std::size_t>(region)] = stream;
     if (h2d) {
-      xfer_.h2d_wire_bytes += wire_bytes;
+      xfer_.h2d_bytes += bytes;
+      xfer_.h2d_wire_bytes += wire;
+      xfer_.comp_h2d_ops += compressed ? 1 : 0;
+      ++(flat ? xfer_.flat_h2d_ops : xfer_.delta_h2d_ops);
     } else {
-      xfer_.d2h_wire_bytes += wire_bytes;
+      xfer_.d2h_bytes += bytes;
+      xfer_.d2h_wire_bytes += wire;
+      xfer_.comp_d2h_ops += compressed ? 1 : 0;
+      ++(flat ? xfer_.flat_d2h_ops : xfer_.delta_d2h_ops);
     }
   }
 
   /// Queues one whole-region transfer on `stream` (owner's device),
-  /// through the codec when the policy and cost model say so.
+  /// through the codec when the policy and cost model say so (whole
+  /// regions compress at the interior ratio).
   void copy_region(T* dst, const T* src, int region, cuemMemcpyKind kind,
                    cuemStream_t stream) {
     const std::size_t bytes = this->region_bytes(region);
     const bool h2d = kind == cuemMemcpyHostToDevice;
-    if (compress_transfer(bytes, h2d, sim::PayloadKind::kInterior)) {
+    const bool compressed =
+        compress_transfer(bytes, h2d, sim::PayloadKind::kInterior);
+    if (compressed) {
       CUEM_CHECK(cuem::compressed_memcpy_async(
           dst, src, bytes, kind, stream, sim::PayloadKind::kInterior,
-          (h2d ? "zH2D:R" : "zD2H:R") + std::to_string(region)));
-      note_wire(h2d, sim::Platform::instance().config().codec.wire_bytes(
-                         bytes, sim::PayloadKind::kInterior));
-      if (h2d) {
-        ++xfer_.comp_h2d_ops;
-      } else {
-        ++xfer_.comp_d2h_ops;
-      }
+          labeled() ? (h2d ? "zH2D:R" : "zD2H:R") + std::to_string(region)
+                    : std::string()));
     } else {
       CUEM_CHECK(cuemMemcpyAsync(dst, src, bytes, kind, stream));
-      note_wire(h2d, bytes);
     }
-    pending_xfer_[static_cast<std::size_t>(region)] = stream;
-    if (h2d) {
-      xfer_.h2d_bytes += bytes;
-      ++xfer_.flat_h2d_ops;
-    } else {
-      xfer_.d2h_bytes += bytes;
-      ++xfer_.flat_d2h_ops;
-    }
+    note_transfer(region, stream, h2d, /*flat=*/true, bytes, compressed,
+                  sim::PayloadKind::kInterior);
   }
 
-  /// Protocol bookkeeping of handing a region to host code (see
-  /// AccTileArray::set_host_authoritative).
+  /// Protocol bookkeeping of handing a region to host code: the host copy
+  /// becomes authoritative and — conservatively — wholly dirty, since the
+  /// caller may write anywhere through raw pointers.
   void set_host_authoritative(int region) {
     loc_.set(region, Loc::kHost);
     if (delta_transfers_) {
@@ -932,7 +1047,8 @@ class MultiAccTileArray : public tida::TileArray<T> {
   }
 
   /// True when shipping `boxes` as pitched sub-box copies is modeled
-  /// cheaper than one flat whole-region transfer in direction `h2d`.
+  /// cheaper than one flat whole-region transfer in direction `h2d`
+  /// (latency + chunk overhead per box/component vs one full burst).
   bool delta_cheaper(int region, const std::vector<tida::Box>& boxes,
                      bool h2d) const {
     const sim::DeviceConfig& cfg = sim::Platform::instance().config();
@@ -956,9 +1072,11 @@ class MultiAccTileArray : public tida::TileArray<T> {
   }
 
   /// Queues one pitched sub-box copy per box per component between the
-  /// host buffer and the owner-device slot buffer of `region`. `payload`
-  /// names what the boxes carry, which sets the modeled compression ratio
-  /// (see AccTileArray::copy_boxes).
+  /// host buffer and the owner-device slot buffer of `region` (both share
+  /// the grown-box geometry, so pitches are identical on both sides). Each
+  /// box is priced through the codec independently when the policy allows
+  /// it — `payload` names what the boxes carry (face shells of a delta
+  /// exchange, ghost refreshes), which sets the modeled compression ratio.
   void copy_boxes(int region, const std::vector<tida::Box>& boxes,
                   cuemMemcpyKind kind, cuemStream_t stream,
                   sim::PayloadKind payload) {
@@ -986,37 +1104,29 @@ class MultiAccTileArray : public tida::TileArray<T> {
         parms.height = static_cast<std::size_t>(e.j);
         parms.depth = static_cast<std::size_t>(e.k);
         parms.kind = kind;
-        if (compress_transfer(bytes, h2d, payload)) {
+        const bool compressed = compress_transfer(bytes, h2d, payload);
+        if (compressed) {
           CUEM_CHECK(cuem::compressed_memcpy3d_async(
               parms, stream, payload,
-              (h2d ? "zdH2D:R" : "zdD2H:R") + std::to_string(region)));
-          note_wire(h2d, sim::Platform::instance().config().codec.wire_bytes(
-                             bytes, payload));
-          if (h2d) {
-            ++xfer_.comp_h2d_ops;
-          } else {
-            ++xfer_.comp_d2h_ops;
-          }
+              labeled()
+                  ? (h2d ? "zdH2D:R" : "zdD2H:R") + std::to_string(region)
+                  : std::string()));
         } else {
-          CUEM_CHECK(cuem::memcpy3d_async(parms, stream,
-                                          (h2d ? "dH2D:R" : "dD2H:R") +
-                                              std::to_string(region)));
-          note_wire(h2d, bytes);
+          CUEM_CHECK(cuem::memcpy3d_async(
+              parms, stream,
+              labeled() ? (h2d ? "dH2D:R" : "dD2H:R") + std::to_string(region)
+                        : std::string()));
         }
-        pending_xfer_[static_cast<std::size_t>(region)] = stream;
-        if (h2d) {
-          xfer_.h2d_bytes += bytes;
-          ++xfer_.delta_h2d_ops;
-        } else {
-          xfer_.d2h_bytes += bytes;
-          ++xfer_.delta_d2h_ops;
-        }
+        note_transfer(region, stream, h2d, /*flat=*/false, bytes, compressed,
+                      payload);
       }
     }
   }
 
-  /// Brings the host copy of a device-current region up to date (see
-  /// AccTileArray::drain_device). Queues only.
+  /// Brings the host copy of a device-current region up to date: ships the
+  /// device-dirty boxes as pitched copies when forced (host-dirty cells a
+  /// flat copy would clobber) or modeled cheaper, else one flat D2H.
+  /// Queues only — callers sync when they need the data on the host.
   void drain_device(int region, T* dev, cuemStream_t stream) {
     if (delta_transfers_) {
       const std::vector<tida::Box>& dd = dirty_.dev_dirty(region);
@@ -1033,8 +1143,10 @@ class MultiAccTileArray : public tida::TileArray<T> {
                 cuemMemcpyDeviceToHost, stream);
   }
 
-  /// Brings the device copy of a resident region up to date with the host
-  /// (see AccTileArray::refresh_device).
+  /// Brings the device copy of a resident region up to date with the host:
+  /// ships the host-dirty boxes as pitched copies when forced (the device
+  /// has newer cells of its own a flat copy would clobber) or modeled
+  /// cheaper, else one flat H2D.
   void refresh_device(int region, T* dev, cuemStream_t stream) {
     if (delta_transfers_) {
       const std::vector<tida::Box>& hd = dirty_.host_dirty(region);
@@ -1055,19 +1167,8 @@ class MultiAccTileArray : public tida::TileArray<T> {
   /// part of an update kernel or a peer copy; buffers may live on
   /// different devices).
   void apply_copy_device(const tida::GhostCopy& c) {
-    const tida::Region<T> src = device_region(c.src_region);
-    const tida::Region<T> dst = device_region(c.dst_region);
-    const tida::Index3 e = c.dst_box.extent();
-    for (int comp = 0; comp < this->ncomp(); ++comp) {
-      for (int k = 0; k < e.k; ++k) {
-        for (int j = 0; j < e.j; ++j) {
-          const tida::Index3 d0 = c.dst_box.lo + tida::Index3{0, j, k};
-          const tida::Index3 s0 = c.src_box.lo + tida::Index3{0, j, k};
-          std::memcpy(&dst.at(d0, comp), &src.at(s0, comp),
-                      static_cast<std::size_t>(e.i) * sizeof(T));
-        }
-      }
-    }
+    tida::copy_ghost_cells(c, device_region(c.src_region),
+                           device_region(c.dst_region));
   }
 
   std::vector<DeviceShard> shards_;
@@ -1076,7 +1177,8 @@ class MultiAccTileArray : public tida::TileArray<T> {
   LocationTracker loc_;
   DirtyTracker dirty_;
   /// Per region: stream of the last queued async transfer that reads or
-  /// writes the region's *host* buffer, or -1 (see AccTileArray).
+  /// writes the region's *host* buffer, or -1. Host code must synchronize
+  /// (sync_pending_host) before touching the buffer.
   std::vector<cuemStream_t> pending_xfer_;
   TransferAccounting xfer_;
   DevicePlacement placement_;
@@ -1085,150 +1187,13 @@ class MultiAccTileArray : public tida::TileArray<T> {
   std::uint64_t peer_ghost_copies_ = 0;
   std::uint64_t prefetches_issued_ = 0;
   std::uint64_t streaming_exchanges_ = 0;
+  /// Caching ablation (AccOptions::disable_caching): every device acquire
+  /// round-trips the region even when it is already resident.
+  bool disable_caching_ = false;
   bool delta_transfers_ = false;
   StreamingGuard streaming_guard_ = StreamingGuard::kAuto;
   int time_block_k_ = 1;
   Compression compression_ = Compression::kOff;
 };
-
-// --- whole-region compute on the owning device ---
-
-/// Launches `body` over `region`'s valid box on the region's owning device
-/// (the multi-GPU analogue of compute() over a whole-region tile: same
-/// staging, stream choice, profile and label, so a 1-device program traces
-/// identically to the AccTileArray path).
-template <typename T, typename Fn>
-void compute_gpu(MultiAccTileArray<T>& a, int region,
-                 const oacc::LoopCost& cost, Fn&& body) {
-  sim::Platform& p = sim::Platform::instance();
-  const tida::Region<T> reg = a.region(region);
-  const DeviceView<T> view{a.acquire_on_device(region), reg.grown,
-                           reg.ncomp};
-  const cuemStream_t kstream = a.stream_of_region(region);
-
-  sim::KernelProfile prof;
-  prof.elements = reg.valid.volume();
-  prof.flops_per_element = cost.flops_per_iter;
-  prof.dev_bytes_per_element = cost.dev_bytes_per_iter;
-  prof.math_units_per_element = cost.math_units_per_iter;
-  prof.math = cost.math;
-  prof.tuned_geometry = false;  // kernels are OpenACC-generated (§IV-B5)
-  prof.efficiency_factor = cost.efficiency_factor;
-
-  auto action = [range = reg.valid, view, body = std::forward<Fn>(body)]() {
-    for (int k = range.lo.k; k <= range.hi.k; ++k) {
-      for (int j = range.lo.j; j <= range.hi.j; ++j) {
-        for (int i = range.lo.i; i <= range.hi.i; ++i) {
-          body(view, i, j, k);
-        }
-      }
-    }
-  };
-  p.enqueue_kernel(kstream, prof, p.config().oacc_dispatch_extra_ns,
-                   std::move(action), "C:R" + std::to_string(region));
-  a.note_device_write(region, reg.valid);
-  if (cuem::san::enabled()) {
-    const std::string op = "C:R" + std::to_string(region);
-    cuem::san::note_kernel_access(
-        kstream, view.data,
-        static_cast<std::size_t>(reg.grown.volume()) *
-            static_cast<std::size_t>(reg.ncomp) * sizeof(T),
-        /*write=*/true, op.c_str());
-  }
-  // Schedule-lint attribution (sanitizer-independent whole-buffer claim).
-  p.graph_note_stream_access(kstream, view.data,
-                             static_cast<std::size_t>(reg.grown.volume()) *
-                                 static_cast<std::size_t>(reg.ncomp) *
-                                 sizeof(T),
-                             /*write=*/true);
-}
-
-/// Two-array variant (Jacobi-style in/out). Both arrays must place the
-/// region on the same device; when the slot streams differ the kernel
-/// stream waits on the output's staging (event ordering, as compute()
-/// does for multi-tile calls).
-template <typename T, typename Fn>
-void compute_gpu(MultiAccTileArray<T>& in, MultiAccTileArray<T>& out,
-                 int region, const oacc::LoopCost& cost, Fn&& body) {
-  TIDACC_CHECK_MSG(in.partition() == out.partition(),
-                   "in/out arrays must share the partition geometry");
-  TIDACC_CHECK_MSG(in.device_of_region(region) ==
-                       out.device_of_region(region),
-                   "in/out region must live on the same device");
-  sim::Platform& p = sim::Platform::instance();
-  const tida::Region<T> rin = in.region(region);
-  const tida::Region<T> rout = out.region(region);
-  const DeviceView<T> vin{in.acquire_on_device(region), rin.grown,
-                          rin.ncomp};
-  const DeviceView<T> vout{out.acquire_on_device(region), rout.grown,
-                           rout.ncomp};
-  const cuemStream_t kstream = in.stream_of_region(region);
-  const cuemStream_t ostream = out.stream_of_region(region);
-  if (ostream != kstream) {
-    cuemEvent_t ev = 0;
-    CUEM_CHECK(cuemEventCreate(&ev));
-    CUEM_CHECK(cuemEventRecord(ev, ostream));
-    CUEM_CHECK(cuemStreamWaitEvent(kstream, ev, 0));
-    CUEM_CHECK(cuemEventDestroy(ev));
-  }
-
-  sim::KernelProfile prof;
-  prof.elements = rin.valid.volume();
-  prof.flops_per_element = cost.flops_per_iter;
-  prof.dev_bytes_per_element = cost.dev_bytes_per_iter;
-  prof.math_units_per_element = cost.math_units_per_iter;
-  prof.math = cost.math;
-  prof.tuned_geometry = false;
-  prof.efficiency_factor = cost.efficiency_factor;
-
-  auto action = [range = rin.valid, vin, vout,
-                 body = std::forward<Fn>(body)]() {
-    for (int k = range.lo.k; k <= range.hi.k; ++k) {
-      for (int j = range.lo.j; j <= range.hi.j; ++j) {
-        for (int i = range.lo.i; i <= range.hi.i; ++i) {
-          body(vin, vout, i, j, k);
-        }
-      }
-    }
-  };
-  p.enqueue_kernel(kstream, prof, p.config().oacc_dispatch_extra_ns,
-                   std::move(action), "C:R" + std::to_string(region));
-  in.note_device_write(region, rin.valid);
-  out.note_device_write(region, rout.valid);
-  if (cuem::san::enabled()) {
-    const std::string op = "C:R" + std::to_string(region);
-    cuem::san::note_kernel_access(
-        kstream, vin.data,
-        static_cast<std::size_t>(rin.grown.volume()) *
-            static_cast<std::size_t>(rin.ncomp) * sizeof(T),
-        /*write=*/true, op.c_str());
-    cuem::san::note_kernel_access(
-        kstream, vout.data,
-        static_cast<std::size_t>(rout.grown.volume()) *
-            static_cast<std::size_t>(rout.ncomp) * sizeof(T),
-        /*write=*/true, op.c_str());
-  }
-  // Schedule-lint attribution (sanitizer-independent): input is read-only,
-  // output is written — the roles the event edges above/below protect.
-  p.graph_note_stream_access(kstream, vin.data,
-                             static_cast<std::size_t>(rin.grown.volume()) *
-                                 static_cast<std::size_t>(rin.ncomp) *
-                                 sizeof(T),
-                             /*write=*/false);
-  p.graph_note_stream_access(kstream, vout.data,
-                             static_cast<std::size_t>(rout.grown.volume()) *
-                                 static_cast<std::size_t>(rout.ncomp) *
-                                 sizeof(T),
-                             /*write=*/true);
-  // Close the cross-stream edge: the kernel writes the output array's slot,
-  // so later work on the output's stream must wait for this launch.
-  if (ostream != kstream) {
-    cuemEvent_t ev = 0;
-    CUEM_CHECK(cuemEventCreate(&ev));
-    CUEM_CHECK(cuemEventRecord(ev, kstream));
-    CUEM_CHECK(cuemStreamWaitEvent(ostream, ev, 0));
-    CUEM_CHECK(cuemEventDestroy(ev));
-  }
-}
 
 }  // namespace tidacc::core

@@ -79,7 +79,7 @@ class SlotPolicy {
 std::unique_ptr<SlotPolicy> make_slot_policy(SlotPolicyKind kind);
 
 /// Policy-driven region→slot resolution plus prefetch pinning. Owned by
-/// the DevicePool; AccTileArray drives it through the pool.
+/// the DevicePool; MultiAccTileArray drives it through the pool.
 ///
 /// Invariants:
 ///   * a resident region always resolves to the slot holding it;

@@ -1,5 +1,5 @@
-// The out-of-core streaming ghost exchange (delta mode), shared by
-// AccTileArray and MultiAccTileArray, and the cost model that decides when
+// The out-of-core streaming ghost exchange (delta mode) of
+// MultiAccTileArray, and the cost model that decides when
 // StreamingGuard::kAuto takes it.
 //
 // Instead of rounding whole regions through the host, the exchange pulls
@@ -160,8 +160,8 @@ bool streaming_cheaper(A& a, tida::Boundary bc) {
   return stream_ns <= drain_ns;
 }
 
-/// The pipelined streaming exchange (see the file comment). `A` is
-/// AccTileArray<T> or MultiAccTileArray<T>; both befriend this function.
+/// The pipelined streaming exchange (see the file comment). `A` is a
+/// MultiAccTileArray<T>, which befriends this function.
 /// Regions keep their device residency and location throughout, so the next
 /// compute pass pays no re-upload, and nothing waits at the end: stream
 /// order protects the kernels queued behind each push.

@@ -31,8 +31,6 @@ struct Runtime {
   std::size_t device_used = 0;
   /// Per-device allocation accounting, indexed by ordinal (lazily sized).
   std::vector<std::size_t> device_used_by_dev;
-  /// Current device (cuemSetDevice), as in the CUDA runtime.
-  int current_device = 0;
   /// Directed peer-access grants: (from, to) pairs enabled via
   /// cuemDeviceEnablePeerAccess.
   std::set<std::pair<int, int>> peer_access;
@@ -67,6 +65,7 @@ Runtime& rt() {
 void reset_runtime() {
   rt().release_backings();
   rt() = Runtime{};
+  detail::current_device = 0;
 }
 
 /// Records a detailed failure message and passes the error code through.
@@ -89,7 +88,7 @@ std::size_t& device_used(int device) {
 /// semantics, where the default stream follows cudaSetDevice.
 cuemStream_t resolve_stream(cuemStream_t s) {
   if (s == 0) {
-    return Platform::instance().default_stream(rt().current_device);
+    return Platform::instance().default_stream(current_device());
   }
   return s;
 }
@@ -118,7 +117,7 @@ void graph_note_copy(cuemStream_t stream, const void* dst, const void* src,
 /// and registers it. Returns nullptr on device-capacity exhaustion.
 void* allocate(std::size_t size, MemSpace space) {
   Platform& p = Platform::instance();
-  const int dev = rt().current_device;
+  const int dev = current_device();
   if (space == MemSpace::kDevice || space == MemSpace::kManaged) {
     if (device_used(dev) + size > p.config().usable_memory()) {
       std::ostringstream os;
@@ -541,10 +540,8 @@ void configure(const DeviceConfig& cfg, bool functional_mode,
 
 int device_count() { return Platform::instance().num_devices(); }
 
-int current_device() { return rt().current_device; }
-
 cuemStream_t default_stream() {
-  return Platform::instance().default_stream(rt().current_device);
+  return Platform::instance().default_stream(current_device());
 }
 
 bool peer_enabled(int device, int peer) {
@@ -559,12 +556,12 @@ int device_of_ptr(const void* p) {
   return a->device;
 }
 
-DeviceGuard::DeviceGuard(int device) : prev_(rt().current_device) {
+void DeviceGuard::enter(int device) {
   TIDACC_CHECK_MSG(cuemSetDevice(device) == cuemSuccess,
                    cuemGetLastErrorMessage());
 }
 
-DeviceGuard::~DeviceGuard() { (void)cuemSetDevice(prev_); }
+void DeviceGuard::leave() const { (void)cuemSetDevice(prev_); }
 
 cuemError_t peer_copy_async(int dst_device, int src_device,
                             std::size_t bytes, cuemStream_t stream,
@@ -855,7 +852,7 @@ cuemError_t host_touch(void* ptr, std::size_t bytes) {
 void snapshot_capture(sim::SnapshotWriter& w) {
   w.section("cuem");
   Runtime& R = rt();
-  w.put_int(R.current_device);
+  w.put_int(current_device());
   w.put_u64(R.device_used);
   w.put_u64(R.device_used_by_dev.size());
   for (std::size_t used : R.device_used_by_dev) {
@@ -892,7 +889,7 @@ void snapshot_capture(sim::SnapshotWriter& w) {
 void snapshot_restore(sim::SnapshotReader& r) {
   r.section("cuem");
   Runtime& R = rt();
-  R.current_device = r.get_int();
+  detail::current_device = r.get_int();
   R.device_used = r.get_u64();
   const std::uint64_t ndev = r.get_u64();
   R.device_used_by_dev.assign(ndev, 0);
@@ -1382,7 +1379,7 @@ cuemError_t cuemSetDevice(int device) {
        << p.num_devices() << ")";
     return fail(cuemErrorInvalidDevice, os.str());
   }
-  rt().current_device = device;
+  cuem::detail::current_device = device;
   return cuemSuccess;
 }
 

@@ -268,9 +268,16 @@ void configure(const sim::DeviceConfig& cfg, bool functional = true);
 void configure(const sim::DeviceConfig& cfg, bool functional,
                int num_devices, const sim::Interconnect& interconnect);
 
+namespace detail {
+/// Current device (cuemSetDevice), as in the CUDA runtime. Kept in the
+/// header so current_device() and a DeviceGuard onto the device already
+/// current cost one load.
+inline int current_device = 0;
+}  // namespace detail
+
 /// Device count / current device without the output-parameter dance.
 int device_count();
-int current_device();
+inline int current_device() { return detail::current_device; }
 
 /// The current device's default stream (what stream handle 0 resolves to).
 cuemStream_t default_stream();
@@ -284,14 +291,30 @@ bool peer_enabled(int device, int peer);
 int device_of_ptr(const void* p);
 
 /// RAII guard: switches the current device, restores the previous one.
+/// A guard onto the device already current touches nothing — the common
+/// case of every per-region acquire and stream lookup on one device — so
+/// only an actual switch (and its ordinal check) runs out of line.
 class DeviceGuard {
  public:
-  explicit DeviceGuard(int device);
-  ~DeviceGuard();
+  explicit DeviceGuard(int device) : prev_(detail::current_device) {
+    if (device != prev_) {
+      enter(device);
+    }
+  }
+  ~DeviceGuard() {
+    if (detail::current_device != prev_) {
+      leave();
+    }
+  }
   DeviceGuard(const DeviceGuard&) = delete;
   DeviceGuard& operator=(const DeviceGuard&) = delete;
 
  private:
+  /// cuemSetDevice(device); throws tidacc::Error naming an invalid ordinal.
+  void enter(int device);
+  /// Restores the device current at construction.
+  void leave() const;
+
   int prev_;
 };
 

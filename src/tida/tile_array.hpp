@@ -5,7 +5,7 @@
 // Regions are views into those buffers; Tiles are logical sub-boxes of a
 // region's valid box (iteration-space partitioning for cache reuse on the
 // CPU). The GPU extension (device mirrors, caching, async transfers) lives
-// in core/acc_tile_array.hpp on top of this class.
+// in core/multi_acc_array.hpp on top of this class.
 #pragma once
 
 #include <cstring>
@@ -65,6 +65,25 @@ struct Tile {
   Region<T> region;
   Box box;  ///< iteration space, subset of region.valid
 };
+
+/// Executes one planned ghost copy from `src` into `dst`, all components,
+/// one row-wise memcpy per (j, k) row. The views may point at host buffers
+/// or at device slot buffers: host and device exchanges share this loop.
+template <typename T>
+void copy_ghost_cells(const GhostCopy& c, const Region<T>& src,
+                      const Region<T>& dst) {
+  const Index3 e = c.dst_box.extent();
+  for (int comp = 0; comp < dst.ncomp; ++comp) {
+    for (int k = 0; k < e.k; ++k) {
+      for (int j = 0; j < e.j; ++j) {
+        const Index3 d0 = c.dst_box.lo + Index3{0, j, k};
+        const Index3 s0 = c.src_box.lo + Index3{0, j, k};
+        std::memcpy(&dst.at(d0, comp), &src.at(s0, comp),
+                    static_cast<std::size_t>(e.i) * sizeof(T));
+      }
+    }
+  }
+}
 
 /// The tiled array: owns one buffer per region.
 template <typename T>
@@ -225,19 +244,7 @@ class TileArray {
   /// Executes one planned copy on host buffers, all components (also used
   /// by tests).
   void apply_copy_host(const GhostCopy& c) {
-    const Region<T> src = region(c.src_region);
-    const Region<T> dst = region(c.dst_region);
-    const Index3 e = c.dst_box.extent();
-    for (int comp = 0; comp < ncomp_; ++comp) {
-      for (int k = 0; k < e.k; ++k) {
-        for (int j = 0; j < e.j; ++j) {
-          const Index3 d0 = c.dst_box.lo + Index3{0, j, k};
-          const Index3 s0 = c.src_box.lo + Index3{0, j, k};
-          std::memcpy(&dst.at(d0, comp), &src.at(s0, comp),
-                      static_cast<std::size_t>(e.i) * sizeof(T));
-        }
-      }
-    }
+    copy_ghost_cells(c, region(c.src_region), region(c.dst_region));
   }
 
  private:

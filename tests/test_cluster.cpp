@@ -500,6 +500,23 @@ TEST_F(ClusterTest, EpochMisuseFailsLoudly) {
   a.exchange_end();
 }
 
+TEST_F(ClusterTest, OneNodeArrayHasNoFabric) {
+  ClusterTileArray<double> a(Box::cube(16), Index3{16, 16, 2}, 1);
+  ASSERT_EQ(a.num_nodes(), 1);
+  EXPECT_THROW((void)a.fabric(), Error);
+  try {
+    (void)a.fabric();
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("num_nodes() is 1"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_NO_THROW((void)ClusterTileArray<double>(Box::cube(16),
+                                                 Index3{16, 16, 2}, 1,
+                                                 two_nodes())
+                      .fabric());
+}
+
 // --- golden trace: 1-node ClusterTileArray == MultiAccTileArray ---
 
 template <typename Array, typename Opts>

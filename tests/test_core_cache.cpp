@@ -198,8 +198,8 @@ TEST_F(DevicePoolTest, InvalidArgumentsRejected) {
 // --- SlotPolicy / SlotScheduler ---
 
 // The scheduler only decides; residency updates are the caller's job (in
-// the library, AccTileArray::acquire_on_device / prefetch_to_device). The
-// helpers below replay that caller protocol against a bare CacheTable.
+// the library, MultiAccTileArray::acquire_on_device / prefetch_to_device).
+// The helpers below replay that caller protocol against a bare CacheTable.
 int acquire(SlotScheduler& sched, CacheTable& cache, int region) {
   const int slot = sched.place(region, cache);
   if (cache.resident(slot) != region) {

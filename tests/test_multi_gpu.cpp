@@ -99,6 +99,39 @@ TEST_F(MultiGpuCuemTest, CreatedStreamsBindToCurrentDevice) {
   EXPECT_EQ(cuemStreamDestroy(s), cuemSuccess);
 }
 
+TEST_F(MultiGpuCuemTest, DeviceGuardSwitchesOnlyWhenNeededAndNests) {
+  ASSERT_EQ(cuemSetDevice(2), cuemSuccess);
+  {
+    // A guard onto the current device leaves it unchanged.
+    const cuem::DeviceGuard same(2);
+    EXPECT_EQ(cuem::current_device(), 2);
+  }
+  EXPECT_EQ(cuem::current_device(), 2);
+  {
+    // Nested guards restore in order.
+    const cuem::DeviceGuard outer(1);
+    EXPECT_EQ(cuem::current_device(), 1);
+    {
+      const cuem::DeviceGuard inner(3);
+      EXPECT_EQ(cuem::current_device(), 3);
+      const cuem::DeviceGuard again(3);
+      EXPECT_EQ(cuem::current_device(), 3);
+    }
+    EXPECT_EQ(cuem::current_device(), 1);
+  }
+  EXPECT_EQ(cuem::current_device(), 2);
+  // An out-of-range ordinal still throws, naming the ordinal, and leaves
+  // the current device alone.
+  try {
+    const cuem::DeviceGuard bad(9);
+    ADD_FAILURE() << "DeviceGuard(9) on a 4-device platform did not throw";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("ordinal 9"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(cuem::current_device(), 2);
+}
+
 // --- per-device memory accounting ---
 
 TEST_F(MultiGpuCuemTest, AllocationsBindAndCountPerDevice) {
@@ -295,6 +328,34 @@ TEST_F(MultiArrayTest, StreamsAndSlotsLiveOnOwningDevice) {
     EXPECT_EQ(cuem::platform().stream_device(a.stream_of_region(r)), dev);
     EXPECT_EQ(cuem::device_of_ptr(a.device_region(r).data), dev);
   }
+}
+
+TEST_F(MultiArrayTest, AccTileArrayKeepsItsWorkOnDeviceZero) {
+  // Built on device 0, then driven while device 1 is current: every copy
+  // and kernel must still run on device 0, where the slots live.
+  AccTileArray<double> arr(Box::cube(16), Index3{16, 16, 4}, 1);
+  arr.fill(pattern);
+  ASSERT_EQ(cuemSetDevice(1), cuemSuccess);
+  AccTileIterator<double> it(arr);
+  for (it.reset(/*gpu=*/true); it.isValid(); it.next()) {
+    compute(it.tile(), unit_cost(),
+            [](DeviceView<double> v, int i, int j, int k) {
+              v(i, j, k) += 1.0;
+            });
+  }
+  arr.fill_boundary(Boundary::kPeriodic);
+  arr.release_all_to_host();
+  EXPECT_EQ(cuem::current_device(), 1);
+  for (int r = 0; r < arr.num_regions(); ++r) {
+    EXPECT_EQ(cuem::platform().stream_device(arr.stream_of_region(r)), 0)
+        << "stream of region " << r;
+    EXPECT_EQ(cuem::device_of_ptr(arr.device_region(r).data), 0)
+        << "slot memory of region " << r;
+  }
+  for (const sim::TraceEvent& ev : cuem::platform().trace().events()) {
+    EXPECT_EQ(ev.device, 0) << ev.label;
+  }
+  EXPECT_EQ(arr.at(Index3{3, 3, 3}), pattern(Index3{3, 3, 3}) + 1.0);
 }
 
 // --- distributed ghost exchange ---

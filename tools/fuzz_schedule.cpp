@@ -38,6 +38,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <string>
@@ -62,7 +63,6 @@
 namespace {
 
 using namespace tidacc;
-using core::AccTile;
 using core::AccTileArray;
 
 // --- knobs ---
@@ -210,14 +210,6 @@ constexpr auto kSweepBody = [](core::DeviceView<double> v, int i, int j,
                         v(i, j + 1, k));
 };
 
-void sweep_region(AccTileArray<double>& u, int region,
-                  const oacc::LoopCost& cost) {
-  const tida::Region<double> r = u.region(region);
-  const AccTile<double> tile{&u, tida::Tile<double>{r, r.valid},
-                             /*gpu=*/true};
-  core::compute(tile, cost, kSweepBody);
-}
-
 void sweep_region(core::MultiAccTileArray<double>& u, int region,
                   const oacc::LoopCost& cost) {
   core::compute_gpu(u, region, cost, kSweepBody);
@@ -240,11 +232,6 @@ std::vector<int> stream_perm(int slots, std::uint64_t seed) {
 // a slot issues from here on rides a different hardware queue, reshuffling
 // which operations can overlap. Event edges inside set_stream_permutation
 // keep the dependency order, so the checksum must not move.
-void apply_stream_perm(AccTileArray<double>& u, std::uint64_t seed) {
-  if (seed == 0) return;
-  u.set_stream_permutation(stream_perm(u.num_slots(), seed));
-}
-
 void apply_stream_perm(core::MultiAccTileArray<double>& u,
                        std::uint64_t seed) {
   if (seed == 0) return;
@@ -326,8 +313,7 @@ void run_tail(Array& u, core::SlotPolicyKind policy, const DynKnobs& d,
   u.release_all_to_host();
 }
 
-template <typename Array>
-std::uint64_t checksum(const Array& u) {
+std::uint64_t checksum(const tida::TileArray<double>& u) {
   std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over valid cells
   for (int id = 0; id < u.num_regions(); ++id) {
     const tida::Region<double> r = u.region(id);
@@ -635,6 +621,23 @@ core::MultiAccOptions multi_acc_options(const WorldKnobs& w) {
   return o;
 }
 
+/// The array of a world without nodes: a single-device world builds an
+/// AccTileArray (the only array that takes disable_caching), a
+/// multi-device world a MultiAccTileArray. A shared_ptr, because its
+/// deleter destroys the array as the type it was built as.
+std::shared_ptr<core::MultiAccTileArray<double>> make_array(
+    const WorldKnobs& w) {
+  const int slab = (w.n + w.regions - 1) / w.regions;
+  if (w.num_devices > 1) {
+    return std::make_shared<core::MultiAccTileArray<double>>(
+        tida::Box::cube(w.n), tida::Index3{w.n, w.n, slab}, /*ghost=*/1,
+        multi_acc_options(w));
+  }
+  return std::make_shared<AccTileArray<double>>(
+      tida::Box::cube(w.n), tida::Index3{w.n, w.n, slab}, /*ghost=*/1,
+      acc_options(w));
+}
+
 core::ClusterOptions cluster_options(const WorldKnobs& w) {
   core::ClusterOptions o;
   o.multi = multi_acc_options(w);
@@ -727,16 +730,8 @@ int main(int argc, char** argv) {
                                        tida::Index3{w.n, w.n, slab},
                                        /*ghost=*/1, cluster_options(w));
       o = replay(u);
-    } else if (w.num_devices > 1) {
-      core::MultiAccTileArray<double> u(tida::Box::cube(w.n),
-                                        tida::Index3{w.n, w.n, slab},
-                                        /*ghost=*/1, multi_acc_options(w));
-      o = replay(u);
     } else {
-      AccTileArray<double> u(tida::Box::cube(w.n),
-                             tida::Index3{w.n, w.n, slab}, /*ghost=*/1,
-                             acc_options(w));
-      o = replay(u);
+      o = replay(*make_array(w));
     }
     if (o.failed) {
       std::printf("repro FAILED (%s): %s\n", o.kind.c_str(),
@@ -759,20 +754,17 @@ int main(int argc, char** argv) {
   std::uint64_t config_index = static_cast<std::uint64_t>(-1);
   std::optional<WorldKnobs> world;
   // The array must outlive every restore of its snapshot (the restore
-  // contract is address-stable), so all live in an optional rebuilt per
-  // config block. Worlds with num_devices > 1 exercise the multi-device
-  // array (its own capture/restore and per-device stream permutations);
-  // worlds with nodes > 1 exercise the cluster array (fabric QP/MR state
-  // rides inside its snapshot).
-  std::optional<AccTileArray<double>> u;
-  std::optional<core::MultiAccTileArray<double>> um;
+  // contract is address-stable), so it is rebuilt once per config block.
+  // Worlds with nodes > 1 exercise the cluster array (fabric QP/MR state
+  // rides inside its snapshot); the others live behind one
+  // MultiAccTileArray pointer (see make_array).
+  std::shared_ptr<core::MultiAccTileArray<double>> u;
   std::optional<core::ClusterTileArray<double>> uc;
   std::vector<std::uint8_t> snap;
   std::optional<Outcome> reference;
   const auto run_one = [&](const DynKnobs& d) {
-    return uc   ? run_case(snap, *uc, world->policy, d, cost, lint)
-           : um ? run_case(snap, *um, world->policy, d, cost, lint)
-                : run_case(snap, *u, world->policy, d, cost, lint);
+    return uc ? run_case(snap, *uc, world->policy, d, cost, lint)
+              : run_case(snap, *u, world->policy, d, cost, lint);
   };
 
   for (std::uint64_t i = 0; i < iters; ++i) {
@@ -781,7 +773,6 @@ int main(int argc, char** argv) {
       world = draw_world(seed, config_index, n, regions, force_nodes,
                          force_fabric, force_compression);
       u.reset();  // free the old world's buffers before reconfiguring
-      um.reset();
       uc.reset();
       try {
         configure_world(*world);
@@ -791,15 +782,8 @@ int main(int argc, char** argv) {
                      tida::Index3{world->n, world->n, slab}, /*ghost=*/1,
                      cluster_options(*world));
           snap = build_and_snapshot(*world, *uc, cost);
-        } else if (world->num_devices > 1) {
-          um.emplace(tida::Box::cube(world->n),
-                     tida::Index3{world->n, world->n, slab}, /*ghost=*/1,
-                     multi_acc_options(*world));
-          snap = build_and_snapshot(*world, *um, cost);
         } else {
-          u.emplace(tida::Box::cube(world->n),
-                    tida::Index3{world->n, world->n, slab}, /*ghost=*/1,
-                    acc_options(*world));
+          u = make_array(*world);
           snap = build_and_snapshot(*world, *u, cost);
         }
         // Baseline replay: no jitter, no prefetch, identity order. Its

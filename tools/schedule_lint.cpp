@@ -27,7 +27,6 @@
 
 #include "baselines/sincos_baselines.hpp"
 #include "common/cli.hpp"
-#include "core/acc_tile_array.hpp"
 #include "core/cluster_tile_array.hpp"
 #include "core/compute.hpp"
 #include "core/multi_acc_array.hpp"
@@ -220,49 +219,18 @@ ScenarioResult scenario_sincos() {
   return analyze("fig7_sincos_streaming", g);
 }
 
-/// Out-of-core halo sweep: fill_boundary + in-place ghost-reading stencil
-/// with fewer slots than regions (eviction D2H racing the next H2D). With
-/// `streaming`, delta transfers on and one slot short: every exchange runs
-/// the pipelined streaming path (per-region pull events, per-group pushes)
-/// while the previous sweep's kernels drain.
-ScenarioResult scenario_halo(const char* name, bool streaming) {
+/// Halo sweep over 8 slab regions: fill_boundary + an in-place
+/// ghost-reading stencil, two steps, on an array built from `o`. Out of
+/// core (fewer slots than regions) the eviction D2H races the next H2D;
+/// with delta transfers and kForceStreaming every exchange runs the
+/// pipelined streaming path (per-region pull events, per-group pushes)
+/// while the previous sweep's kernels drain. Resident on two devices, peer
+/// copies and per-device kernel streams share one fill_boundary/sweep step.
+ScenarioResult scenario_halo(const char* name, const core::MultiAccOptions& o) {
   sim::OpGraph g;
-  fresh_world(g);
+  fresh_world(g, o.devices);
   const int n = 32, regions = 8;
   const int slab = (n + regions - 1) / regions;
-  core::AccOptions o;
-  o.max_slots = streaming ? regions - 1 : 3;
-  o.delta_transfers = streaming;
-  o.streaming_guard = streaming ? core::StreamingGuard::kForceStreaming
-                                : core::StreamingGuard::kAuto;
-  core::AccTileArray<double> u(tida::Box::cube(n),
-                               tida::Index3{n, n, slab}, /*ghost=*/1, o);
-  u.assume_host_initialized();
-  const oacc::LoopCost cost = kernels::box_stencil_cost(1);
-  for (int s = 0; s < 2; ++s) {
-    u.fill_boundary(tida::Boundary::kPeriodic);
-    for (int id = 0; id < u.num_regions(); ++id) {
-      const tida::Region<double> reg = u.region(id);
-      const core::AccTile<double> tile{
-          &u, tida::Tile<double>{reg, reg.valid}, /*gpu=*/true};
-      core::compute(tile, cost, kSweepBody);
-    }
-  }
-  u.release_all_to_host();
-  cuem::platform().set_op_graph(nullptr);
-  return analyze(name, g);
-}
-
-/// Multi-GPU exchange: regions sharded over two devices, peer copies and
-/// per-device kernel streams inside one fill_boundary/sweep step.
-ScenarioResult scenario_multigpu() {
-  sim::OpGraph g;
-  fresh_world(g, /*num_devices=*/2);
-  const int n = 32, regions = 8;
-  const int slab = (n + regions - 1) / regions;
-  core::MultiAccOptions o;
-  o.devices = 2;
-  o.max_slots_per_device = regions;  // resident: exercise the peer path
   core::MultiAccTileArray<double> u(tida::Box::cube(n),
                                     tida::Index3{n, n, slab}, /*ghost=*/1,
                                     o);
@@ -276,7 +244,19 @@ ScenarioResult scenario_multigpu() {
   }
   u.release_all_to_host();
   cuem::platform().set_op_graph(nullptr);
-  return analyze("multigpu_exchange", g);
+  return analyze(name, g);
+}
+
+/// scenario_halo's options: `slots` slots on each of `devices` devices;
+/// `streaming` turns delta transfers on and forces the streaming exchange.
+core::MultiAccOptions halo_options(int devices, int slots, bool streaming) {
+  core::MultiAccOptions o;
+  o.devices = devices;
+  o.max_slots_per_device = slots;
+  o.delta_transfers = streaming;
+  o.streaming_guard = streaming ? core::StreamingGuard::kForceStreaming
+                                : core::StreamingGuard::kAuto;
+  return o;
 }
 
 /// Cluster exchange: two nodes over a fabric, either the staged pinned
@@ -361,13 +341,18 @@ int main(int argc, char** argv) {
     results.push_back(scenario_sincos());
   }
   if (want("halo_out_of_core")) {
-    results.push_back(scenario_halo("halo_out_of_core", /*streaming=*/false));
+    results.push_back(
+        scenario_halo("halo_out_of_core", halo_options(1, 3, false)));
   }
   if (want("halo_streaming")) {
-    results.push_back(scenario_halo("halo_streaming", /*streaming=*/true));
+    // One slot short of the 8 regions.
+    results.push_back(
+        scenario_halo("halo_streaming", halo_options(1, 7, true)));
   }
   if (want("multigpu_exchange")) {
-    results.push_back(scenario_multigpu());
+    // Resident: exercises the peer path.
+    results.push_back(
+        scenario_halo("multigpu_exchange", halo_options(2, 8, false)));
   }
   if (want("cluster_staged")) {
     results.push_back(scenario_cluster("cluster_staged", "ethernet",
