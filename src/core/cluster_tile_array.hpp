@@ -391,26 +391,23 @@ class ClusterTileArray : public MultiAccTileArray<T> {
                                /*write=*/true);
   }
 
-  /// Wire bytes one cross-node ghost message of `bytes` logical payload
-  /// puts on the link: 0 = send raw. Mirrors the fabric's work-request
-  /// pricing exactly — hop latency and completion cost are identical on
-  /// both paths, so kAuto compares just the codec stages plus the shrunken
-  /// wire against the raw wire at the path's effective rate. Ghost
-  /// messages carry boundary shells, hence the ghost-refresh ratio.
-  std::uint64_t wire_bytes_for(std::uint64_t bytes,
+  /// Wire bytes one cross-node ghost message (work request `kind` of
+  /// `bytes` logical payload) puts on the link: 0 = send raw. kAuto takes
+  /// the cheaper of the raw and the compressed request under
+  /// FabricConfig::wr_ns. Ghost messages carry boundary shells, hence the
+  /// ghost-refresh ratio.
+  std::uint64_t wire_bytes_for(sim::OpKind kind, std::uint64_t bytes,
                                bool gpudirect_path) const {
     if (wire_compression_ == Compression::kOff || bytes == 0) {
       return 0;
     }
-    const sim::CodecConfig& codec = fabric_->config().codec;
+    const sim::FabricConfig& fc = fabric_->config();
     const std::uint64_t wire =
-        codec.wire_bytes(bytes, sim::PayloadKind::kGhostRefresh);
-    if (wire_compression_ == Compression::kAuto) {
-      const double gbps = fabric_->config().path_gbps(gpudirect_path);
-      if (codec.codec_time_ns(bytes) + transfer_time_ns(wire, gbps) >=
-          transfer_time_ns(bytes, gbps)) {
-        return 0;
-      }
+        fc.codec.wire_bytes(bytes, sim::PayloadKind::kGhostRefresh);
+    if (wire_compression_ == Compression::kAuto &&
+        fc.wr_ns(kind, bytes, wire, gpudirect_path) >=
+            fc.wr_ns(kind, bytes, 0, gpudirect_path)) {
+      return 0;
     }
     return wire;
   }
@@ -480,7 +477,8 @@ class ClusterTileArray : public MultiAccTileArray<T> {
             qp, device_mr_of(head.dst_region), 0,
             device_mr_of(head.src_region), 0, bytes, label,
             std::move(action), /*after_stream=*/-1, /*san_note=*/false,
-            wire_bytes_for(bytes, /*gpudirect_path=*/true));
+            wire_bytes_for(sim::OpKind::kRdmaRead, bytes,
+                           /*gpudirect_path=*/true));
         graph_note_wire_op(qp, head.src_region, head.dst_region,
                            /*device_path=*/true);
         for (const std::size_t c : group) {
@@ -522,7 +520,8 @@ class ClusterTileArray : public MultiAccTileArray<T> {
             qp, host_mr_of(head.src_region), 0, bytes, label,
             std::move(action), /*after_stream=*/sstream,
             /*san_note=*/false,
-            wire_bytes_for(bytes, /*gpudirect_path=*/false));
+            wire_bytes_for(sim::OpKind::kNetSend, bytes,
+                           /*gpudirect_path=*/false));
         graph_note_wire_op(qp, head.src_region, head.dst_region,
                            /*device_path=*/false);
         for (const std::size_t c : group) {
@@ -571,7 +570,8 @@ class ClusterTileArray : public MultiAccTileArray<T> {
           "S:R" + std::to_string(gc.src_region) + ">R" +
               std::to_string(gc.dst_region),
           /*action=*/{}, /*after_stream=*/-1, /*san_note=*/false,
-          wire_bytes_for(bytes, /*gpudirect_path=*/false)));
+          wire_bytes_for(sim::OpKind::kNetSend, bytes,
+                         /*gpudirect_path=*/false)));
       graph_note_wire_op(qp, gc.src_region, gc.dst_region,
                          /*device_path=*/false);
       ++staged_ghost_sends_;

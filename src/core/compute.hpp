@@ -90,18 +90,8 @@ void compute_range(const tida::Box& range, const oacc::LoopCost& cost,
         }
       }
     }
-    // Host compute cost (roofline against host rates).
-    const double n = static_cast<double>(range.volume());
-    const SimTime mem = transfer_time_ns(
-        static_cast<std::uint64_t>(n * cost.dev_bytes_per_iter),
-        p.config().host_mem_gbps);
-    const double math_flops = cost.math_units_per_iter *
-                              p.config().math_unit_flops *
-                              p.config().math_factor(cost.math);
-    const SimTime flop = compute_time_ns(
-        n * (cost.flops_per_iter + math_flops),
-        p.config().host_dp_gflops / 1000.0);
-    p.host_advance(std::max(mem, flop));
+    p.host_advance(cost.profile(range.volume(), /*tuned_geometry=*/false)
+                       .host_duration_ns(p.config()));
     return;
   }
 
@@ -129,15 +119,6 @@ void compute_range(const tida::Box& range, const oacc::LoopCost& cost,
     (order_against(tiles), ...);
   }
 
-  sim::KernelProfile prof;
-  prof.elements = range.volume();
-  prof.flops_per_element = cost.flops_per_iter;
-  prof.dev_bytes_per_element = cost.dev_bytes_per_iter;
-  prof.math_units_per_element = cost.math_units_per_iter;
-  prof.math = cost.math;
-  prof.tuned_geometry = false;  // kernels are OpenACC-generated (§IV-B5)
-  prof.efficiency_factor = cost.efficiency_factor;
-
   auto action = [range, views, body = std::forward<Fn>(body)]() {
     for (int k = range.lo.k; k <= range.hi.k; ++k) {
       for (int j = range.lo.j; j <= range.hi.j; ++j) {
@@ -148,8 +129,10 @@ void compute_range(const tida::Box& range, const oacc::LoopCost& cost,
     }
   };
 
-  p.enqueue_kernel(kstream, prof, p.config().oacc_dispatch_extra_ns,
-                   std::move(action),
+  // Kernels are OpenACC-generated (§IV-B5): compiler-chosen geometry.
+  p.enqueue_kernel(kstream,
+                   cost.profile(range.volume(), /*tuned_geometry=*/false),
+                   p.config().oacc_dispatch_extra_ns, std::move(action),
                    p.trace().recording()
                        ? "C:R" + std::to_string(first.tile.region.id)
                        : std::string());
@@ -300,15 +283,6 @@ void compute_gpu(MultiAccTileArray<T>& in, MultiAccTileArray<T>& out,
     CUEM_CHECK(cuemEventDestroy(ev));
   }
 
-  sim::KernelProfile prof;
-  prof.elements = rin.valid.volume();
-  prof.flops_per_element = cost.flops_per_iter;
-  prof.dev_bytes_per_element = cost.dev_bytes_per_iter;
-  prof.math_units_per_element = cost.math_units_per_iter;
-  prof.math = cost.math;
-  prof.tuned_geometry = false;
-  prof.efficiency_factor = cost.efficiency_factor;
-
   auto action = [range = rin.valid, vin, vout,
                  body = std::forward<Fn>(body)]() {
     for (int k = range.lo.k; k <= range.hi.k; ++k) {
@@ -319,8 +293,9 @@ void compute_gpu(MultiAccTileArray<T>& in, MultiAccTileArray<T>& out,
       }
     }
   };
-  p.enqueue_kernel(kstream, prof, p.config().oacc_dispatch_extra_ns,
-                   std::move(action),
+  p.enqueue_kernel(kstream,
+                   cost.profile(rin.valid.volume(), /*tuned_geometry=*/false),
+                   p.config().oacc_dispatch_extra_ns, std::move(action),
                    p.trace().recording() ? "C:R" + std::to_string(region)
                                          : std::string());
   in.note_device_write(region, rin.valid);
@@ -528,19 +503,11 @@ void compute_host_parallel(AccTileIterator<T>& it, ThreadPool& pool,
   }
 
   // Parallel host cost: serial roofline cost over effective workers.
-  const double n = static_cast<double>(cells);
-  const SimTime mem = transfer_time_ns(
-      static_cast<std::uint64_t>(n * cost.dev_bytes_per_iter),
-      p.config().host_mem_gbps);
-  const double math_flops = cost.math_units_per_iter *
-                            p.config().math_unit_flops *
-                            p.config().math_factor(cost.math);
-  const SimTime flop =
-      compute_time_ns(n * (cost.flops_per_iter + math_flops),
-                      p.config().host_dp_gflops / 1000.0);
   const std::size_t workers =
       std::max<std::size_t>(1, std::min(pool.thread_count(), tiles.size()));
-  p.host_advance(std::max(mem, flop) / workers);
+  p.host_advance(cost.profile(cells, /*tuned_geometry=*/false)
+                     .host_duration_ns(p.config()) /
+                 workers);
 }
 
 }  // namespace tidacc::core

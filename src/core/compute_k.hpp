@@ -64,15 +64,6 @@ void compute_k(MultiAccTileArray<T>& a, int region, int k, int radius,
     const tida::Box range = tida::trapezoid_range(reg.valid, radius, k, s);
     T* out_ptr = a.scratch_of_region(region);
 
-    sim::KernelProfile prof;
-    prof.elements = range.volume();
-    prof.flops_per_element = cost.flops_per_iter;
-    prof.dev_bytes_per_element = cost.dev_bytes_per_iter;
-    prof.math_units_per_element = cost.math_units_per_iter;
-    prof.math = cost.math;
-    prof.tuned_geometry = false;  // kernels are OpenACC-generated (§IV-B5)
-    prof.efficiency_factor = cost.efficiency_factor;
-
     const DeviceView<T> vin{in_ptr, reg.grown, reg.ncomp};
     const DeviceView<T> vout{out_ptr, reg.grown, reg.ncomp};
     auto action = [range, vin, vout, body]() {
@@ -84,8 +75,10 @@ void compute_k(MultiAccTileArray<T>& a, int region, int k, int radius,
         }
       }
     };
-    p.enqueue_kernel(kstream, prof, p.config().oacc_dispatch_extra_ns,
-                     std::move(action),
+    // Kernels are OpenACC-generated (§IV-B5): compiler-chosen geometry.
+    p.enqueue_kernel(kstream,
+                     cost.profile(range.volume(), /*tuned_geometry=*/false),
+                     p.config().oacc_dispatch_extra_ns, std::move(action),
                      p.trace().recording()
                          ? "Ck:R" + std::to_string(region) + "#" +
                                std::to_string(s)
@@ -137,12 +130,12 @@ struct TimeBlockPrediction {
 };
 
 /// Picks the temporal blocking depth k that minimizes predicted wall-clock
-/// per useful cell update, from the simulator's own cost constants: PCIe
-/// link bandwidth and per-transfer setup (the term k divides), kernel
-/// launch latency and the roofline of the shrinking trapezoid kernels (the
-/// terms that grow with k), and the widened ghost ring (the transfer bytes
-/// that grow with k). Returns 1 when blocking never wins. The caller then
-/// builds the array with ghost = radius * k and
+/// per useful cell update, pricing the ops one residency issues with the
+/// simulator's own functions: the flat evict/upload round trip (the term k
+/// divides), the k shrinking trapezoid kernels compute_k launches (the
+/// terms that grow with k), and the widened ghost ring's pull, host copy
+/// and push (the transfer bytes that grow with k). Returns 1 when blocking
+/// never wins. The caller then builds the array with ghost = radius * k and
 /// AccOptions::time_block_k = k. `table` (optional) receives one row per
 /// candidate for bench emission.
 inline int choose_time_block_k(const tida::Box& domain,
@@ -159,43 +152,45 @@ inline int choose_time_block_k(const tida::Box& domain,
                         std::min(region_size.j, de.j),
                         std::min(region_size.k, de.k)};
   const auto grown_volume = [&re](int g) {
-    return static_cast<double>(re.i + 2 * g) *
-           static_cast<double>(re.j + 2 * g) *
-           static_cast<double>(re.k + 2 * g);
+    return static_cast<std::uint64_t>(re.i + 2 * g) *
+           static_cast<std::uint64_t>(re.j + 2 * g) *
+           static_cast<std::uint64_t>(re.k + 2 * g);
   };
-  const double valid_cells = grown_volume(0);
+  const std::uint64_t valid_cells = grown_volume(0);
   const auto regions_along = [](int extent, int size) {
     return static_cast<double>((extent + size - 1) / size);
   };
   const double regions = regions_along(de.i, re.i) *
                          regions_along(de.j, re.j) *
                          regions_along(de.k, re.k);
+  // A raw pinned copy of `bytes` plus its host issue cost.
+  const auto issued_copy_ns = [&cfg](sim::OpKind kind, std::uint64_t bytes) {
+    sim::CopyRequest req;
+    req.kind = kind;
+    req.bytes = bytes;
+    return static_cast<double>(cfg.host_api_overhead_ns +
+                               sim::copy_ns(cfg, req));
+  };
 
   int best_k = 1;
   double best_step = 0.0;
   for (int k = 1; k <= max_k; ++k) {
     const int ghost = radius * k;
-    const double grown_cells = grown_volume(ghost);
-    const double flat_bytes = grown_cells * static_cast<double>(elem_bytes);
+    const std::uint64_t grown_cells = grown_volume(ghost);
+    const std::uint64_t flat_bytes = grown_cells * elem_bytes;
 
     // One residency round trip: the evict D2H and the upload H2D are
     // stream-ordered on the same slot stream, so they serialize per slot.
-    const double tx =
-        2.0 * static_cast<double>(cfg.host_api_overhead_ns +
-                                  cfg.transfer_latency_ns) +
-        flat_bytes / cfg.pinned_h2d_gbps + flat_bytes / cfg.pinned_d2h_gbps;
+    const double tx = issued_copy_ns(sim::OpKind::kCopyD2H, flat_bytes) +
+                      issued_copy_ns(sim::OpKind::kCopyH2D, flat_bytes);
 
-    // k trapezoid kernels over shrinking ranges (launch + roofline each).
+    // The k trapezoid kernels compute_k launches over shrinking ranges.
     double tc = 0.0;
     for (int s = 0; s < k; ++s) {
-      const double cells = grown_volume(radius * (k - 1 - s));
-      const double mem_ns =
-          cells * cost.dev_bytes_per_iter / cfg.device_mem_gbps;
-      const double flop_ns =
-          cells * cost.flops_per_iter / (cfg.dp_tflops * 1000.0);
-      tc += static_cast<double>(cfg.kernel_launch_ns +
-                                cfg.oacc_dispatch_extra_ns) +
-            std::max(mem_ns, flop_ns) * cfg.untuned_geometry_factor;
+      const std::uint64_t cells = grown_volume(radius * (k - 1 - s));
+      tc += static_cast<double>(
+          cfg.kernel_launch_ns + cfg.oacc_dispatch_extra_ns +
+          cost.profile(cells, /*tuned_geometry=*/false).duration_ns(cfg));
     }
 
     // The widened ghost ring crosses the link twice per exchange (shells
@@ -204,14 +199,11 @@ inline int choose_time_block_k(const tida::Box& domain,
     // legs and the host copies across regions, so a region costs its
     // busiest leg plus its share of one region's pull → copy → push
     // latency. The handful of per-face setups is second-order next to the
-    // ring payload.
-    const double ring_bytes =
-        (grown_cells - valid_cells) * static_cast<double>(elem_bytes);
-    const double setup = static_cast<double>(cfg.transfer_latency_ns +
-                                             cfg.host_api_overhead_ns);
-    const double pull = ring_bytes / cfg.pinned_d2h_gbps + setup;
-    const double push = ring_bytes / cfg.pinned_h2d_gbps + setup;
-    const double host = ring_bytes / cfg.host_copy_gbps;
+    // ring payload, so each leg is priced as one flat copy.
+    const std::uint64_t ring_bytes = (grown_cells - valid_cells) * elem_bytes;
+    const double pull = issued_copy_ns(sim::OpKind::kCopyD2H, ring_bytes);
+    const double push = issued_copy_ns(sim::OpKind::kCopyH2D, ring_bytes);
+    const double host = static_cast<double>(cfg.host_copy_ns(ring_bytes));
     const double tex =
         std::max({pull, push, host}) + (pull + host + push) / regions;
 
@@ -220,8 +212,8 @@ inline int choose_time_block_k(const tida::Box& domain,
     // exchange follows it. All per region, per k steps.
     const double step_ns = (std::max(tx, tc) + tex) / static_cast<double>(k);
     const double bytes_per_update =
-        (2.0 * flat_bytes + 2.0 * ring_bytes) /
-        (static_cast<double>(k) * valid_cells);
+        static_cast<double>(2 * flat_bytes + 2 * ring_bytes) /
+        (static_cast<double>(k) * static_cast<double>(valid_cells));
     if (table != nullptr) {
       table->push_back(TimeBlockPrediction{k, bytes_per_update, step_ns});
     }

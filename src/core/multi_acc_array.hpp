@@ -685,6 +685,8 @@ class MultiAccTileArray : public tida::TileArray<T> {
  protected:
   template <typename A>
   friend void detail::streaming_exchange(A& a, tida::Boundary bc);
+  template <typename U, typename A>
+  friend bool detail::streaming_cheaper(A& a, tida::Boundary bc);
 
   // Protected rather than private: ClusterTileArray extends the exchange
   // across simulated nodes and reuses the pools, location/dirty tracking
@@ -962,14 +964,57 @@ class MultiAccTileArray : public tida::TileArray<T> {
     }
   }
 
+  /// The raw flat host<->device copy of `bytes` between this array's host
+  /// buffers and a slot — as copy_region issues it, for pricing.
+  sim::CopyRequest copy_request(std::uint64_t bytes, bool h2d) const {
+    sim::CopyRequest req;
+    req.kind = h2d ? sim::OpKind::kCopyH2D : sim::OpKind::kCopyD2H;
+    req.bytes = bytes;
+    req.host_mem = this->host_alloc_kind() == tida::HostAlloc::kPinned
+                       ? sim::HostMemKind::kPinned
+                       : sim::HostMemKind::kPageable;
+    return req;
+  }
+
+  /// The pitched copy of one component of `box` between two buffers laid
+  /// out over `grown` — a region's host buffer and its slot share that
+  /// layout, so both sides get the same pitches. copy_boxes fills in the
+  /// pointers and direction; the predictors price the shape as is.
+  static cuemMemcpy3DParms box_copy_parms(const tida::Box& grown,
+                                          const tida::Box& box) {
+    const tida::Index3 ge = grown.extent();
+    const tida::Index3 e = box.extent();
+    cuemMemcpy3DParms parms;
+    parms.dst_pitch = parms.src_pitch =
+        static_cast<std::size_t>(ge.i) * sizeof(T);
+    parms.dst_slice_pitch = parms.src_slice_pitch =
+        parms.dst_pitch * static_cast<std::size_t>(ge.j);
+    parms.width = static_cast<std::size_t>(e.i) * sizeof(T);
+    parms.height = static_cast<std::size_t>(e.j);
+    parms.depth = static_cast<std::size_t>(e.k);
+    return parms;
+  }
+
+  /// One component's raw pitched copy of `box` for `region`, as copy_boxes
+  /// issues it, for pricing.
+  sim::CopyRequest box_copy_request(int region, const tida::Box& box,
+                                    bool h2d) const {
+    const cuemMemcpy3DParms parms =
+        box_copy_parms(this->region(region).grown, box);
+    sim::CopyRequest req =
+        copy_request(parms.width * parms.height * parms.depth, h2d);
+    req.kind = h2d ? sim::OpKind::kMemcpy3DH2D : sim::OpKind::kMemcpy3DD2H;
+    req.chunks = cuem::memcpy3d_chunks(parms);
+    return req;
+  }
+
   /// Raw-vs-compressed decision for one host<->device transfer of `bytes`
-  /// logical payload. Mirrors the platform's compressed-copy pricing
-  /// exactly: setup, latency and (for pitched copies) the memcpy3d
-  /// overhead are identical on both paths, so the comparison reduces to
-  /// the codec stages plus the shrunken wire against the raw wire. Because
-  /// the discrete-event schedule is monotone in op durations and the op
-  /// *sequence* is mode-independent, picking the per-op minimum here means
-  /// kAuto's makespan never exceeds kOff's or kOn's.
+  /// logical payload: the cheaper of the two flat copies under
+  /// sim::copy_ns. Setup and (for pitched copies) the chunk overhead are
+  /// identical on both paths, so a flat pair decides a pitched copy too.
+  /// Because the discrete-event schedule is monotone in op durations and
+  /// the op *sequence* is mode-independent, picking the per-op minimum
+  /// here means kAuto's makespan never exceeds kOff's or kOn's.
   bool compress_transfer(std::uint64_t bytes, bool h2d,
                          sim::PayloadKind payload) const {
     if (compression_ == Compression::kOff || bytes == 0) {
@@ -979,14 +1024,12 @@ class MultiAccTileArray : public tida::TileArray<T> {
       return true;
     }
     const sim::DeviceConfig& cfg = sim::Platform::instance().config();
-    const bool pinned = this->host_alloc_kind() == tida::HostAlloc::kPinned;
-    const double gbps = h2d ? (pinned ? cfg.pinned_h2d_gbps
-                                      : cfg.pageable_h2d_gbps)
-                            : (pinned ? cfg.pinned_d2h_gbps
-                                      : cfg.pageable_d2h_gbps);
-    const std::uint64_t wire = cfg.codec.wire_bytes(bytes, payload);
-    return cfg.codec.codec_time_ns(bytes) + transfer_time_ns(wire, gbps) <
-           transfer_time_ns(bytes, gbps);
+    const sim::CopyRequest raw = copy_request(bytes, h2d);
+    sim::CopyRequest packed = raw;
+    packed.kind = h2d ? sim::OpKind::kMemcpyH2DCompressed
+                      : sim::OpKind::kMemcpyD2HCompressed;
+    packed.wire_bytes = cfg.codec.wire_bytes(bytes, payload);
+    return sim::copy_ns(cfg, packed) < sim::copy_ns(cfg, raw);
   }
 
   /// Accounting of one queued host<->device transfer of `bytes` logical
@@ -1046,24 +1089,18 @@ class MultiAccTileArray : public tida::TileArray<T> {
     }
   }
 
-  /// True when shipping `boxes` as pitched sub-box copies is modeled
-  /// cheaper than one flat whole-region transfer in direction `h2d`
-  /// (latency + chunk overhead per box/component vs one full burst).
+  /// True when shipping `boxes` as pitched sub-box copies (one per box and
+  /// component) is priced cheaper than one flat whole-region transfer in
+  /// direction `h2d`.
   bool delta_cheaper(int region, const std::vector<tida::Box>& boxes,
                      bool h2d) const {
     const sim::DeviceConfig& cfg = sim::Platform::instance().config();
-    const double gbps = h2d ? cfg.pinned_h2d_gbps : cfg.pinned_d2h_gbps;
     const SimTime flat =
-        cfg.transfer_latency_ns +
-        transfer_time_ns(this->region_bytes(region), gbps);
-    const tida::Box& grown = this->region(region).grown;
+        sim::copy_ns(cfg, copy_request(this->region_bytes(region), h2d));
     SimTime delta = 0;
     for (const tida::Box& b : boxes) {
-      const std::uint64_t bytes = b.volume() * sizeof(T);
       delta += static_cast<SimTime>(this->ncomp()) *
-               (cfg.transfer_latency_ns +
-                cfg.memcpy3d_overhead_ns(bytes, detail::chunks_for(grown, b)) +
-                transfer_time_ns(bytes, gbps));
+               sim::copy_ns(cfg, box_copy_request(region, b, h2d));
       if (delta >= flat) {
         return false;
       }
@@ -1082,27 +1119,18 @@ class MultiAccTileArray : public tida::TileArray<T> {
                   sim::PayloadKind payload) {
     const tida::Region<T> host = this->region(region);
     const tida::Region<T> dev = device_region(region);
-    const tida::Index3 ge = host.grown.extent();
-    const std::size_t pitch = static_cast<std::size_t>(ge.i) * sizeof(T);
-    const std::size_t slice = pitch * static_cast<std::size_t>(ge.j);
     const bool h2d = kind == cuemMemcpyHostToDevice;
     for (const tida::Box& b : boxes) {
       if (b.empty()) {
         continue;
       }
-      const tida::Index3 e = b.extent();
       const std::uint64_t bytes = b.volume() * sizeof(T);
       for (int comp = 0; comp < this->ncomp(); ++comp) {
-        cuemMemcpy3DParms parms;
+        cuemMemcpy3DParms parms = box_copy_parms(host.grown, b);
         parms.dst = h2d ? static_cast<void*>(&dev.at(b.lo, comp))
                         : static_cast<void*>(&host.at(b.lo, comp));
         parms.src = h2d ? static_cast<const void*>(&host.at(b.lo, comp))
                         : static_cast<const void*>(&dev.at(b.lo, comp));
-        parms.dst_pitch = parms.src_pitch = pitch;
-        parms.dst_slice_pitch = parms.src_slice_pitch = slice;
-        parms.width = static_cast<std::size_t>(e.i) * sizeof(T);
-        parms.height = static_cast<std::size_t>(e.j);
-        parms.depth = static_cast<std::size_t>(e.k);
         parms.kind = kind;
         const bool compressed = compress_transfer(bytes, h2d, payload);
         if (compressed) {

@@ -61,18 +61,6 @@ std::vector<std::vector<tida::Box>> pull_lists(
   return pulls;
 }
 
-/// Chunk count of a pitched copy of `box` out of the grown-box layout of
-/// one component, mirroring the cuem coalescing rules: full-width rows
-/// merge into slices, full slices into one contiguous burst.
-inline std::uint64_t chunks_for(const tida::Box& grown, const tida::Box& box) {
-  const tida::Index3 e = box.extent();
-  const tida::Index3 ge = grown.extent();
-  if (e.i != ge.i) {
-    return static_cast<std::uint64_t>(e.j) * static_cast<std::uint64_t>(e.k);
-  }
-  return e.j == ge.j ? 1 : static_cast<std::uint64_t>(e.k);
-}
-
 /// Exchange-level cost model behind StreamingGuard::kAuto. The pipelined
 /// exchange keeps both DMA directions and the host busy at once, so it
 /// costs the busiest of its three legs — every coalesced pull, every push of
@@ -86,6 +74,8 @@ inline std::uint64_t chunks_for(const tida::Box& grown, const tida::Box& box) {
 /// policies). Stream when not dearer. A per-region guard cannot see this
 /// trade: each region's shells look cheap alone, but a periodic slab
 /// exchange issues dozens of pitched ops that each pay the transfer setup.
+/// Every op is the raw copy the exchange would issue, priced by
+/// sim::copy_ns plus its host issue cost.
 template <typename T, typename A>
 bool streaming_cheaper(A& a, tida::Boundary bc) {
   const sim::DeviceConfig& cfg = sim::Platform::instance().config();
@@ -94,14 +84,17 @@ bool streaming_cheaper(A& a, tida::Boundary bc) {
   const auto elem_bytes =
       static_cast<std::uint64_t>(a.ncomp()) * sizeof(T);
 
-  const auto op_ns = [&a, &cfg](const tida::Box& grown, const tida::Box& b,
-                                double gbps) {
-    const std::uint64_t comp_bytes = b.volume() * sizeof(T);
-    return static_cast<SimTime>(a.ncomp()) *
-               (cfg.host_api_overhead_ns + cfg.transfer_latency_ns +
-                cfg.memcpy3d_overhead_ns(comp_bytes, chunks_for(grown, b))) +
-           transfer_time_ns(comp_bytes * static_cast<std::uint64_t>(a.ncomp()),
-                            gbps);
+  // copy_boxes issues one pitched copy per box and component.
+  const auto boxes_ns = [&a, &cfg](int region,
+                                   const std::vector<tida::Box>& boxes,
+                                   bool h2d) {
+    SimTime ns = 0;
+    for (const tida::Box& b : boxes) {
+      ns += static_cast<SimTime>(a.ncomp()) *
+            (cfg.host_api_overhead_ns +
+             sim::copy_ns(cfg, a.box_copy_request(region, b, h2d)));
+    }
+    return ns;
   };
 
   const auto pulls = pull_lists(a, plan);
@@ -121,11 +114,7 @@ bool streaming_cheaper(A& a, tida::Boundary bc) {
   SimTime drain_h2d = 0;
   for (std::size_t r = 0; r < n; ++r) {
     const int region = static_cast<int>(r);
-    const tida::Box& grown = a.region(region).grown;
-    SimTime pull = 0;
-    for (const tida::Box& b : pulls[r]) {
-      pull += op_ns(grown, b, cfg.pinned_d2h_gbps);
-    }
+    const SimTime pull = boxes_ns(region, pulls[r], /*h2d=*/false);
     pull_leg += pull;
     if (a.location(region) != Loc::kDevice) {
       continue;
@@ -133,27 +122,24 @@ bool streaming_cheaper(A& a, tida::Boundary bc) {
     // The push ships the region's host-dirty boxes after its ghosts land.
     std::vector<tida::Box> boxes = a.dirty().host_dirty(region);
     boxes.insert(boxes.end(), ghosts[r].begin(), ghosts[r].end());
-    SimTime push = 0;
-    for (const tida::Box& b : tida::coalesce(std::move(boxes))) {
-      push += op_ns(grown, b, cfg.pinned_h2d_gbps);
-    }
+    const SimTime push =
+        boxes_ns(region, tida::coalesce(std::move(boxes)), /*h2d=*/true);
     push_leg += push;
     latency = std::max(
-        latency, pull +
-                     transfer_time_ns(tida::list_volume(ghosts[r]) * elem_bytes,
-                                      cfg.host_copy_gbps) +
-                     push);
+        latency,
+        pull + cfg.host_copy_ns(tida::list_volume(ghosts[r]) * elem_bytes) +
+            push);
     if (slot_sharers[{a.device_of_region(region),
                       a.slot_of_region(region)}] == 1) {
       const std::uint64_t bytes = a.region_bytes(region);
-      drain_d2h += cfg.host_api_overhead_ns + cfg.transfer_latency_ns +
-                   transfer_time_ns(bytes, cfg.pinned_d2h_gbps);
-      drain_h2d += cfg.host_api_overhead_ns + cfg.transfer_latency_ns +
-                   transfer_time_ns(bytes, cfg.pinned_h2d_gbps);
+      drain_d2h += cfg.host_api_overhead_ns +
+                   sim::copy_ns(cfg, a.copy_request(bytes, /*h2d=*/false));
+      drain_h2d += cfg.host_api_overhead_ns +
+                   sim::copy_ns(cfg, a.copy_request(bytes, /*h2d=*/true));
     }
   }
-  const SimTime host_copy = transfer_time_ns(
-      tida::plan_cells(plan) * elem_bytes, cfg.host_copy_gbps);
+  const SimTime host_copy =
+      cfg.host_copy_ns(tida::plan_cells(plan) * elem_bytes);
   const SimTime stream_ns =
       std::max({pull_leg, push_leg, host_copy}) + latency;
   const SimTime drain_ns = std::max(drain_d2h, drain_h2d) + host_copy;

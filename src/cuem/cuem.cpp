@@ -336,7 +336,7 @@ cuemError_t do_memcpy(void* dst, const void* src, std::size_t count,
       if (action) {
         action();
       }
-      p.host_advance(transfer_time_ns(count, p.config().host_copy_gbps));
+      p.host_advance(p.config().host_copy_ns(count));
       return cuemSuccess;
     case cuemMemcpyHostToDevice:
       if (!is_device_space(dst_space) || !is_host_space(src_space)) {
@@ -389,20 +389,6 @@ cuemError_t do_memcpy(void* dst, const void* src, std::size_t count,
   san::hook::note_op_access(stream, dst, src, count, op);
   graph_note_copy(stream, dst, src, count);
   return cuemSuccess;
-}
-
-/// Contiguous runs of a pitched transfer after coalescing: full-pitch rows
-/// merge into slices, full-pitch slices into one flat burst.
-std::uint64_t memcpy3d_chunks(const cuemMemcpy3DParms& parms) {
-  const bool rows_contiguous = parms.width == parms.src_pitch &&
-                               parms.width == parms.dst_pitch;
-  if (!rows_contiguous) {
-    return static_cast<std::uint64_t>(parms.height) * parms.depth;
-  }
-  const std::size_t slice = parms.width * parms.height;
-  const bool slices_contiguous =
-      slice == parms.src_slice_pitch && slice == parms.dst_slice_pitch;
-  return slices_contiguous ? 1 : static_cast<std::uint64_t>(parms.depth);
 }
 
 /// `compressed` routes the transfer through the link codec: the kind
@@ -520,6 +506,18 @@ cuemError_t do_memcpy3d(const cuemMemcpy3DParms& parms, cuemStream_t stream,
 }  // namespace
 
 // --- C++ extensions ---
+
+std::uint64_t memcpy3d_chunks(const cuemMemcpy3DParms& parms) {
+  const bool rows_contiguous = parms.width == parms.src_pitch &&
+                               parms.width == parms.dst_pitch;
+  if (!rows_contiguous) {
+    return static_cast<std::uint64_t>(parms.height) * parms.depth;
+  }
+  const std::size_t slice = parms.width * parms.height;
+  const bool slices_contiguous =
+      slice == parms.src_slice_pitch && slice == parms.dst_slice_pitch;
+  return slices_contiguous ? 1 : static_cast<std::uint64_t>(parms.depth);
+}
 
 sim::Platform& platform() { return Platform::instance(); }
 

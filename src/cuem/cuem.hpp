@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -229,6 +230,11 @@ cuemError_t prefetch_h2d_async(void* dst, const void* src, std::size_t count,
 /// a delta upload of region 3) — what the dirty-tracking array layers use.
 cuemError_t memcpy3d_async(const cuemMemcpy3DParms& parms,
                            cuemStream_t stream, std::string label);
+
+/// Contiguous runs (sim::CopyRequest::chunks) the pitched copy `parms`
+/// is priced with after coalescing: full-pitch rows merge into slices,
+/// full-pitch slices into one flat burst.
+std::uint64_t memcpy3d_chunks(const cuemMemcpy3DParms& parms);
 
 /// Queues an asynchronous flat copy through the link codec
 /// (sim::OpKind::kMemcpyH2DCompressed / kMemcpyD2HCompressed): priced as

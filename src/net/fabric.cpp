@@ -230,33 +230,17 @@ WrId Fabric::submit(QpId qp, OpKind kind, MrId src_mr, std::size_t src_off,
 
   // Data moves src.node -> dst.node regardless of which end initiated:
   // the sender's TX lane and the receiver's RX lane are held for the
-  // transfer. An RDMA read additionally pays the request's wire traversal
-  // before any data flows back. A compressed payload (wire_bytes > 0)
-  // pays the wire codec's encode + decode stages serially around a wire
-  // traversal of only the shrunken bytes — on either path: GPUDirect runs
-  // the codec kernels on the endpoint GPUs, host staging on the hosts.
+  // transfer. A compressed payload (wire_bytes > 0) runs the wire codec on
+  // either path: GPUDirect on the endpoint GPUs, host staging on the hosts.
   const bool gpudirect_path = src.device || dst.device;
-  const double gbps = cfg_.path_gbps(gpudirect_path);
-  const int hops = kind == OpKind::kRdmaRead ? 2 : 1;
-  const bool compressed = wire_bytes > 0;
-  SimTime codec_ns = 0;
-  if (compressed) {
-    TIDACC_CHECK_MSG(cfg_.codec.available,
-                     "fabric: compressed work request on a codec-less "
-                     "fabric (FabricConfig::codec.available is false)");
-    TIDACC_CHECK_MSG(wire_bytes <= bytes,
-                     "fabric: wire_bytes above the logical payload");
-    codec_ns = cfg_.codec.codec_time_ns(bytes);
-  }
-  const std::uint64_t link_bytes = compressed ? wire_bytes : bytes;
-  const SimTime duration = hops * cfg_.link_latency_ns + cfg_.completion_ns +
-                           codec_ns + transfer_time_ns(link_bytes, gbps);
+  const SimTime duration =
+      cfg_.wr_ns(kind, bytes, wire_bytes, gpudirect_path);
   const std::vector<SimTime*> lanes = {
       &tx_[static_cast<size_t>(src.node)],
       &rx_[static_cast<size_t>(dst.node)]};
   p.enqueue_external(q.stream, first_device(q.local), EngineId::kNic, kind,
                      duration, bytes, std::move(label), lanes,
-                     std::move(action), compressed ? wire_bytes : 0);
+                     std::move(action), wire_bytes);
   const int graph_node =
       p.op_graph() != nullptr ? p.op_graph()->last_node_of_stream(q.stream)
                               : -1;
@@ -300,8 +284,8 @@ WrId Fabric::submit(QpId qp, OpKind kind, MrId src_mr, std::size_t src_off,
       TIDACC_FAIL("fabric: submit with a non-fabric OpKind");
   }
   counters_.net_bytes += bytes;
-  counters_.net_wire_bytes += link_bytes;
-  if (compressed) {
+  counters_.net_wire_bytes += wire_bytes > 0 ? wire_bytes : bytes;
+  if (wire_bytes > 0) {
     ++counters_.compressed_wrs;
   }
   if (gpudirect_path) {

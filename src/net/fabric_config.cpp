@@ -11,6 +11,25 @@ double FabricConfig::path_gbps(bool gpudirect_path) const {
   return gpudirect_path ? link_gbps * gpudirect_efficiency : link_gbps;
 }
 
+SimTime FabricConfig::wr_ns(OpKind kind, std::uint64_t bytes,
+                            std::uint64_t wire_bytes,
+                            bool gpudirect_path) const {
+  const int hops = kind == OpKind::kRdmaRead ? 2 : 1;
+  const bool compressed = wire_bytes > 0;
+  SimTime codec_ns = 0;
+  if (compressed) {
+    TIDACC_CHECK_MSG(codec.available,
+                     "fabric: compressed work request on a codec-less "
+                     "fabric (FabricConfig::codec.available is false)");
+    TIDACC_CHECK_MSG(wire_bytes <= bytes,
+                     "fabric: wire_bytes above the logical payload");
+    codec_ns = codec.codec_time_ns(bytes);
+  }
+  const std::uint64_t link_bytes = compressed ? wire_bytes : bytes;
+  return hops * link_latency_ns + completion_ns + codec_ns +
+         transfer_time_ns(link_bytes, path_gbps(gpudirect_path));
+}
+
 std::string FabricConfig::summary() const {
   std::ostringstream os;
   os << name << ": " << link_gbps << " GB/s/dir, "

@@ -9,11 +9,13 @@
 // DESIGN.md; benches print the config used.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/units.hpp"
 #include "sim/device_config.hpp"
+#include "sim/trace.hpp"
 
 namespace tidacc::sim {
 
@@ -55,6 +57,16 @@ struct FabricConfig {
   /// registered in device memory) runs at link_gbps * gpudirect_efficiency,
   /// the host-memory path at the full link rate.
   double path_gbps(bool gpudirect_path) const;
+
+  /// Duration of one work request moving `bytes` of logical payload: the
+  /// hop latencies (an RDMA read's request crosses the wire before data
+  /// flows back), the completion, and the payload at the path's rate. A
+  /// compressed request (`wire_bytes` > 0) pays the codec's encode and
+  /// decode stages around a wire traversal of only `wire_bytes`. The one
+  /// price of a work request — Fabric::submit schedules with it and every
+  /// wire-compression decision compares it.
+  SimTime wr_ns(OpKind kind, std::uint64_t bytes, std::uint64_t wire_bytes,
+                bool gpudirect_path) const;
 
   /// One-line description for bench headers.
   std::string summary() const;

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -187,6 +188,22 @@ struct LoopCost {
   /// Access-pattern penalty (>= 1): branch divergence / uncoalesced loads
   /// (e.g. wrap-indexed boundary-face kernels).
   double efficiency_factor = 1.0;
+
+  /// The kernel this loop launches over `elements` iterations — the one
+  /// LoopCost → KernelProfile mapping, priced by KernelProfile::duration_ns
+  /// (device) or host_duration_ns (CPU tile path).
+  sim::KernelProfile profile(std::uint64_t elements,
+                             bool tuned_geometry) const {
+    sim::KernelProfile p;
+    p.elements = elements;
+    p.flops_per_element = flops_per_iter;
+    p.dev_bytes_per_element = dev_bytes_per_iter;
+    p.math_units_per_element = math_units_per_iter;
+    p.math = math;
+    p.tuned_geometry = tuned_geometry;
+    p.efficiency_factor = efficiency_factor;
+    return p;
+  }
 };
 
 /// Launch options for parallel_loop.
@@ -273,15 +290,6 @@ void parallel_loop(const Bounds& bounds, const LoopCost& cost,
     return std::make_tuple(static_cast<Ts*>(dev[Is])...);
   }(std::index_sequence_for<Ts...>{});
 
-  sim::KernelProfile profile;
-  profile.elements = bounds.volume();
-  profile.flops_per_element = cost.flops_per_iter;
-  profile.dev_bytes_per_element = cost.dev_bytes_per_iter;
-  profile.math_units_per_element = cost.math_units_per_iter;
-  profile.math = cost.math;
-  profile.tuned_geometry = opts.geometry_tuned();
-  profile.efficiency_factor = cost.efficiency_factor;
-
   // The functional kernel: the collapsed loop nest calling the body.
   auto action = [bounds, devtuple, body = std::forward<Fn>(body)]() {
     for (int i0 = bounds.lo0; i0 < bounds.hi0; ++i0) {
@@ -294,7 +302,8 @@ void parallel_loop(const Bounds& bounds, const LoopCost& cost,
     }
   };
 
-  detail::launch(opts, profile, std::move(action));
+  detail::launch(opts, cost.profile(bounds.volume(), opts.geometry_tuned()),
+                 std::move(action));
   detail::exit_clauses(clauses, opts.async);
 }
 

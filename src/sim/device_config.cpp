@@ -108,6 +108,10 @@ SimTime DeviceConfig::memcpy3d_overhead_ns(std::uint64_t bytes,
   return strided < packed ? strided : packed;
 }
 
+SimTime DeviceConfig::host_copy_ns(std::uint64_t bytes) const {
+  return transfer_time_ns(bytes, host_copy_gbps);
+}
+
 std::uint64_t DeviceConfig::usable_memory() const {
   TIDACC_CHECK_MSG(memory_bytes > reserved_bytes,
                    "device memory smaller than runtime reservation");

@@ -172,6 +172,10 @@ struct DeviceConfig {
   /// Returns the math cost factor for a class (kNone → 0).
   double math_factor(MathClass m) const;
 
+  /// Host time of a host-to-host memcpy of `bytes` (ghost copies between
+  /// host buffers, cuemMemcpy HostToHost).
+  SimTime host_copy_ns(std::uint64_t bytes) const;
+
   /// Allocatable device memory (memory_bytes - reserved_bytes).
   std::uint64_t usable_memory() const;
 

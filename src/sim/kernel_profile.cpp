@@ -23,4 +23,16 @@ SimTime KernelProfile::duration_ns(const DeviceConfig& cfg) const {
   return static_cast<SimTime>(std::llround(ns));
 }
 
+SimTime KernelProfile::host_duration_ns(const DeviceConfig& cfg) const {
+  const double n = static_cast<double>(elements);
+  const SimTime mem = transfer_time_ns(
+      static_cast<std::uint64_t>(n * dev_bytes_per_element),
+      cfg.host_mem_gbps);
+  const double math_flops = math_units_per_element * cfg.math_unit_flops *
+                            cfg.math_factor(math);
+  const SimTime flop = compute_time_ns(n * (flops_per_element + math_flops),
+                                       cfg.host_dp_gflops / 1000.0);
+  return std::max(mem, flop);
+}
+
 }  // namespace tidacc::sim

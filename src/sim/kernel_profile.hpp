@@ -56,6 +56,11 @@ struct KernelProfile {
   /// Simulated execution duration (excludes launch latency, which the
   /// platform adds depending on who dispatches: CUDA or OpenACC runtime).
   SimTime duration_ns(const DeviceConfig& cfg) const;
+
+  /// Host time of the same loop run serially on the CPU (the GPU-disabled
+  /// tile path): roofline against host_mem_gbps and host_dp_gflops. Launch
+  /// geometry and the device efficiency factor do not apply.
+  SimTime host_duration_ns(const DeviceConfig& cfg) const;
 };
 
 }  // namespace tidacc::sim

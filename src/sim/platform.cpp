@@ -233,14 +233,27 @@ SimTime Platform::schedule(StreamId s, int device, EngineId engine,
                            std::string label,
                            const std::function<void()>& action,
                            std::uint64_t wire_bytes) {
-  const size_t si = static_cast<size_t>(s);
   auto& engine_lanes = lanes(device, engine);
   // The op takes the earliest-available lane of its engine.
   auto lane = std::min_element(engine_lanes.begin(), engine_lanes.end());
-  const SimTime start = std::max({host_clock_, stream_avail_[si], *lane});
+  const SimTime start = std::max(
+      {host_clock_, stream_avail_[static_cast<size_t>(s)], *lane});
   const SimTime finish = start + duration;
-  stream_avail_[si] = finish;
   *lane = finish;
+  return commit(s, device, engine, kind, start, finish, bytes,
+                std::move(label), action, wire_bytes,
+                {graph_lane_key(device, engine, lane - engine_lanes.begin())});
+}
+
+SimTime Platform::commit(StreamId s, int device, EngineId engine,
+                         OpKind kind, SimTime start, SimTime finish,
+                         std::uint64_t bytes, std::string&& label,
+                         const std::function<void()>& action,
+                         std::uint64_t wire_bytes,
+                         std::initializer_list<std::uint64_t> lane_keys,
+                         const std::vector<SimTime*>* ext_lanes) {
+  const size_t si = static_cast<size_t>(s);
+  stream_avail_[si] = finish;
   last_op_start_ = start;
   last_op_finish_ = finish;
   if (hb_enabled_) {
@@ -268,9 +281,11 @@ SimTime Platform::schedule(StreamId s, int device, EngineId engine,
     rec.bytes = bytes;
     rec.label = &label;
     rec.hb = hb_enabled_ ? &hb_last_op_ : nullptr;
-    graph_->on_scheduled(
-        rec, {graph_lane_key(device, engine,
-                             lane - engine_lanes.begin())});
+    std::vector<const void*> ext_keys;
+    if (ext_lanes != nullptr) {
+      ext_keys.assign(ext_lanes->begin(), ext_lanes->end());
+    }
+    graph_->on_scheduled(rec, lane_keys, ext_keys);
   }
   if (trace_.recording()) {
     trace_.add(TraceEvent{engine, s, kind, start, finish, bytes,
@@ -298,52 +313,45 @@ SimTime Platform::next_jitter() {
   return (jitter_state_ >> 33) % (jitter_max_ns_ + 1);
 }
 
-SimTime Platform::enqueue_copy(StreamId s, const CopyRequest& req,
-                               std::function<void()> action) {
-  check_stream(s);
-  host_clock_ += cfg_.host_api_overhead_ns;
-
+SimTime copy_ns(const DeviceConfig& cfg, const CopyRequest& req) {
   double gbps = 0.0;
-  SimTime setup = cfg_.transfer_latency_ns;
-  bool host_participates = req.blocking;
+  SimTime setup = cfg.transfer_latency_ns;
   switch (req.kind) {
     case OpKind::kMemcpy3DH2D:
     case OpKind::kMemcpy3DH2DCompressed:
-      setup += cfg_.memcpy3d_overhead_ns(req.bytes, req.chunks);
+      setup += cfg.memcpy3d_overhead_ns(req.bytes, req.chunks);
       [[fallthrough]];
     case OpKind::kCopyH2D:
     case OpKind::kPrefetchH2D:
     case OpKind::kMemcpyH2DCompressed:
       if (req.host_mem == HostMemKind::kPinned) {
-        gbps = cfg_.pinned_h2d_gbps;
+        gbps = cfg.pinned_h2d_gbps;
       } else {
-        gbps = cfg_.pageable_h2d_gbps;
-        setup += cfg_.pageable_staging_ns;
-        host_participates = true;  // pageable async copies stage via the host
+        gbps = cfg.pageable_h2d_gbps;
+        setup += cfg.pageable_staging_ns;
       }
       break;
     case OpKind::kMemcpy3DD2H:
     case OpKind::kMemcpy3DD2HCompressed:
-      setup += cfg_.memcpy3d_overhead_ns(req.bytes, req.chunks);
+      setup += cfg.memcpy3d_overhead_ns(req.bytes, req.chunks);
       [[fallthrough]];
     case OpKind::kCopyD2H:
     case OpKind::kMemcpyD2HCompressed:
       if (req.host_mem == HostMemKind::kPinned) {
-        gbps = cfg_.pinned_d2h_gbps;
+        gbps = cfg.pinned_d2h_gbps;
       } else {
-        gbps = cfg_.pageable_d2h_gbps;
-        setup += cfg_.pageable_staging_ns;
-        host_participates = true;
+        gbps = cfg.pageable_d2h_gbps;
+        setup += cfg.pageable_staging_ns;
       }
       break;
     case OpKind::kCopyD2D:
-      gbps = cfg_.d2d_gbps;
+      gbps = cfg.d2d_gbps;
       break;
     case OpKind::kUvmMigration:
-      gbps = cfg_.uvm_migrate_gbps;
+      gbps = cfg.uvm_migrate_gbps;
       break;
     default:
-      TIDACC_FAIL("enqueue_copy called with a non-copy OpKind");
+      TIDACC_FAIL("copy priced with a non-copy OpKind");
   }
 
   if (req.gbps_override > 0.0) {
@@ -356,16 +364,27 @@ SimTime Platform::enqueue_copy(StreamId s, const CopyRequest& req,
   std::uint64_t link_bytes = req.bytes;
   SimTime codec_ns = 0;
   if (is_compressed(req.kind)) {
-    TIDACC_CHECK_MSG(cfg_.codec.available,
+    TIDACC_CHECK_MSG(cfg.codec.available,
                      "compressed copy on a config without a codec "
                      "(DeviceConfig::codec.available is false)");
     TIDACC_CHECK_MSG(req.wire_bytes > 0 && req.wire_bytes <= req.bytes,
                      "compressed copy needs wire_bytes in (0, bytes]");
     link_bytes = req.wire_bytes;
-    codec_ns = cfg_.codec.codec_time_ns(req.bytes);
+    codec_ns = cfg.codec.codec_time_ns(req.bytes);
   }
-  const SimTime duration = setup + req.extra_ns + codec_ns +
-                           transfer_time_ns(link_bytes, gbps) + next_jitter();
+  return setup + req.extra_ns + codec_ns + transfer_time_ns(link_bytes, gbps);
+}
+
+SimTime Platform::enqueue_copy(StreamId s, const CopyRequest& req,
+                               std::function<void()> action) {
+  check_stream(s);
+  host_clock_ += cfg_.host_api_overhead_ns;
+  const SimTime duration = copy_ns(cfg_, req) + next_jitter();
+  // Pageable (and managed) host-link copies stage through the host.
+  const bool host_participates =
+      req.blocking || (req.host_mem != HostMemKind::kPinned &&
+                       req.kind != OpKind::kCopyD2D &&
+                       req.kind != OpKind::kUvmMigration);
   const int device = req.device_override >= 0
                          ? req.device_override
                          : stream_device_[static_cast<size_t>(s)];
@@ -421,59 +440,23 @@ SimTime Platform::enqueue_peer_copy(StreamId s, int src_device,
   // through the destination's inbound one; both lanes are held for the
   // duration, so peer traffic contends with each endpoint's own H2D/D2H
   // streams exactly like real dual-copy-engine hardware.
-  auto& src_lanes = lanes(src_device, copy_engine_for(OpKind::kCopyD2H));
+  const EngineId src_engine = copy_engine_for(OpKind::kCopyD2H);
+  auto& src_lanes = lanes(src_device, src_engine);
   auto& dst_lanes = lanes(dst_device, EngineId::kCopyH2D);
   auto src_lane = std::min_element(src_lanes.begin(), src_lanes.end());
   auto dst_lane = std::min_element(dst_lanes.begin(), dst_lanes.end());
-  const size_t si = static_cast<size_t>(s);
   const SimTime start =
-      std::max({host_clock_, stream_avail_[si], *src_lane, *dst_lane});
+      std::max({host_clock_, stream_avail_[static_cast<size_t>(s)],
+                *src_lane, *dst_lane});
   const SimTime finish = start + duration;
-  stream_avail_[si] = finish;
   *src_lane = finish;
   *dst_lane = finish;
-  last_op_start_ = start;
-  last_op_finish_ = finish;
-  if (hb_enabled_) {
-    hb_tick_host();
-    if (si >= hb_streams_.size()) {
-      hb_streams_.resize(si + 1);
-    }
-    HbClock& sc = hb_streams_[si];
-    hb_join(sc, hb_host_);
-    if (sc.size() <= si + 1) {
-      sc.resize(si + 2, 0);
-    }
-    ++sc[si + 1];
-    hb_last_op_ = sc;
-  }
-  if (graph_ != nullptr) {
-    OpGraph::SchedRecord rec;
-    rec.stream = s;
-    rec.device = dst_device;
-    rec.engine = EngineId::kCopyH2D;
-    rec.kind = OpKind::kCopyP2P;
-    rec.start = start;
-    rec.finish = finish;
-    rec.bytes = bytes;
-    rec.label = &label;
-    rec.hb = hb_enabled_ ? &hb_last_op_ : nullptr;
-    graph_->on_scheduled(
-        rec, {graph_lane_key(src_device, copy_engine_for(OpKind::kCopyD2H),
-                             src_lane - src_lanes.begin()),
-              graph_lane_key(dst_device, EngineId::kCopyH2D,
-                             dst_lane - dst_lanes.begin())});
-  }
-  if (trace_.recording()) {
-    trace_.add(TraceEvent{EngineId::kCopyH2D, s, OpKind::kCopyP2P, start,
-                          finish, bytes, std::move(label), dst_device});
-  } else {
-    trace_.note(OpKind::kCopyP2P, start, finish, bytes);
-  }
-  if (functional_ && action) {
-    action();
-  }
-  return finish;
+  return commit(
+      s, dst_device, EngineId::kCopyH2D, OpKind::kCopyP2P, start, finish,
+      bytes, std::move(label), action, /*wire_bytes=*/0,
+      {graph_lane_key(src_device, src_engine, src_lane - src_lanes.begin()),
+       graph_lane_key(dst_device, EngineId::kCopyH2D,
+                      dst_lane - dst_lanes.begin())});
 }
 
 SimTime Platform::enqueue_external(StreamId s, int device, EngineId engine,
@@ -484,60 +467,17 @@ SimTime Platform::enqueue_external(StreamId s, int device, EngineId engine,
                                    std::uint64_t wire_bytes) {
   check_stream(s);
   check_device(device);
-  const size_t si = static_cast<size_t>(s);
-  SimTime start = std::max(host_clock_, stream_avail_[si]);
+  SimTime start = std::max(host_clock_, stream_avail_[static_cast<size_t>(s)]);
   for (SimTime* lane : ext_lanes) {
     TIDACC_CHECK_MSG(lane != nullptr, "enqueue_external: null lane");
     start = std::max(start, *lane);
   }
   const SimTime finish = start + duration + next_jitter();
-  stream_avail_[si] = finish;
   for (SimTime* lane : ext_lanes) {
     *lane = finish;
   }
-  last_op_start_ = start;
-  last_op_finish_ = finish;
-  if (hb_enabled_) {
-    hb_tick_host();
-    if (si >= hb_streams_.size()) {
-      hb_streams_.resize(si + 1);
-    }
-    HbClock& sc = hb_streams_[si];
-    hb_join(sc, hb_host_);
-    if (sc.size() <= si + 1) {
-      sc.resize(si + 2, 0);
-    }
-    ++sc[si + 1];
-    hb_last_op_ = sc;
-  }
-  if (graph_ != nullptr) {
-    OpGraph::SchedRecord rec;
-    rec.stream = s;
-    rec.device = device;
-    rec.engine = engine;
-    rec.kind = kind;
-    rec.start = start;
-    rec.finish = finish;
-    rec.bytes = bytes;
-    rec.label = &label;
-    rec.hb = hb_enabled_ ? &hb_last_op_ : nullptr;
-    std::vector<const void*> lane_ids;
-    lane_ids.reserve(ext_lanes.size());
-    for (const SimTime* lane : ext_lanes) {
-      lane_ids.push_back(lane);
-    }
-    graph_->on_scheduled(rec, {}, lane_ids);
-  }
-  if (trace_.recording()) {
-    trace_.add(TraceEvent{engine, s, kind, start, finish, bytes,
-                          std::move(label), device, wire_bytes});
-  } else {
-    trace_.note(kind, start, finish, bytes, wire_bytes);
-  }
-  if (functional_ && action) {
-    action();
-  }
-  return finish;
+  return commit(s, device, engine, kind, start, finish, bytes,
+                std::move(label), action, wire_bytes, {}, &ext_lanes);
 }
 
 EventId Platform::record_event(StreamId s) {

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -84,6 +85,15 @@ struct CopyRequest {
   std::uint64_t wire_bytes = 0;
   std::string label;
 };
+
+/// Engine duration of a copy: per-transfer setup (plus the pageable
+/// staging setup and the pitched-copy chunk overhead where they apply),
+/// the codec stages of a compressed kind, and the link bytes at the
+/// request's rate. The one price of a copy — Platform::enqueue_copy
+/// schedules with it and adds only transfer jitter, while every
+/// transfer-shape decision compares it across candidate requests. Host
+/// issue cost (host_api_overhead_ns) is host time, not part of it.
+SimTime copy_ns(const DeviceConfig& cfg, const CopyRequest& req);
 
 /// Deterministic discrete-event model of host + N GPUs + interconnect.
 class Platform {
@@ -328,6 +338,16 @@ class Platform {
                    SimTime duration, std::uint64_t bytes, std::string label,
                    const std::function<void()>& action,
                    std::uint64_t wire_bytes = 0);
+  /// The tail every scheduled op shares once its lanes are advanced: stream
+  /// order, happens-before bump, graph record (`lane_keys` name the
+  /// device-table lanes it held, `ext_lanes` the caller-owned ones), trace
+  /// record and the functional action. Returns `finish`.
+  SimTime commit(StreamId s, int device, EngineId engine, OpKind kind,
+                 SimTime start, SimTime finish, std::uint64_t bytes,
+                 std::string&& label, const std::function<void()>& action,
+                 std::uint64_t wire_bytes,
+                 std::initializer_list<std::uint64_t> lane_keys,
+                 const std::vector<SimTime*>* ext_lanes = nullptr);
   std::vector<SimTime>& lanes(int device, EngineId engine) {
     return device_lanes_[static_cast<size_t>(device)]
         .lanes[static_cast<int>(engine)];

@@ -226,8 +226,7 @@ class TileArray {
     }
     cells *= static_cast<std::uint64_t>(ncomp_);
     sim::Platform& p = sim::Platform::instance();
-    p.host_advance(
-        transfer_time_ns(cells * sizeof(T), p.config().host_copy_gbps));
+    p.host_advance(p.config().host_copy_ns(cells * sizeof(T)));
     return cells;
   }
 

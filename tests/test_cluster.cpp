@@ -177,9 +177,15 @@ TEST_F(FabricTest, CompletionsPollInFifoOrderAndReadsPayRoundTrip) {
   EXPECT_FALSE(f.poll(qp));
 
   const sim::WrId w1 = f.rdma_write(qp, am, 0, bm, 0, 1 << 18);
+  // The NIC op runs for exactly the work request's price (jitter is off).
+  const sim::Platform& p = cuem::platform();
+  EXPECT_EQ(p.last_op_finish() - p.last_op_start(),
+            f.config().wr_ns(sim::OpKind::kRdmaWrite, 1 << 18, 0, false));
   // The QP stream was idle, so the write started at the current host time.
   const SimTime write_dur = f.wr_finish(w1) - cuem::platform().now();
   const sim::WrId w2 = f.rdma_read(qp, am, 0, bm, 0, 1 << 18);
+  EXPECT_EQ(p.last_op_finish() - p.last_op_start(),
+            f.config().wr_ns(sim::OpKind::kRdmaRead, 1 << 18, 0, false));
   // FIFO on the QP stream: the read starts when the write finishes. Same
   // payload, same wire — the read's request/response round trip makes it
   // strictly longer than the write's single traversal.

@@ -174,6 +174,46 @@ TEST_F(DeltaTest, DeltaOffIssuesNoPitchedCopies) {
   EXPECT_EQ(u.d2h_bytes(), st.d2h_bytes);
 }
 
+// --- delta-vs-flat pricing ---
+
+TEST_F(DeltaTest, PageableArrayPricesDeltaAtPageableRates) {
+  // One 24^3 region without ghosts, two k-planes written on the device,
+  // then drained. Each plane is one contiguous 4.5 KiB run. At pinned
+  // rates two pitched copies (2 x 8.5 us) beat the flat copy (19.1 us);
+  // at pageable rates each copy also pays the staging setup, so two
+  // pitched copies (41.7 us) lose to the flat one (40.5 us).
+  const auto drain = [](tida::HostAlloc alloc) {
+    cuem::configure(DeviceConfig::k40m(), /*functional=*/false);
+    oacc::reset();
+    AccOptions opts;
+    opts.host_alloc = alloc;
+    opts.delta_transfers = true;
+    AccTileArray<double> u(Box::cube(24), Index3::uniform(24), 0, opts);
+    u.assume_host_initialized();
+    LoopCost cost;
+    cost.flops_per_iter = 1;
+    cost.dev_bytes_per_iter = 16;
+    const AccTile<double> tile{
+        &u, tida::Tile<double>{u.region(0), u.region(0).valid}, true};
+    for (const int k : {0, 23}) {
+      compute(tile, Index3{0, 0, k}, Index3{23, 23, k}, cost,
+              [](DeviceView<double>, int, int, int) {});
+    }
+    const TransferAccounting before = u.transfers();
+    u.acquire_on_host(0);
+    TransferAccounting d = u.transfers();
+    d.flat_d2h_ops -= before.flat_d2h_ops;
+    d.delta_d2h_ops -= before.delta_d2h_ops;
+    return d;
+  };
+  const TransferAccounting pinned = drain(tida::HostAlloc::kPinned);
+  EXPECT_EQ(pinned.delta_d2h_ops, 2u);
+  EXPECT_EQ(pinned.flat_d2h_ops, 0u);
+  const TransferAccounting pageable = drain(tida::HostAlloc::kPageable);
+  EXPECT_EQ(pageable.delta_d2h_ops, 0u);
+  EXPECT_EQ(pageable.flat_d2h_ops, 1u);
+}
+
 // --- batched release ---
 
 TEST_F(DeltaTest, BatchedReleaseMovesEachRegionOnceThenIsFree) {

@@ -440,6 +440,29 @@ TEST(Platform, CopyBandwidthOverrideReplacesConfigRate) {
   EXPECT_EQ(p.trace().stats().h2d_bytes, 100'000'000ull);
 }
 
+TEST(Platform, CopyRunsForExactlyItsPrice) {
+  // copy_ns is the one price of a copy: with jitter off the scheduler adds
+  // nothing to it, whatever the kind, host memory or shape.
+  Platform p(DeviceConfig::k40m(), /*functional=*/false);
+  CopyRequest pageable = pinned_d2h(1 << 20);
+  pageable.host_mem = HostMemKind::kPageable;
+  CopyRequest pitched = pinned_h2d(1 << 16);
+  pitched.kind = OpKind::kMemcpy3DH2D;
+  pitched.chunks = 64;
+  CopyRequest packed = pinned_d2h(1 << 20);
+  packed.kind = OpKind::kMemcpyD2HCompressed;
+  packed.wire_bytes = 1 << 19;
+  CopyRequest d2d = pinned_h2d(1 << 20);
+  d2d.kind = OpKind::kCopyD2D;
+  for (const CopyRequest& req :
+       {pinned_h2d(1 << 20), pageable, pitched, packed, d2d}) {
+    p.enqueue_copy(0, req, nullptr);
+    EXPECT_EQ(p.last_op_finish() - p.last_op_start(),
+              copy_ns(p.config(), req))
+        << to_string(req.kind);
+  }
+}
+
 // --- concurrent kernel lanes ---
 
 TEST(Platform, ConcurrentLanesAllowKernelOverlap) {

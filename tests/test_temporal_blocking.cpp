@@ -328,18 +328,41 @@ TEST(TimeBlockTunerTest, PicksDepthGreaterThanOneAtPaperScale) {
             table[0].bytes_per_update);
 }
 
-TEST(TimeBlockTunerTest, FreeTransfersMakeBlockingPointless) {
-  // With an (unphysically) fast link and no per-transfer setup the
-  // pipeline is compute-bound; widened trapezoids only add work.
+/// An (unphysically) fast link with no per-transfer setup: the pipeline is
+/// compute-bound.
+DeviceConfig free_transfer_config() {
   DeviceConfig cfg = DeviceConfig::k40m();
   cfg.pinned_h2d_gbps = 1e9;
   cfg.pinned_d2h_gbps = 1e9;
   cfg.transfer_latency_ns = 0;
   cfg.host_api_overhead_ns = 0;
+  return cfg;
+}
+
+TEST(TimeBlockTunerTest, FreeTransfersMakeBlockingPointless) {
+  // Compute-bound: widened trapezoids only add work.
   const int k = choose_time_block_k(Box::cube(256), Index3{256, 256, 16},
                                     /*radius=*/1,
-                                    kernels::box_stencil_cost(1), cfg);
+                                    kernels::box_stencil_cost(1),
+                                    free_transfer_config());
   EXPECT_EQ(k, 1);
+}
+
+TEST(TimeBlockTunerTest, PricesKernelsAsComputeKLaunchesThem) {
+  // heat_face_cost is heat_cost with a 4x access-pattern penalty, which
+  // compute_k's kernels pay; in a compute-bound pipeline every predicted
+  // step must therefore be dearer.
+  const DeviceConfig cfg = free_transfer_config();
+  std::vector<TimeBlockPrediction> plain;
+  std::vector<TimeBlockPrediction> face;
+  choose_time_block_k(Box::cube(256), Index3{256, 256, 16}, /*radius=*/1,
+                      kernels::heat_cost(), cfg, /*max_k=*/8, &plain);
+  choose_time_block_k(Box::cube(256), Index3{256, 256, 16}, /*radius=*/1,
+                      kernels::heat_face_cost(), cfg, /*max_k=*/8, &face);
+  ASSERT_EQ(plain.size(), face.size());
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_GT(face[i].step_ns, plain[i].step_ns) << "k=" << plain[i].k;
+  }
 }
 
 }  // namespace
