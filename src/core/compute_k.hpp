@@ -132,10 +132,13 @@ struct TimeBlockPrediction {
 /// Picks the temporal blocking depth k that minimizes predicted wall-clock
 /// per useful cell update, pricing the ops one residency issues with the
 /// simulator's own functions: the flat evict/upload round trip (the term k
-/// divides), the k shrinking trapezoid kernels compute_k launches (the
-/// terms that grow with k), and the widened ghost ring's pull, host copy
-/// and push (the transfer bytes that grow with k). Returns 1 when blocking
-/// never wins. The caller then builds the array with ghost = radius * k and
+/// divides), the k shrinking trapezoid kernels compute_k launches and the
+/// widened ring's update kernel (the compute terms that grow with k), and
+/// an evicted region's share of the ring's pull, host copy and push (the
+/// transfer bytes that grow with k). There is no slot-budget input: the
+/// exchange term assumes the lightest out-of-core case, one evicted region
+/// per exchange. Returns 1 when blocking never wins. The caller then
+/// builds the array with ghost = radius * k and
 /// AccOptions::time_block_k = k. `table` (optional) receives one row per
 /// candidate for bench emission.
 inline int choose_time_block_k(const tida::Box& domain,
@@ -193,26 +196,32 @@ inline int choose_time_block_k(const tida::Box& domain,
           cost.profile(cells, /*tuned_geometry=*/false).duration_ns(cfg));
     }
 
-    // The widened ghost ring crosses the link twice per exchange (shells
-    // down, refreshed ghosts up) — the bytes that grow with k. The
-    // pipelined exchange (core/streaming_exchange.hpp) overlaps the two
-    // legs and the host copies across regions, so a region costs its
-    // busiest leg plus its share of one region's pull → copy → push
-    // latency. The handful of per-face setups is second-order next to the
-    // ring payload, so each leg is priced as one flat copy.
-    const std::uint64_t ring_bytes = (grown_cells - valid_cells) * elem_bytes;
-    const double pull = issued_copy_ns(sim::OpKind::kCopyD2H, ring_bytes);
-    const double push = issued_copy_ns(sim::OpKind::kCopyH2D, ring_bytes);
-    const double host = static_cast<double>(cfg.host_copy_ns(ring_bytes));
+    // The widened ghost ring, the bytes that grow with k. The streaming
+    // exchange (core/streaming_exchange.hpp) refreshes the ring of a
+    // resident region with one update kernel on the compute engine, priced
+    // with the exchange's own profile. Only faces touching an evicted
+    // region cross the link, down and up: out of core at least one region
+    // is evicted per exchange, so each region carries its share of one
+    // ring's pull → host copy → push chain.
+    const std::uint64_t ring_cells = grown_cells - valid_cells;
+    const std::uint64_t ring_bytes = ring_cells * elem_bytes;
+    const double update = static_cast<double>(
+        cfg.kernel_launch_ns + cfg.oacc_dispatch_extra_ns +
+        ghost_update_profile(ring_cells, elem_bytes).duration_ns(cfg));
     const double tex =
-        std::max({pull, push, host}) + (pull + host + push) / regions;
+        (issued_copy_ns(sim::OpKind::kCopyD2H, ring_bytes) +
+         static_cast<double>(cfg.host_copy_ns(ring_bytes)) +
+         issued_copy_ns(sim::OpKind::kCopyH2D, ring_bytes)) /
+        regions;
 
     // Out-of-core steady state: every region's transfers overlap other
     // regions' kernels, so the slower pipeline bounds the block, and the
     // exchange follows it. All per region, per k steps.
-    const double step_ns = (std::max(tx, tc) + tex) / static_cast<double>(k);
+    const double step_ns =
+        (std::max(tx, tc + update) + tex) / static_cast<double>(k);
     const double bytes_per_update =
-        static_cast<double>(2 * flat_bytes + 2 * ring_bytes) /
+        (2.0 * static_cast<double>(flat_bytes) +
+         2.0 * static_cast<double>(ring_bytes) / regions) /
         (static_cast<double>(k) * static_cast<double>(valid_cells));
     if (table != nullptr) {
       table->push_back(TimeBlockPrediction{k, bytes_per_update, step_ns});

@@ -135,6 +135,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
         loc_(this->num_regions()),
         dirty_(this->num_regions()),
         pending_xfer_(static_cast<std::size_t>(this->num_regions()), -1),
+        evicted_(static_cast<std::size_t>(this->num_regions()), -1),
         placement_(opts.placement),
         delta_transfers_(opts.delta_transfers),
         streaming_guard_(opts.streaming_guard),
@@ -534,7 +535,9 @@ class MultiAccTileArray : public tida::TileArray<T> {
   /// exchange when everything was last touched on the host; device-side
   /// update kernels and peer copies (with pipelined CPU index computation)
   /// when the data lives on the devices and every region fits; otherwise
-  /// the streaming exchange or a drain to the host and a host exchange.
+  /// the streaming exchange (update kernels between regions resident on
+  /// one device, the host path for every face touching an evicted region or
+  /// crossing devices) or a drain to the host and a host exchange.
   void fill_boundary(tida::Boundary bc) {
     if (!loc_.any_on_device()) {
       sync_all_pending_host();
@@ -550,8 +553,9 @@ class MultiAccTileArray : public tida::TileArray<T> {
         (streaming_guard_ == StreamingGuard::kForceStreaming ||
          (streaming_guard_ == StreamingGuard::kAuto &&
           detail::streaming_cheaper<T>(*this, bc)))) {
-      // Mixed/limited-memory with dirty tracking: pipeline the shells
-      // region by region (core/streaming_exchange.hpp) — but only when the
+      // Mixed/limited-memory with dirty tracking: resident faces stay on
+      // the devices, the rest is pipelined region by region through the
+      // host (core/streaming_exchange.hpp) — but only when the
       // exchange-level cost model says it beats one pipelined drain.
       detail::streaming_exchange(*this, bc);
       return;
@@ -634,6 +638,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
     loc_.capture(w);
     dirty_.capture(w);
     w.put_int_vec(pending_xfer_);
+    w.put_int_vec(evicted_);
     xfer_.capture(w);
     w.put_u64(device_ghost_updates_);
     w.put_u64(peer_ghost_copies_);
@@ -672,8 +677,10 @@ class MultiAccTileArray : public tida::TileArray<T> {
     loc_.restore(r);
     dirty_.restore(r);
     pending_xfer_ = r.get_int_vec();
+    evicted_ = r.get_int_vec();
     TIDACC_CHECK_MSG(pending_xfer_.size() ==
-                         static_cast<std::size_t>(this->num_regions()),
+                             static_cast<std::size_t>(this->num_regions()) &&
+                         evicted_.size() == pending_xfer_.size(),
                      "array snapshot is inconsistent");
     xfer_.restore(r);
     device_ghost_updates_ = r.get_u64();
@@ -685,6 +692,8 @@ class MultiAccTileArray : public tida::TileArray<T> {
  protected:
   template <typename A>
   friend void detail::streaming_exchange(A& a, tida::Boundary bc);
+  template <typename A>
+  friend void detail::exchange_device_half(A& a, tida::Boundary bc);
   template <typename U, typename A>
   friend bool detail::streaming_cheaper(A& a, tida::Boundary bc);
 
@@ -784,7 +793,9 @@ class MultiAccTileArray : public tida::TileArray<T> {
   /// back for a host-side ghost exchange): writing the stale device copy
   /// over it would clobber fresher host data. A miss leaves no device copy
   /// to delta against, so the flat upload (or the absent upload of a
-  /// kUninit region) re-baselines both sides' dirty bookkeeping.
+  /// kUninit region) re-baselines both sides' dirty bookkeeping. With delta
+  /// transfers on, an event recorded behind the eviction marks when the
+  /// victim's host buffer is complete (evicted_).
   void claim_slot(DeviceShard& s, int slot, int region, T* dev_ptr,
                   cuemStream_t stream) {
     CacheTable& cache = s.pool->cache();
@@ -794,6 +805,13 @@ class MultiAccTileArray : public tida::TileArray<T> {
       if (loc_.location(victim) == Loc::kDevice) {
         drain_device(victim, dev_ptr, stream);
         loc_.set(victim, Loc::kHost);
+        // The streaming exchange reads evicted regions' host buffers; this
+        // event lets it wait for the eviction alone, not the slot stream's
+        // later uploads and kernels.
+        const auto v = static_cast<std::size_t>(victim);
+        evicted_[v] = delta_transfers_ && pending_xfer_[v] == stream
+                          ? sim::Platform::instance().record_event(stream)
+                          : -1;
       }
       cache.evict(slot);
     }
@@ -888,17 +906,14 @@ class MultiAccTileArray : public tida::TileArray<T> {
         // destination region, queued on that region's stream (async
         // clause). The kernel reads the source cells and writes the ghost
         // cells: 2 * sizeof(T) traffic.
-        sim::KernelProfile prof;
-        prof.elements = local_cells * this->ncomp();
-        prof.dev_bytes_per_element = 2.0 * sizeof(T);
-        prof.flops_per_element = 0.0;
-        prof.tuned_geometry = false;  // OpenACC-generated update kernel
-
-        auto action = [this, bc, dst_dev, begin, end]() {
+        const sim::KernelProfile prof =
+            ghost_update_profile(local_cells * this->ncomp(), sizeof(T));
+        auto action = [this, bc, keep, dst, dst_dev, begin, end]() {
           const auto& pl = this->exchange_plan(bc);
           for (std::size_t c = begin; c < end; ++c) {
-            if (owner_[static_cast<std::size_t>(pl[c].src_region)] ==
-                dst_dev) {
+            const int src = pl[c].src_region;
+            if (owner_[static_cast<std::size_t>(src)] == dst_dev &&
+                keep(src, dst)) {
               apply_copy_device(pl[c]);
             }
           }
@@ -1208,6 +1223,11 @@ class MultiAccTileArray : public tida::TileArray<T> {
   /// writes the region's *host* buffer, or -1. Host code must synchronize
   /// (sync_pending_host) before touching the buffer.
   std::vector<cuemStream_t> pending_xfer_;
+  /// Per region: platform event recorded on the slot stream right behind
+  /// the D2H that evicted it (delta transfers only), or -1. While the
+  /// region stays off the device with pending_xfer_ set, the event
+  /// completes exactly when its host buffer is quiet.
+  std::vector<sim::EventId> evicted_;
   TransferAccounting xfer_;
   DevicePlacement placement_;
   int num_devices_ = 1;

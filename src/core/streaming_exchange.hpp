@@ -2,23 +2,36 @@
 // MultiAccTileArray, and the cost model that decides when
 // StreamingGuard::kAuto takes it.
 //
-// Instead of rounding whole regions through the host, the exchange pulls
-// only the device-written cells the plan reads, refreshes the ghosts on the
-// host, and pushes the exact ghost boxes back to resident regions. It runs
-// as a per-destination pipeline, the paper's tile-by-tile overlap applied
-// to the halo: every pull is issued up front with one event per pulled
-// region, then each destination group of the plan (the plan is grouped by
-// dst_region) is handled as soon as the pulls it reads have landed —
-// wait on just those events, apply the group's host copies, push its ghost
-// boxes on the destination's slot stream. Copy engines keep pulling and
-// pushing while the host works through the next group and while the
-// previous step's kernels drain; nothing waits for a global barrier.
+// The exchange splits the plan by residency, the paper's dual-path
+// exchange (§IV-B6) applied per copy instead of per array:
+//   * Device half — every copy whose source and destination are both
+//     resident on the same device runs as one update kernel per
+//     destination (MultiAccTileArray::exchange_on_devices), so its data
+//     never crosses PCIe. One event per source stream, recorded before any
+//     kernel, orders each destination's kernel after its sources' queued
+//     writes; the host never waits.
+//   * Host half — only copies that touch a non-resident region, or cross
+//     devices, go through the host. It pulls only the device-written cells
+//     those copies read, refreshes the ghosts on the host, and pushes the
+//     exact ghost boxes back to resident regions.
+// Issue order: the host half's pulls first (each right behind its
+// source's last kernel, one event per pulled region), then the device
+// half, then the host half's destination groups as a pipeline — the
+// paper's tile-by-tile overlap applied to the halo. Each group is handled
+// as soon as the host buffers it touches are quiet (a pulled region's pull
+// event, an evicted region's own eviction event): apply its host copies,
+// push its ghost boxes on the destination's slot stream. Copy engines keep
+// pulling and pushing while the compute engine runs the update kernels and
+// the host works through the next group; nothing waits for a global
+// barrier.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -27,22 +40,65 @@
 #include "core/cache_table.hpp"
 #include "cuem/cuem.hpp"
 #include "cuem/san.hpp"
+#include "sim/kernel_profile.hpp"
 #include "sim/platform.hpp"
 #include "tida/box.hpp"
 #include "tida/ghost.hpp"
 
-namespace tidacc::core::detail {
+namespace tidacc::core {
 
-/// Per source region, the planned source cells its device copy has written
-/// since the copies last agreed — the only cells the exchange must bring
-/// home. Lists are disjoint (overlapping ghost reads are pulled once) and
-/// coalesced (a slab's face pieces ship as its 6-box shell).
+/// The device exchange's ghost-update kernel over `elements` values of
+/// `elem_bytes` bytes: an OpenACC-generated copy loop that reads each
+/// source value and writes its ghost. The exchange launches it and both of
+/// its predictors (streaming_cheaper, choose_time_block_k) price it, all
+/// through this one descriptor.
+inline sim::KernelProfile ghost_update_profile(std::uint64_t elements,
+                                               std::size_t elem_bytes) {
+  sim::KernelProfile prof;
+  prof.elements = elements;
+  prof.dev_bytes_per_element = 2.0 * static_cast<double>(elem_bytes);
+  prof.flops_per_element = 0.0;
+  prof.tuned_geometry = false;
+  return prof;
+}
+
+namespace detail {
+
+/// True when the planned copy src → dst belongs to the device half: both
+/// regions resident on the same device.
+template <typename A>
+bool on_device(const A& a, int src, int dst) {
+  return a.location(src) == Loc::kDevice && a.location(dst) == Loc::kDevice &&
+         a.device_of_region(src) == a.device_of_region(dst);
+}
+
+/// Plan indices of the host half, in plan order (so grouped by
+/// destination region).
+template <typename A>
+std::vector<std::size_t> host_half(const A& a,
+                                   const std::vector<tida::GhostCopy>& plan) {
+  std::vector<std::size_t> host;
+  for (std::size_t c = 0; c < plan.size(); ++c) {
+    if (!on_device(a, plan[c].src_region, plan[c].dst_region)) {
+      host.push_back(c);
+    }
+  }
+  return host;
+}
+
+/// Per source region, the source cells of the host-half copies that its
+/// device copy has written since the copies last agreed — the only cells
+/// the exchange must bring home. Lists are disjoint (overlapping ghost
+/// reads are pulled once) and coalesced (a slab's face pieces ship as its
+/// 6-box shell).
 template <typename A>
 std::vector<std::vector<tida::Box>> pull_lists(
-    const A& a, const std::vector<tida::GhostCopy>& plan) {
+    const A& a, const std::vector<tida::GhostCopy>& plan,
+    const std::vector<std::size_t>& host) {
   std::vector<std::vector<tida::Box>> pulls(
       static_cast<std::size_t>(a.num_regions()));
-  for (const tida::GhostCopy& c : plan) {
+  for (const std::size_t i : host) {
+    const tida::GhostCopy& c = plan[i];
     if (a.location(c.src_region) != Loc::kDevice) {
       continue;
     }
@@ -61,52 +117,120 @@ std::vector<std::vector<tida::Box>> pull_lists(
   return pulls;
 }
 
-/// Exchange-level cost model behind StreamingGuard::kAuto. The pipelined
-/// exchange keeps both DMA directions and the host busy at once, so it
-/// costs the busiest of its three legs — every coalesced pull, every push of
-/// a resident region's ghost boxes, the host copies — plus the fill/drain
-/// latency of one region going pull → host copy → push. The drain
-/// alternative overlaps its two directions too, so it costs its busier
-/// direction, plus the host copies it runs behind a barrier. Only resident
-/// regions that would keep their slot through the next pass count there: a
-/// region whose slot another region is bound to is evicted and re-uploaded
-/// either way (exact for the static mapping, an estimate under dynamic
-/// policies). Stream when not dearer. A per-region guard cannot see this
-/// trade: each region's shells look cheap alone, but a periodic slab
-/// exchange issues dozens of pitched ops that each pay the transfer setup.
-/// Every op is the raw copy the exchange would issue, priced by
-/// sim::copy_ns plus its host issue cost.
+/// The device half's cross-stream ordering edges: sorted, distinct
+/// (destination stream, source stream) pairs of the on_device copies.
+template <typename A>
+std::vector<std::pair<cuemStream_t, cuemStream_t>> device_half_edges(
+    const A& a, const std::vector<tida::GhostCopy>& plan) {
+  std::vector<std::pair<cuemStream_t, cuemStream_t>> edges;
+  for (const tida::GhostCopy& c : plan) {
+    if (on_device(a, c.src_region, c.dst_region)) {
+      const cuemStream_t d = a.stream_of_region(c.dst_region);
+      const cuemStream_t s = a.stream_of_region(c.src_region);
+      if (d != s) {
+        edges.emplace_back(d, s);
+      }
+    }
+  }
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  return edges;
+}
+
+/// Exchange-level cost model behind StreamingGuard::kAuto, pricing the ops
+/// each alternative issues. The streaming exchange keeps the host, both
+/// DMA directions and the compute engine busy at once, so it costs the
+/// busiest of its legs plus the fill/drain latency of one region going pull
+/// → host copy → push:
+///   * host — every API call it issues (update kernels with their index
+///     lists and event edges, pitched pulls and pushes, pull events) and
+///     the host half's copies;
+///   * D2H / H2D — the pulls, and the pushes of resident regions' ghosts;
+///   * compute — one update kernel per device-half destination.
+/// The drain overlaps its two directions too, so it costs its busier
+/// direction plus the whole plan's host copies, which run behind a
+/// barrier. Only resident regions that would keep their slot through the
+/// next pass count there: a region whose slot another region is bound to is
+/// evicted and re-uploaded either way (exact for the static mapping, an
+/// estimate under dynamic policies). Stream when not dearer. Every copy is
+/// priced by sim::copy_ns, every kernel by KernelProfile::duration_ns.
 template <typename T, typename A>
 bool streaming_cheaper(A& a, tida::Boundary bc) {
   const sim::DeviceConfig& cfg = sim::Platform::instance().config();
   const auto& plan = a.exchange_plan(bc);
   const auto n = static_cast<std::size_t>(a.num_regions());
+  const auto ncomp = static_cast<SimTime>(a.ncomp());
   const auto elem_bytes =
       static_cast<std::uint64_t>(a.ncomp()) * sizeof(T);
+  const SimTime api = cfg.host_api_overhead_ns;
 
-  // copy_boxes issues one pitched copy per box and component.
-  const auto boxes_ns = [&a, &cfg](int region,
-                                   const std::vector<tida::Box>& boxes,
-                                   bool h2d) {
+  // copy_boxes issues one pitched copy per box and component; the host
+  // leg counts the calls.
+  SimTime calls = 0;
+  const auto boxes_ns = [&](int region, const std::vector<tida::Box>& boxes,
+                            bool h2d) {
     SimTime ns = 0;
     for (const tida::Box& b : boxes) {
-      ns += static_cast<SimTime>(a.ncomp()) *
-            (cfg.host_api_overhead_ns +
-             sim::copy_ns(cfg, a.box_copy_request(region, b, h2d)));
+      ns += ncomp * sim::copy_ns(cfg, a.box_copy_request(region, b, h2d));
     }
+    calls += ncomp * static_cast<SimTime>(boxes.size());
     return ns;
   };
 
-  const auto pulls = pull_lists(a, plan);
+  // Device half: per destination group, the update kernel and its index
+  // lists.
+  SimTime compute_leg = 0;
+  SimTime host_leg = 0;
+  for (std::size_t begin = 0; begin < plan.size();) {
+    const int dst = plan[begin].dst_region;
+    std::size_t end = begin;
+    std::uint64_t copies = 0;
+    std::uint64_t cells = 0;
+    for (; end < plan.size() && plan[end].dst_region == dst; ++end) {
+      if (on_device(a, plan[end].src_region, dst)) {
+        ++copies;
+        cells += plan[end].dst_box.volume();
+      }
+    }
+    if (copies > 0) {
+      compute_leg +=
+          cfg.kernel_launch_ns +
+          ghost_update_profile(cells * static_cast<std::uint64_t>(ncomp),
+                               sizeof(T))
+              .duration_ns(cfg);
+      host_leg += static_cast<SimTime>(copies) *
+                      cfg.host_index_calc_ns_per_copy +
+                  cfg.oacc_dispatch_extra_ns;
+      ++calls;
+    }
+    begin = end;
+  }
+  // Event edges: a record per source stream up front and per destination
+  // behind its kernel, a wait per edge at both places.
+  const auto edges = device_half_edges(a, plan);
+  std::set<cuemStream_t> sources;
+  std::set<cuemStream_t> dests;
+  for (const auto& [d, s] : edges) {
+    sources.insert(s);
+    dests.insert(d);
+  }
+  calls += static_cast<SimTime>(sources.size() + dests.size() +
+                                2 * edges.size());
+
+  // Host half.
+  const std::vector<std::size_t> host = host_half(a, plan);
+  const auto pulls = pull_lists(a, plan, host);
   std::vector<std::vector<tida::Box>> ghosts(n);
-  for (const tida::GhostCopy& c : plan) {
-    ghosts[static_cast<std::size_t>(c.dst_region)].push_back(c.dst_box);
+  std::uint64_t host_cells = 0;
+  for (const std::size_t c : host) {
+    ghosts[static_cast<std::size_t>(plan[c].dst_region)].push_back(
+        plan[c].dst_box);
+    host_cells += plan[c].dst_box.volume();
   }
   std::map<std::pair<int, int>, int> slot_sharers;  // (device, slot) → count
   for (int r = 0; r < a.num_regions(); ++r) {
     ++slot_sharers[{a.device_of_region(r), a.slot_of_region(r)}];
   }
-
   SimTime pull_leg = 0;
   SimTime push_leg = 0;
   SimTime latency = 0;
@@ -116,6 +240,7 @@ bool streaming_cheaper(A& a, tida::Boundary bc) {
     const int region = static_cast<int>(r);
     const SimTime pull = boxes_ns(region, pulls[r], /*h2d=*/false);
     pull_leg += pull;
+    calls += pulls[r].empty() ? 0 : 1;  // the pull's event
     if (a.location(region) != Loc::kDevice) {
       continue;
     }
@@ -132,25 +257,47 @@ bool streaming_cheaper(A& a, tida::Boundary bc) {
     if (slot_sharers[{a.device_of_region(region),
                       a.slot_of_region(region)}] == 1) {
       const std::uint64_t bytes = a.region_bytes(region);
-      drain_d2h += cfg.host_api_overhead_ns +
-                   sim::copy_ns(cfg, a.copy_request(bytes, /*h2d=*/false));
-      drain_h2d += cfg.host_api_overhead_ns +
-                   sim::copy_ns(cfg, a.copy_request(bytes, /*h2d=*/true));
+      drain_d2h +=
+          api + sim::copy_ns(cfg, a.copy_request(bytes, /*h2d=*/false));
+      drain_h2d +=
+          api + sim::copy_ns(cfg, a.copy_request(bytes, /*h2d=*/true));
     }
   }
-  const SimTime host_copy =
-      cfg.host_copy_ns(tida::plan_cells(plan) * elem_bytes);
+  host_leg += calls * api + cfg.host_copy_ns(host_cells * elem_bytes);
   const SimTime stream_ns =
-      std::max({pull_leg, push_leg, host_copy}) + latency;
-  const SimTime drain_ns = std::max(drain_d2h, drain_h2d) + host_copy;
+      std::max({pull_leg, push_leg, host_leg, compute_leg}) + latency;
+  const SimTime drain_ns =
+      std::max(drain_d2h, drain_h2d) +
+      cfg.host_copy_ns(tida::plan_cells(plan) * elem_bytes);
   return stream_ns <= drain_ns;
 }
 
-/// The pipelined streaming exchange (see the file comment). `A` is a
+/// Device half of the streaming exchange: the update kernels of every
+/// on_device copy, each destination's stream first made to wait on one
+/// event per source stream, recorded before any of them.
+template <typename A>
+void exchange_device_half(A& a, tida::Boundary bc) {
+  sim::Platform& p = sim::Platform::instance();
+  const auto edges = device_half_edges(a, a.exchange_plan(bc));
+  std::map<cuemStream_t, sim::EventId> written;
+  for (const auto& [d, s] : edges) {
+    written.emplace(s, -1);
+  }
+  for (auto& [s, e] : written) {
+    e = p.record_event(s);
+  }
+  for (const auto& [d, s] : edges) {
+    p.stream_wait_event(d, written[s]);
+  }
+  a.exchange_on_devices(
+      bc, [&a](int src, int dst) { return on_device(a, src, dst); }, 1);
+}
+
+/// The streaming exchange (see the file comment). `A` is a
 /// MultiAccTileArray<T>, which befriends this function.
 /// Regions keep their device residency and location throughout, so the next
 /// compute pass pays no re-upload, and nothing waits at the end: stream
-/// order protects the kernels queued behind each push.
+/// order protects the kernels queued behind each update kernel and push.
 template <typename A>
 void streaming_exchange(A& a, tida::Boundary bc) {
   TIDACC_CHECK_MSG(a.delta_transfers(),
@@ -159,8 +306,9 @@ void streaming_exchange(A& a, tida::Boundary bc) {
   const auto& plan = a.exchange_plan(bc);
   const auto n = static_cast<std::size_t>(a.num_regions());
 
-  // Pulls: one event per pulled region marks its shells home.
-  const auto pulls = pull_lists(a, plan);
+  // Host half, pulls: one event per pulled region marks its cells home.
+  const std::vector<std::size_t> host = host_half(a, plan);
+  const auto pulls = pull_lists(a, plan, host);
   std::vector<sim::EventId> pulled(n, -1);
   for (std::size_t r = 0; r < n; ++r) {
     if (pulls[r].empty()) {
@@ -177,41 +325,53 @@ void streaming_exchange(A& a, tida::Boundary bc) {
     pulled[r] = p.record_event(stream);
   }
 
-  // Destination groups in the order a host polling the pull events sees
-  // them become ready. A region with no pull this round but a transfer
-  // still touching its host buffer (an eviction D2H) is only tracked at
-  // stream level; syncing that stream also waits for the kernels queued
-  // behind the eviction, so groups touching such a region go last.
+  exchange_device_half(a, bc);
+
+  // The event after which a region's host buffer is quiet: its pull, else
+  // the eviction D2H still draining into it, else none (-1).
+  const auto settled = [&](std::size_t r) {
+    if (pulled[r] >= 0) {
+      return pulled[r];
+    }
+    return a.pending_xfer_[r] >= 0 && a.location(static_cast<int>(r)) !=
+                                          Loc::kDevice
+               ? a.evicted_[r]
+               : sim::EventId{-1};
+  };
+  // When the host could first touch a region's host buffer.
+  const auto ready_at = [&](std::size_t r) {
+    const sim::EventId e = settled(r);
+    if (e >= 0) {
+      return p.event_finish(e);
+    }
+    return a.pending_xfer_[r] >= 0 ? p.stream_avail(a.pending_xfer_[r])
+                                   : SimTime{0};
+  };
+
+  // Destination groups (ranges of `host`) in the order a host polling
+  // those events sees them become ready.
   struct Group {
     std::size_t begin = 0;
     std::size_t end = 0;
-    bool stream_wait = false;
     SimTime ready = 0;
   };
   std::vector<Group> groups;
-  for (std::size_t begin = 0; begin < plan.size();) {
+  for (std::size_t begin = 0; begin < host.size();) {
     Group g{begin, begin};
-    const int dst = plan[begin].dst_region;
-    const auto touch = [&](int region) {
-      const auto r = static_cast<std::size_t>(region);
-      if (pulled[r] >= 0) {
-        g.ready = std::max(g.ready, p.event_finish(pulled[r]));
-      } else if (a.pending_xfer_[r] >= 0) {
-        g.stream_wait = true;
-      }
-    };
-    touch(dst);
-    while (g.end < plan.size() && plan[g.end].dst_region == dst) {
-      touch(plan[g.end].src_region);
-      ++g.end;
+    const int dst = plan[host[begin]].dst_region;
+    g.ready = ready_at(static_cast<std::size_t>(dst));
+    for (; g.end < host.size() && plan[host[g.end]].dst_region == dst;
+         ++g.end) {
+      g.ready = std::max(
+          g.ready,
+          ready_at(static_cast<std::size_t>(plan[host[g.end]].src_region)));
     }
     groups.push_back(g);
     begin = g.end;
   }
   std::stable_sort(groups.begin(), groups.end(),
                    [](const Group& x, const Group& y) {
-                     return x.stream_wait != y.stream_wait ? y.stream_wait
-                                                           : x.ready < y.ready;
+                     return x.ready < y.ready;
                    });
 
   // Host buffers a group reads or writes must be quiet first. A region
@@ -223,14 +383,15 @@ void streaming_exchange(A& a, tida::Boundary bc) {
     if (done[r]) {
       return;
     }
-    if (pulled[r] < 0) {
+    const sim::EventId e = settled(r);
+    if (e < 0) {
       a.sync_pending_host(region);
       return;
     }
-    if (p.event_finish(pulled[r]) <= p.now()) {
-      p.hb_note_event_query_success(pulled[r]);  // a successful poll
+    if (p.event_finish(e) <= p.now()) {
+      p.hb_note_event_query_success(e);  // a successful poll
     } else {
-      p.sync_event(pulled[r]);
+      p.sync_event(e);
     }
     pulled[r] = -1;
     a.pending_xfer_[r] = -1;
@@ -248,14 +409,14 @@ void streaming_exchange(A& a, tida::Boundary bc) {
   };
 
   for (const Group& g : groups) {
-    const int dst = plan[g.begin].dst_region;
+    const int dst = plan[host[g.begin]].dst_region;
     quiesce(dst);
-    for (std::size_t c = g.begin; c < g.end; ++c) {
-      quiesce(plan[c].src_region);
+    for (std::size_t i = g.begin; i < g.end; ++i) {
+      quiesce(plan[host[i]].src_region);
     }
     if (cuem::san::enabled()) {
-      for (std::size_t c = g.begin; c < g.end; ++c) {
-        const int src = plan[c].src_region;
+      for (std::size_t i = g.begin; i < g.end; ++i) {
+        const int src = plan[host[i]].src_region;
         cuem::san::note_host_access(a.region(src).data, a.region_bytes(src),
                                     /*write=*/false, "streaming_exchange");
       }
@@ -263,13 +424,16 @@ void streaming_exchange(A& a, tida::Boundary bc) {
                                   /*write=*/true, "streaming_exchange");
     }
     // The freshened ghost boxes are host writes the device has not seen.
-    a.fill_boundary_host(bc, g.begin, g.end);
-    for (std::size_t c = g.begin; c < g.end; ++c) {
+    const std::span<const std::size_t> copies(host.data() + g.begin,
+                                              g.end - g.begin);
+    a.fill_boundary_host(bc, copies);
+    for (const std::size_t c : copies) {
       a.dirty_.note_host_write(dst, plan[c].dst_box);
     }
     push(dst);
   }
-  // Resident regions no ghost lands in may still carry host-dirty boxes.
+  // Resident regions no host-path ghost lands in may still carry
+  // host-dirty boxes.
   for (std::size_t r = 0; r < n; ++r) {
     if (!done[r]) {
       push(static_cast<int>(r));
@@ -278,4 +442,5 @@ void streaming_exchange(A& a, tida::Boundary bc) {
   ++a.streaming_exchanges_;
 }
 
-}  // namespace tidacc::core::detail
+}  // namespace detail
+}  // namespace tidacc::core

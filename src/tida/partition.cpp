@@ -70,9 +70,21 @@ int Partition::region_of_cell(const Index3& cell) const {
 
 std::vector<int> Partition::regions_intersecting(const Box& box) const {
   std::vector<int> out;
-  for (int id = 0; id < num_regions(); ++id) {
-    if (boxes_[static_cast<size_t>(id)].intersects(box)) {
-      out.push_back(id);
+  const Box clipped = box.intersect(domain_);
+  if (clipped.empty()) {
+    return out;
+  }
+  // Regions tile the domain on a regular grid, so the cells of `clipped`
+  // fall in a contiguous range of grid coordinates; walking it k-j-i gives
+  // the ids in ascending order, as a scan over every region would.
+  const Index3 lo = clipped.lo - domain_.lo;
+  const Index3 hi = clipped.hi - domain_.lo;
+  for (int gk = lo.k / region_size_.k; gk <= hi.k / region_size_.k; ++gk) {
+    for (int gj = lo.j / region_size_.j; gj <= hi.j / region_size_.j; ++gj) {
+      for (int gi = lo.i / region_size_.i; gi <= hi.i / region_size_.i;
+           ++gi) {
+        out.push_back(region_at_coord({gi, gj, gk}));
+      }
     }
   }
   return out;

@@ -37,7 +37,8 @@ class Partition {
   /// Region id owning a domain cell (-1 if outside the domain).
   int region_of_cell(const Index3& cell) const;
 
-  /// Ids of regions whose valid boxes intersect `box`.
+  /// Ids of regions whose valid boxes intersect `box`, ascending. Costs
+  /// the number of ids returned, not the number of regions.
   std::vector<int> regions_intersecting(const Box& box) const;
 
   /// The largest region volume (used to size uniform device buffers).

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -206,28 +207,26 @@ class TileArray {
   /// exchange plan with row-wise memcpy; in timing-only mode only the cost
   /// is charged. Returns the number of ghost cells refreshed.
   std::uint64_t fill_boundary_host(Boundary bc) {
-    return fill_boundary_host(bc, 0, exchange_plan(bc).size());
+    std::uint64_t cells = 0;
+    for (const GhostCopy& c : exchange_plan(bc)) {
+      cells += run_host_copy(c);
+    }
+    return charge_host_copies(cells);
   }
 
-  /// Range form: executes plan copies [begin, end) only and charges just
-  /// their share of the host copy time — one destination group at a time
-  /// for the pipelined out-of-core exchange.
-  std::uint64_t fill_boundary_host(Boundary bc, std::size_t begin,
-                                   std::size_t end) {
+  /// Subset form: executes only the listed plan copies (indices into
+  /// exchange_plan(bc)) and charges just their share of the host copy time
+  /// — one destination's host-path copies at a time for the pipelined
+  /// out-of-core exchange.
+  std::uint64_t fill_boundary_host(Boundary bc,
+                                   std::span<const std::size_t> copies) {
     const std::vector<GhostCopy>& plan = exchange_plan(bc);
-    TIDACC_CHECK_MSG(begin <= end && end <= plan.size(),
-                     "exchange plan range out of bounds");
     std::uint64_t cells = 0;
-    for (std::size_t c = begin; c < end; ++c) {
-      if (cuem::functional()) {
-        apply_copy_host(plan[c]);
-      }
-      cells += plan[c].dst_box.volume();
+    for (const std::size_t c : copies) {
+      TIDACC_CHECK_MSG(c < plan.size(), "exchange plan index out of bounds");
+      cells += run_host_copy(plan[c]);
     }
-    cells *= static_cast<std::uint64_t>(ncomp_);
-    sim::Platform& p = sim::Platform::instance();
-    p.host_advance(p.config().host_copy_ns(cells * sizeof(T)));
-    return cells;
+    return charge_host_copies(cells);
   }
 
   /// The cached exchange plan for this array's geometry.
@@ -247,6 +246,24 @@ class TileArray {
   }
 
  private:
+  /// One host-exchange copy: the memcpys in functional mode; returns the
+  /// ghost cells it refreshes (one component).
+  std::uint64_t run_host_copy(const GhostCopy& c) {
+    if (cuem::functional()) {
+      apply_copy_host(c);
+    }
+    return c.dst_box.volume();
+  }
+
+  /// Charges the host copy time of `cells` single-component ghost cells;
+  /// returns the cells refreshed over all components.
+  std::uint64_t charge_host_copies(std::uint64_t cells) {
+    cells *= static_cast<std::uint64_t>(ncomp_);
+    sim::Platform& p = sim::Platform::instance();
+    p.host_advance(p.config().host_copy_ns(cells * sizeof(T)));
+    return cells;
+  }
+
   struct PlanSlot {
     bool valid = false;
     std::vector<GhostCopy> plan;

@@ -333,6 +333,51 @@ TEST(Partition, RegionsIntersecting) {
   EXPECT_EQ(one, (std::vector<int>{0}));
 }
 
+/// Every region whose valid box intersects `box`, by scanning them all.
+std::vector<int> regions_intersecting_scan(const Partition& p,
+                                           const Box& box) {
+  std::vector<int> out;
+  for (int id = 0; id < p.num_regions(); ++id) {
+    if (p.region_box(id).intersects(box)) {
+      out.push_back(id);
+    }
+  }
+  return out;
+}
+
+TEST(Partition, RegionsIntersectingMatchesTheFullScan) {
+  // Divisible, non-divisible (smaller edge regions) and offset domains;
+  // the queries are every ghost-source box a periodic and a non-periodic
+  // plan asks for, plus boxes that straddle or miss the domain.
+  const std::vector<std::pair<Box, Index3>> geometries = {
+      {Box::cube(8), Index3::uniform(4)},
+      {Box::from_extents({10, 7, 5}), Index3{4, 3, 2}},
+      {Box{{-3, 2, 5}, {9, 8, 6}}, Index3{5, 2, 1}},
+      {Box::cube(12), Index3{12, 12, 4}},
+  };
+  for (const auto& [domain, size] : geometries) {
+    const Partition p(domain, size);
+    std::vector<Box> queries;
+    for (const Boundary bc : {Boundary::kNone, Boundary::kPeriodic}) {
+      for (const int ghost : {1, 2}) {
+        for (const GhostCopy& c : compute_exchange_plan(p, ghost, bc)) {
+          queries.push_back(c.dst_box.shift(c.shift));
+          queries.push_back(c.src_box.grow(1));
+        }
+      }
+    }
+    queries.push_back(domain);
+    queries.push_back(domain.grow(3));
+    queries.push_back(domain.shift(domain.extent()));  // misses entirely
+    queries.push_back(Box{domain.hi, domain.hi + Index3::uniform(4)});
+    for (const Box& q : queries) {
+      ASSERT_EQ(p.regions_intersecting(q), regions_intersecting_scan(p, q))
+          << "query " << q.lo.i << "," << q.lo.j << "," << q.lo.k << " .. "
+          << q.hi.i << "," << q.hi.j << "," << q.hi.k;
+    }
+  }
+}
+
 TEST(Partition, MaxRegionVolume) {
   const Partition p(Box::from_extents({10, 1, 1}), Index3{4, 1, 1});
   EXPECT_EQ(p.max_region_volume(0), 4ull);

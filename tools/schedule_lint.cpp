@@ -20,6 +20,7 @@
 // regression in any ordering edge shows up as a diff here before it shows
 // up as a slowdown. CI runs this over every scenario and fails on findings
 // (exit 1); --json=<path> writes a machine-readable summary.
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -223,9 +224,12 @@ ScenarioResult scenario_sincos() {
 /// ghost-reading stencil, two steps, on an array built from `o`. Out of
 /// core (fewer slots than regions) the eviction D2H races the next H2D;
 /// with delta transfers and kForceStreaming every exchange runs the
-/// pipelined streaming path (per-region pull events, per-group pushes)
-/// while the previous sweep's kernels drain. Resident on two devices, peer
-/// copies and per-device kernel streams share one fill_boundary/sweep step.
+/// streaming path — update kernels between resident regions, and the
+/// pipelined host path (per-region pull events, per-group pushes) for
+/// faces touching the evicted region — while the previous sweep's kernels
+/// drain; the scenario fails unless both halves issued work. Resident on
+/// two devices, peer copies and per-device kernel streams share one
+/// fill_boundary/sweep step.
 ScenarioResult scenario_halo(const char* name, const core::MultiAccOptions& o) {
   sim::OpGraph g;
   fresh_world(g, o.devices);
@@ -236,15 +240,37 @@ ScenarioResult scenario_halo(const char* name, const core::MultiAccOptions& o) {
                                     o);
   u.assume_host_initialized();
   const oacc::LoopCost cost = kernels::box_stencil_cost(1);
+  // What the exchanges issued: device ghost-update kernels and pitched
+  // (host-path) copies.
+  std::uint64_t updates = 0;
+  std::uint64_t pitched = 0;
   for (int s = 0; s < 2; ++s) {
+    const std::uint64_t updates0 = u.device_ghost_updates();
+    const core::TransferAccounting x0 = u.transfers();
     u.fill_boundary(tida::Boundary::kPeriodic);
+    updates += u.device_ghost_updates() - updates0;
+    pitched += u.transfers().delta_d2h_ops + u.transfers().delta_h2d_ops -
+               x0.delta_d2h_ops - x0.delta_h2d_ops;
     for (int id = 0; id < u.num_regions(); ++id) {
       core::compute_gpu(u, id, cost, kSweepBody);
     }
   }
   u.release_all_to_host();
   cuem::platform().set_op_graph(nullptr);
-  return analyze(name, g);
+  ScenarioResult r = analyze(name, g);
+  if (o.streaming_guard == core::StreamingGuard::kForceStreaming) {
+    // The streaming exchange has two halves; both must have run.
+    std::printf("   streaming exchange: %llu device ghost updates, %llu "
+                "host-path pitched copies\n",
+                static_cast<unsigned long long>(updates),
+                static_cast<unsigned long long>(pitched));
+    if (updates == 0 || pitched == 0) {
+      r.ok = false;
+      std::printf("   FAIL: the streaming exchange lost its %s half\n",
+                  updates == 0 ? "device" : "host");
+    }
+  }
+  return r;
 }
 
 /// scenario_halo's options: `slots` slots on each of `devices` devices;
