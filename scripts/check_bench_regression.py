@@ -36,6 +36,14 @@ def load(path):
         return json.load(f)
 
 
+def fmt_value(v):
+    """Integral values print as integers, anything else at full precision
+    (a ratio move such as 0.9375 -> 0.9286 must not read as 1 -> 1)."""
+    if isinstance(v, (int, float)) and float(v).is_integer():
+        return f"{v:.0f}"
+    return repr(v)
+
+
 def check_file(name, current, baseline, tol, both_directions):
     """Returns a list of failure strings for one bench JSON."""
     failures = []
@@ -47,7 +55,8 @@ def check_file(name, current, baseline, tol, both_directions):
         if key.endswith("_ns"):
             if base == 0:
                 if cur != 0:
-                    failures.append(f"{name}: {key} was 0, now {cur:.0f}")
+                    failures.append(
+                        f"{name}: {key} was 0, now {fmt_value(cur)}")
                 continue
             rel = (cur - base) / base
             if rel > tol or (both_directions and rel < -tol):
@@ -59,7 +68,8 @@ def check_file(name, current, baseline, tol, both_directions):
                       f"refresh bench/baselines/ to lock it in")
         elif cur != base:
             failures.append(
-                f"{name}: {key} drifted ({base:.0f} -> {cur:.0f}); "
+                f"{name}: {key} drifted ({fmt_value(base)} -> "
+                f"{fmt_value(cur)}); "
                 "byte/op counters are deterministic — this is a protocol "
                 "change, update bench/baselines/ only if it is intended")
     for key in sorted(current.keys() - baseline.keys()):

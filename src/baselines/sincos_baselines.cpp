@@ -161,7 +161,9 @@ RunResult run_sincos_tidacc(const SinCosTidaParams& p) {
 
   const oacc::LoopCost cost =
       kernels::sincos_cost(p.iterations, sim::MathClass::kPgiDefault);
+  // The paper's figures traverse regions in id order.
   AccTileIterator<double> it(arr);
+  it.request_region_major();
 
   // Whole-run tile→region access order (the traversal repeated per step):
   // the Belady oracle's script, and the prefetcher's lookahead target list

@@ -85,13 +85,29 @@ struct AccTile {
 };
 
 /// Tile iterator over an array; tile() yields AccTiles carrying the GPU
-/// flag set by reset(GPU=true) (paper §V).
+/// flag set by reset(GPU=true) (paper §V). A GPU pass visits regions in
+/// the array's residency order (SlotScheduler::visit_ranks).
 template <typename T>
 class AccTileIterator : public tida::TileIterator<T> {
  public:
   explicit AccTileIterator(MultiAccTileArray<T>& array,
                            const tida::Index3& tile_size = {0, 0, 0})
       : tida::TileIterator<T>(array, tile_size), array_(&array) {}
+
+  /// Restarts the traversal; `gpu` enables device execution for this pass.
+  /// A GPU pass visits the regions already on the device first, in the
+  /// order the slot schedulers rank them, and the rest after; within a
+  /// rank, and on CPU passes, the base order (region-major, or shuffle()'s)
+  /// holds. After request_region_major() every pass keeps the base order.
+  void reset(bool gpu = false) {
+    this->restart(gpu, gpu && !region_major_ ? array_->visit_ranks()
+                                             : std::vector<int>{});
+  }
+
+  /// Makes every later pass keep the base order whatever is resident — the
+  /// paper's region-major traversal, which the figure reproductions
+  /// (baselines::run_sincos_tidacc) pin.
+  void request_region_major() { region_major_ = true; }
 
   AccTile<T> tile() const {
     return AccTile<T>{array_, tida::TileIterator<T>::tile(), this->gpu()};
@@ -111,6 +127,7 @@ class AccTileIterator : public tida::TileIterator<T> {
 
  private:
   MultiAccTileArray<T>* array_;
+  bool region_major_ = false;
 };
 
 }  // namespace tidacc::core

@@ -119,36 +119,39 @@ void compute_k(MultiAccTileArray<T>& a, int region, int k, int radius,
 /// One row of the auto-tuner's prediction table.
 struct TimeBlockPrediction {
   int k = 1;
-  /// Link bytes one residency round trip ships per useful cell update —
-  /// the quantity temporal blocking divides by k while the widened ghosts
-  /// grow it back; the tuner's objective weights it by the link rate.
+  /// Link bytes a sweep's swaps ship per useful cell update — the quantity
+  /// temporal blocking divides by k while the widened ghosts grow it back;
+  /// the tuner's objective weights it by the link rate. 0 when every
+  /// region has a slot.
   double bytes_per_update = 0.0;
   /// Predicted wall-clock per stencil step per region (ns): transfers and
   /// kernels overlap across slots, so the slower of the two pipelines
-  /// bounds the block, plus the (amortized) widened ghost exchange.
+  /// bounds the sweep, plus the widened ghost exchange.
   double step_ns = 0.0;
 };
 
 /// Picks the temporal blocking depth k that minimizes predicted wall-clock
-/// per useful cell update, pricing the ops one residency issues with the
-/// simulator's own functions: the flat evict/upload round trip (the term k
-/// divides), the k shrinking trapezoid kernels compute_k launches and the
-/// widened ring's update kernel (the compute terms that grow with k), and
-/// an evicted region's share of the ring's pull, host copy and push (the
-/// transfer bytes that grow with k). There is no slot-budget input: the
-/// exchange term assumes the lightest out-of-core case, one evicted region
-/// per exchange. Returns 1 when blocking never wins. The caller then
-/// builds the array with ghost = radius * k and
+/// per useful cell update on a device of `slots` region slots, pricing the
+/// ops one sweep issues with the simulator's own functions. GPU passes run
+/// in residency order (SlotScheduler::visit_ranks), so a sweep swaps only
+/// the regions the slots cannot hold, regions − slots of them: their flat
+/// evict/upload round trips (the term k divides) and their share of the
+/// widened ring's pull, host copy and push (the transfer bytes that grow
+/// with k). Every region pays the k shrinking trapezoid kernels compute_k
+/// launches and the ring's update kernel (the compute terms that grow with
+/// k). Returns 1 when blocking never wins — always when every region has a
+/// slot. The caller then builds the array with ghost = radius * k and
 /// AccOptions::time_block_k = k. `table` (optional) receives one row per
 /// candidate for bench emission.
 inline int choose_time_block_k(const tida::Box& domain,
                                const tida::Index3& region_size, int radius,
-                               const oacc::LoopCost& cost,
+                               int slots, const oacc::LoopCost& cost,
                                const sim::DeviceConfig& cfg, int max_k = 8,
                                std::vector<TimeBlockPrediction>* table =
                                    nullptr,
                                std::size_t elem_bytes = sizeof(double)) {
   TIDACC_CHECK_MSG(radius >= 1, "stencil radius must be positive");
+  TIDACC_CHECK_MSG(slots >= 1, "the device needs at least one slot");
   TIDACC_CHECK_MSG(max_k >= 1, "max_k must be at least 1");
   const tida::Index3 de = domain.extent();
   const tida::Index3 re{std::min(region_size.i, de.i),
@@ -166,6 +169,7 @@ inline int choose_time_block_k(const tida::Box& domain,
   const double regions = regions_along(de.i, re.i) *
                          regions_along(de.j, re.j) *
                          regions_along(de.k, re.k);
+  const double swaps = std::max(0.0, regions - static_cast<double>(slots));
   // A raw pinned copy of `bytes` plus its host issue cost.
   const auto issued_copy_ns = [&cfg](sim::OpKind kind, std::uint64_t bytes) {
     sim::CopyRequest req;
@@ -182,8 +186,8 @@ inline int choose_time_block_k(const tida::Box& domain,
     const std::uint64_t grown_cells = grown_volume(ghost);
     const std::uint64_t flat_bytes = grown_cells * elem_bytes;
 
-    // One residency round trip: the evict D2H and the upload H2D are
-    // stream-ordered on the same slot stream, so they serialize per slot.
+    // A swap's round trip: the evict D2H and the upload H2D are
+    // stream-ordered on the same slot stream, so they serialize.
     const double tx = issued_copy_ns(sim::OpKind::kCopyD2H, flat_bytes) +
                       issued_copy_ns(sim::OpKind::kCopyH2D, flat_bytes);
 
@@ -200,29 +204,27 @@ inline int choose_time_block_k(const tida::Box& domain,
     // exchange (core/streaming_exchange.hpp) refreshes the ring of a
     // resident region with one update kernel on the compute engine, priced
     // with the exchange's own profile. Only faces touching an evicted
-    // region cross the link, down and up: out of core at least one region
-    // is evicted per exchange, so each region carries its share of one
-    // ring's pull → host copy → push chain.
+    // region cross the link, down and up: one ring's pull → host copy →
+    // push chain per swapped region.
     const std::uint64_t ring_cells = grown_cells - valid_cells;
     const std::uint64_t ring_bytes = ring_cells * elem_bytes;
     const double update = static_cast<double>(
         cfg.kernel_launch_ns + cfg.oacc_dispatch_extra_ns +
         ghost_update_profile(ring_cells, elem_bytes).duration_ns(cfg));
-    const double tex =
-        (issued_copy_ns(sim::OpKind::kCopyD2H, ring_bytes) +
-         static_cast<double>(cfg.host_copy_ns(ring_bytes)) +
-         issued_copy_ns(sim::OpKind::kCopyH2D, ring_bytes)) /
-        regions;
+    const double tex = issued_copy_ns(sim::OpKind::kCopyD2H, ring_bytes) +
+                       static_cast<double>(cfg.host_copy_ns(ring_bytes)) +
+                       issued_copy_ns(sim::OpKind::kCopyH2D, ring_bytes);
 
-    // Out-of-core steady state: every region's transfers overlap other
-    // regions' kernels, so the slower pipeline bounds the block, and the
-    // exchange follows it. All per region, per k steps.
+    // Out-of-core steady state: the swaps overlap the other regions'
+    // kernels, so the slower pipeline bounds the sweep, and the exchange
+    // follows it. Per region, per step.
     const double step_ns =
-        (std::max(tx, tc + update) + tex) / static_cast<double>(k);
+        (std::max(swaps * tx, regions * (tc + update)) + swaps * tex) /
+        (regions * static_cast<double>(k));
     const double bytes_per_update =
-        (2.0 * static_cast<double>(flat_bytes) +
-         2.0 * static_cast<double>(ring_bytes) / regions) /
-        (static_cast<double>(k) * static_cast<double>(valid_cells));
+        swaps * 2.0 *
+        static_cast<double>(flat_bytes + ring_bytes) /
+        (regions * static_cast<double>(k) * static_cast<double>(valid_cells));
     if (table != nullptr) {
       table->push_back(TimeBlockPrediction{k, bytes_per_update, step_ns});
     }

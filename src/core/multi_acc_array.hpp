@@ -47,6 +47,9 @@
 
 namespace tidacc::core {
 
+template <typename T>
+class AccTileIterator;
+
 /// How fill_boundary picks between the streaming (delta) exchange and the
 /// drain-to-host exchange in the out-of-core regime.
 ///   kAuto           — consult the exchange-level cost model each time:
@@ -491,12 +494,12 @@ class MultiAccTileArray : public tida::TileArray<T> {
 
   /// Brings every device-held region home and waits (end-of-run helper).
   /// All downloads are queued first — pipelined across every device's slot
-  /// streams — and each stream is synchronized exactly once, instead of
-  /// the one blocking round-trip per region a loop of acquire_on_host
-  /// would pay.
+  /// streams, in drain_order() — and each stream is synchronized exactly
+  /// once, instead of the one blocking round-trip per region a loop of
+  /// acquire_on_host would pay.
   void release_all_to_host() {
     StreamSyncList streams;
-    for (int r = 0; r < this->num_regions(); ++r) {
+    for (const int r : drain_order()) {
       if (loc_.location(r) != Loc::kDevice) {
         // Not drained now, but an earlier eviction may have queued a D2H
         // into this host buffer that is still in flight — its stream must
@@ -696,6 +699,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
   friend void detail::exchange_device_half(A& a, tida::Boundary bc);
   template <typename U, typename A>
   friend bool detail::streaming_cheaper(A& a, tida::Boundary bc);
+  friend class AccTileIterator<T>;
 
   // Protected rather than private: ClusterTileArray extends the exchange
   // across simulated nodes and reuses the pools, location/dirty tracking
@@ -707,6 +711,68 @@ class MultiAccTileArray : public tida::TileArray<T> {
 
   DeviceShard& shard(int d) {
     return shards_[static_cast<std::size_t>(d)];
+  }
+
+  /// Visit rank of every region for the next GPU traversal, as each
+  /// device's slot scheduler orders its own regions
+  /// (SlotScheduler::visit_ranks): regions on the device first, so shared
+  /// slots swap behind the kernels of regions that stay. Empty — the
+  /// iterator's base order — while any device holds a prefetch pin.
+  std::vector<int> visit_ranks() const {
+    std::vector<int> rank(static_cast<std::size_t>(this->num_regions()), 0);
+    for (const DeviceShard& s : shards_) {
+      if (!s.pool) {
+        continue;
+      }
+      std::vector<bool> current(s.regions.size());
+      for (std::size_t i = 0; i < s.regions.size(); ++i) {
+        current[i] = loc_.location(s.regions[i]) == Loc::kDevice;
+      }
+      const std::vector<int> local =
+          s.pool->scheduler().visit_ranks(s.pool->cache(), current);
+      if (local.empty()) {
+        return {};
+      }
+      for (std::size_t i = 0; i < s.regions.size(); ++i) {
+        rank[static_cast<std::size_t>(s.regions[i])] = local[i];
+      }
+    }
+    return rank;
+  }
+
+  /// The order release_all_to_host queues regions in: region id order,
+  /// except on a device whose slots are shared. There the residency-ordered
+  /// pass visits the regions it swaps in last, whatever their ids, so the
+  /// device's device-current regions fill the positions they hold least
+  /// recently used first (CacheTable::last_used): the device finishes them
+  /// in that order, and its FIFO D2H engine never holds the newest region's
+  /// drain ahead of older ones. After a region-major pass this is id order.
+  std::vector<int> drain_order() const {
+    std::vector<int> order(static_cast<std::size_t>(this->num_regions()));
+    for (int r = 0; r < this->num_regions(); ++r) {
+      order[static_cast<std::size_t>(r)] = r;
+    }
+    for (const DeviceShard& s : shards_) {
+      if (!s.pool || s.pool->one_to_one()) {
+        continue;
+      }
+      std::vector<int> held;  // ascending: s.regions is in id order
+      for (const int r : s.regions) {
+        if (loc_.location(r) == Loc::kDevice) {
+          held.push_back(r);
+        }
+      }
+      std::vector<int> by_use = held;
+      const auto used = [&](int r) {
+        return s.pool->cache().last_used(slot_of_region(r));
+      };
+      std::stable_sort(by_use.begin(), by_use.end(),
+                       [&used](int x, int y) { return used(x) < used(y); });
+      for (std::size_t i = 0; i < held.size(); ++i) {
+        order[static_cast<std::size_t>(held[i])] = by_use[i];
+      }
+    }
+    return order;
   }
 
   const DevicePool& pool_of(int device) const {

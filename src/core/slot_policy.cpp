@@ -274,6 +274,31 @@ int SlotScheduler::place_prefetch(int region, CacheTable& cache) {
   return slot;
 }
 
+std::vector<int> SlotScheduler::visit_ranks(
+    const CacheTable& cache, const std::vector<bool>& device_current) const {
+  TIDACC_CHECK_MSG(device_current.size() == binding_.size(),
+                   "one device_current flag per region");
+  if (pinned_count() > 0) {
+    return {};
+  }
+  std::vector<int> holder(static_cast<std::size_t>(num_slots_), -1);
+  std::vector<int> rank(binding_.size(), 2);
+  for (int s = 0; s < num_slots_; ++s) {
+    const int r = cache.resident(s);
+    if (r != -1 && device_current[static_cast<std::size_t>(r)]) {
+      holder[static_cast<std::size_t>(s)] = r;
+      rank[static_cast<std::size_t>(r)] = 1;
+    }
+  }
+  for (std::size_t r = 0; r < binding_.size(); ++r) {
+    const int h = holder[static_cast<std::size_t>(binding_[r])];
+    if (rank[r] == 2 && h != -1) {
+      rank[static_cast<std::size_t>(h)] = 0;
+    }
+  }
+  return rank;
+}
+
 bool SlotScheduler::pinned(int slot) const {
   check_slot(slot);
   return pinned_region_[static_cast<size_t>(slot)] != -1;

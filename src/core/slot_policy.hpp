@@ -16,7 +16,11 @@
 //     farthest in the future. An upper bound for the benches, not a
 //     practical online policy.
 //
-// The SlotScheduler owns the policy plus the prefetch pin set: a slot
+// The SlotScheduler owns the policy, the visit order of GPU traversals and
+// the prefetch pin set. The order ranks the regions already on the device
+// first, those holding a slot another region is waiting for ahead of the
+// rest, so each shared slot swaps once per sweep, behind the kernels of the
+// regions that stay. A slot
 // receiving an asynchronous H2D prefetch is pinned until the region is
 // consumed by a demand acquire, so no later placement can evict data that
 // is still in flight. Prefetches additionally never evict the most
@@ -112,6 +116,17 @@ class SlotScheduler {
   /// candidate slot is pinned, or the only placement would evict in-flight
   /// data or the most recently demanded (still computing) region.
   int place_prefetch(int region, CacheTable& cache);
+
+  /// Visit rank of every region for the next GPU traversal, lower first
+  /// (the iterator keeps its base order within a rank). A region is
+  /// resident when its slot holds it and `device_current[region]` says its
+  /// newest data is there. Rank 0: resident regions whose slot a
+  /// non-resident region is bound to — visited while the slot still holds
+  /// them, then swapped out behind the other kernels. Rank 1: the other
+  /// resident regions. Rank 2: the rest. Empty (the base order) while a
+  /// prefetch pin is held: the caller is driving its own lookahead.
+  std::vector<int> visit_ranks(const CacheTable& cache,
+                               const std::vector<bool>& device_current) const;
 
   /// True while `slot` holds an in-flight (un-consumed) prefetch.
   bool pinned(int slot) const;

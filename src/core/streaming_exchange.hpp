@@ -149,9 +149,12 @@ std::vector<std::pair<cuemStream_t, cuemStream_t>> device_half_edges(
 ///   * compute — one update kernel per device-half destination.
 /// The drain overlaps its two directions too, so it costs its busier
 /// direction plus the whole plan's host copies, which run behind a
-/// barrier. Only resident regions that would keep their slot through the
-/// next pass count there: a region whose slot another region is bound to is
-/// evicted and re-uploaded either way (exact for the static mapping, an
+/// barrier. Its directions carry the round trip of every resident region:
+/// the residency-ordered sweep (SlotScheduler::visit_ranks) would have kept
+/// each of them on the device, a shared slot's holder included. Both
+/// alternatives' DMA legs also carry the next sweep's swaps, the same
+/// under either: a shared slot is evicted and re-filled once for every
+/// region bound to it beyond the first (exact for the static mapping, an
 /// estimate under dynamic policies). Stream when not dearer. Every copy is
 /// priced by sim::copy_ns, every kernel by KernelProfile::duration_ns.
 template <typename T, typename A>
@@ -227,15 +230,27 @@ bool streaming_cheaper(A& a, tida::Boundary bc) {
         plan[c].dst_box);
     host_cells += plan[c].dst_box.volume();
   }
+  // One flat whole-region copy, as a swap or the drain issues it.
+  const auto flat_ns = [&](int region, bool h2d) {
+    return api +
+           sim::copy_ns(cfg, a.copy_request(a.region_bytes(region), h2d));
+  };
+  // The next sweep's swaps: the first region bound to a slot keeps it, each
+  // later one evicts its predecessor and uploads.
+  SimTime swap_d2h = 0;
+  SimTime swap_h2d = 0;
   std::map<std::pair<int, int>, int> slot_sharers;  // (device, slot) → count
   for (int r = 0; r < a.num_regions(); ++r) {
-    ++slot_sharers[{a.device_of_region(r), a.slot_of_region(r)}];
+    if (++slot_sharers[{a.device_of_region(r), a.slot_of_region(r)}] > 1) {
+      swap_d2h += flat_ns(r, /*h2d=*/false);
+      swap_h2d += flat_ns(r, /*h2d=*/true);
+    }
   }
-  SimTime pull_leg = 0;
-  SimTime push_leg = 0;
+  SimTime pull_leg = swap_d2h;
+  SimTime push_leg = swap_h2d;
   SimTime latency = 0;
-  SimTime drain_d2h = 0;
-  SimTime drain_h2d = 0;
+  SimTime drain_d2h = swap_d2h;
+  SimTime drain_h2d = swap_h2d;
   for (std::size_t r = 0; r < n; ++r) {
     const int region = static_cast<int>(r);
     const SimTime pull = boxes_ns(region, pulls[r], /*h2d=*/false);
@@ -254,14 +269,8 @@ bool streaming_cheaper(A& a, tida::Boundary bc) {
         latency,
         pull + cfg.host_copy_ns(tida::list_volume(ghosts[r]) * elem_bytes) +
             push);
-    if (slot_sharers[{a.device_of_region(region),
-                      a.slot_of_region(region)}] == 1) {
-      const std::uint64_t bytes = a.region_bytes(region);
-      drain_d2h +=
-          api + sim::copy_ns(cfg, a.copy_request(bytes, /*h2d=*/false));
-      drain_h2d +=
-          api + sim::copy_ns(cfg, a.copy_request(bytes, /*h2d=*/true));
-    }
+    drain_d2h += flat_ns(region, /*h2d=*/false);
+    drain_h2d += flat_ns(region, /*h2d=*/true);
   }
   host_leg += calls * api + cfg.host_copy_ns(host_cells * elem_bytes);
   const SimTime stream_ns =

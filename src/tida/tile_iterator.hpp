@@ -4,11 +4,18 @@
 // execution (paper §V: `tIter.reset(GPU=true)`).
 //
 // The iterator only sequences tiles; executing a tile on the device is the
-// job of core::AccContext::compute(). Iteration order is unspecified by the
-// model (out-of-order execution is allowed); this implementation uses a
-// deterministic region-major order so tests are reproducible.
+// job of core::compute(). Iteration order is unspecified by the model
+// (out-of-order execution is allowed). The base order is deterministic:
+// region-major, or a seeded shuffle() of it. A subclass may reorder single
+// passes through restart(): GPU passes of a core::AccTileIterator visit
+// regions in residency order — the slot scheduler puts regions already on
+// the device first, so a shared slot swaps behind other regions' kernels —
+// unless the caller requested region-major order.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -36,26 +43,27 @@ class TileIterator {
       const Box valid = array.partition().region_box(id);
       const Partition tiling(valid, ts);
       for (int t = 0; t < tiling.num_regions(); ++t) {
-        entries_.push_back(Entry{id, tiling.region_box(t)});
+        entries_.push_back(Entry{id, tiling.region_box(t), entries_.size()});
       }
     }
   }
 
-  /// Restarts the traversal; `gpu` enables device execution for this pass.
-  void reset(bool gpu = false) {
-    pos_ = 0;
-    gpu_ = gpu;
-  }
+  /// Restarts the traversal in the base order; `gpu` enables device
+  /// execution for this pass.
+  void reset(bool gpu = false) { restart(gpu, {}); }
 
-  /// Permutes the traversal order (the model allows out-of-order tile
+  /// Permutes the base order (the model allows out-of-order tile
   /// execution; a deterministic shuffle exercises order-independence in
   /// tests and spreads slot contention in limited-memory runs).
   void shuffle(std::uint64_t seed) {
+    restart(gpu_, {});
     Rng rng(seed);
     for (std::size_t i = entries_.size(); i > 1; --i) {
       std::swap(entries_[i - 1], entries_[rng.next_below(i)]);
     }
-    pos_ = 0;
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      entries_[i].base_pos = i;
+    }
   }
 
   /// True while a tile is available.
@@ -98,16 +106,43 @@ class TileIterator {
     return n;
   }
 
+ protected:
+  /// The ordering hook behind reset(): restarts the traversal, visiting
+  /// regions in ascending `rank[region id]` for this pass and tiles of equal
+  /// rank in the base order. An empty or uniform `rank` is the base order.
+  void restart(bool gpu, const std::vector<int>& rank) {
+    pos_ = 0;
+    gpu_ = gpu;
+    const bool uniform =
+        std::adjacent_find(rank.begin(), rank.end(), std::not_equal_to<>()) ==
+        rank.end();
+    if (uniform && !reordered_) {
+      return;  // one rank (or none): the base order
+    }
+    const auto key = [&rank, uniform](const Entry& e) {
+      return std::pair{
+          uniform ? 0 : rank[static_cast<std::size_t>(e.region_id)],
+          e.base_pos};
+    };
+    std::sort(entries_.begin(), entries_.end(),
+              [&key](const Entry& x, const Entry& y) {
+                return key(x) < key(y);
+              });
+    reordered_ = !uniform;
+  }
+
  private:
   struct Entry {
     int region_id;
     Box box;
+    std::size_t base_pos;  ///< position in the base order
   };
 
   TileArray<T>* array_;
   std::vector<Entry> entries_;
   std::size_t pos_ = 0;
   bool gpu_ = false;
+  bool reordered_ = false;  ///< entries_ deviate from the base order
 };
 
 }  // namespace tidacc::tida

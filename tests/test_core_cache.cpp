@@ -1,7 +1,7 @@
 // Unit tests for the TiDA-acc bookkeeping: CacheTable, LocationTracker,
 // DevicePool (capacity discovery, slot mapping, stream assignment) and the
 // SlotScheduler policies (static modulo, LRU, Belady oracle, prefetch
-// pinning).
+// pinning, residency visit ranks).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -454,6 +454,48 @@ TEST(SlotScheduler, DemandDropsPinsOnlyWhenEverySlotIsPinned) {
   ASSERT_EQ(prefetch(sched, cache, 0), 0);
   EXPECT_EQ(acquire(sched, cache, 1), 0);
   EXPECT_FALSE(sched.pinned(0));
+}
+
+TEST(SlotScheduler, VisitRanksPutSharedSlotHoldersFirst) {
+  // Four regions on three static slots: region 3 shares slot 0.
+  CacheTable cache(3);
+  SlotScheduler sched(3, 4,
+                      make_slot_policy(SlotPolicyKind::kStaticModulo));
+  for (int r = 0; r < 3; ++r) {
+    acquire(sched, cache, r);
+  }
+  const std::vector<bool> all_current(4, true);
+  // Region 0 holds the slot region 3 waits for: visit it first, swap after.
+  EXPECT_EQ(sched.visit_ranks(cache, all_current),
+            (std::vector<int>{0, 1, 1, 2}));
+  acquire(sched, cache, 3);
+  EXPECT_EQ(sched.visit_ranks(cache, all_current),
+            (std::vector<int>{2, 1, 1, 0}));
+}
+
+TEST(SlotScheduler, VisitRanksCountOnlyDeviceCurrentRegionsResident) {
+  CacheTable cache(3);
+  SlotScheduler sched(3, 4,
+                      make_slot_policy(SlotPolicyKind::kStaticModulo));
+  for (int r = 0; r < 3; ++r) {
+    acquire(sched, cache, r);
+  }
+  // Drained to the host but still cached: nothing is ahead of anything.
+  EXPECT_EQ(sched.visit_ranks(cache, std::vector<bool>(4, false)),
+            (std::vector<int>{2, 2, 2, 2}));
+  EXPECT_EQ(sched.visit_ranks(cache, {false, true, false, false}),
+            (std::vector<int>{2, 1, 2, 2}));
+}
+
+TEST(SlotScheduler, VisitRanksEmptyWhilePrefetchPinHeld) {
+  CacheTable cache(2);
+  SlotScheduler sched(2, 4, make_slot_policy(SlotPolicyKind::kLru));
+  acquire(sched, cache, 0);
+  ASSERT_GE(prefetch(sched, cache, 1), 0);
+  EXPECT_TRUE(sched.visit_ranks(cache, std::vector<bool>(4, true)).empty());
+  acquire(sched, cache, 1);  // consumes the pin
+  EXPECT_EQ(sched.visit_ranks(cache, std::vector<bool>(4, true)).size(), 4u);
+  EXPECT_THROW(sched.visit_ranks(cache, std::vector<bool>(3, true)), Error);
 }
 
 TEST(SlotScheduler, RejectsInvalidArguments) {

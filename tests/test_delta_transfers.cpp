@@ -628,10 +628,6 @@ SimTime sweep_ns(int ghost, int slots, const LoopCost& cost,
 
 TEST(StreamingGuardOracle, AutoNeverLosesToEitherFixedPolicy) {
   // abl_delta_transfers' rows at a reduced size, plus a compute-heavy row.
-  // Not covered: ghost 2 on 8 slots, where every slot is shared and kAuto
-  // keeps draining although the streaming exchange is 11% faster — the
-  // predictor counts the drain of shared-slot regions as free (they are
-  // evicted either way) and cannot see the next sweep's schedule.
   struct Row {
     int ghost;
     int slots;
@@ -641,6 +637,7 @@ TEST(StreamingGuardOracle, AutoNeverLosesToEitherFixedPolicy) {
       {1, 15, kernels::box_stencil_cost(1)},
       {1, 8, kernels::box_stencil_cost(1)},
       {2, 15, kernels::box_stencil_cost(2)},
+      {2, 8, kernels::box_stencil_cost(2)},
       {1, 15, kernels::sincos_cost(8, sim::MathClass::kPgiDefault)},
   };
   for (const Row& row : rows) {

@@ -5,9 +5,13 @@
 //     benches trustworthy);
 //   * all heat baselines agree bit-for-bit across a size/step sweep;
 //   * TiDA-acc agrees with baselines across slot budgets;
+//   * GPU passes visit regions in residency order, and the field matches
+//     the region-major traversal bit for bit;
 //   * trace utilization reflects genuine overlap.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <initializer_list>
 #include <vector>
 
 #include "baselines/heat_baselines.hpp"
@@ -255,6 +259,147 @@ TEST(OutOfOrder, ShuffledGpuTraversalMatchesOrdered) {
   for (int k = 0; k < 8; ++k) {
     ASSERT_DOUBLE_EQ(arr.at({1, 2, k}),
                      2.0 * (1 + 2 * 2 + 3 * k) + 1.0);
+  }
+}
+
+// --- residency-ordered GPU traversal ---
+
+/// One halo step of fig8's in-place sweep: exchange, then a GPU pass
+/// through `it` running the order-independent ghost-reading update.
+/// Returns the regions in visit order.
+std::vector<int> halo_pass(core::AccTileArray<double>& u,
+                           core::AccTileIterator<double>& it) {
+  using namespace tidacc::core;
+  u.fill_boundary(tida::Boundary::kPeriodic);
+  oacc::LoopCost cost;
+  cost.dev_bytes_per_iter = 16;
+  std::vector<int> order;
+  for (it.reset(true); it.isValid(); it.next()) {
+    order.push_back(it.tile().tile.region.id);
+    compute(it.tile(), cost, [](DeviceView<double> v, int i, int j, int k) {
+      v(i, j, k) = 0.5 * v(i, j, k) +
+                   0.125 * (v(i - 1, j, k) + v(i + 1, j, k) +
+                            v(i, j - 1, k) + v(i, j + 1, k));
+    });
+  }
+  return order;
+}
+
+/// 16 slabs of a 32^3 cube with delta transfers on.
+core::AccOptions slab_options(int slots, core::StreamingGuard guard) {
+  core::AccOptions o;
+  o.max_slots = slots;
+  o.delta_transfers = true;
+  o.streaming_guard = guard;
+  return o;
+}
+
+std::vector<int> range_order(std::initializer_list<int> head, int lo,
+                             int hi, std::initializer_list<int> tail) {
+  std::vector<int> out(head);
+  for (int r = lo; r <= hi; ++r) {
+    out.push_back(r);
+  }
+  out.insert(out.end(), tail);
+  return out;
+}
+
+TEST(ResidencyOrder, SharedSlotSwapsOncePerSweep) {
+  fresh(false);
+  using namespace tidacc::core;
+  AccTileArray<double> u(tida::Box::cube(32), tida::Index3{32, 32, 2}, 1,
+                         slab_options(15, StreamingGuard::kForceStreaming));
+  u.assume_host_initialized();
+  AccTileIterator<double> it(u);
+  // Nothing is on the device yet: region-major, ending on region 15 in
+  // slot 0. Each later sweep starts with slot 0's holder and ends on the
+  // region waiting for that slot.
+  EXPECT_EQ(halo_pass(u, it), range_order({}, 0, 15, {}));
+  EXPECT_EQ(halo_pass(u, it), range_order({15}, 1, 14, {0}));
+  EXPECT_EQ(halo_pass(u, it), range_order({0}, 1, 14, {15}));
+  EXPECT_EQ(halo_pass(u, it), range_order({15}, 1, 14, {0}));
+  // CPU passes keep the base order.
+  std::vector<int> cpu;
+  for (it.reset(); it.isValid(); it.next()) {
+    cpu.push_back(it.tile().tile.region.id);
+  }
+  EXPECT_EQ(cpu, range_order({}, 0, 15, {}));
+  // The region visited last drains last: the FIFO D2H engine never holds
+  // its drain, which waits for its kernel, ahead of the others.
+  cuem::platform().trace().set_recording(true);
+  cuem::platform().trace().clear();
+  u.release_all_to_host();
+  std::vector<int> drained;  // streams of the drain copies, in issue order
+  for (const sim::TraceEvent& e : cuem::platform().trace().events()) {
+    if (e.kind == sim::OpKind::kCopyD2H ||
+        e.kind == sim::OpKind::kMemcpy3DD2H) {
+      drained.push_back(e.stream);
+    }
+  }
+  ASSERT_FALSE(drained.empty());
+  EXPECT_EQ(drained.front(), u.stream_of_region(1));
+  EXPECT_EQ(drained.back(), u.stream_of_region(0));
+}
+
+TEST(ResidencyOrder, DrainedWorldStaysRegionMajor) {
+  fresh(false);
+  using namespace tidacc::core;
+  AccTileArray<double> u(tida::Box::cube(32), tida::Index3{32, 32, 2}, 1,
+                         slab_options(15, StreamingGuard::kForceDrain));
+  u.assume_host_initialized();
+  AccTileIterator<double> it(u);
+  for (int s = 0; s < 3; ++s) {
+    // Every exchange drains: all regions host-current, none ranked ahead.
+    EXPECT_EQ(halo_pass(u, it), range_order({}, 0, 15, {})) << "step " << s;
+  }
+}
+
+TEST(ResidencyOrder, PrefetchPinAndRegionMajorRequestKeepBaseOrder) {
+  fresh(false);
+  using namespace tidacc::core;
+  AccTileArray<double> u(tida::Box::cube(32), tida::Index3{32, 32, 2}, 1,
+                         slab_options(14, StreamingGuard::kForceStreaming));
+  u.assume_host_initialized();
+  AccTileIterator<double> it(u);
+  EXPECT_EQ(halo_pass(u, it), range_order({}, 0, 15, {}));
+  // The caller prefetches region 0 into slot 0: it drives the lookahead.
+  ASSERT_TRUE(u.prefetch_to_device(0));
+  EXPECT_EQ(halo_pass(u, it), range_order({}, 0, 15, {}));
+  // Unpinned, the same array orders by residency...
+  EXPECT_EQ(halo_pass(u, it), range_order({14, 15}, 2, 13, {0, 1}));
+  // ...unless the iterator was asked for the paper's region-major order.
+  AccTileIterator<double> paper(u);
+  paper.request_region_major();
+  EXPECT_EQ(halo_pass(u, paper), range_order({}, 0, 15, {}));
+}
+
+TEST(ResidencyOrder, FieldBitwiseEqualToRegionMajor) {
+  using namespace tidacc::core;
+  for (const int slots : {15, 8}) {
+    std::vector<std::vector<double>> fields;
+    for (const bool region_major : {true, false}) {
+      fresh(true);
+      AccTileArray<double> u(
+          tida::Box::cube(32), tida::Index3{32, 32, 2}, 1,
+          slab_options(slots, StreamingGuard::kForceStreaming));
+      u.fill([](const tida::Index3& p) {
+        return 0.001 * p.i + 0.002 * p.j + 0.004 * p.k;
+      });
+      AccTileIterator<double> it(u);
+      if (region_major) {
+        it.request_region_major();
+      }
+      for (int s = 0; s < 4; ++s) {
+        halo_pass(u, it);
+      }
+      u.release_all_to_host();
+      fields.emplace_back(tida::Box::cube(32).volume());
+      u.copy_out(fields.back().data());
+    }
+    EXPECT_EQ(std::memcmp(fields[0].data(), fields[1].data(),
+                          fields[0].size() * sizeof(double)),
+              0)
+        << slots << " slots";
   }
 }
 

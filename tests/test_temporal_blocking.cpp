@@ -309,10 +309,11 @@ TEST_F(TemporalBlockingTest, MultiDeviceBlockedMatchesFlatReference) {
 // --- auto-tuner shape ---
 
 TEST(TimeBlockTunerTest, PicksDepthGreaterThanOneAtPaperScale) {
-  // The fig8 limited-memory halo geometry: PCIe-bound, so blocking wins.
+  // The fig8 limited-memory halo geometry on 8 slots: half the regions
+  // swap every sweep, PCIe-bound, so blocking wins.
   std::vector<TimeBlockPrediction> table;
   const int k = choose_time_block_k(Box::cube(256), Index3{256, 256, 16},
-                                    /*radius=*/1,
+                                    /*radius=*/1, /*slots=*/8,
                                     kernels::box_stencil_cost(1),
                                     DeviceConfig::k40m(), /*max_k=*/8,
                                     &table);
@@ -326,6 +327,13 @@ TEST(TimeBlockTunerTest, PicksDepthGreaterThanOneAtPaperScale) {
   // Blocking buys its win by shipping fewer link bytes per cell update.
   EXPECT_LT(table[static_cast<std::size_t>(k - 1)].bytes_per_update,
             table[0].bytes_per_update);
+  // On 15 slots one region swaps per sweep, behind the other fifteen's
+  // kernels: compute-bound, so the one-step pipeline is best.
+  EXPECT_EQ(choose_time_block_k(Box::cube(256), Index3{256, 256, 16},
+                                /*radius=*/1, /*slots=*/15,
+                                kernels::box_stencil_cost(1),
+                                DeviceConfig::k40m()),
+            1);
 }
 
 /// An (unphysically) fast link with no per-transfer setup: the pipeline is
@@ -342,7 +350,7 @@ DeviceConfig free_transfer_config() {
 TEST(TimeBlockTunerTest, FreeTransfersMakeBlockingPointless) {
   // Compute-bound: widened trapezoids only add work.
   const int k = choose_time_block_k(Box::cube(256), Index3{256, 256, 16},
-                                    /*radius=*/1,
+                                    /*radius=*/1, /*slots=*/8,
                                     kernels::box_stencil_cost(1),
                                     free_transfer_config());
   EXPECT_EQ(k, 1);
@@ -356,9 +364,11 @@ TEST(TimeBlockTunerTest, PricesKernelsAsComputeKLaunchesThem) {
   std::vector<TimeBlockPrediction> plain;
   std::vector<TimeBlockPrediction> face;
   choose_time_block_k(Box::cube(256), Index3{256, 256, 16}, /*radius=*/1,
-                      kernels::heat_cost(), cfg, /*max_k=*/8, &plain);
+                      /*slots=*/8, kernels::heat_cost(), cfg, /*max_k=*/8,
+                      &plain);
   choose_time_block_k(Box::cube(256), Index3{256, 256, 16}, /*radius=*/1,
-                      kernels::heat_face_cost(), cfg, /*max_k=*/8, &face);
+                      /*slots=*/8, kernels::heat_face_cost(), cfg,
+                      /*max_k=*/8, &face);
   ASSERT_EQ(plain.size(), face.size());
   for (std::size_t i = 0; i < plain.size(); ++i) {
     EXPECT_GT(face[i].step_ns, plain[i].step_ns) << "k=" << plain[i].k;

@@ -8,10 +8,10 @@
 // policy) from the seed, build a
 // fresh world, run a warmup step, and capture one snapshot (world +
 // array). Inner loop: restore the snapshot, draw *dynamic* knobs (transfer
-// jitter, prefetch depth, region visit order, split-phase overlap), and
-// replay the tail. The workload is the Fig. 8 limited-memory halo pattern:
-// a slab-decomposed AccTileArray<double> doing fill_boundary + an in-place
-// ghost-reading stencil each step.
+// jitter, prefetch depth, region visit order, residency-ordered traversal,
+// split-phase overlap), and replay the tail. The workload is the Fig. 8
+// limited-memory halo pattern: a slab-decomposed AccTileArray<double> doing
+// fill_boundary + an in-place ghost-reading stencil each step.
 //
 // Worlds with nodes > 1 run the same workload on a ClusterTileArray (its
 // capture/restore carries the fabric's QP/MR/counter state through every
@@ -100,6 +100,10 @@ struct DynKnobs {
   std::uint64_t order_seed = 0;   ///< 0 = identity region visit order
   std::uint64_t stream_perm_seed = 0;  ///< 0 = identity slot->stream map
   bool overlap = false;  ///< split-phase exchange (cluster worlds only)
+  /// Visit regions in the array's own GPU traversal order (residency
+  /// ranks over the order_seed permutation), recomputed after each
+  /// exchange.
+  bool residency_order = false;
   int steps = 3;                  ///< tail steps replayed after restore
 };
 
@@ -183,6 +187,8 @@ DynKnobs draw_dyn(std::uint64_t seed, std::uint64_t iter, int regions,
   d.order_seed = rng.next_below(4) == 0 ? 0 : rng.next_u64();
   d.stream_perm_seed = rng.next_below(4) == 0 ? 0 : rng.next_u64();
   d.overlap = rng.next_below(2) == 0;  // ignored by non-cluster worlds
+  // Drawn last, so every earlier knob keeps its value per seed.
+  d.residency_order = rng.next_below(2) == 0;
   return d;
 }
 
@@ -199,6 +205,31 @@ std::vector<int> visit_order(int regions, std::uint64_t order_seed) {
   }
   return order;
 }
+
+/// The sweep's region visit order: the seeded permutation, or — with the
+/// residency knob — the array's own GPU traversal over that permutation
+/// (core::AccTileIterator), recomputed after each exchange because the
+/// exchange is where residency settles for the sweep.
+struct VisitOrder {
+  std::vector<int> base;
+  std::uint64_t seed = 0;
+  bool residency = false;
+
+  std::vector<int> after_exchange(core::MultiAccTileArray<double>& u) const {
+    if (!residency) {
+      return base;
+    }
+    core::AccTileIterator<double> it(u);
+    if (seed != 0) {
+      it.shuffle(seed);  // the same Fisher-Yates draw as visit_order()
+    }
+    std::vector<int> order;
+    for (it.reset(/*gpu=*/true); it.isValid(); it.next()) {
+      order.push_back(it.tile().tile.region.id);
+    }
+    return order;
+  }
+};
 
 // The per-cell update every workload variant applies (reads ghosts from
 // the grown box, writes only the region's own valid cells, so the result
@@ -262,10 +293,10 @@ void sweep_all(Array& u, const std::vector<int>& order, int depth,
 // given order. The overlap knob only has a cluster meaning; here the
 // exchange is always the blocking fill_boundary.
 template <typename Array>
-void halo_step(Array& u, const std::vector<int>& order, int depth,
+void halo_step(Array& u, const VisitOrder& order, int depth,
                const oacc::LoopCost& cost, bool /*overlap*/) {
   u.fill_boundary(tida::Boundary::kPeriodic);
-  sweep_all(u, order, depth, cost);
+  sweep_all(u, order.after_exchange(u), depth, cost);
 }
 
 // Cluster overload: with overlap on, node-interior regions compute while
@@ -273,18 +304,17 @@ void halo_step(Array& u, const std::vector<int>& order, int depth,
 // only valid cells and interior regions read no cross-node ghosts, so the
 // final field must match the blocking replay bit for bit — overlap is a
 // pure schedule mutation, which is exactly what makes it fuzzable.
-void halo_step(core::ClusterTileArray<double>& u,
-               const std::vector<int>& order, int depth,
-               const oacc::LoopCost& cost, bool overlap) {
+void halo_step(core::ClusterTileArray<double>& u, const VisitOrder& order,
+               int depth, const oacc::LoopCost& cost, bool overlap) {
   if (!overlap || u.num_nodes() == 1) {
     u.fill_boundary(tida::Boundary::kPeriodic);
-    sweep_all(u, order, depth, cost);
+    sweep_all(u, order.after_exchange(u), depth, cost);
     return;
   }
   u.exchange_begin(tida::Boundary::kPeriodic);
   std::vector<int> interior;
   std::vector<int> boundary;
-  for (const int r : order) {
+  for (const int r : order.after_exchange(u)) {
     (u.is_node_interior(r, tida::Boundary::kPeriodic) ? interior : boundary)
         .push_back(r);
   }
@@ -299,11 +329,14 @@ void run_tail(Array& u, core::SlotPolicyKind policy, const DynKnobs& d,
   sim::Platform::instance().set_transfer_jitter(
       static_cast<SimTime>(d.jitter_max), d.jitter_seed);
   apply_stream_perm(u, d.stream_perm_seed);
-  const std::vector<int> order = visit_order(u.num_regions(), d.order_seed);
+  const VisitOrder order{visit_order(u.num_regions(), d.order_seed),
+                         d.order_seed, d.residency_order};
   if (policy == core::SlotPolicyKind::kBeladyOracle) {
+    // The oracle's script is the base order; a residency-ordered sweep
+    // leaves it (BeladyOraclePolicy degrades to stale predictions, safely).
     std::vector<int> future;
     for (int s = 0; s < d.steps; ++s) {
-      future.insert(future.end(), order.begin(), order.end());
+      future.insert(future.end(), order.base.begin(), order.base.end());
     }
     u.set_future_accesses(std::move(future));
   }
@@ -467,6 +500,7 @@ void write_repro(const std::string& path, const WorldKnobs& w,
   f << "order_seed=" << d.order_seed << "\n";
   f << "stream_perm_seed=" << d.stream_perm_seed << "\n";
   f << "overlap=" << (d.overlap ? 1 : 0) << "\n";
+  f << "residency_order=" << (d.residency_order ? 1 : 0) << "\n";
   f << "steps=" << d.steps << "\n";
   f << "# kind=" << o.kind << "\n";
 }
@@ -504,6 +538,7 @@ bool parse_repro(const std::string& path, WorldKnobs& w, DynKnobs& d) {
     else if (key == "order_seed") d.order_seed = num;
     else if (key == "stream_perm_seed") d.stream_perm_seed = num;
     else if (key == "overlap") d.overlap = num != 0;
+    else if (key == "residency_order") d.residency_order = num != 0;
     else if (key == "steps") d.steps = static_cast<int>(num);
   }
   return true;
@@ -568,6 +603,8 @@ void write_report(const std::string& path, std::uint64_t seed,
       << ", \"order_seed\": " << x.dyn.order_seed
       << ", \"stream_perm_seed\": " << x.dyn.stream_perm_seed
       << ", \"overlap\": " << (x.dyn.overlap ? "true" : "false")
+      << ", \"residency_order\": "
+      << (x.dyn.residency_order ? "true" : "false")
       << ", \"repro\": \"" << json_escape(x.repro_path)
       << "\", \"detail\": \"" << json_escape(x.detail) << "\"}";
   }
@@ -663,7 +700,7 @@ std::vector<std::uint8_t> build_and_snapshot(const WorldKnobs& w, Array& u,
   if (w.policy == core::SlotPolicyKind::kBeladyOracle) {
     u.set_future_accesses(visit_order(w.regions, 0));
   }
-  halo_step(u, visit_order(w.regions, 0), /*depth=*/1, cost,
+  halo_step(u, VisitOrder{visit_order(w.regions, 0)}, /*depth=*/1, cost,
             /*overlap=*/false);
   sim::SnapshotWriter wr;
   core::world_capture(wr);
@@ -873,6 +910,9 @@ int main(int argc, char** argv) {
       if (still_fails(cand)) min = cand;
       cand = min;
       cand.overlap = false;
+      if (still_fails(cand)) min = cand;
+      cand = min;
+      cand.residency_order = false;
       if (still_fails(cand)) min = cand;
 
       Failure x;
