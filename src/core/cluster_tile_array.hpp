@@ -19,8 +19,8 @@
 // Sharding: regions keep the base class's block placement, so with
 // devices_per_node contiguous device ordinals per node every node owns a
 // contiguous slab of regions; faces between slabs become network traffic,
-// faces inside a slab reuse the base class's update kernels and peer
-// copies unchanged.
+// faces inside a slab reuse the base class's device exchange (replay
+// kernels and peer copies) unchanged.
 //
 // Two wire paths, priced by the fabric:
 //   * GPUDirect (fabric permits it): the destination node posts an
@@ -195,7 +195,7 @@ class ClusterTileArray : public MultiAccTileArray<T> {
   // --- split-phase exchange ---
 
   /// Posts every cross-node face to the fabric, then runs the intra-node
-  /// part of the exchange (update kernels + peer copies). Returns with the
+  /// part of the exchange (replay kernels + peer copies). Returns with the
   /// network payloads still in flight: compute node-interior regions now.
   void exchange_begin(tida::Boundary bc) {
     TIDACC_CHECK_MSG(!epoch_open_,
@@ -422,6 +422,12 @@ class ClusterTileArray : public MultiAccTileArray<T> {
 
     sim::Platform& p = sim::Platform::instance();
     const auto& plan = this->exchange_plan(bc);
+    // Phase 2's sources, marked before phase 1's staging copies queue
+    // behind them (after the barrier every stream is idle: no events).
+    const auto same_node = [this](int src, int dst) {
+      return node_of_region(src) == node_of_region(dst);
+    };
+    const auto sources = this->mark_sources(bc, same_node);
 
     // Phase 1: every cross-node face hits the wire before any intra-node
     // work is enqueued — network serialization lanes start draining under
@@ -537,15 +543,11 @@ class ClusterTileArray : public MultiAccTileArray<T> {
     }
 
     // Phase 2: the intra-node faces through the base device exchange —
-    // update kernels for same-device faces, peer copies for
-    // cross-device-same-node ones, event edges protecting the sources —
-    // with the index bookkeeping again split across the node CPUs.
-    this->exchange_on_devices(
-        bc,
-        [this](int src, int dst) {
-          return node_of_region(src) == node_of_region(dst);
-        },
-        static_cast<SimTime>(nodes_));
+    // peer copies for cross-device-same-node faces, one replay kernel per
+    // device for the rest — with the one-time descriptor build split
+    // across the node CPUs.
+    this->exchange_on_devices(bc, same_node, static_cast<SimTime>(nodes_),
+                              sources);
   }
 
   /// The data already moved through the base host exchange; charge the

@@ -138,9 +138,9 @@ struct TimeBlockPrediction {
 /// evict/upload round trips (the term k divides) and their share of the
 /// widened ring's pull, host copy and push (the transfer bytes that grow
 /// with k). Every region pays the k shrinking trapezoid kernels compute_k
-/// launches and the ring's update kernel (the compute terms that grow with
-/// k). Returns 1 when blocking never wins — always when every region has a
-/// slot. The caller then builds the array with ghost = radius * k and
+/// launches, and the sweep one replay kernel refreshing every region's ring
+/// from its descriptors (the compute terms that grow with k). Returns 1
+/// when blocking never wins — always when every region has a slot. The caller then builds the array with ghost = radius * k and
 /// AccOptions::time_block_k = k. `table` (optional) receives one row per
 /// candidate for bench emission.
 inline int choose_time_block_k(const tida::Box& domain,
@@ -201,16 +201,20 @@ inline int choose_time_block_k(const tida::Box& domain,
     }
 
     // The widened ghost ring, the bytes that grow with k. The streaming
-    // exchange (core/streaming_exchange.hpp) refreshes the ring of a
-    // resident region with one update kernel on the compute engine, priced
-    // with the exchange's own profile. Only faces touching an evicted
+    // exchange (core/streaming_exchange.hpp) refreshes the rings of
+    // resident regions in one replay kernel on the compute engine, priced
+    // with the exchange's own profile over every region's ring and its 26
+    // face, edge and corner descriptors. Only faces touching an evicted
     // region cross the link, down and up: one ring's pull → host copy →
     // push chain per swapped region.
     const std::uint64_t ring_cells = grown_cells - valid_cells;
     const std::uint64_t ring_bytes = ring_cells * elem_bytes;
-    const double update = static_cast<double>(
+    const auto all_regions = static_cast<std::uint64_t>(regions);
+    const double replay = static_cast<double>(
         cfg.kernel_launch_ns + cfg.oacc_dispatch_extra_ns +
-        ghost_update_profile(ring_cells, elem_bytes).duration_ns(cfg));
+        ghost_update_profile(all_regions * ring_cells, elem_bytes,
+                             all_regions * 26 * sizeof(GhostDescriptor))
+            .duration_ns(cfg));
     const double tex = issued_copy_ns(sim::OpKind::kCopyD2H, ring_bytes) +
                        static_cast<double>(cfg.host_copy_ns(ring_bytes)) +
                        issued_copy_ns(sim::OpKind::kCopyH2D, ring_bytes);
@@ -219,7 +223,7 @@ inline int choose_time_block_k(const tida::Box& domain,
     // kernels, so the slower pipeline bounds the sweep, and the exchange
     // follows it. Per region, per step.
     const double step_ns =
-        (std::max(swaps * tx, regions * (tc + update)) + swaps * tex) /
+        (std::max(swaps * tx, regions * tc + replay) + swaps * tex) /
         (regions * static_cast<double>(k));
     const double bytes_per_update =
         swaps * 2.0 *

@@ -5,16 +5,16 @@
 // CacheTable + SlotScheduler) per device, the caching protocol of §IV-B4
 // (on-demand transfers, eviction through shared slots), per-slot streams,
 // and the dual-path ghost exchange of §IV-B6 (host-side exchange when data
-// lives on the host; device-side kernels with CPU index computation when
-// data lives on the device). Each region has an owning device chosen by a
-// placement policy (block or round-robin); acquires and prefetches run the
-// protocol against the owner's pool. Ghost faces whose source and
-// destination share a device go into update kernels; faces crossing
-// devices travel as peer copies (direct over the interconnect when peer
-// access is enabled, staged D2H+H2D through pinned host memory otherwise).
-// Both reuse the CPU index-list pipelining — the host computes the copy
-// descriptors for region k+1 while device engines work on region k's
-// updates.
+// lives on the host; device-side copies driven by CPU-computed index lists
+// when data lives on the device). Each region has an owning device chosen
+// by a placement policy (block or round-robin); acquires and prefetches
+// run the protocol against the owner's pool. Ghost faces whose source and
+// destination share a device are replayed by one kernel per device from
+// persistent index descriptors, which the host computes and uploads once
+// per boundary; faces crossing devices travel as peer copies (direct over
+// the interconnect when peer access is enabled, staged D2H+H2D through
+// pinned host memory otherwise). Events, not a barrier, order the exchange
+// against the kernels around it.
 //
 // Access protocol (paper §III "caching"):
 //   * acquire_on_device(r): makes region r usable by kernels; queues the
@@ -28,7 +28,9 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -127,6 +129,79 @@ struct MultiAccOptions {
   Compression compression = Compression::kOff;
 };
 
+/// OpenACC async queue of the device exchange's descriptor uploads and
+/// replay kernels: one stream per device, beside the slots' queues
+/// (DevicePool keeps slot counts, and so slot queue ids, below 2^20).
+inline constexpr oacc::QueueId kExchangeQueue = 1 << 20;
+
+/// The device buffer one device's ghost descriptors live in and the pinned
+/// host copy they are uploaded from. Released with the array after its
+/// exchange stream stops reading them (cuemFree does not wait for queued
+/// kernels); best effort, like DevicePool's teardown, since the platform
+/// may have been rebuilt underneath.
+class DescriptorBuffers {
+ public:
+  DescriptorBuffers() = default;
+
+  /// Allocates room for `count` descriptors on the current device; fails
+  /// with a reason when the device cannot hold them.
+  explicit DescriptorBuffers(std::size_t count) {
+    const std::size_t bytes = count * sizeof(GhostDescriptor);
+    void* dev = nullptr;
+    TIDACC_CHECK_MSG(cuemMalloc(&dev, bytes) == cuemSuccess,
+                     "device " + std::to_string(cuem::current_device()) +
+                         " cannot hold the ghost exchange's " +
+                         std::to_string(bytes) +
+                         " B of index descriptors — choose larger regions "
+                         "or fewer of them");
+    device_ = static_cast<GhostDescriptor*>(dev);
+    void* host = nullptr;
+    CUEM_CHECK(cuemMallocHost(&host, bytes));
+    host_ = static_cast<GhostDescriptor*>(host);
+    if (cuem::san::enabled()) {
+      const std::string d = std::to_string(cuem::current_device());
+      CUEM_CHECK(cuemSanAnnotate(device_, ("ghostdesc:D" + d).c_str()));
+      CUEM_CHECK(cuemSanAnnotate(host_, ("host:ghostdesc:D" + d).c_str()));
+    }
+  }
+
+  DescriptorBuffers(DescriptorBuffers&& o) noexcept
+      : stream(o.stream),
+        device_(std::exchange(o.device_, nullptr)),
+        host_(std::exchange(o.host_, nullptr)) {}
+
+  DescriptorBuffers& operator=(DescriptorBuffers&& o) noexcept {
+    std::swap(stream, o.stream);
+    std::swap(device_, o.device_);
+    std::swap(host_, o.host_);
+    return *this;
+  }
+
+  DescriptorBuffers(const DescriptorBuffers&) = delete;
+  DescriptorBuffers& operator=(const DescriptorBuffers&) = delete;
+
+  ~DescriptorBuffers() {
+    if (device_ == nullptr) {
+      return;
+    }
+    if (stream >= 0 && cuemStreamQuery(stream) != cuemSuccess) {
+      (void)cuemStreamSynchronize(stream);
+    }
+    (void)cuemFree(device_);
+    (void)cuemFreeHost(host_);
+  }
+
+  GhostDescriptor* device() const { return device_; }
+  GhostDescriptor* host() const { return host_; }
+
+  /// The device's exchange stream (kExchangeQueue); -1 until assigned.
+  cuemStream_t stream = -1;
+
+ private:
+  GhostDescriptor* device_ = nullptr;
+  GhostDescriptor* host_ = nullptr;
+};
+
 template <typename T>
 class MultiAccTileArray : public tida::TileArray<T> {
  public:
@@ -178,20 +253,32 @@ class MultiAccTileArray : public tida::TileArray<T> {
     const std::size_t slot_bytes =
         this->partition().max_region_volume(ghost) * opts.ncomp * sizeof(T);
     for (int d = 0; d < num_devices_; ++d) {
-      if (shard(d).regions.empty()) {
+      DeviceShard& s = shard(d);
+      if (s.regions.empty()) {
         continue;  // more devices than regions: this device idles
       }
       // The pool sizes itself against the *owning* device's free memory and
-      // creates its slot streams there, so construct under its guard.
+      // creates its slot streams there, so construct under its guard. The
+      // descriptor buffer is allocated first, so the slots fit around it.
       cuem::DeviceGuard guard(d);
-      shard(d).pool = std::make_unique<DevicePool>(
-          slot_bytes, static_cast<int>(shard(d).regions.size()),
+      s.desc_capacity = s.regions.size() * descriptors_per_region();
+      s.desc[static_cast<std::size_t>(tida::Boundary::kNone)].offset =
+          s.desc_capacity;
+      const std::size_t descriptors = 2 * s.desc_capacity;
+      if (descriptors > 0) {
+        s.buffers = DescriptorBuffers(descriptors);
+      }
+      s.pool = std::make_unique<DevicePool>(
+          slot_bytes, static_cast<int>(s.regions.size()),
           opts.max_slots_per_device, make_slot_policy(opts.slot_policy),
           /*with_scratch=*/opts.time_block_k > 1);
+      if (descriptors > 0) {
+        s.buffers.stream = oacc::get_cuem_stream(kExchangeQueue);
+      }
       if (opts.time_block_k > 1) {
         // A k-deep residency spans k kernel launches; let the prefetcher
         // run as many regions ahead so the copy engine stays busy.
-        shard(d).pool->scheduler().set_prefetch_depth(opts.time_block_k);
+        s.pool->scheduler().set_prefetch_depth(opts.time_block_k);
       }
     }
   }
@@ -535,12 +622,12 @@ class MultiAccTileArray : public tida::TileArray<T> {
   // --- ghost exchange (paper §IV-B6, extended across devices) ---
 
   /// Refreshes all ghost cells. Dispatches by data location: pure host
-  /// exchange when everything was last touched on the host; device-side
-  /// update kernels and peer copies (with pipelined CPU index computation)
-  /// when the data lives on the devices and every region fits; otherwise
-  /// the streaming exchange (update kernels between regions resident on
-  /// one device, the host path for every face touching an evicted region or
-  /// crossing devices) or a drain to the host and a host exchange.
+  /// exchange when everything was last touched on the host; the device
+  /// exchange (replay kernels and peer copies) when the data lives on the
+  /// devices and every region fits; otherwise the streaming exchange (the
+  /// replay kernels for faces between regions resident on one device, the
+  /// host path for every face touching an evicted region or crossing
+  /// devices) or a drain to the host and a host exchange.
   void fill_boundary(tida::Boundary bc) {
     if (!loc_.any_on_device()) {
       sync_all_pending_host();
@@ -572,19 +659,19 @@ class MultiAccTileArray : public tida::TileArray<T> {
   /// Number of streaming (delta) ghost exchanges performed so far.
   std::uint64_t streaming_exchanges() const { return streaming_exchanges_; }
 
-  /// Device-side exchange across all devices: `acc wait`, then per
-  /// destination region the CPU computes the index lists (this is the
-  /// exchange plan) while the device engines apply the previous region's
-  /// updates — the overlap of Fig. 4.
+  /// Device-side exchange across all devices (exchange_on_devices, every
+  /// cross-device face as a peer copy), ordered by events instead of a
+  /// barrier: the host never waits.
   void fill_boundary_device(tida::Boundary bc) {
     for (int r = 0; r < this->num_regions(); ++r) {
       acquire_on_device(r);
     }
-    oacc::wait_all();
-    exchange_on_devices(bc, [](int, int) { return true; }, 1);
+    const auto every_peer = [](int, int) { return true; };
+    exchange_on_devices(bc, every_peer, 1, mark_sources(bc, every_peer));
   }
 
-  /// Number of device-side ghost-update kernels launched so far.
+  /// Number of device-side ghost replay kernels launched so far (one per
+  /// device and device exchange).
   std::uint64_t device_ghost_updates() const { return device_ghost_updates_; }
 
   /// Number of cross-device ghost transfers issued so far (direct or
@@ -616,8 +703,9 @@ class MultiAccTileArray : public tida::TileArray<T> {
 
   // --- snapshot (see docs/FUZZING.md) ---
 
-  /// Snapshot of the protocol state: every shard's pool bookkeeping plus
-  /// the global location/dirty/pending/accounting tables. Buffer
+  /// Snapshot of the protocol state: every shard's pool bookkeeping and
+  /// which of its descriptor sets are built, plus the global
+  /// location/dirty/pending/accounting tables. Buffer
   /// *contents* (host and device) live in cuem-registered allocations and
   /// ride in the cuem snapshot; restore requires an array of identical
   /// geometry, placement and options.
@@ -636,6 +724,9 @@ class MultiAccTileArray : public tida::TileArray<T> {
       w.put_int(s.pool ? 1 : 0);
       if (s.pool) {
         s.pool->capture(w);
+      }
+      for (const DescriptorSet& set : s.desc) {
+        w.put_bool(set.built);
       }
     }
     loc_.capture(w);
@@ -676,6 +767,9 @@ class MultiAccTileArray : public tida::TileArray<T> {
         cuem::DeviceGuard guard(d);
         s.pool->restore(r);
       }
+      for (DescriptorSet& set : s.desc) {
+        set.built = r.get_bool();
+      }
     }
     loc_.restore(r);
     dirty_.restore(r);
@@ -695,8 +789,6 @@ class MultiAccTileArray : public tida::TileArray<T> {
  protected:
   template <typename A>
   friend void detail::streaming_exchange(A& a, tida::Boundary bc);
-  template <typename A>
-  friend void detail::exchange_device_half(A& a, tida::Boundary bc);
   template <typename U, typename A>
   friend bool detail::streaming_cheaper(A& a, tida::Boundary bc);
   friend class AccTileIterator<T>;
@@ -704,9 +796,26 @@ class MultiAccTileArray : public tida::TileArray<T> {
   // Protected rather than private: ClusterTileArray extends the exchange
   // across simulated nodes and reuses the pools, location/dirty tracking
   // and copy plumbing wholesale; AccTileArray sets the caching ablation.
+  /// One boundary's ghost descriptors on one device.
+  struct DescriptorSet {
+    /// Position of the first descriptor in the device's buffers.
+    std::size_t offset = 0;
+    /// Index work paid and descriptors uploaded.
+    bool built = false;
+    /// Plan indices of the copies between two regions of the device, in
+    /// descriptor order: what its replay kernel applies (local_copies).
+    std::vector<std::size_t> local;
+    bool laid_out = false;
+  };
+
   struct DeviceShard {
     std::unique_ptr<DevicePool> pool;
     std::vector<int> regions;  ///< global region ids, in local order
+    /// Per boundary (indexed by tida::Boundary), stored in `buffers`, each
+    /// with room for `desc_capacity` descriptors.
+    std::array<DescriptorSet, 2> desc;
+    std::size_t desc_capacity = 0;
+    DescriptorBuffers buffers;
   };
 
   DeviceShard& shard(int d) {
@@ -901,7 +1010,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
   /// Sanitizer bookkeeping: the exact byte boxes one planned ghost copy
   /// touches in the source and destination slot buffers (the pinned host
   /// buffers when `on_host`), per component. Box-precise so concurrent
-  /// update kernels into *disjoint* ghost shells do not read as racing.
+  /// copies into *disjoint* ghost shells do not read as racing.
   void note_ghost_copy_access(cuemStream_t stream, const tida::GhostCopy& c,
                               const char* op, bool on_host = false) {
     const tida::Region<T> src = on_host ? this->region(c.src_region)
@@ -927,122 +1036,399 @@ class MultiAccTileArray : public tida::TileArray<T> {
     }
   }
 
-  /// The device-side exchange of every planned copy `keep(src, dst)`
-  /// accepts (ClusterTileArray keeps the same-node ones; its wire carries
-  /// the rest), with every region resident and earlier kernels waited for.
-  /// Per destination group the CPU computes the index lists — work shared
-  /// by `host_cpus` concurrent CPUs — while the device engines apply the
-  /// previous group's updates: same-device faces go into one update kernel
-  /// on the destination's stream, faces crossing devices are issued as
-  /// stream-ordered peer copies (direct interconnect when peer access is
-  /// enabled, staged through pinned host memory otherwise).
-  template <typename Keep>
-  void exchange_on_devices(tida::Boundary bc, Keep keep, SimTime host_cpus) {
-    sim::Platform& p = sim::Platform::instance();
-    const auto& plan = this->exchange_plan(bc);
-    std::size_t begin = 0;
-    while (begin < plan.size()) {
-      // The plan is grouped by destination region.
-      const int dst = plan[begin].dst_region;
-      const int dst_dev = owner_[static_cast<std::size_t>(dst)];
-      std::size_t end = begin;
-      std::size_t copies = 0;
-      std::uint64_t local_cells = 0;
-      for (; end < plan.size() && plan[end].dst_region == dst; ++end) {
-        const int src = plan[end].src_region;
-        if (keep(src, dst)) {
-          ++copies;
-          if (owner_[static_cast<std::size_t>(src)] == dst_dev) {
-            local_cells += plan[end].dst_box.volume();
-          }
-        }
+  /// Descriptors one region can receive under either boundary, bounded
+  /// without building a plan so the buffers can be sized at construction,
+  /// before the slots. Along each dimension a ghost piece of a region is
+  /// either the region's own range (one region of the partition's tensor
+  /// grid) or a band `ghost` thick beside it. The band starts at a region
+  /// boundary (the periodic wrap lands on one too), so it crosses at most
+  /// c = ceil(ghost / m) regions, m the smallest region extent along that
+  /// dimension. Over the 26 pieces that is prod(1 + 2c) - 1: exactly 26
+  /// when every region is at least `ghost` wide.
+  std::size_t descriptors_per_region() const {
+    if (this->ghost() == 0) {
+      return 0;
+    }
+    tida::Index3 m = this->partition().domain().extent();
+    for (int r = 0; r < this->num_regions(); ++r) {
+      m = tida::Index3::min(m, this->partition().region_box(r).extent());
+    }
+    std::size_t pieces = 1;
+    for (const int extent : {m.i, m.j, m.k}) {
+      pieces *= 1 + 2 * static_cast<std::size_t>(
+                            (this->ghost() + extent - 1) / extent);
+    }
+    return pieces - 1;
+  }
+
+  /// Each region's slot stream when it is device-current, else -1.
+  std::vector<cuemStream_t> current_streams() const {
+    std::vector<cuemStream_t> streams(
+        static_cast<std::size_t>(this->num_regions()), -1);
+    for (int r = 0; r < this->num_regions(); ++r) {
+      if (loc_.location(r) == Loc::kDevice) {
+        streams[static_cast<std::size_t>(r)] = stream_of_region(r);
       }
-      if (copies == 0) {
-        begin = end;
+    }
+    return streams;
+  }
+
+  /// What mark_sources saw, for the exchange it orders.
+  struct SourceMarks {
+    /// current_streams() at marking time.
+    std::vector<cuemStream_t> stream;
+    /// Per stream the exchange touches, the event marking the last write
+    /// queued there before it, or -1 when the stream was idle.
+    std::map<cuemStream_t, sim::EventId> event;
+
+    /// True when the exchange carries planned copy src → dst: both regions
+    /// device-current, and either on one device or accepted by `peer`.
+    template <typename Peer>
+    bool carries(const MultiAccTileArray& a, const Peer& peer, int src,
+                 int dst) const {
+      return stream[static_cast<std::size_t>(src)] >= 0 &&
+             stream[static_cast<std::size_t>(dst)] >= 0 &&
+             (a.device_of_region(src) == a.device_of_region(dst) ||
+              peer(src, dst));
+    }
+
+    /// The event marked on `s`.
+    sim::EventId on(cuemStream_t s) const {
+      const auto it = event.find(s);
+      TIDACC_CHECK_MSG(it != event.end(),
+                       "device exchange touches a stream mark_sources did "
+                       "not mark");
+      return it->second;
+    }
+  };
+
+  /// Marks the sources of exchange_on_devices(bc, peer, ...): one event on
+  /// every stream a carried copy reads through, or writes through on the
+  /// device. Call it before queueing anything behind those streams' last
+  /// writes (the streaming exchange's pulls, the cluster's staging
+  /// copies), so the exchange waits for those writes alone. An idle stream
+  /// gets no event: the successful query already ordered its work before
+  /// the host's next launch.
+  template <typename Peer>
+  SourceMarks mark_sources(tida::Boundary bc, const Peer& peer) {
+    SourceMarks marks{current_streams(), {}};
+    std::vector<char> touched(static_cast<std::size_t>(this->num_regions()));
+    for (const tida::GhostCopy& c : this->exchange_plan(bc)) {
+      if (!marks.carries(*this, peer, c.src_region, c.dst_region)) {
         continue;
       }
-      // CPU index computation covers the whole group — intra-device and
-      // peer faces alike ride the same pipelined descriptors (Fig. 4).
-      p.host_advance(static_cast<SimTime>(copies) *
-                     p.config().host_index_calc_ns_per_copy / host_cpus);
+      touched[static_cast<std::size_t>(c.src_region)] = 1;
+      if (device_of_region(c.src_region) == device_of_region(c.dst_region)) {
+        touched[static_cast<std::size_t>(c.dst_region)] = 1;
+      }
+    }
+    for (std::size_t r = 0; r < touched.size(); ++r) {
+      if (touched[r]) {
+        marks.event.emplace(marks.stream[r], -1);
+      }
+    }
+    sim::Platform& p = sim::Platform::instance();
+    for (auto& [stream, event] : marks.event) {
+      if (cuemStreamQuery(stream) != cuemSuccess) {
+        event = p.record_event(stream);
+      }
+    }
+    return marks;
+  }
 
-      const cuemStream_t dstream = stream_of_region(dst);
-      if (local_cells > 0) {
-        // GPU applies the same-device copies: one update kernel per
-        // destination region, queued on that region's stream (async
-        // clause). The kernel reads the source cells and writes the ghost
-        // cells: 2 * sizeof(T) traffic.
-        const sim::KernelProfile prof =
-            ghost_update_profile(local_cells * this->ncomp(), sizeof(T));
-        auto action = [this, bc, keep, dst, dst_dev, begin, end]() {
-          const auto& pl = this->exchange_plan(bc);
-          for (std::size_t c = begin; c < end; ++c) {
-            const int src = pl[c].src_region;
-            if (owner_[static_cast<std::size_t>(src)] == dst_dev &&
-                keep(src, dst)) {
-              apply_copy_device(pl[c]);
-            }
-          }
-        };
-        p.enqueue_kernel(dstream, prof, p.config().oacc_dispatch_extra_ns,
-                         std::move(action),
-                         labeled() ? "ghost:R" + std::to_string(dst)
-                                   : std::string());
-        ++device_ghost_updates_;
+  /// Completion edges of a device exchange: each event, recorded behind
+  /// some of its copies, and the streams that must wait on it.
+  using CompletionEdges =
+      std::vector<std::pair<sim::EventId, std::vector<cuemStream_t>>>;
+
+  /// The device exchange: every planned copy between two device-current
+  /// regions of one device, and the cross-device ones `peer(src, dst)`
+  /// accepts (ClusterTileArray takes the same-node ones; its wire carries
+  /// the rest). `sources` (mark_sources) orders it after every write it
+  /// reads or overwrites, so no barrier precedes it. Device by device:
+  ///   * The peer copies into the device go first, destination group by
+  ///     destination group, on the destination's stream (direct
+  ///     interconnect when peer access is enabled, staged through pinned
+  ///     host memory otherwise): one wait per distinct source stream.
+  ///   * The first exchange under `bc` also builds the device's
+  ///     descriptors: before a group's peer copies the host computes the
+  ///     index lists of every copy into that destination — work shared by
+  ///     `host_cpus` concurrent CPUs — so copy engines start on one group
+  ///     while the host indexes the next (Fig. 4). The same-device
+  ///     descriptors then go up with one H2D on the device's exchange
+  ///     stream. Later exchanges pay no index work.
+  ///   * Then the device's replay kernel (replay_descriptors) runs while
+  ///     the host moves on to the next device.
+  /// Last, every stream a copy read or wrote through waits on the
+  /// completion event behind that copy, so later kernels neither read
+  /// stale ghosts nor overwrite cells still being read. Deferred to the
+  /// end, these edges never hold one group's copies behind another's.
+  /// `peer` must not depend on residency: it decides which peer copies a
+  /// build charges index work for.
+  template <typename Peer>
+  void exchange_on_devices(tida::Boundary bc, const Peer& peer,
+                           SimTime host_cpus, const SourceMarks& sources) {
+    sim::Platform& p = sim::Platform::instance();
+    const auto& plan = this->exchange_plan(bc);
+    // Destination groups [begin, end) of plan indices (the plan is grouped
+    // by destination region) per owning device, in plan order.
+    std::vector<std::vector<std::pair<std::size_t, std::size_t>>> groups(
+        static_cast<std::size_t>(num_devices_));
+    for (std::size_t begin = 0; begin < plan.size();) {
+      const int dst = plan[begin].dst_region;
+      std::size_t end = begin;
+      while (end < plan.size() && plan[end].dst_region == dst) {
+        ++end;
       }
-      for (std::size_t c = begin; c < end; ++c) {
-        const tida::GhostCopy& gc = plan[c];
-        const int src_dev = owner_[static_cast<std::size_t>(gc.src_region)];
-        if (src_dev == dst_dev || !keep(gc.src_region, dst)) {
-          continue;
-        }
-        auto action = [this, bc, c]() {
-          apply_copy_device(this->exchange_plan(bc)[c]);
-        };
-        CUEM_CHECK(cuem::peer_copy_async(
-            dst_dev, src_dev, gc.dst_box.volume() * this->ncomp() * sizeof(T),
-            dstream,
-            labeled() ? "G:R" + std::to_string(gc.src_region) + ">R" +
-                            std::to_string(dst)
-                      : std::string(),
-            std::move(action)));
-        ++peer_ghost_copies_;
-      }
-      // Stream order protects the *destination*: its stream runs this
-      // group's updates before later kernels on that region. The *sources*
-      // sit on other streams (possibly other devices), though — without an
-      // edge, the next compute kernel on a source's stream could overwrite
-      // cells still being read. Record an event here and make each source
-      // stream wait.
-      const std::string op =
-          cuem::san::enabled() ? "ghost:R" + std::to_string(dst) : "";
-      std::vector<cuemStream_t> src_streams;
-      for (std::size_t c = begin; c < end; ++c) {
-        if (!keep(plan[c].src_region, dst)) {
-          continue;
-        }
-        if (cuem::san::enabled()) {
-          note_ghost_copy_access(dstream, plan[c], op.c_str());
-        }
-        note_device_write(dst, plan[c].dst_box);
-        const cuemStream_t s = stream_of_region(plan[c].src_region);
-        if (s != dstream &&
-            std::find(src_streams.begin(), src_streams.end(), s) ==
-                src_streams.end()) {
-          src_streams.push_back(s);
-        }
-      }
-      if (!src_streams.empty()) {
-        cuemEvent_t ev = 0;
-        CUEM_CHECK(cuemEventCreate(&ev));
-        CUEM_CHECK(cuemEventRecord(ev, dstream));
-        for (const cuemStream_t s : src_streams) {
-          CUEM_CHECK(cuemStreamWaitEvent(s, ev, 0));
-        }
-        CUEM_CHECK(cuemEventDestroy(ev));
-      }
+      groups[static_cast<std::size_t>(device_of_region(dst))].emplace_back(
+          begin, end);
       begin = end;
     }
+    CompletionEdges edges;
+    for (int d = 0; d < num_devices_; ++d) {
+      const bool building =
+          shard(d).pool && !shard(d).desc[static_cast<std::size_t>(bc)].built;
+      for (const auto& [begin, end] : groups[static_cast<std::size_t>(d)]) {
+        if (building) {
+          std::size_t indexed = 0;
+          for (std::size_t c = begin; c < end; ++c) {
+            const int src = plan[c].src_region;
+            indexed += device_of_region(src) == d ||
+                               peer(src, plan[c].dst_region)
+                           ? 1
+                           : 0;
+          }
+          p.host_advance(static_cast<SimTime>(indexed) *
+                         p.config().host_index_calc_ns_per_copy / host_cpus);
+        }
+        issue_peer_copies(bc, begin, end, peer, sources, edges);
+      }
+      if (building) {
+        upload_descriptors(d, bc);
+      }
+      replay_descriptors(d, bc, sources, edges);
+    }
+    for (const auto& [done, streams] : edges) {
+      for (const cuemStream_t s : streams) {
+        p.stream_wait_event(s, done);
+      }
+    }
+  }
+
+  /// Plan indices of device `d`'s copies between two of its regions under
+  /// `bc`, in descriptor order (laid out on first use).
+  const std::vector<std::size_t>& local_copies(int d, tida::Boundary bc) {
+    DeviceShard& s = shard(d);
+    DescriptorSet& set = s.desc[static_cast<std::size_t>(bc)];
+    if (!set.laid_out) {
+      const auto& plan = this->exchange_plan(bc);
+      for (std::size_t c = 0; c < plan.size(); ++c) {
+        if (owner_[static_cast<std::size_t>(plan[c].dst_region)] == d &&
+            owner_[static_cast<std::size_t>(plan[c].src_region)] == d) {
+          set.local.push_back(c);
+        }
+      }
+      TIDACC_CHECK_MSG(set.local.size() <= s.desc_capacity,
+                       "ghost descriptors overflow their buffer");
+      set.laid_out = true;
+    }
+    return set.local;
+  }
+
+  /// One planned copy as its descriptor.
+  GhostDescriptor describe(const tida::GhostCopy& c) const {
+    GhostDescriptor g;
+    g.src_region = c.src_region;
+    g.dst_region = c.dst_region;
+    g.src_lo = c.src_box.lo - this->region(c.src_region).grown.lo;
+    g.dst_lo = c.dst_box.lo - this->region(c.dst_region).grown.lo;
+    g.extent = c.dst_box.extent();
+    return g;
+  }
+
+  /// Stages device `d`'s same-device descriptors for `bc` in pinned memory
+  /// and uploads them with one H2D on its exchange stream, which queues
+  /// behind no slot stream: it moves unrelated data. Marks them built.
+  void upload_descriptors(int d, tida::Boundary bc) {
+    DeviceShard& s = shard(d);
+    DescriptorSet& set = s.desc[static_cast<std::size_t>(bc)];
+    set.built = true;
+    const std::vector<std::size_t>& local = local_copies(d, bc);
+    if (local.empty()) {
+      return;
+    }
+    const auto& plan = this->exchange_plan(bc);
+    GhostDescriptor* staged = s.buffers.host() + set.offset;
+    const std::size_t bytes = local.size() * sizeof(GhostDescriptor);
+    cuem::san::note_host_access(staged, bytes, /*write=*/true,
+                                "ghost descriptors");
+    if (cuem::functional()) {  // timing-only buffers have no backing memory
+      for (std::size_t i = 0; i < local.size(); ++i) {
+        staged[i] = describe(plan[local[i]]);
+      }
+    }
+    const cuem::DeviceGuard guard(d);
+    CUEM_CHECK(cuem::memcpy_async(
+        s.buffers.device() + set.offset, staged, bytes,
+        cuemMemcpyHostToDevice, s.buffers.stream,
+        labeled() ? "desc:D" + std::to_string(d) : std::string()));
+  }
+
+  /// The carried cross-device copies among plan[begin, end) — one
+  /// destination's group — on the destination's stream, after one wait
+  /// per distinct source stream. The event recorded behind them joins
+  /// `edges` for those sources: the next kernel on a source must not
+  /// overwrite cells still being read.
+  template <typename Peer>
+  void issue_peer_copies(tida::Boundary bc, std::size_t begin,
+                         std::size_t end, const Peer& peer,
+                         const SourceMarks& sources, CompletionEdges& edges) {
+    const auto& plan = this->exchange_plan(bc);
+    std::vector<std::size_t> copies;
+    std::vector<cuemStream_t> srcs;
+    for (std::size_t c = begin; c < end; ++c) {
+      const int src = plan[c].src_region;
+      const int dst = plan[c].dst_region;
+      if (device_of_region(src) == device_of_region(dst) ||
+          !sources.carries(*this, peer, src, dst)) {
+        continue;
+      }
+      copies.push_back(c);
+      const cuemStream_t s = sources.stream[static_cast<std::size_t>(src)];
+      if (std::find(srcs.begin(), srcs.end(), s) == srcs.end()) {
+        srcs.push_back(s);
+      }
+    }
+    if (copies.empty()) {
+      return;
+    }
+    sim::Platform& p = sim::Platform::instance();
+    const int dst = plan[begin].dst_region;
+    const cuemStream_t dstream =
+        sources.stream[static_cast<std::size_t>(dst)];
+    for (const cuemStream_t s : srcs) {
+      if (sources.on(s) >= 0) {
+        p.stream_wait_event(dstream, sources.on(s));
+      }
+    }
+    for (const std::size_t c : copies) {
+      const tida::GhostCopy& gc = plan[c];
+      auto action = [this, bc, c]() {
+        apply_copy_device(this->exchange_plan(bc)[c]);
+      };
+      const std::string label =
+          labeled() ? "G:R" + std::to_string(gc.src_region) + ">R" +
+                          std::to_string(dst)
+                    : std::string();
+      CUEM_CHECK(cuem::peer_copy_async(
+          device_of_region(dst), device_of_region(gc.src_region),
+          gc.dst_box.volume() * this->ncomp() * sizeof(T), dstream, label,
+          std::move(action)));
+      if (cuem::san::enabled()) {
+        note_ghost_copy_access(dstream, gc, label.c_str());
+      }
+      note_device_write(dst, gc.dst_box);
+      ++peer_ghost_copies_;
+    }
+    edges.emplace_back(p.record_event(dstream), std::move(srcs));
+  }
+
+  /// Device `d`'s replay kernel for `bc`, on its exchange stream: applies
+  /// every descriptor whose regions are both device-current, resolving
+  /// their slots at launch, and reads the whole descriptor list. It waits
+  /// on the source event of every stream its copies touch; the event
+  /// recorded behind it joins `edges` for those streams.
+  void replay_descriptors(int d, tida::Boundary bc,
+                          const SourceMarks& sources,
+                          CompletionEdges& edges) {
+    DeviceShard& s = shard(d);
+    if (!s.pool) {
+      return;
+    }
+    const std::vector<std::size_t>& local = local_copies(d, bc);
+    const auto& plan = this->exchange_plan(bc);
+    const auto current = [&sources](int region) {
+      return sources.stream[static_cast<std::size_t>(region)] >= 0;
+    };
+    std::uint64_t cells = 0;
+    std::vector<char> touched(static_cast<std::size_t>(this->num_regions()));
+    for (const std::size_t c : local) {
+      const tida::GhostCopy& gc = plan[c];
+      if (current(gc.src_region) && current(gc.dst_region)) {
+        cells += gc.dst_box.volume();
+        touched[static_cast<std::size_t>(gc.src_region)] = 1;
+        touched[static_cast<std::size_t>(gc.dst_region)] = 1;
+      }
+    }
+    if (cells == 0) {
+      return;
+    }
+    // The streams those copies touch, and the launch's region table: each
+    // device-current region's slot, null elsewhere.
+    std::vector<cuemStream_t> streams;
+    std::vector<T*> slot(static_cast<std::size_t>(this->num_regions()),
+                         nullptr);
+    sim::Platform& p = sim::Platform::instance();
+    for (const int r : s.regions) {
+      const auto ri = static_cast<std::size_t>(r);
+      if (touched[ri] && std::find(streams.begin(), streams.end(),
+                                   sources.stream[ri]) == streams.end()) {
+        streams.push_back(sources.stream[ri]);
+      }
+      if (p.functional() && current(r)) {
+        slot[ri] = device_region(r).data;
+      }
+    }
+    const cuemStream_t xs = s.buffers.stream;
+    for (const cuemStream_t st : streams) {
+      if (sources.on(st) >= 0) {
+        p.stream_wait_event(xs, sources.on(st));
+      }
+    }
+    const GhostDescriptor* desc =
+        s.buffers.device() + s.desc[static_cast<std::size_t>(bc)].offset;
+    const std::size_t count = local.size();
+    auto action = [this, slot = std::move(slot), desc, count]() {
+      const tida::Index3 last{1, 1, 1};
+      for (std::size_t i = 0; i < count; ++i) {
+        const GhostDescriptor& g = desc[i];
+        T* const src = slot[static_cast<std::size_t>(g.src_region)];
+        T* const dst = slot[static_cast<std::size_t>(g.dst_region)];
+        if (src == nullptr || dst == nullptr) {
+          continue;
+        }
+        tida::Region<T> sv = this->region(g.src_region);
+        tida::Region<T> dv = this->region(g.dst_region);
+        sv.data = src;
+        dv.data = dst;
+        tida::GhostCopy c;
+        c.src_box = tida::Box{sv.grown.lo + g.src_lo,
+                              sv.grown.lo + g.src_lo + g.extent - last};
+        c.dst_box = tida::Box{dv.grown.lo + g.dst_lo,
+                              dv.grown.lo + g.dst_lo + g.extent - last};
+        tida::copy_ghost_cells(c, sv, dv);
+      }
+    };
+    const std::uint64_t desc_bytes = count * sizeof(GhostDescriptor);
+    const std::string op = labeled() ? "ghost:D" + std::to_string(d) : "";
+    p.enqueue_kernel(
+        xs, ghost_update_profile(cells * this->ncomp(), sizeof(T), desc_bytes),
+        p.config().oacc_dispatch_extra_ns, std::move(action), op);
+    ++device_ghost_updates_;
+    if (cuem::san::enabled()) {
+      cuem::san::note_kernel_access(xs, desc, desc_bytes, /*write=*/false,
+                                    op.c_str());
+    }
+    for (const std::size_t c : local) {
+      const tida::GhostCopy& gc = plan[c];
+      if (current(gc.src_region) && current(gc.dst_region)) {
+        if (cuem::san::enabled()) {
+          note_ghost_copy_access(xs, gc, op.c_str());
+        }
+        note_device_write(gc.dst_region, gc.dst_box);
+      }
+    }
+    edges.emplace_back(p.record_event(xs), std::move(streams));
   }
 
   /// The raw flat host<->device copy of `bytes` between this array's host
@@ -1273,7 +1659,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
   }
 
   /// Applies one planned ghost copy between slot buffers (the functional
-  /// part of an update kernel or a peer copy; buffers may live on
+  /// part of a peer copy or a GPUDirect read; buffers may live on
   /// different devices).
   void apply_copy_device(const tida::GhostCopy& c) {
     tida::copy_ghost_cells(c, device_region(c.src_region),

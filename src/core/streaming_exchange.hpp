@@ -5,25 +5,25 @@
 // The exchange splits the plan by residency, the paper's dual-path
 // exchange (§IV-B6) applied per copy instead of per array:
 //   * Device half — every copy whose source and destination are both
-//     resident on the same device runs as one update kernel per
-//     destination (MultiAccTileArray::exchange_on_devices), so its data
-//     never crosses PCIe. One event per source stream, recorded before any
-//     kernel, orders each destination's kernel after its sources' queued
-//     writes; the host never waits.
+//     resident on the same device runs in its device's replay kernel
+//     (MultiAccTileArray::exchange_on_devices), so its data never crosses
+//     PCIe. One event per source stream, recorded before the exchange
+//     queues anything, orders the kernel after its sources' writes; the
+//     host never waits.
 //   * Host half — only copies that touch a non-resident region, or cross
 //     devices, go through the host. It pulls only the device-written cells
 //     those copies read, refreshes the ghosts on the host, and pushes the
 //     exact ghost boxes back to resident regions.
-// Issue order: the host half's pulls first (each right behind its
-// source's last kernel, one event per pulled region), then the device
-// half, then the host half's destination groups as a pipeline — the
-// paper's tile-by-tile overlap applied to the halo. Each group is handled
-// as soon as the host buffers it touches are quiet (a pulled region's pull
-// event, an evicted region's own eviction event): apply its host copies,
-// push its ghost boxes on the destination's slot stream. Copy engines keep
-// pulling and pushing while the compute engine runs the update kernels and
-// the host works through the next group; nothing waits for a global
-// barrier.
+// Issue order: the device half's source events, the host half's pulls
+// (each right behind its source's last kernel, one event per pulled
+// region), the replay kernels, then the host half's destination groups as
+// a pipeline — the paper's tile-by-tile overlap applied to the halo. Each
+// group is handled as soon as the host buffers it touches are quiet (a
+// pulled region's pull event, an evicted region's own eviction event):
+// apply its host copies, push its ghost boxes on the destination's slot
+// stream. Copy engines keep pulling and pushing while the compute engine
+// runs the replay kernels and the host works through the next group;
+// nothing waits for a global barrier.
 #pragma once
 
 #include <algorithm>
@@ -47,16 +47,36 @@
 
 namespace tidacc::core {
 
-/// The device exchange's ghost-update kernel over `elements` values of
-/// `elem_bytes` bytes: an OpenACC-generated copy loop that reads each
-/// source value and writes its ghost. The exchange launches it and both of
-/// its predictors (streaming_cheaper, choose_time_block_k) price it, all
-/// through this one descriptor.
-inline sim::KernelProfile ghost_update_profile(std::uint64_t elements,
-                                               std::size_t elem_bytes) {
+/// One planned ghost copy as the device exchange's replay kernel reads it
+/// (DESIGN.md §4 item 5): region ids and boxes relative to each region's
+/// grown box, never slot pointers, so a change of residency or slot never
+/// invalidates it. 16-byte aligned for vector loads.
+struct alignas(16) GhostDescriptor {
+  std::int32_t src_region = -1;
+  std::int32_t dst_region = -1;
+  tida::Index3 src_lo;  ///< first source cell, from the source's grown lo
+  tida::Index3 dst_lo;  ///< first ghost cell, from the destination's grown lo
+  tida::Index3 extent;
+};
+static_assert(sizeof(GhostDescriptor) == 48,
+              "the replay kernel reads 48-byte descriptors");
+
+/// The device exchange's replay kernel over `elements` values of
+/// `elem_bytes` bytes and `descriptor_bytes` of descriptors: an
+/// OpenACC-generated copy loop that reads the descriptor list, then each
+/// source value, and writes its ghost. The exchange launches it and both
+/// of its predictors (streaming_cheaper, choose_time_block_k) price it, all
+/// through this one profile.
+inline sim::KernelProfile ghost_update_profile(
+    std::uint64_t elements, std::size_t elem_bytes,
+    std::uint64_t descriptor_bytes) {
   sim::KernelProfile prof;
   prof.elements = elements;
-  prof.dev_bytes_per_element = 2.0 * static_cast<double>(elem_bytes);
+  prof.dev_bytes_per_element =
+      2.0 * static_cast<double>(elem_bytes) +
+      (elements > 0 ? static_cast<double>(descriptor_bytes) /
+                          static_cast<double>(elements)
+                    : 0.0);
   prof.flops_per_element = 0.0;
   prof.tuned_geometry = false;
   return prof;
@@ -117,36 +137,17 @@ std::vector<std::vector<tida::Box>> pull_lists(
   return pulls;
 }
 
-/// The device half's cross-stream ordering edges: sorted, distinct
-/// (destination stream, source stream) pairs of the on_device copies.
-template <typename A>
-std::vector<std::pair<cuemStream_t, cuemStream_t>> device_half_edges(
-    const A& a, const std::vector<tida::GhostCopy>& plan) {
-  std::vector<std::pair<cuemStream_t, cuemStream_t>> edges;
-  for (const tida::GhostCopy& c : plan) {
-    if (on_device(a, c.src_region, c.dst_region)) {
-      const cuemStream_t d = a.stream_of_region(c.dst_region);
-      const cuemStream_t s = a.stream_of_region(c.src_region);
-      if (d != s) {
-        edges.emplace_back(d, s);
-      }
-    }
-  }
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  return edges;
-}
-
 /// Exchange-level cost model behind StreamingGuard::kAuto, pricing the ops
 /// each alternative issues. The streaming exchange keeps the host, both
 /// DMA directions and the compute engine busy at once, so it costs the
 /// busiest of its legs plus the fill/drain latency of one region going pull
 /// → host copy → push:
-///   * host — every API call it issues (update kernels with their index
-///     lists and event edges, pitched pulls and pushes, pull events) and
-///     the host half's copies;
-///   * D2H / H2D — the pulls, and the pushes of resident regions' ghosts;
-///   * compute — one update kernel per device-half destination.
+///   * host — every API call it issues (replay kernels and their event
+///     edges, pitched pulls and pushes, pull events), the host half's
+///     copies, and the descriptors' index work while they are unbuilt;
+///   * D2H / H2D — the pulls, the pushes of resident regions' ghosts, and
+///     an unbuilt device's descriptor upload;
+///   * compute — one replay kernel per device.
 /// The drain overlaps its two directions too, so it costs its busier
 /// direction plus the whole plan's host copies, which run behind a
 /// barrier. Its directions carry the round trip of every resident region:
@@ -180,45 +181,57 @@ bool streaming_cheaper(A& a, tida::Boundary bc) {
     return ns;
   };
 
-  // Device half: per destination group, the update kernel and its index
-  // lists.
+  // Device half: one replay kernel per device over its on_device copies,
+  // reading every descriptor the device holds for `bc`. While a device's
+  // descriptors are unbuilt, the host also pays their index work and the
+  // upload. Each touched stream costs its source event, the replay's wait
+  // on it and its wait on the replay's completion event.
   SimTime compute_leg = 0;
   SimTime host_leg = 0;
-  for (std::size_t begin = 0; begin < plan.size();) {
-    const int dst = plan[begin].dst_region;
-    std::size_t end = begin;
-    std::uint64_t copies = 0;
-    std::uint64_t cells = 0;
-    for (; end < plan.size() && plan[end].dst_region == dst; ++end) {
-      if (on_device(a, plan[end].src_region, dst)) {
-        ++copies;
-        cells += plan[end].dst_box.volume();
-      }
+  SimTime upload_leg = 0;
+  std::vector<std::uint64_t> cells(static_cast<std::size_t>(a.num_devices()));
+  std::vector<char> touched(n);
+  for (const tida::GhostCopy& c : plan) {
+    if (on_device(a, c.src_region, c.dst_region)) {
+      cells[static_cast<std::size_t>(a.device_of_region(c.dst_region))] +=
+          c.dst_box.volume();
+      touched[static_cast<std::size_t>(c.src_region)] = 1;
+      touched[static_cast<std::size_t>(c.dst_region)] = 1;
     }
-    if (copies > 0) {
-      compute_leg +=
-          cfg.kernel_launch_ns +
-          ghost_update_profile(cells * static_cast<std::uint64_t>(ncomp),
-                               sizeof(T))
-              .duration_ns(cfg);
+  }
+  std::set<cuemStream_t> touched_streams;
+  for (std::size_t r = 0; r < n; ++r) {
+    if (touched[r]) {
+      touched_streams.insert(a.stream_of_region(static_cast<int>(r)));
+    }
+  }
+  for (int d = 0; d < a.num_devices(); ++d) {
+    const auto& shard = a.shard(d);
+    if (!shard.pool) {
+      continue;
+    }
+    const std::size_t copies = a.local_copies(d, bc).size();
+    const std::uint64_t desc_bytes = copies * sizeof(GhostDescriptor);
+    if (!shard.desc[static_cast<std::size_t>(bc)].built && desc_bytes > 0) {
       host_leg += static_cast<SimTime>(copies) *
-                      cfg.host_index_calc_ns_per_copy +
-                  cfg.oacc_dispatch_extra_ns;
+                  cfg.host_index_calc_ns_per_copy;
+      sim::CopyRequest upload;
+      upload.bytes = desc_bytes;
+      upload_leg += sim::copy_ns(cfg, upload);
       ++calls;
     }
-    begin = end;
+    const std::uint64_t dev_cells = cells[static_cast<std::size_t>(d)];
+    if (dev_cells > 0) {
+      compute_leg += cfg.kernel_launch_ns +
+                     ghost_update_profile(
+                         dev_cells * static_cast<std::uint64_t>(ncomp),
+                         sizeof(T), desc_bytes)
+                         .duration_ns(cfg);
+      host_leg += cfg.oacc_dispatch_extra_ns;
+      calls += 2;  // the kernel and its completion event
+    }
   }
-  // Event edges: a record per source stream up front and per destination
-  // behind its kernel, a wait per edge at both places.
-  const auto edges = device_half_edges(a, plan);
-  std::set<cuemStream_t> sources;
-  std::set<cuemStream_t> dests;
-  for (const auto& [d, s] : edges) {
-    sources.insert(s);
-    dests.insert(d);
-  }
-  calls += static_cast<SimTime>(sources.size() + dests.size() +
-                                2 * edges.size());
+  calls += 3 * static_cast<SimTime>(touched_streams.size());
 
   // Host half.
   const std::vector<std::size_t> host = host_half(a, plan);
@@ -247,7 +260,7 @@ bool streaming_cheaper(A& a, tida::Boundary bc) {
     }
   }
   SimTime pull_leg = swap_d2h;
-  SimTime push_leg = swap_h2d;
+  SimTime push_leg = swap_h2d + upload_leg;
   SimTime latency = 0;
   SimTime drain_d2h = swap_d2h;
   SimTime drain_h2d = swap_h2d;
@@ -281,32 +294,12 @@ bool streaming_cheaper(A& a, tida::Boundary bc) {
   return stream_ns <= drain_ns;
 }
 
-/// Device half of the streaming exchange: the update kernels of every
-/// on_device copy, each destination's stream first made to wait on one
-/// event per source stream, recorded before any of them.
-template <typename A>
-void exchange_device_half(A& a, tida::Boundary bc) {
-  sim::Platform& p = sim::Platform::instance();
-  const auto edges = device_half_edges(a, a.exchange_plan(bc));
-  std::map<cuemStream_t, sim::EventId> written;
-  for (const auto& [d, s] : edges) {
-    written.emplace(s, -1);
-  }
-  for (auto& [s, e] : written) {
-    e = p.record_event(s);
-  }
-  for (const auto& [d, s] : edges) {
-    p.stream_wait_event(d, written[s]);
-  }
-  a.exchange_on_devices(
-      bc, [&a](int src, int dst) { return on_device(a, src, dst); }, 1);
-}
-
 /// The streaming exchange (see the file comment). `A` is a
 /// MultiAccTileArray<T>, which befriends this function.
 /// Regions keep their device residency and location throughout, so the next
 /// compute pass pays no re-upload, and nothing waits at the end: stream
-/// order protects the kernels queued behind each update kernel and push.
+/// order and event edges protect the kernels queued behind each replay
+/// kernel and push.
 template <typename A>
 void streaming_exchange(A& a, tida::Boundary bc) {
   TIDACC_CHECK_MSG(a.delta_transfers(),
@@ -314,6 +307,11 @@ void streaming_exchange(A& a, tida::Boundary bc) {
   sim::Platform& p = sim::Platform::instance();
   const auto& plan = a.exchange_plan(bc);
   const auto n = static_cast<std::size_t>(a.num_regions());
+
+  // Device half's sources, marked before the pulls queue behind them. Faces
+  // crossing devices take the host half, so no peer copies.
+  const auto no_peers = [](int, int) { return false; };
+  const auto sources = a.mark_sources(bc, no_peers);
 
   // Host half, pulls: one event per pulled region marks its cells home.
   const std::vector<std::size_t> host = host_half(a, plan);
@@ -334,7 +332,7 @@ void streaming_exchange(A& a, tida::Boundary bc) {
     pulled[r] = p.record_event(stream);
   }
 
-  exchange_device_half(a, bc);
+  a.exchange_on_devices(bc, no_peers, 1, sources);
 
   // The event after which a region's host buffer is quiet: its pull, else
   // the eviction D2H still draining into it, else none (-1).

@@ -291,7 +291,7 @@ cuemError_t peer_transfer(int dst_device, int src_device, std::size_t count,
 
 cuemError_t do_memcpy(void* dst, const void* src, std::size_t count,
                       cuemMemcpyKind kind, cuemStream_t stream,
-                      bool blocking) {
+                      bool blocking, std::string label = {}) {
   if (dst == nullptr || src == nullptr) {
     return cuemErrorInvalidValue;
   }
@@ -384,6 +384,9 @@ cuemError_t do_memcpy(void* dst, const void* src, std::size_t count,
   if (!blocking && req.host_mem == HostMemKind::kPageable &&
       (req.kind == OpKind::kCopyH2D || req.kind == OpKind::kCopyD2H)) {
     san::hook::on_pageable_async(stream, op);
+  }
+  if (!label.empty()) {
+    req.label = std::move(label);
   }
   p.enqueue_copy(stream, req, std::move(action));
   san::hook::note_op_access(stream, dst, src, count, op);
@@ -741,6 +744,13 @@ cuemError_t prefetch_h2d_async(void* dst, const void* src, std::size_t count,
   san::hook::note_op_access(stream, dst, src, count, op.c_str());
   graph_note_copy(stream, dst, src, count);
   return cuemSuccess;
+}
+
+cuemError_t memcpy_async(void* dst, const void* src, std::size_t count,
+                         cuemMemcpyKind kind, cuemStream_t stream,
+                         std::string label) {
+  return do_memcpy(dst, src, count, kind, stream, /*blocking=*/false,
+                   std::move(label));
 }
 
 cuemError_t memcpy3d_async(const cuemMemcpy3DParms& parms,

@@ -226,6 +226,12 @@ cuemError_t launch(cuemStream_t stream, const LaunchGeometry& geom,
 cuemError_t prefetch_h2d_async(void* dst, const void* src, std::size_t count,
                                cuemStream_t stream, std::string label);
 
+/// cuemMemcpyAsync with a caller-supplied trace label (e.g. "desc:D0" for
+/// the ghost exchange's descriptor upload to device 0).
+cuemError_t memcpy_async(void* dst, const void* src, std::size_t count,
+                         cuemMemcpyKind kind, cuemStream_t stream,
+                         std::string label);
+
 /// cuemMemcpy3DAsync with a caller-supplied trace label (e.g. "dH2D:R3" for
 /// a delta upload of region 3) — what the dirty-tracking array layers use.
 cuemError_t memcpy3d_async(const cuemMemcpy3DParms& parms,

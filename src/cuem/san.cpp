@@ -12,6 +12,7 @@
 #include <deque>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -249,9 +250,50 @@ bool same_pitch_overlap(const BoxShape& a, const BoxShape& b,
   return false;
 }
 
+/// Exact O(1) overlap test for two boxes on one 3D grid: the same row and
+/// slice pitch, each row inside its slice and each box inside its rows
+/// (every pitched sub-box of one slot or region buffer: ghost shells,
+/// faces, interiors). Each offset then splits into (slice, row, column),
+/// the footprints are index boxes, and they share a byte iff they meet in
+/// every dimension. Empty when the boxes are not laid out that way.
+std::optional<bool> same_grid_overlap(const BoxShape& a, const BoxShape& b) {
+  const std::size_t rp = a.row_pitch;
+  const std::size_t sp = a.slice_pitch;
+  if (rp == 0 || sp == 0 || sp % rp != 0 || b.row_pitch != rp ||
+      b.slice_pitch != sp) {
+    return std::nullopt;
+  }
+  struct Extent {
+    std::size_t lo[3];
+    std::size_t hi[3];  // exclusive
+  };
+  const auto extent = [rp, sp](const BoxShape& x) -> std::optional<Extent> {
+    const std::size_t slice = x.offset / sp;
+    const std::size_t row = x.offset % sp / rp;
+    const std::size_t col = x.offset % rp;
+    if (col + x.width > rp || (row + x.height) * rp > sp) {
+      return std::nullopt;  // wraps into the next row or slice
+    }
+    return Extent{{slice, row, col},
+                  {slice + x.depth, row + x.height, col + x.width}};
+  };
+  const std::optional<Extent> ea = extent(a);
+  const std::optional<Extent> eb = extent(b);
+  if (!ea || !eb) {
+    return std::nullopt;
+  }
+  for (int d = 0; d < 3; ++d) {
+    if (ea->hi[d] <= eb->lo[d] || eb->hi[d] <= ea->lo[d]) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// True when the two footprints share at least one byte. Exact for flat
-/// ranges and same-pitch 2D boxes; the generic strided case enumerates row
-/// pairs up to kMaxRowPairs, then falls back to conservative span overlap.
+/// ranges, same-pitch 2D boxes and boxes on one 3D grid; any other strided
+/// case enumerates row pairs up to kMaxRowPairs, then falls back to
+/// conservative span overlap.
 bool boxes_overlap(const BoxShape& a, const BoxShape& b) {
   if (box_empty(a) || box_empty(b)) return false;
   if (box_end(a) <= b.offset || box_end(b) <= a.offset) return false;
@@ -272,6 +314,9 @@ bool boxes_overlap(const BoxShape& a, const BoxShape& b) {
     BoxShape bf = b;
     bf.row_pitch = a.row_pitch;
     return same_pitch_overlap(a, bf, a.row_pitch);
+  }
+  if (const std::optional<bool> grid = same_grid_overlap(a, b)) {
+    return *grid;
   }
   const std::size_t rows_a = a.height * a.depth;
   const std::size_t rows_b = b.height * b.depth;

@@ -3,6 +3,7 @@
 // integration of a tiled heat solver against a single-array reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -377,8 +378,8 @@ TEST_F(AccArrayTest, FillBoundaryOnDeviceUsesDeviceKernels) {
     arr.acquire_on_device(r);
   }
   arr.fill_boundary(Boundary::kPeriodic);
-  EXPECT_EQ(arr.device_ghost_updates(),
-            static_cast<std::uint64_t>(arr.num_regions()));
+  // One replay kernel applies every region's same-device faces.
+  EXPECT_EQ(arr.device_ghost_updates(), 1u);
   // Ghosts are correct in the device buffers.
   oacc::wait_all();
   const auto wrap = [](int v) { return ((v % 8) + 8) % 8; };
@@ -424,6 +425,63 @@ TEST_F(AccArrayTest, DeviceGhostUpdateChargesIndexCalcOnHost) {
   arr.fill_boundary(Boundary::kPeriodic);
   // One descriptor per planned copy, 1 us each, all charged to the host.
   EXPECT_GE(sim::Platform::instance().now() - t0, copies * 1000);
+}
+
+TEST_F(AccArrayTest, DeviceExchangeIssuesNoDeviceSynchronize) {
+  // Kernels still queued on every slot stream: the exchange orders itself
+  // behind them with events, so the host returns long before they finish
+  // and the replay kernel starts only after the last of them.
+  cuem::configure(fast_config(), /*functional=*/false);
+  oacc::reset();
+  AccTileArray<double> arr(Box::cube(8), Index3::uniform(4), 1);
+  arr.assume_host_initialized();
+  LoopCost heavy;
+  heavy.flops_per_iter = 1e8;
+  for (int r = 0; r < arr.num_regions(); ++r) {
+    compute_gpu(arr, r, heavy, [](DeviceView<double>, int, int, int) {});
+  }
+  sim::Platform& p = sim::Platform::instance();
+  SimTime busy_until = 0;
+  for (int r = 0; r < arr.num_regions(); ++r) {
+    busy_until = std::max(busy_until, p.stream_avail(arr.stream_of_region(r)));
+  }
+  ASSERT_GT(busy_until, p.now());
+  arr.fill_boundary(Boundary::kPeriodic);
+  EXPECT_LT(p.now(), busy_until);
+  EXPECT_EQ(arr.device_ghost_updates(), 1u);
+  EXPECT_GE(p.last_op_start(), busy_until);
+}
+
+TEST_F(AccArrayTest, DescriptorIndexWorkChargedOncePerArrayAndBoundary) {
+  DeviceConfig cfg = fast_config();
+  cfg.host_index_calc_ns_per_copy = kMillisecond;
+  cuem::configure(cfg, /*functional=*/false);
+  oacc::reset();
+  sim::Platform& p = sim::Platform::instance();
+  const auto exchange_ns = [&p](AccTileArray<double>& a, Boundary bc) {
+    const SimTime t0 = p.now();
+    a.fill_boundary(bc);
+    return p.now() - t0;
+  };
+  AccTileArray<double> arr(Box::cube(8), Index3::uniform(4), 1);
+  arr.assume_host_initialized();
+  for (int r = 0; r < arr.num_regions(); ++r) {
+    arr.acquire_on_device(r);
+  }
+  for (const Boundary bc : {Boundary::kPeriodic, Boundary::kNone}) {
+    const SimTime copies = arr.exchange_plan(bc).size();
+    ASSERT_GT(copies, 0u);
+    EXPECT_GE(exchange_ns(arr, bc), copies * kMillisecond) << to_string(bc);
+    EXPECT_LT(exchange_ns(arr, bc), kMillisecond) << to_string(bc);
+  }
+  // Descriptors belong to their array: a sibling pays its own build.
+  AccTileArray<double> other(Box::cube(8), Index3::uniform(4), 1);
+  other.assume_host_initialized();
+  for (int r = 0; r < other.num_regions(); ++r) {
+    other.acquire_on_device(r);
+  }
+  EXPECT_GE(exchange_ns(other, Boundary::kPeriodic),
+            other.exchange_plan(Boundary::kPeriodic).size() * kMillisecond);
 }
 
 // --- integration: tiled heat equation vs single-array reference ---

@@ -236,6 +236,52 @@ TEST_F(CuemSanTest, EventEdgeOrdersCrossStreamWrites) {
   EXPECT_EQ(cuemFreeHost(h), cuemSuccess);
 }
 
+TEST_F(CuemSanTest, BoxesOnOneGridRaceOnlyWhereTheyMeet) {
+  // A 130x130x10 slot grid of doubles: a ghost column (one cell wide, all
+  // rows and slices) written on one stream while another stream reads an
+  // interior plane, then a column that does cross that plane. Too many row
+  // pairs to enumerate, so only the exact grid test tells them apart.
+  constexpr std::size_t kRow = 130 * sizeof(double);
+  constexpr std::size_t kSlice = 130 * kRow;
+  cuemStream_t s1 = 0, s2 = 0;
+  ASSERT_EQ(cuemStreamCreate(&s1), cuemSuccess);
+  ASSERT_EQ(cuemStreamCreate(&s2), cuemSuccess);
+  void* d = nullptr;
+  ASSERT_EQ(cuemMalloc(&d, 10 * kSlice), cuemSuccess);
+  const auto box = [](std::size_t slice, std::size_t row, std::size_t col,
+                      std::size_t width, std::size_t height,
+                      std::size_t depth) {
+    cuem::san::BoxShape b;
+    b.offset = slice * kSlice + row * kRow + col * sizeof(double);
+    b.width = width * sizeof(double);
+    b.height = height;
+    b.depth = depth;
+    b.row_pitch = kRow;
+    b.slice_pitch = kSlice;
+    return b;
+  };
+  const auto kernel = [d](cuemStream_t s, const cuem::san::BoxShape& b,
+                          bool write) {
+    sim::KernelProfile prof;
+    prof.elements = 1;
+    ASSERT_EQ(cuem::launch(s, cuem::LaunchGeometry{}, prof, "k", nullptr),
+              cuemSuccess);
+    cuem::san::note_kernel_box_access(
+        s, static_cast<char*>(d) + b.offset, b, write, "k");
+  };
+  // Interior plane (slice 1, rows/cols 1..128) vs the column at col 0.
+  kernel(s1, box(1, 1, 1, 128, 128, 1), /*write=*/false);
+  kernel(s2, box(0, 0, 0, 1, 130, 10), /*write=*/true);
+  EXPECT_TRUE(cuem::san::clean());
+  // A column at col 5 crosses the plane.
+  kernel(s2, box(0, 0, 5, 1, 130, 10), /*write=*/true);
+  EXPECT_TRUE(json_names("race"));
+  ASSERT_EQ(cuemDeviceSynchronize(), cuemSuccess);
+  EXPECT_EQ(cuemStreamDestroy(s1), cuemSuccess);
+  EXPECT_EQ(cuemStreamDestroy(s2), cuemSuccess);
+  EXPECT_EQ(cuemFree(d), cuemSuccess);
+}
+
 TEST_F(CuemSanTest, HostAccessRacesInFlightDeviceToHostCopy) {
   cuemStream_t s = 0;
   ASSERT_EQ(cuemStreamCreate(&s), cuemSuccess);

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -446,6 +448,112 @@ TEST_F(MultiArrayTest, FunctionalHeatMatchesSingleDevice) {
   const std::vector<double> one = run(1);
   const std::vector<double> two = run(2);
   EXPECT_EQ(one, two);
+}
+
+TEST_F(MultiArrayTest, OneReplayKernelPerDevice) {
+  // Same-device faces of every region ride their device's single replay
+  // kernel, on the device's exchange stream; faces crossing devices are
+  // the only peer copies.
+  enable_all_peers(2);
+  cuem::platform().trace().set_recording(true);
+  MultiAccTileArray<double> a(Box::cube(8), Index3{8, 8, 1}, 1);
+  a.fill(pattern);
+  for (int r = 0; r < a.num_regions(); ++r) {
+    a.acquire_on_device(r);
+  }
+  std::uint64_t cross = 0;
+  for (const tida::GhostCopy& c : a.exchange_plan(Boundary::kPeriodic)) {
+    cross += a.device_of_region(c.src_region) !=
+             a.device_of_region(c.dst_region);
+  }
+  const std::size_t first = cuem::platform().trace().events().size();
+  for (int step = 0; step < 2; ++step) {
+    a.fill_boundary(Boundary::kPeriodic);
+  }
+  EXPECT_EQ(a.device_ghost_updates(), 4u);
+  EXPECT_EQ(a.peer_ghost_copies(), 2 * cross);
+  std::vector<std::string> kernels;
+  for (std::size_t e = first; e < cuem::platform().trace().events().size();
+       ++e) {
+    const sim::TraceEvent& ev = cuem::platform().trace().events()[e];
+    if (ev.kind == sim::OpKind::kKernel) {
+      kernels.push_back(ev.label + "@" + std::to_string(ev.device));
+      EXPECT_NE(ev.stream, a.stream_of_region(0)) << ev.label;
+    }
+  }
+  EXPECT_EQ(kernels, (std::vector<std::string>{"ghost:D0@0", "ghost:D1@1",
+                                               "ghost:D0@0", "ghost:D1@1"}));
+}
+
+TEST_F(MultiArrayTest, DeviceExchangeMatchesHostExchangeBitwise) {
+  // Every grown cell in the domain — valid and ghost — after the device
+  // exchange on one or two devices, direct or staged peer copies, and
+  // after the host exchange of the same field. (kNone leaves ghost cells
+  // outside the domain unspecified.) The second geometry has regions
+  // thinner than the ghost width, so ghost bands cross several regions.
+  const auto field = [](const Index3& p) {
+    return std::sin(0.37 * p.i + 1.1 * p.j) * std::exp(0.05 * p.k);
+  };
+  Box domain;
+  Index3 region_size;
+  const auto grown_cells = [&domain](MultiAccTileArray<double>& a) {
+    std::vector<double> cells;
+    for (int r = 0; r < a.num_regions(); ++r) {
+      const tida::Region<double> reg = a.region(r);
+      const Box box = reg.grown.intersect(domain);
+      for (int k = box.lo.k; k <= box.hi.k; ++k) {
+        for (int j = box.lo.j; j <= box.hi.j; ++j) {
+          for (int i = box.lo.i; i <= box.hi.i; ++i) {
+            cells.push_back(reg.at(i, j, k));
+          }
+        }
+      }
+    }
+    return cells;
+  };
+  const auto exchanged = [&](int devices, const Interconnect& ic,
+                             bool on_device, Boundary bc) {
+    cuem::configure(DeviceConfig::k40m(), /*functional=*/true, devices, ic);
+    oacc::reset();
+    if (devices > 1 && ic.peer_supported) {
+      enable_all_peers(devices);
+    }
+    MultiAccTileArray<double> a(domain, region_size, 2);
+    a.fill(field);
+    if (on_device) {
+      for (int r = 0; r < a.num_regions(); ++r) {
+        a.acquire_on_device(r);
+      }
+    }
+    a.fill_boundary(bc);
+    a.release_all_to_host();
+    return grown_cells(a);
+  };
+  for (const auto& [d, rs] : {std::pair{Box{{0, 0, 0}, {9, 6, 11}},
+                                         Index3{5, 7, 3}},
+                               std::pair{Box{{0, 0, 0}, {8, 5, 6}},
+                                         Index3{4, 6, 1}}}) {
+    domain = d;
+    region_size = rs;
+    for (const Boundary bc : {Boundary::kPeriodic, Boundary::kNone}) {
+      const std::vector<double> host =
+          exchanged(1, Interconnect::pcie(), /*on_device=*/false, bc);
+      for (const int devices : {1, 2}) {
+        for (const Interconnect& ic :
+             {Interconnect::nvlink(), Interconnect::pcie()}) {
+          const std::vector<double> dev =
+              exchanged(devices, ic, /*on_device=*/true, bc);
+          ASSERT_EQ(dev.size(), host.size());
+          EXPECT_EQ(std::memcmp(dev.data(), host.data(),
+                                host.size() * sizeof(double)),
+                    0)
+              << devices << " device(s) over " << ic.name << ", "
+              << to_string(bc) << ", regions " << rs.i << "x" << rs.j
+              << "x" << rs.k;
+        }
+      }
+    }
+  }
 }
 
 // --- eviction invariant under per-device schedulers + peer copies ---

@@ -8,6 +8,7 @@
 //      error instead of fabricating or dropping shadow state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -167,6 +168,80 @@ TEST(WorldSnapshot, RestoredRunReplaysGoldenTrace) {
     }
     off += r.cells();
   }
+}
+
+// Replays `steps` halo steps from `snap` and returns the trace events,
+// the host clock and the final field.
+struct Replay {
+  std::vector<sim::TraceEvent> events;
+  SimTime now = 0;
+  std::vector<double> field;
+};
+
+Replay replay_from(const std::vector<std::uint8_t>& snap,
+                   AccTileArray<double>& u, int steps) {
+  restore_all(snap, u);
+  for (int s = 0; s < steps; ++s) {
+    halo_step(u);
+  }
+  u.release_all_to_host();
+  Replay out{cuem::platform().trace().events(), cuem::platform().now(), {}};
+  for (int id = 0; id < u.num_regions(); ++id) {
+    const tida::Region<double> r = u.region(id);
+    out.field.insert(out.field.end(), r.data, r.data + r.cells());
+  }
+  return out;
+}
+
+void expect_same_replay(const Replay& a, const Replay& b) {
+  EXPECT_EQ(a.now, b.now);
+  ASSERT_EQ(a.events.size(), b.events.size());
+  for (std::size_t i = 0; i < a.events.size(); ++i) {
+    EXPECT_EQ(a.events[i].stream, b.events[i].stream) << "event " << i;
+    EXPECT_EQ(a.events[i].kind, b.events[i].kind) << "event " << i;
+    EXPECT_EQ(a.events[i].start, b.events[i].start) << "event " << i;
+    EXPECT_EQ(a.events[i].finish, b.events[i].finish) << "event " << i;
+    EXPECT_EQ(a.events[i].bytes, b.events[i].bytes) << "event " << i;
+    EXPECT_EQ(a.events[i].label, b.events[i].label) << "event " << i;
+  }
+  EXPECT_TRUE(a.field == b.field);
+}
+
+std::size_t uploads_in(const Replay& r) {
+  return static_cast<std::size_t>(
+      std::count_if(r.events.begin(), r.events.end(),
+                    [](const sim::TraceEvent& e) {
+                      return e.label == "desc:D0";
+                    }));
+}
+
+TEST(WorldSnapshot, DescriptorBuildStateRidesTheSnapshot) {
+  // All regions resident: every exchange after the first upload is the
+  // device exchange replaying its descriptors. A snapshot taken before the
+  // first device exchange replays the build (index work and upload) again;
+  // one taken after it replays with the descriptors built — their device
+  // buffer riding in the cuem snapshot — and uploads nothing.
+  fresh_world(/*recording=*/true);
+  core::AccOptions o;
+  o.max_slots = kRegions;
+  AccTileArray<double> u(tida::Box::cube(kN), tida::Index3{kN, kN, kSlab},
+                         /*ghost=*/1, o);
+  init(u);
+  halo_step(u);  // host exchange, then the regions move to the device
+  const std::vector<std::uint8_t> unbuilt = capture_all(u);
+  halo_step(u);  // the first device exchange builds the descriptors
+  const std::vector<std::uint8_t> built = capture_all(u);
+
+  const Replay from_unbuilt = replay_from(unbuilt, u, 3);
+  EXPECT_EQ(uploads_in(from_unbuilt), 1u);
+  expect_same_replay(from_unbuilt, replay_from(unbuilt, u, 3));
+
+  const Replay from_built = replay_from(built, u, 2);
+  EXPECT_EQ(uploads_in(from_built), 1u);  // the one before the snapshot
+  expect_same_replay(from_built, replay_from(built, u, 2));
+  // The same run, whichever snapshot it resumed from.
+  EXPECT_EQ(from_built.now, from_unbuilt.now);
+  EXPECT_TRUE(from_built.field == from_unbuilt.field);
 }
 
 TEST(WorldSnapshot, JitterStateSurvivesRestore) {

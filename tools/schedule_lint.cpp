@@ -88,13 +88,11 @@ struct ScenarioResult {
   bool ok = true;
 };
 
-const char* node_desc(const sim::OpGraph& g, int id) {
-  static std::string buf;
+std::string node_desc(const sim::OpGraph& g, int id) {
   const sim::OpNode& n = g.nodes()[static_cast<std::size_t>(id)];
-  buf = "#" + std::to_string(id) + " " +
-        (n.label.empty() ? std::string(sim::to_string(n.kind)) : n.label) +
-        " s" + std::to_string(n.stream);
-  return buf.c_str();
+  return "#" + std::to_string(id) + " " +
+         (n.label.empty() ? std::string(sim::to_string(n.kind)) : n.label) +
+         " s" + std::to_string(n.stream);
 }
 
 /// Runs every analysis over the recorded graph and prints one scenario
@@ -113,7 +111,7 @@ ScenarioResult analyze(const std::string& name, const sim::OpGraph& g) {
     r.ok = false;
     std::printf("   DEADLOCK cycle (%zu nodes):\n", cyc.size());
     for (const int id : cyc) {
-      std::printf("     %s\n", node_desc(g, id));
+      std::printf("     %s\n", node_desc(g, id).c_str());
     }
   }
 
@@ -156,7 +154,7 @@ ScenarioResult analyze(const std::string& name, const sim::OpGraph& g) {
       r.ok = false;
       std::printf("   FALSE SERIALIZATION: %s delayed behind %s by a %s "
                   "edge, costing %llu ns (no data dependency)\n",
-                  node_desc(g, f.dst), node_desc(g, f.src),
+                  node_desc(g, f.dst).c_str(), node_desc(g, f.src).c_str(),
                   sim::to_string(f.origin),
                   static_cast<unsigned long long>(f.slack_cost_ns));
     }
@@ -172,7 +170,7 @@ ScenarioResult analyze(const std::string& name, const sim::OpGraph& g) {
     for (const sim::MhpMismatch& m : mm) {
       r.ok = false;
       std::printf("   MHP MISMATCH: %s vs %s — static %s, dynamic %s\n",
-                  node_desc(g, m.a), node_desc(g, m.b),
+                  node_desc(g, m.a).c_str(), node_desc(g, m.b).c_str(),
                   m.static_ordered ? "ordered" : "parallel",
                   m.dynamic_ordered ? "ordered" : "parallel");
     }
