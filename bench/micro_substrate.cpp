@@ -1,10 +1,14 @@
 // Micro-benchmarks (google-benchmark) of the library substrate itself:
 // how fast the discrete-event platform processes operations, how expensive
-// exchange planning is, and the functional kernel throughput. These measure
+// exchange planning is, and functional execution: the flat reference heat
+// step (BM_FunctionalHeatStep), a region's heat kernel through
+// core::compute and DeviceView (BM_ComputeHeatRegion) and one slab's ghost
+// copies through tida::copy_ghost_cells (BM_CopyGhostCells). These measure
 // the real (wall-clock) performance of this codebase — useful when scaling
 // the simulator to long runs — and double as a regression harness.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "core/tidacc.hpp"
@@ -73,6 +77,71 @@ void BM_FunctionalHeatStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * u.size());
 }
 BENCHMARK(BM_FunctionalHeatStep)->Arg(32)->Arg(64);
+
+void BM_ComputeHeatRegion(benchmark::State& state) {
+  // One 128x128x8 region of the functional heat workload: core::compute on
+  // a GPU tile runs the kernel body once per cell at launch, reading seven
+  // cells and writing one through DeviceView.
+  cuem::configure(sim::DeviceConfig::k40m(), /*functional=*/true);
+  oacc::reset();
+  cuem::platform().trace().set_recording(false);
+  const tida::Box domain = tida::Box::from_extents({128, 128, 8});
+  core::AccTileArray<double> u(domain, domain.extent(), 1);
+  core::AccTileArray<double> un(domain, domain.extent(), 1);
+  u.fill([](const tida::Index3& p) {
+    return kernels::heat_initial(p.i, p.j, p.k);
+  });
+  u.fill_boundary(tida::Boundary::kPeriodic);
+  core::AccTileIterator<double> it(u);
+  it.reset(/*gpu=*/true);
+  const core::AccTile<double> in = it.tile();
+  const core::AccTile<double> out = it.tile_in(un);
+  const oacc::LoopCost cost = kernels::heat_cost();
+  for (auto _ : state) {
+    core::compute(in, out, cost,
+                  [](core::DeviceView<double> us, core::DeviceView<double> uns,
+                     int i, int j, int k) {
+                    uns(i, j, k) = kernels::heat_point(us, i, j, k);
+                  });
+    benchmark::DoNotOptimize(un.device_region(0).data);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(domain.volume()));
+}
+BENCHMARK(BM_ComputeHeatRegion);
+
+void BM_CopyGhostCells(benchmark::State& state) {
+  // Every planned copy into one 128x128x8 slab of a periodic slab
+  // decomposition (its face, edge and corner pieces) through
+  // tida::copy_ghost_cells, the loop every functional exchange shares.
+  cuem::configure(sim::DeviceConfig::k40m(), /*functional=*/true);
+  tida::TileArray<double> arr(tida::Box::from_extents({128, 128, 24}),
+                              tida::Index3{128, 128, 8}, 1);
+  arr.fill([](const tida::Index3& p) {
+    return kernels::heat_initial(p.i, p.j, p.k);
+  });
+  std::vector<tida::GhostCopy> slab;
+  std::int64_t cells = 0;
+  for (const tida::GhostCopy& c :
+       arr.exchange_plan(tida::Boundary::kPeriodic)) {
+    if (c.dst_region == 1) {
+      slab.push_back(c);
+      cells += static_cast<std::int64_t>(c.dst_box.volume());
+    }
+  }
+  for (auto _ : state) {
+    for (const tida::GhostCopy& c : slab) {
+      tida::copy_ghost_cells(c, arr.region(c.src_region),
+                             arr.region(c.dst_region));
+    }
+    benchmark::DoNotOptimize(arr.region(1).data);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * cells);
+  state.counters["copies"] = static_cast<double>(slab.size());
+}
+BENCHMARK(BM_CopyGhostCells);
 
 void BM_CachingProtocol(benchmark::State& state) {
   // Full acquire round-robin with evictions through 2 slots, timing-only.

@@ -181,11 +181,21 @@ class ClusterTileArray : public MultiAccTileArray<T> {
   }
 
   /// Regions with at least one cross-node face under `bc` — the set that
-  /// must wait for exchange_end before computing.
+  /// must wait for exchange_end before computing. One pass over the plan,
+  /// not one per region.
   std::vector<int> node_boundary_regions(tida::Boundary bc) {
+    std::vector<char> crosses(static_cast<std::size_t>(this->num_regions()));
+    if (nodes_ > 1) {
+      for (const tida::GhostCopy& c : this->exchange_plan(bc)) {
+        if (node_of_region(c.src_region) != node_of_region(c.dst_region)) {
+          crosses[static_cast<std::size_t>(c.src_region)] = 1;
+          crosses[static_cast<std::size_t>(c.dst_region)] = 1;
+        }
+      }
+    }
     std::vector<int> out;
     for (int r = 0; r < this->num_regions(); ++r) {
-      if (!is_node_interior(r, bc)) {
+      if (crosses[static_cast<std::size_t>(r)]) {
         out.push_back(r);
       }
     }
@@ -202,6 +212,7 @@ class ClusterTileArray : public MultiAccTileArray<T> {
                      "exchange_begin with the previous epoch still open");
     epoch_open_ = true;
     epoch_bc_ = bc;
+    this->last_boundary_ = bc;
     if (nodes_ == 1) {
       Multi::fill_boundary(bc);
       return;

@@ -26,33 +26,54 @@
 
 namespace tidacc::core {
 
-/// Indexable view of one region's buffer (host or device side), carrying
-/// the grown-box layout so lambdas can address cells by global index.
-/// Multi-component arrays use the 4-argument accessor; the component block
-/// stride equals the grown volume (component-major layout).
+/// Indexable view of one region's buffer (host or device side), built from
+/// its pointer, grown box and component count. The grown box's CellLayout is
+/// computed once, at construction, so lambdas address cells by global index
+/// with one multiply-add chain per access. Multi-component arrays use the
+/// 4-argument accessor (component-major layout). The fields are read-only.
 template <typename T>
-struct DeviceView {
-  T* data = nullptr;
-  tida::Box grown;
-  int ncomp = 1;
+class DeviceView {
+ public:
+  DeviceView(T* data, const tida::Box& grown, int ncomp = 1)
+      : data_(data), grown_(grown), ncomp_(ncomp), layout_(grown) {}
 
   T& operator()(int i, int j, int k) const {
-    const tida::Index3 rel = tida::Index3{i, j, k} - grown.lo;
-    const tida::Index3 e = grown.extent();
-    return data[(static_cast<std::size_t>(rel.k) * e.j + rel.j) * e.i +
-                rel.i];
+    return data_[layout_.offset(i, j, k)];
+  }
+  T& operator()(int i, int j, int k, int c) const {
+    return data_[layout_.offset(i, j, k, c)];
   }
 
-  T& operator()(int i, int j, int k, int c) const {
-    const tida::Index3 rel = tida::Index3{i, j, k} - grown.lo;
-    const tida::Index3 e = grown.extent();
-    return data[static_cast<std::size_t>(c) * grown.volume() +
-                (static_cast<std::size_t>(rel.k) * e.j + rel.j) * e.i +
-                rel.i];
-  }
+  T* data() const { return data_; }
+  const tida::Box& grown() const { return grown_; }
+  int ncomp() const { return ncomp_; }
+  const tida::CellLayout& layout() const { return layout_; }
+
+ private:
+  T* data_;
+  tida::Box grown_;
+  int ncomp_;
+  tida::CellLayout layout_;
 };
 
 namespace detail {
+
+/// Runs body(views..., i, j, k) once per cell of `range`, i fastest.
+template <typename Fn, typename... Views>
+void for_each_cell(const tida::Box& range, Fn& body,
+                   const std::tuple<Views...>& views) {
+  std::apply(
+      [&](const Views&... v) {
+        for (int k = range.lo.k; k <= range.hi.k; ++k) {
+          for (int j = range.lo.j; j <= range.hi.j; ++j) {
+            for (int i = range.lo.i; i <= range.hi.i; ++i) {
+              body(v..., i, j, k);
+            }
+          }
+        }
+      },
+      views);
+}
 
 /// Shared implementation over a parameter pack of tiles.
 template <typename Fn, typename... Ts>
@@ -81,14 +102,7 @@ void compute_range(const tida::Box& range, const oacc::LoopCost& cost,
         DeviceView<Ts>{tiles.tile.region.data, tiles.tile.region.grown,
                        tiles.tile.region.ncomp}...);
     if (p.functional()) {
-      for (int k = range.lo.k; k <= range.hi.k; ++k) {
-        for (int j = range.lo.j; j <= range.hi.j; ++j) {
-          for (int i = range.lo.i; i <= range.hi.i; ++i) {
-            std::apply(body,
-                       std::tuple_cat(views, std::make_tuple(i, j, k)));
-          }
-        }
-      }
+      for_each_cell(range, body, views);
     }
     p.host_advance(cost.profile(range.volume(), /*tuned_geometry=*/false)
                        .host_duration_ns(p.config()));
@@ -120,13 +134,7 @@ void compute_range(const tida::Box& range, const oacc::LoopCost& cost,
   }
 
   auto action = [range, views, body = std::forward<Fn>(body)]() {
-    for (int k = range.lo.k; k <= range.hi.k; ++k) {
-      for (int j = range.lo.j; j <= range.hi.j; ++j) {
-        for (int i = range.lo.i; i <= range.hi.i; ++i) {
-          std::apply(body, std::tuple_cat(views, std::make_tuple(i, j, k)));
-        }
-      }
-    }
+    for_each_cell(range, body, views);
   };
 
   // Kernels are OpenACC-generated (§IV-B5): compiler-chosen geometry.
@@ -146,13 +154,9 @@ void compute_range(const tida::Box& range, const oacc::LoopCost& cost,
     const std::string op = "C:R" + std::to_string(first.tile.region.id);
     const auto note_tile = [&](const auto& t) {
       const auto& reg = t.tile.region;
-      const std::size_t bytes =
-          static_cast<std::size_t>(reg.grown.volume()) *
-          static_cast<std::size_t>(reg.ncomp) *
-          sizeof(*t.array->device_region(reg.id).data);
       cuem::san::note_kernel_access(kstream,
                                     t.array->device_region(reg.id).data,
-                                    bytes, /*write=*/true, op.c_str());
+                                    reg.bytes(), /*write=*/true, op.c_str());
     };
     (note_tile(tiles), ...);
   }
@@ -162,12 +166,8 @@ void compute_range(const tida::Box& range, const oacc::LoopCost& cost,
     // opt-in analysis attachment, not a compile-time mode).
     const auto graph_note_tile = [&](const auto& t) {
       const auto& reg = t.tile.region;
-      const std::size_t bytes =
-          static_cast<std::size_t>(reg.grown.volume()) *
-          static_cast<std::size_t>(reg.ncomp) *
-          sizeof(*t.array->device_region(reg.id).data);
       sim::Platform::instance().graph_note_stream_access(
-          kstream, t.array->device_region(reg.id).data, bytes,
+          kstream, t.array->device_region(reg.id).data, reg.bytes(),
           /*write=*/true);
     };
     (graph_note_tile(tiles), ...);
@@ -283,15 +283,9 @@ void compute_gpu(MultiAccTileArray<T>& in, MultiAccTileArray<T>& out,
     CUEM_CHECK(cuemEventDestroy(ev));
   }
 
-  auto action = [range = rin.valid, vin, vout,
+  auto action = [range = rin.valid, views = std::make_tuple(vin, vout),
                  body = std::forward<Fn>(body)]() {
-    for (int k = range.lo.k; k <= range.hi.k; ++k) {
-      for (int j = range.lo.j; j <= range.hi.j; ++j) {
-        for (int i = range.lo.i; i <= range.hi.i; ++i) {
-          body(vin, vout, i, j, k);
-        }
-      }
-    }
+    detail::for_each_cell(range, body, views);
   };
   p.enqueue_kernel(kstream,
                    cost.profile(rin.valid.volume(), /*tuned_geometry=*/false),
@@ -302,28 +296,16 @@ void compute_gpu(MultiAccTileArray<T>& in, MultiAccTileArray<T>& out,
   out.note_device_write(region, rout.valid);
   if (cuem::san::enabled()) {
     const std::string op = "C:R" + std::to_string(region);
-    cuem::san::note_kernel_access(
-        kstream, vin.data,
-        static_cast<std::size_t>(rin.grown.volume()) *
-            static_cast<std::size_t>(rin.ncomp) * sizeof(T),
-        /*write=*/true, op.c_str());
-    cuem::san::note_kernel_access(
-        kstream, vout.data,
-        static_cast<std::size_t>(rout.grown.volume()) *
-            static_cast<std::size_t>(rout.ncomp) * sizeof(T),
-        /*write=*/true, op.c_str());
+    cuem::san::note_kernel_access(kstream, vin.data(), rin.bytes(),
+                                  /*write=*/true, op.c_str());
+    cuem::san::note_kernel_access(kstream, vout.data(), rout.bytes(),
+                                  /*write=*/true, op.c_str());
   }
   // Schedule-lint attribution (sanitizer-independent): input is read-only,
   // output is written — the roles the event edges above/below protect.
-  p.graph_note_stream_access(kstream, vin.data,
-                             static_cast<std::size_t>(rin.grown.volume()) *
-                                 static_cast<std::size_t>(rin.ncomp) *
-                                 sizeof(T),
+  p.graph_note_stream_access(kstream, vin.data(), rin.bytes(),
                              /*write=*/false);
-  p.graph_note_stream_access(kstream, vout.data,
-                             static_cast<std::size_t>(rout.grown.volume()) *
-                                 static_cast<std::size_t>(rout.ncomp) *
-                                 sizeof(T),
+  p.graph_note_stream_access(kstream, vout.data(), rout.bytes(),
                              /*write=*/true);
   // Close the cross-stream edge: the kernel writes the output array's slot,
   // so later work on the output's stream must wait for this launch.
@@ -488,17 +470,11 @@ void compute_host_parallel(AccTileIterator<T>& it, ThreadPool& pool,
 
   if (p.functional()) {
     pool.parallel_for(tiles.size(), [&](std::size_t idx) {
-      const AccTile<T>& t = tiles[idx];
-      const DeviceView<T> view{t.tile.region.data, t.tile.region.grown,
-                               t.tile.region.ncomp};
-      const tida::Box& range = t.tile.box;
-      for (int k = range.lo.k; k <= range.hi.k; ++k) {
-        for (int j = range.lo.j; j <= range.hi.j; ++j) {
-          for (int i = range.lo.i; i <= range.hi.i; ++i) {
-            body(view, i, j, k);
-          }
-        }
-      }
+      const tida::Tile<T>& t = tiles[idx].tile;
+      detail::for_each_cell(t.box, body,
+                            std::make_tuple(DeviceView<T>{
+                                t.region.data, t.region.grown,
+                                t.region.ncomp}));
     });
   }
 

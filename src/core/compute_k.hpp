@@ -16,6 +16,10 @@
 //     buffers) and ghost >= k * radius;
 //   * a fill_boundary() ran since the last writes, so the full ghost ring
 //     is current on entry (every exchange refreshes the whole ring);
+//   * that exchange was periodic if the region's ghost ring leaves the
+//     domain: the sub-steps write ghost cells, and outside the domain a
+//     Boundary::kNone exchange keeps them as boundary values (compute_k
+//     throws there);
 //   * the body is a Jacobi-style per-cell update reading `in` and writing
 //     `out`: body(DeviceView<T> in, DeviceView<T> out, int i, int j, int k).
 //
@@ -28,6 +32,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -55,6 +60,14 @@ void compute_k(MultiAccTileArray<T>& a, int region, int k, int radius,
   TIDACC_CHECK_MSG(radius * k <= a.ghost(),
                    "ghost width must be at least radius * k for depth-k "
                    "temporal blocking");
+  TIDACC_CHECK_MSG(a.last_boundary() != tida::Boundary::kNone ||
+                       a.domain().contains(reg.grown),
+                   "compute_k on region " + std::to_string(region) +
+                       " after a Boundary::kNone exchange: its ghost cells "
+                       "leave the domain, and k = " +
+                       std::to_string(k) +
+                       " sub-steps would overwrite their boundary values — "
+                       "step it with compute(), or exchange periodically");
 
   sim::Platform& p = sim::Platform::instance();
   T* in_ptr = a.acquire_on_device(region);
@@ -64,17 +77,11 @@ void compute_k(MultiAccTileArray<T>& a, int region, int k, int radius,
     const tida::Box range = tida::trapezoid_range(reg.valid, radius, k, s);
     T* out_ptr = a.scratch_of_region(region);
 
-    const DeviceView<T> vin{in_ptr, reg.grown, reg.ncomp};
-    const DeviceView<T> vout{out_ptr, reg.grown, reg.ncomp};
-    auto action = [range, vin, vout, body]() {
-      for (int kk = range.lo.k; kk <= range.hi.k; ++kk) {
-        for (int jj = range.lo.j; jj <= range.hi.j; ++jj) {
-          for (int ii = range.lo.i; ii <= range.hi.i; ++ii) {
-            body(vin, vout, ii, jj, kk);
-          }
-        }
-      }
-    };
+    auto action = [range,
+                   views = std::make_tuple(
+                       DeviceView<T>{in_ptr, reg.grown, reg.ncomp},
+                       DeviceView<T>{out_ptr, reg.grown, reg.ncomp}),
+                   body]() { detail::for_each_cell(range, body, views); };
     // Kernels are OpenACC-generated (§IV-B5): compiler-chosen geometry.
     p.enqueue_kernel(kstream,
                      cost.profile(range.volume(), /*tuned_geometry=*/false),
@@ -88,22 +95,18 @@ void compute_k(MultiAccTileArray<T>& a, int region, int k, int radius,
       // buffering is race-free by stream order; claim the exact roles so
       // the racecheck can prove it (reads of `in`, writes of `out`).
       const std::string op = "Ck:R" + std::to_string(region);
-      const std::size_t bytes = static_cast<std::size_t>(reg.grown.volume()) *
-                                static_cast<std::size_t>(reg.ncomp) *
-                                sizeof(T);
-      cuem::san::note_kernel_access(kstream, in_ptr, bytes, /*write=*/false,
-                                    op.c_str());
-      cuem::san::note_kernel_access(kstream, out_ptr, bytes, /*write=*/true,
-                                    op.c_str());
+      cuem::san::note_kernel_access(kstream, in_ptr, reg.bytes(),
+                                    /*write=*/false, op.c_str());
+      cuem::san::note_kernel_access(kstream, out_ptr, reg.bytes(),
+                                    /*write=*/true, op.c_str());
     }
     if (p.op_graph() != nullptr) {
       // Schedule-lint attribution (sanitizer-independent): same exact
       // in-read / out-write roles as the san claim above.
-      const std::size_t bytes = static_cast<std::size_t>(reg.grown.volume()) *
-                                static_cast<std::size_t>(reg.ncomp) *
-                                sizeof(T);
-      p.graph_note_stream_access(kstream, in_ptr, bytes, /*write=*/false);
-      p.graph_note_stream_access(kstream, out_ptr, bytes, /*write=*/true);
+      p.graph_note_stream_access(kstream, in_ptr, reg.bytes(),
+                                 /*write=*/false);
+      p.graph_note_stream_access(kstream, out_ptr, reg.bytes(),
+                                 /*write=*/true);
     }
     // The swap makes slot_ptr() point at the data this sub-step produced;
     // the next sub-step (or the next transfer) picks it up from there.
@@ -140,7 +143,8 @@ struct TimeBlockPrediction {
 /// with k). Every region pays the k shrinking trapezoid kernels compute_k
 /// launches, and the sweep one replay kernel refreshing every region's ring
 /// from its descriptors (the compute terms that grow with k). Returns 1
-/// when blocking never wins — always when every region has a slot. The caller then builds the array with ghost = radius * k and
+/// when blocking never wins — always when every region has a slot. The
+/// caller then builds the array with ghost = radius * k and
 /// AccOptions::time_block_k = k. `table` (optional) receives one row per
 /// candidate for bench emission.
 inline int choose_time_block_k(const tida::Box& domain,

@@ -32,6 +32,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -443,6 +444,23 @@ class MultiAccTileArray : public tida::TileArray<T> {
     return Base::at(cell);
   }
 
+  /// Copies one component's valid cells out into a flat domain-ordered
+  /// array (hides Base::copy_out to enforce the access protocol, as at()
+  /// does: no region may be device-current — call release_all_to_host or
+  /// acquire_on_host first). Waits for any async transfer still touching a
+  /// host buffer, such as an eviction's D2H, before reading.
+  void copy_out(T* flat, int comp = 0) {
+    for (int r = 0; r < this->num_regions(); ++r) {
+      TIDACC_CHECK_MSG(loc_.location(r) != Loc::kDevice,
+                       "copy_out with region " + std::to_string(r) +
+                           " device-current — call release_all_to_host or "
+                           "acquire_on_host first (paper §IV-B3)");
+    }
+    sync_all_pending_host();
+    note_host_buffers("copy_out", /*write=*/false);
+    Base::copy_out(flat, comp);
+  }
+
   /// Device-side view of `region` laid out in its slot buffer on the
   /// owning device (valid whether or not the region is currently
   /// resident).
@@ -629,6 +647,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
   /// host path for every face touching an evicted region or crossing
   /// devices) or a drain to the host and a host exchange.
   void fill_boundary(tida::Boundary bc) {
+    last_boundary_ = bc;
     if (!loc_.any_on_device()) {
       sync_all_pending_host();
       note_host_buffers("fill_boundary_host");
@@ -656,6 +675,14 @@ class MultiAccTileArray : public tida::TileArray<T> {
     this->fill_boundary_host(bc);
   }
 
+  /// Boundary of the last exchange (fill_boundary, fill_boundary_device or
+  /// a cluster exchange_begin); empty before the first. compute_k reads it:
+  /// after a kNone exchange the out-of-domain ghost cells hold boundary
+  /// values its sub-steps must not overwrite.
+  std::optional<tida::Boundary> last_boundary() const {
+    return last_boundary_;
+  }
+
   /// Number of streaming (delta) ghost exchanges performed so far.
   std::uint64_t streaming_exchanges() const { return streaming_exchanges_; }
 
@@ -663,6 +690,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
   /// cross-device face as a peer copy), ordered by events instead of a
   /// barrier: the host never waits.
   void fill_boundary_device(tida::Boundary bc) {
+    last_boundary_ = bc;
     for (int r = 0; r < this->num_regions(); ++r) {
       acquire_on_device(r);
     }
@@ -738,6 +766,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
     w.put_u64(peer_ghost_copies_);
     w.put_u64(prefetches_issued_);
     w.put_u64(streaming_exchanges_);
+    w.put_int(last_boundary_ ? static_cast<int>(*last_boundary_) : -1);
   }
 
   void restore(sim::SnapshotReader& r) {
@@ -784,6 +813,12 @@ class MultiAccTileArray : public tida::TileArray<T> {
     peer_ghost_copies_ = r.get_u64();
     prefetches_issued_ = r.get_u64();
     streaming_exchanges_ = r.get_u64();
+    const int bc = r.get_int();
+    TIDACC_CHECK_MSG(
+        bc >= -1 && bc <= static_cast<int>(tida::Boundary::kPeriodic),
+        "array snapshot has an invalid last boundary");
+    last_boundary_ = bc < 0 ? std::nullopt
+                            : std::optional(static_cast<tida::Boundary>(bc));
   }
 
  protected:
@@ -997,13 +1032,13 @@ class MultiAccTileArray : public tida::TileArray<T> {
 
   /// Sanitizer bookkeeping: conservative whole-buffer host access note for
   /// every region (no-op when the sanitizer is off or disabled).
-  void note_host_buffers(const char* op) {
+  void note_host_buffers(const char* op, bool write = true) {
     if (!cuem::san::enabled()) {
       return;
     }
     for (int r = 0; r < this->num_regions(); ++r) {
       cuem::san::note_host_access(this->region(r).data, this->region_bytes(r),
-                                  /*write=*/true, op);
+                                  write, op);
     }
   }
 
@@ -1023,14 +1058,16 @@ class MultiAccTileArray : public tida::TileArray<T> {
       box.width = static_cast<std::size_t>(e.i) * sizeof(T);
       box.height = static_cast<std::size_t>(e.j);
       box.depth = static_cast<std::size_t>(e.k);
-      const tida::Index3 de = dst.grown.extent();
-      box.row_pitch = static_cast<std::size_t>(de.i) * sizeof(T);
-      box.slice_pitch = box.row_pitch * static_cast<std::size_t>(de.j);
+      box.row_pitch =
+          static_cast<std::size_t>(dst.layout.j_stride) * sizeof(T);
+      box.slice_pitch =
+          static_cast<std::size_t>(dst.layout.k_stride) * sizeof(T);
       cuem::san::note_kernel_box_access(stream, &dst.at(c.dst_box.lo, comp),
                                         box, /*write=*/true, op);
-      const tida::Index3 se = src.grown.extent();
-      box.row_pitch = static_cast<std::size_t>(se.i) * sizeof(T);
-      box.slice_pitch = box.row_pitch * static_cast<std::size_t>(se.j);
+      box.row_pitch =
+          static_cast<std::size_t>(src.layout.j_stride) * sizeof(T);
+      box.slice_pitch =
+          static_cast<std::size_t>(src.layout.k_stride) * sizeof(T);
       cuem::san::note_kernel_box_access(stream, &src.at(c.src_box.lo, comp),
                                         box, /*write=*/false, op);
     }
@@ -1444,18 +1481,17 @@ class MultiAccTileArray : public tida::TileArray<T> {
   }
 
   /// The pitched copy of one component of `box` between two buffers laid
-  /// out over `grown` — a region's host buffer and its slot share that
+  /// out as `layout` — a region's host buffer and its slot share that
   /// layout, so both sides get the same pitches. copy_boxes fills in the
   /// pointers and direction; the predictors price the shape as is.
-  static cuemMemcpy3DParms box_copy_parms(const tida::Box& grown,
+  static cuemMemcpy3DParms box_copy_parms(const tida::CellLayout& layout,
                                           const tida::Box& box) {
-    const tida::Index3 ge = grown.extent();
     const tida::Index3 e = box.extent();
     cuemMemcpy3DParms parms;
     parms.dst_pitch = parms.src_pitch =
-        static_cast<std::size_t>(ge.i) * sizeof(T);
+        static_cast<std::size_t>(layout.j_stride) * sizeof(T);
     parms.dst_slice_pitch = parms.src_slice_pitch =
-        parms.dst_pitch * static_cast<std::size_t>(ge.j);
+        static_cast<std::size_t>(layout.k_stride) * sizeof(T);
     parms.width = static_cast<std::size_t>(e.i) * sizeof(T);
     parms.height = static_cast<std::size_t>(e.j);
     parms.depth = static_cast<std::size_t>(e.k);
@@ -1467,7 +1503,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
   sim::CopyRequest box_copy_request(int region, const tida::Box& box,
                                     bool h2d) const {
     const cuemMemcpy3DParms parms =
-        box_copy_parms(this->region(region).grown, box);
+        box_copy_parms(this->region(region).layout, box);
     sim::CopyRequest req =
         copy_request(parms.width * parms.height * parms.depth, h2d);
     req.kind = h2d ? sim::OpKind::kMemcpy3DH2D : sim::OpKind::kMemcpy3DD2H;
@@ -1593,7 +1629,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
       }
       const std::uint64_t bytes = b.volume() * sizeof(T);
       for (int comp = 0; comp < this->ncomp(); ++comp) {
-        cuemMemcpy3DParms parms = box_copy_parms(host.grown, b);
+        cuemMemcpy3DParms parms = box_copy_parms(host.layout, b);
         parms.dst = h2d ? static_cast<void*>(&dev.at(b.lo, comp))
                         : static_cast<void*>(&host.at(b.lo, comp));
         parms.src = h2d ? static_cast<const void*>(&host.at(b.lo, comp))
@@ -1687,6 +1723,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
   std::uint64_t peer_ghost_copies_ = 0;
   std::uint64_t prefetches_issued_ = 0;
   std::uint64_t streaming_exchanges_ = 0;
+  std::optional<tida::Boundary> last_boundary_;
   /// Caching ablation (AccOptions::disable_caching): every device acquire
   /// round-trips the region even when it is already resident.
   bool disable_caching_ = false;

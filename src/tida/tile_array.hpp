@@ -8,6 +8,7 @@
 // in core/multi_acc_array.hpp on top of this class.
 #pragma once
 
+#include <cstddef>
 #include <cstring>
 #include <span>
 #include <vector>
@@ -24,10 +25,43 @@ namespace tidacc::tida {
 /// (cudaMallocHost) so transfers are fast and overlappable (§IV-A).
 enum class HostAlloc : int { kPageable = 0, kPinned = 1 };
 
-/// Non-owning view of one region's storage. Data is laid out over the grown
-/// box (valid + ghost) in i-fastest order, component-major (component c is
-/// a contiguous block at offset c * grown.volume()); indices are global
-/// (domain) coordinates.
+/// Where the cells of a buffer laid out over one box live, by global
+/// index: i fastest, then j, then k, and component c a contiguous block at
+/// c * comp_stride (component-major). The one place this layout is spelled
+/// out. Built once per view, it turns every cell access into one
+/// multiply-add chain.
+struct CellLayout {
+  /// Offset of global cell (0, 0, 0) of component 0. That cell may lie
+  /// outside the box, so the origin is only ever summed into a full offset,
+  /// never added to a pointer on its own.
+  std::ptrdiff_t origin = 0;
+  std::ptrdiff_t j_stride = 0;     ///< cells from (i, j, k) to (i, j + 1, k)
+  std::ptrdiff_t k_stride = 0;     ///< cells from (i, j, k) to (i, j, k + 1)
+  std::ptrdiff_t comp_stride = 0;  ///< cells of one component's block
+
+  CellLayout() = default;
+  explicit CellLayout(const Box& box) {
+    const Index3 e = box.extent();
+    j_stride = e.i;
+    k_stride = j_stride * e.j;
+    comp_stride = k_stride * e.k;
+    origin = -(box.lo.i + box.lo.j * j_stride + box.lo.k * k_stride);
+  }
+
+  std::ptrdiff_t offset(int i, int j, int k) const {
+    return origin + i + j * j_stride + k * k_stride;
+  }
+  std::ptrdiff_t offset(int i, int j, int k, int c) const {
+    return offset(i, j, k) + c * comp_stride;
+  }
+  std::ptrdiff_t offset(const Index3& p, int c = 0) const {
+    return offset(p.i, p.j, p.k, c);
+  }
+};
+
+/// Non-owning view of one region's storage, laid out over the grown box
+/// (valid + ghost) as `layout` describes; indices are global (domain)
+/// coordinates.
 template <typename T>
 struct Region {
   int id = -1;
@@ -35,25 +69,25 @@ struct Region {
   Box grown;   ///< valid grown by the ghost width
   T* data = nullptr;
   int ncomp = 1;  ///< components per cell (BoxLib-style multi-component)
+  CellLayout layout;  ///< CellLayout(grown)
 
   Index3 extent() const { return grown.extent(); }
 
   /// Cells of one component's block.
-  std::uint64_t comp_stride() const { return grown.volume(); }
+  std::uint64_t comp_stride() const {
+    return static_cast<std::uint64_t>(layout.comp_stride);
+  }
 
   /// Linear offset of a global cell inside component `c`'s block.
   std::size_t offset_of(const Index3& p, int c = 0) const {
-    const Index3 rel = p - grown.lo;
-    const Index3 e = grown.extent();
-    return static_cast<std::size_t>(c) * comp_stride() +
-           (static_cast<std::size_t>(rel.k) * e.j + rel.j) * e.i + rel.i;
+    return static_cast<std::size_t>(layout.offset(p, c));
   }
 
-  T& at(const Index3& p) const { return data[offset_of(p)]; }
-  T& at(int i, int j, int k) const { return at(Index3{i, j, k}); }
-  T& at(const Index3& p, int c) const { return data[offset_of(p, c)]; }
+  T& at(const Index3& p) const { return data[layout.offset(p)]; }
+  T& at(int i, int j, int k) const { return data[layout.offset(i, j, k)]; }
+  T& at(const Index3& p, int c) const { return data[layout.offset(p, c)]; }
   T& at(int i, int j, int k, int c) const {
-    return at(Index3{i, j, k}, c);
+    return data[layout.offset(i, j, k, c)];
   }
 
   std::uint64_t cells() const { return grown.volume() * ncomp; }
@@ -68,19 +102,27 @@ struct Tile {
 };
 
 /// Executes one planned ghost copy from `src` into `dst`, all components,
-/// one row-wise memcpy per (j, k) row. The views may point at host buffers
-/// or at device slot buffers: host and device exchanges share this loop.
+/// row by row through the views' layouts: one memcpy per (j, k) row, or
+/// one assignment when the row is a single cell. The views may point at
+/// host buffers or at device slot buffers: host and device exchanges share
+/// this loop.
 template <typename T>
 void copy_ghost_cells(const GhostCopy& c, const Region<T>& src,
                       const Region<T>& dst) {
   const Index3 e = c.dst_box.extent();
+  const std::size_t row_bytes = static_cast<std::size_t>(e.i) * sizeof(T);
   for (int comp = 0; comp < dst.ncomp; ++comp) {
     for (int k = 0; k < e.k; ++k) {
       for (int j = 0; j < e.j; ++j) {
-        const Index3 d0 = c.dst_box.lo + Index3{0, j, k};
-        const Index3 s0 = c.src_box.lo + Index3{0, j, k};
-        std::memcpy(&dst.at(d0, comp), &src.at(s0, comp),
-                    static_cast<std::size_t>(e.i) * sizeof(T));
+        T* const d = &dst.at(c.dst_box.lo.i, c.dst_box.lo.j + j,
+                             c.dst_box.lo.k + k, comp);
+        const T* const s = &src.at(c.src_box.lo.i, c.src_box.lo.j + j,
+                                   c.src_box.lo.k + k, comp);
+        if (e.i == 1) {
+          *d = *s;
+        } else {
+          std::memcpy(d, s, row_bytes);
+        }
       }
     }
   }
@@ -129,8 +171,9 @@ class TileArray {
   /// View of region `id`.
   Region<T> region(int id) const {
     const Box valid = part_.region_box(id);
-    return Region<T>{id, valid, valid.grow(ghost_),
-                     buffers_[static_cast<std::size_t>(id)], ncomp_};
+    const Box grown = valid.grow(ghost_);
+    return Region<T>{id, valid, grown, buffers_[static_cast<std::size_t>(id)],
+                     ncomp_, CellLayout(grown)};
   }
 
   /// Bytes of one region's buffer (valid + ghosts).
@@ -173,8 +216,9 @@ class TileArray {
       for (int c = 0; c < ncomp_; ++c) {
         for (int k = r.valid.lo.k; k <= r.valid.hi.k; ++k) {
           for (int j = r.valid.lo.j; j <= r.valid.hi.j; ++j) {
+            T* const row = &r.at(r.valid.lo.i, j, k, c);
             for (int i = r.valid.lo.i; i <= r.valid.hi.i; ++i) {
-              r.at(Index3{i, j, k}, c) = fn(Index3{i, j, k}, c);
+              row[i - r.valid.lo.i] = fn(Index3{i, j, k}, c);
             }
           }
         }
@@ -183,21 +227,19 @@ class TileArray {
   }
 
   /// Copies one component's valid cells out into a flat domain-ordered
-  /// array (i-fastest).
+  /// array (i-fastest), one row at a time.
   void copy_out(T* flat, int comp = 0) const {
     TIDACC_CHECK_MSG(cuem::functional(), "copy_out requires functional mode");
     TIDACC_CHECK_MSG(comp >= 0 && comp < ncomp_, "component out of range");
-    const Box dom = domain();
-    const Index3 e = dom.extent();
+    const CellLayout out(domain());
     for (int id = 0; id < num_regions(); ++id) {
       const Region<T> r = region(id);
+      const std::size_t row_bytes =
+          static_cast<std::size_t>(r.valid.extent().i) * sizeof(T);
       for (int k = r.valid.lo.k; k <= r.valid.hi.k; ++k) {
         for (int j = r.valid.lo.j; j <= r.valid.hi.j; ++j) {
-          for (int i = r.valid.lo.i; i <= r.valid.hi.i; ++i) {
-            const Index3 rel = Index3{i, j, k} - dom.lo;
-            flat[(static_cast<std::size_t>(rel.k) * e.j + rel.j) * e.i +
-                 rel.i] = r.at(Index3{i, j, k}, comp);
-          }
+          std::memcpy(flat + out.offset(r.valid.lo.i, j, k),
+                      &r.at(r.valid.lo.i, j, k, comp), row_bytes);
         }
       }
     }

@@ -260,6 +260,18 @@ TEST_F(ClusterTest, ShardingAndPathResolution) {
   EXPECT_EQ(boundary, (std::vector<int>{0, 3, 4, 7}));
   EXPECT_TRUE(a.is_node_interior(1, Boundary::kPeriodic));
   EXPECT_FALSE(a.is_node_interior(4, Boundary::kPeriodic));
+  // Without the wrap only the seam crosses; both queries agree per region.
+  EXPECT_EQ(a.node_boundary_regions(Boundary::kNone),
+            (std::vector<int>{3, 4}));
+  for (const Boundary bc : {Boundary::kPeriodic, Boundary::kNone}) {
+    const std::vector<int> crossing = a.node_boundary_regions(bc);
+    for (int r = 0; r < 8; ++r) {
+      EXPECT_EQ(a.is_node_interior(r, bc),
+                std::find(crossing.begin(), crossing.end(), r) ==
+                    crossing.end())
+          << "region " << r << " bc " << tida::to_string(bc);
+    }
+  }
 
   ClusterTileArray<double> eth(Box::cube(16), Index3{16, 16, 2}, 1,
                                two_nodes(NetPath::kAuto,

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -163,6 +164,65 @@ TEST_F(AccArrayTest, AtOnDeviceCurrentRegionRejected) {
   EXPECT_THROW(arr.at({0, 0, 0}), Error);
   arr.acquire_on_host(0);
   EXPECT_NO_THROW(arr.at({0, 0, 0}));
+}
+
+/// Runs copy_out on an array with device-current regions: it must throw,
+/// naming `region` and the calls that bring the data home.
+void expect_copy_out_rejected(AccTileArray<double>& arr, int region) {
+  std::vector<double> flat(arr.domain().volume());
+  try {
+    arr.copy_out(flat.data());
+    ADD_FAILURE() << "copy_out read stale host data without an error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("region " + std::to_string(region) + " "),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("release_all_to_host or acquire_on_host"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST_F(AccArrayTest, CopyOutOfDeviceCurrentRegionRejected) {
+  // The host buffers hold the fill's 1.0 while a kernel's 2.0 sits on the
+  // device: copy_out refuses rather than return the stale host values.
+  AccTileArray<double> arr(Box::cube(8), Index3{8, 8, 4}, 0);
+  arr.fill([](const Index3&) { return 1.0; });
+  compute_gpu(arr, 1, unit_cost(),
+              [](DeviceView<double> v, int i, int j, int k) {
+                v(i, j, k) = 2.0;
+              });
+  expect_copy_out_rejected(arr, 1);
+  arr.release_all_to_host();
+  std::vector<double> flat(arr.domain().volume());
+  arr.copy_out(flat.data());
+  for (std::size_t c = 0; c < flat.size(); ++c) {
+    ASSERT_DOUBLE_EQ(flat[c], c < flat.size() / 2 ? 1.0 : 2.0) << c;
+  }
+}
+
+TEST_F(AccArrayTest, CopyOutRightAfterEvictionRejected) {
+  // One slot: acquiring region 1 queues region 0's eviction D2H, and
+  // region 1 is then device-current, so copy_out refuses until it is home.
+  AccOptions opts;
+  opts.max_slots = 1;
+  AccTileArray<double> arr(Box::cube(8), Index3{8, 8, 4}, 0, opts);
+  arr.fill([](const Index3&) { return 1.0; });
+  for (int r = 0; r < 2; ++r) {
+    compute_gpu(arr, r, unit_cost(),
+                [](DeviceView<double> v, int i, int j, int k) {
+                  v(i, j, k) = 2.0;
+                });
+  }
+  ASSERT_EQ(arr.location(0), Loc::kHost);
+  expect_copy_out_rejected(arr, 1);
+  arr.acquire_on_host(1);
+  std::vector<double> flat(arr.domain().volume());
+  arr.copy_out(flat.data());
+  for (const double v : flat) {
+    ASSERT_DOUBLE_EQ(v, 2.0);
+  }
 }
 
 // --- eviction (limited memory) ---

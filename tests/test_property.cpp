@@ -8,8 +8,13 @@
 // 2. Exchange-plan fuzz: random geometries, the periodic ghost invariants.
 // 3. Stream-semantics fuzz: random op DAGs must respect per-stream ordering
 //    and engine exclusivity in the simulated timeline.
+// 4. Layout fuzz: on random grown boxes every cell accessor (CellLayout,
+//    Region, DeviceView) agrees with the grown-box formula, and
+//    copy_ghost_cells matches a per-cell reference copy bitwise.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <map>
 #include <vector>
 
@@ -283,6 +288,198 @@ TEST(StreamFuzz, RandomOpsRespectOrderingInvariants) {
     // Invariant 3: host clock is at/after every completion after sync_all.
     ASSERT_GE(p.now(), p.trace().stats().makespan);
   }
+}
+
+// --- cell layout: every accessor against the grown-box formula ---
+
+/// A random box: lo in [-6, 3] and extent in [1, 8] along each axis.
+Box random_box(Rng& rng) {
+  const auto coord = [&rng]() {
+    return static_cast<int>(rng.next_below(10)) - 6;
+  };
+  const auto extent = [&rng]() {
+    return static_cast<int>(rng.next_below(8));
+  };
+  const Index3 lo{coord(), coord(), coord()};
+  return Box{lo, lo + Index3{extent(), extent(), extent()}};
+}
+
+/// The grown-box layout written out longhand: i fastest, component c a
+/// block of grown.volume() cells.
+std::size_t formula_offset(const Box& grown, const Index3& p, int c) {
+  const Index3 rel = p - grown.lo;
+  const Index3 e = grown.extent();
+  return static_cast<std::size_t>(c) * grown.volume() +
+         (static_cast<std::size_t>(rel.k) * e.j + rel.j) * e.i + rel.i;
+}
+
+TEST(LayoutFuzz, EveryAccessorMatchesTheGrownBoxFormula) {
+  cuem::configure(quick_config(), /*functional=*/true);
+  Rng rng(0xCE11A7);
+  for (int trial = 0; trial < 40; ++trial) {
+    const Box domain = random_box(rng);
+    const Index3 de = domain.extent();
+    const Index3 region{static_cast<int>(1 + rng.next_below(de.i)),
+                        static_cast<int>(1 + rng.next_below(de.j)),
+                        static_cast<int>(1 + rng.next_below(de.k))};
+    const int ghost = static_cast<int>(rng.next_below(4));
+    const int ncomp = static_cast<int>(1 + rng.next_below(3));
+    const tida::TileArray<double> arr(domain, region, ghost,
+                                      tida::HostAlloc::kPageable, ncomp);
+    for (int id = 0; id < arr.num_regions(); ++id) {
+      const tida::Region<double> r = arr.region(id);
+      const Box& g = r.grown;
+      const DeviceView<double> view(r.data, g, ncomp);
+      for (int c = 0; c < ncomp; ++c) {
+        for (int k = g.lo.k; k <= g.hi.k; ++k) {
+          for (int j = g.lo.j; j <= g.hi.j; ++j) {
+            for (int i = g.lo.i; i <= g.hi.i; ++i) {
+              const Index3 p{i, j, k};
+              const std::size_t off = formula_offset(g, p, c);
+              ASSERT_EQ(r.layout.offset(p, c),
+                        static_cast<std::ptrdiff_t>(off))
+                  << "trial " << trial << " region " << id << " cell "
+                  << p.to_string() << " comp " << c;
+              ASSERT_EQ(view.layout().offset(p, c),
+                        static_cast<std::ptrdiff_t>(off));
+              ASSERT_EQ(r.offset_of(p, c), off);
+              ASSERT_EQ(&r.at(p, c), r.data + off);
+              ASSERT_EQ(&r.at(i, j, k, c), r.data + off);
+              ASSERT_EQ(&view(i, j, k, c), r.data + off);
+              if (c == 0) {
+                ASSERT_EQ(&r.at(p), r.data + off);
+                ASSERT_EQ(&r.at(i, j, k), r.data + off);
+                ASSERT_EQ(&view(i, j, k), r.data + off);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Fills every cell of every region buffer (ghosts included) of both arrays
+/// with the same random values.
+void fill_twins(tida::TileArray<double>& a, tida::TileArray<double>& b,
+                Rng& rng) {
+  for (int id = 0; id < a.num_regions(); ++id) {
+    double* pa = a.region(id).data;
+    double* pb = b.region(id).data;
+    for (std::uint64_t c = 0; c < a.region(id).cells(); ++c) {
+      pa[c] = pb[c] = rng.uniform(-1.0, 1.0);
+    }
+  }
+}
+
+/// The reference ghost copy: cell by cell through the longhand formula.
+void reference_copy(const tida::GhostCopy& c, const tida::Region<double>& src,
+                    const tida::Region<double>& dst) {
+  for (int comp = 0; comp < dst.ncomp; ++comp) {
+    for (int k = c.dst_box.lo.k; k <= c.dst_box.hi.k; ++k) {
+      for (int j = c.dst_box.lo.j; j <= c.dst_box.hi.j; ++j) {
+        for (int i = c.dst_box.lo.i; i <= c.dst_box.hi.i; ++i) {
+          const Index3 d{i, j, k};
+          const Index3 s = d - c.dst_box.lo + c.src_box.lo;
+          dst.data[formula_offset(dst.grown, d, comp)] =
+              src.data[formula_offset(src.grown, s, comp)];
+        }
+      }
+    }
+  }
+}
+
+bool buffers_equal(const tida::TileArray<double>& a,
+                   const tida::TileArray<double>& b) {
+  for (int id = 0; id < a.num_regions(); ++id) {
+    if (std::memcmp(a.region(id).data, b.region(id).data,
+                    a.region(id).bytes()) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// A random box of `e` cells inside `within` (which must be large enough).
+Box random_sub_box(Rng& rng, const Box& within, const Index3& e) {
+  const Index3 room = within.extent() - e + Index3::uniform(1);
+  const Index3 lo =
+      within.lo + Index3{static_cast<int>(rng.next_below(room.i)),
+                         static_cast<int>(rng.next_below(room.j)),
+                         static_cast<int>(rng.next_below(room.k))};
+  return Box{lo, lo + e - Index3::uniform(1)};
+}
+
+TEST(LayoutFuzz, CopyGhostCellsMatchesPerCellReferenceBitwise) {
+  cuem::configure(quick_config(), /*functional=*/true);
+  Rng rng(0x60571);
+  std::uint64_t single_cell_rows = 0;
+  std::uint64_t multi_comp_copies = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const Box domain = random_box(rng);
+    const Index3 de = domain.extent();
+    const Index3 region{static_cast<int>(1 + rng.next_below(de.i)),
+                        static_cast<int>(1 + rng.next_below(de.j)),
+                        static_cast<int>(1 + rng.next_below(de.k))};
+    // A periodic plan needs the domain at least as wide as the ghost.
+    const int ghost = static_cast<int>(
+        1 + rng.next_below(std::min({3, de.i, de.j, de.k})));
+    const int ncomp = static_cast<int>(1 + rng.next_below(3));
+    const Boundary bc =
+        rng.next_below(2) == 0 ? Boundary::kPeriodic : Boundary::kNone;
+    tida::TileArray<double> got(domain, region, ghost,
+                                tida::HostAlloc::kPageable, ncomp);
+    tida::TileArray<double> want(domain, region, ghost,
+                                 tida::HostAlloc::kPageable, ncomp);
+
+    // The array's own exchange plan, copy by copy.
+    fill_twins(got, want, rng);
+    for (const tida::GhostCopy& c : got.exchange_plan(bc)) {
+      got.apply_copy_host(c);
+      reference_copy(c, want.region(c.src_region), want.region(c.dst_region));
+      single_cell_rows += c.dst_box.extent().i == 1 ? 1 : 0;
+      multi_comp_copies += ncomp > 1 ? 1 : 0;
+    }
+    ASSERT_TRUE(buffers_equal(got, want))
+        << "trial " << trial << " plan, domain " << domain.to_string()
+        << " region " << region.to_string() << " ghost " << ghost
+        << " ncomp " << ncomp << " bc " << tida::to_string(bc);
+
+    // Random same-shape boxes between two different regions' grown boxes;
+    // a third of them one cell wide along i.
+    if (got.num_regions() < 2) {
+      continue;
+    }
+    fill_twins(got, want, rng);
+    for (int n = 0; n < 20; ++n) {
+      tida::GhostCopy c;
+      c.src_region = static_cast<int>(rng.next_below(got.num_regions()));
+      c.dst_region = static_cast<int>(rng.next_below(got.num_regions() - 1));
+      c.dst_region += c.dst_region >= c.src_region ? 1 : 0;
+      const Box sg = got.region(c.src_region).grown;
+      const Box dg = got.region(c.dst_region).grown;
+      const Index3 fit = Index3::min(sg.extent(), dg.extent());
+      Index3 e{static_cast<int>(1 + rng.next_below(fit.i)),
+               static_cast<int>(1 + rng.next_below(fit.j)),
+               static_cast<int>(1 + rng.next_below(fit.k))};
+      if (rng.next_below(3) == 0) {
+        e.i = 1;
+      }
+      c.src_box = random_sub_box(rng, sg, e);
+      c.dst_box = random_sub_box(rng, dg, e);
+      c.shift = c.src_box.lo - c.dst_box.lo;
+      tida::copy_ghost_cells(c, got.region(c.src_region),
+                             got.region(c.dst_region));
+      reference_copy(c, want.region(c.src_region), want.region(c.dst_region));
+      single_cell_rows += e.i == 1 ? 1 : 0;
+      multi_comp_copies += ncomp > 1 ? 1 : 0;
+    }
+    ASSERT_TRUE(buffers_equal(got, want))
+        << "trial " << trial << " random copies, ncomp " << ncomp;
+  }
+  // Both special shapes were exercised.
+  EXPECT_GT(single_cell_rows, 0u);
+  EXPECT_GT(multi_comp_copies, 0u);
 }
 
 }  // namespace

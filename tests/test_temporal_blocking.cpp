@@ -5,6 +5,7 @@
 // and the cost-model auto-tuner's basic shape.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/tidacc.hpp"
@@ -223,6 +224,94 @@ TEST_F(TemporalBlockingTest, ComputeKValidatesConfiguration) {
   plain.assume_host_initialized();
   // No scratch buffers (time_block_k defaulted to 1).
   EXPECT_THROW(compute_k(plain, 0, 2, 1, cost, body), tidacc::Error);
+}
+
+TEST_F(TemporalBlockingTest, ComputeKRefusesDomainGhostsAfterNoneExchange) {
+  // 12^3 in three slabs, ghost = k: every slab's ghost ring leaves the
+  // domain, whose ghost cells a Boundary::kNone exchange keeps as boundary
+  // values; the trapezoid sub-steps would overwrite them.
+  for (const int k : {2, 3}) {
+    AccOptions o;
+    o.time_block_k = k;
+    AccTileArray<double> u(Box::cube(12), Index3{12, 12, 4}, k, o);
+    u.fill([](const Index3& p) {
+      return kernels::heat_initial(p.i, p.j, p.k);
+    });
+    u.fill_boundary(Boundary::kNone);
+    ASSERT_EQ(u.last_boundary(), Boundary::kNone);
+    const auto body = [](DeviceView<double> in, DeviceView<double> out,
+                         int i, int j, int kk) {
+      out(i, j, kk) = kernels::heat_point(in, i, j, kk);
+    };
+    for (int r = 0; r < u.num_regions(); ++r) {
+      try {
+        compute_k(u, r, k, 1, kernels::heat_cost(), body);
+        ADD_FAILURE() << "compute_k ran region " << r << " after kNone";
+      } catch (const tidacc::Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("region " + std::to_string(r) + " "),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("Boundary::kNone"), std::string::npos) << what;
+        EXPECT_NE(what.find("k = " + std::to_string(k) + " "),
+                  std::string::npos)
+            << what;
+      }
+    }
+    // Nothing was launched: the regions never left the host.
+    EXPECT_EQ(u.location(0), Loc::kHost);
+  }
+}
+
+TEST_F(TemporalBlockingTest, ComputeKRunsInteriorRegionsAfterNoneExchange) {
+  // 4^3 regions of a 12^3 domain: the centre region's ghost ring (k = 2)
+  // stays inside the domain, so its neighbours supply every ghost cell.
+  AccOptions o;
+  o.time_block_k = 2;
+  AccTileArray<double> u(Box::cube(12), Index3::uniform(4), 2, o);
+  u.assume_host_initialized();
+  u.fill_boundary(Boundary::kNone);
+  const int centre = u.partition().region_of_cell({5, 5, 5});
+  ASSERT_TRUE(Box::cube(12).contains(u.region(centre).grown));
+  EXPECT_NO_THROW(compute_k(u, centre, 2, 1, kernels::heat_cost(),
+                            [](DeviceView<double>, DeviceView<double>, int,
+                               int, int) {}));
+}
+
+TEST_F(TemporalBlockingTest, LastBoundaryRidesTheSnapshot) {
+  AccOptions o;
+  o.time_block_k = 2;
+  AccTileArray<double> u(Box::cube(12), Index3{12, 12, 4}, 2, o);
+  u.assume_host_initialized();
+  EXPECT_FALSE(u.last_boundary().has_value());
+  u.fill_boundary(Boundary::kNone);
+  sim::SnapshotWriter w;
+  world_capture(w);
+  u.capture(w);
+  const std::vector<std::uint8_t> snap = w.take();
+
+  u.fill_boundary(Boundary::kPeriodic);
+  EXPECT_EQ(u.last_boundary(), Boundary::kPeriodic);
+  sim::SnapshotReader r(snap);
+  world_restore(r);
+  u.restore(r);
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(u.last_boundary(), Boundary::kNone);
+  EXPECT_THROW(compute_k(u, 0, 2, 1, kernels::heat_cost(),
+                         [](DeviceView<double>, DeviceView<double>, int, int,
+                            int) {}),
+               tidacc::Error);
+}
+
+TEST_F(TemporalBlockingTest, BlockedHeatOnThreeSlabsMatchesSingleSteps) {
+  // The same 12^3, three-slab geometry under a periodic exchange: k
+  // sub-steps per residency stay bitwise equal to six single steps.
+  const std::vector<double> ref = flat_heat(12, 6);
+  EXPECT_EQ(run_single(12, 3, 3, 6, 1, /*heat=*/true), ref);
+  for (const int k : {2, 3}) {
+    EXPECT_EQ(run_blocked(12, 3, 3, 6, 1, k, /*heat=*/true), ref)
+        << "k=" << k;
+  }
 }
 
 // --- snapshot round trip mid-campaign ---
