@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the library substrate itself:
 // how fast the discrete-event platform processes operations, how expensive
-// exchange planning is, and functional execution: the flat reference heat
-// step (BM_FunctionalHeatStep), a region's heat kernel through
+// exchange planning is, the core protocol's host cost per region kernel
+// (BM_LaunchRegionKernel), and functional execution: the flat reference
+// heat step (BM_FunctionalHeatStep), a region's heat kernel through
 // core::compute and DeviceView (BM_ComputeHeatRegion) and one slab's ghost
 // copies through tida::copy_ghost_cells (BM_CopyGhostCells). These measure
 // the real (wall-clock) performance of this codebase — useful when scaling
@@ -110,6 +111,49 @@ void BM_ComputeHeatRegion(benchmark::State& state) {
                           static_cast<std::int64_t>(domain.volume()));
 }
 BENCHMARK(BM_ComputeHeatRegion);
+
+void BM_LaunchRegionKernel(benchmark::State& state) {
+  // One GPU pass of core::compute over 8 resident slabs, timing-only: the
+  // host cost of issuing region kernels (staging hit, event edges, enqueue,
+  // claims), with one tile per launch (Arg 1) or an input and an output
+  // tile (Arg 2).
+  cuem::configure(sim::DeviceConfig::k40m(), /*functional=*/false);
+  oacc::reset();
+  cuem::platform().trace().set_recording(false);
+  const tida::Box domain = tida::Box::cube(32);
+  core::AccTileArray<double> u(domain, tida::Index3{32, 32, 4}, 0);
+  core::AccTileArray<double> un(domain, tida::Index3{32, 32, 4}, 0);
+  u.assume_host_initialized();
+  std::vector<core::AccTile<double>> in;
+  std::vector<core::AccTile<double>> out;
+  core::AccTileIterator<double> it(u);
+  for (it.reset(/*gpu=*/true); it.isValid(); it.next()) {
+    in.push_back(it.tile());
+    out.push_back(it.tile_in(un));
+  }
+  const oacc::LoopCost cost = kernels::heat_cost();
+  const bool two = state.range(0) == 2;
+  const auto pass = [&] {
+    for (std::size_t t = 0; t < in.size(); ++t) {
+      if (two) {
+        core::compute(in[t], out[t], cost,
+                      [](core::DeviceView<double>, core::DeviceView<double>,
+                         int, int, int) {});
+      } else {
+        core::compute(in[t], cost,
+                      [](core::DeviceView<double>, int, int, int) {});
+      }
+    }
+  };
+  pass();  // makes every slab resident
+  for (auto _ : state) {
+    pass();
+    benchmark::DoNotOptimize(cuem::platform().now());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(in.size()));
+}
+BENCHMARK(BM_LaunchRegionKernel)->Arg(1)->Arg(2);
 
 void BM_CopyGhostCells(benchmark::State& state) {
   // Every planned copy into one 128x128x8 slab of a periodic slab

@@ -162,27 +162,10 @@ class ClusterTileArray : public MultiAccTileArray<T> {
     return *fabric_;
   }
 
-  /// True when no face of `region` crosses a node boundary under `bc`:
-  /// such regions may compute between exchange_begin and exchange_end.
-  bool is_node_interior(int region, tida::Boundary bc) {
-    this->checked(region);
-    if (nodes_ == 1) {
-      return true;
-    }
-    for (const tida::GhostCopy& c : this->exchange_plan(bc)) {
-      if (node_of_region(c.src_region) == node_of_region(c.dst_region)) {
-        continue;
-      }
-      if (c.src_region == region || c.dst_region == region) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  /// Regions with at least one cross-node face under `bc` — the set that
-  /// must wait for exchange_end before computing. One pass over the plan,
-  /// not one per region.
+  /// Regions with at least one cross-node face under `bc`, in id order —
+  /// the set that must wait for exchange_end before computing. Every other
+  /// region is node-interior: it may compute between exchange_begin and
+  /// exchange_end. One pass over the plan.
   std::vector<int> node_boundary_regions(tida::Boundary bc) {
     std::vector<char> crosses(static_cast<std::size_t>(this->num_regions()));
     if (nodes_ > 1) {

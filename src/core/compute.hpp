@@ -11,6 +11,10 @@
 // Lambda signature, for N tiles:
 //   [](DeviceView<T0> v0, ..., DeviceView<TN-1> vN-1, int i, int j, int k)
 // Indices are global (domain) coordinates; views index globally too.
+//
+// Every region kernel — compute()'s GPU path, compute_gpu and compute_k's
+// sub-steps — is issued by detail::launch, which orders it against its
+// operands' streams and claims each operand in one role (read or written).
 #pragma once
 
 #include <memory>
@@ -48,6 +52,8 @@ class DeviceView {
   const tida::Box& grown() const { return grown_; }
   int ncomp() const { return ncomp_; }
   const tida::CellLayout& layout() const { return layout_; }
+  /// Size of the viewed buffer: every component of the grown box.
+  std::size_t bytes() const { return grown_.volume() * ncomp_ * sizeof(T); }
 
  private:
   T* data_;
@@ -75,16 +81,86 @@ void for_each_cell(const tida::Box& range, Fn& body,
       views);
 }
 
-/// Shared implementation over a parameter pack of tiles.
+/// One operand of a region kernel: its view of a slot buffer, the stream
+/// serving that slot, and whether the kernel may write the buffer.
+template <typename T>
+struct Operand {
+  DeviceView<T> view;
+  cuemStream_t stream;
+  bool write;
+};
+
+/// The one place a region kernel is issued (§IV-B5): body(views..., i, j, k)
+/// over `range` as one OpenACC-generated kernel on the first operand's
+/// stream. In order, it
+///   1. makes the kernel stream wait on every other operand's stream, so
+///      their staging lands first;
+///   2. enqueues the kernel, priced by the loop's profile (compiler-chosen
+///      geometry) plus the OpenACC dispatch cost, named label() while a
+///      trace records or the sanitizer is on;
+///   3. claims each operand's slot buffer once, in its role, to the
+///      sanitizer's racecheck and to the op graph;
+///   4. makes every other operand's stream wait on the kernel, so work
+///      queued there later (its next kernel, an eviction D2H) sees it.
+/// The host never synchronizes: stream order protects later work on the
+/// kernel stream.
+template <typename Fn, typename Label, typename... Ts>
+void launch(const tida::Box& range, const oacc::LoopCost& cost, Fn&& body,
+            const Label& label, const Operand<Ts>&... ops) {
+  sim::Platform& p = sim::Platform::instance();
+  const cuemStream_t kstream = std::get<0>(std::tie(ops...)).stream;
+  const auto order = [kstream](cuemStream_t s, bool kernel_waits) {
+    if (s != kstream) {
+      CUEM_CHECK(kernel_waits ? cuem::order_after(kstream, s)
+                              : cuem::order_after(s, kstream));
+    }
+  };
+  (order(ops.stream, /*kernel_waits=*/true), ...);
+
+  const std::string op = p.trace().recording() || cuem::san::enabled()
+                             ? label()
+                             : std::string();
+  p.enqueue_kernel(kstream,
+                   cost.profile(range.volume(), /*tuned_geometry=*/false),
+                   p.config().oacc_dispatch_extra_ns,
+                   [range, views = std::make_tuple(ops.view...),
+                    body = std::forward<Fn>(body)]() {
+                     for_each_cell(range, body, views);
+                   },
+                   op);
+
+  const auto claim = [&](const auto& o) {
+    if (cuem::san::enabled()) {
+      cuem::san::note_kernel_access(kstream, o.view.data(), o.view.bytes(),
+                                    o.write, op.c_str());
+    }
+    if (p.op_graph() != nullptr) {
+      p.graph_note_stream_access(kstream, o.view.data(), o.view.bytes(),
+                                 o.write);
+    }
+  };
+  (claim(ops), ...);
+
+  (order(ops.stream, /*kernel_waits=*/false), ...);
+}
+
+/// Throws unless `device`, where an operand's region `region` lives, is
+/// the kernel's device: one kernel runs against one device's slots.
+inline void check_one_device(int region, int device, int kernel_device) {
+  TIDACC_CHECK_MSG(device == kernel_device,
+                   "compute on region " + std::to_string(region) +
+                       ": one operand lives on device " +
+                       std::to_string(device) + ", the first on device " +
+                       std::to_string(kernel_device) +
+                       " — a kernel runs against one device's slots");
+}
+
+/// compute() over any tiles: the CPU loop, or one region kernel.
 template <typename Fn, typename... Ts>
 void compute_range(const tida::Box& range, const oacc::LoopCost& cost,
                    Fn&& body, const AccTile<Ts>&... tiles) {
   static_assert(sizeof...(Ts) >= 1, "compute needs at least one tile");
-  constexpr std::size_t kN = sizeof...(Ts);
-
-  const std::tuple<const AccTile<Ts>&...> pack(tiles...);
-  const AccTile<std::tuple_element_t<0, std::tuple<Ts...>>>& first =
-      std::get<0>(pack);
+  const auto& first = std::get<0>(std::tie(tiles...));
 
   const bool gpu = first.gpu;
   TIDACC_CHECK_MSG(((tiles.gpu == gpu) && ...),
@@ -109,87 +185,56 @@ void compute_range(const tida::Box& range, const oacc::LoopCost& cost,
     return;
   }
 
-  // GPU path: stage every involved region (async, on its slot stream).
-  const auto views = std::make_tuple(
+  if constexpr (sizeof...(Ts) > 1) {
+    const int device = first.array->device_of_region(first.tile.region.id);
+    (check_one_device(tiles.tile.region.id,
+                      tiles.array->device_of_region(tiles.tile.region.id),
+                      device),
+     ...);
+  }
+  // Stage every region, in argument order: a braced list evaluates left to
+  // right, where function arguments need not. The body may write any tile,
+  // so every operand is written.
+  const std::tuple<Operand<Ts>...> ops{Operand<Ts>{
       DeviceView<Ts>{tiles.array->acquire_on_device(tiles.tile.region.id),
-                     tiles.tile.region.grown, tiles.tile.region.ncomp}...);
-
-  // The kernel runs on the first tile's stream. If other tiles live on
-  // different streams, their staging must complete first: record an event
-  // on each and make the kernel stream wait (cross-array ordering).
-  const cuemStream_t kstream =
-      first.array->stream_of_region(first.tile.region.id);
-  if constexpr (kN > 1) {
-    const auto order_against = [&](const auto& t) {
-      const cuemStream_t s = t.array->stream_of_region(t.tile.region.id);
-      if (s != kstream) {
-        cuemEvent_t ev = 0;
-        CUEM_CHECK(cuemEventCreate(&ev));
-        CUEM_CHECK(cuemEventRecord(ev, s));
-        CUEM_CHECK(cuemStreamWaitEvent(kstream, ev, 0));
-        CUEM_CHECK(cuemEventDestroy(ev));
-      }
-    };
-    (order_against(tiles), ...);
-  }
-
-  auto action = [range, views, body = std::forward<Fn>(body)]() {
-    for_each_cell(range, body, views);
-  };
-
-  // Kernels are OpenACC-generated (§IV-B5): compiler-chosen geometry.
-  p.enqueue_kernel(kstream,
-                   cost.profile(range.volume(), /*tuned_geometry=*/false),
-                   p.config().oacc_dispatch_extra_ns, std::move(action),
-                   p.trace().recording()
-                       ? "C:R" + std::to_string(first.tile.region.id)
-                       : std::string());
-  // Dirty tracking is conservative: the kernel may write any involved
-  // tile's cells in `range`, so every array records a device write there.
+                     tiles.tile.region.grown, tiles.tile.region.ncomp},
+      tiles.array->stream_of_region(tiles.tile.region.id),
+      /*write=*/true}...};
+  const int id = first.tile.region.id;
+  std::apply(
+      [&](const auto&... o) {
+        launch(
+            range, cost, std::forward<Fn>(body),
+            [id] { return "C:R" + std::to_string(id); }, o...);
+      },
+      ops);
+  // Dirty tracking is conservative too: every array records a device write
+  // over `range`.
   (tiles.array->note_device_write(tiles.tile.region.id, range), ...);
-  if (cuem::san::enabled()) {
-    // Sanitizer racecheck bookkeeping: the kernel may read or write any
-    // involved slot buffer (conservative whole-buffer claim; ordering
-    // across streams is explicit above/below, so this cannot false-flag).
-    const std::string op = "C:R" + std::to_string(first.tile.region.id);
-    const auto note_tile = [&](const auto& t) {
-      const auto& reg = t.tile.region;
-      cuem::san::note_kernel_access(kstream,
-                                    t.array->device_region(reg.id).data,
-                                    reg.bytes(), /*write=*/true, op.c_str());
-    };
-    (note_tile(tiles), ...);
+}
+
+/// compute_reduce() over any tiles: folds body(views..., i, j, k) over the
+/// first tile's box into one value and returns it to the host.
+template <typename Fn, typename... Ts>
+double reduce_range(const oacc::LoopCost& cost, oacc::ReduceOp op,
+                    Fn&& body, const AccTile<Ts>&... tiles) {
+  const auto& first = std::get<0>(std::tie(tiles...));
+  auto partial = std::make_shared<double>(oacc::detail::reduce_identity(op));
+  compute_range(
+      first.tile.box, cost,
+      [op, partial, body = std::forward<Fn>(body)](DeviceView<Ts>... v,
+                                                   int i, int j, int k) {
+        *partial =
+            oacc::detail::reduce_combine(op, *partial, body(v..., i, j, k));
+      },
+      tiles...);
+  sim::Platform& p = sim::Platform::instance();
+  p.host_advance(p.config().transfer_latency_ns);
+  if (first.gpu) {
+    CUEM_CHECK(cuemStreamSynchronize(
+        first.array->stream_of_region(first.tile.region.id)));
   }
-  if (sim::Platform::instance().op_graph() != nullptr) {
-    // Schedule-lint attribution: the same conservative whole-buffer write
-    // claim, but independent of the sanitizer build (the graph is an
-    // opt-in analysis attachment, not a compile-time mode).
-    const auto graph_note_tile = [&](const auto& t) {
-      const auto& reg = t.tile.region;
-      sim::Platform::instance().graph_note_stream_access(
-          kstream, t.array->device_region(reg.id).data, reg.bytes(),
-          /*write=*/true);
-    };
-    (graph_note_tile(tiles), ...);
-  }
-  // No synchronization after the launch (§IV-B5): stream order protects
-  // later operations on the same region. Cross-array ordering needs the
-  // mirror of the opening edges, though: the kernel may write the *other*
-  // tiles' regions, so work queued later on their streams (their next
-  // kernel, an eviction D2H) must wait for this launch.
-  if constexpr (kN > 1) {
-    const auto order_after = [&](const auto& t) {
-      const cuemStream_t s = t.array->stream_of_region(t.tile.region.id);
-      if (s != kstream) {
-        cuemEvent_t ev = 0;
-        CUEM_CHECK(cuemEventCreate(&ev));
-        CUEM_CHECK(cuemEventRecord(ev, kstream));
-        CUEM_CHECK(cuemStreamWaitEvent(s, ev, 0));
-        CUEM_CHECK(cuemEventDestroy(ev));
-      }
-    };
-    (order_after(tiles), ...);
-  }
+  return *partial;
 }
 
 }  // namespace detail
@@ -255,67 +300,29 @@ void compute_gpu(MultiAccTileArray<T>& a, int region,
 }
 
 /// Two-array variant (Jacobi-style in/out): body(in, out, i, j, k). Both
-/// arrays must place the region on the same device; when the slot streams
-/// differ the kernel stream waits on the output's staging (event ordering,
-/// as compute() does for multi-tile calls).
+/// arrays must place the region on the same device. The kernel runs on the
+/// input's stream, reads the input and writes the output; it acquires the
+/// input first.
 template <typename T, typename Fn>
 void compute_gpu(MultiAccTileArray<T>& in, MultiAccTileArray<T>& out,
                  int region, const oacc::LoopCost& cost, Fn&& body) {
   TIDACC_CHECK_MSG(in.partition() == out.partition(),
                    "in/out arrays must share the partition geometry");
-  TIDACC_CHECK_MSG(in.device_of_region(region) ==
-                       out.device_of_region(region),
-                   "in/out region must live on the same device");
-  sim::Platform& p = sim::Platform::instance();
+  detail::check_one_device(region, out.device_of_region(region),
+                           in.device_of_region(region));
   const tida::Region<T> rin = in.region(region);
   const tida::Region<T> rout = out.region(region);
   const DeviceView<T> vin{in.acquire_on_device(region), rin.grown,
                           rin.ncomp};
   const DeviceView<T> vout{out.acquire_on_device(region), rout.grown,
                            rout.ncomp};
-  const cuemStream_t kstream = in.stream_of_region(region);
-  const cuemStream_t ostream = out.stream_of_region(region);
-  if (ostream != kstream) {
-    cuemEvent_t ev = 0;
-    CUEM_CHECK(cuemEventCreate(&ev));
-    CUEM_CHECK(cuemEventRecord(ev, ostream));
-    CUEM_CHECK(cuemStreamWaitEvent(kstream, ev, 0));
-    CUEM_CHECK(cuemEventDestroy(ev));
-  }
-
-  auto action = [range = rin.valid, views = std::make_tuple(vin, vout),
-                 body = std::forward<Fn>(body)]() {
-    detail::for_each_cell(range, body, views);
-  };
-  p.enqueue_kernel(kstream,
-                   cost.profile(rin.valid.volume(), /*tuned_geometry=*/false),
-                   p.config().oacc_dispatch_extra_ns, std::move(action),
-                   p.trace().recording() ? "C:R" + std::to_string(region)
-                                         : std::string());
+  detail::launch(
+      rin.valid, cost, std::forward<Fn>(body),
+      [region] { return "C:R" + std::to_string(region); },
+      detail::Operand<T>{vin, in.stream_of_region(region), /*write=*/false},
+      detail::Operand<T>{vout, out.stream_of_region(region), /*write=*/true});
   in.note_device_write(region, rin.valid);
   out.note_device_write(region, rout.valid);
-  if (cuem::san::enabled()) {
-    const std::string op = "C:R" + std::to_string(region);
-    cuem::san::note_kernel_access(kstream, vin.data(), rin.bytes(),
-                                  /*write=*/true, op.c_str());
-    cuem::san::note_kernel_access(kstream, vout.data(), rout.bytes(),
-                                  /*write=*/true, op.c_str());
-  }
-  // Schedule-lint attribution (sanitizer-independent): input is read-only,
-  // output is written — the roles the event edges above/below protect.
-  p.graph_note_stream_access(kstream, vin.data(), rin.bytes(),
-                             /*write=*/false);
-  p.graph_note_stream_access(kstream, vout.data(), rout.bytes(),
-                             /*write=*/true);
-  // Close the cross-stream edge: the kernel writes the output array's slot,
-  // so later work on the output's stream must wait for this launch.
-  if (ostream != kstream) {
-    cuemEvent_t ev = 0;
-    CUEM_CHECK(cuemEventCreate(&ev));
-    CUEM_CHECK(cuemEventRecord(ev, kstream));
-    CUEM_CHECK(cuemStreamWaitEvent(ostream, ev, 0));
-    CUEM_CHECK(cuemEventDestroy(ev));
-  }
 }
 
 // --- reductions ---
@@ -329,22 +336,7 @@ void compute_gpu(MultiAccTileArray<T>& in, MultiAccTileArray<T>& out,
 template <typename T0, typename Fn>
 double compute_reduce(const AccTile<T0>& t0, const oacc::LoopCost& cost,
                       oacc::ReduceOp op, Fn&& body) {
-  auto partial = std::make_shared<double>(oacc::detail::reduce_identity(op));
-  detail::compute_range(
-      t0.tile.box, cost,
-      [op, partial, body = std::forward<Fn>(body)](DeviceView<T0> v, int i,
-                                                   int j, int k) {
-        *partial =
-            oacc::detail::reduce_combine(op, *partial, body(v, i, j, k));
-      },
-      t0);
-  sim::Platform& p = sim::Platform::instance();
-  p.host_advance(p.config().transfer_latency_ns);
-  if (t0.gpu) {
-    CUEM_CHECK(cuemStreamSynchronize(
-        t0.array->stream_of_region(t0.tile.region.id)));
-  }
-  return *partial;
+  return detail::reduce_range(cost, op, std::forward<Fn>(body), t0);
 }
 
 /// Two-tile reduction: body(v0, v1, i, j, k) -> double. Used for residuals
@@ -353,50 +345,7 @@ template <typename T0, typename T1, typename Fn>
 double compute_reduce(const AccTile<T0>& t0, const AccTile<T1>& t1,
                       const oacc::LoopCost& cost, oacc::ReduceOp op,
                       Fn&& body) {
-  auto partial = std::make_shared<double>(oacc::detail::reduce_identity(op));
-  detail::compute_range(
-      t0.tile.box, cost,
-      [op, partial, body = std::forward<Fn>(body)](
-          DeviceView<T0> v0, DeviceView<T1> v1, int i, int j, int k) {
-        *partial = oacc::detail::reduce_combine(op, *partial,
-                                                body(v0, v1, i, j, k));
-      },
-      t0, t1);
-  sim::Platform& p = sim::Platform::instance();
-  p.host_advance(p.config().transfer_latency_ns);
-  if (t0.gpu) {
-    CUEM_CHECK(cuemStreamSynchronize(
-        t0.array->stream_of_region(t0.tile.region.id)));
-  }
-  return *partial;
-}
-
-// --- out-of-core streamed traversal (slot-scheduler prefetch) ---
-
-/// Runs one full GPU traversal with H2D prefetch: after enqueueing each
-/// tile's kernel, the regions of the next `lookahead` tile positions are
-/// prefetched onto their (policy-chosen) slot streams, so their transfers
-/// ride the DMA engines while earlier kernels occupy the compute engine.
-/// With `lookahead` 0 this is exactly the demand-driven traversal.
-///
-/// Returns the number of prefetch placements issued (already-resident and
-/// pinned-away regions are skipped — see prefetch_to_device()).
-template <typename T, typename Fn>
-std::uint64_t compute_streamed(AccTileIterator<T>& it, int lookahead,
-                               const oacc::LoopCost& cost, Fn&& body) {
-  TIDACC_CHECK_MSG(lookahead >= 0, "negative prefetch lookahead");
-  std::uint64_t issued = 0;
-  for (it.reset(/*gpu=*/true); it.isValid(); it.next()) {
-    AccTile<T> tile = it.tile();
-    compute(tile, cost, body);
-    for (int a = 1; a <= lookahead; ++a) {
-      const int next = it.peek_region(static_cast<std::size_t>(a));
-      if (next >= 0 && next != tile.tile.region.id) {
-        issued += tile.array->prefetch_to_device(next) ? 1 : 0;
-      }
-    }
-  }
-  return issued;
+  return detail::reduce_range(cost, op, std::forward<Fn>(body), t0, t1);
 }
 
 // --- hybrid CPU/GPU traversal (paper §III: "overlapping computation in

@@ -32,8 +32,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <tuple>
-#include <utility>
 #include <vector>
 
 #include "core/compute.hpp"
@@ -69,45 +67,22 @@ void compute_k(MultiAccTileArray<T>& a, int region, int k, int radius,
                        " sub-steps would overwrite their boundary values — "
                        "step it with compute(), or exchange periodically");
 
-  sim::Platform& p = sim::Platform::instance();
   T* in_ptr = a.acquire_on_device(region);
   const cuemStream_t kstream = a.stream_of_region(region);
 
   for (int s = 0; s < k; ++s) {
-    const tida::Box range = tida::trapezoid_range(reg.valid, radius, k, s);
     T* out_ptr = a.scratch_of_region(region);
-
-    auto action = [range,
-                   views = std::make_tuple(
-                       DeviceView<T>{in_ptr, reg.grown, reg.ncomp},
-                       DeviceView<T>{out_ptr, reg.grown, reg.ncomp}),
-                   body]() { detail::for_each_cell(range, body, views); };
-    // Kernels are OpenACC-generated (§IV-B5): compiler-chosen geometry.
-    p.enqueue_kernel(kstream,
-                     cost.profile(range.volume(), /*tuned_geometry=*/false),
-                     p.config().oacc_dispatch_extra_ns, std::move(action),
-                     p.trace().recording()
-                         ? "Ck:R" + std::to_string(region) + "#" +
-                               std::to_string(s)
-                         : std::string());
-    if (cuem::san::enabled()) {
-      // Both buffers live on the same stream, so the swap-based double
-      // buffering is race-free by stream order; claim the exact roles so
-      // the racecheck can prove it (reads of `in`, writes of `out`).
-      const std::string op = "Ck:R" + std::to_string(region);
-      cuem::san::note_kernel_access(kstream, in_ptr, reg.bytes(),
-                                    /*write=*/false, op.c_str());
-      cuem::san::note_kernel_access(kstream, out_ptr, reg.bytes(),
-                                    /*write=*/true, op.c_str());
-    }
-    if (p.op_graph() != nullptr) {
-      // Schedule-lint attribution (sanitizer-independent): same exact
-      // in-read / out-write roles as the san claim above.
-      p.graph_note_stream_access(kstream, in_ptr, reg.bytes(),
-                                 /*write=*/false);
-      p.graph_note_stream_access(kstream, out_ptr, reg.bytes(),
-                                 /*write=*/true);
-    }
+    // Both buffers live on the slot's stream, so the double buffering is
+    // race-free by stream order; the exact roles let the racecheck prove it.
+    detail::launch(
+        tida::trapezoid_range(reg.valid, radius, k, s), cost, body,
+        [region, s] {
+          return "Ck:R" + std::to_string(region) + "#" + std::to_string(s);
+        },
+        detail::Operand<T>{DeviceView<T>{in_ptr, reg.grown, reg.ncomp},
+                           kstream, /*write=*/false},
+        detail::Operand<T>{DeviceView<T>{out_ptr, reg.grown, reg.ncomp},
+                           kstream, /*write=*/true});
     // The swap makes slot_ptr() point at the data this sub-step produced;
     // the next sub-step (or the next transfer) picks it up from there.
     a.swap_region_buffers(region);

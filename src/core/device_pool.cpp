@@ -158,11 +158,7 @@ void DevicePool::set_stream_permutation(const std::vector<int>& perm) {
     // new stream wait for it so the remap never reorders the slot's ops.
     const cuemStream_t from = oacc::get_cuem_stream(old_q);
     const cuemStream_t to = oacc::get_cuem_stream(new_q);
-    cuemEvent_t ev = 0;
-    CUEM_CHECK(cuemEventCreate(&ev));
-    CUEM_CHECK(cuemEventRecord(ev, from));
-    CUEM_CHECK(cuemStreamWaitEvent(to, ev, 0));
-    CUEM_CHECK(cuemEventDestroy(ev));
+    CUEM_CHECK(cuem::order_after(to, from));
   }
   perm_ = perm;
   for (int s = 0; s < num_slots(); ++s) {

@@ -111,9 +111,6 @@ class DevicePool {
   /// fuzzer uses this to explore stream assignments directly.
   void set_stream_permutation(const std::vector<int>& perm);
 
-  /// Current slot→queue permutation (identity unless remapped).
-  const std::vector<int>& stream_permutation() const { return perm_; }
-
   CacheTable& cache() { return cache_; }
   const CacheTable& cache() const { return cache_; }
 

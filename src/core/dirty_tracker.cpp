@@ -123,10 +123,6 @@ void DirtyTracker::note_device_shipped(int region, const Box& box) {
   tida::subtract_from_list(sides(region).dev, box);
 }
 
-void DirtyTracker::note_host_shipped(int region, const Box& box) {
-  tida::subtract_from_list(sides(region).host, box);
-}
-
 const std::vector<Box>& DirtyTracker::host_dirty(int region) const {
   return sides(region).host;
 }

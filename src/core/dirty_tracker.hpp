@@ -86,7 +86,6 @@ class DirtyTracker {
   /// were just shipped, so the two copies agree there now. Used by the
   /// streaming ghost exchange, which pulls only face shells.
   void note_device_shipped(int region, const tida::Box& box);
-  void note_host_shipped(int region, const tida::Box& box);
 
   /// Disjoint boxes the host copy has written (pending upload).
   const std::vector<tida::Box>& host_dirty(int region) const;

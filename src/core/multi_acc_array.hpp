@@ -121,8 +121,8 @@ struct MultiAccOptions {
   /// Temporal blocking depth: number of stencil sub-steps compute_k() runs
   /// per residency. 1 (default) allocates nothing extra and reproduces the
   /// seed's behaviour bit-for-bit; k > 1 gives every slot a scratch double
-  /// buffer and deepens the prefetch hint to k. The array must then be
-  /// built with ghost = k * stencil_radius (see choose_time_block_k).
+  /// buffer. The array must then be built with ghost = k * stencil_radius
+  /// (see choose_time_block_k).
   int time_block_k = 1;
   /// Codec policy for host<->device transfers (flat region copies and
   /// pitched delta copies; prefetches stay raw). kOff keeps the transfer
@@ -275,11 +275,6 @@ class MultiAccTileArray : public tida::TileArray<T> {
           /*with_scratch=*/opts.time_block_k > 1);
       if (descriptors > 0) {
         s.buffers.stream = oacc::get_cuem_stream(kExchangeQueue);
-      }
-      if (opts.time_block_k > 1) {
-        // A k-deep residency spans k kernel launches; let the prefetcher
-        // run as many regions ahead so the copy engine stays busy.
-        s.pool->scheduler().set_prefetch_depth(opts.time_block_k);
       }
     }
   }
@@ -553,15 +548,11 @@ class MultiAccTileArray : public tida::TileArray<T> {
       xfer_.h2d_bytes += this->region_bytes(region);
       xfer_.h2d_wire_bytes += this->region_bytes(region);
       ++xfer_.prefetch_ops;
-      ++prefetches_issued_;
     }
     s.pool->cache().set(slot, lr);
     loc_.set(region, Loc::kDevice);
     return true;
   }
-
-  /// Number of prefetch transfers issued so far.
-  std::uint64_t prefetches_issued() const { return prefetches_issued_; }
 
   /// Ensures the host copy of `region` is current. Blocks until the
   /// transfer completes when one is needed (§IV-B3: the caller may touch
@@ -764,7 +755,6 @@ class MultiAccTileArray : public tida::TileArray<T> {
     xfer_.capture(w);
     w.put_u64(device_ghost_updates_);
     w.put_u64(peer_ghost_copies_);
-    w.put_u64(prefetches_issued_);
     w.put_u64(streaming_exchanges_);
     w.put_int(last_boundary_ ? static_cast<int>(*last_boundary_) : -1);
   }
@@ -811,7 +801,6 @@ class MultiAccTileArray : public tida::TileArray<T> {
     xfer_.restore(r);
     device_ghost_updates_ = r.get_u64();
     peer_ghost_copies_ = r.get_u64();
-    prefetches_issued_ = r.get_u64();
     streaming_exchanges_ = r.get_u64();
     const int bc = r.get_int();
     TIDACC_CHECK_MSG(
@@ -988,11 +977,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
       pending = -1;  // already done; the query observed completion
       return;
     }
-    cuemEvent_t ev = 0;
-    CUEM_CHECK(cuemEventCreate(&ev));
-    CUEM_CHECK(cuemEventRecord(ev, pending));
-    CUEM_CHECK(cuemStreamWaitEvent(stream, ev, 0));
-    CUEM_CHECK(cuemEventDestroy(ev));
+    CUEM_CHECK(cuem::order_after(stream, pending));
   }
 
   /// Readies `slot` for a flat load of `region`. Paper's eviction: the
@@ -1721,7 +1706,6 @@ class MultiAccTileArray : public tida::TileArray<T> {
   int num_devices_ = 1;
   std::uint64_t device_ghost_updates_ = 0;
   std::uint64_t peer_ghost_copies_ = 0;
-  std::uint64_t prefetches_issued_ = 0;
   std::uint64_t streaming_exchanges_ = 0;
   std::optional<tida::Boundary> last_boundary_;
   /// Caching ablation (AccOptions::disable_caching): every device acquire

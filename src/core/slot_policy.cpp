@@ -314,11 +314,6 @@ void SlotScheduler::set_future(std::vector<int> sequence) {
   policy_->set_future(std::move(sequence));
 }
 
-void SlotScheduler::set_prefetch_depth(int depth) {
-  TIDACC_CHECK_MSG(depth >= 1, "prefetch depth must be at least 1");
-  prefetch_depth_ = depth;
-}
-
 void SlotScheduler::capture(sim::SnapshotWriter& w) const {
   w.section("slot_scheduler");
   w.put_int(num_slots_);
@@ -326,7 +321,6 @@ void SlotScheduler::capture(sim::SnapshotWriter& w) const {
   w.put_int_vec(binding_);
   w.put_int_vec(pinned_region_);
   w.put_int(last_demand_slot_);
-  w.put_int(prefetch_depth_);
   policy_->capture(w);
 }
 
@@ -346,7 +340,6 @@ void SlotScheduler::restore(sim::SnapshotReader& r) {
                        static_cast<std::size_t>(num_slots_),
                    "scheduler snapshot is inconsistent");
   last_demand_slot_ = r.get_int();
-  prefetch_depth_ = r.get_int();
   policy_->restore(r);
 }
 

@@ -137,13 +137,6 @@ class SlotScheduler {
   /// Forwards the recorded future access sequence to the policy.
   void set_future(std::vector<int> sequence);
 
-  /// Hint: how many regions ahead the runtime should prefetch. With k-step
-  /// temporal blocking each residency lasts k kernel launches, so the
-  /// prefetcher can (and should) run k regions deep to keep the copy
-  /// engine busy for the whole residency. 1 = the classic one-ahead.
-  int prefetch_depth() const { return prefetch_depth_; }
-  void set_prefetch_depth(int depth);
-
   /// Snapshot of bindings, prefetch pins and policy state. Restore requires
   /// a scheduler with the same slot/region counts and policy kind.
   void capture(sim::SnapshotWriter& w) const;
@@ -158,7 +151,6 @@ class SlotScheduler {
   std::vector<int> binding_;        ///< region → last resolved slot
   std::vector<int> pinned_region_;  ///< slot → in-flight region, or -1
   int last_demand_slot_ = -1;       ///< slot of the newest demand acquire
-  int prefetch_depth_ = 1;          ///< lookahead hint (temporal blocking)
 };
 
 }  // namespace tidacc::core

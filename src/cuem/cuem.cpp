@@ -564,6 +564,20 @@ void DeviceGuard::enter(int device) {
 
 void DeviceGuard::leave() const { (void)cuemSetDevice(prev_); }
 
+cuemError_t order_after(cuemStream_t stream, cuemStream_t before) {
+  cuemEvent_t ev = 0;
+  cuemError_t err = cuemEventCreate(&ev);
+  if (err != cuemSuccess) {
+    return err;
+  }
+  err = cuemEventRecord(ev, before);
+  if (err == cuemSuccess) {
+    err = cuemStreamWaitEvent(stream, ev, 0);
+  }
+  const cuemError_t destroyed = cuemEventDestroy(ev);
+  return err != cuemSuccess ? err : destroyed;
+}
+
 cuemError_t peer_copy_async(int dst_device, int src_device,
                             std::size_t bytes, cuemStream_t stream,
                             std::string label,

@@ -330,6 +330,11 @@ class DeviceGuard {
   int prev_;
 };
 
+/// Makes work queued on `stream` from now on wait for everything already
+/// queued on `before` (an event recorded on `before`, waited on by
+/// `stream`, then destroyed). The host never blocks.
+cuemError_t order_after(cuemStream_t stream, cuemStream_t before);
+
 /// Stream-ordered peer copy with a caller-supplied functional action and
 /// trace label — the cudaMemcpy3DPeerAsync analogue used by inter-device
 /// ghost exchange, where the data movement is strided rather than a flat

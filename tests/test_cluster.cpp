@@ -258,20 +258,9 @@ TEST_F(ClusterTest, ShardingAndPathResolution) {
   const std::vector<int> boundary =
       a.node_boundary_regions(Boundary::kPeriodic);
   EXPECT_EQ(boundary, (std::vector<int>{0, 3, 4, 7}));
-  EXPECT_TRUE(a.is_node_interior(1, Boundary::kPeriodic));
-  EXPECT_FALSE(a.is_node_interior(4, Boundary::kPeriodic));
-  // Without the wrap only the seam crosses; both queries agree per region.
+  // Without the wrap only the seam crosses.
   EXPECT_EQ(a.node_boundary_regions(Boundary::kNone),
             (std::vector<int>{3, 4}));
-  for (const Boundary bc : {Boundary::kPeriodic, Boundary::kNone}) {
-    const std::vector<int> crossing = a.node_boundary_regions(bc);
-    for (int r = 0; r < 8; ++r) {
-      EXPECT_EQ(a.is_node_interior(r, bc),
-                std::find(crossing.begin(), crossing.end(), r) ==
-                    crossing.end())
-          << "region " << r << " bc " << tida::to_string(bc);
-    }
-  }
 
   ClusterTileArray<double> eth(Box::cube(16), Index3{16, 16, 2}, 1,
                                two_nodes(NetPath::kAuto,
@@ -475,6 +464,11 @@ TEST_F(ClusterTest, OverlapProducesTheSameField) {
                                 two_nodes());
     u.fill(pattern);
     const oacc::LoopCost cost = unit_cost();
+    const std::vector<int> boundary =
+        u.node_boundary_regions(Boundary::kPeriodic);
+    const auto on_boundary = [&boundary](int r) {
+      return std::find(boundary.begin(), boundary.end(), r) != boundary.end();
+    };
     for (int s = 0; s < 3; ++s) {
       auto& in = s % 2 == 0 ? u : un;
       auto& out = s % 2 == 0 ? un : u;
@@ -484,7 +478,7 @@ TEST_F(ClusterTest, OverlapProducesTheSameField) {
         in.fill_boundary(Boundary::kPeriodic);
       }
       for (int r = 0; r < in.num_regions(); ++r) {
-        if (overlap && !in.is_node_interior(r, Boundary::kPeriodic)) {
+        if (overlap && on_boundary(r)) {
           continue;
         }
         compute_gpu(in, out, r, cost,
@@ -493,10 +487,7 @@ TEST_F(ClusterTest, OverlapProducesTheSameField) {
       }
       if (overlap) {
         in.exchange_end();
-        for (int r = 0; r < in.num_regions(); ++r) {
-          if (in.is_node_interior(r, Boundary::kPeriodic)) {
-            continue;
-          }
+        for (const int r : boundary) {
           compute_gpu(in, out, r, cost,
                       [](DeviceView<double> vi, DeviceView<double> vo, int i,
                          int j, int k) { vo(i, j, k) = vi(i, j, k) + 1.0; });
@@ -604,11 +595,13 @@ TEST_F(ClusterTest, CaptureRestoreReplaysIdentically) {
   u.capture(w);
   const std::vector<std::uint8_t> snap = w.take();
 
-  const auto tail = [&u]() {
+  const std::vector<int> boundary =
+      u.node_boundary_regions(Boundary::kPeriodic);
+  const auto tail = [&u, &boundary]() {
     const oacc::LoopCost cost = unit_cost();
     u.exchange_begin(Boundary::kPeriodic);
     for (int r = 0; r < u.num_regions(); ++r) {
-      if (!u.is_node_interior(r, Boundary::kPeriodic)) {
+      if (std::find(boundary.begin(), boundary.end(), r) != boundary.end()) {
         continue;
       }
       compute_gpu(u, r, cost, [](DeviceView<double> v, int i, int j, int k) {

@@ -366,6 +366,30 @@ TEST_F(AccArrayTest, ComputeMultiTileTwoArrays) {
   EXPECT_DOUBLE_EQ(v.at({3, 5, 7}), 2.0 * pattern({3, 5, 7}));
 }
 
+TEST_F(AccArrayTest, ComputeStagesTilesInArgumentOrder) {
+  // The uploads queue in argument order on every compiler — `in` (one
+  // component, 2,048 B) before `out` (two, 4,096 B) — although a function
+  // call may evaluate its arguments in either order.
+  AccTileArray<double> in(Box::cube(8), Index3{8, 8, 4}, 0);
+  AccOptions two;
+  two.ncomp = 2;
+  AccTileArray<double> out(Box::cube(8), Index3{8, 8, 4}, 0, two);
+  in.fill(pattern);
+  out.fill(pattern);
+  cuem::platform().trace().set_recording(true);
+  AccTileIterator<double> it(in);
+  it.reset(/*gpu=*/true);
+  compute(it.tile(), it.tile_in(out), unit_cost(),
+          [](DeviceView<double>, DeviceView<double>, int, int, int) {});
+  std::vector<std::uint64_t> uploads;
+  for (const sim::TraceEvent& e : cuem::platform().trace().events()) {
+    if (e.kind == sim::OpKind::kCopyH2D) {
+      uploads.push_back(e.bytes);
+    }
+  }
+  EXPECT_EQ(uploads, (std::vector<std::uint64_t>{2048, 4096}));
+}
+
 TEST_F(AccArrayTest, MixedGpuFlagsRejected) {
   AccTileArray<double> u(Box::cube(4), Index3::uniform(4), 0);
   AccTileArray<double> v(Box::cube(4), Index3::uniform(4), 0);

@@ -318,6 +318,78 @@ TEST_F(CuemSanTest, SyncedHostAccessIsNotARace) {
   EXPECT_EQ(cuemFreeHost(h), cuemSuccess);
 }
 
+// --- kernel claims by role ---
+
+/// Launches compute_gpu(in, out) on a resident region, then copies its
+/// input slot on another stream with no event between the two: into the
+/// slot when `probe_writes`, out of it otherwise.
+void probe_compute_gpu_input(bool probe_writes) {
+  AccTileArray<double> in(Box::cube(8), Index3::uniform(8), 1);
+  AccTileArray<double> out(Box::cube(8), Index3::uniform(8), 1);
+  in.fill([](const Index3& p) { return 1.0 * p.i; });
+  in.acquire_on_device(0);
+  out.acquire_on_device(0);
+  ASSERT_EQ(cuemDeviceSynchronize(), cuemSuccess);  // the uploads are done
+  core::compute_gpu(in, out, 0, LoopCost{},
+                    [](DeviceView<double> vi, DeviceView<double> vo, int i,
+                       int j, int k) { vo(i, j, k) = vi(i, j, k); });
+  cuemStream_t s = 0;
+  ASSERT_EQ(cuemStreamCreate(&s), cuemSuccess);
+  const std::size_t bytes = in.region_bytes(0);
+  void* h = nullptr;
+  ASSERT_EQ(cuemMallocHost(&h, bytes), cuemSuccess);
+  double* slot = in.device_region(0).data;
+  if (probe_writes) {
+    ASSERT_EQ(cuemMemcpyAsync(slot, h, bytes, cuemMemcpyHostToDevice, s),
+              cuemSuccess);
+  } else {
+    ASSERT_EQ(cuemMemcpyAsync(h, slot, bytes, cuemMemcpyDeviceToHost, s),
+              cuemSuccess);
+  }
+  ASSERT_EQ(cuemDeviceSynchronize(), cuemSuccess);
+  EXPECT_EQ(cuemStreamDestroy(s), cuemSuccess);
+  EXPECT_EQ(cuemFreeHost(h), cuemSuccess);
+}
+
+TEST_F(CuemSanTest, UnorderedWriteIntoComputeGpuInputIsARace) {
+  probe_compute_gpu_input(/*probe_writes=*/true);
+  EXPECT_TRUE(json_names("race")) << cuem::san::report_json();
+}
+
+TEST_F(CuemSanTest, UnorderedReadOfComputeGpuInputIsNotARace) {
+  // The kernel only reads its input, and two reads never race.
+  probe_compute_gpu_input(/*probe_writes=*/false);
+  EXPECT_FALSE(json_names("race")) << cuem::san::report_json();
+  EXPECT_TRUE(cuem::san::clean());
+}
+
+TEST_F(CuemSanTest, ComputeKFindingsNameTheSubStep) {
+  AccOptions opts;
+  opts.time_block_k = 2;
+  AccTileArray<double> u(Box::cube(8), Index3::uniform(8), 2, opts);
+  u.fill([](const Index3& p) { return 1.0 * p.j; });
+  u.fill_boundary(Boundary::kPeriodic);
+  u.acquire_on_device(0);
+  ASSERT_EQ(cuemDeviceSynchronize(), cuemSuccess);
+  core::compute_k(u, 0, /*k=*/2, /*radius=*/1, LoopCost{},
+                  [](DeviceView<double> in, DeviceView<double> out, int i,
+                     int j, int k) { out(i, j, k) = in(i, j, k); });
+  cuemStream_t s = 0;
+  ASSERT_EQ(cuemStreamCreate(&s), cuemSuccess);
+  const std::size_t bytes = u.region_bytes(0);
+  void* h = nullptr;
+  ASSERT_EQ(cuemMallocHost(&h, bytes), cuemSuccess);
+  ASSERT_EQ(cuemMemcpyAsync(u.device_region(0).data, h, bytes,
+                            cuemMemcpyHostToDevice, s),
+            cuemSuccess);
+  const std::string report = cuem::san::report_json();
+  EXPECT_TRUE(json_names("race")) << report;
+  EXPECT_NE(report.find("Ck:R0#"), std::string::npos) << report;
+  ASSERT_EQ(cuemDeviceSynchronize(), cuemSuccess);
+  EXPECT_EQ(cuemStreamDestroy(s), cuemSuccess);
+  EXPECT_EQ(cuemFreeHost(h), cuemSuccess);
+}
+
 // --- clean workloads: the protocol layer must produce zero findings ---
 
 /// One tiled periodic heat step per round on the GPU path, double-buffered,

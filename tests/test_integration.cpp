@@ -522,7 +522,9 @@ TEST(SlotPolicyIntegration, PrefetchModeEquivalence) {
               "sincos TiDA-acc lru+prefetch");
 }
 
-TEST(SlotPolicyIntegration, ComputeStreamedPrefetchesAndStaysCorrect) {
+TEST(SlotPolicyIntegration, PeekLookaheadPrefetchesAndStaysCorrect) {
+  // The out-of-core lookahead loop: after each tile's kernel, prefetch the
+  // region the iterator visits next.
   fresh(true);
   using namespace tidacc::core;
   AccOptions opts;
@@ -536,13 +538,19 @@ TEST(SlotPolicyIntegration, ComputeStreamedPrefetchesAndStaysCorrect) {
   oacc::LoopCost cost;
   cost.dev_bytes_per_iter = 16;
   AccTileIterator<double> it(arr);
-  const std::uint64_t issued = compute_streamed(
-      it, /*lookahead=*/1, cost,
-      [](DeviceView<double> v, int i, int j, int k) {
-        v(i, j, k) += 2.0;
-      });
+  std::uint64_t issued = 0;
+  for (it.reset(/*gpu=*/true); it.isValid(); it.next()) {
+    const AccTile<double> tile = it.tile();
+    compute(tile, cost, [](DeviceView<double> v, int i, int j, int k) {
+      v(i, j, k) += 2.0;
+    });
+    const int next = it.peek_region(1);
+    if (next >= 0 && next != tile.tile.region.id) {
+      issued += arr.prefetch_to_device(next) ? 1 : 0;
+    }
+  }
   EXPECT_GT(issued, 0u);
-  EXPECT_EQ(arr.prefetches_issued(), issued);
+  EXPECT_EQ(arr.transfers().prefetch_ops, issued);
   arr.release_all_to_host();
   for (int k = 0; k < 8; ++k) {
     ASSERT_DOUBLE_EQ(arr.at({1, 2, k}), 1 + 2 + k + 2.0);

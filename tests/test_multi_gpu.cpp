@@ -332,6 +332,53 @@ TEST_F(MultiArrayTest, StreamsAndSlotsLiveOnOwningDevice) {
   }
 }
 
+TEST_F(MultiArrayTest, KernelOperandsMustShareADevice) {
+  // Block placement puts regions 0 and 1 on device 0, round-robin puts
+  // regions 1 and 3 on device 1: one kernel cannot run against both
+  // arrays' slots of regions 1 and 2, so compute() and compute_gpu(in, out)
+  // reject them before staging anything.
+  MultiAccTileArray<double> in(Box::cube(8), Index3{8, 8, 2}, 0);
+  MultiAccOptions rr;
+  rr.placement = DevicePlacement::kRoundRobin;
+  MultiAccTileArray<double> out(Box::cube(8), Index3{8, 8, 2}, 0, rr);
+  ASSERT_EQ(in.num_regions(), 4);
+  in.fill(pattern);
+  out.fill(pattern);
+  const auto copy = [](DeviceView<double> vi, DeviceView<double> vo, int i,
+                       int j, int k) { vo(i, j, k) = vi(i, j, k); };
+  const auto expect_rejected = [&](const auto& launch, int region) {
+    try {
+      launch();
+      ADD_FAILURE() << "region " << region << " launched across devices";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("region " + std::to_string(region)),
+                std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find("device " + std::to_string(out.device_of_region(
+                                         region))),
+                std::string::npos)
+          << msg;
+    }
+    EXPECT_EQ(in.location(region), Loc::kHost);
+    EXPECT_EQ(out.location(region), Loc::kHost);
+  };
+  AccTileIterator<double> it(in);
+  for (it.reset(/*gpu=*/true); it.isValid(); it.next()) {
+    const int r = it.tile().tile.region.id;
+    if (r == 1 || r == 2) {
+      expect_rejected(
+          [&] { compute(it.tile(), it.tile_in(out), unit_cost(), copy); }, r);
+    } else {
+      compute(it.tile(), it.tile_in(out), unit_cost(), copy);
+    }
+  }
+  expect_rejected([&] { compute_gpu(in, out, 1, unit_cost(), copy); }, 1);
+  compute_gpu(in, out, 3, unit_cost(), copy);
+  out.release_all_to_host();
+  EXPECT_DOUBLE_EQ(out.at({3, 4, 7}), pattern({3, 4, 7}));
+}
+
 TEST_F(MultiArrayTest, AccTileArrayKeepsItsWorkOnDeviceZero) {
   // Built on device 0, then driven while device 1 is current: every copy
   // and kernel must still run on device 0, where the slots live.

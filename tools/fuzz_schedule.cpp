@@ -312,10 +312,14 @@ void halo_step(core::ClusterTileArray<double>& u, const VisitOrder& order,
     return;
   }
   u.exchange_begin(tida::Boundary::kPeriodic);
+  const std::vector<int> crossing =
+      u.node_boundary_regions(tida::Boundary::kPeriodic);
   std::vector<int> interior;
   std::vector<int> boundary;
   for (const int r : order.after_exchange(u)) {
-    (u.is_node_interior(r, tida::Boundary::kPeriodic) ? interior : boundary)
+    (std::find(crossing.begin(), crossing.end(), r) == crossing.end()
+         ? interior
+         : boundary)
         .push_back(r);
   }
   sweep_all(u, interior, depth, cost);

@@ -20,6 +20,7 @@
 // regression in any ordering edge shows up as a diff here before it shows
 // up as a slowdown. CI runs this over every scenario and fails on findings
 // (exit 1); --json=<path> writes a machine-readable summary.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -302,19 +303,20 @@ ScenarioResult scenario_cluster(const char* name, const char* fabric,
                                    o);
   u.assume_host_initialized();
   const oacc::LoopCost cost = kernels::box_stencil_cost(1);
+  const std::vector<int> boundary =
+      u.node_boundary_regions(tida::Boundary::kPeriodic);
   for (int s = 0; s < 2; ++s) {
     if (overlap) {
       u.exchange_begin(tida::Boundary::kPeriodic);
       for (int id = 0; id < u.num_regions(); ++id) {
-        if (u.is_node_interior(id, tida::Boundary::kPeriodic)) {
+        if (std::find(boundary.begin(), boundary.end(), id) ==
+            boundary.end()) {
           core::compute_gpu(u, id, cost, kSweepBody);
         }
       }
       u.exchange_end();
-      for (int id = 0; id < u.num_regions(); ++id) {
-        if (!u.is_node_interior(id, tida::Boundary::kPeriodic)) {
-          core::compute_gpu(u, id, cost, kSweepBody);
-        }
+      for (const int id : boundary) {
+        core::compute_gpu(u, id, cost, kSweepBody);
       }
     } else {
       u.fill_boundary(tida::Boundary::kPeriodic);
