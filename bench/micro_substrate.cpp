@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the library substrate itself:
-// how fast the discrete-event platform processes operations, how expensive
+// how fast the discrete-event platform and cuem queue operations (one
+// BM_EnqueueAsyncCopy Arg per copy route), how expensive
 // exchange planning is, the core protocol's host cost per region kernel
 // (BM_LaunchRegionKernel), and functional execution: the flat reference
 // heat step (BM_FunctionalHeatStep), a region's heat kernel through
@@ -10,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/tidacc.hpp"
@@ -20,6 +22,9 @@ namespace {
 
 using namespace tidacc;
 
+/// Host cost of queueing one unlabelled 1 MiB pinned host→device copy on
+/// each route (cuem::Route): Arg 0 raw (cuemMemcpyAsync), 1 a scheduler
+/// prefetch, 2 through the link codec.
 void BM_EnqueueAsyncCopy(benchmark::State& state) {
   cuem::configure(sim::DeviceConfig::k40m(), /*functional=*/false);
   cuem::platform().trace().set_recording(false);
@@ -29,13 +34,21 @@ void BM_EnqueueAsyncCopy(benchmark::State& state) {
   (void)cuemMallocHost(&host, 1 << 20);
   cuemStream_t s = 0;
   (void)cuemStreamCreate(&s);
+  const std::int64_t arg = state.range(0);
+  const cuem::Route route =
+      arg == 1   ? cuem::Route::prefetch()
+      : arg == 2 ? cuem::Route::codec(sim::PayloadKind::kInterior)
+                 : cuem::Route::raw();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        cuemMemcpyAsync(dev, host, 1 << 20, cuemMemcpyHostToDevice, s));
+        arg == 0
+            ? cuemMemcpyAsync(dev, host, 1 << 20, cuemMemcpyHostToDevice, s)
+            : cuem::memcpy_async(dev, host, 1 << 20, cuemMemcpyHostToDevice,
+                                 s, route, std::string()));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EnqueueAsyncCopy);
+BENCHMARK(BM_EnqueueAsyncCopy)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_EnqueueKernel(benchmark::State& state) {
   cuem::configure(sim::DeviceConfig::k40m(), /*functional=*/false);

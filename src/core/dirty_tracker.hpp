@@ -34,7 +34,7 @@ namespace tidacc::core {
 struct TransferAccounting {
   std::uint64_t h2d_bytes = 0;  ///< all host→device payload bytes (logical)
   std::uint64_t d2h_bytes = 0;  ///< all device→host payload bytes (logical)
-  std::uint64_t flat_h2d_ops = 0;   ///< full-region uploads
+  std::uint64_t flat_h2d_ops = 0;   ///< full-region demand uploads
   std::uint64_t flat_d2h_ops = 0;   ///< full-region downloads
   std::uint64_t delta_h2d_ops = 0;  ///< pitched sub-box uploads
   std::uint64_t delta_d2h_ops = 0;  ///< pitched sub-box downloads

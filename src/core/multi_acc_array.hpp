@@ -541,13 +541,8 @@ class MultiAccTileArray : public tida::TileArray<T> {
     claim_slot(s, slot, region, dev_ptr, stream);
     if (loc_.location(region) == Loc::kHost) {
       order_after_pending(region, stream);
-      CUEM_CHECK(cuem::prefetch_h2d_async(
-          dev_ptr, this->region(region).data, this->region_bytes(region),
-          stream, labeled() ? "P:R" + std::to_string(region) : std::string()));
-      pending_xfer_[static_cast<std::size_t>(region)] = stream;
-      xfer_.h2d_bytes += this->region_bytes(region);
-      xfer_.h2d_wire_bytes += this->region_bytes(region);
-      ++xfer_.prefetch_ops;
+      copy_region(dev_ptr, this->region(region).data, region,
+                  cuemMemcpyHostToDevice, stream, /*prefetch=*/true);
     }
     s.pool->cache().set(slot, lr);
     loc_.set(region, Loc::kDevice);
@@ -649,16 +644,18 @@ class MultiAccTileArray : public tida::TileArray<T> {
       fill_boundary_device(bc);
       return;
     }
-    if (delta_transfers_ &&
-        (streaming_guard_ == StreamingGuard::kForceStreaming ||
-         (streaming_guard_ == StreamingGuard::kAuto &&
-          detail::streaming_cheaper<T>(*this, bc)))) {
+    if (delta_transfers_ && streaming_guard_ != StreamingGuard::kForceDrain) {
       // Mixed/limited-memory with dirty tracking: resident faces stay on
       // the devices, the rest is pipelined region by region through the
       // host (core/streaming_exchange.hpp) — but only when the
       // exchange-level cost model says it beats one pipelined drain.
-      detail::streaming_exchange(*this, bc);
-      return;
+      const detail::HostHalf half =
+          detail::host_half(*this, this->exchange_plan(bc));
+      if (streaming_guard_ == StreamingGuard::kForceStreaming ||
+          detail::streaming_cheaper<T>(*this, bc, half)) {
+        detail::streaming_exchange(*this, bc, half);
+        return;
+      }
     }
     // Mixed/limited-memory: drain to host and exchange there.
     release_all_to_host();
@@ -812,9 +809,11 @@ class MultiAccTileArray : public tida::TileArray<T> {
 
  protected:
   template <typename A>
-  friend void detail::streaming_exchange(A& a, tida::Boundary bc);
+  friend void detail::streaming_exchange(A& a, tida::Boundary bc,
+                                         const detail::HostHalf& half);
   template <typename U, typename A>
-  friend bool detail::streaming_cheaper(A& a, tida::Boundary bc);
+  friend bool detail::streaming_cheaper(A& a, tida::Boundary bc,
+                                        const detail::HostHalf& half);
   friend class AccTileIterator<T>;
 
   // Protected rather than private: ClusterTileArray extends the exchange
@@ -1058,6 +1057,16 @@ class MultiAccTileArray : public tida::TileArray<T> {
     }
   }
 
+  /// Op-graph attribution of the op just queued on `stream`: `region`'s
+  /// whole slot, read or `write`. The conservative span a ghost copy's
+  /// strided boxes lie in, as ClusterTileArray claims its wire ops; the
+  /// sanitizer gets the exact boxes.
+  void graph_note_slot(cuemStream_t stream, int region, bool write) const {
+    sim::Platform::instance().graph_note_stream_access(
+        stream, region_pool(region).slot_ptr(slot_of_region(region)),
+        this->region_bytes(region), write);
+  }
+
   /// Descriptors one region can receive under either boundary, bounded
   /// without building a plan so the buffers can be sized at construction,
   /// before the slots. Along each dimension a ghost piece of a region is
@@ -1292,7 +1301,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
     const cuem::DeviceGuard guard(d);
     CUEM_CHECK(cuem::memcpy_async(
         s.buffers.device() + set.offset, staged, bytes,
-        cuemMemcpyHostToDevice, s.buffers.stream,
+        cuemMemcpyHostToDevice, s.buffers.stream, cuem::Route::raw(),
         labeled() ? "desc:D" + std::to_string(d) : std::string()));
   }
 
@@ -1349,6 +1358,10 @@ class MultiAccTileArray : public tida::TileArray<T> {
       if (cuem::san::enabled()) {
         note_ghost_copy_access(dstream, gc, label.c_str());
       }
+      if (p.op_graph() != nullptr) {
+        graph_note_slot(dstream, gc.src_region, /*write=*/false);
+        graph_note_slot(dstream, dst, /*write=*/true);
+      }
       note_device_write(dst, gc.dst_box);
       ++peer_ghost_copies_;
     }
@@ -1372,14 +1385,16 @@ class MultiAccTileArray : public tida::TileArray<T> {
     const auto current = [&sources](int region) {
       return sources.stream[static_cast<std::size_t>(region)] >= 0;
     };
+    // Per region: 1 when the replay only reads it, 2 when it writes it.
     std::uint64_t cells = 0;
     std::vector<char> touched(static_cast<std::size_t>(this->num_regions()));
     for (const std::size_t c : local) {
       const tida::GhostCopy& gc = plan[c];
       if (current(gc.src_region) && current(gc.dst_region)) {
         cells += gc.dst_box.volume();
-        touched[static_cast<std::size_t>(gc.src_region)] = 1;
-        touched[static_cast<std::size_t>(gc.dst_region)] = 1;
+        char& src = touched[static_cast<std::size_t>(gc.src_region)];
+        src = std::max<char>(src, 1);
+        touched[static_cast<std::size_t>(gc.dst_region)] = 2;
       }
     }
     if (cells == 0) {
@@ -1440,6 +1455,15 @@ class MultiAccTileArray : public tida::TileArray<T> {
     if (cuem::san::enabled()) {
       cuem::san::note_kernel_access(xs, desc, desc_bytes, /*write=*/false,
                                     op.c_str());
+    }
+    if (p.op_graph() != nullptr) {
+      p.graph_note_stream_access(xs, desc, desc_bytes, /*write=*/false);
+      for (const int r : s.regions) {
+        const char t = touched[static_cast<std::size_t>(r)];
+        if (t != 0) {
+          graph_note_slot(xs, r, /*write=*/t == 2);
+        }
+      }
     }
     for (const std::size_t c : local) {
       const tida::GhostCopy& gc = plan[c];
@@ -1521,23 +1545,26 @@ class MultiAccTileArray : public tida::TileArray<T> {
   }
 
   /// Accounting of one queued host<->device transfer of `bytes` logical
-  /// payload for `region` — a whole-region copy when `flat`, else one
-  /// pitched delta box. Raw transfers put their full payload on the wire,
-  /// compressed ones only the codec output at `payload`'s ratio. The
-  /// transfer touches the region's host buffer until `stream` passes it.
+  /// payload for `region` on `route` — a whole-region copy when `flat`,
+  /// else one pitched delta box. Prefetches count apart from demand
+  /// uploads. Raw transfers put their full payload on the wire, codec ones
+  /// only the codec output at the route's payload ratio. The transfer
+  /// touches the region's host buffer until `stream` passes it.
   void note_transfer(int region, cuemStream_t stream, bool h2d, bool flat,
-                     std::uint64_t bytes, bool compressed,
-                     sim::PayloadKind payload) {
+                     std::uint64_t bytes, cuem::Route route) {
+    const bool compressed = route.via == cuem::Route::Via::kCodec;
     const std::uint64_t wire =
         compressed ? sim::Platform::instance().config().codec.wire_bytes(
-                         bytes, payload)
+                         bytes, route.payload)
                    : bytes;
     pending_xfer_[static_cast<std::size_t>(region)] = stream;
     if (h2d) {
       xfer_.h2d_bytes += bytes;
       xfer_.h2d_wire_bytes += wire;
       xfer_.comp_h2d_ops += compressed ? 1 : 0;
-      ++(flat ? xfer_.flat_h2d_ops : xfer_.delta_h2d_ops);
+      ++(route.via == cuem::Route::Via::kPrefetch ? xfer_.prefetch_ops
+         : flat                                   ? xfer_.flat_h2d_ops
+                                                  : xfer_.delta_h2d_ops);
     } else {
       xfer_.d2h_bytes += bytes;
       xfer_.d2h_wire_bytes += wire;
@@ -1546,25 +1573,29 @@ class MultiAccTileArray : public tida::TileArray<T> {
     }
   }
 
-  /// Queues one whole-region transfer on `stream` (owner's device),
-  /// through the codec when the policy and cost model say so (whole
-  /// regions compress at the interior ratio).
+  /// Queues one whole-region transfer on `stream` (owner's device): a
+  /// scheduler prefetch when `prefetch` (never compressed), else through
+  /// the codec when the policy and cost model say so (whole regions
+  /// compress at the interior ratio), else raw.
   void copy_region(T* dst, const T* src, int region, cuemMemcpyKind kind,
-                   cuemStream_t stream) {
+                   cuemStream_t stream, bool prefetch = false) {
     const std::size_t bytes = this->region_bytes(region);
     const bool h2d = kind == cuemMemcpyHostToDevice;
+    const sim::PayloadKind payload = sim::PayloadKind::kInterior;
     const bool compressed =
-        compress_transfer(bytes, h2d, sim::PayloadKind::kInterior);
-    if (compressed) {
-      CUEM_CHECK(cuem::compressed_memcpy_async(
-          dst, src, bytes, kind, stream, sim::PayloadKind::kInterior,
-          labeled() ? (h2d ? "zH2D:R" : "zD2H:R") + std::to_string(region)
-                    : std::string()));
-    } else {
-      CUEM_CHECK(cuemMemcpyAsync(dst, src, bytes, kind, stream));
-    }
-    note_transfer(region, stream, h2d, /*flat=*/true, bytes, compressed,
-                  sim::PayloadKind::kInterior);
+        !prefetch && compress_transfer(bytes, h2d, payload);
+    const cuem::Route route = prefetch     ? cuem::Route::prefetch()
+                              : compressed ? cuem::Route::codec(payload)
+                                           : cuem::Route::raw();
+    // A raw flat copy stays unlabelled: the trace names it by direction.
+    const char* tag = prefetch     ? "P:R"
+                      : compressed ? (h2d ? "zH2D:R" : "zD2H:R")
+                                   : nullptr;
+    CUEM_CHECK(cuem::memcpy_async(
+        dst, src, bytes, kind, stream, route,
+        tag != nullptr && labeled() ? tag + std::to_string(region)
+                                    : std::string()));
+    note_transfer(region, stream, h2d, /*flat=*/true, bytes, route);
   }
 
   /// Protocol bookkeeping of handing a region to host code: the host copy
@@ -1621,20 +1652,14 @@ class MultiAccTileArray : public tida::TileArray<T> {
                         : static_cast<const void*>(&dev.at(b.lo, comp));
         parms.kind = kind;
         const bool compressed = compress_transfer(bytes, h2d, payload);
-        if (compressed) {
-          CUEM_CHECK(cuem::compressed_memcpy3d_async(
-              parms, stream, payload,
-              labeled()
-                  ? (h2d ? "zdH2D:R" : "zdD2H:R") + std::to_string(region)
-                  : std::string()));
-        } else {
-          CUEM_CHECK(cuem::memcpy3d_async(
-              parms, stream,
-              labeled() ? (h2d ? "dH2D:R" : "dD2H:R") + std::to_string(region)
-                        : std::string()));
-        }
-        note_transfer(region, stream, h2d, /*flat=*/false, bytes, compressed,
-                      payload);
+        const cuem::Route route =
+            compressed ? cuem::Route::codec(payload) : cuem::Route::raw();
+        const char* tag = compressed ? (h2d ? "zdH2D:R" : "zdD2H:R")
+                                     : (h2d ? "dH2D:R" : "dD2H:R");
+        CUEM_CHECK(cuem::memcpy3d_async(
+            parms, stream, route,
+            labeled() ? tag + std::to_string(region) : std::string()));
+        note_transfer(region, stream, h2d, /*flat=*/false, bytes, route);
       }
     }
   }

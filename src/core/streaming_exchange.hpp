@@ -92,37 +92,35 @@ bool on_device(const A& a, int src, int dst) {
          a.device_of_region(src) == a.device_of_region(dst);
 }
 
-/// Plan indices of the host half, in plan order (so grouped by
-/// destination region).
-template <typename A>
-std::vector<std::size_t> host_half(const A& a,
-                                   const std::vector<tida::GhostCopy>& plan) {
-  std::vector<std::size_t> host;
-  for (std::size_t c = 0; c < plan.size(); ++c) {
-    if (!on_device(a, plan[c].src_region, plan[c].dst_region)) {
-      host.push_back(c);
-    }
-  }
-  return host;
-}
+/// The host half of one exchange, derived once per fill_boundary call for
+/// both streaming_cheaper and streaming_exchange, so the predictor prices
+/// exactly the pulls the exchange issues.
+struct HostHalf {
+  /// Plan indices of every copy not on_device, in plan order (so grouped
+  /// by destination region).
+  std::vector<std::size_t> copies;
+  /// Per source region, the source cells of those copies that its device
+  /// copy has written since the copies last agreed — the only cells the
+  /// exchange must bring home. Lists are disjoint (overlapping ghost reads
+  /// are pulled once) and coalesced (a slab's face pieces ship as its
+  /// 6-box shell).
+  std::vector<std::vector<tida::Box>> pulls;
+};
 
-/// Per source region, the source cells of the host-half copies that its
-/// device copy has written since the copies last agreed — the only cells
-/// the exchange must bring home. Lists are disjoint (overlapping ghost
-/// reads are pulled once) and coalesced (a slab's face pieces ship as its
-/// 6-box shell).
 template <typename A>
-std::vector<std::vector<tida::Box>> pull_lists(
-    const A& a, const std::vector<tida::GhostCopy>& plan,
-    const std::vector<std::size_t>& host) {
-  std::vector<std::vector<tida::Box>> pulls(
-      static_cast<std::size_t>(a.num_regions()));
-  for (const std::size_t i : host) {
+HostHalf host_half(const A& a, const std::vector<tida::GhostCopy>& plan) {
+  HostHalf half;
+  half.pulls.resize(static_cast<std::size_t>(a.num_regions()));
+  for (std::size_t i = 0; i < plan.size(); ++i) {
     const tida::GhostCopy& c = plan[i];
+    if (on_device(a, c.src_region, c.dst_region)) {
+      continue;
+    }
+    half.copies.push_back(i);
     if (a.location(c.src_region) != Loc::kDevice) {
       continue;
     }
-    auto& list = pulls[static_cast<std::size_t>(c.src_region)];
+    auto& list = half.pulls[static_cast<std::size_t>(c.src_region)];
     for (const tida::Box& d : a.dirty().dev_dirty(c.src_region)) {
       const tida::Box x = d.intersect(c.src_box);
       if (!x.empty()) {
@@ -131,10 +129,10 @@ std::vector<std::vector<tida::Box>> pull_lists(
       }
     }
   }
-  for (auto& list : pulls) {
+  for (auto& list : half.pulls) {
     list = tida::coalesce(std::move(list));
   }
-  return pulls;
+  return half;
 }
 
 /// Exchange-level cost model behind StreamingGuard::kAuto, pricing the ops
@@ -159,7 +157,7 @@ std::vector<std::vector<tida::Box>> pull_lists(
 /// estimate under dynamic policies). Stream when not dearer. Every copy is
 /// priced by sim::copy_ns, every kernel by KernelProfile::duration_ns.
 template <typename T, typename A>
-bool streaming_cheaper(A& a, tida::Boundary bc) {
+bool streaming_cheaper(A& a, tida::Boundary bc, const HostHalf& half) {
   const sim::DeviceConfig& cfg = sim::Platform::instance().config();
   const auto& plan = a.exchange_plan(bc);
   const auto n = static_cast<std::size_t>(a.num_regions());
@@ -234,11 +232,10 @@ bool streaming_cheaper(A& a, tida::Boundary bc) {
   calls += 3 * static_cast<SimTime>(touched_streams.size());
 
   // Host half.
-  const std::vector<std::size_t> host = host_half(a, plan);
-  const auto pulls = pull_lists(a, plan, host);
+  const auto& pulls = half.pulls;
   std::vector<std::vector<tida::Box>> ghosts(n);
   std::uint64_t host_cells = 0;
-  for (const std::size_t c : host) {
+  for (const std::size_t c : half.copies) {
     ghosts[static_cast<std::size_t>(plan[c].dst_region)].push_back(
         plan[c].dst_box);
     host_cells += plan[c].dst_box.volume();
@@ -301,7 +298,7 @@ bool streaming_cheaper(A& a, tida::Boundary bc) {
 /// order and event edges protect the kernels queued behind each replay
 /// kernel and push.
 template <typename A>
-void streaming_exchange(A& a, tida::Boundary bc) {
+void streaming_exchange(A& a, tida::Boundary bc, const HostHalf& half) {
   TIDACC_CHECK_MSG(a.delta_transfers(),
                    "streaming exchange requires delta_transfers");
   sim::Platform& p = sim::Platform::instance();
@@ -314,8 +311,8 @@ void streaming_exchange(A& a, tida::Boundary bc) {
   const auto sources = a.mark_sources(bc, no_peers);
 
   // Host half, pulls: one event per pulled region marks its cells home.
-  const std::vector<std::size_t> host = host_half(a, plan);
-  const auto pulls = pull_lists(a, plan, host);
+  const std::vector<std::size_t>& host = half.copies;
+  const auto& pulls = half.pulls;
   std::vector<sim::EventId> pulled(n, -1);
   for (std::size_t r = 0; r < n; ++r) {
     if (pulls[r].empty()) {

@@ -289,9 +289,52 @@ cuemError_t peer_transfer(int dst_device, int src_device, std::size_t count,
   return cuemSuccess;
 }
 
+/// Sets `req`'s op kind and host memory for a host<->device copy in
+/// direction `kind` on `route`, flat or `pitched`, once the endpoints'
+/// spaces fit the direction and the route fits the copy: a prefetch is a
+/// flat host→device copy. The codec also derives the wire bytes of
+/// `req.bytes`. Any other direction is invalid here.
+cuemError_t classify_link(CopyRequest& req, cuemMemcpyKind kind,
+                          MemSpace dst, MemSpace src, Route route,
+                          bool pitched) {
+  const bool h2d = kind == cuemMemcpyHostToDevice;
+  const MemSpace host = h2d ? src : dst;
+  if ((!h2d && kind != cuemMemcpyDeviceToHost) || !is_host_space(host) ||
+      !is_device_space(h2d ? dst : src)) {
+    return cuemErrorInvalidMemcpyDirection;
+  }
+  switch (route.via) {
+    case Route::Via::kRaw:
+      req.kind = pitched ? (h2d ? OpKind::kMemcpy3DH2D : OpKind::kMemcpy3DD2H)
+                         : (h2d ? OpKind::kCopyH2D : OpKind::kCopyD2H);
+      break;
+    case Route::Via::kPrefetch:
+      if (!h2d || pitched) {
+        return cuemErrorInvalidMemcpyDirection;
+      }
+      req.kind = OpKind::kPrefetchH2D;
+      break;
+    case Route::Via::kCodec:
+      req.kind = pitched ? (h2d ? OpKind::kMemcpy3DH2DCompressed
+                                : OpKind::kMemcpy3DD2HCompressed)
+                         : (h2d ? OpKind::kMemcpyH2DCompressed
+                                : OpKind::kMemcpyD2HCompressed);
+      req.wire_bytes = Platform::instance().config().codec.wire_bytes(
+          req.bytes, route.payload);
+      break;
+  }
+  req.host_mem = host_kind_of(host);
+  return cuemSuccess;
+}
+
+/// The one flat-copy body: cuemMemcpy, cuemMemcpyAsync and memcpy_async on
+/// every route. A labelled copy carries its label into the trace and names
+/// its sanitizer op by it. An unlabelled one is named by its C call in
+/// findings and, when raw, by its direction in the trace.
 cuemError_t do_memcpy(void* dst, const void* src, std::size_t count,
                       cuemMemcpyKind kind, cuemStream_t stream,
-                      bool blocking, std::string label = {}) {
+                      bool blocking, Route route = {},
+                      std::string label = {}) {
   if (dst == nullptr || src == nullptr) {
     return cuemErrorInvalidValue;
   }
@@ -308,7 +351,13 @@ cuemError_t do_memcpy(void* dst, const void* src, std::size_t count,
   if (kind == cuemMemcpyDefault) {
     kind = infer_kind(dst_space, src_space);
   }
-  const char* op = blocking ? "cuemMemcpy" : "cuemMemcpyAsync";
+  CopyRequest req;
+  req.bytes = count;
+  req.blocking = blocking;
+  req.label = std::move(label);
+  const char* op = !req.label.empty() ? req.label.c_str()
+                   : blocking         ? "cuemMemcpy"
+                                      : "cuemMemcpyAsync";
   // Bounds/lifetime check before the enqueue: in functional mode the copy
   // closure runs at enqueue time, so a bad endpoint must suppress the op.
   if (!san::hook::precheck_range(dst, count, op) ||
@@ -321,72 +370,53 @@ cuemError_t do_memcpy(void* dst, const void* src, std::size_t count,
     action = [dst, src, count] { std::memcpy(dst, src, count); };
   }
 
-  CopyRequest req;
-  req.bytes = count;
-  req.blocking = blocking;
-  switch (kind) {
-    case cuemMemcpyHostToHost:
-      if (!is_host_space(dst_space) || !is_host_space(src_space)) {
-        return cuemErrorInvalidMemcpyDirection;
-      }
-      // Host-local copy: no engine involved; charge host time at a
-      // DRAM-copy-class bandwidth and perform the move.
-      san::note_host_access(src, count, /*write=*/false, op);
-      san::note_host_access(dst, count, /*write=*/true, op);
-      if (action) {
-        action();
-      }
-      p.host_advance(p.config().host_copy_ns(count));
-      return cuemSuccess;
-    case cuemMemcpyHostToDevice:
-      if (!is_device_space(dst_space) || !is_host_space(src_space)) {
-        return cuemErrorInvalidMemcpyDirection;
-      }
-      req.kind = OpKind::kCopyH2D;
-      req.host_mem = host_kind_of(src_space);
-      req.label = "H2D";
-      break;
-    case cuemMemcpyDeviceToHost:
-      if (!is_host_space(dst_space) || !is_device_space(src_space)) {
-        return cuemErrorInvalidMemcpyDirection;
-      }
-      req.kind = OpKind::kCopyD2H;
-      req.host_mem = host_kind_of(dst_space);
-      req.label = "D2H";
-      break;
-    case cuemMemcpyDeviceToDevice: {
-      if (!is_device_space(dst_space) || !is_device_space(src_space)) {
-        return cuemErrorInvalidMemcpyDirection;
-      }
-      // UVA semantics: a D2D copy whose endpoints live on different
-      // devices is a peer transfer.
-      const Allocation* da = rt().registry.find(dst);
-      const Allocation* sa = rt().registry.find(src);
-      const int dst_dev = da != nullptr ? da->device : 0;
-      const int src_dev = sa != nullptr ? sa->device : 0;
-      if (dst_dev != src_dev) {
-        const cuemError_t perr = peer_transfer(
-            dst_dev, src_dev, count, stream, blocking, "P2P",
-            std::move(action));
-        if (perr == cuemSuccess) {
-          san::hook::note_op_access(stream, dst, src, count, op);
-          graph_note_copy(stream, dst, src, count);
-        }
-        return perr;
-      }
-      req.kind = OpKind::kCopyD2D;
-      req.label = "D2D";
-      break;
-    }
-    default:
+  const bool raw = route.via == Route::Via::kRaw;
+  if (kind == cuemMemcpyHostToHost) {
+    if (!raw || !is_host_space(dst_space) || !is_host_space(src_space)) {
       return cuemErrorInvalidMemcpyDirection;
+    }
+    // Host-local copy: no engine involved; charge host time at a
+    // DRAM-copy-class bandwidth and perform the move.
+    san::note_host_access(src, count, /*write=*/false, op);
+    san::note_host_access(dst, count, /*write=*/true, op);
+    if (action) {
+      action();
+    }
+    p.host_advance(p.config().host_copy_ns(count));
+    return cuemSuccess;
   }
-  if (!blocking && req.host_mem == HostMemKind::kPageable &&
-      (req.kind == OpKind::kCopyH2D || req.kind == OpKind::kCopyD2H)) {
+  if (kind == cuemMemcpyDeviceToDevice) {
+    if (!raw || !is_device_space(dst_space) || !is_device_space(src_space)) {
+      return cuemErrorInvalidMemcpyDirection;
+    }
+    req.kind = OpKind::kCopyD2D;
+    // UVA semantics: a D2D copy whose endpoints live on different
+    // devices is a peer transfer.
+    const Allocation* da = rt().registry.find(dst);
+    const Allocation* sa = rt().registry.find(src);
+    const int dst_dev = da != nullptr ? da->device : 0;
+    const int src_dev = sa != nullptr ? sa->device : 0;
+    if (dst_dev != src_dev) {
+      const cuemError_t perr = peer_transfer(
+          dst_dev, src_dev, count, stream, blocking, "P2P", std::move(action));
+      if (perr == cuemSuccess) {
+        san::hook::note_op_access(stream, dst, src, count, op);
+        graph_note_copy(stream, dst, src, count);
+      }
+      return perr;
+    }
+  } else {
+    const cuemError_t err = classify_link(req, kind, dst_space, src_space,
+                                          route, /*pitched=*/false);
+    if (err != cuemSuccess) {
+      return err;
+    }
+  }
+  if (!blocking && req.host_mem == HostMemKind::kPageable) {
     san::hook::on_pageable_async(stream, op);
   }
-  if (!label.empty()) {
-    req.label = std::move(label);
+  if (raw && req.label.empty()) {
+    req.label = sim::to_string(req.kind);
   }
   p.enqueue_copy(stream, req, std::move(action));
   san::hook::note_op_access(stream, dst, src, count, op);
@@ -394,13 +424,10 @@ cuemError_t do_memcpy(void* dst, const void* src, std::size_t count,
   return cuemSuccess;
 }
 
-/// `compressed` routes the transfer through the link codec: the kind
-/// becomes kMemcpy3D{H2D,D2H}Compressed and `wire_bytes` (computed by the
-/// caller from DeviceConfig::codec) rides the CopyRequest into the
-/// encode + wire-at-ratio + decode pricing.
+/// The pitched-copy body: cuemMemcpy3DAsync and memcpy3d_async, host↔device
+/// only (classify_link). Ops are named as do_memcpy names them.
 cuemError_t do_memcpy3d(const cuemMemcpy3DParms& parms, cuemStream_t stream,
-                        std::string label, bool compressed = false,
-                        std::uint64_t wire_bytes = 0) {
+                        Route route, std::string label) {
   if (parms.dst == nullptr || parms.src == nullptr) {
     return cuemErrorInvalidValue;
   }
@@ -424,46 +451,30 @@ cuemError_t do_memcpy3d(const cuemMemcpy3DParms& parms, cuemStream_t stream,
   if (kind == cuemMemcpyDefault) {
     kind = infer_kind(dst_space, src_space);
   }
-  const std::string op = label;
+  CopyRequest req;
+  req.bytes = static_cast<std::uint64_t>(parms.width) * parms.height *
+              parms.depth;
+  req.chunks = memcpy3d_chunks(parms);
+  req.label = std::move(label);
+  const char* op =
+      req.label.empty() ? "cuemMemcpy3DAsync" : req.label.c_str();
   const std::size_t dst_span = (parms.depth - 1) * parms.dst_slice_pitch +
                                (parms.height - 1) * parms.dst_pitch +
                                parms.width;
   const std::size_t src_span = (parms.depth - 1) * parms.src_slice_pitch +
                                (parms.height - 1) * parms.src_pitch +
                                parms.width;
-  if (!san::hook::precheck_range(parms.dst, dst_span, op.c_str()) ||
-      !san::hook::precheck_range(parms.src, src_span, op.c_str())) {
+  if (!san::hook::precheck_range(parms.dst, dst_span, op) ||
+      !san::hook::precheck_range(parms.src, src_span, op)) {
     return cuemErrorInvalidValue;
   }
-
-  CopyRequest req;
-  req.bytes = static_cast<std::uint64_t>(parms.width) * parms.height *
-              parms.depth;
-  req.chunks = memcpy3d_chunks(parms);
-  switch (kind) {
-    case cuemMemcpyHostToDevice:
-      if (!is_device_space(dst_space) || !is_host_space(src_space)) {
-        return cuemErrorInvalidMemcpyDirection;
-      }
-      req.kind = compressed ? OpKind::kMemcpy3DH2DCompressed
-                            : OpKind::kMemcpy3DH2D;
-      req.host_mem = host_kind_of(src_space);
-      break;
-    case cuemMemcpyDeviceToHost:
-      if (!is_host_space(dst_space) || !is_device_space(src_space)) {
-        return cuemErrorInvalidMemcpyDirection;
-      }
-      req.kind = compressed ? OpKind::kMemcpy3DD2HCompressed
-                            : OpKind::kMemcpy3DD2H;
-      req.host_mem = host_kind_of(dst_space);
-      break;
-    default:
-      // Only the delta-transfer directions are modeled; H2H/D2D pitched
-      // copies have no consumer and no cost model.
-      return cuemErrorInvalidMemcpyDirection;
+  // Only the delta-transfer directions are modeled; H2H/D2D pitched copies
+  // have no consumer and no cost model.
+  const cuemError_t err = classify_link(req, kind, dst_space, src_space,
+                                        route, /*pitched=*/true);
+  if (err != cuemSuccess) {
+    return err;
   }
-  req.wire_bytes = compressed ? wire_bytes : 0;
-  req.label = std::move(label);
 
   std::function<void()> action;
   if (p.functional()) {
@@ -481,7 +492,7 @@ cuemError_t do_memcpy3d(const cuemMemcpy3DParms& parms, cuemStream_t stream,
     };
   }
   if (req.host_mem == HostMemKind::kPageable) {
-    san::hook::on_pageable_async(stream, op.c_str());
+    san::hook::on_pageable_async(stream, op);
   }
   p.enqueue_copy(stream, req, std::move(action));
   san::BoxShape dst_box;
@@ -497,7 +508,7 @@ cuemError_t do_memcpy3d(const cuemMemcpy3DParms& parms, cuemStream_t stream,
   src_box.row_pitch = parms.src_pitch;
   src_box.slice_pitch = parms.src_slice_pitch;
   san::hook::note_op_box_access(stream, parms.dst, dst_box, parms.src,
-                                src_box, op.c_str());
+                                src_box, op);
   // Graph attribution uses the bounding flat spans of the pitched boxes:
   // conservative (over-approximates the touched bytes), so the lint can
   // only under-report independence, never invent it.
@@ -719,133 +730,17 @@ cuemError_t launch(cuemStream_t stream, const LaunchGeometry& geom,
   return cuemSuccess;
 }
 
-cuemError_t prefetch_h2d_async(void* dst, const void* src, std::size_t count,
-                               cuemStream_t stream, std::string label) {
-  if (dst == nullptr || src == nullptr) {
-    return cuemErrorInvalidValue;
-  }
-  Platform& p = Platform::instance();
-  stream = resolve_stream(stream);
-  if (!p.stream_valid(stream)) {
-    return cuemErrorInvalidResourceHandle;
-  }
-  if (count == 0) {
-    return cuemSuccess;
-  }
-  const MemSpace dst_space = space_of(dst);
-  const MemSpace src_space = space_of(src);
-  if (!is_device_space(dst_space) || !is_host_space(src_space)) {
-    return cuemErrorInvalidMemcpyDirection;
-  }
-  const std::string op = label;
-  if (!san::hook::precheck_range(dst, count, op.c_str()) ||
-      !san::hook::precheck_range(src, count, op.c_str())) {
-    return cuemErrorInvalidValue;
-  }
-  std::function<void()> action;
-  if (p.functional()) {
-    action = [dst, src, count] { std::memcpy(dst, src, count); };
-  }
-  CopyRequest req;
-  req.kind = OpKind::kPrefetchH2D;
-  req.bytes = count;
-  req.host_mem = host_kind_of(src_space);
-  req.label = std::move(label);
-  if (req.host_mem == HostMemKind::kPageable) {
-    san::hook::on_pageable_async(stream, op.c_str());
-  }
-  p.enqueue_copy(stream, req, std::move(action));
-  san::hook::note_op_access(stream, dst, src, count, op.c_str());
-  graph_note_copy(stream, dst, src, count);
-  return cuemSuccess;
-}
-
 cuemError_t memcpy_async(void* dst, const void* src, std::size_t count,
                          cuemMemcpyKind kind, cuemStream_t stream,
-                         std::string label) {
-  return do_memcpy(dst, src, count, kind, stream, /*blocking=*/false,
+                         Route route, std::string label) {
+  return do_memcpy(dst, src, count, kind, stream, /*blocking=*/false, route,
                    std::move(label));
 }
 
 cuemError_t memcpy3d_async(const cuemMemcpy3DParms& parms,
-                           cuemStream_t stream, std::string label) {
-  return do_memcpy3d(parms, stream, std::move(label));
-}
-
-cuemError_t compressed_memcpy_async(void* dst, const void* src,
-                                    std::size_t count, cuemMemcpyKind kind,
-                                    cuemStream_t stream,
-                                    sim::PayloadKind payload,
-                                    std::string label) {
-  if (dst == nullptr || src == nullptr) {
-    return cuemErrorInvalidValue;
-  }
-  Platform& p = Platform::instance();
-  stream = resolve_stream(stream);
-  if (!p.stream_valid(stream)) {
-    return cuemErrorInvalidResourceHandle;
-  }
-  if (count == 0) {
-    return cuemSuccess;
-  }
-  const MemSpace dst_space = space_of(dst);
-  const MemSpace src_space = space_of(src);
-  if (kind == cuemMemcpyDefault) {
-    kind = infer_kind(dst_space, src_space);
-  }
-  const std::string op = label.empty() ? "compressed_memcpy_async" : label;
-  if (!san::hook::precheck_range(dst, count, op.c_str()) ||
-      !san::hook::precheck_range(src, count, op.c_str())) {
-    return cuemErrorInvalidValue;
-  }
-  // Lossless codec: the functional action is the plain move — decode
-  // reproduces the payload bitwise.
-  std::function<void()> action;
-  if (p.functional()) {
-    action = [dst, src, count] { std::memcpy(dst, src, count); };
-  }
-  CopyRequest req;
-  req.bytes = count;
-  switch (kind) {
-    case cuemMemcpyHostToDevice:
-      if (!is_device_space(dst_space) || !is_host_space(src_space)) {
-        return cuemErrorInvalidMemcpyDirection;
-      }
-      req.kind = OpKind::kMemcpyH2DCompressed;
-      req.host_mem = host_kind_of(src_space);
-      break;
-    case cuemMemcpyDeviceToHost:
-      if (!is_host_space(dst_space) || !is_device_space(src_space)) {
-        return cuemErrorInvalidMemcpyDirection;
-      }
-      req.kind = OpKind::kMemcpyD2HCompressed;
-      req.host_mem = host_kind_of(dst_space);
-      break;
-    default:
-      // Only link transfers can compress; H2H/D2D have no wire to shrink.
-      return cuemErrorInvalidMemcpyDirection;
-  }
-  req.wire_bytes = p.config().codec.wire_bytes(count, payload);
-  req.label = std::move(label);
-  if (req.host_mem == HostMemKind::kPageable) {
-    san::hook::on_pageable_async(stream, op.c_str());
-  }
-  p.enqueue_copy(stream, req, std::move(action));
-  san::hook::note_op_access(stream, dst, src, count, op.c_str());
-  graph_note_copy(stream, dst, src, count);
-  return cuemSuccess;
-}
-
-cuemError_t compressed_memcpy3d_async(const cuemMemcpy3DParms& parms,
-                                      cuemStream_t stream,
-                                      sim::PayloadKind payload,
-                                      std::string label) {
-  const std::uint64_t logical = static_cast<std::uint64_t>(parms.width) *
-                                parms.height * parms.depth;
-  const std::uint64_t wire =
-      Platform::instance().config().codec.wire_bytes(logical, payload);
-  return do_memcpy3d(parms, stream, std::move(label), /*compressed=*/true,
-                     wire);
+                           cuemStream_t stream, Route route,
+                           std::string label) {
+  return do_memcpy3d(parms, stream, route, std::move(label));
 }
 
 cuemError_t host_touch(void* ptr, std::size_t bytes) {
@@ -1165,7 +1060,7 @@ cuemError_t cuemMemcpy3DAsync(const cuemMemcpy3DParms* parms,
   if (parms == nullptr) {
     return cuemErrorInvalidValue;
   }
-  return do_memcpy3d(*parms, stream,
+  return do_memcpy3d(*parms, stream, Route::raw(),
                      parms->kind == cuemMemcpyDeviceToHost ? "3D-D2H"
                                                            : "3D-H2D");
 }

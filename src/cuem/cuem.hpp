@@ -219,51 +219,43 @@ cuemError_t launch(cuemStream_t stream, const LaunchGeometry& geom,
                    const sim::KernelProfile& profile, std::string label,
                    std::function<void()> body);
 
-/// Queues an asynchronous host→device copy tagged as a scheduler prefetch
-/// (sim::OpKind::kPrefetchH2D): priced and engine-routed exactly like
-/// cuemMemcpyAsync(HostToDevice), but distinguishable in traces and Gantt
-/// charts. `label` names the op in the trace (e.g. "P:R3").
-cuemError_t prefetch_h2d_async(void* dst, const void* src, std::size_t count,
-                               cuemStream_t stream, std::string label);
+/// The route a copy takes across the host link. Raw is the CUDA-shaped
+/// copy and the only route of host→host and device→device copies. A
+/// scheduler prefetch (sim::OpKind::kPrefetchH2D, flat host→device only)
+/// is priced like a raw upload but stands apart in traces and Gantt
+/// charts. The codec (the …Compressed kinds, host↔device only) prices
+/// encode + wire at `payload`'s ratio + decode; it is lossless and fails
+/// loudly on a codec-less config. A route that does not fit the copy
+/// returns cuemErrorInvalidMemcpyDirection.
+struct Route {
+  enum class Via : std::uint8_t { kRaw, kPrefetch, kCodec };
+  Via via = Via::kRaw;
+  sim::PayloadKind payload = sim::PayloadKind::kInterior;  ///< codec only
 
-/// cuemMemcpyAsync with a caller-supplied trace label (e.g. "desc:D0" for
-/// the ghost exchange's descriptor upload to device 0).
+  static constexpr Route raw() { return {}; }
+  static constexpr Route prefetch() { return {Via::kPrefetch}; }
+  static constexpr Route codec(sim::PayloadKind p) { return {Via::kCodec, p}; }
+};
+
+/// cuemMemcpyAsync on `route` with a caller-supplied trace label (e.g.
+/// "P:R3" for a prefetch of region 3, "desc:D0" for the ghost exchange's
+/// descriptor upload to device 0), which also names the op in sanitizer
+/// findings. An unlabelled raw copy is traced by its direction.
 cuemError_t memcpy_async(void* dst, const void* src, std::size_t count,
                          cuemMemcpyKind kind, cuemStream_t stream,
-                         std::string label);
+                         Route route, std::string label);
 
-/// cuemMemcpy3DAsync with a caller-supplied trace label (e.g. "dH2D:R3" for
-/// a delta upload of region 3) — what the dirty-tracking array layers use.
+/// cuemMemcpy3DAsync on `route` (raw or codec) with a caller-supplied
+/// trace label (e.g. "dH2D:R3" for a delta upload of region 3) — what the
+/// dirty-tracking array layers use.
 cuemError_t memcpy3d_async(const cuemMemcpy3DParms& parms,
-                           cuemStream_t stream, std::string label);
+                           cuemStream_t stream, Route route,
+                           std::string label);
 
 /// Contiguous runs (sim::CopyRequest::chunks) the pitched copy `parms`
 /// is priced with after coalescing: full-pitch rows merge into slices,
 /// full-pitch slices into one flat burst.
 std::uint64_t memcpy3d_chunks(const cuemMemcpy3DParms& parms);
-
-/// Queues an asynchronous flat copy through the link codec
-/// (sim::OpKind::kMemcpyH2DCompressed / kMemcpyD2HCompressed): priced as
-/// encode + wire-at-ratio + decode with the wire bytes derived from
-/// DeviceConfig::codec and `payload`, engine-routed and
-/// happens-before-tracked exactly like cuemMemcpyAsync. `kind` must be
-/// HostToDevice or DeviceToHost (or Default, inferred); fails loudly on a
-/// codec-less config. The codec is lossless: functional-mode results are
-/// bitwise identical to the raw path.
-cuemError_t compressed_memcpy_async(void* dst, const void* src,
-                                    std::size_t count, cuemMemcpyKind kind,
-                                    cuemStream_t stream,
-                                    sim::PayloadKind payload,
-                                    std::string label);
-
-/// memcpy3d_async through the link codec (kMemcpy3DH2DCompressed /
-/// kMemcpy3DD2HCompressed): the pitched sub-box is gathered/chunk-priced as
-/// usual, then pays codec stages and ships wire bytes at the achieved
-/// ratio for `payload`.
-cuemError_t compressed_memcpy3d_async(const cuemMemcpy3DParms& parms,
-                                      cuemStream_t stream,
-                                      sim::PayloadKind payload,
-                                      std::string label);
 
 /// Declares that host code is about to read/write `bytes` at `ptr` inside a
 /// managed allocation. Stands in for the CPU-side page fault: blocks until

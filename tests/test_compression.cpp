@@ -139,9 +139,9 @@ TEST_F(CompressionTest, CompressedCopyPaysCodecPlusShrunkWire) {
   const SimTime raw = cuem::platform().now() - raw0;
 
   const SimTime comp0 = cuem::platform().now();
-  ASSERT_EQ(cuem::compressed_memcpy_async(dev, host, n,
-                                          cuemMemcpyHostToDevice, s,
-                                          PayloadKind::kInterior, ""),
+  ASSERT_EQ(cuem::memcpy_async(dev, host, n, cuemMemcpyHostToDevice, s,
+                               cuem::Route::codec(PayloadKind::kInterior),
+                               ""),
             cuemSuccess);
   ASSERT_EQ(cuemStreamSynchronize(s), cuemSuccess);
   const SimTime comp = cuem::platform().now() - comp0;
@@ -167,23 +167,83 @@ TEST_F(CompressionTest, CompressedCopyRejectsBadDirectionAndCodeclessConfig) {
   void* b = nullptr;
   ASSERT_EQ(cuemMalloc(&a, 4096), cuemSuccess);
   ASSERT_EQ(cuemMalloc(&b, 4096), cuemSuccess);
-  // The codec sits on the host link; device-to-device never compresses.
-  EXPECT_EQ(cuem::compressed_memcpy_async(a, b, 4096,
-                                          cuemMemcpyDeviceToDevice,
-                                          /*stream=*/0,
-                                          PayloadKind::kInterior, ""),
+  std::vector<char> h(4096);
+  std::vector<char> g(4096);
+  // The codec sits on the host link; device-to-device and host-to-host
+  // copies never compress.
+  const cuem::Route codec = cuem::Route::codec(PayloadKind::kInterior);
+  EXPECT_EQ(cuem::memcpy_async(a, b, 4096, cuemMemcpyDeviceToDevice,
+                               /*stream=*/0, codec, ""),
+            cuemErrorInvalidMemcpyDirection);
+  EXPECT_EQ(cuem::memcpy_async(h.data(), g.data(), 4096,
+                               cuemMemcpyHostToHost, /*stream=*/0, codec, ""),
             cuemErrorInvalidMemcpyDirection);
   ASSERT_EQ(cuemFree(a), cuemSuccess);
   ASSERT_EQ(cuemFree(b), cuemSuccess);
 
+  // On a codec-less config the copy fails loudly, flat or pitched, and so
+  // does an array asked to compress.
   DeviceConfig cfg = DeviceConfig::k40m();
   cfg.codec.available = false;
   cuem::configure(cfg, /*functional=*/true);
   oacc::reset();
+  void* d = nullptr;
+  ASSERT_EQ(cuemMalloc(&d, 4096), cuemSuccess);
+  void* p = cuem::host_alloc(4096, /*pinned=*/true);
+  EXPECT_THROW((void)cuem::memcpy_async(d, p, 4096, cuemMemcpyHostToDevice,
+                                        /*stream=*/0, codec, ""),
+               Error);
+  cuemMemcpy3DParms box;
+  box.dst = d;
+  box.src = p;
+  box.dst_pitch = box.src_pitch = box.width = 64;
+  box.dst_slice_pitch = box.src_slice_pitch = 64 * 4;
+  box.height = 4;
+  box.depth = 2;
+  box.kind = cuemMemcpyHostToDevice;
+  EXPECT_THROW((void)cuem::memcpy3d_async(box, /*stream=*/0, codec, ""),
+               Error);
+  ASSERT_EQ(cuemFree(d), cuemSuccess);
+  cuem::host_free(p);
   AccOptions o;
   o.compression = Compression::kOn;
   EXPECT_THROW(AccTileArray<double>(Box::cube(8), Index3::uniform(4), 1, o),
                Error);
+}
+
+TEST_F(CompressionTest, PrefetchNeverCompressesAndCountsAsPrefetch) {
+  // A prefetch goes through copy_region like a demand upload, but on its
+  // own route: traced kPrefetchH2D at full wire size, counted in
+  // prefetch_ops and never as a flat upload — even with the codec forced.
+  AccOptions o;
+  o.max_slots = 2;
+  o.compression = Compression::kOn;
+  AccTileArray<double> a(Box::cube(8), Index3{8, 8, 2}, 1, o);
+  a.fill(heat_fill);
+  cuem::platform().trace().set_recording(true);
+  const std::uint64_t bytes = a.region_bytes(0);
+  ASSERT_TRUE(a.prefetch_to_device(0));
+  const sim::Trace& trace = cuem::platform().trace();
+  ASSERT_EQ(trace.events().size(), 1u);
+  EXPECT_EQ(trace.events()[0].kind, sim::OpKind::kPrefetchH2D);
+  EXPECT_EQ(trace.events()[0].label, "P:R0");
+  EXPECT_EQ(trace.stats().prefetch_h2d_bytes, bytes);
+  EXPECT_EQ(trace.stats().comp_h2d_bytes, 0u);
+  TransferAccounting x = a.transfers();
+  EXPECT_EQ(x.prefetch_ops, 1u);
+  EXPECT_EQ(x.flat_h2d_ops, 0u);
+  EXPECT_EQ(x.comp_h2d_ops, 0u);
+  EXPECT_EQ(x.h2d_bytes, bytes);
+  EXPECT_EQ(x.h2d_wire_bytes, bytes);
+
+  // A demand upload of another region is a compressed flat upload.
+  a.acquire_on_device(1);
+  x = a.transfers();
+  EXPECT_EQ(x.prefetch_ops, 1u);
+  EXPECT_EQ(x.flat_h2d_ops, 1u);
+  EXPECT_EQ(x.comp_h2d_ops, 1u);
+  EXPECT_EQ(trace.events().back().kind, sim::OpKind::kMemcpyH2DCompressed);
+  EXPECT_EQ(trace.events().back().label, "zH2D:R1");
 }
 
 // --- bitwise equality + accounting + kAuto guarantee, single device ---

@@ -392,6 +392,54 @@ TEST_F(CuemTest, Memcpy3DRejectsBadArguments) {
   EXPECT_EQ(cuemFreeHost(h), cuemSuccess);
 }
 
+// --- copy routes (memcpy_async / memcpy3d_async) ---
+
+TEST_F(CuemTest, PrefetchRouteIsFlatHostToDeviceOnly) {
+  void* h = nullptr;
+  void* d = nullptr;
+  ASSERT_EQ(cuemMallocHost(&h, 256), cuemSuccess);
+  ASSERT_EQ(cuemMalloc(&d, 256), cuemSuccess);
+  platform().trace().set_recording(true);
+  EXPECT_EQ(memcpy_async(h, d, 256, cuemMemcpyDeviceToHost, 0,
+                         Route::prefetch(), "P:R0"),
+            cuemErrorInvalidMemcpyDirection);
+  cuemMemcpy3DParms box;  // a 16 x 4 x 2 sub-box
+  box.dst = d;
+  box.src = h;
+  box.dst_pitch = box.src_pitch = box.width = 16;
+  box.dst_slice_pitch = box.src_slice_pitch = 64;
+  box.height = 4;
+  box.depth = 2;
+  box.kind = cuemMemcpyHostToDevice;
+  EXPECT_EQ(memcpy3d_async(box, 0, Route::prefetch(), "P:R0"),
+            cuemErrorInvalidMemcpyDirection);
+  EXPECT_TRUE(platform().trace().events().empty());
+
+  // A flat H2D prefetch is traced as one, under its label or none; only
+  // an unlabelled raw copy is named by its direction.
+  ASSERT_EQ(memcpy_async(d, h, 256, cuemMemcpyHostToDevice, 0,
+                         Route::prefetch(), "P:R0"),
+            cuemSuccess);
+  ASSERT_EQ(memcpy_async(d, h, 256, cuemMemcpyHostToDevice, 0,
+                         Route::prefetch(), ""),
+            cuemSuccess);
+  ASSERT_EQ(memcpy_async(d, h, 256, cuemMemcpyHostToDevice, 0, Route::raw(),
+                         ""),
+            cuemSuccess);
+  const auto& events = platform().trace().events();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].kind, sim::OpKind::kPrefetchH2D);
+  EXPECT_EQ(events[0].label, "P:R0");
+  EXPECT_EQ(events[0].bytes, 256u);
+  EXPECT_EQ(events[1].kind, sim::OpKind::kPrefetchH2D);
+  EXPECT_EQ(events[1].label, "");
+  EXPECT_EQ(events[2].kind, sim::OpKind::kCopyH2D);
+  EXPECT_EQ(events[2].label, "H2D");
+  ASSERT_EQ(cuemDeviceSynchronize(), cuemSuccess);
+  EXPECT_EQ(cuemFree(d), cuemSuccess);
+  EXPECT_EQ(cuemFreeHost(h), cuemSuccess);
+}
+
 TEST_F(CuemTest, SyncMemcpyBlocksHost) {
   void* d = nullptr;
   void* h = nullptr;

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -135,6 +136,41 @@ TEST_F(CuemSanTest, LeaksAtDeviceResetAreNamedInJson) {
   EXPECT_TRUE(json_names("leak_allocation"));
   EXPECT_TRUE(json_names("leak_stream"));
   EXPECT_GE(cuem::san::count(cuem::san::Severity::kWarning), 2u);
+}
+
+TEST_F(CuemSanTest, LabelledCopiesNameTheirOpOnEveryRoute) {
+  void* d = nullptr;
+  ASSERT_EQ(cuemMalloc(&d, 64), cuemSuccess);
+  void* h = nullptr;
+  ASSERT_EQ(cuemMallocHost(&h, 128), cuemSuccess);
+  const auto named = [](const std::string& op) {
+    return cuem::san::report_json().find("\"op\": \"" + op + "\"") !=
+           std::string::npos;
+  };
+  // 128 bytes into a 64-byte allocation on each route: every finding
+  // names the copy by its label, an unlabelled one by its C call.
+  const std::pair<cuem::Route, std::string> copies[] = {
+      {cuem::Route::raw(), "desc:D0"},
+      {cuem::Route::prefetch(), "P:R3"},
+      {cuem::Route::codec(sim::PayloadKind::kInterior), "zH2D:R5"},
+      {cuem::Route::raw(), ""}};
+  for (const auto& [route, label] : copies) {
+    EXPECT_EQ(cuem::memcpy_async(d, h, 128, cuemMemcpyHostToDevice, 0, route,
+                                 label),
+              cuemErrorInvalidValue);
+    EXPECT_TRUE(named(label.empty() ? "cuemMemcpyAsync" : label)) << label;
+  }
+  // A pageable prefetch hits the pageable note under its label too.
+  std::vector<char> pageable(64, 0);
+  ASSERT_EQ(cuem::memcpy_async(d, pageable.data(), 64,
+                               cuemMemcpyHostToDevice, 0,
+                               cuem::Route::prefetch(), "P:R7"),
+            cuemSuccess);
+  ASSERT_EQ(cuemDeviceSynchronize(), cuemSuccess);
+  EXPECT_TRUE(json_names("pageable_async"));
+  EXPECT_TRUE(named("P:R7"));
+  EXPECT_EQ(cuemFree(d), cuemSuccess);
+  EXPECT_EQ(cuemFreeHost(h), cuemSuccess);
 }
 
 TEST_F(CuemSanTest, PageableAsyncCopyIsInfoOnly) {
