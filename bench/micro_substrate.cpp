@@ -5,7 +5,8 @@
 // (BM_LaunchRegionKernel), and functional execution: the flat reference
 // heat step (BM_FunctionalHeatStep), a region's heat kernel through
 // core::compute and DeviceView (BM_ComputeHeatRegion) and one slab's ghost
-// copies through tida::copy_ghost_cells (BM_CopyGhostCells). These measure
+// copies through tida::copy_ghost_cells (BM_CopyGhostCells), and one
+// split-phase cluster exchange (BM_ClusterExchangeBegin). These measure
 // the real (wall-clock) performance of this codebase — useful when scaling
 // the simulator to long runs — and double as a regression harness.
 #include <benchmark/benchmark.h>
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cluster_tile_array.hpp"
 #include "core/tidacc.hpp"
 #include "kernels/heat.hpp"
 #include "tida/ghost.hpp"
@@ -199,6 +201,38 @@ void BM_CopyGhostCells(benchmark::State& state) {
   state.counters["copies"] = static_cast<double>(slab.size());
 }
 BENCHMARK(BM_CopyGhostCells);
+
+void BM_ClusterExchangeBegin(benchmark::State& state) {
+  // One split-phase exchange, exchange_begin + exchange_end, on a resident
+  // 8-node GPUDirect world, timing-only: the host cost of posting the
+  // cross-node wire groups, issuing the intra-node replay kernels and
+  // reaping the completions. perfbench cluster_overlap's geometry (slabs
+  // as thick as the 4-deep ghost ring, 8 per node) at 256^3.
+  constexpr int kNodes = 8;
+  cuem::configure(sim::DeviceConfig::k40m(), /*functional=*/false, kNodes,
+                  sim::Interconnect::pcie());
+  oacc::reset();
+  cuem::platform().trace().set_recording(false);
+  core::ClusterOptions opts;
+  opts.multi.devices = kNodes;
+  opts.nodes = kNodes;
+  opts.fabric = sim::FabricConfig::infiniband();
+  opts.path = core::NetPath::kGpuDirect;
+  core::ClusterTileArray<double> u(tida::Box::cube(256),
+                                   tida::Index3{256, 256, 4}, 4, opts);
+  u.assume_host_initialized();
+  for (int r = 0; r < u.num_regions(); ++r) {
+    u.acquire_on_device(r);
+  }
+  u.fill_boundary(tida::Boundary::kPeriodic);  // the one-time build
+  for (auto _ : state) {
+    u.exchange_begin(tida::Boundary::kPeriodic);
+    u.exchange_end();
+    benchmark::DoNotOptimize(cuem::platform().now());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ClusterExchangeBegin);
 
 void BM_CachingProtocol(benchmark::State& state) {
   // Full acquire round-robin with evictions through 2 slots, timing-only.

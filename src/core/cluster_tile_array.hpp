@@ -79,7 +79,7 @@ class ClusterTileArray : public MultiAccTileArray<T> {
 
   ClusterTileArray(const tida::Box& domain, const tida::Index3& region_size,
                    int ghost, ClusterOptions opts = {})
-      : Multi(domain, region_size, ghost, opts.multi),
+      : Multi(domain, region_size, ghost, opts.multi, opts.nodes),
         nodes_(opts.nodes),
         wire_compression_(opts.compression) {
     TIDACC_CHECK_MSG(nodes_ >= 1, "node count must be at least 1");
@@ -288,6 +288,9 @@ class ClusterTileArray : public MultiAccTileArray<T> {
             reinterpret_cast<std::uintptr_t>(ptr)));
         w.put_int(mr);
       }
+      for (const ExchangeSchedule::Wire& wire : this->schedule_->wires()) {
+        w.put_bool(wire.built);
+      }
     }
     w.put_u64(net_exchanges_);
     w.put_u64(rdma_ghost_reads_);
@@ -318,6 +321,9 @@ class ClusterTileArray : public MultiAccTileArray<T> {
         const auto ptr = reinterpret_cast<const void*>(
             static_cast<std::uintptr_t>(r.get_u64()));
         mr_cache_[ptr] = r.get_int();
+      }
+      for (ExchangeSchedule::Wire& wire : this->schedule_->wires()) {
+        wire.built = r.get_bool();
       }
     }
     net_exchanges_ = r.get_u64();
@@ -414,7 +420,6 @@ class ClusterTileArray : public MultiAccTileArray<T> {
     }
     oacc::wait_all();
 
-    sim::Platform& p = sim::Platform::instance();
     const auto& plan = this->exchange_plan(bc);
     // Phase 2's sources, marked before phase 1's staging copies queue
     // behind them (after the barrier every stream is idle: no events).
@@ -430,32 +435,29 @@ class ClusterTileArray : public MultiAccTileArray<T> {
     // a single wire message, like an MPI halo exchange: one work request's
     // posting cost amortizes over the whole payload, which is what lets
     // the wire time (and not the host's posting loop) dominate the epoch.
-    std::vector<std::vector<std::size_t>> groups;
-    std::map<std::pair<int, int>, std::size_t> group_of;
-    for (std::size_t c = 0; c < plan.size(); ++c) {
-      const tida::GhostCopy& gc = plan[c];
-      if (node_of_region(gc.src_region) == node_of_region(gc.dst_region)) {
-        continue;
-      }
-      const std::pair<int, int> key{gc.src_region, gc.dst_region};
-      const auto [it, fresh] = group_of.try_emplace(key, groups.size());
-      if (fresh) {
-        groups.emplace_back();
-      }
-      groups[it->second].push_back(c);
-    }
+    // The groups are the layout's (ExchangeSchedule), derived once.
+    ExchangeSchedule::Wire& wire = this->schedule_->wire(bc);
+    const auto node_of = [this](int region) { return node_of_region(region); };
+    const std::vector<std::vector<std::size_t>>& groups =
+        this->schedule_->wire_groups(bc, plan, node_of);
+    const bool building = !wire.built;
+    wire.built = true;
 
     for (const std::vector<std::size_t>& group : groups) {
       const tida::GhostCopy& head = plan[group.front()];
       const int src_node = node_of_region(head.src_region);
       const int dst_node = node_of_region(head.dst_region);
-      // Each node has its own CPU working its own shard of the plan
-      // concurrently (the cluster analogue of MPI ranks), so the single
-      // simulated host thread advances by the per-node share of the index
-      // bookkeeping — the makespan across node CPUs for a balanced plan.
-      p.host_advance(static_cast<SimTime>(group.size()) *
-                     p.config().host_index_calc_ns_per_copy /
-                     static_cast<SimTime>(nodes_));
+      // The first exchange on the layout under `bc` builds the groups'
+      // index lists. Each node has its own CPU working its own shard of
+      // the plan concurrently (the cluster analogue of MPI ranks), so the
+      // single simulated host thread advances by the per-node share of the
+      // index bookkeeping — the makespan across node CPUs for a balanced
+      // plan — group by group, so the wire starts on one while the host
+      // indexes the next.
+      if (building) {
+        ExchangeSchedule::pay_index_work(group.size(),
+                                         static_cast<SimTime>(nodes_));
+      }
       std::uint64_t bytes = 0;
       for (const std::size_t c : group) {
         bytes += plan[c].dst_box.volume() * this->ncomp() * sizeof(T);
@@ -467,7 +469,7 @@ class ClusterTileArray : public MultiAccTileArray<T> {
         // read; the functional copy applies between slot buffers exactly
         // like a peer copy's.
         const sim::QpId qp = qp_for(dst_node, src_node);
-        auto action = [this, bc, group]() {
+        auto action = [this, bc, &group]() {
           const auto& pl = this->exchange_plan(bc);
           for (const std::size_t c : group) {
             this->apply_copy_device(pl[c]);
@@ -510,7 +512,7 @@ class ClusterTileArray : public MultiAccTileArray<T> {
         }
         const sim::QpId qp = qp_for(src_node, dst_node);
         fabric_->post_recv(qp, host_mr_of(head.dst_region), 0, bytes);
-        auto action = [this, bc, group]() {
+        auto action = [this, bc, &group]() {
           const auto& pl = this->exchange_plan(bc);
           for (const std::size_t c : group) {
             this->apply_copy_host(pl[c]);

@@ -1,4 +1,4 @@
-// compute_k() — k-step temporal blocking per residency (ROADMAP item 3).
+// compute_k() — k-step temporal blocking per residency.
 //
 // A region acquired with ghost = k * radius carries enough halo to advance
 // k stencil steps without talking to its neighbours: sub-step s may write
@@ -149,6 +149,7 @@ inline int choose_time_block_k(const tida::Box& domain,
                          regions_along(de.j, re.j) *
                          regions_along(de.k, re.k);
   const double swaps = std::max(0.0, regions - static_cast<double>(slots));
+  const tida::Partition part(domain, region_size);
   // A raw pinned copy of `bytes` plus its host issue cost.
   const auto issued_copy_ns = [&cfg](sim::OpKind kind, std::uint64_t bytes) {
     sim::CopyRequest req;
@@ -182,17 +183,19 @@ inline int choose_time_block_k(const tida::Box& domain,
     // The widened ghost ring, the bytes that grow with k. The streaming
     // exchange (core/streaming_exchange.hpp) refreshes the rings of
     // resident regions in one replay kernel on the compute engine, priced
-    // with the exchange's own profile over every region's ring and its 26
-    // face, edge and corner descriptors. Only faces touching an evicted
-    // region cross the link, down and up: one ring's pull → host copy →
-    // push chain per swapped region.
+    // with the exchange's own profile over every region's ring and the
+    // descriptors the array gives each region (descriptors_per_region: 26
+    // faces, edges and corners, more once the ring is wider than a
+    // region). Only faces touching an evicted region cross the link, down
+    // and up: one ring's pull → host copy → push chain per swapped region.
     const std::uint64_t ring_cells = grown_cells - valid_cells;
     const std::uint64_t ring_bytes = ring_cells * elem_bytes;
     const auto all_regions = static_cast<std::uint64_t>(regions);
     const double replay = static_cast<double>(
         cfg.kernel_launch_ns + cfg.oacc_dispatch_extra_ns +
         ghost_update_profile(all_regions * ring_cells, elem_bytes,
-                             all_regions * 26 * sizeof(GhostDescriptor))
+                             all_regions * descriptors_per_region(part, ghost) *
+                                 sizeof(GhostDescriptor))
             .duration_ns(cfg));
     const double tex = issued_copy_ns(sim::OpKind::kCopyD2H, ring_bytes) +
                        static_cast<double>(cfg.host_copy_ns(ring_bytes)) +

@@ -9,6 +9,7 @@
 #include "cuem/san.hpp"
 #include "sim/snapshot.hpp"
 #include "oacc/oacc.hpp"
+#include "sim/platform.hpp"
 
 namespace tidacc::core {
 
@@ -42,7 +43,8 @@ DevicePool::DevicePool(std::size_t slot_bytes, int num_regions, int max_slots,
       num_regions_(num_regions),
       cache_(discover_slot_count(slot_bytes, num_regions, max_slots,
                                  with_scratch)),
-      sched_(cache_.num_slots(), num_regions, std::move(policy)) {
+      sched_(cache_.num_slots(), num_regions, std::move(policy)),
+      generation_(sim::Platform::generation()) {
   slots_.reserve(static_cast<size_t>(cache_.num_slots()));
   perm_.reserve(static_cast<size_t>(cache_.num_slots()));
   for (int s = 0; s < cache_.num_slots(); ++s) {
@@ -82,10 +84,12 @@ DevicePool::DevicePool(std::size_t slot_bytes, int num_regions, int max_slots,
 DevicePool::~DevicePool() {
   // cudaFree synchronizes with outstanding work on the freed memory; drain
   // each slot's stream before releasing its buffer so in-flight transfers
-  // and kernels never outlive their target. Best effort throughout: the
-  // platform may have been rebuilt underneath us during test
-  // reconfiguration, in which case streams and pointers are already gone
-  // and both calls return handle errors we deliberately ignore.
+  // and kernels never outlive their target. A platform reset since
+  // construction released the streams and buffers already, and their ids
+  // and addresses may be a newer pool's: nothing is left to release.
+  if (generation_ != sim::Platform::generation()) {
+    return;
+  }
   for (const cuemStream_t s : streams_) {
     (void)cuemStreamSynchronize(s);
   }

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -136,6 +137,7 @@ class DevicePool {
   std::vector<int> perm_;  ///< slot→oacc queue (identity default)
   CacheTable cache_;
   SlotScheduler sched_;
+  std::uint64_t generation_;  ///< platform generation of slots and streams
 };
 
 }  // namespace tidacc::core

@@ -1,0 +1,145 @@
+#include "core/exchange_schedule.hpp"
+
+#include "common/error.hpp"
+#include "common/weak_registry.hpp"
+#include "cuem/san.hpp"
+#include "sim/platform.hpp"
+
+namespace tidacc::core {
+
+const char* to_string(DevicePlacement p) {
+  switch (p) {
+    case DevicePlacement::kBlock:
+      return "block";
+    case DevicePlacement::kRoundRobin:
+      return "round-robin";
+  }
+  return "?";
+}
+
+DevicePlacement parse_placement(const std::string& s) {
+  if (s == "block") {
+    return DevicePlacement::kBlock;
+  }
+  if (s == "round-robin" || s == "roundrobin" || s == "rr") {
+    return DevicePlacement::kRoundRobin;
+  }
+  TIDACC_FAIL("unknown placement '" + s + "' (expected block|round-robin)");
+}
+
+std::size_t descriptors_per_region(const tida::Partition& part, int ghost) {
+  if (ghost == 0) {
+    return 0;
+  }
+  tida::Index3 m = part.domain().extent();
+  for (int r = 0; r < part.num_regions(); ++r) {
+    m = tida::Index3::min(m, part.region_box(r).extent());
+  }
+  std::size_t pieces = 1;
+  for (const int extent : {m.i, m.j, m.k}) {
+    pieces *= 1 + 2 * static_cast<std::size_t>((ghost + extent - 1) / extent);
+  }
+  return pieces - 1;
+}
+
+DescriptorBuffers::DescriptorBuffers(std::size_t count)
+    : generation_(sim::Platform::generation()) {
+  const std::size_t bytes = count * sizeof(GhostDescriptor);
+  void* dev = nullptr;
+  TIDACC_CHECK_MSG(cuemMalloc(&dev, bytes) == cuemSuccess,
+                   "device " + std::to_string(cuem::current_device()) +
+                       " cannot hold the ghost exchange's " +
+                       std::to_string(bytes) +
+                       " B of index descriptors — choose larger regions "
+                       "or fewer of them");
+  device_ = static_cast<GhostDescriptor*>(dev);
+  void* host = nullptr;
+  CUEM_CHECK(cuemMallocHost(&host, bytes));
+  host_ = static_cast<GhostDescriptor*>(host);
+  if (cuem::san::enabled()) {
+    const std::string d = std::to_string(cuem::current_device());
+    CUEM_CHECK(cuemSanAnnotate(device_, ("ghostdesc:D" + d).c_str()));
+    CUEM_CHECK(cuemSanAnnotate(host_, ("host:ghostdesc:D" + d).c_str()));
+  }
+}
+
+DescriptorBuffers::~DescriptorBuffers() {
+  // After a platform reset the buffers are gone and their addresses may be
+  // a newer array's.
+  if (device_ == nullptr || generation_ != sim::Platform::generation()) {
+    return;
+  }
+  if (stream >= 0 && cuemStreamQuery(stream) != cuemSuccess) {
+    (void)cuemStreamSynchronize(stream);
+  }
+  (void)cuemFree(device_);
+  (void)cuemFreeHost(host_);
+}
+
+std::shared_ptr<ExchangeSchedule> ExchangeSchedule::of(const Layout& layout) {
+  static WeakRegistry<std::pair<Layout, std::uint64_t>, ExchangeSchedule>
+      live;
+  return live.get(std::pair(layout, sim::Platform::generation()), [&] {
+    return std::make_shared<ExchangeSchedule>(layout.devices);
+  });
+}
+
+void ExchangeSchedule::pay_index_work(std::size_t copies, SimTime cpus) {
+  sim::Platform& p = sim::Platform::instance();
+  p.host_advance(static_cast<SimTime>(copies) *
+                 p.config().host_index_calc_ns_per_copy / cpus);
+}
+
+void ExchangeSchedule::reserve(int d, std::size_t capacity) {
+  Device& dev = device(d);
+  if (capacity == 0 || dev.capacity > 0) {
+    return;
+  }
+  dev.capacity = capacity;
+  dev.desc[static_cast<std::size_t>(tida::Boundary::kNone)].offset = capacity;
+  dev.buffers = DescriptorBuffers(2 * capacity);
+}
+
+const ExchangeSchedule::DestinationGroups&
+ExchangeSchedule::destination_groups(tida::Boundary bc,
+                                     const std::vector<tida::GhostCopy>& plan,
+                                     const std::vector<int>& owner) {
+  std::optional<DestinationGroups>& groups =
+      destinations_[static_cast<std::size_t>(bc)];
+  if (groups) {
+    return *groups;
+  }
+  groups.emplace(devices_.size());
+  for (std::size_t begin = 0; begin < plan.size();) {
+    const int dst = plan[begin].dst_region;
+    std::size_t end = begin;
+    while (end < plan.size() && plan[end].dst_region == dst) {
+      ++end;
+    }
+    (*groups)[static_cast<std::size_t>(owner[static_cast<std::size_t>(dst)])]
+        .emplace_back(begin, end);
+    begin = end;
+  }
+  return *groups;
+}
+
+const std::vector<std::size_t>& ExchangeSchedule::local_copies(
+    int d, tida::Boundary bc, const std::vector<tida::GhostCopy>& plan,
+    const std::vector<int>& owner) {
+  DescriptorSet& set = descriptors(d, bc);
+  if (set.local) {
+    return *set.local;
+  }
+  set.local.emplace();
+  for (std::size_t c = 0; c < plan.size(); ++c) {
+    if (owner[static_cast<std::size_t>(plan[c].dst_region)] == d &&
+        owner[static_cast<std::size_t>(plan[c].src_region)] == d) {
+      set.local->push_back(c);
+    }
+  }
+  TIDACC_CHECK_MSG(set.local->size() <= device(d).capacity,
+                   "ghost descriptors overflow their buffer");
+  return *set.local;
+}
+
+}  // namespace tidacc::core

@@ -1,0 +1,246 @@
+// ExchangeSchedule — what the device ghost exchange derives from the layout
+// alone, derived once per layout and shared by every array built on it.
+//
+// TiDA-acc's host computes the exchange's source and destination index
+// lists (§IV-B6, Fig. 4), and they depend only on the layout: the domain,
+// region size, ghost width, device count and placement, and for the cluster
+// exchange the node count. Element type, ncomp, slot budget and the other
+// options do not enter: a descriptor holds region ids and region-relative
+// cell boxes. So a Jacobi-style pair of arrays (u, un) shares one schedule
+// (ExchangeSchedule::of), like AMReX's one FillBoundary copy pattern per box
+// layout and distribution:
+//   * per device and boundary, the same-device copy list, the descriptor
+//     buffers (device plus pinned staging) and whether the index work is
+//     paid and the descriptors uploaded;
+//   * per boundary, the destination groups of the plan per device and the
+//     cluster's cross-node wire groups, with whether their index work is
+//     paid.
+// The first exchange on the layout under a boundary pays the index work
+// (pay_index_work, between its peer copies or wire posts) and the one
+// upload; every later exchange, by any array on the layout, only replays.
+// Uploads and replays of one device share its exchange stream
+// (kExchangeQueue maps per device, not per array), so sharing needs no
+// event edge. The lists are derived on first use and never change. The
+// built flags are simulated state: each array's snapshot carries them and
+// its restore sets them.
+#pragma once
+
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/units.hpp"
+#include "cuem/cuem.hpp"
+#include "tida/ghost.hpp"
+
+namespace tidacc::core {
+
+/// Region→device placement policy.
+///   kBlock:      contiguous chunks (region r on device r / ceil(R/N)) —
+///                neighbouring regions share a device, so most ghost faces
+///                stay device-local (fewest peer copies).
+///   kRoundRobin: region r on device r % N — balances any per-region load
+///                imbalance at the cost of more cross-device faces.
+enum class DevicePlacement : int { kBlock = 0, kRoundRobin = 1 };
+
+const char* to_string(DevicePlacement p);
+
+/// Parses "block" / "round-robin" (also "rr", "roundrobin").
+DevicePlacement parse_placement(const std::string& s);
+
+/// One planned ghost copy as the device exchange's replay kernel reads it
+/// (DESIGN.md §4 item 5): region ids and boxes relative to each region's
+/// grown box, never slot pointers, so a change of residency or slot never
+/// invalidates it. 16-byte aligned for vector loads.
+struct alignas(16) GhostDescriptor {
+  std::int32_t src_region = -1;
+  std::int32_t dst_region = -1;
+  tida::Index3 src_lo;  ///< first source cell, from the source's grown lo
+  tida::Index3 dst_lo;  ///< first ghost cell, from the destination's grown lo
+  tida::Index3 extent;
+};
+static_assert(sizeof(GhostDescriptor) == 48,
+              "the replay kernel reads 48-byte descriptors");
+
+/// Descriptors one region of `part` can receive under either boundary with
+/// `ghost` layers, bounded without building a plan so the buffers can be
+/// sized at construction. Along each dimension a ghost piece of a region is
+/// either the region's own range (one region of the partition's tensor
+/// grid) or a band `ghost` thick beside it. The band starts at a region
+/// boundary (the periodic wrap lands on one too), so it crosses at most
+/// c = ceil(ghost / m) regions, m the smallest region extent along that
+/// dimension. Over the 26 pieces that is prod(1 + 2c) - 1: exactly 26 when
+/// every region is at least `ghost` wide. The array sizes its buffers with
+/// it and choose_time_block_k prices the replay's descriptor reads with it.
+std::size_t descriptors_per_region(const tida::Partition& part, int ghost);
+
+/// The device buffer one device's ghost descriptors live in and the pinned
+/// host copy they are uploaded from. Released with the last array on the
+/// layout, after its exchange stream stops reading them (cuemFree does not
+/// wait for queued kernels), unless a platform reset released them first.
+class DescriptorBuffers {
+ public:
+  DescriptorBuffers() = default;
+
+  /// Allocates room for `count` descriptors on the current device; fails
+  /// with a reason when the device cannot hold them.
+  explicit DescriptorBuffers(std::size_t count);
+
+  DescriptorBuffers(DescriptorBuffers&& o) noexcept
+      : stream(o.stream),
+        generation_(o.generation_),
+        device_(std::exchange(o.device_, nullptr)),
+        host_(std::exchange(o.host_, nullptr)) {}
+
+  DescriptorBuffers& operator=(DescriptorBuffers&& o) noexcept {
+    std::swap(stream, o.stream);
+    std::swap(generation_, o.generation_);
+    std::swap(device_, o.device_);
+    std::swap(host_, o.host_);
+    return *this;
+  }
+
+  DescriptorBuffers(const DescriptorBuffers&) = delete;
+  DescriptorBuffers& operator=(const DescriptorBuffers&) = delete;
+
+  ~DescriptorBuffers();
+
+  GhostDescriptor* device() const { return device_; }
+  GhostDescriptor* host() const { return host_; }
+
+  /// The device's exchange stream (kExchangeQueue); -1 until assigned.
+  cuemStream_t stream = -1;
+
+ private:
+  std::uint64_t generation_ = 0;  ///< platform generation of the buffers
+  GhostDescriptor* device_ = nullptr;
+  GhostDescriptor* host_ = nullptr;
+};
+
+class ExchangeSchedule {
+ public:
+  /// What a schedule depends on.
+  struct Layout {
+    tida::Box domain;
+    tida::Index3 region_size;
+    int ghost = 0;
+    int devices = 1;
+    DevicePlacement placement = DevicePlacement::kBlock;
+    int nodes = 1;
+    bool operator==(const Layout&) const = default;
+  };
+
+  /// One boundary's ghost descriptors on one device.
+  struct DescriptorSet {
+    /// Position of the first descriptor in the device's buffers.
+    std::size_t offset = 0;
+    /// Index work paid and descriptors uploaded.
+    bool built = false;
+    /// Plan indices of the copies between two regions of the device, in
+    /// descriptor order: what its replay kernel applies (laid out on first
+    /// use).
+    std::optional<std::vector<std::size_t>> local;
+  };
+
+  /// One device's descriptors, per boundary (indexed by tida::Boundary),
+  /// stored in `buffers`, each with room for `capacity` descriptors.
+  struct Device {
+    std::array<DescriptorSet, 2> desc;
+    std::size_t capacity = 0;
+    DescriptorBuffers buffers;
+  };
+
+  /// Destination groups [begin, end) of plan indices (the plan is grouped
+  /// by destination region), per owning device, in plan order.
+  using DestinationGroups =
+      std::vector<std::vector<std::pair<std::size_t, std::size_t>>>;
+
+  /// One boundary's cross-node wire messages: per (source, destination)
+  /// region pair on different nodes, the plan indices of the boxes one
+  /// message carries, in plan order of each pair's first box.
+  struct Wire {
+    /// Index work paid.
+    bool built = false;
+    std::optional<std::vector<std::vector<std::size_t>>> groups;
+  };
+
+  explicit ExchangeSchedule(int devices)
+      : devices_(static_cast<std::size_t>(devices)) {}
+
+  /// The schedule of an array built on `layout`: that of a live array on
+  /// the same layout since the last platform reset, else a new one. An
+  /// array that outlives a reset never lends its schedule to one built
+  /// after it.
+  static std::shared_ptr<ExchangeSchedule> of(const Layout& layout);
+
+  /// Pays the host's index work for `copies` planned copies, worked by
+  /// `cpus` concurrent host CPUs. Only a build pays it: a schedule's
+  /// descriptors and wire groups, each once per boundary.
+  static void pay_index_work(std::size_t copies, SimTime cpus);
+
+  /// Gives device `d` (current) descriptor buffers for `capacity`
+  /// descriptors per boundary, unless an earlier array on the layout did.
+  void reserve(int d, std::size_t capacity);
+
+  Device& device(int d) { return devices_[static_cast<std::size_t>(d)]; }
+  DescriptorSet& descriptors(int d, tida::Boundary bc) {
+    return device(d).desc[static_cast<std::size_t>(bc)];
+  }
+  Wire& wire(tida::Boundary bc) {
+    return wires()[static_cast<std::size_t>(bc)];
+  }
+  /// Per boundary, indexed by tida::Boundary.
+  std::array<Wire, 2>& wires() { return wire_; }
+
+  /// The plan's destination groups under `bc` for region owners `owner`.
+  const DestinationGroups& destination_groups(
+      tida::Boundary bc, const std::vector<tida::GhostCopy>& plan,
+      const std::vector<int>& owner);
+
+  /// Device `d`'s copies between two of its regions under `bc`
+  /// (DescriptorSet::local).
+  const std::vector<std::size_t>& local_copies(
+      int d, tida::Boundary bc, const std::vector<tida::GhostCopy>& plan,
+      const std::vector<int>& owner);
+
+  /// The wire groups under `bc` (Wire::groups), regions on nodes
+  /// `node_of(region)`.
+  template <typename NodeOf>
+  const std::vector<std::vector<std::size_t>>& wire_groups(
+      tida::Boundary bc, const std::vector<tida::GhostCopy>& plan,
+      const NodeOf& node_of) {
+    std::optional<std::vector<std::vector<std::size_t>>>& groups =
+        wire(bc).groups;
+    if (groups) {
+      return *groups;
+    }
+    groups.emplace();
+    std::map<std::pair<int, int>, std::size_t> group_of;
+    for (std::size_t c = 0; c < plan.size(); ++c) {
+      const tida::GhostCopy& gc = plan[c];
+      if (node_of(gc.src_region) == node_of(gc.dst_region)) {
+        continue;
+      }
+      const auto [it, fresh] = group_of.try_emplace(
+          std::pair(gc.src_region, gc.dst_region), groups->size());
+      if (fresh) {
+        groups->emplace_back();
+      }
+      (*groups)[it->second].push_back(c);
+    }
+    return *groups;
+  }
+
+ private:
+  std::vector<Device> devices_;
+  std::array<std::optional<DestinationGroups>, 2> destinations_;
+  std::array<Wire, 2> wire_;
+};
+
+}  // namespace tidacc::core

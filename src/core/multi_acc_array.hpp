@@ -11,7 +11,8 @@
 // run the protocol against the owner's pool. Ghost faces whose source and
 // destination share a device are replayed by one kernel per device from
 // persistent index descriptors, which the host computes and uploads once
-// per boundary; faces crossing devices travel as peer copies (direct over
+// per layout and boundary (core/exchange_schedule.hpp: arrays on one layout
+// share them); faces crossing devices travel as peer copies (direct over
 // the interconnect when peer access is enabled, staged D2H+H2D through
 // pinned host memory otherwise). Events, not a barrier, order the exchange
 // against the kernels around it.
@@ -41,6 +42,7 @@
 #include "common/inject.hpp"
 #include "core/device_pool.hpp"
 #include "core/dirty_tracker.hpp"
+#include "core/exchange_schedule.hpp"
 #include "core/streaming_exchange.hpp"
 #include "cuem/cuem.hpp"
 #include "cuem/san.hpp"
@@ -77,19 +79,6 @@ enum class StreamingGuard : int { kAuto = 0, kForceStreaming, kForceDrain };
 /// whose whole point is hiding wire time under compute, so shrinking the
 /// wire buys nothing while the codec stages would delay the hint.
 enum class Compression : int { kOff = 0, kOn = 1, kAuto = 2 };
-
-/// Region→device placement policy.
-///   kBlock:      contiguous chunks (region r on device r / ceil(R/N)) —
-///                neighbouring regions share a device, so most ghost faces
-///                stay device-local (fewest peer copies).
-///   kRoundRobin: region r on device r % N — balances any per-region load
-///                imbalance at the cost of more cross-device faces.
-enum class DevicePlacement : int { kBlock = 0, kRoundRobin = 1 };
-
-const char* to_string(DevicePlacement p);
-
-/// Parses "block" / "round-robin" (also "rr", "roundrobin").
-DevicePlacement parse_placement(const std::string& s);
 
 /// Construction options for MultiAccTileArray.
 struct MultiAccOptions {
@@ -135,74 +124,6 @@ struct MultiAccOptions {
 /// (DevicePool keeps slot counts, and so slot queue ids, below 2^20).
 inline constexpr oacc::QueueId kExchangeQueue = 1 << 20;
 
-/// The device buffer one device's ghost descriptors live in and the pinned
-/// host copy they are uploaded from. Released with the array after its
-/// exchange stream stops reading them (cuemFree does not wait for queued
-/// kernels); best effort, like DevicePool's teardown, since the platform
-/// may have been rebuilt underneath.
-class DescriptorBuffers {
- public:
-  DescriptorBuffers() = default;
-
-  /// Allocates room for `count` descriptors on the current device; fails
-  /// with a reason when the device cannot hold them.
-  explicit DescriptorBuffers(std::size_t count) {
-    const std::size_t bytes = count * sizeof(GhostDescriptor);
-    void* dev = nullptr;
-    TIDACC_CHECK_MSG(cuemMalloc(&dev, bytes) == cuemSuccess,
-                     "device " + std::to_string(cuem::current_device()) +
-                         " cannot hold the ghost exchange's " +
-                         std::to_string(bytes) +
-                         " B of index descriptors — choose larger regions "
-                         "or fewer of them");
-    device_ = static_cast<GhostDescriptor*>(dev);
-    void* host = nullptr;
-    CUEM_CHECK(cuemMallocHost(&host, bytes));
-    host_ = static_cast<GhostDescriptor*>(host);
-    if (cuem::san::enabled()) {
-      const std::string d = std::to_string(cuem::current_device());
-      CUEM_CHECK(cuemSanAnnotate(device_, ("ghostdesc:D" + d).c_str()));
-      CUEM_CHECK(cuemSanAnnotate(host_, ("host:ghostdesc:D" + d).c_str()));
-    }
-  }
-
-  DescriptorBuffers(DescriptorBuffers&& o) noexcept
-      : stream(o.stream),
-        device_(std::exchange(o.device_, nullptr)),
-        host_(std::exchange(o.host_, nullptr)) {}
-
-  DescriptorBuffers& operator=(DescriptorBuffers&& o) noexcept {
-    std::swap(stream, o.stream);
-    std::swap(device_, o.device_);
-    std::swap(host_, o.host_);
-    return *this;
-  }
-
-  DescriptorBuffers(const DescriptorBuffers&) = delete;
-  DescriptorBuffers& operator=(const DescriptorBuffers&) = delete;
-
-  ~DescriptorBuffers() {
-    if (device_ == nullptr) {
-      return;
-    }
-    if (stream >= 0 && cuemStreamQuery(stream) != cuemSuccess) {
-      (void)cuemStreamSynchronize(stream);
-    }
-    (void)cuemFree(device_);
-    (void)cuemFreeHost(host_);
-  }
-
-  GhostDescriptor* device() const { return device_; }
-  GhostDescriptor* host() const { return host_; }
-
-  /// The device's exchange stream (kExchangeQueue); -1 until assigned.
-  cuemStream_t stream = -1;
-
- private:
-  GhostDescriptor* device_ = nullptr;
-  GhostDescriptor* host_ = nullptr;
-};
-
 template <typename T>
 class MultiAccTileArray : public tida::TileArray<T> {
  public:
@@ -210,6 +131,14 @@ class MultiAccTileArray : public tida::TileArray<T> {
 
   MultiAccTileArray(const tida::Box& domain, const tida::Index3& region_size,
                     int ghost, MultiAccOptions opts = {})
+      : MultiAccTileArray(domain, region_size, ghost, opts, /*nodes=*/1) {}
+
+ protected:
+  /// The constructor, for an array whose exchange spans `nodes` nodes
+  /// (ClusterTileArray): the node count joins the layout its exchange
+  /// schedule is shared on.
+  MultiAccTileArray(const tida::Box& domain, const tida::Index3& region_size,
+                    int ghost, const MultiAccOptions& opts, int nodes)
       : Base(domain, region_size, ghost, opts.host_alloc, opts.ncomp),
         loc_(this->num_regions()),
         dirty_(this->num_regions()),
@@ -251,6 +180,10 @@ class MultiAccTileArray : public tida::TileArray<T> {
           static_cast<int>(shard(d).regions.size());
       shard(d).regions.push_back(r);
     }
+    schedule_ = ExchangeSchedule::of(ExchangeSchedule::Layout{
+        domain, region_size, ghost, num_devices_, placement_, nodes});
+    const std::size_t per_region =
+        descriptors_per_region(this->partition(), ghost);
     const std::size_t slot_bytes =
         this->partition().max_region_volume(ghost) * opts.ncomp * sizeof(T);
     for (int d = 0; d < num_devices_; ++d) {
@@ -260,25 +193,22 @@ class MultiAccTileArray : public tida::TileArray<T> {
       }
       // The pool sizes itself against the *owning* device's free memory and
       // creates its slot streams there, so construct under its guard. The
-      // descriptor buffer is allocated first, so the slots fit around it.
+      // layout's descriptor buffer is allocated first (by the first array on
+      // the layout), so the slots fit around it.
       cuem::DeviceGuard guard(d);
-      s.desc_capacity = s.regions.size() * descriptors_per_region();
-      s.desc[static_cast<std::size_t>(tida::Boundary::kNone)].offset =
-          s.desc_capacity;
-      const std::size_t descriptors = 2 * s.desc_capacity;
-      if (descriptors > 0) {
-        s.buffers = DescriptorBuffers(descriptors);
-      }
+      schedule_->reserve(d, s.regions.size() * per_region);
       s.pool = std::make_unique<DevicePool>(
           slot_bytes, static_cast<int>(s.regions.size()),
           opts.max_slots_per_device, make_slot_policy(opts.slot_policy),
           /*with_scratch=*/opts.time_block_k > 1);
-      if (descriptors > 0) {
-        s.buffers.stream = oacc::get_cuem_stream(kExchangeQueue);
+      DescriptorBuffers& buffers = schedule_->device(d).buffers;
+      if (buffers.device() != nullptr && buffers.stream < 0) {
+        buffers.stream = oacc::get_cuem_stream(kExchangeQueue);
       }
     }
   }
 
+ public:
   // --- device topology ---
 
   /// Devices this array distributes over (not necessarily all used).
@@ -720,8 +650,9 @@ class MultiAccTileArray : public tida::TileArray<T> {
   // --- snapshot (see docs/FUZZING.md) ---
 
   /// Snapshot of the protocol state: every shard's pool bookkeeping and
-  /// which of its descriptor sets are built, plus the global
-  /// location/dirty/pending/accounting tables. Buffer
+  /// which of the layout's descriptor sets on its device are built, plus
+  /// the global location/dirty/pending/accounting tables. Restore sets the
+  /// built flags of the schedule every array on the layout shares. Buffer
   /// *contents* (host and device) live in cuem-registered allocations and
   /// ride in the cuem snapshot; restore requires an array of identical
   /// geometry, placement and options.
@@ -741,7 +672,8 @@ class MultiAccTileArray : public tida::TileArray<T> {
       if (s.pool) {
         s.pool->capture(w);
       }
-      for (const DescriptorSet& set : s.desc) {
+      for (const ExchangeSchedule::DescriptorSet& set :
+           schedule_->device(d).desc) {
         w.put_bool(set.built);
       }
     }
@@ -783,7 +715,8 @@ class MultiAccTileArray : public tida::TileArray<T> {
         cuem::DeviceGuard guard(d);
         s.pool->restore(r);
       }
-      for (DescriptorSet& set : s.desc) {
+      for (ExchangeSchedule::DescriptorSet& set :
+           schedule_->device(d).desc) {
         set.built = r.get_bool();
       }
     }
@@ -819,26 +752,9 @@ class MultiAccTileArray : public tida::TileArray<T> {
   // Protected rather than private: ClusterTileArray extends the exchange
   // across simulated nodes and reuses the pools, location/dirty tracking
   // and copy plumbing wholesale; AccTileArray sets the caching ablation.
-  /// One boundary's ghost descriptors on one device.
-  struct DescriptorSet {
-    /// Position of the first descriptor in the device's buffers.
-    std::size_t offset = 0;
-    /// Index work paid and descriptors uploaded.
-    bool built = false;
-    /// Plan indices of the copies between two regions of the device, in
-    /// descriptor order: what its replay kernel applies (local_copies).
-    std::vector<std::size_t> local;
-    bool laid_out = false;
-  };
-
   struct DeviceShard {
     std::unique_ptr<DevicePool> pool;
     std::vector<int> regions;  ///< global region ids, in local order
-    /// Per boundary (indexed by tida::Boundary), stored in `buffers`, each
-    /// with room for `desc_capacity` descriptors.
-    std::array<DescriptorSet, 2> desc;
-    std::size_t desc_capacity = 0;
-    DescriptorBuffers buffers;
   };
 
   DeviceShard& shard(int d) {
@@ -1067,31 +983,6 @@ class MultiAccTileArray : public tida::TileArray<T> {
         this->region_bytes(region), write);
   }
 
-  /// Descriptors one region can receive under either boundary, bounded
-  /// without building a plan so the buffers can be sized at construction,
-  /// before the slots. Along each dimension a ghost piece of a region is
-  /// either the region's own range (one region of the partition's tensor
-  /// grid) or a band `ghost` thick beside it. The band starts at a region
-  /// boundary (the periodic wrap lands on one too), so it crosses at most
-  /// c = ceil(ghost / m) regions, m the smallest region extent along that
-  /// dimension. Over the 26 pieces that is prod(1 + 2c) - 1: exactly 26
-  /// when every region is at least `ghost` wide.
-  std::size_t descriptors_per_region() const {
-    if (this->ghost() == 0) {
-      return 0;
-    }
-    tida::Index3 m = this->partition().domain().extent();
-    for (int r = 0; r < this->num_regions(); ++r) {
-      m = tida::Index3::min(m, this->partition().region_box(r).extent());
-    }
-    std::size_t pieces = 1;
-    for (const int extent : {m.i, m.j, m.k}) {
-      pieces *= 1 + 2 * static_cast<std::size_t>(
-                            (this->ghost() + extent - 1) / extent);
-    }
-    return pieces - 1;
-  }
-
   /// Each region's slot stream when it is device-current, else -1.
   std::vector<cuemStream_t> current_streams() const {
     std::vector<cuemStream_t> streams(
@@ -1181,13 +1072,13 @@ class MultiAccTileArray : public tida::TileArray<T> {
   ///     destination group, on the destination's stream (direct
   ///     interconnect when peer access is enabled, staged through pinned
   ///     host memory otherwise): one wait per distinct source stream.
-  ///   * The first exchange under `bc` also builds the device's
-  ///     descriptors: before a group's peer copies the host computes the
-  ///     index lists of every copy into that destination — work shared by
-  ///     `host_cpus` concurrent CPUs — so copy engines start on one group
-  ///     while the host indexes the next (Fig. 4). The same-device
-  ///     descriptors then go up with one H2D on the device's exchange
-  ///     stream. Later exchanges pay no index work.
+  ///   * The first exchange on the layout under `bc`, by any of its
+  ///     arrays, also builds the device's descriptors: before a group's
+  ///     peer copies the host computes the index lists of every copy into
+  ///     that destination — work shared by `host_cpus` concurrent CPUs — so
+  ///     copy engines start on one group while the host indexes the next
+  ///     (Fig. 4). The same-device descriptors then go up with one H2D on
+  ///     the device's exchange stream. Later exchanges pay no index work.
   ///   * Then the device's replay kernel (replay_descriptors) runs while
   ///     the host moves on to the next device.
   /// Last, every stream a copy read or wrote through waits on the
@@ -1201,24 +1092,12 @@ class MultiAccTileArray : public tida::TileArray<T> {
                            SimTime host_cpus, const SourceMarks& sources) {
     sim::Platform& p = sim::Platform::instance();
     const auto& plan = this->exchange_plan(bc);
-    // Destination groups [begin, end) of plan indices (the plan is grouped
-    // by destination region) per owning device, in plan order.
-    std::vector<std::vector<std::pair<std::size_t, std::size_t>>> groups(
-        static_cast<std::size_t>(num_devices_));
-    for (std::size_t begin = 0; begin < plan.size();) {
-      const int dst = plan[begin].dst_region;
-      std::size_t end = begin;
-      while (end < plan.size() && plan[end].dst_region == dst) {
-        ++end;
-      }
-      groups[static_cast<std::size_t>(device_of_region(dst))].emplace_back(
-          begin, end);
-      begin = end;
-    }
+    const ExchangeSchedule::DestinationGroups& groups =
+        schedule_->destination_groups(bc, plan, owner_);
     CompletionEdges edges;
     for (int d = 0; d < num_devices_; ++d) {
       const bool building =
-          shard(d).pool && !shard(d).desc[static_cast<std::size_t>(bc)].built;
+          shard(d).pool && !schedule_->descriptors(d, bc).built;
       for (const auto& [begin, end] : groups[static_cast<std::size_t>(d)]) {
         if (building) {
           std::size_t indexed = 0;
@@ -1229,8 +1108,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
                            ? 1
                            : 0;
           }
-          p.host_advance(static_cast<SimTime>(indexed) *
-                         p.config().host_index_calc_ns_per_copy / host_cpus);
+          ExchangeSchedule::pay_index_work(indexed, host_cpus);
         }
         issue_peer_copies(bc, begin, end, peer, sources, edges);
       }
@@ -1247,23 +1125,9 @@ class MultiAccTileArray : public tida::TileArray<T> {
   }
 
   /// Plan indices of device `d`'s copies between two of its regions under
-  /// `bc`, in descriptor order (laid out on first use).
+  /// `bc`, in descriptor order (laid out on first use on the layout).
   const std::vector<std::size_t>& local_copies(int d, tida::Boundary bc) {
-    DeviceShard& s = shard(d);
-    DescriptorSet& set = s.desc[static_cast<std::size_t>(bc)];
-    if (!set.laid_out) {
-      const auto& plan = this->exchange_plan(bc);
-      for (std::size_t c = 0; c < plan.size(); ++c) {
-        if (owner_[static_cast<std::size_t>(plan[c].dst_region)] == d &&
-            owner_[static_cast<std::size_t>(plan[c].src_region)] == d) {
-          set.local.push_back(c);
-        }
-      }
-      TIDACC_CHECK_MSG(set.local.size() <= s.desc_capacity,
-                       "ghost descriptors overflow their buffer");
-      set.laid_out = true;
-    }
-    return set.local;
+    return schedule_->local_copies(d, bc, this->exchange_plan(bc), owner_);
   }
 
   /// One planned copy as its descriptor.
@@ -1279,17 +1143,18 @@ class MultiAccTileArray : public tida::TileArray<T> {
 
   /// Stages device `d`'s same-device descriptors for `bc` in pinned memory
   /// and uploads them with one H2D on its exchange stream, which queues
-  /// behind no slot stream: it moves unrelated data. Marks them built.
+  /// behind no slot stream: it moves unrelated data. Marks them built for
+  /// every array on the layout.
   void upload_descriptors(int d, tida::Boundary bc) {
-    DeviceShard& s = shard(d);
-    DescriptorSet& set = s.desc[static_cast<std::size_t>(bc)];
+    const DescriptorBuffers& buffers = schedule_->device(d).buffers;
+    ExchangeSchedule::DescriptorSet& set = schedule_->descriptors(d, bc);
     set.built = true;
     const std::vector<std::size_t>& local = local_copies(d, bc);
     if (local.empty()) {
       return;
     }
     const auto& plan = this->exchange_plan(bc);
-    GhostDescriptor* staged = s.buffers.host() + set.offset;
+    GhostDescriptor* staged = buffers.host() + set.offset;
     const std::size_t bytes = local.size() * sizeof(GhostDescriptor);
     cuem::san::note_host_access(staged, bytes, /*write=*/true,
                                 "ghost descriptors");
@@ -1300,8 +1165,8 @@ class MultiAccTileArray : public tida::TileArray<T> {
     }
     const cuem::DeviceGuard guard(d);
     CUEM_CHECK(cuem::memcpy_async(
-        s.buffers.device() + set.offset, staged, bytes,
-        cuemMemcpyHostToDevice, s.buffers.stream, cuem::Route::raw(),
+        buffers.device() + set.offset, staged, bytes,
+        cuemMemcpyHostToDevice, buffers.stream, cuem::Route::raw(),
         labeled() ? "desc:D" + std::to_string(d) : std::string()));
   }
 
@@ -1416,14 +1281,15 @@ class MultiAccTileArray : public tida::TileArray<T> {
         slot[ri] = device_region(r).data;
       }
     }
-    const cuemStream_t xs = s.buffers.stream;
+    const DescriptorBuffers& buffers = schedule_->device(d).buffers;
+    const cuemStream_t xs = buffers.stream;
     for (const cuemStream_t st : streams) {
       if (sources.on(st) >= 0) {
         p.stream_wait_event(xs, sources.on(st));
       }
     }
     const GhostDescriptor* desc =
-        s.buffers.device() + s.desc[static_cast<std::size_t>(bc)].offset;
+        buffers.device() + schedule_->descriptors(d, bc).offset;
     const std::size_t count = local.size();
     auto action = [this, slot = std::move(slot), desc, count]() {
       const tida::Index3 last{1, 1, 1};
@@ -1713,6 +1579,9 @@ class MultiAccTileArray : public tida::TileArray<T> {
   }
 
   std::vector<DeviceShard> shards_;
+  /// What the exchange derives from the layout, shared with every array on
+  /// it (core/exchange_schedule.hpp).
+  std::shared_ptr<ExchangeSchedule> schedule_;
   std::vector<int> owner_;
   std::vector<int> local_;
   LocationTracker loc_;

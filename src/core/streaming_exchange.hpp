@@ -38,6 +38,7 @@
 #include "common/error.hpp"
 #include "common/units.hpp"
 #include "core/cache_table.hpp"
+#include "core/exchange_schedule.hpp"
 #include "cuem/cuem.hpp"
 #include "cuem/san.hpp"
 #include "sim/kernel_profile.hpp"
@@ -46,20 +47,6 @@
 #include "tida/ghost.hpp"
 
 namespace tidacc::core {
-
-/// One planned ghost copy as the device exchange's replay kernel reads it
-/// (DESIGN.md §4 item 5): region ids and boxes relative to each region's
-/// grown box, never slot pointers, so a change of residency or slot never
-/// invalidates it. 16-byte aligned for vector loads.
-struct alignas(16) GhostDescriptor {
-  std::int32_t src_region = -1;
-  std::int32_t dst_region = -1;
-  tida::Index3 src_lo;  ///< first source cell, from the source's grown lo
-  tida::Index3 dst_lo;  ///< first ghost cell, from the destination's grown lo
-  tida::Index3 extent;
-};
-static_assert(sizeof(GhostDescriptor) == 48,
-              "the replay kernel reads 48-byte descriptors");
 
 /// The device exchange's replay kernel over `elements` values of
 /// `elem_bytes` bytes and `descriptor_bytes` of descriptors: an
@@ -142,7 +129,8 @@ HostHalf host_half(const A& a, const std::vector<tida::GhostCopy>& plan) {
 /// → host copy → push:
 ///   * host — every API call it issues (replay kernels and their event
 ///     edges, pitched pulls and pushes, pull events), the host half's
-///     copies, and the descriptors' index work while they are unbuilt;
+///     copies, and the descriptors' index work while the layout's set is
+///     unbuilt (ExchangeSchedule: a sibling array may have built it);
 ///   * D2H / H2D — the pulls, the pushes of resident regions' ghosts, and
 ///     an unbuilt device's descriptor upload;
 ///   * compute — one replay kernel per device.
@@ -180,15 +168,16 @@ bool streaming_cheaper(A& a, tida::Boundary bc, const HostHalf& half) {
   };
 
   // Device half: one replay kernel per device over its on_device copies,
-  // reading every descriptor the device holds for `bc`. While a device's
-  // descriptors are unbuilt, the host also pays their index work and the
-  // upload. Each touched stream costs its source event, the replay's wait
-  // on it and its wait on the replay's completion event.
+  // reading every descriptor the device holds for `bc`. While the layout's
+  // descriptors on a device are unbuilt, the host also pays their index
+  // work and the upload. Each touched stream costs its source event, the
+  // replay's wait on it and its wait on the replay's completion event.
   SimTime compute_leg = 0;
   SimTime host_leg = 0;
   SimTime upload_leg = 0;
-  std::vector<std::uint64_t> cells(static_cast<std::size_t>(a.num_devices()));
-  std::vector<char> touched(n);
+  auto cells = std::vector<std::uint64_t>(
+      static_cast<std::size_t>(a.num_devices()));
+  auto touched = std::vector<char>(n);
   for (const tida::GhostCopy& c : plan) {
     if (on_device(a, c.src_region, c.dst_region)) {
       cells[static_cast<std::size_t>(a.device_of_region(c.dst_region))] +=
@@ -204,13 +193,12 @@ bool streaming_cheaper(A& a, tida::Boundary bc, const HostHalf& half) {
     }
   }
   for (int d = 0; d < a.num_devices(); ++d) {
-    const auto& shard = a.shard(d);
-    if (!shard.pool) {
+    if (!a.shard(d).pool) {
       continue;
     }
     const std::size_t copies = a.local_copies(d, bc).size();
     const std::uint64_t desc_bytes = copies * sizeof(GhostDescriptor);
-    if (!shard.desc[static_cast<std::size_t>(bc)].built && desc_bytes > 0) {
+    if (!a.schedule_->descriptors(d, bc).built && desc_bytes > 0) {
       host_leg += static_cast<SimTime>(copies) *
                   cfg.host_index_calc_ns_per_copy;
       sim::CopyRequest upload;

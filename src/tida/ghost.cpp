@@ -1,8 +1,11 @@
 #include "tida/ghost.hpp"
 
 #include <array>
+#include <utility>
 
 #include "common/error.hpp"
+#include "common/weak_registry.hpp"
+#include "sim/platform.hpp"
 
 namespace tidacc::tida {
 
@@ -133,6 +136,35 @@ std::uint64_t plan_cells(const std::vector<GhostCopy>& plan) {
     cells += c.dst_box.volume();
   }
   return cells;
+}
+
+LayoutPlans::LayoutPlans(Partition part, int ghost)
+    : part_(std::move(part)), ghost_(ghost) {}
+
+std::shared_ptr<LayoutPlans> LayoutPlans::of(const Partition& part,
+                                             int ghost) {
+  // A partition follows from its domain and region size.
+  struct Key {
+    Box domain;
+    Index3 region_size;
+    int ghost = 0;
+    std::uint64_t generation = 0;
+    bool operator==(const Key&) const = default;
+  };
+  static WeakRegistry<Key, LayoutPlans> live;
+  return live.get(
+      Key{part.domain(), part.region_size(), ghost,
+          sim::Platform::generation()},
+      [&] { return std::make_shared<LayoutPlans>(part, ghost); });
+}
+
+const std::vector<GhostCopy>& LayoutPlans::plan(Boundary bc) {
+  std::optional<std::vector<GhostCopy>>& p =
+      plans_[static_cast<std::size_t>(bc)];
+  if (!p) {
+    p = compute_exchange_plan(part_, ghost_, bc);
+  }
+  return *p;
 }
 
 }  // namespace tidacc::tida

@@ -6,8 +6,14 @@
 // exchange (tida::TileArray::fill_boundary_host) and the device-side
 // exchange (core::AccContext), where the CPU "computes the indices" — i.e.
 // exactly this plan — while the GPU applies previously planned copies.
+//
+// A plan depends only on the layout (the domain, the region size and the
+// ghost width), so arrays on one layout share theirs (LayoutPlans).
 #pragma once
 
+#include <array>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "tida/partition.hpp"
@@ -41,5 +47,25 @@ std::vector<GhostCopy> compute_exchange_plan(const Partition& part, int ghost,
 
 /// Total number of ghost cells written by a plan.
 std::uint64_t plan_cells(const std::vector<GhostCopy>& plan);
+
+/// The exchange plans of one layout, a partition with `ghost` layers: one
+/// per boundary, each computed on first use. Every array built on the
+/// layout since the last platform reset shares them (of()), so a layout
+/// pays each plan once however many arrays it carries.
+class LayoutPlans {
+ public:
+  LayoutPlans(Partition part, int ghost);
+
+  /// The plans an array built on `part` with `ghost` layers uses: those of
+  /// a live array on the same layout, else new ones.
+  static std::shared_ptr<LayoutPlans> of(const Partition& part, int ghost);
+
+  const std::vector<GhostCopy>& plan(Boundary bc);
+
+ private:
+  Partition part_;
+  int ghost_;
+  std::array<std::optional<std::vector<GhostCopy>>, 2> plans_;
+};
 
 }  // namespace tidacc::tida

@@ -9,7 +9,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -140,7 +142,9 @@ class TileArray {
       : part_(domain, region_size),
         ghost_(ghost),
         alloc_(alloc),
-        ncomp_(ncomp) {
+        ncomp_(ncomp),
+        generation_(sim::Platform::generation()),
+        layout_(LayoutPlans::of(part_, ghost)) {
     TIDACC_CHECK_MSG(ghost >= 0, "negative ghost width");
     TIDACC_CHECK_MSG(ncomp >= 1, "need at least one component");
     buffers_.reserve(part_.num_regions());
@@ -153,6 +157,11 @@ class TileArray {
   }
 
   ~TileArray() {
+    // A platform reset since construction released the buffers already,
+    // and their addresses may belong to a newer array now.
+    if (generation_ != sim::Platform::generation()) {
+      return;
+    }
     for (T* buf : buffers_) {
       cuem::host_free(buf);
     }
@@ -271,14 +280,10 @@ class TileArray {
     return charge_host_copies(cells);
   }
 
-  /// The cached exchange plan for this array's geometry.
+  /// The exchange plan of this array's layout, computed on first use by
+  /// any array on the layout (LayoutPlans).
   const std::vector<GhostCopy>& exchange_plan(Boundary bc) {
-    auto& slot = plans_[static_cast<int>(bc)];
-    if (!slot.valid) {
-      slot.plan = compute_exchange_plan(part_, ghost_, bc);
-      slot.valid = true;
-    }
-    return slot.plan;
+    return layout_->plan(bc);
   }
 
   /// Executes one planned copy on host buffers, all components (also used
@@ -306,17 +311,13 @@ class TileArray {
     return cells;
   }
 
-  struct PlanSlot {
-    bool valid = false;
-    std::vector<GhostCopy> plan;
-  };
-
   Partition part_;
   int ghost_;
   HostAlloc alloc_;
   int ncomp_ = 1;
+  std::uint64_t generation_;  ///< platform generation of the buffers
   std::vector<T*> buffers_;
-  PlanSlot plans_[2];
+  std::shared_ptr<LayoutPlans> layout_;
 };
 
 }  // namespace tidacc::tida

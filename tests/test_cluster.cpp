@@ -624,6 +624,113 @@ TEST_F(ClusterTest, CaptureRestoreReplaysIdentically) {
   EXPECT_EQ(first.second, second.second);
 }
 
+TEST_F(ClusterTest, WireIndexWorkChargedOncePerLayoutAndBoundary) {
+  // Two arrays on one layout share its cross-node wire groups: the first
+  // exchange under a boundary, by either array, pays their index work (and
+  // the descriptors'); every later one pays none. The built state rides the
+  // cluster snapshot, and the fields match a 1-node run.
+  DeviceConfig cfg = DeviceConfig::k40m();
+  cfg.host_index_calc_ns_per_copy = kMillisecond;
+  const Box domain = Box::cube(16);
+  const Index3 rs{16, 16, 2};
+  const auto other = [](const Index3& p) {
+    return 0.25 * p.i * p.j - 1.5 * p.k;
+  };
+  // Every cell of both arrays after one periodic exchange each.
+  const auto cells = [](ClusterTileArray<double>& u,
+                        ClusterTileArray<double>& v) {
+    std::vector<double> out;
+    for (ClusterTileArray<double>* a : {&u, &v}) {
+      a->fill_boundary(Boundary::kPeriodic);
+      a->release_all_to_host();
+      for (int r = 0; r < a->num_regions(); ++r) {
+        const tida::Region<double> reg = a->region(r);
+        out.insert(out.end(), reg.data, reg.data + reg.cells());
+      }
+    }
+    return out;
+  };
+  const auto start = [&](ClusterTileArray<double>& u,
+                         ClusterTileArray<double>& v) {
+    u.fill(pattern);
+    v.fill(other);
+    for (int r = 0; r < u.num_regions(); ++r) {
+      u.acquire_on_device(r);
+      v.acquire_on_device(r);
+    }
+  };
+  const auto configure = [&cfg] {
+    cuem::configure(cfg, /*functional=*/true, /*num_devices=*/2,
+                    Interconnect::pcie());
+    oacc::reset();
+  };
+
+  configure();
+  ClusterOptions one;
+  one.multi.devices = 2;
+  std::vector<double> single;
+  {
+    ClusterTileArray<double> u(domain, rs, 1, one);
+    ClusterTileArray<double> v(domain, rs, 1, one);
+    start(u, v);
+    single = cells(u, v);
+  }
+
+  configure();
+  sim::Platform& p = sim::Platform::instance();
+  ClusterTileArray<double> u(domain, rs, 1, two_nodes(NetPath::kGpuDirect));
+  ClusterTileArray<double> v(domain, rs, 1, two_nodes(NetPath::kGpuDirect));
+  start(u, v);
+  const auto exchange_ns = [&p](ClusterTileArray<double>& a, Boundary bc) {
+    const SimTime t0 = p.now();
+    a.exchange_begin(bc);
+    a.exchange_end();
+    return p.now() - t0;
+  };
+  // Wire index work of one build: each node's CPU indexes its share.
+  const auto wire_ns = [&u](Boundary bc) {
+    SimTime copies = 0;
+    for (const tida::GhostCopy& c : u.exchange_plan(bc)) {
+      copies += u.node_of_region(c.src_region) !=
+                u.node_of_region(c.dst_region);
+    }
+    return copies * kMillisecond / 2;
+  };
+  const auto snapshot = [&u, &v] {
+    sim::SnapshotWriter w;
+    world_capture(w);
+    u.capture(w);
+    v.capture(w);
+    return w.take();
+  };
+  const auto restore = [&u, &v](const std::vector<std::uint8_t>& snap) {
+    sim::SnapshotReader r(snap);
+    world_restore(r);
+    u.restore(r);
+    v.restore(r);
+    EXPECT_TRUE(r.at_end());
+  };
+  const std::vector<std::uint8_t> unbuilt = snapshot();
+  ASSERT_GT(wire_ns(Boundary::kPeriodic), 0u);
+  EXPECT_GE(exchange_ns(u, Boundary::kPeriodic), wire_ns(Boundary::kPeriodic));
+  EXPECT_LT(exchange_ns(v, Boundary::kPeriodic), kMillisecond);
+  EXPECT_LT(exchange_ns(u, Boundary::kPeriodic), kMillisecond);
+  ASSERT_GT(wire_ns(Boundary::kNone), 0u);
+  EXPECT_GE(exchange_ns(v, Boundary::kNone), wire_ns(Boundary::kNone));
+  EXPECT_LT(exchange_ns(u, Boundary::kNone), kMillisecond);
+  const std::vector<std::uint8_t> built = snapshot();
+
+  // Restored before the build, the pair builds again; after it, never.
+  restore(unbuilt);
+  EXPECT_GE(exchange_ns(v, Boundary::kPeriodic), wire_ns(Boundary::kPeriodic));
+  EXPECT_LT(exchange_ns(u, Boundary::kPeriodic), kMillisecond);
+  restore(built);
+  EXPECT_LT(exchange_ns(v, Boundary::kPeriodic), kMillisecond);
+  EXPECT_LT(exchange_ns(u, Boundary::kNone), kMillisecond);
+  restore(built);
+  EXPECT_TRUE(cells(u, v) == single);
+}
+
 TEST_F(ClusterTest, SnapshotRejectsAnOpenEpoch) {
   ClusterTileArray<double> u(Box::cube(16), Index3{16, 16, 2}, 1,
                              two_nodes());

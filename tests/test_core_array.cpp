@@ -536,36 +536,71 @@ TEST_F(AccArrayTest, DeviceExchangeIssuesNoDeviceSynchronize) {
   EXPECT_GE(p.last_op_start(), busy_until);
 }
 
-TEST_F(AccArrayTest, DescriptorIndexWorkChargedOncePerArrayAndBoundary) {
+TEST_F(AccArrayTest, DescriptorIndexWorkChargedOncePerLayoutAndBoundary) {
   DeviceConfig cfg = fast_config();
   cfg.host_index_calc_ns_per_copy = kMillisecond;
   cuem::configure(cfg, /*functional=*/false);
   oacc::reset();
-  sim::Platform& p = sim::Platform::instance();
-  const auto exchange_ns = [&p](AccTileArray<double>& a, Boundary bc) {
-    const SimTime t0 = p.now();
+  // The instance is looked up per call: the reset below replaces it.
+  const auto exchange_ns = [](auto& a, Boundary bc) {
+    const SimTime t0 = sim::Platform::instance().now();
     a.fill_boundary(bc);
-    return p.now() - t0;
+    return sim::Platform::instance().now() - t0;
+  };
+  const auto make_resident = [](auto& a) {
+    a.assume_host_initialized();
+    for (int r = 0; r < a.num_regions(); ++r) {
+      a.acquire_on_device(r);
+    }
+  };
+  const auto uploads = [] {
+    const auto& events = sim::Platform::instance().trace().events();
+    return std::count_if(events.begin(), events.end(),
+                         [](const sim::TraceEvent& e) {
+                           return e.label == "desc:D0";
+                         });
   };
   AccTileArray<double> arr(Box::cube(8), Index3::uniform(4), 1);
-  arr.assume_host_initialized();
-  for (int r = 0; r < arr.num_regions(); ++r) {
-    arr.acquire_on_device(r);
-  }
+  make_resident(arr);
   for (const Boundary bc : {Boundary::kPeriodic, Boundary::kNone}) {
     const SimTime copies = arr.exchange_plan(bc).size();
     ASSERT_GT(copies, 0u);
     EXPECT_GE(exchange_ns(arr, bc), copies * kMillisecond) << to_string(bc);
     EXPECT_LT(exchange_ns(arr, bc), kMillisecond) << to_string(bc);
   }
-  // Descriptors belong to their array: a sibling pays its own build.
-  AccTileArray<double> other(Box::cube(8), Index3::uniform(4), 1);
-  other.assume_host_initialized();
-  for (int r = 0; r < other.num_regions(); ++r) {
-    other.acquire_on_device(r);
+  ASSERT_EQ(uploads(), 2);
+  // Descriptors belong to the layout: a sibling on it — whatever its
+  // element type, components or slot budget — replays them, paying no
+  // index work and uploading nothing.
+  AccOptions other_opts;
+  other_opts.ncomp = 2;
+  other_opts.max_slots = 8;
+  AccTileArray<float> sibling(Box::cube(8), Index3::uniform(4), 1,
+                              other_opts);
+  make_resident(sibling);
+  for (const Boundary bc : {Boundary::kPeriodic, Boundary::kNone}) {
+    EXPECT_LT(exchange_ns(sibling, bc), kMillisecond) << to_string(bc);
   }
-  EXPECT_GE(exchange_ns(other, Boundary::kPeriodic),
-            other.exchange_plan(Boundary::kPeriodic).size() * kMillisecond);
+  EXPECT_EQ(uploads(), 2);
+  // Another ghost width or region size is another layout: its own build.
+  AccTileArray<double> wider(Box::cube(8), Index3::uniform(4), 2);
+  AccTileArray<double> finer(Box::cube(8), Index3::uniform(2), 1);
+  for (AccTileArray<double>* a : {&wider, &finer}) {
+    make_resident(*a);
+    EXPECT_GE(exchange_ns(*a, Boundary::kPeriodic),
+              a->exchange_plan(Boundary::kPeriodic).size() * kMillisecond)
+        << "ghost " << a->ghost() << ", " << a->num_regions() << " regions";
+  }
+  EXPECT_EQ(uploads(), 4);
+  // A platform reset starts every layout afresh: an array that outlives
+  // it lends nothing to one built after it.
+  cuem::configure(cfg, /*functional=*/false);
+  oacc::reset();
+  AccTileArray<double> after(Box::cube(8), Index3::uniform(4), 1);
+  make_resident(after);
+  EXPECT_GE(exchange_ns(after, Boundary::kPeriodic),
+            after.exchange_plan(Boundary::kPeriodic).size() * kMillisecond);
+  EXPECT_EQ(uploads(), 1);
 }
 
 // --- integration: tiled heat equation vs single-array reference ---

@@ -652,6 +652,47 @@ TEST_F(CuemSanTest, StreamingExchangeTwoDevicesIsClean) {
   EXPECT_EQ(cuem::san::count(cuem::san::Severity::kWarning), 0u);
 }
 
+TEST_F(CuemSanTest, ArraysSharingALayoutAreClean) {
+  // Two arrays on one layout over two devices: the first array's exchange
+  // uploads the layout's descriptors on each device's exchange stream, the
+  // second array's first exchange replays them there. Both stay clean, and
+  // the leak sweep finds nothing once the last array freed the shared
+  // buffers.
+  cuem::configure(test_config(), /*functional=*/true, /*num_devices=*/2,
+                  Interconnect::pcie());
+  oacc::reset();
+  {
+    core::MultiAccOptions opts;
+    opts.devices = 2;
+    core::MultiAccTileArray<double> u(Box::cube(12), Index3{12, 12, 2}, 1,
+                                      opts);
+    core::MultiAccTileArray<double> v(Box::cube(12), Index3{12, 12, 2}, 1,
+                                      opts);
+    u.fill([](const Index3& p) { return std::sin(0.1 * p.i) + 0.01 * p.k; });
+    v.fill([](const Index3& p) { return std::cos(0.2 * p.j) - 0.5 * p.i; });
+    LoopCost cost;
+    cost.flops_per_iter = 8;
+    cost.dev_bytes_per_iter = 16;
+    for (int s = 0; s < 2; ++s) {
+      for (core::MultiAccTileArray<double>* a : {&u, &v}) {
+        for (int r = 0; r < a->num_regions(); ++r) {
+          sweep_region(*a, r, cost);
+        }
+        a->fill_boundary(Boundary::kPeriodic);
+      }
+    }
+    EXPECT_EQ(u.device_ghost_updates(), 4u);
+    EXPECT_EQ(v.device_ghost_updates(), 4u);
+    u.release_all_to_host();
+    v.release_all_to_host();
+  }
+  oacc::release_queues();
+  ASSERT_EQ(cuemDeviceReset(), cuemSuccess);
+  EXPECT_TRUE(cuem::san::clean())
+      << "unexpected findings:\n" << cuem::san::report_json();
+  EXPECT_FALSE(json_names("leak_allocation")) << cuem::san::report_json();
+}
+
 TEST_F(CuemSanTest, StaticMhpAgreesWithDynamicRacecheck) {
   // The schedule analyzer's static may-happen-in-parallel relation
   // (op-graph reachability, engine edges excluded) must coincide with the

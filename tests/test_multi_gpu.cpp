@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -640,6 +641,119 @@ TEST_F(MultiArrayTest, DeviceExchangeMatchesHostExchangeBitwise) {
       }
     }
   }
+}
+
+// --- one exchange schedule per layout ---
+
+/// Free device memory of each of `devices` devices (cuemMemGetInfo).
+std::vector<std::size_t> free_memory(int devices) {
+  std::vector<std::size_t> free(static_cast<std::size_t>(devices));
+  for (int d = 0; d < devices; ++d) {
+    cuem::DeviceGuard guard(d);
+    std::size_t total = 0;
+    EXPECT_EQ(cuemMemGetInfo(&free[static_cast<std::size_t>(d)], &total),
+              cuemSuccess);
+  }
+  return free;
+}
+
+/// Periodic exchange of `fn`'s field on the host: every cell of every
+/// region buffer, valid and ghost.
+std::vector<double> host_exchanged(const Box& domain, const Index3& rs,
+                                   double (*fn)(const Index3&)) {
+  tida::TileArray<double> ref(domain, rs, 1);
+  ref.fill(fn);
+  ref.fill_boundary_host(Boundary::kPeriodic);
+  std::vector<double> cells;
+  for (int r = 0; r < ref.num_regions(); ++r) {
+    const tida::Region<double> reg = ref.region(r);
+    cells.insert(cells.end(), reg.data, reg.data + reg.cells());
+  }
+  return cells;
+}
+
+/// Fills `a` with `fn`, moves it to its devices, exchanges periodically and
+/// returns every cell of every region buffer.
+std::vector<double> device_exchanged(MultiAccTileArray<double>& a,
+                                     double (*fn)(const Index3&)) {
+  a.fill(fn);
+  for (int r = 0; r < a.num_regions(); ++r) {
+    a.acquire_on_device(r);
+  }
+  a.fill_boundary(Boundary::kPeriodic);
+  a.release_all_to_host();
+  std::vector<double> cells;
+  for (int r = 0; r < a.num_regions(); ++r) {
+    const tida::Region<double> reg = a.region(r);
+    cells.insert(cells.end(), reg.data, reg.data + reg.cells());
+  }
+  return cells;
+}
+
+double other_pattern(const Index3& p) {
+  return std::cos(0.3 * p.i) - 0.25 * p.j + 0.125 * p.k * p.k;
+}
+
+std::size_t labelled(const std::string& label) {
+  const auto& events = cuem::platform().trace().events();
+  return static_cast<std::size_t>(
+      std::count_if(events.begin(), events.end(),
+                    [&label](const sim::TraceEvent& e) {
+                      return e.label == label;
+                    }));
+}
+
+TEST_F(MultiArrayTest, ArraysOnOneLayoutShareOneDescriptorUploadPerDevice) {
+  // The second array on a layout allocates no descriptor memory: each
+  // device loses exactly its slots. One desc:D<d> upload per device serves
+  // both arrays, and both fields match the host exchange bitwise.
+  enable_all_peers(2);
+  cuem::platform().trace().set_recording(true);
+  const Box domain = Box::cube(8);
+  const Index3 rs{8, 8, 1};
+  const std::vector<std::size_t> free0 = free_memory(2);
+  MultiAccTileArray<double> u(domain, rs, 1);
+  const std::vector<std::size_t> free1 = free_memory(2);
+  MultiAccTileArray<double> v(domain, rs, 1);
+  const std::vector<std::size_t> free2 = free_memory(2);
+  const std::size_t slot_bytes =
+      u.partition().max_region_volume(1) * sizeof(double);
+  for (int d = 0; d < 2; ++d) {
+    const auto di = static_cast<std::size_t>(d);
+    EXPECT_GT(free0[di] - free1[di], u.num_slots(d) * slot_bytes)
+        << "device " << d << ": the first array allocates the descriptors";
+    EXPECT_EQ(free1[di] - free2[di], v.num_slots(d) * slot_bytes)
+        << "device " << d << ": the second array allocates only its slots";
+  }
+  EXPECT_TRUE(device_exchanged(u, pattern) ==
+              host_exchanged(domain, rs, pattern));
+  EXPECT_TRUE(device_exchanged(v, other_pattern) ==
+              host_exchanged(domain, rs, other_pattern));
+  EXPECT_EQ(u.device_ghost_updates(), 2u);
+  EXPECT_EQ(v.device_ghost_updates(), 2u);
+  EXPECT_EQ(labelled("desc:D0"), 1u);
+  EXPECT_EQ(labelled("desc:D1"), 1u);
+}
+
+TEST_F(MultiArrayTest, LastArrayOnALayoutFreesTheSharedDescriptors) {
+  // The first array builds the layout's descriptors and dies; the second
+  // replays them correctly and frees them with itself.
+  enable_all_peers(2);
+  const Box domain = Box::cube(8);
+  const Index3 rs{8, 8, 1};
+  const std::vector<std::size_t> free0 = free_memory(2);
+  auto u = std::make_unique<MultiAccTileArray<double>>(domain, rs, 1);
+  {
+    MultiAccTileArray<double> v(domain, rs, 1);
+    EXPECT_TRUE(device_exchanged(*u, pattern) ==
+                host_exchanged(domain, rs, pattern));
+    u.reset();
+    EXPECT_TRUE(device_exchanged(v, other_pattern) ==
+                host_exchanged(domain, rs, other_pattern));
+    EXPECT_EQ(v.device_ghost_updates(), 2u);
+    EXPECT_NE(free_memory(2), free0);
+  }
+  EXPECT_EQ(free_memory(2), free0);
 }
 
 // --- eviction invariant under per-device schedulers + peer copies ---

@@ -244,6 +244,73 @@ TEST(WorldSnapshot, DescriptorBuildStateRidesTheSnapshot) {
   EXPECT_TRUE(from_built.field == from_unbuilt.field);
 }
 
+// Two arrays on one layout, captured and restored together.
+std::vector<std::uint8_t> capture_pair(const AccTileArray<double>& u,
+                                       const AccTileArray<double>& v) {
+  sim::SnapshotWriter w;
+  core::world_capture(w);
+  u.capture(w);
+  v.capture(w);
+  return w.take();
+}
+
+Replay replay_pair_from(const std::vector<std::uint8_t>& snap,
+                        AccTileArray<double>& u, AccTileArray<double>& v,
+                        int steps) {
+  sim::SnapshotReader r(snap);
+  core::world_restore(r);
+  u.restore(r);
+  v.restore(r);
+  EXPECT_TRUE(r.at_end());
+  for (int s = 0; s < steps; ++s) {
+    halo_step(u);
+    halo_step(v);
+  }
+  u.release_all_to_host();
+  v.release_all_to_host();
+  Replay out{cuem::platform().trace().events(), cuem::platform().now(), {}};
+  for (const AccTileArray<double>* a : {&u, &v}) {
+    for (int id = 0; id < a->num_regions(); ++id) {
+      const tida::Region<double> reg = a->region(id);
+      out.field.insert(out.field.end(), reg.data, reg.data + reg.cells());
+    }
+  }
+  return out;
+}
+
+TEST(WorldSnapshot, SharedDescriptorBuildStateRidesBothSnapshots) {
+  // Two arrays on one layout share its descriptors: whichever exchanges
+  // first on the device builds them, the other only replays. Restored
+  // from a snapshot of both taken before that build, the pair builds once
+  // again; restored from one taken after it, neither uploads anything.
+  fresh_world(/*recording=*/true);
+  core::AccOptions o;
+  o.max_slots = kRegions;
+  AccTileArray<double> u(tida::Box::cube(kN), tida::Index3{kN, kN, kSlab},
+                         /*ghost=*/1, o);
+  AccTileArray<double> v(tida::Box::cube(kN), tida::Index3{kN, kN, kSlab},
+                         /*ghost=*/1, o);
+  init(u);
+  v.fill([](const tida::Index3& p) { return 2.0 * p.i * p.k - 0.5 * p.j; });
+  v.assume_host_initialized();
+  halo_step(u);  // host exchanges, then the regions move to the device
+  halo_step(v);
+  const std::vector<std::uint8_t> unbuilt = capture_pair(u, v);
+  halo_step(u);  // the layout's first device exchange builds
+  halo_step(v);  // and the sibling replays
+  const std::vector<std::uint8_t> built = capture_pair(u, v);
+
+  const Replay from_unbuilt = replay_pair_from(unbuilt, u, v, 3);
+  EXPECT_EQ(uploads_in(from_unbuilt), 1u);
+  expect_same_replay(from_unbuilt, replay_pair_from(unbuilt, u, v, 3));
+
+  const Replay from_built = replay_pair_from(built, u, v, 2);
+  EXPECT_EQ(uploads_in(from_built), 1u);  // the one before the snapshot
+  expect_same_replay(from_built, replay_pair_from(built, u, v, 2));
+  EXPECT_EQ(from_built.now, from_unbuilt.now);
+  EXPECT_TRUE(from_built.field == from_unbuilt.field);
+}
+
 TEST(WorldSnapshot, JitterStateSurvivesRestore) {
   fresh_world(/*recording=*/false);
   AccTileArray<double> u(tida::Box::cube(kN), tida::Index3{kN, kN, kSlab},

@@ -464,5 +464,50 @@ TEST(TimeBlockTunerTest, PricesKernelsAsComputeKLaunchesThem) {
   }
 }
 
+TEST(TimeBlockTunerTest, PricesTheReplayDescriptorsTheArrayAllocates) {
+  // Slabs two cells thin: from k = 3 on the ring (ghost = k * radius) is
+  // wider than a slab, its pieces span several slabs, and the array gives
+  // each region more than 26 descriptors (descriptors_per_region). The
+  // tuner's replay kernel must read that many. With a slot per region
+  // nothing swaps, so a predicted step is the k trapezoid kernels plus the
+  // replay, per region and step.
+  const Box domain = Box::cube(32);
+  const Index3 rs{32, 32, 2};
+  const DeviceConfig cfg = DeviceConfig::k40m();
+  const LoopCost cost = kernels::box_stencil_cost(1);
+  std::vector<TimeBlockPrediction> table;
+  choose_time_block_k(domain, rs, /*radius=*/1, /*slots=*/16, cost, cfg,
+                      /*max_k=*/4, &table);
+  ASSERT_EQ(table.size(), 4u);
+  const tida::Partition part(domain, rs);
+  const std::uint64_t regions = 16;
+  const auto grown = [](int g) {
+    return static_cast<std::uint64_t>(32 + 2 * g) *
+           static_cast<std::uint64_t>(32 + 2 * g) *
+           static_cast<std::uint64_t>(2 + 2 * g);
+  };
+  for (const TimeBlockPrediction& row : table) {
+    const int k = row.k;
+    const std::size_t descriptors = descriptors_per_region(part, k);
+    EXPECT_EQ(descriptors > 26, k > 2) << "k=" << k;
+    double kernels = 0.0;
+    for (int s = 0; s < k; ++s) {
+      kernels += static_cast<double>(
+          cfg.kernel_launch_ns + cfg.oacc_dispatch_extra_ns +
+          cost.profile(grown(k - 1 - s), /*tuned_geometry=*/false)
+              .duration_ns(cfg));
+    }
+    const double replay = static_cast<double>(
+        cfg.kernel_launch_ns + cfg.oacc_dispatch_extra_ns +
+        ghost_update_profile(regions * (grown(k) - grown(0)), sizeof(double),
+                             regions * descriptors * sizeof(GhostDescriptor))
+            .duration_ns(cfg));
+    EXPECT_DOUBLE_EQ(row.step_ns,
+                     (static_cast<double>(regions) * kernels + replay) /
+                         static_cast<double>(regions * k))
+        << "k=" << k;
+  }
+}
+
 }  // namespace
 }  // namespace tidacc::core

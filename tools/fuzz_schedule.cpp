@@ -5,13 +5,17 @@
 //
 // Outer loop: draw *world* knobs (slot policy, delta transfers, slot
 // budget, device count, node count, fabric preset, transfer compression
-// policy) from the seed, build a
+// policy, sibling array) from the seed, build a
 // fresh world, run a warmup step, and capture one snapshot (world +
-// array). Inner loop: restore the snapshot, draw *dynamic* knobs (transfer
+// arrays). Inner loop: restore the snapshot, draw *dynamic* knobs (transfer
 // jitter, prefetch depth, region visit order, residency-ordered traversal,
 // split-phase overlap), and replay the tail. The workload is the Fig. 8
 // limited-memory halo pattern: a slab-decomposed AccTileArray<double> doing
-// fill_boundary + an in-place ghost-reading stencil each step.
+// fill_boundary + an in-place ghost-reading stencil each step. A world with
+// the sibling knob carries a second array on the same layout, with its own
+// field and its own halo step each step: the two share the layout's
+// exchange schedule (descriptors, their upload and the wire groups), so a
+// replay may find them built by the other array.
 //
 // Worlds with nodes > 1 run the same workload on a ClusterTileArray (its
 // capture/restore carries the fabric's QP/MR/counter state through every
@@ -90,6 +94,9 @@ struct WorldKnobs {
   // copies move the same bytes in functional mode, so the checksum and
   // sanitizer oracles apply to the codec paths unchanged.
   int compression = 0;
+  // A second array on the same layout (and options), stepped after the
+  // first each step and captured and restored with it.
+  bool sibling = false;
 };
 
 // Mutated per iteration on top of a restored snapshot.
@@ -172,6 +179,8 @@ WorldKnobs draw_world(std::uint64_t seed, std::uint64_t config_index,
   w.compression = force_compression >= 0
                       ? force_compression
                       : static_cast<int>(rng.next_below(3));
+  // Drawn after everything else for the same reason.
+  w.sibling = rng.next_below(2) == 0;
   return w;
 }
 
@@ -327,42 +336,59 @@ void halo_step(core::ClusterTileArray<double>& u, const VisitOrder& order,
   sweep_all(u, boundary, depth, cost);
 }
 
+/// A world's arrays: the fuzzed array, then its sibling if any. Every
+/// array gets the same dynamic knobs and its own halo step each step.
 template <typename Array>
-void run_tail(Array& u, core::SlotPolicyKind policy, const DynKnobs& d,
-              const oacc::LoopCost& cost) {
+using Arrays = std::vector<Array*>;
+
+template <typename Array>
+void run_tail(const Arrays<Array>& arrays, core::SlotPolicyKind policy,
+              const DynKnobs& d, const oacc::LoopCost& cost) {
   sim::Platform::instance().set_transfer_jitter(
       static_cast<SimTime>(d.jitter_max), d.jitter_seed);
-  apply_stream_perm(u, d.stream_perm_seed);
-  const VisitOrder order{visit_order(u.num_regions(), d.order_seed),
+  const VisitOrder order{visit_order(arrays[0]->num_regions(), d.order_seed),
                          d.order_seed, d.residency_order};
-  if (policy == core::SlotPolicyKind::kBeladyOracle) {
-    // The oracle's script is the base order; a residency-ordered sweep
-    // leaves it (BeladyOraclePolicy degrades to stale predictions, safely).
-    std::vector<int> future;
-    for (int s = 0; s < d.steps; ++s) {
-      future.insert(future.end(), order.base.begin(), order.base.end());
+  for (Array* u : arrays) {
+    apply_stream_perm(*u, d.stream_perm_seed);
+    if (policy == core::SlotPolicyKind::kBeladyOracle) {
+      // The oracle's script is the base order; a residency-ordered sweep
+      // leaves it (BeladyOraclePolicy degrades to stale predictions,
+      // safely).
+      std::vector<int> future;
+      for (int s = 0; s < d.steps; ++s) {
+        future.insert(future.end(), order.base.begin(), order.base.end());
+      }
+      u->set_future_accesses(std::move(future));
     }
-    u.set_future_accesses(std::move(future));
   }
   for (int s = 0; s < d.steps; ++s) {
-    halo_step(u, order, d.prefetch_depth, cost, d.overlap);
+    for (Array* u : arrays) {
+      halo_step(*u, order, d.prefetch_depth, cost, d.overlap);
+    }
   }
-  u.release_all_to_host();
+  for (Array* u : arrays) {
+    u->release_all_to_host();
+  }
 }
 
-std::uint64_t checksum(const tida::TileArray<double>& u) {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over valid cells
-  for (int id = 0; id < u.num_regions(); ++id) {
-    const tida::Region<double> r = u.region(id);
-    for (int k = r.valid.lo.k; k < r.valid.hi.k; ++k) {
-      for (int j = r.valid.lo.j; j < r.valid.hi.j; ++j) {
-        for (int i = r.valid.lo.i; i < r.valid.hi.i; ++i) {
-          std::uint64_t bits;
-          const double v = r.at(i, j, k);
-          std::memcpy(&bits, &v, sizeof(bits));
-          for (int b = 0; b < 8; ++b) {
-            h ^= (bits >> (8 * b)) & 0xffu;
-            h *= 0x100000001b3ull;
+/// FNV-1a over the valid cells of every array, in order (boxes are
+/// inclusive: every valid cell counts).
+template <typename Array>
+std::uint64_t checksum(const Arrays<Array>& arrays) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const Array* u : arrays) {
+    for (int id = 0; id < u->num_regions(); ++id) {
+      const tida::Region<double> r = u->region(id);
+      for (int k = r.valid.lo.k; k <= r.valid.hi.k; ++k) {
+        for (int j = r.valid.lo.j; j <= r.valid.hi.j; ++j) {
+          for (int i = r.valid.lo.i; i <= r.valid.hi.i; ++i) {
+            std::uint64_t bits;
+            const double v = r.at(i, j, k);
+            std::memcpy(&bits, &v, sizeof(bits));
+            for (int b = 0; b < 8; ++b) {
+              h ^= (bits >> (8 * b)) & 0xffu;
+              h *= 0x100000001b3ull;
+            }
           }
         }
       }
@@ -443,23 +469,26 @@ void lint_replay(const sim::OpGraph& g, Outcome* out) {
   }
 }
 
-/// Restores `snap` into the live world (same process, `u` still alive) and
-/// replays the tail under `d`. Any tidacc::Error — a fatal sanitizer
-/// finding or an internal invariant trip — is a failure.
+/// Restores `snap` into the live world (same process, the arrays still
+/// alive) and replays the tail under `d`. Any tidacc::Error — a fatal
+/// sanitizer finding or an internal invariant trip — is a failure.
 template <typename Array>
-Outcome run_case(const std::vector<std::uint8_t>& snap, Array& u,
-                 core::SlotPolicyKind policy, const DynKnobs& d,
-                 const oacc::LoopCost& cost, bool lint = false) {
+Outcome run_case(const std::vector<std::uint8_t>& snap,
+                 const Arrays<Array>& arrays, core::SlotPolicyKind policy,
+                 const DynKnobs& d, const oacc::LoopCost& cost,
+                 bool lint = false) {
   Outcome out;
   try {
     sim::SnapshotReader r(snap);
     core::world_restore(r);
-    u.restore(r);
+    for (Array* u : arrays) {
+      u->restore(r);
+    }
     TIDACC_CHECK_MSG(r.at_end(), "trailing bytes after the array snapshot");
     // The graph attaches AFTER the restore (graph state is transient
     // analysis state, never part of snapshots) and sees only the tail.
     LintAttach la(lint);
-    run_tail(u, policy, d, cost);
+    run_tail(arrays, policy, d, cost);
     la.detach();
     if (lint) {
       lint_replay(la.g, &out);
@@ -467,9 +496,11 @@ Outcome run_case(const std::vector<std::uint8_t>& snap, Array& u,
         return out;
       }
     }
-    out.sum = checksum(u);
-    out.h2d = u.h2d_bytes();
-    out.d2h = u.d2h_bytes();
+    out.sum = checksum(arrays);
+    for (const Array* u : arrays) {
+      out.h2d += u->h2d_bytes();
+      out.d2h += u->d2h_bytes();
+    }
     out.makespan = sim::Platform::instance().now();
   } catch (const tidacc::Error& e) {
     out.failed = true;
@@ -498,6 +529,7 @@ void write_repro(const std::string& path, const WorldKnobs& w,
   f << "fabric=" << w.fabric << "\n";
   f << "net_path=" << core::to_string(w.path) << "\n";
   f << "compression=" << w.compression << "\n";
+  f << "sibling=" << (w.sibling ? 1 : 0) << "\n";
   f << "jitter_max=" << d.jitter_max << "\n";
   f << "jitter_seed=" << d.jitter_seed << "\n";
   f << "prefetch_depth=" << d.prefetch_depth << "\n";
@@ -536,6 +568,7 @@ bool parse_repro(const std::string& path, WorldKnobs& w, DynKnobs& d) {
     else if (key == "fabric") w.fabric = val;
     else if (key == "net_path") w.path = core::parse_net_path(val);
     else if (key == "compression") w.compression = static_cast<int>(num);
+    else if (key == "sibling") w.sibling = num != 0;
     else if (key == "jitter_max") d.jitter_max = num;
     else if (key == "jitter_seed") d.jitter_seed = num;
     else if (key == "prefetch_depth") d.prefetch_depth = static_cast<int>(num);
@@ -602,6 +635,7 @@ void write_report(const std::string& path, std::uint64_t seed,
       << ", \"fabric\": \"" << json_escape(x.world.fabric)
       << "\", \"net_path\": \"" << core::to_string(x.world.path)
       << "\", \"compression\": " << x.world.compression
+      << ", \"sibling\": " << (x.world.sibling ? "true" : "false")
       << ", \"jitter_max\": " << x.dyn.jitter_max
       << ", \"prefetch_depth\": " << x.dyn.prefetch_depth
       << ", \"order_seed\": " << x.dyn.order_seed
@@ -691,24 +725,74 @@ core::ClusterOptions cluster_options(const WorldKnobs& w) {
   return o;
 }
 
-/// Builds the world, runs the warmup step (so the snapshot holds a
-/// mid-workload state with live residency/dirty tracking), and captures
-/// world + array into one buffer.
-template <typename Array>
-std::vector<std::uint8_t> build_and_snapshot(const WorldKnobs& w, Array& u,
-                                             const oacc::LoopCost& cost) {
-  u.fill([](const tida::Index3& p) {
-    return 0.001 * p.i + 0.002 * p.j + 0.004 * p.k;
-  });
-  u.assume_host_initialized();
-  if (w.policy == core::SlotPolicyKind::kBeladyOracle) {
-    u.set_future_accesses(visit_order(w.regions, 0));
+/// The live arrays of one world: one, or two on one layout with the
+/// sibling knob. They must outlive every restore of the world's snapshot
+/// (the restore contract is address-stable), so they are built once per
+/// config block. Worlds with nodes > 1 hold cluster arrays (fabric QP/MR
+/// state rides inside their snapshots), the others arrays behind
+/// MultiAccTileArray pointers (see make_array).
+struct World {
+  std::vector<std::shared_ptr<core::MultiAccTileArray<double>>> multi;
+  std::vector<std::unique_ptr<core::ClusterTileArray<double>>> cluster;
+
+  explicit World(const WorldKnobs& w) {
+    const int slab = (w.n + w.regions - 1) / w.regions;
+    for (int i = 0; i < (w.sibling ? 2 : 1); ++i) {
+      if (w.nodes > 1) {
+        cluster.push_back(std::make_unique<core::ClusterTileArray<double>>(
+            tida::Box::cube(w.n), tida::Index3{w.n, w.n, slab},
+            /*ghost=*/1, cluster_options(w)));
+      } else {
+        multi.push_back(make_array(w));
+      }
+    }
   }
-  halo_step(u, VisitOrder{visit_order(w.regions, 0)}, /*depth=*/1, cost,
-            /*overlap=*/false);
+
+  /// fn(arrays), the arrays typed as what they were built as.
+  template <typename Fn>
+  auto visit(Fn&& fn) {
+    if (!cluster.empty()) {
+      Arrays<core::ClusterTileArray<double>> arrays;
+      for (const auto& a : cluster) {
+        arrays.push_back(a.get());
+      }
+      return fn(arrays);
+    }
+    Arrays<core::MultiAccTileArray<double>> arrays;
+    for (const auto& a : multi) {
+      arrays.push_back(a.get());
+    }
+    return fn(arrays);
+  }
+};
+
+/// Builds the world, runs the warmup step of each array (so the snapshot
+/// holds a mid-workload state with live residency/dirty tracking), and
+/// captures world + arrays into one buffer. Each array gets its own field.
+template <typename Array>
+std::vector<std::uint8_t> build_and_snapshot(const WorldKnobs& w,
+                                             const Arrays<Array>& arrays,
+                                             const oacc::LoopCost& cost) {
+  double scale = 1.0;
+  for (Array* u : arrays) {
+    u->fill([scale](const tida::Index3& p) {
+      return scale * (0.001 * p.i + 0.002 * p.j + 0.004 * p.k);
+    });
+    scale = -0.5 * scale;
+    u->assume_host_initialized();
+    if (w.policy == core::SlotPolicyKind::kBeladyOracle) {
+      u->set_future_accesses(visit_order(w.regions, 0));
+    }
+  }
+  for (Array* u : arrays) {
+    halo_step(*u, VisitOrder{visit_order(w.regions, 0)}, /*depth=*/1, cost,
+              /*overlap=*/false);
+  }
   sim::SnapshotWriter wr;
   core::world_capture(wr);
-  u.capture(wr);
+  for (const Array* u : arrays) {
+    u->capture(wr);
+  }
   return wr.take();
 }
 
@@ -760,20 +844,12 @@ int main(int argc, char** argv) {
     DynKnobs d;
     if (!parse_repro(repro_path, w, d)) return 2;
     configure_world(w);
-    const int slab = (w.n + w.regions - 1) / w.regions;
-    const auto replay = [&](auto& u) {
-      const std::vector<std::uint8_t> snap = build_and_snapshot(w, u, cost);
-      return run_case(snap, u, w.policy, d, cost, lint);
-    };
-    Outcome o;
-    if (w.nodes > 1) {
-      core::ClusterTileArray<double> u(tida::Box::cube(w.n),
-                                       tida::Index3{w.n, w.n, slab},
-                                       /*ghost=*/1, cluster_options(w));
-      o = replay(u);
-    } else {
-      o = replay(*make_array(w));
-    }
+    World live(w);
+    const Outcome o = live.visit([&](const auto& arrays) {
+      const std::vector<std::uint8_t> snap =
+          build_and_snapshot(w, arrays, cost);
+      return run_case(snap, arrays, w.policy, d, cost, lint);
+    });
     if (o.failed) {
       std::printf("repro FAILED (%s): %s\n", o.kind.c_str(),
                   o.detail.c_str());
@@ -794,18 +870,13 @@ int main(int argc, char** argv) {
 
   std::uint64_t config_index = static_cast<std::uint64_t>(-1);
   std::optional<WorldKnobs> world;
-  // The array must outlive every restore of its snapshot (the restore
-  // contract is address-stable), so it is rebuilt once per config block.
-  // Worlds with nodes > 1 exercise the cluster array (fabric QP/MR state
-  // rides inside its snapshot); the others live behind one
-  // MultiAccTileArray pointer (see make_array).
-  std::shared_ptr<core::MultiAccTileArray<double>> u;
-  std::optional<core::ClusterTileArray<double>> uc;
+  std::optional<World> live;
   std::vector<std::uint8_t> snap;
   std::optional<Outcome> reference;
   const auto run_one = [&](const DynKnobs& d) {
-    return uc ? run_case(snap, *uc, world->policy, d, cost, lint)
-              : run_case(snap, *u, world->policy, d, cost, lint);
+    return live->visit([&](const auto& arrays) {
+      return run_case(snap, arrays, world->policy, d, cost, lint);
+    });
   };
 
   for (std::uint64_t i = 0; i < iters; ++i) {
@@ -813,20 +884,13 @@ int main(int argc, char** argv) {
       config_index = i / per_config;
       world = draw_world(seed, config_index, n, regions, force_nodes,
                          force_fabric, force_compression);
-      u.reset();  // free the old world's buffers before reconfiguring
-      uc.reset();
+      live.reset();  // free the old world's buffers before reconfiguring
       try {
         configure_world(*world);
-        const int slab = (world->n + world->regions - 1) / world->regions;
-        if (world->nodes > 1) {
-          uc.emplace(tida::Box::cube(world->n),
-                     tida::Index3{world->n, world->n, slab}, /*ghost=*/1,
-                     cluster_options(*world));
-          snap = build_and_snapshot(*world, *uc, cost);
-        } else {
-          u = make_array(*world);
-          snap = build_and_snapshot(*world, *u, cost);
-        }
+        live.emplace(*world);
+        snap = live->visit([&](const auto& arrays) {
+          return build_and_snapshot(*world, arrays, cost);
+        });
         // Baseline replay: no jitter, no prefetch, identity order. Its
         // checksum is the reference every mutated replay must reproduce.
         DynKnobs base;
