@@ -4,17 +4,24 @@
 // The paper overlaps PCIe transfers with tile compute; here the same recipe
 // is applied one level up: inter-node ghost faces are posted as RDMA work
 // requests *first* (exchange_begin), interior tiles compute while the
-// payloads are on the wire, and exchange_end reaps the completions before
-// the node-boundary tiles run. The split-phase API is the network analogue
-// of the pipelined descriptors of Fig. 4:
+// payloads are on the wire, and exchange_end orders the node-boundary tiles
+// after the completions. The split-phase API is the network analogue of
+// the pipelined descriptors of Fig. 4:
 //
 //     a.exchange_begin(bc);             // post remote faces, start intra
 //     for (r : interior)  compute(r);   // overlaps NIC traffic
-//     a.exchange_end();                 // reap completions, push staged
+//     a.exchange_end();                 // order on completions, push staged
 //     for (r : boundary)  compute(r);
 //
-// fill_boundary() = begin + end back to back (no overlap), which is the
-// ablation baseline the cluster bench compares against.
+// Events, not the host, order the exchange, as in the intra-node device
+// exchange: each work request waits on the last write of its source region
+// and the last read of its destination's ghost cells, and exchange_end
+// makes both regions' streams wait on its completion. The host never waits,
+// so it queues the next step while this one runs.
+//
+// fill_boundary() = begin + a host wait on each work request + end (no
+// overlap), which is the ablation baseline the cluster bench compares
+// against.
 //
 // Sharding: regions keep the base class's block placement, so with
 // devices_per_node contiguous device ordinals per node every node owns a
@@ -34,8 +41,10 @@
 // MultiAccTileArray, bit-identically (checksums and golden traces match).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -219,17 +228,41 @@ class ClusterTileArray : public MultiAccTileArray<T> {
     price_host_exchange(bc);
   }
 
-  /// Reaps the epoch's work requests and, on the staged path, pushes the
-  /// received faces from the host buffers into the destination slots.
-  /// Node-boundary regions may compute after this returns.
+  /// Orders what follows the epoch after its work requests, and on the
+  /// staged path pushes the received faces from the host buffers into the
+  /// destination slots. Completions the host can already see are reaped
+  /// (Fabric::poll) and need nothing more. For every request still in
+  /// flight, its destination's stream waits on its completion event, so the
+  /// node-boundary kernels read the new ghost cells, and so does its
+  /// source's stream, so no later write overwrites cells still being read.
+  /// The host never waits: node-boundary regions may compute right after
+  /// this returns, and the requests may still be in flight.
   void exchange_end() {
     TIDACC_CHECK_MSG(epoch_open_, "exchange_end without exchange_begin");
     epoch_open_ = false;
     if (nodes_ == 1) {
       return;
     }
-    for (const sim::WrId wr : epoch_wrs_) {
-      fabric_->wait(wr);
+    for (const sim::QpId qp : qp_) {
+      while (qp >= 0 && fabric_->poll(qp)) {
+        // Reaps, oldest first, every request already complete.
+      }
+    }
+    // One edge per stream and queue pair: requests on one queue pair
+    // complete in posting order, so the youngest in flight covers the rest.
+    std::map<std::pair<cuemStream_t, sim::QpId>, sim::WrId> youngest;
+    for (const EpochWr& e : epoch_wrs_) {
+      if (fabric_->wr_reaped(e.wr)) {
+        continue;
+      }
+      for (const cuemStream_t s : {e.src_stream, e.dst_stream}) {
+        sim::WrId& wr = youngest.try_emplace({s, e.qp}, e.wr).first->second;
+        wr = std::max(wr, e.wr);
+      }
+    }
+    sim::Platform& p = sim::Platform::instance();
+    for (const auto& [edge, wr] : youngest) {
+      p.stream_wait_event(edge.first, fabric_->wr_event(wr));
     }
     epoch_wrs_.clear();
     if (!epoch_staged_.empty()) {
@@ -248,15 +281,20 @@ class ClusterTileArray : public MultiAccTileArray<T> {
     ++net_exchanges_;
   }
 
-  /// Full exchange with no compute overlapped — begin + end back to back
-  /// (the ablation baseline). Shadows, not overrides: callers holding a
-  /// MultiAccTileArray reference get the base (fabric-less) exchange.
+  /// Full exchange with no compute overlapped, the ablation baseline:
+  /// exchange_begin, a host wait on each of the epoch's work requests, then
+  /// exchange_end, which finds them all reaped. Shadows, not overrides:
+  /// callers holding a MultiAccTileArray reference get the base
+  /// (fabric-less) exchange.
   void fill_boundary(tida::Boundary bc) {
     if (nodes_ == 1) {
       Multi::fill_boundary(bc);
       return;
     }
     exchange_begin(bc);
+    for (const EpochWr& e : epoch_wrs_) {
+      fabric_->wait(e.wr);
+    }
     exchange_end();
   }
 
@@ -413,20 +451,43 @@ class ClusterTileArray : public MultiAccTileArray<T> {
   }
 
   /// All regions resident: post cross-node faces first (phase 1), then run
-  /// the intra-node exchange (phase 2) while the payloads fly.
+  /// the intra-node exchange (phase 2) while the payloads fly. No barrier
+  /// precedes them: every op waits on events for what its data needs.
   void exchange_begin_device(tida::Boundary bc) {
     for (int r = 0; r < this->num_regions(); ++r) {
       this->acquire_on_device(r);
     }
-    oacc::wait_all();
 
     const auto& plan = this->exchange_plan(bc);
-    // Phase 2's sources, marked before phase 1's staging copies queue
-    // behind them (after the barrier every stream is idle: no events).
     const auto same_node = [this](int src, int dst) {
       return node_of_region(src) == node_of_region(dst);
     };
-    const auto sources = this->mark_sources(bc, same_node);
+    const auto cross_node = [&same_node](int src, int dst) {
+      return !same_node(src, dst);
+    };
+    // Every stream the exchange orders against, marked before phase 1's
+    // staging copies queue behind them: phase 2's sources, and both ends of
+    // each wire message. A GPUDirect read runs on a queue pair's stream, and
+    // a staged send lands in the destination's host buffer, which its last
+    // push read on the destination's stream.
+    const auto sources = this->mark_sources(bc, same_node, cross_node);
+    sim::Platform& p = sim::Platform::instance();
+    // The events a queue pair's stream waits on, each once per epoch: its
+    // requests start in posting order.
+    std::vector<std::pair<sim::QpId, sim::EventId>> waited;
+    const auto after = [&waited](sim::QpId qp,
+                                 std::initializer_list<sim::EventId> events) {
+      std::vector<sim::EventId> out;
+      for (const sim::EventId e : events) {
+        const std::pair<sim::QpId, sim::EventId> edge{qp, e};
+        if (e >= 0 &&
+            std::find(waited.begin(), waited.end(), edge) == waited.end()) {
+          waited.push_back(edge);
+          out.push_back(e);
+        }
+      }
+      return out;
+    };
 
     // Phase 1: every cross-node face hits the wire before any intra-node
     // work is enqueued — network serialization lanes start draining under
@@ -443,10 +504,43 @@ class ClusterTileArray : public MultiAccTileArray<T> {
     const bool building = !wire.built;
     wire.built = true;
 
+    // Staged path: every group's source boxes go down first, on the
+    // source's stream, and each send waits on the event behind its
+    // source's last staging copy. A region thinner than the ghost feeds
+    // two neighbours from the same cells, so two groups stage the same
+    // host bytes: staging them all before any send reads them keeps every
+    // copy ordered before each send that reads its bytes.
+    std::vector<sim::EventId> staged;
+    if (!use_gpudirect_) {
+      staged.assign(static_cast<std::size_t>(this->num_regions()), -1);
+      for (const std::vector<std::size_t>& group : groups) {
+        const int src = plan[group.front()].src_region;
+        cuem::DeviceGuard guard(this->device_of_region(src));
+        std::vector<tida::Box> src_boxes;
+        for (const std::size_t c : group) {
+          src_boxes.push_back(plan[c].src_box);
+        }
+        this->copy_boxes(src, src_boxes, cuemMemcpyDeviceToHost,
+                         sources.stream[static_cast<std::size_t>(src)],
+                         sim::PayloadKind::kFaceShell);
+      }
+      for (const std::vector<std::size_t>& group : groups) {
+        const auto src =
+            static_cast<std::size_t>(plan[group.front()].src_region);
+        if (staged[src] < 0) {
+          staged[src] = p.record_event(sources.stream[src]);
+        }
+      }
+    }
+
     for (const std::vector<std::size_t>& group : groups) {
       const tida::GhostCopy& head = plan[group.front()];
       const int src_node = node_of_region(head.src_region);
       const int dst_node = node_of_region(head.dst_region);
+      const cuemStream_t src_stream =
+          sources.stream[static_cast<std::size_t>(head.src_region)];
+      const cuemStream_t dst_stream =
+          sources.stream[static_cast<std::size_t>(head.dst_region)];
       // The first exchange on the layout under `bc` builds the groups'
       // index lists. Each node has its own CPU working its own shard of
       // the plan concurrently (the cluster analogue of MPI ranks), so the
@@ -464,21 +558,25 @@ class ClusterTileArray : public MultiAccTileArray<T> {
       }
       const std::string label = "N:R" + std::to_string(head.src_region) +
                                 ">R" + std::to_string(head.dst_region);
+      sim::QpId qp = -1;
+      sim::WrId wr = -1;
       if (use_gpudirect_) {
         // The destination pulls the remote slot boxes with a one-sided
         // read; the functional copy applies between slot buffers exactly
         // like a peer copy's.
-        const sim::QpId qp = qp_for(dst_node, src_node);
+        qp = qp_for(dst_node, src_node);
         auto action = [this, bc, &group]() {
           const auto& pl = this->exchange_plan(bc);
           for (const std::size_t c : group) {
             this->apply_copy_device(pl[c]);
           }
         };
-        const sim::WrId wr = fabric_->rdma_read(
+        wr = fabric_->rdma_read(
             qp, device_mr_of(head.dst_region), 0,
             device_mr_of(head.src_region), 0, bytes, label,
-            std::move(action), /*after_stream=*/-1, /*san_note=*/false,
+            std::move(action),
+            after(qp, {sources.on(src_stream), sources.on(dst_stream)}),
+            /*san_note=*/false,
             wire_bytes_for(sim::OpKind::kRdmaRead, bytes,
                            /*gpudirect_path=*/true));
         graph_note_wire_op(qp, head.src_region, head.dst_region,
@@ -493,24 +591,12 @@ class ClusterTileArray : public MultiAccTileArray<T> {
           }
           this->note_device_write(plan[c].dst_region, plan[c].dst_box);
         }
-        epoch_wrs_.push_back(wr);
         ++rdma_ghost_reads_;
       } else {
-        // Staged: boxes D2H into the source's pinned buffer, one
-        // two-sided send into the destination's, H2D push at
+        // Staged: one two-sided send from the source's pinned buffer into
+        // the destination's once the boxes landed there, H2D push at
         // exchange_end.
-        const cuemStream_t sstream = this->stream_of_region(head.src_region);
-        {
-          cuem::DeviceGuard guard(this->device_of_region(head.src_region));
-          std::vector<tida::Box> src_boxes;
-          for (const std::size_t c : group) {
-            src_boxes.push_back(plan[c].src_box);
-          }
-          this->copy_boxes(head.src_region, src_boxes,
-                           cuemMemcpyDeviceToHost, sstream,
-                           sim::PayloadKind::kFaceShell);
-        }
-        const sim::QpId qp = qp_for(src_node, dst_node);
+        qp = qp_for(src_node, dst_node);
         fabric_->post_recv(qp, host_mr_of(head.dst_region), 0, bytes);
         auto action = [this, bc, &group]() {
           const auto& pl = this->exchange_plan(bc);
@@ -518,9 +604,11 @@ class ClusterTileArray : public MultiAccTileArray<T> {
             this->apply_copy_host(pl[c]);
           }
         };
-        const sim::WrId wr = fabric_->post_send(
+        wr = fabric_->post_send(
             qp, host_mr_of(head.src_region), 0, bytes, label,
-            std::move(action), /*after_stream=*/sstream,
+            std::move(action),
+            after(qp, {staged[static_cast<std::size_t>(head.src_region)],
+                       sources.on(dst_stream)}),
             /*san_note=*/false,
             wire_bytes_for(sim::OpKind::kNetSend, bytes,
                            /*gpudirect_path=*/false));
@@ -533,9 +621,9 @@ class ClusterTileArray : public MultiAccTileArray<T> {
           }
           epoch_staged_.push_back(c);
         }
-        epoch_wrs_.push_back(wr);
         ++staged_ghost_sends_;
       }
+      epoch_wrs_.push_back(EpochWr{wr, qp, src_stream, dst_stream});
     }
 
     // Phase 2: the intra-node faces through the base device exchange —
@@ -567,7 +655,7 @@ class ClusterTileArray : public MultiAccTileArray<T> {
           qp, host_mr_of(gc.src_region), 0, bytes,
           "S:R" + std::to_string(gc.src_region) + ">R" +
               std::to_string(gc.dst_region),
-          /*action=*/{}, /*after_stream=*/-1, /*san_note=*/false,
+          /*action=*/{}, /*after=*/{}, /*san_note=*/false,
           wire_bytes_for(sim::OpKind::kNetSend, bytes,
                          /*gpudirect_path=*/false)));
       graph_note_wire_op(qp, gc.src_region, gc.dst_region,
@@ -591,9 +679,18 @@ class ClusterTileArray : public MultiAccTileArray<T> {
   /// Buffer pointer -> registered MR (slot buffers and host regions).
   std::map<const void*, sim::MrId> mr_cache_;
 
+  /// One wire message of the open epoch: its work request, the queue pair
+  /// it rides, and the streams of its source and destination regions.
+  struct EpochWr {
+    sim::WrId wr = -1;
+    sim::QpId qp = -1;
+    cuemStream_t src_stream = -1;
+    cuemStream_t dst_stream = -1;
+  };
+
   bool epoch_open_ = false;
   tida::Boundary epoch_bc_ = tida::Boundary::kNone;
-  std::vector<sim::WrId> epoch_wrs_;
+  std::vector<EpochWr> epoch_wrs_;
   /// Plan indices whose staged payloads still need the H2D push.
   std::vector<std::size_t> epoch_staged_;
 

@@ -68,6 +68,13 @@ struct alignas(16) GhostDescriptor {
 static_assert(sizeof(GhostDescriptor) == 48,
               "the replay kernel reads 48-byte descriptors");
 
+/// A planned-copy predicate (src region, dst region) that accepts no copy:
+/// the `peer` of an exchange that carries no peer copies (the streaming
+/// exchange), and the `wire` of every exchange but the cluster's.
+struct NoCopies {
+  bool operator()(int, int) const { return false; }
+};
+
 /// Descriptors one region of `part` can receive under either boundary with
 /// `ghost` layers, bounded without building a plan so the buffers can be
 /// sized at construction. Along each dimension a ghost piece of a region is
@@ -142,6 +149,10 @@ class ExchangeSchedule {
     std::size_t offset = 0;
     /// Index work paid and descriptors uploaded.
     bool built = false;
+    /// Index work of the peer copies into the device paid: by the first
+    /// exchange that carries peer copies, which need not be the one that
+    /// built the descriptors (the streaming exchange carries none).
+    bool peers_indexed = false;
     /// Plan indices of the copies between two regions of the device, in
     /// descriptor order: what its replay kernel applies (laid out on first
     /// use).

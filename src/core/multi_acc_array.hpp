@@ -35,6 +35,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -650,9 +651,10 @@ class MultiAccTileArray : public tida::TileArray<T> {
   // --- snapshot (see docs/FUZZING.md) ---
 
   /// Snapshot of the protocol state: every shard's pool bookkeeping and
-  /// which of the layout's descriptor sets on its device are built, plus
-  /// the global location/dirty/pending/accounting tables. Restore sets the
-  /// built flags of the schedule every array on the layout shares. Buffer
+  /// which of the layout's descriptor sets on its device are built and
+  /// have their peer copies indexed, plus the global location/dirty/
+  /// pending/accounting tables. Restore sets the built flags of the
+  /// schedule every array on the layout shares. Buffer
   /// *contents* (host and device) live in cuem-registered allocations and
   /// ride in the cuem snapshot; restore requires an array of identical
   /// geometry, placement and options.
@@ -675,6 +677,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
       for (const ExchangeSchedule::DescriptorSet& set :
            schedule_->device(d).desc) {
         w.put_bool(set.built);
+        w.put_bool(set.peers_indexed);
       }
     }
     loc_.capture(w);
@@ -718,6 +721,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
       for (ExchangeSchedule::DescriptorSet& set :
            schedule_->device(d).desc) {
         set.built = r.get_bool();
+        set.peers_indexed = r.get_bool();
       }
     }
     loc_.restore(r);
@@ -788,20 +792,21 @@ class MultiAccTileArray : public tida::TileArray<T> {
     return rank;
   }
 
-  /// The order release_all_to_host queues regions in: region id order,
-  /// except on a device whose slots are shared. There the residency-ordered
-  /// pass visits the regions it swaps in last, whatever their ids, so the
-  /// device's device-current regions fill the positions they hold least
-  /// recently used first (CacheTable::last_used): the device finishes them
-  /// in that order, and its FIFO D2H engine never holds the newest region's
-  /// drain ahead of older ones. After a region-major pass this is id order.
+  /// The order release_all_to_host queues regions in: on every device, its
+  /// device-current regions fill the positions they hold in id order least
+  /// recently used first (CacheTable::last_used). A pass's kernels finish in
+  /// the order the pass visits their regions, so the device's FIFO D2H
+  /// engine takes each region as its last kernel finishes, and a region
+  /// visited last (a cluster's node-boundary regions, the residency-ordered
+  /// pass's swapped-in regions) never holds the drains of finished ones
+  /// behind it. After a region-major pass this is id order.
   std::vector<int> drain_order() const {
     std::vector<int> order(static_cast<std::size_t>(this->num_regions()));
     for (int r = 0; r < this->num_regions(); ++r) {
       order[static_cast<std::size_t>(r)] = r;
     }
     for (const DeviceShard& s : shards_) {
-      if (!s.pool || s.pool->one_to_one()) {
+      if (!s.pool) {
         continue;
       }
       std::vector<int> held;  // ascending: s.regions is in id order
@@ -1026,21 +1031,28 @@ class MultiAccTileArray : public tida::TileArray<T> {
 
   /// Marks the sources of exchange_on_devices(bc, peer, ...): one event on
   /// every stream a carried copy reads through, or writes through on the
-  /// device. Call it before queueing anything behind those streams' last
-  /// writes (the streaming exchange's pulls, the cluster's staging
-  /// copies), so the exchange waits for those writes alone. An idle stream
-  /// gets no event: the successful query already ordered its work before
-  /// the host's next launch.
-  template <typename Peer>
-  SourceMarks mark_sources(tida::Boundary bc, const Peer& peer) {
+  /// device. `wire(src, dst)` accepts the cross-device copies between
+  /// device-current regions that a cluster wire carries besides, off both
+  /// regions' streams, so both ends are marked. Call it before queueing
+  /// anything behind those streams' last writes (the streaming exchange's
+  /// pulls, the cluster's staging copies), so the exchange waits for those
+  /// writes alone. An idle stream gets no event: the successful query
+  /// already ordered its work before the host's next launch.
+  template <typename Peer, typename Wire = NoCopies>
+  SourceMarks mark_sources(tida::Boundary bc, const Peer& peer,
+                           const Wire& wire = {}) {
     SourceMarks marks{current_streams(), {}};
     std::vector<char> touched(static_cast<std::size_t>(this->num_regions()));
     for (const tida::GhostCopy& c : this->exchange_plan(bc)) {
-      if (!marks.carries(*this, peer, c.src_region, c.dst_region)) {
+      const bool one_device =
+          device_of_region(c.src_region) == device_of_region(c.dst_region);
+      const bool remote = !one_device && wire(c.src_region, c.dst_region);
+      if (!remote &&
+          !marks.carries(*this, peer, c.src_region, c.dst_region)) {
         continue;
       }
       touched[static_cast<std::size_t>(c.src_region)] = 1;
-      if (device_of_region(c.src_region) == device_of_region(c.dst_region)) {
+      if (one_device || remote) {
         touched[static_cast<std::size_t>(c.dst_region)] = 1;
       }
     }
@@ -1078,7 +1090,10 @@ class MultiAccTileArray : public tida::TileArray<T> {
   ///     that destination — work shared by `host_cpus` concurrent CPUs — so
   ///     copy engines start on one group while the host indexes the next
   ///     (Fig. 4). The same-device descriptors then go up with one H2D on
-  ///     the device's exchange stream. Later exchanges pay no index work.
+  ///     the device's exchange stream. The peer copies' index lists are
+  ///     paid the same way by the first exchange that carries peer copies,
+  ///     whichever exchange built the descriptors. Later exchanges pay no
+  ///     index work.
   ///   * Then the device's replay kernel (replay_descriptors) runs while
   ///     the host moves on to the next device.
   /// Last, every stream a copy read or wrote through waits on the
@@ -1086,27 +1101,30 @@ class MultiAccTileArray : public tida::TileArray<T> {
   /// stale ghosts nor overwrite cells still being read. Deferred to the
   /// end, these edges never hold one group's copies behind another's.
   /// `peer` must not depend on residency: it decides which peer copies a
-  /// build charges index work for.
+  /// build charges index work for. An exchange carrying no peer copies
+  /// passes NoCopies.
   template <typename Peer>
   void exchange_on_devices(tida::Boundary bc, const Peer& peer,
                            SimTime host_cpus, const SourceMarks& sources) {
+    constexpr bool carries_peers = !std::is_same_v<Peer, NoCopies>;
     sim::Platform& p = sim::Platform::instance();
     const auto& plan = this->exchange_plan(bc);
     const ExchangeSchedule::DestinationGroups& groups =
         schedule_->destination_groups(bc, plan, owner_);
     CompletionEdges edges;
     for (int d = 0; d < num_devices_; ++d) {
-      const bool building =
-          shard(d).pool && !schedule_->descriptors(d, bc).built;
+      ExchangeSchedule::DescriptorSet& set = schedule_->descriptors(d, bc);
+      const bool building = shard(d).pool && !set.built;
+      const bool indexing_peers =
+          carries_peers && shard(d).pool && !set.peers_indexed;
       for (const auto& [begin, end] : groups[static_cast<std::size_t>(d)]) {
-        if (building) {
+        if (building || indexing_peers) {
           std::size_t indexed = 0;
           for (std::size_t c = begin; c < end; ++c) {
             const int src = plan[c].src_region;
-            indexed += device_of_region(src) == d ||
-                               peer(src, plan[c].dst_region)
-                           ? 1
-                           : 0;
+            indexed += device_of_region(src) == d
+                           ? building
+                           : indexing_peers && peer(src, plan[c].dst_region);
           }
           ExchangeSchedule::pay_index_work(indexed, host_cpus);
         }
@@ -1115,6 +1133,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
       if (building) {
         upload_descriptors(d, bc);
       }
+      set.peers_indexed = set.peers_indexed || indexing_peers;
       replay_descriptors(d, bc, sources, edges);
     }
     for (const auto& [done, streams] : edges) {

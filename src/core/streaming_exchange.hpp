@@ -295,7 +295,7 @@ void streaming_exchange(A& a, tida::Boundary bc, const HostHalf& half) {
 
   // Device half's sources, marked before the pulls queue behind them. Faces
   // crossing devices take the host half, so no peer copies.
-  const auto no_peers = [](int, int) { return false; };
+  const NoCopies no_peers;
   const auto sources = a.mark_sources(bc, no_peers);
 
   // Host half, pulls: one event per pulled region marks its cells home.

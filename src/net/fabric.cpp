@@ -36,6 +36,21 @@ Fabric::~Fabric() {
   if (platform_generation_ != Platform::generation()) {
     return;
   }
+  // Wait for every outstanding request before its QP stream goes away. A
+  // request whose event the platform no longer holds (a world restore
+  // rolled the platform back under a fabric that was not restored with
+  // it, as when an exception interrupts an array's restore) has nothing
+  // left to wait for, and a destructor must not throw.
+  const Platform& p = Platform::instance();
+  for (Qp& q : qps_) {
+    for (const WrId id : q.outstanding) {
+      Wr& w = wrs_[static_cast<size_t>(id)];
+      if (p.event_valid(w.event)) {
+        block_on(w);
+      }
+    }
+    q.outstanding.clear();
+  }
   for (const Qp& q : qps_) {
     if (q.alive) {
       (void)cuemStreamDestroy(q.stream);
@@ -157,8 +172,9 @@ void Fabric::post_recv(QpId qp, MrId dst_mr, std::size_t dst_off,
 
 WrId Fabric::post_send(QpId qp, MrId src_mr, std::size_t src_off,
                        std::size_t bytes, std::string label,
-                       std::function<void()> action, int after_stream,
-                       bool san_note, std::uint64_t wire_bytes) {
+                       std::function<void()> action,
+                       const std::vector<EventId>& after, bool san_note,
+                       std::uint64_t wire_bytes) {
   checked_qp(qp);
   Qp& q = qps_[static_cast<size_t>(qp)];
   TIDACC_CHECK_MSG(
@@ -179,13 +195,13 @@ WrId Fabric::post_send(QpId qp, MrId src_mr, std::size_t src_off,
   }
   return submit(qp, OpKind::kNetSend, src_mr, src_off, desc.mr,
                 static_cast<std::size_t>(desc.off), bytes, std::move(label),
-                std::move(action), after_stream, san_note, wire_bytes);
+                std::move(action), after, san_note, wire_bytes);
 }
 
 WrId Fabric::rdma_read(QpId qp, MrId dst_mr, std::size_t dst_off,
                        MrId src_mr, std::size_t src_off, std::size_t bytes,
                        std::string label, std::function<void()> action,
-                       int after_stream, bool san_note,
+                       const std::vector<EventId>& after, bool san_note,
                        std::uint64_t wire_bytes) {
   const Qp& q = checked_qp(qp);
   TIDACC_CHECK_MSG(checked_mr(src_mr, src_off, bytes).node == q.remote,
@@ -193,14 +209,14 @@ WrId Fabric::rdma_read(QpId qp, MrId dst_mr, std::size_t dst_off,
   TIDACC_CHECK_MSG(checked_mr(dst_mr, dst_off, bytes).node == q.local,
                    "fabric: rdma_read destination must be a local MR");
   return submit(qp, OpKind::kRdmaRead, src_mr, src_off, dst_mr, dst_off,
-                bytes, std::move(label), std::move(action), after_stream,
-                san_note, wire_bytes);
+                bytes, std::move(label), std::move(action), after, san_note,
+                wire_bytes);
 }
 
 WrId Fabric::rdma_write(QpId qp, MrId src_mr, std::size_t src_off,
                         MrId dst_mr, std::size_t dst_off, std::size_t bytes,
                         std::string label, std::function<void()> action,
-                        int after_stream, bool san_note,
+                        const std::vector<EventId>& after, bool san_note,
                         std::uint64_t wire_bytes) {
   const Qp& q = checked_qp(qp);
   TIDACC_CHECK_MSG(checked_mr(src_mr, src_off, bytes).node == q.local,
@@ -208,14 +224,14 @@ WrId Fabric::rdma_write(QpId qp, MrId src_mr, std::size_t src_off,
   TIDACC_CHECK_MSG(checked_mr(dst_mr, dst_off, bytes).node == q.remote,
                    "fabric: rdma_write destination must be a remote MR");
   return submit(qp, OpKind::kRdmaWrite, src_mr, src_off, dst_mr, dst_off,
-                bytes, std::move(label), std::move(action), after_stream,
-                san_note, wire_bytes);
+                bytes, std::move(label), std::move(action), after, san_note,
+                wire_bytes);
 }
 
 WrId Fabric::submit(QpId qp, OpKind kind, MrId src_mr, std::size_t src_off,
                     MrId dst_mr, std::size_t dst_off, std::size_t bytes,
                     std::string label, std::function<void()> action,
-                    int after_stream, bool san_note,
+                    const std::vector<EventId>& after, bool san_note,
                     std::uint64_t wire_bytes) {
   Platform& p = Platform::instance();
   Qp& q = qps_[static_cast<size_t>(qp)];
@@ -223,9 +239,10 @@ WrId Fabric::submit(QpId qp, OpKind kind, MrId src_mr, std::size_t src_off,
   const Mr& dst = checked_mr(dst_mr, dst_off, bytes);
 
   p.host_advance(cfg_.post_wr_ns);
-  if (after_stream >= 0) {
-    const EventId dep = p.record_event(after_stream);
-    p.stream_wait_event(q.stream, dep);
+  for (const EventId dep : after) {
+    if (dep >= 0) {
+      p.stream_wait_event(q.stream, dep);
+    }
   }
 
   // Data moves src.node -> dst.node regardless of which end initiated:
@@ -319,18 +336,12 @@ bool Fabric::poll(QpId qp, WrId* out) {
 }
 
 void Fabric::wait(WrId wr) {
-  TIDACC_CHECK_MSG(wr >= 0 && static_cast<size_t>(wr) < wrs_.size(),
-                   "fabric: wait on an unknown work request");
+  checked_wr(wr);
   Wr& w = wrs_[static_cast<size_t>(wr)];
   if (w.reaped) {
     return;
   }
-  Platform& p = Platform::instance();
-  if (OpGraph* g = p.op_graph()) {
-    g->set_join_origin_hint(EdgeOrigin::kCq);
-  }
-  p.sync_event(w.event);
-  w.reaped = true;
+  block_on(w);
   Qp& q = qps_[static_cast<size_t>(w.qp)];
   q.outstanding.erase(
       std::remove(q.outstanding.begin(), q.outstanding.end(), wr),
@@ -339,23 +350,34 @@ void Fabric::wait(WrId wr) {
 
 void Fabric::wait_all() {
   for (Qp& q : qps_) {
-    while (!q.outstanding.empty()) {
-      wait(q.outstanding.front());
+    for (const WrId id : q.outstanding) {
+      block_on(wrs_[static_cast<size_t>(id)]);
     }
+    q.outstanding.clear();
   }
 }
 
-SimTime Fabric::wr_finish(WrId wr) const {
-  TIDACC_CHECK_MSG(wr >= 0 && static_cast<size_t>(wr) < wrs_.size(),
-                   "fabric: unknown work request");
-  return Platform::instance().event_finish(
-      wrs_[static_cast<size_t>(wr)].event);
+void Fabric::block_on(Wr& w) {
+  Platform& p = Platform::instance();
+  if (OpGraph* g = p.op_graph()) {
+    g->set_join_origin_hint(EdgeOrigin::kCq);
+  }
+  p.sync_event(w.event);
+  w.reaped = true;
 }
 
-bool Fabric::wr_reaped(WrId wr) const {
+SimTime Fabric::wr_finish(WrId wr) const {
+  return Platform::instance().event_finish(checked_wr(wr).event);
+}
+
+EventId Fabric::wr_event(WrId wr) const { return checked_wr(wr).event; }
+
+bool Fabric::wr_reaped(WrId wr) const { return checked_wr(wr).reaped; }
+
+const Fabric::Wr& Fabric::checked_wr(WrId wr) const {
   TIDACC_CHECK_MSG(wr >= 0 && static_cast<size_t>(wr) < wrs_.size(),
                    "fabric: unknown work request");
-  return wrs_[static_cast<size_t>(wr)].reaped;
+  return wrs_[static_cast<size_t>(wr)];
 }
 
 const Fabric::Qp& Fabric::checked_qp(QpId qp) const {

@@ -24,7 +24,10 @@
 //     (reads pay a request/response round trip, writes one traversal);
 //   * completions are platform events recorded on the QP stream: poll()
 //     is the non-blocking CQ drain (a successful poll is a happens-before
-//     edge, like any successful completion query), wait() blocks the host.
+//     edge, like any successful completion query), wait() blocks the host,
+//     and wr_event() names the event for a stream to wait on instead;
+//   * a work request may wait on events before it starts (`after`), so
+//     it is ordered after exactly the stream work its buffers need.
 //
 // Every work request occupies the sender's TX lane and the receiver's RX
 // lane for the transfer duration, so concurrent flows through one NIC
@@ -69,6 +72,9 @@ class Fabric {
   /// The first num_nodes*devices_per_node devices of the global platform
   /// are grouped into nodes. Throws when the platform has fewer devices.
   Fabric(int num_nodes, FabricConfig cfg, int devices_per_node = 1);
+  /// Waits for every outstanding work request before destroying the QP
+  /// streams: a request may still read or write buffers its owner frees
+  /// next.
   ~Fabric();
 
   Fabric(const Fabric&) = delete;
@@ -122,33 +128,35 @@ class Fabric {
   /// Sends `bytes` from the local `src_mr` into the oldest posted receive
   /// buffer (fails loudly when none is posted, or when the payload
   /// overflows it). `action` performs the real data movement in functional
-  /// mode; `after_stream` (>= 0) orders the send after work enqueued on
-  /// that stream via an event edge; `san_note` off lets callers with
-  /// strided payloads record precise box accesses themselves.
+  /// mode; the send starts after every event in `after` (-1 entries are
+  /// skipped); `san_note` off lets callers with strided payloads record
+  /// precise box accesses themselves.
   /// `wire_bytes` > 0 routes the payload through the fabric's wire codec:
   /// only that many bytes traverse the link while both ends pay the
   /// encode/decode stages (FabricConfig::codec). 0 = raw.
   WrId post_send(QpId qp, MrId src_mr, std::size_t src_off,
                  std::size_t bytes, std::string label = {},
-                 std::function<void()> action = {}, int after_stream = -1,
-                 bool san_note = true, std::uint64_t wire_bytes = 0);
+                 std::function<void()> action = {},
+                 const std::vector<EventId>& after = {}, bool san_note = true,
+                 std::uint64_t wire_bytes = 0);
 
   // --- one-sided RDMA ---
 
   /// Reads `bytes` from the remote `src_mr` into the local `dst_mr`
-  /// (request/response round trip on the wire). `wire_bytes` as post_send.
+  /// (request/response round trip on the wire). `after` and `wire_bytes`
+  /// as post_send.
   WrId rdma_read(QpId qp, MrId dst_mr, std::size_t dst_off, MrId src_mr,
                  std::size_t src_off, std::size_t bytes,
                  std::string label = {}, std::function<void()> action = {},
-                 int after_stream = -1, bool san_note = true,
+                 const std::vector<EventId>& after = {}, bool san_note = true,
                  std::uint64_t wire_bytes = 0);
 
   /// Writes `bytes` from the local `src_mr` into the remote `dst_mr`.
-  /// `wire_bytes` as post_send.
+  /// `after` and `wire_bytes` as post_send.
   WrId rdma_write(QpId qp, MrId src_mr, std::size_t src_off, MrId dst_mr,
                   std::size_t dst_off, std::size_t bytes,
                   std::string label = {}, std::function<void()> action = {},
-                  int after_stream = -1, bool san_note = true,
+                  const std::vector<EventId>& after = {}, bool san_note = true,
                   std::uint64_t wire_bytes = 0);
 
   // --- completion queue ---
@@ -168,6 +176,10 @@ class Fabric {
 
   /// Virtual completion time of a posted work request.
   SimTime wr_finish(WrId wr) const;
+
+  /// The platform event marking `wr`'s completion: a stream that waits on
+  /// it is ordered after the request without the host waiting.
+  EventId wr_event(WrId wr) const;
 
   /// True when `wr` has been reaped (by poll or wait).
   bool wr_reaped(WrId wr) const;
@@ -226,7 +238,12 @@ class Fabric {
   WrId submit(QpId qp, OpKind kind, MrId src_mr, std::size_t src_off,
               MrId dst_mr, std::size_t dst_off, std::size_t bytes,
               std::string label, std::function<void()> action,
-              int after_stream, bool san_note, std::uint64_t wire_bytes);
+              const std::vector<EventId>& after, bool san_note,
+              std::uint64_t wire_bytes);
+  const Wr& checked_wr(WrId wr) const;
+  /// Blocks the host until `w` completes and marks it reaped (the caller
+  /// drops it from its queue pair's outstanding list).
+  void block_on(Wr& w);
 
   int num_nodes_;
   int devices_per_node_;

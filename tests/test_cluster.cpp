@@ -4,12 +4,15 @@
 // split-phase exchange on both wire paths, the golden-trace guarantee that
 // a 1-node ClusterTileArray reproduces MultiAccTileArray bit-for-bit, the
 // overlap win of exchange_begin/exchange_end over the blocking exchange,
-// and snapshot round trips with fabric state.
+// the event-ordered epoch (exchange_end leaves requests in flight, the
+// drain follows last use) and snapshot round trips with fabric state.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -72,6 +75,28 @@ std::uint64_t checksum(MultiAccTileArray<double>& u) {
     }
   }
   return h;
+}
+
+/// Every valid cell, region by region, once the field is home.
+std::vector<double> valid_cells(MultiAccTileArray<double>& u) {
+  u.release_all_to_host();
+  std::vector<double> out;
+  for (int r = 0; r < u.num_regions(); ++r) {
+    const tida::Region<double> reg = u.region(r);
+    for (int k = reg.valid.lo.k; k <= reg.valid.hi.k; ++k) {
+      for (int j = reg.valid.lo.j; j <= reg.valid.hi.j; ++j) {
+        for (int i = reg.valid.lo.i; i <= reg.valid.hi.i; ++i) {
+          out.push_back(reg.at(i, j, k));
+        }
+      }
+    }
+  }
+  return out;
+}
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 // --- fabric unit tests ---
@@ -741,7 +766,281 @@ TEST_F(ClusterTest, SnapshotRejectsAnOpenEpoch) {
   u.exchange_end();
 }
 
+// --- the event-ordered epoch ---
+
+/// A link slow enough that every work request outlasts the host's calls
+/// around it.
+FabricConfig slow_link() { return FabricConfig::custom(/*gbps=*/0.01); }
+
+/// A fresh functional 2-device platform, configured on construction.
+struct FreshPlatform {
+  FreshPlatform() {
+    cuem::configure(DeviceConfig::k40m(), /*functional=*/true,
+                    /*num_devices=*/2, Interconnect::pcie());
+    oacc::reset();
+  }
+};
+
+/// A heat array pair on a fresh platform, every region resident.
+struct ResidentPair {
+  explicit ResidentPair(const ClusterOptions& opts)
+      : u(Box::cube(16), Index3{16, 16, 2}, 1, opts),
+        un(Box::cube(16), Index3{16, 16, 2}, 1, opts),
+        boundary(u.node_boundary_regions(Boundary::kPeriodic)) {
+    u.fill(pattern);
+    for (int r = 0; r < u.num_regions(); ++r) {
+      u.acquire_on_device(r);
+      un.acquire_on_device(r);
+    }
+  }
+
+  /// One heat sweep from `in` into `out` over the node-boundary regions
+  /// or the node-interior ones.
+  void sweep(ClusterTileArray<double>& in, ClusterTileArray<double>& out,
+             bool want_boundary) const {
+    for (int r = 0; r < in.num_regions(); ++r) {
+      const bool on_boundary =
+          std::find(boundary.begin(), boundary.end(), r) != boundary.end();
+      if (on_boundary != want_boundary) {
+        continue;
+      }
+      compute_gpu(in, out, r, unit_cost(),
+                  [](DeviceView<double> vi, DeviceView<double> vo, int i,
+                     int j, int k) {
+                    vo(i, j, k) = vi(i, j, k) +
+                                  0.1 * (vi(i, j, k - 1) + vi(i, j, k + 1) -
+                                         2.0 * vi(i, j, k));
+                  });
+    }
+  }
+
+  /// One split-phase step from `in` into `out`.
+  void split_step(ClusterTileArray<double>& in,
+                  ClusterTileArray<double>& out) const {
+    in.exchange_begin(Boundary::kPeriodic);
+    sweep(in, out, /*want_boundary=*/false);
+    in.exchange_end();
+    sweep(in, out, /*want_boundary=*/true);
+  }
+
+  FreshPlatform platform;  // first member: configured before the arrays
+  ClusterTileArray<double> u;
+  ClusterTileArray<double> un;
+  std::vector<int> boundary;
+};
+
+/// Work requests `a` posted so far (ids count from 0 per fabric).
+sim::WrId posted(const ClusterTileArray<double>& a) {
+  return static_cast<sim::WrId>(a.rdma_ghost_reads() + a.staged_ghost_sends());
+}
+
+TEST_F(ClusterTest, ExchangeEndLeavesRequestsInFlightAndChargesApiCostsOnly) {
+  // exchange_end orders the regions on the wire after their requests
+  // instead of waiting for them: it returns before any completes, having
+  // spent one API call per stream edge (source and destination of each
+  // request, each on its own queue pair here) and per staged push.
+  for (const NetPath path : {NetPath::kGpuDirect, NetPath::kStaged}) {
+    SCOPED_TRACE(to_string(path));
+    ResidentPair w(two_nodes(path, slow_link()));
+    const sim::Platform& p = cuem::platform();
+    w.u.exchange_begin(Boundary::kPeriodic);
+    const SimTime t0 = p.now();
+    w.u.exchange_end();
+    const SimTime spent = p.now() - t0;
+    const sim::WrId wrs = posted(w.u);
+    ASSERT_EQ(wrs, 4);
+    for (sim::WrId wr = 0; wr < wrs; ++wr) {
+      EXPECT_FALSE(w.u.fabric().wr_reaped(wr));
+      EXPECT_GT(w.u.fabric().wr_finish(wr), p.now());
+    }
+    SimTime pushes = 0;
+    if (path == NetPath::kStaged) {
+      for (const tida::GhostCopy& c : w.u.exchange_plan(Boundary::kPeriodic)) {
+        pushes += w.u.node_of_region(c.src_region) !=
+                  w.u.node_of_region(c.dst_region);
+      }
+    }
+    EXPECT_EQ(spent,
+              (2 * static_cast<SimTime>(wrs) + pushes) *
+                  p.config().host_api_overhead_ns);
+  }
+}
+
+TEST_F(ClusterTest, SplitPhaseBlockingAndOneNodeFieldsAreBitwiseEqual) {
+  const auto run = [](const ClusterOptions& opts, bool split) {
+    ResidentPair w(opts);
+    for (int s = 0; s < 3; ++s) {
+      ClusterTileArray<double>& in = s % 2 == 0 ? w.u : w.un;
+      ClusterTileArray<double>& out = s % 2 == 0 ? w.un : w.u;
+      if (split) {
+        w.split_step(in, out);
+      } else {
+        in.fill_boundary(Boundary::kPeriodic);
+        w.sweep(in, out, /*want_boundary=*/false);
+        w.sweep(in, out, /*want_boundary=*/true);
+      }
+    }
+    return valid_cells(w.un);
+  };
+  const std::vector<double> one_node = run(ClusterOptions{}, false);
+  for (const NetPath path : {NetPath::kGpuDirect, NetPath::kStaged}) {
+    SCOPED_TRACE(to_string(path));
+    EXPECT_TRUE(bitwise_equal(run(two_nodes(path), /*split=*/true), one_node));
+    EXPECT_TRUE(bitwise_equal(run(two_nodes(path), /*split=*/false), one_node));
+  }
+}
+
+TEST_F(ClusterTest, SnapshotWithRequestsInFlightReplaysIdentically) {
+  // Captured right after exchange_end, the epoch's requests are still on
+  // the wire: the fabric's outstanding queues and the streams' waits on
+  // their completions ride the snapshot, and the rest of the run replays
+  // to the same field at the same time.
+  for (const NetPath path : {NetPath::kGpuDirect, NetPath::kStaged}) {
+    SCOPED_TRACE(to_string(path));
+    ResidentPair w(two_nodes(path, slow_link()));
+    w.u.exchange_begin(Boundary::kPeriodic);
+    w.sweep(w.u, w.un, /*want_boundary=*/false);
+    w.u.exchange_end();
+    ASSERT_FALSE(w.u.fabric().wr_reaped(0));
+
+    sim::SnapshotWriter writer;
+    world_capture(writer);
+    w.u.capture(writer);
+    w.un.capture(writer);
+    const std::vector<std::uint8_t> snap = writer.take();
+
+    const auto tail = [&w] {
+      w.sweep(w.u, w.un, /*want_boundary=*/true);
+      w.split_step(w.un, w.u);
+      std::vector<double> cells = valid_cells(w.u);
+      return std::make_pair(std::move(cells), cuem::platform().now());
+    };
+    const auto first = tail();
+    {
+      sim::SnapshotReader r(snap);
+      world_restore(r);
+      w.u.restore(r);
+      w.un.restore(r);
+      ASSERT_TRUE(r.at_end());
+    }
+    const auto second = tail();
+    EXPECT_TRUE(bitwise_equal(first.first, second.first));
+    EXPECT_EQ(first.second, second.second);
+  }
+}
+
+TEST_F(ClusterTest, DestroyingAnArrayRightAfterExchangeEndWaitsForTheWire) {
+  // Tear-down waits for the requests exchange_end left in flight before
+  // the slots and host buffers they touch are freed; the sanitizer build
+  // also checks that no free races them.
+  for (const NetPath path : {NetPath::kGpuDirect, NetPath::kStaged}) {
+    SCOPED_TRACE(to_string(path));
+    const FreshPlatform platform;
+#ifdef TIDACC_CUEM_SANITIZER
+    cuem::CuemSanOptions opts;
+    opts.enabled = true;  // collect mode: findings inspected below
+    cuem::san::configure(opts);
+#endif
+    SimTime last = 0;
+    {
+      ClusterTileArray<double> u(Box::cube(16), Index3{16, 16, 2}, 1,
+                                 two_nodes(path, slow_link()));
+      u.fill(pattern);
+      for (int r = 0; r < u.num_regions(); ++r) {
+        u.acquire_on_device(r);
+      }
+      u.exchange_begin(Boundary::kPeriodic);
+      u.exchange_end();
+      for (sim::WrId wr = 0; wr < posted(u); ++wr) {
+        last = std::max(last, u.fabric().wr_finish(wr));
+      }
+      ASSERT_LT(cuem::platform().now(), last);
+    }
+    EXPECT_GE(cuem::platform().now(), last);
+#ifdef TIDACC_CUEM_SANITIZER
+    EXPECT_TRUE(cuem::san::clean()) << cuem::san::report_json();
+    cuem::san::configure(cuem::CuemSanOptions{});
+#endif
+  }
+}
+
+TEST_F(ClusterTest, ReleaseAfterAnInteriorFirstSweepDrainsInLastUseOrder) {
+  // Node-boundary regions compute last, after exchange_end. Each device's
+  // D2H engine takes the drains in the order release_all_to_host queues
+  // them, and that is the order the regions were last used, so no
+  // finished interior region waits behind a boundary region's kernel.
+  ResidentPair w(two_nodes());
+  cuem::platform().trace().set_recording(true);
+  w.split_step(w.u, w.un);
+  const std::size_t before = cuem::platform().trace().events().size();
+  w.un.release_all_to_host();
+  const std::vector<sim::TraceEvent>& events =
+      cuem::platform().trace().events();
+  std::vector<std::vector<int>> drained(2);
+  for (std::size_t e = before; e < events.size(); ++e) {
+    if (events[e].kind != sim::OpKind::kCopyD2H) {
+      continue;
+    }
+    for (int r = 0; r < w.un.num_regions(); ++r) {
+      if (w.un.stream_of_region(r) == events[e].stream) {
+        drained[static_cast<std::size_t>(w.un.device_of_region(r))]
+            .push_back(r);
+      }
+    }
+  }
+  ASSERT_EQ(w.boundary, (std::vector<int>{0, 3, 4, 7}));
+  EXPECT_EQ(drained[0], (std::vector<int>{1, 2, 0, 3}));
+  EXPECT_EQ(drained[1], (std::vector<int>{5, 6, 4, 7}));
+}
+
 // --- sanitizer cleanliness (runs in the TIDACC_CUEM_SANITIZER build) ---
+
+TEST_F(ClusterTest, StagedSourcesFeedingTwoNodesStageBeforeEverySend) {
+  // Three nodes of one slab each; the last slab (2 cells) is thinner than
+  // the ghost (3), so each end slab feeds both other nodes, partly from the
+  // same cells: two of its wire groups stage the same host bytes. Every
+  // staging copy lands before any send reads them — the sanitizer build
+  // checks that no send races a copy — and the field matches the 1-node
+  // exchange.
+  const auto run = [](const ClusterOptions& opts) {
+    cuem::configure(DeviceConfig::k40m(), /*functional=*/true,
+                    /*num_devices=*/3, Interconnect::pcie());
+    oacc::reset();
+    ClusterTileArray<double> u(Box::cube(10), Index3{10, 10, 4}, 3, opts);
+    u.fill(pattern);
+    for (int r = 0; r < u.num_regions(); ++r) {
+      u.acquire_on_device(r);
+    }
+    for (int s = 0; s < 2; ++s) {
+      u.fill_boundary(Boundary::kPeriodic);
+      compute_gpu(u, 1, unit_cost(),
+                  [](DeviceView<double> v, int i, int j, int k) {
+                    v(i, j, k) = 0.5 * v(i, j, k + 1) + v(i, j, k - 3);
+                  });
+    }
+    u.release_all_to_host();
+    std::vector<double> cells;
+    for (int r = 0; r < u.num_regions(); ++r) {
+      const tida::Region<double> reg = u.region(r);
+      cells.insert(cells.end(), reg.data, reg.data + reg.cells());
+    }
+    return cells;
+  };
+  const std::vector<double> one_node = run(ClusterOptions{});
+#ifdef TIDACC_CUEM_SANITIZER
+  cuem::CuemSanOptions opts;
+  opts.enabled = true;  // collect mode: findings inspected below
+  cuem::san::configure(opts);
+#endif
+  ClusterOptions staged;
+  staged.nodes = 3;
+  staged.path = NetPath::kStaged;
+  EXPECT_TRUE(bitwise_equal(run(staged), one_node));
+#ifdef TIDACC_CUEM_SANITIZER
+  EXPECT_TRUE(cuem::san::clean()) << cuem::san::report_json();
+  cuem::san::configure(cuem::CuemSanOptions{});
+#endif
+}
 
 TEST_F(ClusterTest, TwoNodeWorkloadIsRaceFreeUnderSanitizer) {
 #ifndef TIDACC_CUEM_SANITIZER

@@ -756,6 +756,55 @@ TEST_F(MultiArrayTest, LastArrayOnALayoutFreesTheSharedDescriptors) {
   EXPECT_EQ(free_memory(2), free0);
 }
 
+TEST_F(MultiArrayTest, PeerCopyIndexWorkPaidByTheFirstExchangeCarryingThem) {
+  // A streaming exchange carries no peer copies, so when it builds the
+  // layout's descriptors it pays only the same-device copies' index work.
+  // The first exchange that carries the peer copies — here a sibling on
+  // the layout with every region resident — pays theirs, once.
+  DeviceConfig cfg = DeviceConfig::k40m();
+  cfg.host_index_calc_ns_per_copy = kMillisecond;
+  cuem::configure(cfg, /*functional=*/true, /*num_devices=*/2,
+                  Interconnect::nvlink());
+  oacc::reset();
+  enable_all_peers(2);
+  const Box domain = Box::cube(8);
+  const Index3 rs{8, 8, 1};
+  MultiAccOptions streaming;
+  streaming.max_slots_per_device = 3;
+  streaming.delta_transfers = true;
+  streaming.streaming_guard = StreamingGuard::kForceStreaming;
+  MultiAccTileArray<double> lim(domain, rs, 1, streaming);
+  MultiAccTileArray<double> res(domain, rs, 1);
+  lim.fill(pattern);
+  res.fill(other_pattern);
+  for (int r = 0; r < lim.num_regions(); ++r) {
+    lim.acquire_on_device(r);
+    res.acquire_on_device(r);
+  }
+  ASSERT_FALSE(lim.all_regions_fit());
+  ASSERT_TRUE(res.all_regions_fit());
+  SimTime local = 0;
+  SimTime peer = 0;
+  for (const tida::GhostCopy& c : res.exchange_plan(Boundary::kPeriodic)) {
+    ++(res.device_of_region(c.src_region) == res.device_of_region(c.dst_region)
+           ? local
+           : peer);
+  }
+  ASSERT_GT(peer, 0u);
+  const auto exchange_ns = [](MultiAccTileArray<double>& a) {
+    const SimTime t0 = cuem::platform().now();
+    a.fill_boundary(Boundary::kPeriodic);
+    return cuem::platform().now() - t0;
+  };
+  const SimTime streamed = exchange_ns(lim);
+  EXPECT_EQ(lim.streaming_exchanges(), 1u);
+  EXPECT_GE(streamed, local * kMillisecond);
+  EXPECT_LT(streamed, (local + peer) * kMillisecond);
+  EXPECT_GE(exchange_ns(res), peer * kMillisecond);
+  EXPECT_LT(exchange_ns(res), kMillisecond);
+  EXPECT_LT(exchange_ns(lim), kMillisecond);
+}
+
 // --- eviction invariant under per-device schedulers + peer copies ---
 
 TEST_F(MultiArrayTest, EvictionOrdersVictimD2HBeforeNewcomerH2D) {

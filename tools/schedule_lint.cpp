@@ -91,9 +91,13 @@ struct ScenarioResult {
 
 std::string node_desc(const sim::OpGraph& g, int id) {
   const sim::OpNode& n = g.nodes()[static_cast<std::size_t>(id)];
-  return "#" + std::to_string(id) + " " +
-         (n.label.empty() ? std::string(sim::to_string(n.kind)) : n.label) +
-         " s" + std::to_string(n.stream);
+  std::string desc = "#";
+  desc += std::to_string(id);
+  desc += ' ';
+  desc += n.label.empty() ? sim::to_string(n.kind) : n.label.c_str();
+  desc += " s";
+  desc += std::to_string(n.stream);
+  return desc;
 }
 
 /// Runs every analysis over the recorded graph and prints one scenario
