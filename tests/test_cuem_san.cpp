@@ -16,6 +16,7 @@
 #include "cuem/cuem.hpp"
 #include "cuem/san.hpp"
 #include "sim/op_graph.hpp"
+#include "snapshot_probe.hpp"
 
 #ifndef TIDACC_CUEM_SANITIZER
 
@@ -717,6 +718,24 @@ TEST_F(CuemSanTest, JsonReportIsWellFormedOnCleanRun) {
   EXPECT_NE(json.find("\"sanitizer\": \"cuem-san\""), std::string::npos);
   EXPECT_NE(json.find("\"errors\": 0"), std::string::npos);
   EXPECT_NE(json.find("\"findings\": []"), std::string::npos);
+}
+
+// The sanitizer-on twin of WorldSnapshot.TimingWorldBytesArePinned: the
+// shadow allocation map, access histories and options ride in the
+// snapshot, so their encoding is pinned too.
+TEST(CuemSanSnapshot, SanitizerWorldBytesArePinned) {
+  cuem::CuemSanOptions opts;
+  opts.enabled = true;
+  opts.memcheck = true;
+  opts.racecheck = true;
+  opts.fatal = false;
+  opts.max_findings = 256;
+  opts.json_path.clear();
+  const std::vector<std::uint8_t> bytes = snapshot_probe::world_bytes(opts);
+  cuem::san::configure(cuem::CuemSanOptions{});
+  cuem::configure(DeviceConfig::k40m(), true);
+  EXPECT_EQ(bytes.size(), 116466u);
+  EXPECT_EQ(snapshot_probe::fnv1a(bytes), 0xfaa965ddba640124ull);
 }
 
 }  // namespace

@@ -5,15 +5,20 @@
 //   2. a restored world replays the exact golden trace — same events, same
 //      byte accounting, same makespan — as the original run;
 //   3. restore refuses to cross the sanitizer build boundary with a clear
-//      error instead of fabricating or dropping shadow state.
+//      error instead of fabricating or dropping shadow state;
+//   4. the byte format is pinned, and restore rejects a snapshot of an
+//      array that differs from the live one, naming what differs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/acc_tile_array.hpp"
+#include "core/cluster_tile_array.hpp"
 #include "core/compute.hpp"
 #include "core/world_snapshot.hpp"
 #include "cuem/cuem.hpp"
@@ -21,6 +26,7 @@
 #include "oacc/oacc.hpp"
 #include "sim/platform.hpp"
 #include "sim/snapshot.hpp"
+#include "snapshot_probe.hpp"
 
 namespace {
 
@@ -328,6 +334,154 @@ TEST(WorldSnapshot, JitterStateSurvivesRestore) {
   halo_step(u);
   u.release_all_to_host();
   EXPECT_EQ(golden, cuem::platform().now());
+}
+
+TEST(WorldSnapshot, TimingWorldBytesArePinned) {
+  // The encoding of every field is part of the format: a change to any
+  // class's field list or to the encoder shows up here as a new size or
+  // hash. The sanitizer is off (its state rides in the snapshot); a
+  // sanitizer build sizes the platform's host vector clock even then.
+  const std::vector<std::uint8_t> bytes =
+      snapshot_probe::world_bytes(cuem::san::Options{});
+#ifdef TIDACC_CUEM_SANITIZER
+  EXPECT_EQ(bytes.size(), 18688u);
+  EXPECT_EQ(snapshot_probe::fnv1a(bytes), 0x1e595dfa3d660068ull);
+#else
+  EXPECT_EQ(bytes.size(), 18672u);
+  EXPECT_EQ(snapshot_probe::fnv1a(bytes), 0x8bf9fdefdf79b572ull);
+#endif
+}
+
+// Captures the world and `from`, then restores the world and `into` from
+// those bytes. Both arrays exist before the capture: restore frees every
+// allocation made after it.
+template <typename Array>
+void restore_from_other(const Array& from, Array& into) {
+  sim::SnapshotWriter w;
+  core::world_capture(w);
+  from.capture(w);
+  const std::vector<std::uint8_t> snap = w.take();
+  sim::SnapshotReader r(snap);
+  core::world_restore(r);
+  into.restore(r);
+}
+
+TEST(WorldSnapshot, RestoreRejectsMismatchedArrays) {
+  using core::ClusterOptions;
+  using core::ClusterTileArray;
+  using core::MultiAccOptions;
+  using core::MultiAccTileArray;
+  const tida::Box domain = tida::Box::cube(kN);
+  const tida::Index3 slabs{kN, kN, kSlab};
+  MultiAccOptions base;
+  base.devices = 1;
+  // A pair of multi-device arrays differing in their options (or region
+  // size), restored one from the other.
+  const auto multi = [&](MultiAccOptions a, MultiAccOptions b,
+                         tida::Index3 rs_b) {
+    return [=] {
+      MultiAccTileArray<double> from(domain, slabs, /*ghost=*/1, a);
+      MultiAccTileArray<double> into(domain, rs_b, /*ghost=*/1, b);
+      restore_from_other(from, into);
+    };
+  };
+  const auto option = [&](auto set) {
+    MultiAccOptions b = base;
+    set(b);
+    return multi(base, b, slabs);
+  };
+  const auto cluster = [&](auto set) {
+    return [=] {
+      ClusterOptions a;
+      a.nodes = 2;
+      a.path = core::NetPath::kStaged;
+      ClusterOptions b = a;
+      set(b);
+      ClusterTileArray<double> from(domain, slabs, /*ghost=*/1, a);
+      ClusterTileArray<double> into(domain, slabs, /*ghost=*/1, b);
+      restore_from_other(from, into);
+    };
+  };
+  struct Case {
+    std::string message;  ///< what restore's error must say
+    std::function<void()> restore;
+  };
+  const std::vector<Case> cases = {
+      {"array snapshot has a different region count",
+       multi(base, base, tida::Index3{kN, kN, 2 * kSlab})},
+      {"array snapshot has a different device count",
+       option([](MultiAccOptions& o) { o.devices = 2; })},
+      {"array snapshot disagrees on placement",
+       [&] {
+         MultiAccOptions a = base;
+         a.devices = 2;
+         MultiAccOptions b = a;
+         b.placement = core::DevicePlacement::kRoundRobin;
+         multi(a, b, slabs)();
+       }},
+      {"array snapshot disagrees on disable_caching",
+       [&] {
+         AccTileArray<double> from(domain, slabs, /*ghost=*/1);
+         core::AccOptions o;
+         o.disable_caching = true;
+         AccTileArray<double> into(domain, slabs, /*ghost=*/1, o);
+         restore_from_other<MultiAccTileArray<double>>(from, into);
+       }},
+      {"array snapshot disagrees on delta_transfers",
+       option([](MultiAccOptions& o) { o.delta_transfers = true; })},
+      {"array snapshot disagrees on streaming_guard",
+       option([](MultiAccOptions& o) {
+         o.streaming_guard = core::StreamingGuard::kForceStreaming;
+       })},
+      {"array snapshot disagrees on time_block_k",
+       option([](MultiAccOptions& o) { o.time_block_k = 2; })},
+      {"array snapshot disagrees on compression",
+       option([](MultiAccOptions& o) {
+         o.compression = core::Compression::kOn;
+       })},
+      {"device-pool snapshot has a different slot count",
+       option([](MultiAccOptions& o) { o.max_slots_per_device = 2; })},
+      {"scheduler snapshot was taken under a different slot policy",
+       option([](MultiAccOptions& o) {
+         o.slot_policy = core::SlotPolicyKind::kLru;
+       })},
+      {"cluster snapshot has a different node count",
+       cluster([](ClusterOptions& o) { o.nodes = 1; })},
+      {"cluster snapshot disagrees on the wire path",
+       cluster([](ClusterOptions& o) { o.path = core::NetPath::kAuto; })},
+      {"cluster snapshot disagrees on wire compression",
+       cluster([](ClusterOptions& o) {
+         o.compression = core::Compression::kOn;
+       })},
+      {"snapshot: truncated buffer",
+       [&] {
+         MultiAccTileArray<double> u(domain, slabs, /*ghost=*/1, base);
+         sim::SnapshotWriter w;
+         core::world_capture(w);
+         u.capture(w);
+         std::vector<std::uint8_t> snap = w.take();
+         snap.pop_back();
+         sim::SnapshotReader r(snap);
+         core::world_restore(r);
+         u.restore(r);
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.message);
+    cuem::configure(sim::DeviceConfig::k40m(), /*functional=*/false,
+                    /*num_devices=*/2, sim::Interconnect::pcie());
+    oacc::reset();
+    // A rejected restore leaves the world half restored; only the error
+    // is under test here.
+    cuem::san::configure(cuem::san::Options{});
+    try {
+      c.restore();
+      ADD_FAILURE() << "restore accepted the snapshot";
+    } catch (const tidacc::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(WorldSnapshot, RejectsForeignBuffers) {
