@@ -5,8 +5,9 @@
 // (BM_LaunchRegionKernel), and functional execution: the flat reference
 // heat step (BM_FunctionalHeatStep), a region's heat kernel through
 // core::compute and DeviceView (BM_ComputeHeatRegion) and one slab's ghost
-// copies through tida::copy_ghost_cells (BM_CopyGhostCells), and one
-// split-phase cluster exchange (BM_ClusterExchangeBegin). These measure
+// copies through tida::copy_ghost_cells (BM_CopyGhostCells), one
+// split-phase cluster exchange (BM_ClusterExchangeBegin), and a world
+// snapshot's capture and restore (BM_WorldSnapshotRoundTrip). These measure
 // the real (wall-clock) performance of this codebase — useful when scaling
 // the simulator to long runs — and double as a regression harness.
 #include <benchmark/benchmark.h>
@@ -17,7 +18,9 @@
 
 #include "core/cluster_tile_array.hpp"
 #include "core/tidacc.hpp"
+#include "core/world_snapshot.hpp"
 #include "kernels/heat.hpp"
+#include "sim/snapshot.hpp"
 #include "tida/ghost.hpp"
 
 namespace {
@@ -252,6 +255,48 @@ void BM_CachingProtocol(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CachingProtocol);
+
+void BM_WorldSnapshotRoundTrip(benchmark::State& state) {
+  // Capture and restore of a functional mid-run world, the snapshot
+  // traffic of the schedule fuzzer: an out-of-core 32^3 array (8 slabs
+  // through 3 LRU slots, delta transfers) after one exchange and sweep,
+  // its buffers' contents riding in the cuem section.
+  cuem::configure(sim::DeviceConfig::k40m(), /*functional=*/true);
+  oacc::reset();
+  cuem::platform().trace().set_recording(false);
+  core::AccOptions opts;
+  opts.max_slots = 3;
+  opts.slot_policy = core::SlotPolicyKind::kLru;
+  opts.delta_transfers = true;
+  core::AccTileArray<double> u(tida::Box::cube(32), tida::Index3{32, 32, 4},
+                               1, opts);
+  u.fill([](const tida::Index3& p) { return 0.5 * p.i - 0.25 * p.k; });
+  u.assume_host_initialized();
+  u.fill_boundary(tida::Boundary::kPeriodic);
+  oacc::LoopCost cost;
+  cost.flops_per_iter = 2;
+  cost.dev_bytes_per_iter = 16;
+  for (int r = 0; r < u.num_regions(); ++r) {
+    core::compute_gpu(u, r, cost,
+                      [](core::DeviceView<double> v, int i, int j, int k) {
+                        v(i, j, k) = 0.5 * (v(i, j, k) + v(i, j, k - 1));
+                      });
+  }
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    sim::SnapshotWriter w;
+    core::world_capture(w);
+    u.capture(w);
+    const std::vector<std::uint8_t> snap = w.take();
+    sim::SnapshotReader r(snap);
+    core::world_restore(r);
+    u.restore(r);
+    benchmark::DoNotOptimize(r.at_end());
+    bytes = snap.size();
+  }
+  state.counters["bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_WorldSnapshotRoundTrip);
 
 void BM_HostGhostExchange(benchmark::State& state) {
   cuem::configure(sim::DeviceConfig::k40m(), /*functional=*/true);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "sim/snapshot.hpp"
 
 namespace tidacc::core {
 
@@ -62,25 +61,6 @@ void CacheTable::check_slot(int slot) const {
   TIDACC_CHECK_MSG(slot >= 0 && slot < num_slots(), "slot out of range");
 }
 
-void CacheTable::capture(sim::SnapshotWriter& w) const {
-  w.section("cache_table");
-  w.put_int_vec(resident_);
-  w.put_u64_vec(last_used_);
-  w.put_u64(clock_);
-}
-
-void CacheTable::restore(sim::SnapshotReader& r) {
-  r.section("cache_table");
-  std::vector<int> resident = r.get_int_vec();
-  TIDACC_CHECK_MSG(resident.size() == resident_.size(),
-                   "cache-table snapshot has a different slot count");
-  resident_ = std::move(resident);
-  last_used_ = r.get_u64_vec();
-  TIDACC_CHECK_MSG(last_used_.size() == resident_.size(),
-                   "cache-table snapshot is inconsistent");
-  clock_ = r.get_u64();
-}
-
 const char* to_string(Loc l) {
   switch (l) {
     case Loc::kUninit:
@@ -116,20 +96,6 @@ bool LocationTracker::any_on_device() const {
 void LocationTracker::check_region(int region) const {
   TIDACC_CHECK_MSG(region >= 0 && region < static_cast<int>(loc_.size()),
                    "region id out of range");
-}
-
-void LocationTracker::capture(sim::SnapshotWriter& w) const {
-  w.section("location_tracker");
-  w.put_u64(loc_.size());
-  for (Loc l : loc_) w.put_int(static_cast<int>(l));
-}
-
-void LocationTracker::restore(sim::SnapshotReader& r) {
-  r.section("location_tracker");
-  const std::uint64_t n = r.get_u64();
-  TIDACC_CHECK_MSG(n == loc_.size(),
-                   "location-tracker snapshot has a different region count");
-  for (Loc& l : loc_) l = static_cast<Loc>(r.get_int());
 }
 
 }  // namespace tidacc::core

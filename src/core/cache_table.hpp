@@ -9,11 +9,6 @@
 #include <cstdint>
 #include <vector>
 
-namespace tidacc::sim {
-class SnapshotReader;
-class SnapshotWriter;
-}  // namespace tidacc::sim
-
 namespace tidacc::core {
 
 /// slot → resident region id (-1 = empty), exactly the paper's cache list.
@@ -47,10 +42,20 @@ class CacheTable {
   /// Stamp of the last touch of `slot`; 0 means never touched.
   std::uint64_t last_used(int slot) const;
 
-  /// Snapshot of residency, access stamps and the table clock. Restore
-  /// requires a table of the same slot count.
-  void capture(sim::SnapshotWriter& w) const;
-  void restore(sim::SnapshotReader& r);
+  /// Snapshot field list (sim/snapshot.hpp): residency, access stamps and
+  /// the table clock. Restore requires a table of the same slot count.
+  template <typename Ar>
+  void fields(Ar& ar) {
+    ar.section("cache_table");
+    const std::size_t slots = resident_.size();
+    ar(resident_);
+    ar.check(resident_.size() == slots,
+             "cache-table snapshot has a different slot count");
+    ar(last_used_);
+    ar.check(last_used_.size() == slots,
+             "cache-table snapshot is inconsistent");
+    ar(clock_);
+  }
 
  private:
   void check_slot(int slot) const;
@@ -79,10 +84,16 @@ class LocationTracker {
   /// True if any region was last accessed on the device.
   bool any_on_device() const;
 
-  /// Snapshot of every region's location. Restore requires a tracker of the
-  /// same region count.
-  void capture(sim::SnapshotWriter& w) const;
-  void restore(sim::SnapshotReader& r);
+  /// Snapshot field list: every region's location. Restore requires a
+  /// tracker of the same region count.
+  template <typename Ar>
+  void fields(Ar& ar) {
+    ar.section("location_tracker");
+    const std::size_t regions = loc_.size();
+    ar(loc_);
+    ar.check(loc_.size() == regions,
+             "location-tracker snapshot has a different region count");
+  }
 
  private:
   void check_region(int region) const;

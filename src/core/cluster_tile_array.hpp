@@ -312,61 +312,38 @@ class ClusterTileArray : public MultiAccTileArray<T> {
   void capture(sim::SnapshotWriter& w) const {
     TIDACC_CHECK_MSG(!epoch_open_,
                      "cluster snapshot during an open exchange epoch");
-    Multi::capture(w);
-    w.section("cluster_tile_array");
-    w.put_int(nodes_);
-    w.put_bool(use_gpudirect_);
-    w.put_int(static_cast<int>(wire_compression_));
-    w.put_bool(host_fallback_warned_);
-    if (nodes_ > 1) {
-      fabric_->capture(w);
-      w.put_u32(static_cast<std::uint32_t>(mr_cache_.size()));
-      for (const auto& [ptr, mr] : mr_cache_) {
-        w.put_u64(static_cast<std::uint64_t>(
-            reinterpret_cast<std::uintptr_t>(ptr)));
-        w.put_int(mr);
-      }
-      for (const ExchangeSchedule::Wire& wire : this->schedule_->wires()) {
-        w.put_bool(wire.built);
-      }
-    }
-    w.put_u64(net_exchanges_);
-    w.put_u64(rdma_ghost_reads_);
-    w.put_u64(staged_ghost_sends_);
+    w(*this);
   }
 
   void restore(sim::SnapshotReader& r) {
     TIDACC_CHECK_MSG(!epoch_open_,
                      "cluster restore during an open exchange epoch");
-    Multi::restore(r);
-    r.section("cluster_tile_array");
-    TIDACC_CHECK_MSG(r.get_int() == nodes_,
-                     "cluster snapshot has a different node count");
-    TIDACC_CHECK_MSG(r.get_bool() == use_gpudirect_,
-                     "cluster snapshot disagrees on the wire path");
-    TIDACC_CHECK_MSG(static_cast<Compression>(r.get_int()) ==
-                         wire_compression_,
-                     "cluster snapshot disagrees on wire compression");
-    host_fallback_warned_ = r.get_bool();
+    r(*this);
+  }
+
+  /// The snapshot field list (sim/snapshot.hpp): the multi-device array's,
+  /// then the fabric, the MR cache and the wire groups' built flags.
+  template <typename Ar>
+  void fields(Ar& ar) {
+    Multi::fields(ar);
+    ar.section("cluster_tile_array");
+    ar.expect(nodes_, "cluster snapshot has a different node count");
+    ar.expect(use_gpudirect_, "cluster snapshot disagrees on the wire path");
+    ar.expect(wire_compression_,
+              "cluster snapshot disagrees on wire compression");
+    ar(host_fallback_warned_);
     if (nodes_ > 1) {
-      fabric_->restore(r);
       // MRs registered after the snapshot no longer exist in the fabric
-      // tables; rebuild the pointer cache to match (in-process addresses
-      // are stable, so the saved pointers still name the same buffers).
-      mr_cache_.clear();
-      const std::uint32_t n = r.get_u32();
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const auto ptr = reinterpret_cast<const void*>(
-            static_cast<std::uintptr_t>(r.get_u64()));
-        mr_cache_[ptr] = r.get_int();
-      }
+      // tables, and restore replaces the pointer cache to match (in-process
+      // addresses are stable, so the saved pointers still name the same
+      // buffers).
+      sim::CountedU32 mrs{mr_cache_};
+      ar(*fabric_, mrs);
       for (ExchangeSchedule::Wire& wire : this->schedule_->wires()) {
-        wire.built = r.get_bool();
+        ar(wire.built);
       }
     }
-    net_exchanges_ = r.get_u64();
-    rdma_ghost_reads_ = r.get_u64();
-    staged_ghost_sends_ = r.get_u64();
+    ar(net_exchanges_, rdma_ghost_reads_, staged_ghost_sends_);
   }
 
  private:

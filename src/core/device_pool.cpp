@@ -171,57 +171,41 @@ void DevicePool::set_stream_permutation(const std::vector<int>& perm) {
   }
 }
 
-void DevicePool::capture(sim::SnapshotWriter& w) const {
-  w.section("device_pool");
-  w.put_u64(slot_bytes_);
-  w.put_int(num_regions_);
-  w.put_int(num_slots());
-  w.put_int(has_scratch() ? 1 : 0);
-  if (has_scratch()) {
-    for (int s = 0; s < num_slots(); ++s) {
-      w.put_int(swapped_[static_cast<size_t>(s)] ? 1 : 0);
-    }
-  }
-  for (int s = 0; s < num_slots(); ++s) {
-    w.put_int(perm_[static_cast<size_t>(s)]);
-  }
-  cache_.capture(w);
-  sched_.capture(w);
-}
-
-void DevicePool::restore(sim::SnapshotReader& r) {
-  r.section("device_pool");
-  TIDACC_CHECK_MSG(static_cast<std::size_t>(r.get_u64()) == slot_bytes_,
-                   "device-pool snapshot has a different slot size");
-  TIDACC_CHECK_MSG(r.get_int() == num_regions_,
-                   "device-pool snapshot has a different region count");
-  TIDACC_CHECK_MSG(r.get_int() == num_slots(),
-                   "device-pool snapshot has a different slot count");
-  TIDACC_CHECK_MSG((r.get_int() != 0) == has_scratch(),
-                   "device-pool snapshot differs in scratch configuration");
-  if (has_scratch()) {
-    // The cuem snapshot restores allocation *contents* by address; the
-    // primary/scratch pointer parity is ours to restore, so the data the
-    // snapshot wrote to the primary buffer is again reachable via
-    // slot_ptr().
-    for (int s = 0; s < num_slots(); ++s) {
-      const char want = static_cast<char>(r.get_int() != 0);
-      if (swapped_[static_cast<size_t>(s)] != want) {
-        std::swap(slots_[static_cast<size_t>(s)],
-                  scratch_[static_cast<size_t>(s)]);
-        swapped_[static_cast<size_t>(s)] = want;
+template <typename Ar>
+void DevicePool::fields(Ar& ar) {
+  ar.section("device_pool");
+  ar.expect(slot_bytes_, "device-pool snapshot has a different slot size");
+  ar.expect(num_regions_, "device-pool snapshot has a different region count");
+  ar.expect(num_slots(), "device-pool snapshot has a different slot count");
+  ar.expect(has_scratch() ? 1 : 0,
+            "device-pool snapshot differs in scratch configuration");
+  // Per-slot ints with no count: the scratch parity, then the stream map.
+  for (std::size_t s = 0; s < swapped_.size(); ++s) {
+    int swapped = swapped_[s];
+    ar(swapped);
+    if constexpr (Ar::kRestoring) {
+      // The cuem snapshot restores allocation *contents* by address; the
+      // primary/scratch pointer parity is ours to restore, so the data the
+      // snapshot wrote to the primary buffer is again reachable via
+      // slot_ptr().
+      if (swapped_[s] != static_cast<char>(swapped != 0)) {
+        std::swap(slots_[s], scratch_[s]);
+        swapped_[s] = static_cast<char>(swapped != 0);
       }
     }
   }
-  // The platform's streams/events were restored wholesale, so the remap
-  // needs no ordering edges here — just the bookkeeping.
-  for (int s = 0; s < num_slots(); ++s) {
-    perm_[static_cast<size_t>(s)] = r.get_int();
-    streams_[static_cast<size_t>(s)] =
-        oacc::get_cuem_stream(perm_[static_cast<size_t>(s)]);
+  for (std::size_t s = 0; s < perm_.size(); ++s) {
+    ar(perm_[s]);
+    if constexpr (Ar::kRestoring) {
+      // The platform's streams/events were restored wholesale, so the
+      // remap needs no ordering edges here — just the bookkeeping.
+      streams_[s] = oacc::get_cuem_stream(perm_[s]);
+    }
   }
-  cache_.restore(r);
-  sched_.restore(r);
+  ar(cache_, sched_);
 }
+
+template void DevicePool::fields(sim::SnapshotWriter&);
+template void DevicePool::fields(sim::SnapshotReader&);
 
 }  // namespace tidacc::core

@@ -118,12 +118,13 @@ class DevicePool {
   SlotScheduler& scheduler() { return sched_; }
   const SlotScheduler& scheduler() const { return sched_; }
 
-  /// Snapshot of the cache table and scheduler state. Slot buffers and
-  /// streams are owned by the cuem/oacc layers (their snapshots carry the
-  /// contents); this verifies the pool geometry matches and restores the
-  /// bookkeeping.
-  void capture(sim::SnapshotWriter& w) const;
-  void restore(sim::SnapshotReader& r);
+  /// Snapshot field list (sim/snapshot.hpp): the pool geometry, each
+  /// slot's scratch parity and stream, the cache table and the scheduler.
+  /// Slot buffers and streams are owned by the cuem/oacc layers (their
+  /// snapshots carry the contents); restore verifies the pool geometry
+  /// matches and reinstates the bookkeeping.
+  template <typename Ar>
+  void fields(Ar& ar);
 
  private:
   std::size_t slot_bytes_;

@@ -3,44 +3,10 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "sim/snapshot.hpp"
 
 namespace tidacc::core {
 
 using tida::Box;
-
-namespace {
-
-void put_box_list(sim::SnapshotWriter& w, const std::vector<Box>& list) {
-  w.put_u64(list.size());
-  for (const Box& b : list) {
-    w.put_int(b.lo.i);
-    w.put_int(b.lo.j);
-    w.put_int(b.lo.k);
-    w.put_int(b.hi.i);
-    w.put_int(b.hi.j);
-    w.put_int(b.hi.k);
-  }
-}
-
-std::vector<Box> get_box_list(sim::SnapshotReader& r) {
-  const std::uint64_t n = r.get_u64();
-  std::vector<Box> list;
-  list.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Box b;
-    b.lo.i = r.get_int();
-    b.lo.j = r.get_int();
-    b.lo.k = r.get_int();
-    b.hi.i = r.get_int();
-    b.hi.j = r.get_int();
-    b.hi.k = r.get_int();
-    list.push_back(b);
-  }
-  return list;
-}
-
-}  // namespace
 
 void DirtyTracker::resize(int num_regions) {
   TIDACC_CHECK_MSG(num_regions >= 0, "negative region count");
@@ -129,55 +95,6 @@ const std::vector<Box>& DirtyTracker::host_dirty(int region) const {
 
 const std::vector<Box>& DirtyTracker::dev_dirty(int region) const {
   return sides(region).dev;
-}
-
-void DirtyTracker::capture(sim::SnapshotWriter& w) const {
-  w.section("dirty_tracker");
-  w.put_u64(sides_.size());
-  for (const Sides& s : sides_) {
-    put_box_list(w, s.host);
-    put_box_list(w, s.dev);
-  }
-}
-
-void DirtyTracker::restore(sim::SnapshotReader& r) {
-  r.section("dirty_tracker");
-  const std::uint64_t n = r.get_u64();
-  sides_.assign(static_cast<std::size_t>(n), Sides{});
-  for (Sides& s : sides_) {
-    s.host = get_box_list(r);
-    s.dev = get_box_list(r);
-  }
-}
-
-void TransferAccounting::capture(sim::SnapshotWriter& w) const {
-  w.section("transfer_accounting");
-  w.put_u64(h2d_bytes);
-  w.put_u64(d2h_bytes);
-  w.put_u64(flat_h2d_ops);
-  w.put_u64(flat_d2h_ops);
-  w.put_u64(delta_h2d_ops);
-  w.put_u64(delta_d2h_ops);
-  w.put_u64(prefetch_ops);
-  w.put_u64(h2d_wire_bytes);
-  w.put_u64(d2h_wire_bytes);
-  w.put_u64(comp_h2d_ops);
-  w.put_u64(comp_d2h_ops);
-}
-
-void TransferAccounting::restore(sim::SnapshotReader& r) {
-  r.section("transfer_accounting");
-  h2d_bytes = r.get_u64();
-  d2h_bytes = r.get_u64();
-  flat_h2d_ops = r.get_u64();
-  flat_d2h_ops = r.get_u64();
-  delta_h2d_ops = r.get_u64();
-  delta_d2h_ops = r.get_u64();
-  prefetch_ops = r.get_u64();
-  h2d_wire_bytes = r.get_u64();
-  d2h_wire_bytes = r.get_u64();
-  comp_h2d_ops = r.get_u64();
-  comp_d2h_ops = r.get_u64();
 }
 
 }  // namespace tidacc::core

@@ -22,11 +22,6 @@
 
 #include "tida/box.hpp"
 
-namespace tidacc::sim {
-class SnapshotReader;
-class SnapshotWriter;
-}  // namespace tidacc::sim
-
 namespace tidacc::core {
 
 /// Host↔device traffic totals of one accelerated array, split by transfer
@@ -47,8 +42,14 @@ struct TransferAccounting {
   std::uint64_t comp_h2d_ops = 0;  ///< uploads that took a compressed kind
   std::uint64_t comp_d2h_ops = 0;  ///< downloads that took a compressed kind
 
-  void capture(sim::SnapshotWriter& w) const;
-  void restore(sim::SnapshotReader& r);
+  /// Snapshot field list (sim/snapshot.hpp).
+  template <typename Ar>
+  void fields(Ar& ar) {
+    ar.section("transfer_accounting");
+    ar(h2d_bytes, d2h_bytes, flat_h2d_ops, flat_d2h_ops, delta_h2d_ops,
+       delta_d2h_ops, prefetch_ops, h2d_wire_bytes, d2h_wire_bytes,
+       comp_h2d_ops, comp_d2h_ops);
+  }
 };
 
 /// Per-region dirty-box bookkeeping (see file comment). Region ids index a
@@ -109,15 +110,23 @@ class DirtyTracker {
   /// never loses dirtiness, never swallows the other side's cells).
   static constexpr std::size_t kMaxPiecesPerSide = 16;
 
-  /// Snapshot of every region's dirty-box lists. Restore resizes the table
-  /// to the snapshot's region count.
-  void capture(sim::SnapshotWriter& w) const;
-  void restore(sim::SnapshotReader& r);
+  /// Snapshot field list (sim/snapshot.hpp): every region's dirty-box
+  /// lists. Restore resizes the table to the snapshot's region count.
+  template <typename Ar>
+  void fields(Ar& ar) {
+    ar.section("dirty_tracker");
+    ar(sides_);
+  }
 
  private:
   struct Sides {
     std::vector<tida::Box> host;
     std::vector<tida::Box> dev;
+
+    template <typename Ar>
+    void fields(Ar& ar) {
+      ar(host, dev);
+    }
   };
 
   void note_write(int region, const tida::Box& box, bool host_side);

@@ -658,90 +658,54 @@ class MultiAccTileArray : public tida::TileArray<T> {
   /// *contents* (host and device) live in cuem-registered allocations and
   /// ride in the cuem snapshot; restore requires an array of identical
   /// geometry, placement and options.
-  void capture(sim::SnapshotWriter& w) const {
-    w.section("multi_acc_tile_array");
-    w.put_int(this->num_regions());
-    w.put_int(num_devices_);
-    w.put_int(static_cast<int>(placement_));
-    w.put_bool(disable_caching_);
-    w.put_bool(delta_transfers_);
-    w.put_int(static_cast<int>(streaming_guard_));
-    w.put_int(time_block_k_);
-    w.put_int(static_cast<int>(compression_));
-    for (int d = 0; d < num_devices_; ++d) {
-      const DeviceShard& s = shards_[static_cast<std::size_t>(d)];
-      w.put_int(s.pool ? 1 : 0);
-      if (s.pool) {
-        s.pool->capture(w);
-      }
-      for (const ExchangeSchedule::DescriptorSet& set :
-           schedule_->device(d).desc) {
-        w.put_bool(set.built);
-        w.put_bool(set.peers_indexed);
-      }
-    }
-    loc_.capture(w);
-    dirty_.capture(w);
-    w.put_int_vec(pending_xfer_);
-    w.put_int_vec(evicted_);
-    xfer_.capture(w);
-    w.put_u64(device_ghost_updates_);
-    w.put_u64(peer_ghost_copies_);
-    w.put_u64(streaming_exchanges_);
-    w.put_int(last_boundary_ ? static_cast<int>(*last_boundary_) : -1);
-  }
+  void capture(sim::SnapshotWriter& w) const { w(*this); }
+  void restore(sim::SnapshotReader& r) { r(*this); }
 
-  void restore(sim::SnapshotReader& r) {
-    r.section("multi_acc_tile_array");
-    TIDACC_CHECK_MSG(r.get_int() == this->num_regions(),
-                     "array snapshot has a different region count");
-    TIDACC_CHECK_MSG(r.get_int() == num_devices_,
-                     "array snapshot has a different device count");
-    TIDACC_CHECK_MSG(static_cast<DevicePlacement>(r.get_int()) == placement_,
-                     "array snapshot disagrees on placement");
-    TIDACC_CHECK_MSG(r.get_bool() == disable_caching_,
-                     "array snapshot disagrees on disable_caching");
-    TIDACC_CHECK_MSG(r.get_bool() == delta_transfers_,
-                     "array snapshot disagrees on delta_transfers");
-    TIDACC_CHECK_MSG(static_cast<StreamingGuard>(r.get_int()) ==
-                         streaming_guard_,
-                     "array snapshot disagrees on streaming_guard");
-    TIDACC_CHECK_MSG(r.get_int() == time_block_k_,
-                     "array snapshot disagrees on time_block_k");
-    TIDACC_CHECK_MSG(static_cast<Compression>(r.get_int()) == compression_,
-                     "array snapshot disagrees on compression");
+  /// The snapshot field list (sim/snapshot.hpp) capture and restore run.
+  template <typename Ar>
+  void fields(Ar& ar) {
+    ar.section("multi_acc_tile_array");
+    ar.expect(this->num_regions(),
+              "array snapshot has a different region count");
+    ar.expect(num_devices_, "array snapshot has a different device count");
+    ar.expect(placement_, "array snapshot disagrees on placement");
+    ar.expect(disable_caching_, "array snapshot disagrees on disable_caching");
+    ar.expect(delta_transfers_, "array snapshot disagrees on delta_transfers");
+    ar.expect(streaming_guard_, "array snapshot disagrees on streaming_guard");
+    ar.expect(time_block_k_, "array snapshot disagrees on time_block_k");
+    ar.expect(compression_, "array snapshot disagrees on compression");
     for (int d = 0; d < num_devices_; ++d) {
       DeviceShard& s = shards_[static_cast<std::size_t>(d)];
-      TIDACC_CHECK_MSG((r.get_int() != 0) == (s.pool != nullptr),
-                       "array snapshot disagrees on device shard layout");
+      ar.expect(s.pool ? 1 : 0,
+                "array snapshot disagrees on device shard layout");
       if (s.pool) {
-        cuem::DeviceGuard guard(d);
-        s.pool->restore(r);
+        // A pool's restore looks its streams up on its own device.
+        std::optional<cuem::DeviceGuard> guard;
+        if constexpr (Ar::kRestoring) {
+          guard.emplace(d);
+        }
+        ar(*s.pool);
       }
       for (ExchangeSchedule::DescriptorSet& set :
            schedule_->device(d).desc) {
-        set.built = r.get_bool();
-        set.peers_indexed = r.get_bool();
+        ar(set.built, set.peers_indexed);
       }
     }
-    loc_.restore(r);
-    dirty_.restore(r);
-    pending_xfer_ = r.get_int_vec();
-    evicted_ = r.get_int_vec();
-    TIDACC_CHECK_MSG(pending_xfer_.size() ==
-                             static_cast<std::size_t>(this->num_regions()) &&
-                         evicted_.size() == pending_xfer_.size(),
-                     "array snapshot is inconsistent");
-    xfer_.restore(r);
-    device_ghost_updates_ = r.get_u64();
-    peer_ghost_copies_ = r.get_u64();
-    streaming_exchanges_ = r.get_u64();
-    const int bc = r.get_int();
-    TIDACC_CHECK_MSG(
-        bc >= -1 && bc <= static_cast<int>(tida::Boundary::kPeriodic),
-        "array snapshot has an invalid last boundary");
-    last_boundary_ = bc < 0 ? std::nullopt
-                            : std::optional(static_cast<tida::Boundary>(bc));
+    ar(loc_, dirty_, pending_xfer_, evicted_);
+    ar.check(pending_xfer_.size() ==
+                     static_cast<std::size_t>(this->num_regions()) &&
+                 evicted_.size() == pending_xfer_.size(),
+             "array snapshot is inconsistent");
+    ar(xfer_, device_ghost_updates_, peer_ghost_copies_, streaming_exchanges_);
+    int bc = last_boundary_ ? static_cast<int>(*last_boundary_) : -1;
+    ar(bc);
+    if constexpr (Ar::kRestoring) {
+      TIDACC_CHECK_MSG(
+          bc >= -1 && bc <= static_cast<int>(tida::Boundary::kPeriodic),
+          "array snapshot has an invalid last boundary");
+      last_boundary_ = bc < 0 ? std::nullopt
+                              : std::optional(static_cast<tida::Boundary>(bc));
+    }
   }
 
  protected:

@@ -66,17 +66,7 @@ class BeladyOraclePolicy final : public SlotPolicy {
   void set_future(std::vector<int> sequence) override {
     seq_ = std::move(sequence);
     cursor_ = 0;
-    positions_.clear();
-    next_idx_.clear();
-    for (std::size_t i = 0; i < seq_.size(); ++i) {
-      const int r = seq_[i];
-      TIDACC_CHECK_MSG(r >= 0, "negative region id in the access sequence");
-      if (static_cast<std::size_t>(r) >= positions_.size()) {
-        positions_.resize(static_cast<std::size_t>(r) + 1);
-        next_idx_.resize(static_cast<std::size_t>(r) + 1, 0);
-      }
-      positions_[static_cast<size_t>(r)].push_back(i);
-    }
+    index_future();
   }
 
   int choose_slot(int /*region*/, const CacheTable& cache,
@@ -107,20 +97,36 @@ class BeladyOraclePolicy final : public SlotPolicy {
     }
   }
 
-  void capture(sim::SnapshotWriter& w) const override {
-    w.put_int_vec(seq_);
-    w.put_u64(cursor_);
-  }
-
-  void restore(sim::SnapshotReader& r) override {
-    // set_future rebuilds positions_ and rewinds next_idx_; the indices are
-    // resettable caches that only ever move forward, so starting them at 0
-    // with the restored cursor reproduces identical next_use answers.
-    set_future(r.get_int_vec());
-    cursor_ = static_cast<std::size_t>(r.get_u64());
-  }
+  void fields(sim::SnapshotWriter& w) override { state(w); }
+  void fields(sim::SnapshotReader& r) override { state(r); }
 
  private:
+  template <typename Ar>
+  void state(Ar& ar) {
+    ar(seq_, cursor_);
+    if constexpr (Ar::kRestoring) {
+      // The per-region indices are resettable caches that only ever move
+      // forward, so rebuilding them from 0 with the restored cursor
+      // reproduces identical next_use answers.
+      index_future();
+    }
+  }
+
+  /// Rebuilds each region's positions in seq_ and rewinds next_idx_.
+  void index_future() {
+    positions_.clear();
+    next_idx_.clear();
+    for (std::size_t i = 0; i < seq_.size(); ++i) {
+      const int r = seq_[i];
+      TIDACC_CHECK_MSG(r >= 0, "negative region id in the access sequence");
+      if (static_cast<std::size_t>(r) >= positions_.size()) {
+        positions_.resize(static_cast<std::size_t>(r) + 1);
+        next_idx_.resize(static_cast<std::size_t>(r) + 1, 0);
+      }
+      positions_[static_cast<size_t>(r)].push_back(i);
+    }
+  }
+
   /// Position of `region`'s first use at or after the cursor (kNever when
   /// it does not appear again). Amortized O(1): per-region indices only
   /// move forward.
@@ -174,9 +180,9 @@ void SlotPolicy::on_access(int /*region*/, int /*slot*/) {}
 
 void SlotPolicy::set_future(std::vector<int> /*sequence*/) {}
 
-void SlotPolicy::capture(sim::SnapshotWriter& /*w*/) const {}
+void SlotPolicy::fields(sim::SnapshotWriter& /*w*/) {}
 
-void SlotPolicy::restore(sim::SnapshotReader& /*r*/) {}
+void SlotPolicy::fields(sim::SnapshotReader& /*r*/) {}
 
 std::unique_ptr<SlotPolicy> make_slot_policy(SlotPolicyKind kind) {
   switch (kind) {
@@ -312,35 +318,6 @@ int SlotScheduler::pinned_count() const {
 
 void SlotScheduler::set_future(std::vector<int> sequence) {
   policy_->set_future(std::move(sequence));
-}
-
-void SlotScheduler::capture(sim::SnapshotWriter& w) const {
-  w.section("slot_scheduler");
-  w.put_int(num_slots_);
-  w.put_int(static_cast<int>(policy_->kind()));
-  w.put_int_vec(binding_);
-  w.put_int_vec(pinned_region_);
-  w.put_int(last_demand_slot_);
-  policy_->capture(w);
-}
-
-void SlotScheduler::restore(sim::SnapshotReader& r) {
-  r.section("slot_scheduler");
-  TIDACC_CHECK_MSG(r.get_int() == num_slots_,
-                   "scheduler snapshot has a different slot count");
-  TIDACC_CHECK_MSG(
-      static_cast<SlotPolicyKind>(r.get_int()) == policy_->kind(),
-      "scheduler snapshot was taken under a different slot policy");
-  std::vector<int> binding = r.get_int_vec();
-  TIDACC_CHECK_MSG(binding.size() == binding_.size(),
-                   "scheduler snapshot has a different region count");
-  binding_ = std::move(binding);
-  pinned_region_ = r.get_int_vec();
-  TIDACC_CHECK_MSG(pinned_region_.size() ==
-                       static_cast<std::size_t>(num_slots_),
-                   "scheduler snapshot is inconsistent");
-  last_demand_slot_ = r.get_int();
-  policy_->restore(r);
 }
 
 void SlotScheduler::check_region(int region) const {

@@ -38,6 +38,11 @@
 
 #include "core/cache_table.hpp"
 
+namespace tidacc::sim {
+class SnapshotReader;
+class SnapshotWriter;
+}  // namespace tidacc::sim
+
 namespace tidacc::core {
 
 enum class SlotPolicyKind : int { kStaticModulo = 0, kLru, kBeladyOracle };
@@ -73,11 +78,12 @@ class SlotPolicy {
   /// True when placement depends on runtime state (i.e. not StaticModulo).
   virtual bool dynamic() const { return true; }
 
-  /// Snapshot of policy-internal state. StaticModulo and Lru are stateless
-  /// (recency lives in the CacheTable) — the defaults write/read nothing;
-  /// BeladyOracle serializes its recorded sequence and cursor.
-  virtual void capture(sim::SnapshotWriter& w) const;
-  virtual void restore(sim::SnapshotReader& r);
+  /// Snapshot field list of policy-internal state (sim/snapshot.hpp), one
+  /// overload per direction since the policy is virtual. StaticModulo and
+  /// Lru are stateless (recency lives in the CacheTable) — the defaults
+  /// list nothing; BeladyOracle lists its recorded sequence and cursor.
+  virtual void fields(sim::SnapshotWriter& w);
+  virtual void fields(sim::SnapshotReader& r);
 };
 
 std::unique_ptr<SlotPolicy> make_slot_policy(SlotPolicyKind kind);
@@ -137,10 +143,24 @@ class SlotScheduler {
   /// Forwards the recorded future access sequence to the policy.
   void set_future(std::vector<int> sequence);
 
-  /// Snapshot of bindings, prefetch pins and policy state. Restore requires
-  /// a scheduler with the same slot/region counts and policy kind.
-  void capture(sim::SnapshotWriter& w) const;
-  void restore(sim::SnapshotReader& r);
+  /// Snapshot field list (sim/snapshot.hpp): bindings, prefetch pins and
+  /// policy state. Restore requires a scheduler with the same slot/region
+  /// counts and policy kind.
+  template <typename Ar>
+  void fields(Ar& ar) {
+    ar.section("slot_scheduler");
+    ar.expect(num_slots_, "scheduler snapshot has a different slot count");
+    ar.expect(policy_->kind(),
+              "scheduler snapshot was taken under a different slot policy");
+    const std::size_t regions = binding_.size();
+    ar(binding_);
+    ar.check(binding_.size() == regions,
+             "scheduler snapshot has a different region count");
+    ar(pinned_region_);
+    ar.check(pinned_region_.size() == static_cast<std::size_t>(num_slots_),
+             "scheduler snapshot is inconsistent");
+    ar(last_demand_slot_, *policy_);
+  }
 
  private:
   void check_region(int region) const;

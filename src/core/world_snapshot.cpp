@@ -8,16 +8,25 @@
 
 namespace tidacc::core {
 
+namespace {
+
+template <typename Ar>
+void world_fields(Ar& ar) {
+  ar(sim::Platform::instance());
+  cuem::snapshot_fields(ar);
+  cuem::san::snapshot_fields(ar);
+  oacc::snapshot_fields(ar);
+}
+
+}  // namespace
+
 void world_capture(sim::SnapshotWriter& w) {
   std::uint32_t flags = 0;
   if (cuem::san::enabled()) {
     flags |= sim::kSnapshotFlagSanitizer;
   }
   sim::snapshot_write_header(w, flags);
-  sim::Platform::instance().capture(w);
-  cuem::snapshot_capture(w);
-  cuem::san::snapshot_capture(w);
-  oacc::snapshot_capture(w);
+  world_fields(w);
 }
 
 void world_restore(sim::SnapshotReader& r) {
@@ -30,10 +39,7 @@ void world_restore(sim::SnapshotReader& r) {
 #else
   (void)flags;
 #endif
-  sim::Platform::instance().restore(r);
-  cuem::snapshot_restore(r);
-  cuem::san::snapshot_restore(r);
-  oacc::snapshot_restore(r);
+  world_fields(r);
 }
 
 std::vector<std::uint8_t> world_snapshot() {

@@ -8,7 +8,7 @@
 // world_capture on the same writer (and restore them after world_restore,
 // in the same order). The restore contract is same-process and
 // address-stable — every allocation live at capture must still be live at
-// the same base address (see cuem::snapshot_restore); allocations created
+// the same base address (see cuem::snapshot_fields); allocations created
 // after the capture are freed. This is exactly what the schedule fuzzer
 // needs: restore a mid-workload world thousands of times and replay the
 // remaining steps under mutated knobs.

@@ -766,122 +766,77 @@ cuemError_t host_touch(void* ptr, std::size_t bytes) {
   return cuemSuccess;
 }
 
-void snapshot_capture(sim::SnapshotWriter& w) {
-  w.section("cuem");
+template <typename Ar>
+void snapshot_fields(Ar& ar) {
+  ar.section("cuem");
   Runtime& R = rt();
-  w.put_int(current_device());
-  w.put_u64(R.device_used);
-  w.put_u64(R.device_used_by_dev.size());
-  for (std::size_t used : R.device_used_by_dev) {
-    w.put_u64(used);
-  }
-  w.put_u64(static_cast<std::uint64_t>(R.synthetic_next));
-  w.put_string(R.last_error);
-  w.put_u64(R.peer_access.size());
-  for (const auto& [from, to] : R.peer_access) {
-    w.put_int(from);
-    w.put_int(to);
-  }
-  w.put_int(R.next_event);
-  w.put_u64(R.events.size());
-  for (const auto& [handle, sim_event] : R.events) {
-    w.put_int(handle);
-    w.put_int(sim_event);
-  }
-  const std::vector<const Allocation*> allocs = R.registry.all_allocations();
-  w.put_u64(allocs.size());
-  for (const Allocation* a : allocs) {
-    w.put_u64(static_cast<std::uint64_t>(a->base));
-    w.put_u64(a->size);
-    w.put_int(static_cast<int>(a->space));
-    w.put_bool(a->device_resident);
-    w.put_int(a->device);
-    w.put_bool(a->backing != nullptr);
-    if (a->backing != nullptr) {
-      w.put_blob(a->backing, a->size);
-    }
-  }
-}
-
-void snapshot_restore(sim::SnapshotReader& r) {
-  r.section("cuem");
-  Runtime& R = rt();
-  detail::current_device = r.get_int();
-  R.device_used = r.get_u64();
-  const std::uint64_t ndev = r.get_u64();
-  R.device_used_by_dev.assign(ndev, 0);
-  for (std::uint64_t i = 0; i < ndev; ++i) {
-    R.device_used_by_dev[i] = r.get_u64();
-  }
-  R.synthetic_next = static_cast<std::uintptr_t>(r.get_u64());
-  R.last_error = r.get_string();
-  R.peer_access.clear();
-  const std::uint64_t npeer = r.get_u64();
-  for (std::uint64_t i = 0; i < npeer; ++i) {
-    const int from = r.get_int();
-    const int to = r.get_int();
-    R.peer_access.insert({from, to});
-  }
-  R.next_event = r.get_int();
-  R.events.clear();
-  const std::uint64_t nevents = r.get_u64();
-  for (std::uint64_t i = 0; i < nevents; ++i) {
-    const cuemEvent_t handle = r.get_int();
-    R.events[handle] = r.get_int();
-  }
+  ar(detail::current_device, R.device_used, R.device_used_by_dev,
+     R.synthetic_next, R.last_error, R.peer_access, R.next_event, R.events);
 
   // The restore contract is same-process and address-stable: every
   // snapshotted allocation must still be live at the same base and size so
   // captured pointers stay valid. Buffers allocated after the capture are
   // released; surviving buffers get their captured bytes written back.
-  std::set<std::uintptr_t> snapshot_bases;
-  const std::uint64_t nallocs = r.get_u64();
-  for (std::uint64_t i = 0; i < nallocs; ++i) {
-    const auto base = static_cast<std::uintptr_t>(r.get_u64());
-    const std::uint64_t size = r.get_u64();
-    const auto space = static_cast<MemSpace>(r.get_int());
-    const bool device_resident = r.get_bool();
-    const int device = r.get_int();
-    const bool has_backing = r.get_bool();
-    Allocation* live = R.registry.find(reinterpret_cast<void*>(base));
-    TIDACC_CHECK_MSG(
-        live != nullptr && live->base == base,
-        "snapshot restore: allocation at base " + std::to_string(base) +
-            " (" + std::to_string(size) + " bytes) was freed since capture; "
-            "restore requires every snapshotted allocation to still be live "
-            "at the same address");
-    TIDACC_CHECK_MSG(live->size == size,
-                     "snapshot restore: allocation at base " +
-                         std::to_string(base) + " changed size (" +
-                         std::to_string(live->size) + " live vs " +
-                         std::to_string(size) + " captured)");
-    TIDACC_CHECK_MSG(
-        (live->backing != nullptr) == has_backing,
-        "snapshot restore: functional-mode mismatch on allocation backing "
-        "(snapshot and live runtime disagree on whether buffers hold data)");
-    live->space = space;
-    live->device_resident = device_resident;
-    live->device = device;
-    if (has_backing) {
-      r.get_blob_into(live->backing, size);
+  const std::vector<const Allocation*> live = R.registry.all_allocations();
+  std::uint64_t count = live.size();
+  ar(count);
+  std::set<std::uintptr_t> captured;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    Allocation a;
+    if constexpr (!Ar::kRestoring) {
+      a = *live[i];
     }
-    snapshot_bases.insert(base);
-  }
-  std::vector<std::uintptr_t> extras;
-  for (const Allocation* a : R.registry.all_allocations()) {
-    if (snapshot_bases.count(a->base) == 0) {
-      extras.push_back(a->base);
+    bool has_backing = a.backing != nullptr;
+    ar(a.base, a.size, a.space, a.device_resident, a.device, has_backing);
+    if constexpr (Ar::kRestoring) {
+      Allocation* match = R.registry.find(reinterpret_cast<void*>(a.base));
+      TIDACC_CHECK_MSG(
+          match != nullptr && match->base == a.base,
+          "snapshot restore: allocation at base " + std::to_string(a.base) +
+              " (" + std::to_string(a.size) + " bytes) was freed since "
+              "capture; restore requires every snapshotted allocation to "
+              "still be live at the same address");
+      TIDACC_CHECK_MSG(match->size == a.size,
+                       "snapshot restore: allocation at base " +
+                           std::to_string(a.base) + " changed size (" +
+                           std::to_string(match->size) + " live vs " +
+                           std::to_string(a.size) + " captured)");
+      TIDACC_CHECK_MSG(
+          (match->backing != nullptr) == has_backing,
+          "snapshot restore: functional-mode mismatch on allocation backing "
+          "(snapshot and live runtime disagree on whether buffers hold "
+          "data)");
+      match->space = a.space;
+      match->device_resident = a.device_resident;
+      match->device = a.device;
+      if (has_backing) {
+        ar.get_blob_into(match->backing, a.size);
+      }
+      captured.insert(a.base);
+    } else if (has_backing) {
+      ar.put_blob(a.backing, a.size);
     }
   }
-  for (std::uintptr_t base : extras) {
-    const Allocation removed =
-        R.registry.remove(reinterpret_cast<void*>(base));
-    if (removed.backing != nullptr) {
-      ::operator delete(removed.backing, std::align_val_t(64));
-      std::erase(R.backings, removed.backing);
+  if constexpr (Ar::kRestoring) {
+    std::vector<std::uintptr_t> extras;
+    for (const Allocation* a : live) {
+      if (captured.count(a->base) == 0) {
+        extras.push_back(a->base);
+      }
+    }
+    for (std::uintptr_t base : extras) {
+      const Allocation removed =
+          R.registry.remove(reinterpret_cast<void*>(base));
+      if (removed.backing != nullptr) {
+        ::operator delete(removed.backing, std::align_val_t(64));
+        std::erase(R.backings, removed.backing);
+      }
     }
   }
 }
+
+template void snapshot_fields(sim::SnapshotWriter&);
+template void snapshot_fields(sim::SnapshotReader&);
 
 }  // namespace tidacc::cuem
 

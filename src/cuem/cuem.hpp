@@ -386,17 +386,16 @@ std::size_t live_allocation_count();
 // Snapshot (see docs/FUZZING.md)
 // ---------------------------------------------------------------------------
 
-/// Serializes the cuem runtime into `w`: registry metadata, buffer contents
-/// (functional mode), event handles, peer-access grants, per-device
-/// accounting. The platform must be captured alongside (sim section first).
-void snapshot_capture(sim::SnapshotWriter& w);
-
-/// Reinstates a captured runtime in place, same-process. The restore
-/// contract is address-stable: every allocation live at capture time must
-/// still be live at the same base and size (freeing a snapshotted buffer
-/// before restoring invalidates the snapshot — restore fails with a clear
-/// error). Allocations created after the capture are released; surviving
-/// buffers get their captured contents written back.
-void snapshot_restore(sim::SnapshotReader& r);
+/// Snapshot field list of the cuem runtime (sim/snapshot.hpp): registry
+/// metadata, buffer contents (functional mode), event handles, peer-access
+/// grants, per-device accounting. The platform is captured alongside (sim
+/// section first). Restore is in place and same-process, and its contract
+/// is address-stable: every allocation live at capture time must still be
+/// live at the same base and size (freeing a snapshotted buffer before
+/// restoring invalidates the snapshot — restore fails with a clear error).
+/// Allocations created after the capture are released; surviving buffers
+/// get their captured contents written back.
+template <typename Ar>
+void snapshot_fields(Ar& ar);
 
 }  // namespace tidacc::cuem

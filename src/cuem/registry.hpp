@@ -35,6 +35,13 @@ struct Allocation {
   /// Owning device ordinal for device/managed allocations (the device that
   /// was current at allocation time); 0 for host memory.
   int device = 0;
+
+  /// Snapshot field list (sim/snapshot.hpp), as the sanitizer's shadow map
+  /// stores it.
+  template <typename Ar>
+  void fields(Ar& ar) {
+    ar(base, size, space, device_resident, backing, device);
+  }
 };
 
 /// Registry of live allocations, keyed by base address, with containment

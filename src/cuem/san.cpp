@@ -19,6 +19,7 @@
 
 #include "common/error.hpp"
 #include "sim/platform.hpp"
+#include "sim/snapshot.hpp"
 
 namespace tidacc::cuem::san {
 namespace {
@@ -41,12 +42,22 @@ struct AccessRecord {
   std::string op;
   SimTime t_start = 0;
   SimTime t_finish = 0;
+
+  template <typename Ar>
+  void fields(Ar& ar) {
+    ar(clock, box, write, owner, op, t_start, t_finish);
+  }
 };
 
 struct ShadowAlloc {
   Allocation info;
   std::string label;
   std::vector<AccessRecord> accesses;
+
+  template <typename Ar>
+  void fields(Ar& ar) {
+    ar(info, label, accesses);
+  }
 };
 
 struct State {
@@ -818,209 +829,47 @@ void on_device_reset() {
 
 }  // namespace hook
 
-// --- snapshot/restore ---
+// --- snapshot ---
 
-namespace {
-
-void put_allocation(sim::SnapshotWriter& w, const Allocation& a) {
-  w.put_u64(static_cast<std::uint64_t>(a.base));
-  w.put_u64(static_cast<std::uint64_t>(a.size));
-  w.put_int(static_cast<int>(a.space));
-  w.put_bool(a.device_resident);
-  w.put_u64(reinterpret_cast<std::uint64_t>(a.backing));
-  w.put_int(a.device);
-}
-
-Allocation get_allocation(sim::SnapshotReader& r) {
-  Allocation a;
-  a.base = static_cast<std::uintptr_t>(r.get_u64());
-  a.size = static_cast<std::size_t>(r.get_u64());
-  a.space = static_cast<MemSpace>(r.get_int());
-  a.device_resident = r.get_bool();
-  a.backing = reinterpret_cast<void*>(r.get_u64());
-  a.device = r.get_int();
-  return a;
-}
-
-void put_box(sim::SnapshotWriter& w, const BoxShape& b) {
-  w.put_u64(b.offset);
-  w.put_u64(b.width);
-  w.put_u64(b.height);
-  w.put_u64(b.depth);
-  w.put_u64(b.row_pitch);
-  w.put_u64(b.slice_pitch);
-}
-
-BoxShape get_box(sim::SnapshotReader& r) {
-  BoxShape b;
-  b.offset = static_cast<std::size_t>(r.get_u64());
-  b.width = static_cast<std::size_t>(r.get_u64());
-  b.height = static_cast<std::size_t>(r.get_u64());
-  b.depth = static_cast<std::size_t>(r.get_u64());
-  b.row_pitch = static_cast<std::size_t>(r.get_u64());
-  b.slice_pitch = static_cast<std::size_t>(r.get_u64());
-  return b;
-}
-
-}  // namespace
-
-void snapshot_capture(sim::SnapshotWriter& w) {
-  w.section("san");
+template <typename Ar>
+void snapshot_fields(Ar& ar) {
+  ar.section("san");
   State& st = state();
-  w.put_bool(st.opts.enabled);
+  ar(st.opts.enabled);
   if (!st.opts.enabled) {
-    // Symmetric with the compiled-out stub: an inactive section carries no
-    // state, so snapshots interchange freely between builds.
+    // An inactive section carries no state, symmetric with the
+    // compiled-out stub, so snapshots interchange freely between builds.
+    // Restoring one clears the shadow state so a previously-enabled checker
+    // does not report against a world it never observed.
+    if constexpr (Ar::kRestoring) {
+      st.allocs.clear();
+      st.tombstones.clear();
+      st.findings.clear();
+      st.counts[0] = st.counts[1] = st.counts[2] = 0;
+      st.dedupe.clear();
+      st.last_host_base = 0;
+      st.last_host_write = false;
+      st.last_host_comp = ~0ull;
+      st.world_gen = sim::Platform::generation();
+    }
     return;
   }
-  ensure_world(st);
-
-  w.put_bool(st.opts.memcheck);
-  w.put_bool(st.opts.racecheck);
-  w.put_bool(st.opts.fatal);
-  w.put_u64(st.opts.max_findings);
-  w.put_string(st.opts.json_path);
-
-  w.put_u64(st.allocs.size());
-  for (const auto& [base, sa] : st.allocs) {
-    w.put_u64(static_cast<std::uint64_t>(base));
-    put_allocation(w, sa.info);
-    w.put_string(sa.label);
-    w.put_u64(sa.accesses.size());
-    for (const AccessRecord& ar : sa.accesses) {
-      w.put_u64_vec(ar.clock);
-      put_box(w, ar.box);
-      w.put_bool(ar.write);
-      w.put_int(ar.owner);
-      w.put_string(ar.op);
-      w.put_u64(static_cast<std::uint64_t>(ar.t_start));
-      w.put_u64(static_cast<std::uint64_t>(ar.t_finish));
-    }
+  if constexpr (!Ar::kRestoring) {
+    ensure_world(st);
   }
-
-  w.put_u64(st.tombstones.size());
-  for (const Allocation& a : st.tombstones) put_allocation(w, a);
-
-  w.put_u64(st.findings.size());
-  for (const Finding& f : st.findings) {
-    w.put_int(static_cast<int>(f.kind));
-    w.put_int(static_cast<int>(f.severity));
-    w.put_string(f.op);
-    w.put_string(f.message);
-    w.put_string(f.allocation);
-    w.put_u64(static_cast<std::uint64_t>(f.base));
-    w.put_u64(f.offset);
-    w.put_u64(f.bytes);
-    w.put_int(f.stream_a);
-    w.put_int(f.stream_b);
-    w.put_int(f.device);
-    w.put_u64(f.time_start);
-    w.put_u64(f.time_finish);
-  }
-
-  for (std::size_t c : st.counts) w.put_u64(c);
-
-  // std::set iterates in sorted order, so this is deterministic.
-  w.put_u64(st.dedupe.size());
-  for (const std::string& k : st.dedupe) w.put_string(k);
-
-  w.put_u64(static_cast<std::uint64_t>(st.last_host_base));
-  w.put_bool(st.last_host_write);
-  w.put_u64(st.last_host_comp);
-}
-
-void snapshot_restore(sim::SnapshotReader& r) {
-  r.section("san");
-  const bool active = r.get_bool();
-  State& st = state();
-  if (!active) {
-    // Captured with the sanitizer off (or compiled out): reinstate that —
-    // clear shadow state so a previously-enabled checker does not report
-    // against a world it never observed.
-    st.opts.enabled = false;
-    st.allocs.clear();
-    st.tombstones.clear();
-    st.findings.clear();
-    st.counts[0] = st.counts[1] = st.counts[2] = 0;
-    st.dedupe.clear();
-    st.last_host_base = 0;
-    st.last_host_write = false;
-    st.last_host_comp = ~0ull;
+  ar(st.opts.memcheck, st.opts.racecheck, st.opts.fatal, st.opts.max_findings,
+     st.opts.json_path, st.allocs, st.tombstones, st.findings, st.counts,
+     st.dedupe, st.last_host_base, st.last_host_write, st.last_host_comp);
+  if constexpr (Ar::kRestoring) {
+    // The generation counter is process-local; the restore target is the
+    // live world, not the numeric value at capture time.
     st.world_gen = sim::Platform::generation();
-    return;
+    ensure_world(st);
   }
-
-  st.opts.enabled = true;
-  st.opts.memcheck = r.get_bool();
-  st.opts.racecheck = r.get_bool();
-  st.opts.fatal = r.get_bool();
-  st.opts.max_findings = static_cast<std::size_t>(r.get_u64());
-  st.opts.json_path = r.get_string();
-
-  st.allocs.clear();
-  const std::uint64_t n_allocs = r.get_u64();
-  for (std::uint64_t i = 0; i < n_allocs; ++i) {
-    const auto base = static_cast<std::uintptr_t>(r.get_u64());
-    ShadowAlloc sa;
-    sa.info = get_allocation(r);
-    sa.label = r.get_string();
-    const std::uint64_t n_acc = r.get_u64();
-    sa.accesses.reserve(static_cast<std::size_t>(n_acc));
-    for (std::uint64_t j = 0; j < n_acc; ++j) {
-      AccessRecord ar;
-      ar.clock = r.get_u64_vec();
-      ar.box = get_box(r);
-      ar.write = r.get_bool();
-      ar.owner = r.get_int();
-      ar.op = r.get_string();
-      ar.t_start = static_cast<SimTime>(r.get_u64());
-      ar.t_finish = static_cast<SimTime>(r.get_u64());
-      sa.accesses.push_back(std::move(ar));
-    }
-    st.allocs.emplace(base, std::move(sa));
-  }
-
-  st.tombstones.clear();
-  const std::uint64_t n_tomb = r.get_u64();
-  for (std::uint64_t i = 0; i < n_tomb; ++i) {
-    st.tombstones.push_back(get_allocation(r));
-  }
-
-  st.findings.clear();
-  const std::uint64_t n_find = r.get_u64();
-  for (std::uint64_t i = 0; i < n_find; ++i) {
-    Finding f;
-    f.kind = static_cast<FindingKind>(r.get_int());
-    f.severity = static_cast<Severity>(r.get_int());
-    f.op = r.get_string();
-    f.message = r.get_string();
-    f.allocation = r.get_string();
-    f.base = static_cast<std::uintptr_t>(r.get_u64());
-    f.offset = static_cast<std::size_t>(r.get_u64());
-    f.bytes = static_cast<std::size_t>(r.get_u64());
-    f.stream_a = r.get_int();
-    f.stream_b = r.get_int();
-    f.device = r.get_int();
-    f.time_start = r.get_u64();
-    f.time_finish = r.get_u64();
-    st.findings.push_back(std::move(f));
-  }
-
-  for (std::size_t& c : st.counts) c = static_cast<std::size_t>(r.get_u64());
-
-  st.dedupe.clear();
-  const std::uint64_t n_keys = r.get_u64();
-  for (std::uint64_t i = 0; i < n_keys; ++i) st.dedupe.insert(r.get_string());
-
-  st.last_host_base = static_cast<std::uintptr_t>(r.get_u64());
-  st.last_host_write = r.get_bool();
-  st.last_host_comp = r.get_u64();
-
-  // The generation counter is process-local; the restore target is the live
-  // world, not the numeric value at capture time.
-  st.world_gen = sim::Platform::generation();
-  ensure_world(st);
 }
+
+template void snapshot_fields(sim::SnapshotWriter&);
+template void snapshot_fields(sim::SnapshotReader&);
 
 }  // namespace tidacc::cuem::san
 

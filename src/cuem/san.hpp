@@ -36,7 +36,6 @@
 
 #include "common/error.hpp"
 #include "cuem/registry.hpp"
-#include "sim/snapshot.hpp"
 
 namespace tidacc::cuem::san {
 
@@ -97,6 +96,12 @@ struct Finding {
   int device = -1;
   std::uint64_t time_start = 0;
   std::uint64_t time_finish = 0;
+
+  template <typename Ar>
+  void fields(Ar& ar) {
+    ar(kind, severity, op, message, allocation, base, offset, bytes,
+       stream_a, stream_b, device, time_start, time_finish);
+  }
 };
 
 struct Options {
@@ -124,6 +129,11 @@ struct BoxShape {
   std::size_t depth = 1;
   std::size_t row_pitch = 0;
   std::size_t slice_pitch = 0;
+
+  template <typename Ar>
+  void fields(Ar& ar) {
+    ar(offset, width, height, depth, row_pitch, slice_pitch);
+  }
 };
 
 #ifdef TIDACC_CUEM_SANITIZER
@@ -213,15 +223,15 @@ void on_device_reset();
 
 }  // namespace hook
 
-// --- snapshot/restore (see docs/FUZZING.md) ---
+// --- snapshot (see docs/FUZZING.md) ---
 
-/// Serializes the full sanitizer state: options, shadow allocation map with
-/// access histories, tombstones, findings, counters, and the dedupe set.
-/// Writes an "active" flag first so a restore into a build with the
-/// sanitizer compiled out (or disabled) fails with a clear error instead of
-/// desynchronizing.
-void snapshot_capture(sim::SnapshotWriter& w);
-void snapshot_restore(sim::SnapshotReader& r);
+/// Snapshot field list (sim/snapshot.hpp) of the full sanitizer state:
+/// options, shadow allocation map with access histories, tombstones,
+/// findings, counters, and the dedupe set. The "active" flag comes first so
+/// a restore into a build with the sanitizer compiled out (or disabled)
+/// fails with a clear error instead of desynchronizing.
+template <typename Ar>
+void snapshot_fields(Ar& ar);
 
 #else  // !TIDACC_CUEM_SANITIZER — everything compiles to nothing.
 
@@ -264,17 +274,15 @@ inline void on_stream_destroy_pending(int) {}
 inline void on_device_reset() {}
 }  // namespace hook
 
-/// Snapshot stubs keep the on-disk format symmetric between builds: capture
-/// writes an inactive "san" section; restore accepts only inactive ones and
-/// fails loudly when the snapshot carries sanitizer state this build cannot
-/// reinstate.
-inline void snapshot_capture(sim::SnapshotWriter& w) {
-  w.section("san");
-  w.put_bool(false);
-}
-inline void snapshot_restore(sim::SnapshotReader& r) {
-  r.section("san");
-  const bool active = r.get_bool();
+/// The snapshot stub keeps the on-disk format symmetric between builds:
+/// capture writes an inactive "san" section; restore accepts only inactive
+/// ones and fails loudly when the snapshot carries sanitizer state this
+/// build cannot reinstate.
+template <typename Ar>
+void snapshot_fields(Ar& ar) {
+  ar.section("san");
+  bool active = false;
+  ar(active);
   TIDACC_CHECK_MSG(
       !active,
       "snapshot was captured with the cuem-sanitizer active but this build "

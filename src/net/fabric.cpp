@@ -398,130 +398,46 @@ const Fabric::Mr& Fabric::checked_mr(MrId mr, std::size_t off,
   return m;
 }
 
-void Fabric::capture(SnapshotWriter& w) const {
-  w.section("fabric");
-  w.put_string(cfg_.name);
-  w.put_int(num_nodes_);
-  w.put_int(devices_per_node_);
-  w.put_u64_vec(tx_);
-  w.put_u64_vec(rx_);
-  w.put_u64(qps_.size());
-  for (const Qp& q : qps_) {
-    w.put_int(q.local);
-    w.put_int(q.remote);
-    w.put_int(q.stream);
-    w.put_bool(q.alive);
-    w.put_u64(q.recv_queue.size());
-    for (const Qp::RecvDesc& d : q.recv_queue) {
-      w.put_int(d.mr);
-      w.put_u64(d.off);
-      w.put_u64(d.capacity);
-    }
-    w.put_int_vec(q.outstanding);
-  }
-  w.put_u64(mrs_.size());
-  for (const Mr& m : mrs_) {
-    w.put_u64(static_cast<std::uint64_t>(m.base));
-    w.put_u64(m.bytes);
-    w.put_int(m.node);
-    w.put_bool(m.device);
-    w.put_bool(m.alive);
-  }
-  w.put_u64(wrs_.size());
-  for (const Wr& wr : wrs_) {
-    w.put_int(wr.qp);
-    w.put_int(wr.event);
-    w.put_int(static_cast<int>(wr.kind));
-    w.put_u64(wr.bytes);
-    w.put_bool(wr.reaped);
-  }
-  w.put_u64(counters_.sends);
-  w.put_u64(counters_.rdma_reads);
-  w.put_u64(counters_.rdma_writes);
-  w.put_u64(counters_.net_bytes);
-  w.put_u64(counters_.gpudirect_bytes);
-  w.put_u64(counters_.net_wire_bytes);
-  w.put_u64(counters_.compressed_wrs);
-}
-
-void Fabric::restore(SnapshotReader& r) {
-  r.section("fabric");
-  const std::string name = r.get_string();
-  const int nodes = r.get_int();
-  const int dpn = r.get_int();
-  TIDACC_CHECK_MSG(
-      name == cfg_.name && nodes == num_nodes_ && dpn == devices_per_node_,
-      "snapshot: fabric configuration mismatch (snapshot was '" + name +
-          "' x" + std::to_string(nodes) + ", live fabric is '" + cfg_.name +
-          "' x" + std::to_string(num_nodes_) + ")");
-  tx_ = r.get_u64_vec();
-  rx_ = r.get_u64_vec();
-  TIDACC_CHECK_MSG(tx_.size() == static_cast<size_t>(num_nodes_) &&
-                       rx_.size() == static_cast<size_t>(num_nodes_),
-                   "snapshot: fabric lane table size mismatch");
-  const std::uint64_t nqp = r.get_u64();
-  std::vector<Qp> qps;
-  qps.reserve(nqp);
-  for (std::uint64_t i = 0; i < nqp; ++i) {
-    Qp q;
-    q.local = r.get_int();
-    q.remote = r.get_int();
-    q.stream = r.get_int();
-    q.alive = r.get_bool();
+template <typename Ar>
+void Fabric::fields(Ar& ar) {
+  ar.section("fabric");
+  ar.expect(std::tuple(cfg_.name, num_nodes_, devices_per_node_),
+            [this](const auto& snap) {
+              return "snapshot: fabric configuration mismatch (snapshot was '" +
+                     std::get<0>(snap) + "' x" +
+                     std::to_string(std::get<1>(snap)) +
+                     ", live fabric is '" + cfg_.name + "' x" +
+                     std::to_string(num_nodes_) + ")";
+            });
+  ar(tx_, rx_);
+  ar.check(tx_.size() == static_cast<size_t>(num_nodes_) &&
+               rx_.size() == static_cast<size_t>(num_nodes_),
+           "snapshot: fabric lane table size mismatch");
+  // Restore reads the QP and WR tables aside and swaps them in together
+  // once both are whole and the QP streams check out: the destructor
+  // walks each QP's outstanding requests in the WR table, so a restore
+  // that fails part way must leave the live pair.
+  std::vector<Qp> restored_qps;
+  std::vector<Wr> restored_wrs;
+  std::vector<Qp>& qps = Ar::kRestoring ? restored_qps : qps_;
+  std::vector<Wr>& wrs = Ar::kRestoring ? restored_wrs : wrs_;
+  ar(qps, mrs_, wrs, counters_);
+  if constexpr (Ar::kRestoring) {
     // QP streams are platform state: the platform restore reinstates the
     // stream tables, so the live handles must match what was captured —
     // anything else means the fabric was rebuilt between capture and
     // restore.
-    TIDACC_CHECK_MSG(i < qps_.size() &&
-                         qps_[static_cast<size_t>(i)].stream == q.stream,
-                     "snapshot: fabric QP stream mismatch — the live "
-                     "fabric does not match the capturing one");
-    const std::uint64_t nrecv = r.get_u64();
-    q.recv_queue.reserve(nrecv);
-    for (std::uint64_t j = 0; j < nrecv; ++j) {
-      Qp::RecvDesc d;
-      d.mr = r.get_int();
-      d.off = r.get_u64();
-      d.capacity = r.get_u64();
-      q.recv_queue.push_back(d);
+    for (std::size_t i = 0; i < qps.size(); ++i) {
+      TIDACC_CHECK_MSG(i < qps_.size() && qps_[i].stream == qps[i].stream,
+                       "snapshot: fabric QP stream mismatch — the live "
+                       "fabric does not match the capturing one");
     }
-    q.outstanding = r.get_int_vec();
-    qps.push_back(std::move(q));
+    qps_.swap(restored_qps);
+    wrs_.swap(restored_wrs);
   }
-  qps_ = std::move(qps);
-  const std::uint64_t nmr = r.get_u64();
-  std::vector<Mr> mrs;
-  mrs.reserve(nmr);
-  for (std::uint64_t i = 0; i < nmr; ++i) {
-    Mr m;
-    m.base = static_cast<std::uintptr_t>(r.get_u64());
-    m.bytes = r.get_u64();
-    m.node = r.get_int();
-    m.device = r.get_bool();
-    m.alive = r.get_bool();
-    mrs.push_back(m);
-  }
-  mrs_ = std::move(mrs);
-  const std::uint64_t nwr = r.get_u64();
-  std::vector<Wr> wrs;
-  wrs.reserve(nwr);
-  for (std::uint64_t i = 0; i < nwr; ++i) {
-    Wr wr;
-    wr.qp = r.get_int();
-    wr.event = r.get_int();
-    wr.kind = static_cast<OpKind>(r.get_int());
-    wr.bytes = r.get_u64();
-    wr.reaped = r.get_bool();
-    wrs.push_back(wr);
-  }
-  wrs_ = std::move(wrs);
-  counters_.sends = r.get_u64();
-  counters_.rdma_reads = r.get_u64();
-  counters_.rdma_writes = r.get_u64();
-  counters_.net_bytes = r.get_u64();
-  counters_.gpudirect_bytes = r.get_u64();
-  counters_.net_wire_bytes = r.get_u64();
-  counters_.compressed_wrs = r.get_u64();
 }
+
+template void Fabric::fields(SnapshotWriter&);
+template void Fabric::fields(SnapshotReader&);
 
 }  // namespace tidacc::sim

@@ -46,9 +46,6 @@
 
 namespace tidacc::sim {
 
-class SnapshotReader;
-class SnapshotWriter;
-
 using QpId = int;
 using MrId = int;
 using WrId = int;
@@ -65,6 +62,12 @@ struct FabricCounters {
   std::uint64_t net_wire_bytes = 0;
   std::uint64_t compressed_wrs = 0;  ///< work requests that carried
                                      ///< codec-compressed payload
+
+  template <typename Ar>
+  void fields(Ar& ar) {
+    ar(sends, rdma_reads, rdma_writes, net_bytes, gpudirect_bytes,
+       net_wire_bytes, compressed_wrs);
+  }
 };
 
 class Fabric {
@@ -186,12 +189,12 @@ class Fabric {
 
   // --- snapshot ---
 
-  /// Serializes lanes, QP/MR/WR tables, receive queues and counters. The
-  /// QP streams themselves are platform state and must be captured (and
-  /// restored) alongside via Platform::capture; restore cross-checks the
+  /// Snapshot field list (sim/snapshot.hpp): lanes, QP/MR/WR tables,
+  /// receive queues and counters. The QP streams themselves are platform
+  /// state and ride in the platform's snapshot; restore cross-checks the
   /// stream ids and the config fingerprint.
-  void capture(SnapshotWriter& w) const;
-  void restore(SnapshotReader& r);
+  template <typename Ar>
+  void fields(Ar& ar);
 
  private:
   struct Qp {
@@ -208,10 +211,20 @@ class Fabric {
       /// Transient analysis state: deliberately not snapshotted; resets to
       /// -1 on restore.
       int graph_node = -1;
+
+      template <typename Ar>
+      void fields(Ar& ar) {
+        ar(mr, off, capacity);
+      }
     };
     std::vector<RecvDesc> recv_queue;
     /// Outstanding (posted, not yet reaped) work requests, oldest first.
     std::vector<WrId> outstanding;
+
+    template <typename Ar>
+    void fields(Ar& ar) {
+      ar(local, remote, stream, alive, recv_queue, outstanding);
+    }
   };
   struct Mr {
     std::uintptr_t base = 0;
@@ -219,6 +232,11 @@ class Fabric {
     int node = 0;
     bool device = false;
     bool alive = false;
+
+    template <typename Ar>
+    void fields(Ar& ar) {
+      ar(base, bytes, node, device, alive);
+    }
   };
   struct Wr {
     QpId qp = -1;
@@ -229,6 +247,11 @@ class Fabric {
     /// OpGraph node of the wire op (kCq edge source). Transient analysis
     /// state: not snapshotted, resets to -1 on restore.
     int graph_node = -1;
+
+    template <typename Ar>
+    void fields(Ar& ar) {
+      ar(qp, event, kind, bytes, reaped);
+    }
   };
 
   const Qp& checked_qp(QpId qp) const;

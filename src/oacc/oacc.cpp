@@ -187,48 +187,30 @@ void wait(QueueId queue) {
 
 void wait_all() { acc_check(cuemDeviceSynchronize(), "acc wait"); }
 
-void snapshot_capture(sim::SnapshotWriter& w) {
-  w.section("oacc");
-  const AccState& s = state();
-  w.put_int(static_cast<int>(s.mode));
-  w.put_u64(s.present.size());
-  for (const auto& [host_base, entry] : s.present) {
-    w.put_u64(static_cast<std::uint64_t>(host_base));
-    w.put_u64(entry.bytes);
-    w.put_u64(reinterpret_cast<std::uint64_t>(entry.device));
-    w.put_int(entry.refcount);
+template <typename Ar>
+void snapshot_fields(Ar& ar) {
+  ar.section("oacc");
+  AccState& s = state();
+  std::vector<PresentEntry> present;
+  if constexpr (!Ar::kRestoring) {
+    for (const auto& kv : s.present) {
+      present.push_back(kv.second);
+    }
   }
-  w.put_u64(s.queues.size());
-  for (const auto& [key, stream] : s.queues) {
-    w.put_int(key.first);
-    w.put_int(key.second);
-    w.put_int(stream);
+  ar(s.mode, present, s.queues);
+  if constexpr (Ar::kRestoring) {
+    // insert() re-validates every range as it rebuilds the table.
+    s.present.clear();
+    for (const PresentEntry& e : present) {
+      s.present.insert(reinterpret_cast<void*>(e.host_base), e.bytes,
+                       e.device).refcount = e.refcount;
+    }
+    s.generation = sim::Platform::generation();
   }
 }
 
-void snapshot_restore(sim::SnapshotReader& r) {
-  r.section("oacc");
-  AccState& s = state();
-  s.mode = static_cast<MemMode>(r.get_int());
-  s.present.clear();
-  const std::uint64_t n_present = r.get_u64();
-  for (std::uint64_t i = 0; i < n_present; ++i) {
-    const auto host_base = reinterpret_cast<void*>(r.get_u64());
-    const auto bytes = static_cast<std::size_t>(r.get_u64());
-    const auto device = reinterpret_cast<void*>(r.get_u64());
-    const int refcount = r.get_int();
-    s.present.insert(host_base, bytes, device).refcount = refcount;
-  }
-  s.queues.clear();
-  const std::uint64_t n_queues = r.get_u64();
-  for (std::uint64_t i = 0; i < n_queues; ++i) {
-    const int device = r.get_int();
-    const QueueId queue = r.get_int();
-    const cuemStream_t stream = r.get_int();
-    s.queues.emplace(std::make_pair(device, queue), stream);
-  }
-  s.generation = sim::Platform::generation();
-}
+template void snapshot_fields(sim::SnapshotWriter&);
+template void snapshot_fields(sim::SnapshotReader&);
 
 void enter_data_copyin(void* host, std::size_t bytes, QueueId queue) {
   enter_clause(DataClause{host, bytes, ClauseKind::kCopyIn}, queue);

@@ -69,12 +69,12 @@ void wait_all();
 
 // --- snapshot (see docs/FUZZING.md) ---
 
-/// Serializes the runtime state: memory mode, present table and the
-/// queue→stream map. Device pointers and stream handles are same-process
-/// values; restore assumes the cuem layer was restored first so both are
-/// live again.
-void snapshot_capture(sim::SnapshotWriter& w);
-void snapshot_restore(sim::SnapshotReader& r);
+/// Snapshot field list (sim/snapshot.hpp) of the runtime state: memory
+/// mode, present table and the queue→stream map. Device pointers and
+/// stream handles are same-process values; restore assumes the cuem layer
+/// was restored first so both are live again.
+template <typename Ar>
+void snapshot_fields(Ar& ar);
 
 // --- data environment ---
 

@@ -15,6 +15,12 @@ struct PresentEntry {
   std::size_t bytes = 0;
   void* device = nullptr;
   int refcount = 0;
+
+  /// Snapshot field list (sim/snapshot.hpp).
+  template <typename Ar>
+  void fields(Ar& ar) {
+    ar(host_base, bytes, device, refcount);
+  }
 };
 
 /// Containment-keyed table of live mappings.

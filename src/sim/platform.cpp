@@ -558,105 +558,35 @@ void Platform::check_device(int d) const {
   TIDACC_CHECK_MSG(device_valid(d), "invalid device ordinal");
 }
 
-namespace {
-
-void put_hb_clocks(SnapshotWriter& w, const std::vector<HbClock>& clocks) {
-  w.put_u64(clocks.size());
-  for (const HbClock& c : clocks) {
-    w.put_u64_vec(c);
-  }
-}
-
-std::vector<HbClock> get_hb_clocks(SnapshotReader& r) {
-  const std::uint64_t n = r.get_u64();
-  std::vector<HbClock> out;
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    out.push_back(r.get_u64_vec());
-  }
-  return out;
-}
-
-}  // namespace
-
-void Platform::capture(SnapshotWriter& w) const {
-  w.section("platform");
+template <typename Ar>
+void Platform::fields(Ar& ar) {
+  ar.section("platform");
   // Configuration fingerprint: enough to reject a restore into a platform
   // whose cost model or engine layout differs from the capturing one.
-  w.put_string(cfg_.name);
-  w.put_int(num_devices_);
-  w.put_int(cfg_.copy_engines);
-  w.put_int(cfg_.compute_lanes);
-  w.put_string(interconnect_.name);
-
-  w.put_bool(functional_);
-  w.put_u64(host_clock_);
-  w.put_u64_vec(stream_avail_);
-  w.put_bool_vec(stream_alive_);
-  w.put_int_vec(stream_device_);
-  w.put_u64(device_lanes_.size());
-  for (const EngineLanes& el : device_lanes_) {
-    for (int e = 0; e < kNumEngines; ++e) {
-      w.put_u64_vec(el.lanes[e]);
-    }
-  }
-  w.put_u64_vec(events_);
-  w.put_bool(hb_enabled_);
-  w.put_u64_vec(hb_host_);
-  put_hb_clocks(w, hb_streams_);
-  put_hb_clocks(w, hb_events_);
-  w.put_u64_vec(hb_last_op_);
-  w.put_u64(last_op_start_);
-  w.put_u64(last_op_finish_);
-  w.put_u64(jitter_max_ns_);
-  w.put_u64(jitter_state_);
-  trace_.capture(w);
+  ar.expect(std::tuple(cfg_.name, num_devices_, cfg_.copy_engines,
+                       cfg_.compute_lanes, interconnect_.name),
+            [this](const auto& snap) {
+              return "snapshot: platform configuration mismatch (snapshot "
+                     "was taken on '" +
+                     std::get<0>(snap) + "' x" +
+                     std::to_string(std::get<1>(snap)) + " over " +
+                     std::get<4>(snap) + ", live platform is '" + cfg_.name +
+                     "' x" + std::to_string(num_devices_) + " over " +
+                     interconnect_.name + ")";
+            });
+  ar(functional_, host_clock_, stream_avail_, stream_alive_, stream_device_);
+  ar.check(stream_alive_.size() == stream_avail_.size() &&
+               stream_device_.size() == stream_avail_.size(),
+           "snapshot: inconsistent stream tables");
+  ar(device_lanes_);
+  ar.check(device_lanes_.size() == static_cast<std::size_t>(num_devices_),
+           "snapshot: engine-lane table device count mismatch");
+  ar(events_, hb_enabled_, hb_host_, hb_streams_, hb_events_, hb_last_op_,
+     last_op_start_, last_op_finish_, jitter_max_ns_, jitter_state_, trace_);
 }
 
-void Platform::restore(SnapshotReader& r) {
-  r.section("platform");
-  const std::string cfg_name = r.get_string();
-  const int num_devices = r.get_int();
-  const int copy_engines = r.get_int();
-  const int compute_lanes = r.get_int();
-  const std::string ic_name = r.get_string();
-  TIDACC_CHECK_MSG(
-      cfg_name == cfg_.name && num_devices == num_devices_ &&
-          copy_engines == cfg_.copy_engines &&
-          compute_lanes == cfg_.compute_lanes && ic_name == interconnect_.name,
-      "snapshot: platform configuration mismatch (snapshot was taken on '" +
-          cfg_name + "' x" + std::to_string(num_devices) + " over " + ic_name +
-          ", live platform is '" + cfg_.name + "' x" +
-          std::to_string(num_devices_) + " over " + interconnect_.name + ")");
-
-  functional_ = r.get_bool();
-  host_clock_ = r.get_u64();
-  stream_avail_ = r.get_u64_vec();
-  stream_alive_ = r.get_bool_vec();
-  stream_device_ = r.get_int_vec();
-  TIDACC_CHECK_MSG(stream_alive_.size() == stream_avail_.size() &&
-                       stream_device_.size() == stream_avail_.size(),
-                   "snapshot: inconsistent stream tables");
-  const std::uint64_t ndev = r.get_u64();
-  TIDACC_CHECK_MSG(ndev == static_cast<std::uint64_t>(num_devices_),
-                   "snapshot: engine-lane table device count mismatch");
-  for (EngineLanes& el : device_lanes_) {
-    for (int e = 0; e < kNumEngines; ++e) {
-      el.lanes[e] = r.get_u64_vec();
-    }
-  }
-  events_ = r.get_u64_vec();
-  hb_enabled_ = r.get_bool();
-  hb_host_ = r.get_u64_vec();
-  hb_streams_ = get_hb_clocks(r);
-  hb_events_ = get_hb_clocks(r);
-  hb_last_op_ = r.get_u64_vec();
-  last_op_start_ = r.get_u64();
-  last_op_finish_ = r.get_u64();
-  jitter_max_ns_ = r.get_u64();
-  jitter_state_ = r.get_u64();
-  trace_.restore(r);
-}
+template void Platform::fields(SnapshotWriter&);
+template void Platform::fields(SnapshotReader&);
 
 Platform& Platform::instance() {
   if (!g_instance) {

@@ -36,8 +36,6 @@
 namespace tidacc::sim {
 
 class OpGraph;
-class SnapshotReader;
-class SnapshotWriter;
 
 using StreamId = int;  ///< streams 0..N-1 are the per-device default
                        ///< streams, created at construction (N = device
@@ -303,17 +301,15 @@ class Platform {
 
   // --- snapshot ---
 
-  /// Serializes the complete platform state (clocks, engine lanes, streams,
-  /// events, vector clocks, trace, jitter stream) into `w`. Byte-exact:
-  /// capture → restore → capture reproduces the same buffer.
-  void capture(SnapshotWriter& w) const;
-
-  /// Reinstates a captured state in place. The live platform must have a
-  /// compatible configuration (same device config name, device count,
-  /// engine/lane layout and interconnect); restore refuses mismatches with
+  /// Snapshot field list (sim/snapshot.hpp): the complete platform state
+  /// (clocks, engine lanes, streams, events, vector clocks, trace, jitter
+  /// stream). Restore reinstates it in place; the live platform must have
+  /// a compatible configuration (same device config name, device count,
+  /// engine/lane layout and interconnect), and a mismatch is refused with
   /// a clear error rather than resurrecting a world the cost model cannot
   /// have produced.
-  void restore(SnapshotReader& r);
+  template <typename Ar>
+  void fields(Ar& ar);
 
   // --- process-wide instance used by the cuem C API ---
 
@@ -365,6 +361,11 @@ class Platform {
   /// concurrent lanes; DMA engines have one each).
   struct EngineLanes {
     std::vector<SimTime> lanes[kNumEngines];
+
+    template <typename Ar>
+    void fields(Ar& ar) {
+      ar(lanes);
+    }
   };
   std::vector<EngineLanes> device_lanes_;
   std::vector<SimTime> events_;

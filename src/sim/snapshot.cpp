@@ -24,52 +24,15 @@ void SnapshotWriter::put_u64(std::uint64_t v) {
   }
 }
 
-void SnapshotWriter::put_i64(std::int64_t v) {
-  put_u64(static_cast<std::uint64_t>(v));
-}
-
-void SnapshotWriter::put_f64(double v) {
-  static_assert(sizeof(double) == sizeof(std::uint64_t));
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(bits);
-}
-
-void SnapshotWriter::put_string(const std::string& s) {
-  put_u64(s.size());
-  buf_.insert(buf_.end(), s.begin(), s.end());
-}
-
 void SnapshotWriter::put_blob(const void* data, std::size_t n) {
   put_u64(n);
   const auto* p = static_cast<const std::uint8_t*>(data);
   buf_.insert(buf_.end(), p, p + n);
 }
 
-void SnapshotWriter::put_u64_vec(const std::vector<std::uint64_t>& v) {
-  put_u64(v.size());
-  for (std::uint64_t x : v) {
-    put_u64(x);
-  }
-}
-
-void SnapshotWriter::put_int_vec(const std::vector<int>& v) {
-  put_u64(v.size());
-  for (int x : v) {
-    put_i64(x);
-  }
-}
-
-void SnapshotWriter::put_bool_vec(const std::vector<bool>& v) {
-  put_u64(v.size());
-  for (bool x : v) {
-    put_u8(x ? 1 : 0);
-  }
-}
-
 void SnapshotWriter::section(const std::string& tag) {
   put_u32(kSectionMagic);
-  put_string(tag);
+  put(tag);
 }
 
 void SnapshotReader::need(std::size_t n) const {
@@ -102,19 +65,8 @@ std::uint64_t SnapshotReader::get_u64() {
   return v;
 }
 
-std::int64_t SnapshotReader::get_i64() {
-  return static_cast<std::int64_t>(get_u64());
-}
-
-double SnapshotReader::get_f64() {
-  const std::uint64_t bits = get_u64();
-  double v = 0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
 int SnapshotReader::get_int() {
-  const std::int64_t v = get_i64();
+  const auto v = static_cast<std::int64_t>(get_u64());
   TIDACC_CHECK_MSG(v >= INT32_MIN && v <= INT32_MAX,
                    "snapshot: int field out of range");
   return static_cast<int>(v);
@@ -128,14 +80,6 @@ std::string SnapshotReader::get_string() {
   return s;
 }
 
-std::vector<std::uint8_t> SnapshotReader::get_blob() {
-  const std::uint64_t n = get_u64();
-  need(n);
-  std::vector<std::uint8_t> out(data_ + pos_, data_ + pos_ + n);
-  pos_ += n;
-  return out;
-}
-
 void SnapshotReader::get_blob_into(void* out, std::size_t expected) {
   const std::uint64_t n = get_u64();
   TIDACC_CHECK_MSG(n == expected,
@@ -145,36 +89,6 @@ void SnapshotReader::get_blob_into(void* out, std::size_t expected) {
   need(n);
   std::memcpy(out, data_ + pos_, n);
   pos_ += n;
-}
-
-std::vector<std::uint64_t> SnapshotReader::get_u64_vec() {
-  const std::uint64_t n = get_u64();
-  std::vector<std::uint64_t> out;
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    out.push_back(get_u64());
-  }
-  return out;
-}
-
-std::vector<int> SnapshotReader::get_int_vec() {
-  const std::uint64_t n = get_u64();
-  std::vector<int> out;
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    out.push_back(get_int());
-  }
-  return out;
-}
-
-std::vector<bool> SnapshotReader::get_bool_vec() {
-  const std::uint64_t n = get_u64();
-  std::vector<bool> out;
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    out.push_back(get_u8() != 0);
-  }
-  return out;
 }
 
 void SnapshotReader::section(const std::string& tag) {
@@ -189,22 +103,29 @@ void SnapshotReader::section(const std::string& tag) {
                                    "' but found '" + got + "'");
 }
 
+namespace {
+
+template <typename Ar>
+void header_fields(Ar& ar, std::uint32_t& flags) {
+  ar.expect(kSnapshotMagic, "snapshot: bad magic (not a tidacc snapshot)");
+  ar.expect(kSnapshotVersion, [](std::uint32_t version) {
+    return "snapshot: format version " + std::to_string(version) +
+           " unsupported (this build reads version " +
+           std::to_string(kSnapshotVersion) + ")";
+  });
+  ar(flags);
+}
+
+}  // namespace
+
 void snapshot_write_header(SnapshotWriter& w, std::uint32_t flags) {
-  w.put_u32(kSnapshotMagic);
-  w.put_u32(kSnapshotVersion);
-  w.put_u32(flags);
+  header_fields(w, flags);
 }
 
 std::uint32_t snapshot_read_header(SnapshotReader& r) {
-  const std::uint32_t magic = r.get_u32();
-  TIDACC_CHECK_MSG(magic == kSnapshotMagic,
-                   "snapshot: bad magic (not a tidacc snapshot)");
-  const std::uint32_t version = r.get_u32();
-  TIDACC_CHECK_MSG(version == kSnapshotVersion,
-                   "snapshot: format version " + std::to_string(version) +
-                       " unsupported (this build reads version " +
-                       std::to_string(kSnapshotVersion) + ")");
-  return r.get_u32();
+  std::uint32_t flags = 0;
+  header_fields(r, flags);
+  return flags;
 }
 
 }  // namespace tidacc::sim

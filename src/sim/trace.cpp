@@ -6,7 +6,6 @@
 #include <tuple>
 
 #include "common/error.hpp"
-#include "sim/snapshot.hpp"
 
 namespace tidacc::sim {
 
@@ -200,92 +199,6 @@ void Trace::clear() {
   events_.clear();
   warnings_.clear();
   stats_ = TraceStats{};
-}
-
-void Trace::capture(SnapshotWriter& w) const {
-  w.section("trace");
-  w.put_bool(recording_);
-  w.put_u64(stats_.h2d_bytes);
-  w.put_u64(stats_.d2h_bytes);
-  w.put_u64(stats_.prefetch_h2d_bytes);
-  w.put_u64(stats_.memcpy3d_h2d_bytes);
-  w.put_u64(stats_.memcpy3d_d2h_bytes);
-  w.put_u64(stats_.p2p_bytes);
-  w.put_u64(stats_.net_bytes);
-  w.put_u64(stats_.num_kernels);
-  w.put_u64(stats_.num_copies);
-  w.put_u64(stats_.num_net_ops);
-  w.put_u64(stats_.compute_busy);
-  w.put_u64(stats_.copy_busy);
-  w.put_u64(stats_.nic_busy);
-  w.put_u64(stats_.makespan);
-  w.put_u64(stats_.comp_h2d_bytes);
-  w.put_u64(stats_.comp_d2h_bytes);
-  w.put_u64(stats_.comp_h2d_wire_bytes);
-  w.put_u64(stats_.comp_d2h_wire_bytes);
-  w.put_u64(stats_.num_warnings);
-  w.put_u64(warnings_.size());
-  for (const std::string& msg : warnings_) {
-    w.put_string(msg);
-  }
-  w.put_u64(events_.size());
-  for (const TraceEvent& ev : events_) {
-    w.put_int(static_cast<int>(ev.engine));
-    w.put_int(ev.stream);
-    w.put_int(static_cast<int>(ev.kind));
-    w.put_u64(ev.start);
-    w.put_u64(ev.finish);
-    w.put_u64(ev.bytes);
-    w.put_string(ev.label);
-    w.put_int(ev.device);
-    w.put_u64(ev.wire_bytes);
-  }
-}
-
-void Trace::restore(SnapshotReader& r) {
-  r.section("trace");
-  recording_ = r.get_bool();
-  stats_.h2d_bytes = r.get_u64();
-  stats_.d2h_bytes = r.get_u64();
-  stats_.prefetch_h2d_bytes = r.get_u64();
-  stats_.memcpy3d_h2d_bytes = r.get_u64();
-  stats_.memcpy3d_d2h_bytes = r.get_u64();
-  stats_.p2p_bytes = r.get_u64();
-  stats_.net_bytes = r.get_u64();
-  stats_.num_kernels = r.get_u64();
-  stats_.num_copies = r.get_u64();
-  stats_.num_net_ops = r.get_u64();
-  stats_.compute_busy = r.get_u64();
-  stats_.copy_busy = r.get_u64();
-  stats_.nic_busy = r.get_u64();
-  stats_.makespan = r.get_u64();
-  stats_.comp_h2d_bytes = r.get_u64();
-  stats_.comp_d2h_bytes = r.get_u64();
-  stats_.comp_h2d_wire_bytes = r.get_u64();
-  stats_.comp_d2h_wire_bytes = r.get_u64();
-  stats_.num_warnings = r.get_u64();
-  const std::uint64_t nwarn = r.get_u64();
-  warnings_.clear();
-  warnings_.reserve(nwarn);
-  for (std::uint64_t i = 0; i < nwarn; ++i) {
-    warnings_.push_back(r.get_string());
-  }
-  const std::uint64_t n = r.get_u64();
-  events_.clear();
-  events_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    TraceEvent ev;
-    ev.engine = static_cast<EngineId>(r.get_int());
-    ev.stream = r.get_int();
-    ev.kind = static_cast<OpKind>(r.get_int());
-    ev.start = r.get_u64();
-    ev.finish = r.get_u64();
-    ev.bytes = r.get_u64();
-    ev.label = r.get_string();
-    ev.device = r.get_int();
-    ev.wire_bytes = r.get_u64();
-    events_.push_back(std::move(ev));
-  }
 }
 
 std::string Trace::render_gantt(int columns) const {

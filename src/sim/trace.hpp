@@ -92,6 +92,12 @@ struct TraceEvent {
   /// Bytes that actually crossed the link for compressed kinds; 0 for raw
   /// operations (wire == bytes).
   std::uint64_t wire_bytes = 0;
+
+  /// Snapshot field list (sim/snapshot.hpp).
+  template <typename Ar>
+  void fields(Ar& ar) {
+    ar(engine, stream, kind, start, finish, bytes, label, device, wire_bytes);
+  }
 };
 
 /// Aggregate counters over a trace interval.
@@ -129,10 +135,16 @@ struct TraceStats {
   /// cluster out-of-core host-exchange fallback) — visible even when event
   /// recording is off.
   std::uint64_t num_warnings = 0;
-};
 
-class SnapshotReader;
-class SnapshotWriter;
+  template <typename Ar>
+  void fields(Ar& ar) {
+    ar(h2d_bytes, d2h_bytes, prefetch_h2d_bytes, memcpy3d_h2d_bytes,
+       memcpy3d_d2h_bytes, p2p_bytes, net_bytes, num_kernels, num_copies,
+       num_net_ops, compute_busy, copy_busy, nic_busy, makespan,
+       comp_h2d_bytes, comp_d2h_bytes, comp_h2d_wire_bytes,
+       comp_d2h_wire_bytes, num_warnings);
+  }
+};
 
 /// Append-only recorder. Recording can be disabled for long timing-only
 /// benches where only the aggregate counters matter.
@@ -164,10 +176,12 @@ class Trace {
 
   void clear();
 
-  /// Serializes recording flag, counters and events into `w` /
-  /// reinstates them from `r` (byte-exact round trip).
-  void capture(SnapshotWriter& w) const;
-  void restore(SnapshotReader& r);
+  /// Snapshot field list: recording flag, counters, warnings and events.
+  template <typename Ar>
+  void fields(Ar& ar) {
+    ar.section("trace");
+    ar(recording_, stats_, warnings_, events_);
+  }
 
   const std::vector<TraceEvent>& events() const { return events_; }
   const TraceStats& stats() const { return stats_; }

@@ -17,6 +17,12 @@ struct Box {
   Index3 lo{0, 0, 0};
   Index3 hi{-1, -1, -1};  // default: empty
 
+  /// Snapshot field list (sim/snapshot.hpp).
+  template <typename Ar>
+  void fields(Ar& ar) {
+    ar(lo, hi);
+  }
+
   /// Box covering [0, n) in each dimension.
   static Box from_extents(const Index3& n) {
     return Box{{0, 0, 0}, {n.i - 1, n.j - 1, n.k - 1}};

@@ -18,6 +18,12 @@ struct Index3 {
 
   friend constexpr bool operator==(const Index3&, const Index3&) = default;
 
+  /// Snapshot field list (sim/snapshot.hpp).
+  template <typename Ar>
+  void fields(Ar& ar) {
+    ar(i, j, k);
+  }
+
   constexpr Index3 operator+(const Index3& o) const {
     return {i + o.i, j + o.j, k + o.k};
   }

@@ -649,6 +649,49 @@ TEST_F(ClusterTest, CaptureRestoreReplaysIdentically) {
   EXPECT_EQ(first.second, second.second);
 }
 
+TEST_F(ClusterTest, RestoreCutShortKeepsTheLiveFabricTables) {
+  // The fabric's destructor waits for each queue pair's outstanding
+  // requests, looked up in its work-request table. A restore that fails
+  // inside that table must leave the live queue pairs and requests
+  // paired: roll the fabric back to an early snapshot with few requests,
+  // then restore a later one cut short inside its request table, and let
+  // the array go out of scope.
+  ClusterTileArray<double> u(Box::cube(16), Index3{16, 16, 2}, 1,
+                             two_nodes(NetPath::kStaged));
+  u.fill(pattern);
+  for (int r = 0; r < u.num_regions(); ++r) {
+    u.acquire_on_device(r);
+  }
+  const auto capture = [&u] {
+    sim::SnapshotWriter w;
+    world_capture(w);
+    u.capture(w);
+    return w.take();
+  };
+  const std::vector<std::uint8_t> early = capture();
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    u.exchange_begin(Boundary::kPeriodic);
+    u.exchange_end();
+  }
+  const std::vector<std::uint8_t> late = capture();
+  {
+    sim::SnapshotReader r(early);
+    world_restore(r);
+    u.restore(r);
+  }
+  // The cluster's tail after the request table (fabric counters, MR
+  // cache, wire flags, exchange counters) is under 300 bytes here.
+  const std::size_t cut = late.size() - 300;
+  const std::string tag = "fabric";
+  const auto fabric_at =
+      std::search(late.begin(), late.end(), tag.begin(), tag.end());
+  ASSERT_NE(fabric_at, late.end());
+  ASSERT_GT(cut, static_cast<std::size_t>(fabric_at - late.begin()));
+  sim::SnapshotReader r(late.data(), cut);
+  world_restore(r);
+  EXPECT_THROW(u.restore(r), Error);
+}
+
 TEST_F(ClusterTest, WireIndexWorkChargedOncePerLayoutAndBoundary) {
   // Two arrays on one layout share its cross-node wire groups: the first
   // exchange under a boundary, by either array, pays their index work (and

@@ -5,7 +5,7 @@
 //
 // Outer loop: draw *world* knobs (slot policy, delta transfers, slot
 // budget, device count, node count, fabric preset, transfer compression
-// policy, sibling array) from the seed, build a
+// policy, sibling array, ghost width) from the seed, build a
 // fresh world, run a warmup step, and capture one snapshot (world +
 // arrays). Inner loop: restore the snapshot, draw *dynamic* knobs (transfer
 // jitter, prefetch depth, region visit order, residency-ordered traversal,
@@ -97,6 +97,11 @@ struct WorldKnobs {
   // A second array on the same layout (and options), stepped after the
   // first each step and captured and restored with it.
   bool sibling = false;
+  // Ghost width: 1, or one more than the slab thickness, so every region
+  // is thinner than its ghost and one source feeds several neighbours
+  // (and, on cluster worlds, several wire groups) from the same cells.
+  // The sweep reads only +-1, so either width is legal.
+  int ghost = 1;
 };
 
 // Mutated per iteration on top of a restored snapshot.
@@ -181,6 +186,11 @@ WorldKnobs draw_world(std::uint64_t seed, std::uint64_t config_index,
                       : static_cast<int>(rng.next_below(3));
   // Drawn after everything else for the same reason.
   w.sibling = rng.next_below(2) == 0;
+  // Drawn last, for the same reason. A quarter of the worlds: their
+  // exchanges move several times the bytes, so they cost about twice the
+  // iteration time of a ghost-1 world.
+  const int slab = (w.n + w.regions - 1) / w.regions;
+  w.ghost = rng.next_below(4) == 0 ? slab + 1 : 1;
   return w;
 }
 
@@ -530,6 +540,7 @@ void write_repro(const std::string& path, const WorldKnobs& w,
   f << "net_path=" << core::to_string(w.path) << "\n";
   f << "compression=" << w.compression << "\n";
   f << "sibling=" << (w.sibling ? 1 : 0) << "\n";
+  f << "ghost=" << w.ghost << "\n";
   f << "jitter_max=" << d.jitter_max << "\n";
   f << "jitter_seed=" << d.jitter_seed << "\n";
   f << "prefetch_depth=" << d.prefetch_depth << "\n";
@@ -569,6 +580,7 @@ bool parse_repro(const std::string& path, WorldKnobs& w, DynKnobs& d) {
     else if (key == "net_path") w.path = core::parse_net_path(val);
     else if (key == "compression") w.compression = static_cast<int>(num);
     else if (key == "sibling") w.sibling = num != 0;
+    else if (key == "ghost") w.ghost = static_cast<int>(num);
     else if (key == "jitter_max") d.jitter_max = num;
     else if (key == "jitter_seed") d.jitter_seed = num;
     else if (key == "prefetch_depth") d.prefetch_depth = static_cast<int>(num);
@@ -636,6 +648,7 @@ void write_report(const std::string& path, std::uint64_t seed,
       << "\", \"net_path\": \"" << core::to_string(x.world.path)
       << "\", \"compression\": " << x.world.compression
       << ", \"sibling\": " << (x.world.sibling ? "true" : "false")
+      << ", \"ghost\": " << x.world.ghost
       << ", \"jitter_max\": " << x.dyn.jitter_max
       << ", \"prefetch_depth\": " << x.dyn.prefetch_depth
       << ", \"order_seed\": " << x.dyn.order_seed
@@ -705,11 +718,11 @@ std::shared_ptr<core::MultiAccTileArray<double>> make_array(
   const int slab = (w.n + w.regions - 1) / w.regions;
   if (w.num_devices > 1) {
     return std::make_shared<core::MultiAccTileArray<double>>(
-        tida::Box::cube(w.n), tida::Index3{w.n, w.n, slab}, /*ghost=*/1,
+        tida::Box::cube(w.n), tida::Index3{w.n, w.n, slab}, w.ghost,
         multi_acc_options(w));
   }
   return std::make_shared<AccTileArray<double>>(
-      tida::Box::cube(w.n), tida::Index3{w.n, w.n, slab}, /*ghost=*/1,
+      tida::Box::cube(w.n), tida::Index3{w.n, w.n, slab}, w.ghost,
       acc_options(w));
 }
 
@@ -740,8 +753,8 @@ struct World {
     for (int i = 0; i < (w.sibling ? 2 : 1); ++i) {
       if (w.nodes > 1) {
         cluster.push_back(std::make_unique<core::ClusterTileArray<double>>(
-            tida::Box::cube(w.n), tida::Index3{w.n, w.n, slab},
-            /*ghost=*/1, cluster_options(w)));
+            tida::Box::cube(w.n), tida::Index3{w.n, w.n, slab}, w.ghost,
+            cluster_options(w)));
       } else {
         multi.push_back(make_array(w));
       }
