@@ -284,7 +284,7 @@ void BM_WorldSnapshotRoundTrip(benchmark::State& state) {
   }
   std::size_t bytes = 0;
   for (auto _ : state) {
-    sim::SnapshotWriter w;
+    sim::SnapshotWriter w(bytes);  // the fuzzer's capture reserves the same
     core::world_capture(w);
     u.capture(w);
     const std::vector<std::uint8_t> snap = w.take();

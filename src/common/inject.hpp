@@ -10,6 +10,10 @@
 //     skipping the event edge that orders a re-acquire's H2D after the
 //     in-flight eviction D2H still reading the same host buffer (the
 //     cross-stream race fixed alongside the dynamic slot policies).
+//   ghost_push_race — the streaming exchange (core/streaming_exchange.hpp)
+//     skips a resident destination's wait on its last upload or ghost push
+//     before the host writes its ghost boxes, so the host write races the
+//     previous exchange's push still reading them.
 #pragma once
 
 #include <cstdlib>

@@ -607,8 +607,8 @@ class ClusterTileArray : public MultiAccTileArray<T> {
     // peer copies for cross-device-same-node faces, one replay kernel per
     // device for the rest — with the one-time descriptor build split
     // across the node CPUs.
-    this->exchange_on_devices(bc, same_node, static_cast<SimTime>(nodes_),
-                              sources);
+    this->wait_on(this->exchange_on_devices(
+        bc, same_node, static_cast<SimTime>(nodes_), sources));
   }
 
   /// The data already moved through the base host exchange; charge the

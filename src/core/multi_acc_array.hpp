@@ -614,7 +614,8 @@ class MultiAccTileArray : public tida::TileArray<T> {
       acquire_on_device(r);
     }
     const auto every_peer = [](int, int) { return true; };
-    exchange_on_devices(bc, every_peer, 1, mark_sources(bc, every_peer));
+    wait_on(
+        exchange_on_devices(bc, every_peer, 1, mark_sources(bc, every_peer)));
   }
 
   /// Number of device-side ghost replay kernels launched so far (one per
@@ -913,10 +914,20 @@ class MultiAccTileArray : public tida::TileArray<T> {
 
   /// Sanitizer bookkeeping: the exact byte boxes one planned ghost copy
   /// touches in the source and destination slot buffers (the pinned host
-  /// buffers when `on_host`), per component. Box-precise so concurrent
-  /// copies into *disjoint* ghost shells do not read as racing.
+  /// buffers when `on_host`), per component, by an op on `stream`, or by
+  /// the host when `stream` is -1. Box-precise so concurrent copies into
+  /// *disjoint* ghost shells do not read as racing.
   void note_ghost_copy_access(cuemStream_t stream, const tida::GhostCopy& c,
                               const char* op, bool on_host = false) {
+    const auto note = [stream, op](const void* ptr,
+                                   const cuem::san::BoxShape& box,
+                                   bool write) {
+      if (stream < 0) {
+        cuem::san::note_host_box_access(ptr, box, write, op);
+      } else {
+        cuem::san::note_kernel_box_access(stream, ptr, box, write, op);
+      }
+    };
     const tida::Region<T> src = on_host ? this->region(c.src_region)
                                         : device_region(c.src_region);
     const tida::Region<T> dst = on_host ? this->region(c.dst_region)
@@ -931,14 +942,12 @@ class MultiAccTileArray : public tida::TileArray<T> {
           static_cast<std::size_t>(dst.layout.j_stride) * sizeof(T);
       box.slice_pitch =
           static_cast<std::size_t>(dst.layout.k_stride) * sizeof(T);
-      cuem::san::note_kernel_box_access(stream, &dst.at(c.dst_box.lo, comp),
-                                        box, /*write=*/true, op);
+      note(&dst.at(c.dst_box.lo, comp), box, /*write=*/true);
       box.row_pitch =
           static_cast<std::size_t>(src.layout.j_stride) * sizeof(T);
       box.slice_pitch =
           static_cast<std::size_t>(src.layout.k_stride) * sizeof(T);
-      cuem::san::note_kernel_box_access(stream, &src.at(c.src_box.lo, comp),
-                                        box, /*write=*/false, op);
+      note(&src.at(c.src_box.lo, comp), box, /*write=*/false);
     }
   }
 
@@ -1060,18 +1069,20 @@ class MultiAccTileArray : public tida::TileArray<T> {
   ///     index work.
   ///   * Then the device's replay kernel (replay_descriptors) runs while
   ///     the host moves on to the next device.
-  /// Last, every stream a copy read or wrote through waits on the
-  /// completion event behind that copy, so later kernels neither read
-  /// stale ghosts nor overwrite cells still being read. Deferred to the
-  /// end, these edges never hold one group's copies behind another's.
-  /// `peer` must not depend on residency: it decides which peer copies a
-  /// build charges index work for. An exchange carrying no peer copies
-  /// passes NoCopies.
+  /// Returns the completion edges: every stream a copy read or wrote
+  /// through must wait on the completion event behind that copy before
+  /// its next kernel, so later kernels neither read stale ghosts nor
+  /// overwrite cells still being read. The caller adds them (wait_on), so
+  /// they never hold one group's copies behind another's, and the
+  /// streaming exchange queues its ghost pushes on a stream before that
+  /// stream's wait. `peer` must not depend on residency: it decides which
+  /// peer copies a build charges index work for. An exchange carrying no
+  /// peer copies passes NoCopies.
   template <typename Peer>
-  void exchange_on_devices(tida::Boundary bc, const Peer& peer,
-                           SimTime host_cpus, const SourceMarks& sources) {
+  [[nodiscard]] CompletionEdges exchange_on_devices(
+      tida::Boundary bc, const Peer& peer, SimTime host_cpus,
+      const SourceMarks& sources) {
     constexpr bool carries_peers = !std::is_same_v<Peer, NoCopies>;
-    sim::Platform& p = sim::Platform::instance();
     const auto& plan = this->exchange_plan(bc);
     const ExchangeSchedule::DestinationGroups& groups =
         schedule_->destination_groups(bc, plan, owner_);
@@ -1100,6 +1111,12 @@ class MultiAccTileArray : public tida::TileArray<T> {
       set.peers_indexed = set.peers_indexed || indexing_peers;
       replay_descriptors(d, bc, sources, edges);
     }
+    return edges;
+  }
+
+  /// Makes every stream of `edges` wait on its completion event.
+  static void wait_on(const CompletionEdges& edges) {
+    sim::Platform& p = sim::Platform::instance();
     for (const auto& [done, streams] : edges) {
       for (const cuemStream_t s : streams) {
         p.stream_wait_event(s, done);

@@ -14,16 +14,26 @@
 //     devices, go through the host. It pulls only the device-written cells
 //     those copies read, refreshes the ghosts on the host, and pushes the
 //     exact ghost boxes back to resident regions.
-// Issue order: the device half's source events, the host half's pulls
-// (each right behind its source's last kernel, one event per pulled
-// region), the replay kernels, then the host half's destination groups as
-// a pipeline — the paper's tile-by-tile overlap applied to the halo. Each
-// group is handled as soon as the host buffers it touches are quiet (a
-// pulled region's pull event, an evicted region's own eviction event):
-// apply its host copies, push its ghost boxes on the destination's slot
-// stream. Copy engines keep pulling and pushing while the compute engine
-// runs the replay kernels and the host works through the next group;
-// nothing waits for a global barrier.
+// Issue order: the device half's source events; the host half's pulls in
+// last-use order (drain_order), each right behind its source's last kernel,
+// one event per pulled region; the replay kernels, whose completion edges
+// every stream takes at once except a stream the host half pushes into,
+// which takes them right behind its push; then the host half's destination
+// groups as a pipeline — the paper's tile-by-tile overlap applied to the
+// halo. Each wait covers only the transfers touching the boxes the host
+// copies, so a group is handled as soon as those are quiet:
+//   * a source's valid cells once its pull lands (an evicted source: its
+//     eviction);
+//   * a resident destination's ghost boxes once its last upload and its
+//     previous push, which read them, are done — the source event on its
+//     stream — not its own pull, which writes only valid cells; an evicted
+//     destination's once its eviction is.
+// The host applies the group's copies and pushes its ghost boxes on the
+// destination's slot stream, where they run beside the replay kernel: each
+// ghost cell has one source in the plan, so the replay neither reads nor
+// writes them. Copy engines keep pulling and pushing while the compute
+// engine runs the replay kernels and the host works through the next
+// group; nothing waits for a global barrier.
 #pragma once
 
 #include <algorithm>
@@ -36,6 +46,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/inject.hpp"
 #include "common/units.hpp"
 #include "core/cache_table.hpp"
 #include "core/exchange_schedule.hpp"
@@ -292,21 +303,45 @@ void streaming_exchange(A& a, tida::Boundary bc, const HostHalf& half) {
   sim::Platform& p = sim::Platform::instance();
   const auto& plan = a.exchange_plan(bc);
   const auto n = static_cast<std::size_t>(a.num_regions());
+  const auto resident = [&a](std::size_t r) {
+    return a.location(static_cast<int>(r)) == Loc::kDevice;
+  };
 
   // Device half's sources, marked before the pulls queue behind them. Faces
   // crossing devices take the host half, so no peer copies.
   const NoCopies no_peers;
   const auto sources = a.mark_sources(bc, no_peers);
 
+  // What the host waits for before it writes a resident region's ghost
+  // boxes: the transfers that read them, its last upload and its previous
+  // push. The mark on its stream follows both and precedes this exchange's
+  // pull, which writes only valid cells. None (-1) when no transfer touches
+  // its host buffer or its stream was idle. Any other region waits as for
+  // a source (kAsSource): an evicted region's eviction may write its
+  // ghosts.
+  constexpr sim::EventId kAsSource = -2;
+  std::vector<sim::EventId> ghosts_quiet(n, kAsSource);
+  for (std::size_t r = 0; r < n; ++r) {
+    const cuemStream_t s = sources.stream[r];
+    if (s >= 0 && a.pending_xfer_[r] < 0) {
+      ghosts_quiet[r] = -1;
+    } else if (s >= 0 && a.pending_xfer_[r] == s &&
+               sources.event.contains(s)) {
+      ghosts_quiet[r] = sources.on(s);
+    }
+  }
+
   // Host half, pulls: one event per pulled region marks its cells home.
+  // Last-use order, so each pull leaves as its source's last kernel ends
+  // instead of queueing on the D2H engine behind a later-finishing one.
   const std::vector<std::size_t>& host = half.copies;
   const auto& pulls = half.pulls;
   std::vector<sim::EventId> pulled(n, -1);
-  for (std::size_t r = 0; r < n; ++r) {
+  for (const int region : a.drain_order()) {
+    const auto r = static_cast<std::size_t>(region);
     if (pulls[r].empty()) {
       continue;
     }
-    const int region = static_cast<int>(r);
     const cuem::DeviceGuard guard(a.device_of_region(region));
     const cuemStream_t stream = a.stream_of_region(region);
     a.copy_boxes(region, pulls[r], cuemMemcpyDeviceToHost, stream,
@@ -317,21 +352,48 @@ void streaming_exchange(A& a, tida::Boundary bc, const HostHalf& half) {
     pulled[r] = p.record_event(stream);
   }
 
-  a.exchange_on_devices(bc, no_peers, 1, sources);
+  // The replay kernels. A resident region the host half pushes into waits
+  // on the replay only once its push is queued: the push writes ghost
+  // boxes the replay neither reads nor writes (each ghost cell has one
+  // source in the plan), so it runs beside the replay. Every other stream
+  // waits at once.
+  const auto edges = a.exchange_on_devices(bc, no_peers, 1, sources);
+  std::vector<char> pushes(n, 0);
+  for (const std::size_t c : host) {
+    pushes[static_cast<std::size_t>(plan[c].dst_region)] = 1;
+  }
+  std::vector<cuemStream_t> late;
+  for (std::size_t r = 0; r < n; ++r) {
+    pushes[r] = resident(r) &&
+                (pushes[r] || !a.dirty_.host_clean(static_cast<int>(r)));
+    if (pushes[r]) {
+      late.push_back(sources.stream[r]);
+    }
+  }
+  for (const auto& [done, streams] : edges) {
+    for (const cuemStream_t s : streams) {
+      if (std::find(late.begin(), late.end(), s) == late.end()) {
+        p.stream_wait_event(s, done);
+      }
+    }
+  }
 
-  // The event after which a region's host buffer is quiet: its pull, else
+  // The event after which a source's host buffer is quiet: its pull, else
   // the eviction D2H still draining into it, else none (-1).
   const auto settled = [&](std::size_t r) {
     if (pulled[r] >= 0) {
       return pulled[r];
     }
-    return a.pending_xfer_[r] >= 0 && a.location(static_cast<int>(r)) !=
-                                          Loc::kDevice
-               ? a.evicted_[r]
-               : sim::EventId{-1};
+    return a.pending_xfer_[r] >= 0 && !resident(r) ? a.evicted_[r]
+                                                   : sim::EventId{-1};
   };
-  // When the host could first touch a region's host buffer.
-  const auto ready_at = [&](std::size_t r) {
+  // When the host could first read a region's valid cells (`src`) or
+  // write its ghost boxes.
+  const auto ready_at = [&](std::size_t r, bool src) {
+    if (!src && ghosts_quiet[r] != kAsSource) {
+      return ghosts_quiet[r] >= 0 ? p.event_finish(ghosts_quiet[r])
+                                  : SimTime{0};
+    }
     const sim::EventId e = settled(r);
     if (e >= 0) {
       return p.event_finish(e);
@@ -351,12 +413,13 @@ void streaming_exchange(A& a, tida::Boundary bc, const HostHalf& half) {
   for (std::size_t begin = 0; begin < host.size();) {
     Group g{begin, begin};
     const int dst = plan[host[begin]].dst_region;
-    g.ready = ready_at(static_cast<std::size_t>(dst));
+    g.ready = ready_at(static_cast<std::size_t>(dst), /*src=*/false);
     for (; g.end < host.size() && plan[host[g.end]].dst_region == dst;
          ++g.end) {
       g.ready = std::max(
-          g.ready,
-          ready_at(static_cast<std::size_t>(plan[host[g.end]].src_region)));
+          g.ready, ready_at(static_cast<std::size_t>(
+                                plan[host[g.end]].src_region),
+                            /*src=*/true));
     }
     groups.push_back(g);
     begin = g.end;
@@ -366,58 +429,75 @@ void streaming_exchange(A& a, tida::Boundary bc, const HostHalf& half) {
                      return x.ready < y.ready;
                    });
 
-  // Host buffers a group reads or writes must be quiet first. A region
-  // whose own group is done needs no further wait: later groups only read
-  // its valid cells, while its push (if any) reads its ghosts.
-  std::vector<char> done(n, 0);
-  const auto quiesce = [&](int region) {
-    const auto r = static_cast<std::size_t>(region);
-    if (done[r]) {
-      return;
-    }
-    const sim::EventId e = settled(r);
-    if (e < 0) {
-      a.sync_pending_host(region);
-      return;
-    }
+  const auto wait = [&p](sim::EventId e) {
     if (p.event_finish(e) <= p.now()) {
       p.hb_note_event_query_success(e);  // a successful poll
     } else {
       p.sync_event(e);
     }
-    pulled[r] = -1;
-    a.pending_xfer_[r] = -1;
+  };
+  // A source's valid cells must be home: its pull, else its eviction,
+  // else every transfer still touching its buffer. A region already pushed
+  // had its ghost wait, after which only its pull writes the buffer, and
+  // its push, queued behind what it waited for, keeps it pending.
+  std::vector<char> quiet(n, 0);
+  std::vector<char> done(n, 0);
+  const auto quiesce = [&](int region) {
+    const auto r = static_cast<std::size_t>(region);
+    if (quiet[r]) {
+      return;
+    }
+    quiet[r] = 1;
+    const sim::EventId e = settled(r);
+    if (e >= 0) {
+      wait(e);
+      if (!done[r]) {
+        a.pending_xfer_[r] = -1;
+      }
+    } else if (!done[r]) {
+      a.sync_pending_host(region);
+    }
   };
   const auto push = [&](int region) {
-    done[static_cast<std::size_t>(region)] = 1;
-    if (a.location(region) != Loc::kDevice || a.dirty_.host_clean(region)) {
-      return;  // non-resident regions take their ghosts at the next acquire
+    const auto r = static_cast<std::size_t>(region);
+    done[r] = 1;
+    if (!pushes[r]) {
+      return;  // evicted regions take their ghosts at the next acquire
     }
     const cuem::DeviceGuard guard(a.device_of_region(region));
+    const cuemStream_t stream = sources.stream[r];
     a.copy_boxes(region, a.dirty_.host_dirty(region), cuemMemcpyHostToDevice,
-                 a.stream_of_region(region),
-                 sim::PayloadKind::kGhostRefresh);
+                 stream, sim::PayloadKind::kGhostRefresh);
     a.dirty_.clear_host(region);
+    for (const auto& [event, streams] : edges) {
+      if (std::find(streams.begin(), streams.end(), stream) != streams.end()) {
+        p.stream_wait_event(stream, event);
+      }
+    }
   };
 
   for (const Group& g : groups) {
     const int dst = plan[host[g.begin]].dst_region;
-    quiesce(dst);
+    const sim::EventId ghosts = ghosts_quiet[static_cast<std::size_t>(dst)];
+    if (ghosts == kAsSource) {
+      quiesce(dst);
+    } else if (ghosts >= 0 && !injected("ghost_push_race")) {
+      // The injected defect writes the ghost boxes while the previous
+      // push or upload may still read them (sanitizer regression bait).
+      wait(ghosts);
+    }
     for (std::size_t i = g.begin; i < g.end; ++i) {
       quiesce(plan[host[i]].src_region);
-    }
-    if (cuem::san::enabled()) {
-      for (std::size_t i = g.begin; i < g.end; ++i) {
-        const int src = plan[host[i]].src_region;
-        cuem::san::note_host_access(a.region(src).data, a.region_bytes(src),
-                                    /*write=*/false, "streaming_exchange");
-      }
-      cuem::san::note_host_access(a.region(dst).data, a.region_bytes(dst),
-                                  /*write=*/true, "streaming_exchange");
     }
     // The freshened ghost boxes are host writes the device has not seen.
     const std::span<const std::size_t> copies(host.data() + g.begin,
                                               g.end - g.begin);
+    if (cuem::san::enabled()) {
+      for (const std::size_t c : copies) {
+        a.note_ghost_copy_access(-1, plan[c], "streaming_exchange",
+                                 /*on_host=*/true);
+      }
+    }
     a.fill_boundary_host(bc, copies);
     for (const std::size_t c : copies) {
       a.dirty_.note_host_write(dst, plan[c].dst_box);

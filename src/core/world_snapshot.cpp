@@ -43,8 +43,11 @@ void world_restore(sim::SnapshotReader& r) {
 }
 
 std::vector<std::uint8_t> world_snapshot() {
-  sim::SnapshotWriter w;
+  // A world captured again is about as big as its last capture.
+  static std::size_t last = 0;
+  sim::SnapshotWriter w(last);
   world_capture(w);
+  last = w.buffer().size();
   return w.take();
 }
 

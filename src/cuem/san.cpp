@@ -502,6 +502,8 @@ bool enabled() { return state().opts.enabled; }
 
 const Options& options() { return state().opts; }
 
+void set_fatal(bool fatal) { state().opts.fatal = fatal; }
+
 const std::vector<Finding>& findings() { return state().findings; }
 
 std::size_t count(Severity s) {
@@ -528,6 +530,29 @@ void annotate(const void* ptr, std::string label) {
   }
 }
 
+namespace {
+
+/// Records a host access to `box` (offset relative to `ptr`) of the
+/// allocation `sa` that contains `ptr`, at the host's current clock.
+void note_host_footprint(State& st, ShadowAlloc& sa, const void* ptr,
+                         BoxShape box, bool write, const char* op) {
+  auto& p = platform();
+  p.hb_tick_host();
+  AccessRecord rec;
+  rec.clock = p.hb_host_clock();
+  const auto addr = reinterpret_cast<std::uintptr_t>(ptr);
+  box.offset += addr - sa.info.base;
+  rec.box = box;
+  rec.write = write;
+  rec.owner = -1;
+  rec.op = op;
+  rec.t_start = p.now();
+  rec.t_finish = p.now();
+  add_access(st, sa, std::move(rec));
+}
+
+}  // namespace
+
 void note_host_access(const void* ptr, std::size_t bytes, bool write,
                       const char* op) {
   State& st = state();
@@ -535,32 +560,34 @@ void note_host_access(const void* ptr, std::size_t bytes, bool write,
   ensure_world(st);
   ShadowAlloc* sa = find_shadow(st, ptr);
   if (!sa) return;
-  auto& p = platform();
   // Coalesce repeated notes against the same buffer while nothing was
   // enqueued in between (element-wise at() loops): the host component only
   // moves on enqueues and our own ticks, so an unchanged component means an
   // identical note would see exactly the same history.
-  const sim::HbClock& host = p.hb_host_clock();
+  const sim::HbClock& host = platform().hb_host_clock();
   const std::uint64_t comp = host.empty() ? 0 : host[0];
   if (sa->info.base == st.last_host_base && write == st.last_host_write &&
       comp == st.last_host_comp) {
     return;
   }
-  p.hb_tick_host();
-  AccessRecord rec;
-  rec.clock = p.hb_host_clock();
-  const auto addr = reinterpret_cast<std::uintptr_t>(ptr);
-  rec.box = flat_box(addr - sa->info.base, bytes);
-  rec.write = write;
-  rec.owner = -1;
-  rec.op = op;
-  rec.t_start = p.now();
-  rec.t_finish = p.now();
-  add_access(st, *sa, std::move(rec));
+  note_host_footprint(st, *sa, ptr, flat_box(0, bytes), write, op);
   st.last_host_base = sa->info.base;
   st.last_host_write = write;
-  const sim::HbClock& host2 = p.hb_host_clock();
+  const sim::HbClock& host2 = platform().hb_host_clock();
   st.last_host_comp = host2.empty() ? 0 : host2[0];
+}
+
+void note_host_box_access(const void* ptr, const BoxShape& box, bool write,
+                          const char* op) {
+  State& st = state();
+  if (!st.opts.enabled || !st.opts.racecheck) return;
+  ensure_world(st);
+  ShadowAlloc* sa = find_shadow(st, ptr);
+  if (!sa) return;
+  // Never coalesced: the next note may name another box of the buffer.
+  // Its own tick moves the host component, so a whole-buffer note after it
+  // is recorded too.
+  note_host_footprint(st, *sa, ptr, box, write, op);
 }
 
 void note_kernel_access(int stream, const void* ptr, std::size_t bytes,

@@ -150,6 +150,11 @@ void clear_findings();
 bool enabled();
 const Options& options();
 
+/// Switches fatal mode, keeping shadow state and findings: a caller about
+/// to run destructors whose frees are race-checked collects instead, since
+/// a finding must not throw out of a destructor.
+void set_fatal(bool fatal);
+
 const std::vector<Finding>& findings();
 std::size_t count(Severity s);
 /// Zero errors and zero warnings (kInfo notes are allowed — pageable-async
@@ -169,6 +174,12 @@ void annotate(const void* ptr, std::string label);
 /// registered allocation. Consecutive identical notes coalesce.
 void note_host_access(const void* ptr, std::size_t bytes, bool write,
                       const char* op);
+
+/// Records a host access to a strided box of the allocation containing
+/// `ptr` (the host's ghost copies touch sub-boxes of a region buffer while
+/// transfers of other sub-boxes are in flight). Never coalesced.
+void note_host_box_access(const void* ptr, const BoxShape& box, bool write,
+                          const char* op);
 
 /// Records a kernel access on `stream` to a flat byte range of the
 /// allocation containing `ptr` (call right after the launch).
@@ -242,6 +253,7 @@ inline const Options& options() {
   static const Options kOff;
   return kOff;
 }
+inline void set_fatal(bool) {}
 inline const std::vector<Finding>& findings() {
   static const std::vector<Finding> kNone;
   return kNone;
@@ -252,6 +264,8 @@ inline std::string report_json() { return "{}"; }
 inline bool write_report(const std::string&) { return false; }
 inline void annotate(const void*, std::string) {}
 inline void note_host_access(const void*, std::size_t, bool, const char*) {}
+inline void note_host_box_access(const void*, const BoxShape&, bool,
+                                 const char*) {}
 inline void note_kernel_access(int, const void*, std::size_t, bool,
                                const char*) {}
 inline void note_kernel_box_access(int, const void*, const BoxShape&, bool,

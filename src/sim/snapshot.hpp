@@ -95,6 +95,11 @@ class SnapshotWriter {
  public:
   static constexpr bool kRestoring = false;
 
+  SnapshotWriter() = default;
+  /// A writer whose buffer starts with room for `bytes`, such as the size
+  /// of the previous capture of the same world, so it never regrows.
+  explicit SnapshotWriter(std::size_t bytes) { buf_.reserve(bytes); }
+
   /// Appends each field, in order.
   template <typename... Ts>
   void operator()(const Ts&... fields) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/inject.hpp"
 #include "common/units.hpp"
 #include "core/tidacc.hpp"
 #include "cuem/cuem.hpp"
@@ -651,6 +652,44 @@ TEST_F(CuemSanTest, StreamingExchangeTwoDevicesIsClean) {
   EXPECT_TRUE(cuem::san::clean())
       << "unexpected findings:\n" << cuem::san::report_json();
   EXPECT_EQ(cuem::san::count(cuem::san::Severity::kWarning), 0u);
+}
+
+TEST_F(CuemSanTest, BackToBackStreamingExchangesOrderTheHostGhostWrites) {
+  // Two streaming exchanges with no sweep between them: the second one's
+  // host writes the ghost boxes of resident regions 1 and 5 while the
+  // first one's pushes may still be reading them. The host waits on each
+  // destination's last push first, so the run is clean. With the wait
+  // skipped (TIDACC_TEST_INJECT=ghost_push_race, ctest
+  // san_detects_ghost_push_race) the sanitizer names the race.
+  AccOptions opts;
+  opts.max_slots = 5;  // 6 regions: 0 and 5 share slot 0
+  opts.delta_transfers = true;
+  opts.streaming_guard = core::StreamingGuard::kForceStreaming;
+  AccTileArray<double> u(Box::cube(12), Index3{12, 12, 2}, 1, opts);
+  u.fill([](const Index3& p) { return 0.5 * p.i + 0.25 * p.j + p.k; });
+  LoopCost cost;
+  cost.flops_per_iter = 8;
+  cost.dev_bytes_per_iter = 16;
+  u.fill_boundary(Boundary::kPeriodic);
+  for (int r = 0; r < u.num_regions(); ++r) {
+    sweep_region(u, r, cost);
+  }
+  u.fill_boundary(Boundary::kPeriodic);
+  u.fill_boundary(Boundary::kPeriodic);
+  EXPECT_EQ(u.streaming_exchanges(), 2u);
+  u.release_all_to_host();
+  if (!injected("ghost_push_race")) {
+    EXPECT_TRUE(cuem::san::clean())
+        << "unexpected findings:\n" << cuem::san::report_json();
+    return;
+  }
+  bool found = false;
+  for (const cuem::san::Finding& f : cuem::san::findings()) {
+    found = found || (f.kind == cuem::san::FindingKind::kRace &&
+                      f.op == "streaming_exchange" &&
+                      f.message.find("dH2D:R") != std::string::npos);
+  }
+  EXPECT_TRUE(found) << "no push/host race:\n" << cuem::san::report_json();
 }
 
 TEST_F(CuemSanTest, ArraysSharingALayoutAreClean) {

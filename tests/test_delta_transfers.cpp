@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -603,6 +604,70 @@ TEST_F(DeltaTest, TwoDeviceStreamingSendsCrossDeviceFacesThroughTheHost) {
   EXPECT_EQ(after.h2d_bytes - before.h2d_bytes, want.h2d);
   // Region 5's two k faces come from regions 4 and 6 on the other device.
   EXPECT_GE(want.h2d, 3u * 2 * 18 * 18 * sizeof(double));
+}
+
+TEST(StreamingExchangeTimeline, PushesRunBesideTheReplayAndKernelsFollowIt) {
+  // halo_delta's world without jitter: 256^3 in 16 slabs on 15 slots, so
+  // slabs 0 and 15 take turns in slot 0 and every exchange after the first
+  // sweep streams. A resident slab's ghost push writes boxes the replay
+  // kernel never touches, so it runs beside the replay; and the host waits
+  // only for the transfers touching the boxes it copies, so it is done in
+  // time for the sweep's first kernel to start as the replay ends.
+  cuem::configure(DeviceConfig::k40m(), /*functional=*/false);
+  oacc::reset();
+  sim::Platform& p = cuem::platform();
+  p.trace().set_recording(true);
+  constexpr int n = 256;
+  AccOptions opts;
+  opts.max_slots = 15;
+  opts.delta_transfers = true;
+  AccTileArray<double> u(Box::cube(n), Index3{n, n, n / 16}, 1, opts);
+  u.assume_host_initialized();
+  AccTileIterator<double> it(u);
+  const LoopCost cost = kernels::box_stencil_cost(1);
+  const auto& events = p.trace().events();
+  for (int step = 0; step < 5; ++step) {
+    const std::uint64_t streamed = u.streaming_exchanges();
+    const std::size_t exchange = events.size();
+    u.fill_boundary(Boundary::kPeriodic);
+    const std::size_t sweep = events.size();
+    for (it.reset(true); it.isValid(); it.next()) {
+      compute(it.tile(), cost, [](DeviceView<double>, int, int, int) {});
+    }
+    if (u.streaming_exchanges() == streamed) {
+      ASSERT_EQ(step, 0) << "every exchange after the first sweep streams";
+      continue;
+    }
+    SimTime replay_end = 0;
+    int replays = 0;
+    for (std::size_t e = exchange; e < sweep; ++e) {
+      if (events[e].label == "ghost:D0") {
+        replay_end = events[e].finish;
+        ++replays;
+      }
+    }
+    ASSERT_EQ(replays, 1) << "step " << step;
+    int pushes = 0;
+    for (std::size_t e = exchange; e < sweep; ++e) {
+      if (events[e].kind == sim::OpKind::kMemcpy3DH2D) {
+        ++pushes;
+        EXPECT_LT(events[e].start, replay_end)
+            << "step " << step << ": push " << events[e].label
+            << " waits for the replay";
+      }
+    }
+    EXPECT_EQ(pushes, 2) << "step " << step;
+    SimTime first_kernel = std::numeric_limits<SimTime>::max();
+    for (std::size_t e = sweep; e < events.size(); ++e) {
+      if (events[e].kind == sim::OpKind::kKernel) {
+        first_kernel = std::min(first_kernel, events[e].start);
+      }
+    }
+    EXPECT_LE(first_kernel, replay_end + 1000)
+        << "step " << step << ": the compute engine idles "
+        << (first_kernel - replay_end) << " ns after the replay";
+  }
+  EXPECT_EQ(u.streaming_exchanges(), 4u);
 }
 
 // --- kAuto oracle ---

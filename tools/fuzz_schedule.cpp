@@ -779,6 +779,29 @@ struct World {
   }
 };
 
+/// Destroys the live world with the sanitizer collecting instead of
+/// throwing: the arrays' destructors free their buffers, and a free racing
+/// an op still in flight must be reported, not thrown out of a destructor.
+/// Returns the message of the last error finding the teardown raised, or
+/// an empty string.
+std::string tear_down(std::optional<World>& live) {
+  const std::size_t errors = cuem::san::count(cuem::san::Severity::kError);
+  const bool fatal = cuem::san::options().fatal;
+  cuem::san::set_fatal(false);
+  live.reset();
+  cuem::san::set_fatal(fatal);
+  if (cuem::san::count(cuem::san::Severity::kError) == errors) {
+    return {};
+  }
+  const std::vector<cuem::san::Finding>& found = cuem::san::findings();
+  for (auto f = found.rbegin(); f != found.rend(); ++f) {
+    if (f->severity == cuem::san::Severity::kError) {
+      return "world teardown: " + f->message;
+    }
+  }
+  return "world teardown raised a sanitizer error";
+}
+
 /// Builds the world, runs the warmup step of each array (so the snapshot
 /// holds a mid-workload state with live residency/dirty tracking), and
 /// captures world + arrays into one buffer. Each array gets its own field.
@@ -801,11 +824,14 @@ std::vector<std::uint8_t> build_and_snapshot(const WorldKnobs& w,
     halo_step(*u, VisitOrder{visit_order(w.regions, 0)}, /*depth=*/1, cost,
               /*overlap=*/false);
   }
-  sim::SnapshotWriter wr;
+  // Worlds drawn one after another snapshot to similar sizes.
+  static std::size_t last = 0;
+  sim::SnapshotWriter wr(last);
   core::world_capture(wr);
   for (const Array* u : arrays) {
     u->capture(wr);
   }
+  last = wr.buffer().size();
   return wr.take();
 }
 
@@ -857,12 +883,18 @@ int main(int argc, char** argv) {
     DynKnobs d;
     if (!parse_repro(repro_path, w, d)) return 2;
     configure_world(w);
-    World live(w);
-    const Outcome o = live.visit([&](const auto& arrays) {
+    std::optional<World> live(std::in_place, w);
+    Outcome o = live->visit([&](const auto& arrays) {
       const std::vector<std::uint8_t> snap =
           build_and_snapshot(w, arrays, cost);
       return run_case(snap, arrays, w.policy, d, cost, lint);
     });
+    const std::string teardown = tear_down(live);
+    if (!o.failed && !teardown.empty()) {
+      o.failed = true;
+      o.kind = "sanitizer";
+      o.detail = teardown;
+    }
     if (o.failed) {
       std::printf("repro FAILED (%s): %s\n", o.kind.c_str(),
                   o.detail.c_str());
@@ -886,18 +918,55 @@ int main(int argc, char** argv) {
   std::optional<World> live;
   std::vector<std::uint8_t> snap;
   std::optional<Outcome> reference;
+  // The knobs of the live world's last replay: its teardown frees what
+  // that replay left behind, so a teardown finding reproduces with them.
+  DynKnobs last_dyn;
   const auto run_one = [&](const DynKnobs& d) {
+    last_dyn = d;
     return live->visit([&](const auto& arrays) {
       return run_case(snap, arrays, world->policy, d, cost, lint);
     });
   };
+  // Frees the live world's buffers; a finding raised there fails it.
+  const auto retire = [&](std::uint64_t i) {
+    if (!live) {
+      return;
+    }
+    const std::string teardown = tear_down(live);
+    if (teardown.empty()) {
+      return;
+    }
+    Failure x;
+    x.iter = i;
+    x.world = *world;
+    x.dyn = last_dyn;
+    x.kind = "sanitizer";
+    x.detail = teardown;
+    x.repro_path = repro_dir + "/fuzz_repro_" + std::to_string(i) +
+                   "_teardown.txt";
+    Outcome o;
+    o.kind = x.kind;
+    write_repro(x.repro_path, x.world, x.dyn, o);
+    failures.push_back(x);
+    std::printf("iter %llu: %s (%s, policy=%s slots=%d) -> %s\n",
+                static_cast<unsigned long long>(i), x.kind.c_str(),
+                x.detail.c_str(), policy_name(world->policy),
+                world->max_slots, x.repro_path.c_str());
+  };
 
   for (std::uint64_t i = 0; i < iters; ++i) {
     if (i / per_config != config_index) {
+      retire(i);  // before reconfiguring
+      if (static_cast<int>(failures.size()) >= max_failures ||
+          (expect_failure && !failures.empty())) {
+        iters_done = i;
+        break;
+      }
       config_index = i / per_config;
       world = draw_world(seed, config_index, n, regions, force_nodes,
                          force_fabric, force_compression);
-      live.reset();  // free the old world's buffers before reconfiguring
+      last_dyn = DynKnobs{};
+      last_dyn.steps = steps;
       try {
         configure_world(*world);
         live.emplace(*world);
@@ -1015,6 +1084,8 @@ int main(int argc, char** argv) {
       }
     }
   }
+
+  retire(iters_done);
 
   const auto t1 = std::chrono::steady_clock::now();
   const double secs =
