@@ -213,10 +213,12 @@ class ClusterTileArray : public MultiAccTileArray<T> {
       exchange_begin_device(bc);
       return;
     }
-    // Out-of-core or host-resident: the base dispatch does the data
-    // movement (host exchange, streaming, or drain), and the cross-node
-    // faces are priced as synchronous sends between the nodes' pinned
-    // host buffers — no overlap to be had here.
+    // Out-of-core or host-resident: drain every region, exchange on the
+    // host, then price the cross-node faces as synchronous sends between
+    // the nodes' pinned host buffers — no overlap to be had here. The
+    // sends deliver ghost cells the host exchange already wrote, so no
+    // device may read those cells before the sends land: the drain keeps
+    // the exchange from pushing them ahead of the wire.
     if (!host_fallback_warned_) {
       host_fallback_warned_ = true;
       sim::Platform::instance().trace().note_warning(
@@ -224,6 +226,7 @@ class ClusterTileArray : public MultiAccTileArray<T> {
           "core or host-resident): cross-node faces move as synchronous "
           "host sends with no compute overlap — see DESIGN.md");
     }
+    this->release_all_to_host();
     Multi::fill_boundary(bc);
     price_host_exchange(bc);
   }
@@ -380,30 +383,17 @@ class ClusterTileArray : public MultiAccTileArray<T> {
                  this->region_bytes(region));
   }
 
-  /// Schedule-lint attribution for a wire op just submitted on `qp`. The
-  /// san_note=false fabric calls record precise strided boxes for the
-  /// sanitizer themselves; the graph gets the conservative whole-slot
-  /// bounding spans instead (over-approximation can only under-report
-  /// independence, never invent it).
-  void graph_note_wire_op(sim::QpId qp, int src_region, int dst_region,
-                          bool device_path) {
-    sim::Platform& p = sim::Platform::instance();
-    if (p.op_graph() == nullptr) {
-      return;
+  /// What a wire message carrying planned copies `copies` touches: their
+  /// exact boxes in the slot buffers (GPUDirect) or in the pinned host
+  /// buffers (staged), not the registered regions the fabric would claim
+  /// flat — interleaved rows of disjoint faces must not collide.
+  cuem::Claims wire_claims(const std::vector<tida::GhostCopy>& plan,
+                           const std::vector<std::size_t>& copies) const {
+    cuem::Claims claims(use_gpudirect_ ? "rdma-ghost" : "staged-ghost");
+    for (const std::size_t c : copies) {
+      this->add_ghost_boxes(claims, plan[c], /*on_host=*/!use_gpudirect_);
     }
-    const cuemStream_t s = fabric_->qp_stream(qp);
-    const void* src = device_path
-                          ? static_cast<const void*>(
-                                this->device_region(src_region).data)
-                          : static_cast<const void*>(
-                                this->region(src_region).data);
-    void* dst = device_path
-                    ? static_cast<void*>(this->device_region(dst_region).data)
-                    : static_cast<void*>(this->region(dst_region).data);
-    p.graph_note_stream_access(s, src, this->region_bytes(src_region),
-                               /*write=*/false);
-    p.graph_note_stream_access(s, dst, this->region_bytes(dst_region),
-                               /*write=*/true);
+    return claims;
   }
 
   /// Wire bytes one cross-node ghost message (work request `kind` of
@@ -548,24 +538,16 @@ class ClusterTileArray : public MultiAccTileArray<T> {
             this->apply_copy_device(pl[c]);
           }
         };
+        const cuem::Claims claims = wire_claims(plan, group);
         wr = fabric_->rdma_read(
             qp, device_mr_of(head.dst_region), 0,
             device_mr_of(head.src_region), 0, bytes, label,
             std::move(action),
             after(qp, {sources.on(src_stream), sources.on(dst_stream)}),
-            /*san_note=*/false,
             wire_bytes_for(sim::OpKind::kRdmaRead, bytes,
-                           /*gpudirect_path=*/true));
-        graph_note_wire_op(qp, head.src_region, head.dst_region,
-                           /*device_path=*/true);
+                           /*gpudirect_path=*/true),
+            &claims);
         for (const std::size_t c : group) {
-          if (cuem::san::enabled()) {
-            // Precise strided boxes, not the MR-flat note the fabric
-            // would record: interleaved rows of disjoint faces must not
-            // collide.
-            this->note_ghost_copy_access(fabric_->qp_stream(qp), plan[c],
-                                         "rdma-ghost");
-          }
           this->note_device_write(plan[c].dst_region, plan[c].dst_box);
         }
         ++rdma_ghost_reads_;
@@ -581,23 +563,16 @@ class ClusterTileArray : public MultiAccTileArray<T> {
             this->apply_copy_host(pl[c]);
           }
         };
+        const cuem::Claims claims = wire_claims(plan, group);
         wr = fabric_->post_send(
             qp, host_mr_of(head.src_region), 0, bytes, label,
             std::move(action),
             after(qp, {staged[static_cast<std::size_t>(head.src_region)],
                        sources.on(dst_stream)}),
-            /*san_note=*/false,
             wire_bytes_for(sim::OpKind::kNetSend, bytes,
-                           /*gpudirect_path=*/false));
-        graph_note_wire_op(qp, head.src_region, head.dst_region,
-                           /*device_path=*/false);
-        for (const std::size_t c : group) {
-          if (cuem::san::enabled()) {
-            this->note_ghost_copy_access(fabric_->qp_stream(qp), plan[c],
-                                         "staged-ghost", /*on_host=*/true);
-          }
-          epoch_staged_.push_back(c);
-        }
+                           /*gpudirect_path=*/false),
+            &claims);
+        epoch_staged_.insert(epoch_staged_.end(), group.begin(), group.end());
         ++staged_ghost_sends_;
       }
       epoch_wrs_.push_back(EpochWr{wr, qp, src_stream, dst_stream});
@@ -613,7 +588,8 @@ class ClusterTileArray : public MultiAccTileArray<T> {
 
   /// The data already moved through the base host exchange; charge the
   /// cross-node faces as synchronous sends between the pinned host
-  /// buffers so the clock still sees the wire.
+  /// buffers so the clock still sees the wire. Each send claims its copy's
+  /// host boxes, as a staged wire message does.
   void price_host_exchange(tida::Boundary bc) {
     const auto& plan = this->exchange_plan(bc);
     std::vector<sim::WrId> wrs;
@@ -628,15 +604,16 @@ class ClusterTileArray : public MultiAccTileArray<T> {
           gc.dst_box.volume() * this->ncomp() * sizeof(T);
       const sim::QpId qp = qp_for(src_node, dst_node);
       fabric_->post_recv(qp, host_mr_of(gc.dst_region), 0, bytes);
+      cuem::Claims claims("staged-ghost");
+      this->add_ghost_boxes(claims, gc, /*on_host=*/true);
       wrs.push_back(fabric_->post_send(
           qp, host_mr_of(gc.src_region), 0, bytes,
           "S:R" + std::to_string(gc.src_region) + ">R" +
               std::to_string(gc.dst_region),
-          /*action=*/{}, /*after=*/{}, /*san_note=*/false,
+          /*action=*/{}, /*after=*/{},
           wire_bytes_for(sim::OpKind::kNetSend, bytes,
-                         /*gpudirect_path=*/false)));
-      graph_note_wire_op(qp, gc.src_region, gc.dst_region,
-                         /*device_path=*/false);
+                         /*gpudirect_path=*/false),
+          &claims));
       ++staged_ghost_sends_;
     }
     for (const sim::WrId wr : wrs) {

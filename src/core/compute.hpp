@@ -98,8 +98,8 @@ struct Operand {
 ///   2. enqueues the kernel, priced by the loop's profile (compiler-chosen
 ///      geometry) plus the OpenACC dispatch cost, named label() while a
 ///      trace records or the sanitizer is on;
-///   3. claims each operand's slot buffer once, in its role, to the
-///      sanitizer's racecheck and to the op graph;
+///   3. claims each operand's slot buffer once, in its role
+///      (cuem::claim: the sanitizer's racecheck and the op graph);
 ///   4. makes every other operand's stream wait on the kernel, so work
 ///      queued there later (its next kernel, an eviction D2H) sees it.
 /// The host never synchronizes: stream order protects later work on the
@@ -129,17 +129,11 @@ void launch(const tida::Box& range, const oacc::LoopCost& cost, Fn&& body,
                    },
                    op);
 
-  const auto claim = [&](const auto& o) {
-    if (cuem::san::enabled()) {
-      cuem::san::note_kernel_access(kstream, o.view.data(), o.view.bytes(),
-                                    o.write, op.c_str());
-    }
-    if (p.op_graph() != nullptr) {
-      p.graph_note_stream_access(kstream, o.view.data(), o.view.bytes(),
-                                 o.write);
-    }
-  };
-  (claim(ops), ...);
+  cuem::Claims claims(op.c_str());
+  (claims.add(ops.view.data(), sim::ByteBox::span(0, ops.view.bytes()),
+              ops.write ? cuem::Role::kWrite : cuem::Role::kRead),
+   ...);
+  cuem::claim(kstream, claims);
 
   (order(ops.stream, /*kernel_waits=*/false), ...);
 }

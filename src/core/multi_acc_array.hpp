@@ -320,7 +320,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
   template <typename Fn>
   void fill(Fn&& fn) {
     sync_all_pending_host();
-    note_host_buffers("fill");
+    claim_host_buffers("fill");
     Base::fill(std::forward<Fn>(fn));
     assume_host_initialized();
   }
@@ -329,7 +329,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
   template <typename Fn>
   void fill_components(Fn&& fn) {
     sync_all_pending_host();
-    note_host_buffers("fill_components");
+    claim_host_buffers("fill_components");
     Base::fill_components(std::forward<Fn>(fn));
     assume_host_initialized();
   }
@@ -360,9 +360,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
     // (e.g. the D2H queued when it was evicted): wait for it before the
     // caller dereferences.
     sync_pending_host(id);
-    cuem::san::note_host_access(this->region(id).data,
-                                this->region_bytes(id),
-                                /*write=*/true, "TileArray::at");
+    claim_host_buffer(id, cuem::Role::kWrite, "TileArray::at");
     loc_.set(id, Loc::kHost);
     if (delta_transfers_) {
       dirty_.note_host_write(id, tida::Box{cell, cell});
@@ -383,7 +381,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
                            "acquire_on_host first (paper §IV-B3)");
     }
     sync_all_pending_host();
-    note_host_buffers("copy_out", /*write=*/false);
+    claim_host_buffers("copy_out", cuem::Role::kRead);
     Base::copy_out(flat, comp);
   }
 
@@ -508,9 +506,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
       CUEM_CHECK(cuemStreamSynchronize(stream));
       pending_xfer_[static_cast<std::size_t>(region)] = -1;
     }
-    cuem::san::note_host_access(this->region(region).data,
-                                this->region_bytes(region),
-                                /*write=*/true, "acquire_on_host");
+    claim_host_buffer(region, cuem::Role::kWrite, "acquire_on_host");
     set_host_authoritative(region);
   }
 
@@ -549,8 +545,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
     streams.sync_all();
     for (int r = 0; r < this->num_regions(); ++r) {
       pending_xfer_[static_cast<std::size_t>(r)] = -1;
-      cuem::san::note_host_access(this->region(r).data, this->region_bytes(r),
-                                  /*write=*/true, "release_all_to_host");
+      claim_host_buffer(r, cuem::Role::kWrite, "release_all_to_host");
     }
   }
 
@@ -567,7 +562,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
     last_boundary_ = bc;
     if (!loc_.any_on_device()) {
       sync_all_pending_host();
-      note_host_buffers("fill_boundary_host");
+      claim_host_buffers("fill_boundary_host");
       this->fill_boundary_host(bc);
       return;
     }
@@ -590,7 +585,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
     }
     // Mixed/limited-memory: drain to host and exchange there.
     release_all_to_host();
-    note_host_buffers("fill_boundary_host");
+    claim_host_buffers("fill_boundary_host");
     this->fill_boundary_host(bc);
   }
 
@@ -900,41 +895,40 @@ class MultiAccTileArray : public tida::TileArray<T> {
     }
   }
 
-  /// Sanitizer bookkeeping: conservative whole-buffer host access note for
-  /// every region (no-op when the sanitizer is off or disabled).
-  void note_host_buffers(const char* op, bool write = true) {
-    if (!cuem::san::enabled()) {
-      return;
-    }
-    for (int r = 0; r < this->num_regions(); ++r) {
-      cuem::san::note_host_access(this->region(r).data, this->region_bytes(r),
-                                  write, op);
+  /// The host claims `region`'s whole host buffer, in `role`.
+  void claim_host_buffer(int region, cuem::Role role, const char* op) {
+    if (cuem::claims_heard()) {
+      cuem::claim(-1, this->region(region).data,
+                  sim::ByteBox::span(0, this->region_bytes(region)), role,
+                  op);
     }
   }
 
-  /// Sanitizer bookkeeping: the exact byte boxes one planned ghost copy
-  /// touches in the source and destination slot buffers (the pinned host
-  /// buffers when `on_host`), per component, by an op on `stream`, or by
-  /// the host when `stream` is -1. Box-precise so concurrent copies into
-  /// *disjoint* ghost shells do not read as racing.
-  void note_ghost_copy_access(cuemStream_t stream, const tida::GhostCopy& c,
-                              const char* op, bool on_host = false) {
-    const auto note = [stream, op](const void* ptr,
-                                   const cuem::san::BoxShape& box,
-                                   bool write) {
-      if (stream < 0) {
-        cuem::san::note_host_box_access(ptr, box, write, op);
-      } else {
-        cuem::san::note_kernel_box_access(stream, ptr, box, write, op);
-      }
-    };
+  /// The host claims every region's whole host buffer, in `role`.
+  void claim_host_buffers(const char* op,
+                          cuem::Role role = cuem::Role::kWrite) {
+    for (int r = 0; r < this->num_regions(); ++r) {
+      claim_host_buffer(r, role, op);
+    }
+  }
+
+  /// Adds to `claims` the exact byte boxes one planned ghost copy touches,
+  /// per component: the box it writes in the destination's slot buffer (the
+  /// pinned host buffer when `on_host`), then the box it reads in the
+  /// source's. Box-precise, so copies into disjoint ghost shells of one
+  /// buffer neither race nor serialize.
+  void add_ghost_boxes(cuem::Claims& claims, const tida::GhostCopy& c,
+                       bool on_host = false) const {
+    if (!claims.heard) {
+      return;
+    }
     const tida::Region<T> src = on_host ? this->region(c.src_region)
                                         : device_region(c.src_region);
     const tida::Region<T> dst = on_host ? this->region(c.dst_region)
                                         : device_region(c.dst_region);
     const tida::Index3 e = c.dst_box.extent();
     for (int comp = 0; comp < this->ncomp(); ++comp) {
-      cuem::san::BoxShape box;
+      sim::ByteBox box;
       box.width = static_cast<std::size_t>(e.i) * sizeof(T);
       box.height = static_cast<std::size_t>(e.j);
       box.depth = static_cast<std::size_t>(e.k);
@@ -942,23 +936,13 @@ class MultiAccTileArray : public tida::TileArray<T> {
           static_cast<std::size_t>(dst.layout.j_stride) * sizeof(T);
       box.slice_pitch =
           static_cast<std::size_t>(dst.layout.k_stride) * sizeof(T);
-      note(&dst.at(c.dst_box.lo, comp), box, /*write=*/true);
+      claims.add(&dst.at(c.dst_box.lo, comp), box, cuem::Role::kWrite);
       box.row_pitch =
           static_cast<std::size_t>(src.layout.j_stride) * sizeof(T);
       box.slice_pitch =
           static_cast<std::size_t>(src.layout.k_stride) * sizeof(T);
-      note(&src.at(c.src_box.lo, comp), box, /*write=*/false);
+      claims.add(&src.at(c.src_box.lo, comp), box, cuem::Role::kRead);
     }
-  }
-
-  /// Op-graph attribution of the op just queued on `stream`: `region`'s
-  /// whole slot, read or `write`. The conservative span a ghost copy's
-  /// strided boxes lie in, as ClusterTileArray claims its wire ops; the
-  /// sanitizer gets the exact boxes.
-  void graph_note_slot(cuemStream_t stream, int region, bool write) const {
-    sim::Platform::instance().graph_note_stream_access(
-        stream, region_pool(region).slot_ptr(slot_of_region(region)),
-        this->region_bytes(region), write);
   }
 
   /// Each region's slot stream when it is device-current, else -1.
@@ -1156,8 +1140,8 @@ class MultiAccTileArray : public tida::TileArray<T> {
     const auto& plan = this->exchange_plan(bc);
     GhostDescriptor* staged = buffers.host() + set.offset;
     const std::size_t bytes = local.size() * sizeof(GhostDescriptor);
-    cuem::san::note_host_access(staged, bytes, /*write=*/true,
-                                "ghost descriptors");
+    cuem::claim(-1, staged, sim::ByteBox::span(0, bytes), cuem::Role::kWrite,
+                "ghost descriptors");
     if (cuem::functional()) {  // timing-only buffers have no backing memory
       for (std::size_t i = 0; i < local.size(); ++i) {
         staged[i] = describe(plan[local[i]]);
@@ -1216,17 +1200,12 @@ class MultiAccTileArray : public tida::TileArray<T> {
           labeled() ? "G:R" + std::to_string(gc.src_region) + ">R" +
                           std::to_string(dst)
                     : std::string();
+      cuem::Claims claims(label.c_str());
+      add_ghost_boxes(claims, gc);
       CUEM_CHECK(cuem::peer_copy_async(
           device_of_region(dst), device_of_region(gc.src_region),
           gc.dst_box.volume() * this->ncomp() * sizeof(T), dstream, label,
-          std::move(action)));
-      if (cuem::san::enabled()) {
-        note_ghost_copy_access(dstream, gc, label.c_str());
-      }
-      if (p.op_graph() != nullptr) {
-        graph_note_slot(dstream, gc.src_region, /*write=*/false);
-        graph_note_slot(dstream, dst, /*write=*/true);
-      }
+          std::move(action), claims));
       note_device_write(dst, gc.dst_box);
       ++peer_ghost_copies_;
     }
@@ -1318,28 +1297,16 @@ class MultiAccTileArray : public tida::TileArray<T> {
         xs, ghost_update_profile(cells * this->ncomp(), sizeof(T), desc_bytes),
         p.config().oacc_dispatch_extra_ns, std::move(action), op);
     ++device_ghost_updates_;
-    if (cuem::san::enabled()) {
-      cuem::san::note_kernel_access(xs, desc, desc_bytes, /*write=*/false,
-                                    op.c_str());
-    }
-    if (p.op_graph() != nullptr) {
-      p.graph_note_stream_access(xs, desc, desc_bytes, /*write=*/false);
-      for (const int r : s.regions) {
-        const char t = touched[static_cast<std::size_t>(r)];
-        if (t != 0) {
-          graph_note_slot(xs, r, /*write=*/t == 2);
-        }
-      }
-    }
+    cuem::Claims claims(op.c_str());
+    claims.add(desc, sim::ByteBox::span(0, desc_bytes), cuem::Role::kRead);
     for (const std::size_t c : local) {
       const tida::GhostCopy& gc = plan[c];
       if (current(gc.src_region) && current(gc.dst_region)) {
-        if (cuem::san::enabled()) {
-          note_ghost_copy_access(xs, gc, op.c_str());
-        }
+        add_ghost_boxes(claims, gc);
         note_device_write(gc.dst_region, gc.dst_box);
       }
     }
+    cuem::claim(xs, claims);
     edges.emplace_back(p.record_event(xs), std::move(streams));
   }
 

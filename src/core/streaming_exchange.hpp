@@ -492,12 +492,11 @@ void streaming_exchange(A& a, tida::Boundary bc, const HostHalf& half) {
     // The freshened ghost boxes are host writes the device has not seen.
     const std::span<const std::size_t> copies(host.data() + g.begin,
                                               g.end - g.begin);
-    if (cuem::san::enabled()) {
-      for (const std::size_t c : copies) {
-        a.note_ghost_copy_access(-1, plan[c], "streaming_exchange",
-                                 /*on_host=*/true);
-      }
+    cuem::Claims claims("streaming_exchange");
+    for (const std::size_t c : copies) {
+      a.add_ghost_boxes(claims, plan[c], /*on_host=*/true);
     }
+    cuem::claim(-1, claims);
     a.fill_boundary_host(bc, copies);
     for (const std::size_t c : copies) {
       a.dirty_.note_host_write(dst, plan[c].dst_box);

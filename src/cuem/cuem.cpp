@@ -14,6 +14,7 @@
 #include "common/log.hpp"
 #include "cuem/registry.hpp"
 #include "cuem/san.hpp"
+#include "sim/op_graph.hpp"
 #include "sim/snapshot.hpp"
 
 namespace tidacc::cuem {
@@ -93,24 +94,25 @@ cuemStream_t resolve_stream(cuemStream_t s) {
   return s;
 }
 
-/// Attributes a copy's flat address ranges to the op just enqueued on
-/// `stream` in the attached schedule-analysis graph (sim::OpGraph). The
-/// lint needs op->data attribution to prove two transfers independent;
-/// unlike the san:: notes this is not gated on the sanitizer build. Call
-/// after the enqueue (the note lands on the stream's newest node). Nop
-/// when no graph is attached.
-void graph_note_copy(cuemStream_t stream, const void* dst, const void* src,
-                     std::size_t count) {
-  Platform& p = Platform::instance();
-  if (p.op_graph() == nullptr) {
-    return;
-  }
-  if (src != nullptr) {
-    p.graph_note_stream_access(stream, src, count, /*write=*/false);
-  }
-  if (dst != nullptr) {
-    p.graph_note_stream_access(stream, dst, count, /*write=*/true);
-  }
+/// The claims of a flat copy of `count` bytes from `src` to `dst`.
+Claims span_claims(void* dst, const void* src, std::size_t count,
+                   const char* op) {
+  Claims c(op);
+  c.add(dst, sim::ByteBox::span(0, count), Role::kWrite);
+  c.add(src, sim::ByteBox::span(0, count), Role::kRead);
+  return c;
+}
+
+/// The pinned buffer a host-staged copy from `src_device` to `dst_device`
+/// bounces through: a synthetic address range per device pair (up to 256
+/// devices), outside every user-space address, so it is claimed for the
+/// op graph (the two hops and consecutive staged copies share it) and the
+/// sanitizer, which tracks registered memory only, ignores it.
+const void* bounce_buffer(int src_device, int dst_device) {
+  constexpr std::uintptr_t kBase = 0xB000'0000'0000'0000ull;
+  return reinterpret_cast<const void*>(
+      kBase | static_cast<std::uintptr_t>(src_device) << 48 |
+      static_cast<std::uintptr_t>(dst_device) << 40);
 }
 
 /// Allocates backing memory (real in functional mode, synthetic otherwise)
@@ -236,9 +238,11 @@ bool peer_route_enabled(int a, int b) {
 /// interconnect when peer access is enabled, staged through host pinned
 /// buffers (D2H on the source device, then H2D on the destination, in
 /// stream FIFO order) when it is not. Devices must already be validated.
+/// Each op claims what it touches of `claims` (see peer_copy_async).
 cuemError_t peer_transfer(int dst_device, int src_device, std::size_t count,
                           cuemStream_t stream, bool blocking,
-                          std::string label, std::function<void()> action) {
+                          std::string label, std::function<void()> action,
+                          const Claims& claims) {
   Platform& p = Platform::instance();
   stream = resolve_stream(stream);
   if (!p.stream_valid(stream)) {
@@ -258,11 +262,13 @@ cuemError_t peer_transfer(int dst_device, int src_device, std::size_t count,
     req.device_override = dst_device;
     req.label = std::move(label);
     p.enqueue_copy(stream, req, std::move(action));
+    claim(stream, claims);
     return cuemSuccess;
   }
   if (peer_route_enabled(src_device, dst_device)) {
     p.enqueue_peer_copy(stream, src_device, dst_device, count,
                         std::move(label), std::move(action));
+    claim(stream, claims);
     if (blocking) {
       p.sync_stream(stream);
     }
@@ -277,7 +283,22 @@ cuemError_t peer_transfer(int dst_device, int src_device, std::size_t count,
   d2h.host_mem = HostMemKind::kPinned;
   d2h.device_override = src_device;
   d2h.label = label + ":d2h";
+  // Each hop claims its side of the copy and the bounce buffer between.
+  const void* bounce = bounce_buffer(src_device, dst_device);
+  const auto claim_hop = [&](Role side, Role bounce_role) {
+    if (claims.accesses.empty()) {
+      return;
+    }
+    for (const Access& a : claims.accesses) {
+      if (a.role == side) {
+        claim(stream, a.ptr, a.box, a.role, claims.op);
+      }
+    }
+    claim(stream, bounce, sim::ByteBox::span(0, count), bounce_role,
+          claims.op);
+  };
   p.enqueue_copy(stream, d2h, nullptr);
+  claim_hop(Role::kRead, Role::kWrite);
   CopyRequest h2d;
   h2d.kind = OpKind::kCopyH2D;
   h2d.bytes = count;
@@ -286,6 +307,7 @@ cuemError_t peer_transfer(int dst_device, int src_device, std::size_t count,
   h2d.device_override = dst_device;
   h2d.label = label + ":h2d";
   p.enqueue_copy(stream, h2d, std::move(action));
+  claim_hop(Role::kWrite, Role::kRead);
   return cuemSuccess;
 }
 
@@ -377,8 +399,8 @@ cuemError_t do_memcpy(void* dst, const void* src, std::size_t count,
     }
     // Host-local copy: no engine involved; charge host time at a
     // DRAM-copy-class bandwidth and perform the move.
-    san::note_host_access(src, count, /*write=*/false, op);
-    san::note_host_access(dst, count, /*write=*/true, op);
+    claim(-1, src, sim::ByteBox::span(0, count), Role::kRead, op);
+    claim(-1, dst, sim::ByteBox::span(0, count), Role::kWrite, op);
     if (action) {
       action();
     }
@@ -397,13 +419,9 @@ cuemError_t do_memcpy(void* dst, const void* src, std::size_t count,
     const int dst_dev = da != nullptr ? da->device : 0;
     const int src_dev = sa != nullptr ? sa->device : 0;
     if (dst_dev != src_dev) {
-      const cuemError_t perr = peer_transfer(
-          dst_dev, src_dev, count, stream, blocking, "P2P", std::move(action));
-      if (perr == cuemSuccess) {
-        san::hook::note_op_access(stream, dst, src, count, op);
-        graph_note_copy(stream, dst, src, count);
-      }
-      return perr;
+      return peer_transfer(dst_dev, src_dev, count, stream, blocking, "P2P",
+                           std::move(action),
+                           span_claims(dst, src, count, op));
     }
   } else {
     const cuemError_t err = classify_link(req, kind, dst_space, src_space,
@@ -419,8 +437,7 @@ cuemError_t do_memcpy(void* dst, const void* src, std::size_t count,
     req.label = sim::to_string(req.kind);
   }
   p.enqueue_copy(stream, req, std::move(action));
-  san::hook::note_op_access(stream, dst, src, count, op);
-  graph_note_copy(stream, dst, src, count);
+  claim(stream, span_claims(dst, src, count, op));
   return cuemSuccess;
 }
 
@@ -495,25 +512,18 @@ cuemError_t do_memcpy3d(const cuemMemcpy3DParms& parms, cuemStream_t stream,
     san::hook::on_pageable_async(stream, op);
   }
   p.enqueue_copy(stream, req, std::move(action));
-  san::BoxShape dst_box;
-  dst_box.width = parms.width;
-  dst_box.height = parms.height;
-  dst_box.depth = parms.depth;
-  dst_box.row_pitch = parms.dst_pitch;
-  dst_box.slice_pitch = parms.dst_slice_pitch;
-  san::BoxShape src_box;
-  src_box.width = parms.width;
-  src_box.height = parms.height;
-  src_box.depth = parms.depth;
-  src_box.row_pitch = parms.src_pitch;
-  src_box.slice_pitch = parms.src_slice_pitch;
-  san::hook::note_op_box_access(stream, parms.dst, dst_box, parms.src,
-                                src_box, op);
-  // Graph attribution uses the bounding flat spans of the pitched boxes:
-  // conservative (over-approximates the touched bytes), so the lint can
-  // only under-report independence, never invent it.
-  graph_note_copy(stream, nullptr, parms.src, src_span);
-  graph_note_copy(stream, parms.dst, nullptr, dst_span);
+  Claims claims(op);
+  sim::ByteBox box;
+  box.width = parms.width;
+  box.height = parms.height;
+  box.depth = parms.depth;
+  box.row_pitch = parms.dst_pitch;
+  box.slice_pitch = parms.dst_slice_pitch;
+  claims.add(parms.dst, box, Role::kWrite);
+  box.row_pitch = parms.src_pitch;
+  box.slice_pitch = parms.src_slice_pitch;
+  claims.add(parms.src, box, Role::kRead);
+  claim(stream, claims);
   return cuemSuccess;
 }
 
@@ -591,8 +601,8 @@ cuemError_t order_after(cuemStream_t stream, cuemStream_t before) {
 
 cuemError_t peer_copy_async(int dst_device, int src_device,
                             std::size_t bytes, cuemStream_t stream,
-                            std::string label,
-                            std::function<void()> action) {
+                            std::string label, std::function<void()> action,
+                            const Claims& claims) {
   Platform& p = Platform::instance();
   if (!p.device_valid(dst_device) || !p.device_valid(src_device)) {
     std::ostringstream os;
@@ -602,8 +612,34 @@ cuemError_t peer_copy_async(int dst_device, int src_device,
   }
   return peer_transfer(dst_device, src_device, bytes, stream,
                        /*blocking=*/false, std::move(label),
-                       std::move(action));
+                       std::move(action), claims);
 }
+
+bool claims_heard() {
+  return san::enabled() || Platform::instance().op_graph() != nullptr;
+}
+
+void claim(cuemStream_t stream, const void* ptr, const sim::ByteBox& box,
+           Role role, const char* op) {
+  const bool write = role == Role::kWrite;
+  san::record_access(stream, ptr, box, write, op);
+  if (stream < 0 || ptr == nullptr) {
+    return;  // the graph has no host lane
+  }
+  sim::OpGraph* graph = Platform::instance().op_graph();
+  if (graph == nullptr) {
+    return;
+  }
+  // The graph compares boxes from the start of the allocation they lie in,
+  // as the sanitizer does; an unregistered range counts from itself.
+  const auto addr = reinterpret_cast<std::uintptr_t>(ptr);
+  const Allocation* alloc = rt().registry.find(ptr);
+  const std::uintptr_t base = alloc != nullptr ? alloc->base : addr;
+  sim::AccessRange access(base, box, write);
+  access.box.offset += addr - base;
+  graph->note_access(stream, access);
+}
+
 
 bool is_device_ptr(const void* p) {
   return rt().registry.is_space(p, MemSpace::kDevice);
@@ -762,7 +798,7 @@ cuemError_t host_touch(void* ptr, std::size_t bytes) {
   p.host_advance(pages * cfg.uvm_page_fault_ns +
                  transfer_time_ns(bytes, cfg.uvm_migrate_gbps));
   alloc->device_resident = false;
-  san::note_host_access(ptr, bytes, /*write=*/true, "host_touch");
+  claim(-1, ptr, sim::ByteBox::span(0, bytes), Role::kWrite, "host_touch");
   return cuemSuccess;
 }
 
@@ -989,8 +1025,7 @@ cuemError_t do_memset(void* dev_ptr, int value, std::size_t count,
     action = [dev_ptr, value, count] { std::memset(dev_ptr, value, count); };
   }
   p.enqueue_copy(stream, req, std::move(action));
-  san::hook::note_op_access(stream, dev_ptr, nullptr, count, op);
-  graph_note_copy(stream, dev_ptr, nullptr, count);
+  claim(stream, dev_ptr, sim::ByteBox::span(0, count), Role::kWrite, op);
   return cuemSuccess;
 }
 
@@ -1365,14 +1400,9 @@ cuemError_t do_memcpy_peer(void* dst, int dst_device, const void* src,
   if (Platform::instance().functional()) {
     action = [dst, src, count] { std::memcpy(dst, src, count); };
   }
-  const cuemError_t perr = peer_transfer(dst_device, src_device, count,
-                                         stream, blocking, "P2P",
-                                         std::move(action));
-  if (perr == cuemSuccess && count > 0) {
-    san::hook::note_op_access(resolve_stream(stream), dst, src, count, op);
-    graph_note_copy(resolve_stream(stream), dst, src, count);
-  }
-  return perr;
+  return peer_transfer(dst_device, src_device, count, stream, blocking,
+                       "P2P", std::move(action),
+                       span_claims(dst, src, count, op));
 }
 
 }  // namespace

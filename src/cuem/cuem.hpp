@@ -5,13 +5,17 @@
 // cudaMemcpy{,Async}, streams, events, cudaMemGetInfo, device sync), backed
 // by the sim::Platform discrete-event model instead of real hardware.
 //
-// Beyond the CUDA-shaped surface there are three C++ extensions, needed
+// Beyond the CUDA-shaped surface there are four C++ extensions, needed
 // because we have neither a device compiler nor an MMU:
 //   * cuem::launch        — launches a kernel given a cost profile and a
 //                           functional closure (stands in for <<<...>>>).
 //   * cuem::host_touch    — notifies the runtime the host is about to access
 //                           a managed allocation (stands in for the CPU page
 //                           fault that triggers UVM migration back).
+//   * cuem::claim         — states what an op or the host touches, for the
+//                           sanitizer and the op graph alike (stands in for
+//                           the memory traffic a kernel body or a NIC makes
+//                           behind the runtime's back).
 //   * cuem::configure     — rebuilds the simulated device with a chosen
 //                           DeviceConfig (stands in for picking the GPU).
 #pragma once
@@ -20,7 +24,9 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
+#include "sim/byte_box.hpp"
 #include "sim/device_config.hpp"
 #include "sim/kernel_profile.hpp"
 #include "sim/platform.hpp"
@@ -327,14 +333,68 @@ class DeviceGuard {
 /// `stream`, then destroyed). The host never blocks.
 cuemError_t order_after(cuemStream_t stream, cuemStream_t before);
 
+/// What a claimed access does to its bytes.
+enum class Role : std::uint8_t { kRead, kWrite };
+
+/// One access: `box` of the buffer at `ptr` (box.offset counts from
+/// `ptr`), in `role`.
+struct Access {
+  const void* ptr = nullptr;
+  sim::ByteBox box;
+  Role role = Role::kRead;
+};
+
+/// True while something listens to claims: the sanitizer, or an op graph
+/// attached to the platform.
+bool claims_heard();
+
+/// The accesses of one op, claimed together under the name `op`. Whether
+/// anything listens is sampled once, at construction: when nothing does,
+/// add() keeps nothing, and callers skip working out boxes (`heard`).
+struct Claims {
+  Claims() = default;
+  explicit Claims(const char* name) : op(name), heard(claims_heard()) {}
+
+  void add(const void* ptr, const sim::ByteBox& box, Role role) {
+    if (heard) {
+      accesses.push_back(Access{ptr, box, role});
+    }
+  }
+
+  const char* op = "";
+  bool heard = false;
+  std::vector<Access> accesses;
+};
+
+/// The one statement of an access: `box` of the buffer at `ptr` (box.offset
+/// counts from `ptr`), in `role`, by the newest op on `stream` — claim
+/// right after enqueuing it — or by the host when `stream` is -1. It feeds
+/// the sanitizer's racecheck, named `op` in findings, and the op's node in
+/// an attached op graph, which keeps the box for the schedule lint (the
+/// graph has no host lane: it ignores host claims). Returns at once when
+/// neither listens.
+void claim(cuemStream_t stream, const void* ptr, const sim::ByteBox& box,
+           Role role, const char* op);
+
+/// Claims every access of `claims` for the newest op on `stream`, in order.
+inline void claim(cuemStream_t stream, const Claims& claims) {
+  for (const Access& a : claims.accesses) {
+    claim(stream, a.ptr, a.box, a.role, claims.op);
+  }
+}
+
 /// Stream-ordered peer copy with a caller-supplied functional action and
 /// trace label — the cudaMemcpy3DPeerAsync analogue used by inter-device
 /// ghost exchange, where the data movement is strided rather than a flat
-/// memcpy. `bytes` prices the transfer; `action` performs it.
+/// memcpy. `bytes` prices the transfer; `action` performs it. The copy
+/// claims `claims` (its strided source reads and destination writes):
+/// direct, all on the copy; staged through the host, the reads on the D2H
+/// hop and the writes on the H2D hop, each hop also claiming the device
+/// pair's bounce buffer.
 cuemError_t peer_copy_async(int dst_device, int src_device,
                             std::size_t bytes, cuemStream_t stream,
-                            std::string label,
-                            std::function<void()> action);
+                            std::string label, std::function<void()> action,
+                            const Claims& claims = {});
 
 /// The platform behind the runtime (timing queries, traces).
 sim::Platform& platform();

@@ -12,7 +12,6 @@
 #include <deque>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -30,13 +29,10 @@ constexpr std::size_t kMaxTombstones = 256;
 /// the oldest half is dropped (documented soundness bound — in practice
 /// sync points prune long before this).
 constexpr std::size_t kMaxAccessesPerAlloc = 1024;
-/// Cap on exact row-pair enumeration in the generic box-overlap test;
-/// beyond it the test degrades to conservative span overlap.
-constexpr std::size_t kMaxRowPairs = 1 << 16;
 
 struct AccessRecord {
   sim::HbClock clock;       ///< vector clock of the access
-  BoxShape box;             ///< footprint, offset relative to the base
+  sim::ByteBox box;         ///< footprint, offset relative to the base
   bool write = false;
   int owner = -1;           ///< stream id, -1 = host
   std::string op;
@@ -216,145 +212,11 @@ void record(State& st, Finding f, const std::string& dedupe_key) {
   }
 }
 
-// --- box footprints ------------------------------------------------------
-
-/// One-past-the-last byte the box can touch (relative to the allocation).
-std::size_t box_end(const BoxShape& b) {
-  if (b.width == 0 || b.height == 0 || b.depth == 0) return b.offset;
-  return b.offset + (b.depth - 1) * b.slice_pitch +
-         (b.height - 1) * b.row_pitch + b.width;
-}
-
-bool box_empty(const BoxShape& b) {
-  return b.width == 0 || b.height == 0 || b.depth == 0;
-}
-
-bool box_flat(const BoxShape& b) { return b.height <= 1 && b.depth <= 1; }
-
-/// Exact O(1) overlap test for two 2D boxes sharing one row pitch (the hot
-/// case: ghost halo vs interior boxes inside one slot allocation). Rows of
-/// `a` live at a.offset + i*P, rows of `b` at b.offset + j*P; with widths
-/// <= P the relative shift of any row pair is d mod P (or d mod P - P), so
-/// overlap reduces to two residue checks plus an index-range check.
-bool same_pitch_overlap(const BoxShape& a, const BoxShape& b,
-                        std::size_t pitch) {
-  const auto P = static_cast<std::int64_t>(pitch);
-  const std::int64_t d = static_cast<std::int64_t>(b.offset) -
-                         static_cast<std::int64_t>(a.offset);
-  std::int64_t q = d / P;
-  std::int64_t rr = d - q * P;
-  if (rr < 0) {
-    rr += P;
-    --q;
-  }
-  const auto ha = static_cast<std::int64_t>(a.height);
-  const auto hb = static_cast<std::int64_t>(b.height);
-  const auto wa = static_cast<std::int64_t>(a.width);
-  const auto wb = static_cast<std::int64_t>(b.width);
-  // Row j of b overlaps row i of a iff -wb < rr + (q + j - i)*P < wa.
-  // With wa, wb <= P only q + j - i in {0, -1} can land in that window.
-  const auto ji_feasible = [&](std::int64_t ji) {
-    return ji >= -(ha - 1) && ji <= hb - 1;
-  };
-  if (rr < wa && ji_feasible(-q)) return true;
-  if (P - rr < wb && ji_feasible(-q - 1)) return true;
-  return false;
-}
-
-/// Exact O(1) overlap test for two boxes on one 3D grid: the same row and
-/// slice pitch, each row inside its slice and each box inside its rows
-/// (every pitched sub-box of one slot or region buffer: ghost shells,
-/// faces, interiors). Each offset then splits into (slice, row, column),
-/// the footprints are index boxes, and they share a byte iff they meet in
-/// every dimension. Empty when the boxes are not laid out that way.
-std::optional<bool> same_grid_overlap(const BoxShape& a, const BoxShape& b) {
-  const std::size_t rp = a.row_pitch;
-  const std::size_t sp = a.slice_pitch;
-  if (rp == 0 || sp == 0 || sp % rp != 0 || b.row_pitch != rp ||
-      b.slice_pitch != sp) {
-    return std::nullopt;
-  }
-  struct Extent {
-    std::size_t lo[3];
-    std::size_t hi[3];  // exclusive
-  };
-  const auto extent = [rp, sp](const BoxShape& x) -> std::optional<Extent> {
-    const std::size_t slice = x.offset / sp;
-    const std::size_t row = x.offset % sp / rp;
-    const std::size_t col = x.offset % rp;
-    if (col + x.width > rp || (row + x.height) * rp > sp) {
-      return std::nullopt;  // wraps into the next row or slice
-    }
-    return Extent{{slice, row, col},
-                  {slice + x.depth, row + x.height, col + x.width}};
-  };
-  const std::optional<Extent> ea = extent(a);
-  const std::optional<Extent> eb = extent(b);
-  if (!ea || !eb) {
-    return std::nullopt;
-  }
-  for (int d = 0; d < 3; ++d) {
-    if (ea->hi[d] <= eb->lo[d] || eb->hi[d] <= ea->lo[d]) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// True when the two footprints share at least one byte. Exact for flat
-/// ranges, same-pitch 2D boxes and boxes on one 3D grid; any other strided
-/// case enumerates row pairs up to kMaxRowPairs, then falls back to
-/// conservative span overlap.
-bool boxes_overlap(const BoxShape& a, const BoxShape& b) {
-  if (box_empty(a) || box_empty(b)) return false;
-  if (box_end(a) <= b.offset || box_end(b) <= a.offset) return false;
-  if (box_flat(a) && box_flat(b)) return true;
-  if (a.depth <= 1 && b.depth <= 1 && a.row_pitch == b.row_pitch &&
-      a.row_pitch > 0 && a.width <= a.row_pitch && b.width <= b.row_pitch) {
-    // Treat a flat range as a 1-row box: same test applies.
-    return same_pitch_overlap(a, b, a.row_pitch);
-  }
-  if (box_flat(a) && !box_flat(b) && b.row_pitch > 0 &&
-      b.width <= b.row_pitch && b.depth <= 1 && a.width <= b.row_pitch) {
-    BoxShape af = a;
-    af.row_pitch = b.row_pitch;
-    return same_pitch_overlap(af, b, b.row_pitch);
-  }
-  if (box_flat(b) && !box_flat(a) && a.row_pitch > 0 &&
-      a.width <= a.row_pitch && a.depth <= 1 && b.width <= a.row_pitch) {
-    BoxShape bf = b;
-    bf.row_pitch = a.row_pitch;
-    return same_pitch_overlap(a, bf, a.row_pitch);
-  }
-  if (const std::optional<bool> grid = same_grid_overlap(a, b)) {
-    return *grid;
-  }
-  const std::size_t rows_a = a.height * a.depth;
-  const std::size_t rows_b = b.height * b.depth;
-  if (rows_a * rows_b > kMaxRowPairs) return true;  // conservative
-  for (std::size_t sa = 0; sa < a.depth; ++sa) {
-    for (std::size_t ra = 0; ra < a.height; ++ra) {
-      const std::size_t astart =
-          a.offset + sa * a.slice_pitch + ra * a.row_pitch;
-      for (std::size_t sb = 0; sb < b.depth; ++sb) {
-        for (std::size_t rb = 0; rb < b.height; ++rb) {
-          const std::size_t bstart =
-              b.offset + sb * b.slice_pitch + rb * b.row_pitch;
-          if (astart < bstart + b.width && bstart < astart + a.width) {
-            return true;
-          }
-        }
-      }
-    }
-  }
-  return false;
-}
-
 /// Overlap summary of two footprints' spans, for the report.
-std::pair<std::size_t, std::size_t> overlap_span(const BoxShape& a,
-                                                 const BoxShape& b) {
+std::pair<std::size_t, std::size_t> overlap_span(const sim::ByteBox& a,
+                                                 const sim::ByteBox& b) {
   const std::size_t lo = std::max(a.offset, b.offset);
-  const std::size_t hi = std::min(box_end(a), box_end(b));
+  const std::size_t hi = std::min(sim::box_end(a), sim::box_end(b));
   return {lo, hi > lo ? hi - lo : 0};
 }
 
@@ -423,7 +285,7 @@ void add_access(State& st, ShadowAlloc& sa, AccessRecord rec) {
     if (!old_r.write && !rec.write) continue;      // read/read is benign
     if (sim::hb_leq(old_r.clock, rec.clock)) continue;
     if (sim::hb_leq(rec.clock, old_r.clock)) continue;
-    if (!boxes_overlap(old_r.box, rec.box)) continue;
+    if (!sim::boxes_overlap(old_r.box, rec.box)) continue;
     report_race(st, sa, old_r, rec);
   }
   sa.accesses.push_back(std::move(rec));
@@ -437,36 +299,9 @@ void check_only(State& st, ShadowAlloc& sa, const AccessRecord& rec) {
     if (old_r.owner == rec.owner) continue;
     if (sim::hb_leq(old_r.clock, rec.clock)) continue;
     if (sim::hb_leq(rec.clock, old_r.clock)) continue;
-    if (!boxes_overlap(old_r.box, rec.box)) continue;
+    if (!sim::boxes_overlap(old_r.box, rec.box)) continue;
     report_race(st, sa, old_r, rec);
   }
-}
-
-BoxShape flat_box(std::size_t offset, std::size_t bytes) {
-  BoxShape b;
-  b.offset = offset;
-  b.width = bytes;
-  return b;
-}
-
-/// Records one endpoint of an enqueued op. `box.offset` arrives relative to
-/// `ptr` and is rebased onto the allocation here.
-void note_endpoint(State& st, int stream, const void* ptr, BoxShape box,
-                   bool write, const char* op) {
-  ShadowAlloc* sa = find_shadow(st, ptr);
-  if (!sa) return;  // plain host memory: untracked on both sides
-  const auto addr = reinterpret_cast<std::uintptr_t>(ptr);
-  box.offset += addr - sa->info.base;
-  auto& p = platform();
-  AccessRecord rec;
-  rec.clock = p.hb_last_op_clock();
-  rec.box = box;
-  rec.write = write;
-  rec.owner = stream;
-  rec.op = op;
-  rec.t_start = p.last_op_start();
-  rec.t_finish = p.last_op_finish();
-  add_access(st, *sa, std::move(rec));
 }
 
 }  // namespace
@@ -530,91 +365,51 @@ void annotate(const void* ptr, std::string label) {
   }
 }
 
-namespace {
-
-/// Records a host access to `box` (offset relative to `ptr`) of the
-/// allocation `sa` that contains `ptr`, at the host's current clock.
-void note_host_footprint(State& st, ShadowAlloc& sa, const void* ptr,
-                         BoxShape box, bool write, const char* op) {
-  auto& p = platform();
-  p.hb_tick_host();
-  AccessRecord rec;
-  rec.clock = p.hb_host_clock();
-  const auto addr = reinterpret_cast<std::uintptr_t>(ptr);
-  box.offset += addr - sa.info.base;
-  rec.box = box;
-  rec.write = write;
-  rec.owner = -1;
-  rec.op = op;
-  rec.t_start = p.now();
-  rec.t_finish = p.now();
-  add_access(st, sa, std::move(rec));
-}
-
-}  // namespace
-
-void note_host_access(const void* ptr, std::size_t bytes, bool write,
-                      const char* op) {
+void record_access(int stream, const void* ptr, const sim::ByteBox& box,
+                   bool write, const char* op) {
   State& st = state();
   if (!st.opts.enabled || !st.opts.racecheck) return;
   ensure_world(st);
   ShadowAlloc* sa = find_shadow(st, ptr);
-  if (!sa) return;
-  // Coalesce repeated notes against the same buffer while nothing was
-  // enqueued in between (element-wise at() loops): the host component only
-  // moves on enqueues and our own ticks, so an unchanged component means an
-  // identical note would see exactly the same history.
-  const sim::HbClock& host = platform().hb_host_clock();
-  const std::uint64_t comp = host.empty() ? 0 : host[0];
-  if (sa->info.base == st.last_host_base && write == st.last_host_write &&
-      comp == st.last_host_comp) {
-    return;
-  }
-  note_host_footprint(st, *sa, ptr, flat_box(0, bytes), write, op);
-  st.last_host_base = sa->info.base;
-  st.last_host_write = write;
-  const sim::HbClock& host2 = platform().hb_host_clock();
-  st.last_host_comp = host2.empty() ? 0 : host2[0];
-}
-
-void note_host_box_access(const void* ptr, const BoxShape& box, bool write,
-                          const char* op) {
-  State& st = state();
-  if (!st.opts.enabled || !st.opts.racecheck) return;
-  ensure_world(st);
-  ShadowAlloc* sa = find_shadow(st, ptr);
-  if (!sa) return;
-  // Never coalesced: the next note may name another box of the buffer.
-  // Its own tick moves the host component, so a whole-buffer note after it
-  // is recorded too.
-  note_host_footprint(st, *sa, ptr, box, write, op);
-}
-
-void note_kernel_access(int stream, const void* ptr, std::size_t bytes,
-                        bool write, const char* op) {
-  BoxShape box = flat_box(0, bytes);
-  note_kernel_box_access(stream, ptr, box, write, op);
-}
-
-void note_kernel_box_access(int stream, const void* ptr, const BoxShape& box,
-                            bool write, const char* op) {
-  State& st = state();
-  if (!st.opts.enabled || !st.opts.racecheck) return;
-  ensure_world(st);
-  ShadowAlloc* sa = find_shadow(st, ptr);
-  if (!sa) return;
+  if (!sa) return;  // plain host memory and synthetic ranges: untracked
   auto& p = platform();
   AccessRecord rec;
-  rec.clock = p.hb_stream_clock(stream);
   rec.box = box;
-  const auto addr = reinterpret_cast<std::uintptr_t>(ptr);
-  rec.box.offset += addr - sa->info.base;
+  rec.box.offset += reinterpret_cast<std::uintptr_t>(ptr) - sa->info.base;
   rec.write = write;
   rec.owner = stream;
   rec.op = op;
-  rec.t_start = p.last_op_start();
-  rec.t_finish = p.last_op_finish();
+  if (stream >= 0) {
+    // The newest op on `stream`: the claim follows its enqueue.
+    rec.clock = p.hb_stream_clock(stream);
+    rec.t_start = p.last_op_start();
+    rec.t_finish = p.last_op_finish();
+    add_access(st, *sa, std::move(rec));
+    return;
+  }
+  // Host spans coalesce: a span claim on the buffer the last host span
+  // claim named, in the same role, with nothing enqueued in between
+  // (element-wise at() loops) sees exactly the same history. The host
+  // component only moves on enqueues and host ticks. Boxes never coalesce
+  // (the next may name another box of the buffer), and their own tick
+  // makes the span claim after them count.
+  const bool span = box.row_pitch == 0 && box.slice_pitch == 0;
+  const sim::HbClock& host = p.hb_host_clock();
+  if (span && sa->info.base == st.last_host_base &&
+      write == st.last_host_write &&
+      (host.empty() ? 0 : host[0]) == st.last_host_comp) {
+    return;
+  }
+  p.hb_tick_host();
+  rec.clock = p.hb_host_clock();
+  rec.t_start = p.now();
+  rec.t_finish = p.now();
   add_access(st, *sa, std::move(rec));
+  if (span) {
+    st.last_host_base = sa->info.base;
+    st.last_host_write = write;
+    st.last_host_comp = host.empty() ? 0 : host[0];
+  }
 }
 
 // --- hooks ---------------------------------------------------------------
@@ -679,7 +474,7 @@ void on_free(const void* ptr, bool ok, const char* op) {
     p.hb_tick_host();
     AccessRecord rec;
     rec.clock = p.hb_host_clock();
-    rec.box = flat_box(0, sa.info.size);
+    rec.box = sim::ByteBox::span(0, sa.info.size);
     rec.write = true;
     rec.owner = -1;
     rec.op = op;
@@ -743,25 +538,6 @@ bool precheck_range(const void* ptr, std::size_t bytes, const char* op) {
     return false;
   }
   return true;  // unregistered plain host memory
-}
-
-void note_op_access(int stream, const void* dst, const void* src,
-                    std::size_t bytes, const char* op) {
-  State& st = state();
-  if (!st.opts.enabled || !st.opts.racecheck || bytes == 0) return;
-  ensure_world(st);
-  if (dst) note_endpoint(st, stream, dst, flat_box(0, bytes), true, op);
-  if (src) note_endpoint(st, stream, src, flat_box(0, bytes), false, op);
-}
-
-void note_op_box_access(int stream, const void* dst, const BoxShape& dst_box,
-                        const void* src, const BoxShape& src_box,
-                        const char* op) {
-  State& st = state();
-  if (!st.opts.enabled || !st.opts.racecheck) return;
-  ensure_world(st);
-  if (dst) note_endpoint(st, stream, dst, dst_box, true, op);
-  if (src) note_endpoint(st, stream, src, src_box, false, op);
 }
 
 void on_pageable_async(int stream, const char* op) {

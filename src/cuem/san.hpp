@@ -23,10 +23,11 @@
 // CMake option is off every entry point below compiles to an empty inline
 // stub and the runtime carries zero overhead.
 //
-// Kernel bodies run outside the cuem API (closures on sim streams), so
-// kernel memory accesses are tracked by annotation: the core layer calls
-// note_kernel_access / note_kernel_box_access for the buffers each launch
-// touches, and cuemSanAnnotate (see cuem.hpp) names buffers in reports.
+// Accesses reach the racecheck through cuem::claim (cuem.hpp), the one
+// statement of what an op or the host touches: cuem's copies claim their
+// endpoints, and the layers above claim what kernels, wire requests and
+// host code touch, since those bodies run outside the cuem API.
+// cuemSanAnnotate (see cuem.hpp) names buffers in reports.
 #pragma once
 
 #include <cstddef>
@@ -36,6 +37,7 @@
 
 #include "common/error.hpp"
 #include "cuem/registry.hpp"
+#include "sim/byte_box.hpp"
 
 namespace tidacc::cuem::san {
 
@@ -118,24 +120,6 @@ struct Options {
   std::string json_path;
 };
 
-/// Strided (box-shaped) byte footprint inside one allocation: `depth`
-/// slices of `height` rows of `width` bytes, rows `row_pitch` apart and
-/// slices `slice_pitch` apart, starting `offset` bytes into the allocation.
-/// A flat range is width=bytes, height=depth=1.
-struct BoxShape {
-  std::size_t offset = 0;
-  std::size_t width = 0;
-  std::size_t height = 1;
-  std::size_t depth = 1;
-  std::size_t row_pitch = 0;
-  std::size_t slice_pitch = 0;
-
-  template <typename Ar>
-  void fields(Ar& ar) {
-    ar(offset, width, height, depth, row_pitch, slice_pitch);
-  }
-};
-
 #ifdef TIDACC_CUEM_SANITIZER
 
 /// Installs `opts`, clears all shadow state and findings, and arms the
@@ -164,33 +148,18 @@ bool clean();
 std::string report_json();
 bool write_report(const std::string& path);
 
-// --- annotation and access notes (called by the core layer) ---
+// --- annotation and the access recorder ---
 
 /// Attaches a human-readable label to the allocation containing `ptr`;
 /// findings referencing it report the label instead of a raw address.
 void annotate(const void* ptr, std::string label);
 
-/// Records a host access to `bytes` at `ptr`. No-op when `ptr` is not a
-/// registered allocation. Consecutive identical notes coalesce.
-void note_host_access(const void* ptr, std::size_t bytes, bool write,
-                      const char* op);
-
-/// Records a host access to a strided box of the allocation containing
-/// `ptr` (the host's ghost copies touch sub-boxes of a region buffer while
-/// transfers of other sub-boxes are in flight). Never coalesced.
-void note_host_box_access(const void* ptr, const BoxShape& box, bool write,
-                          const char* op);
-
-/// Records a kernel access on `stream` to a flat byte range of the
-/// allocation containing `ptr` (call right after the launch).
-void note_kernel_access(int stream, const void* ptr, std::size_t bytes,
-                        bool write, const char* op);
-
-/// Records a kernel access on `stream` to a strided box of the allocation
-/// containing `ptr` (ghost-cell updates touch sub-boxes, and flat ranges
-/// would falsely overlap disjoint interleaved rows).
-void note_kernel_box_access(int stream, const void* ptr, const BoxShape& box,
-                            bool write, const char* op);
+/// The racecheck's access recorder, fed by cuem::claim only: `box` of the
+/// allocation containing `ptr` (box.offset counts from `ptr`), read or
+/// `write`, by the newest op on `stream` or by the host when `stream` is
+/// -1. No-op when `ptr` is not a registered allocation.
+void record_access(int stream, const void* ptr, const sim::ByteBox& box,
+                   bool write, const char* op);
 
 // --- hooks wired into cuem.cpp (internal use) ---
 
@@ -212,17 +181,6 @@ void on_free(const void* ptr, bool ok, const char* op);
 /// (the functional action runs at enqueue, so a true OOB would corrupt
 /// real host memory). Returns false when the op must be suppressed.
 bool precheck_range(const void* ptr, std::size_t bytes, const char* op);
-
-/// Records the access pair of an enqueued flat copy/memset (call right
-/// after the enqueue so the op's clock and timestamps are current). Null
-/// endpoints are skipped, unregistered endpoints (plain host memory) too.
-void note_op_access(int stream, const void* dst, const void* src,
-                    std::size_t bytes, const char* op);
-
-/// Strided variant for cuemMemcpy3DAsync.
-void note_op_box_access(int stream, const void* dst, const BoxShape& dst_box,
-                        const void* src, const BoxShape& src_box,
-                        const char* op);
 
 void on_pageable_async(int stream, const char* op);
 void on_peer_staged(int src_device, int dst_device, const char* op);
@@ -263,13 +221,8 @@ inline bool clean() { return true; }
 inline std::string report_json() { return "{}"; }
 inline bool write_report(const std::string&) { return false; }
 inline void annotate(const void*, std::string) {}
-inline void note_host_access(const void*, std::size_t, bool, const char*) {}
-inline void note_host_box_access(const void*, const BoxShape&, bool,
-                                 const char*) {}
-inline void note_kernel_access(int, const void*, std::size_t, bool,
-                               const char*) {}
-inline void note_kernel_box_access(int, const void*, const BoxShape&, bool,
-                                   const char*) {}
+inline void record_access(int, const void*, const sim::ByteBox&, bool,
+                          const char*) {}
 
 namespace hook {
 inline void on_configure() {}
@@ -278,10 +231,6 @@ inline void on_free(const void*, bool, const char*) {}
 inline bool precheck_range(const void*, std::size_t, const char*) {
   return true;
 }
-inline void note_op_access(int, const void*, const void*, std::size_t,
-                           const char*) {}
-inline void note_op_box_access(int, const void*, const BoxShape&,
-                               const void*, const BoxShape&, const char*) {}
 inline void on_pageable_async(int, const char*) {}
 inline void on_peer_staged(int, int, const char*) {}
 inline void on_stream_destroy_pending(int) {}

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "cuem/cuem.hpp"
-#include "cuem/san.hpp"
 #include "sim/op_graph.hpp"
 #include "sim/snapshot.hpp"
 
@@ -173,8 +172,9 @@ void Fabric::post_recv(QpId qp, MrId dst_mr, std::size_t dst_off,
 WrId Fabric::post_send(QpId qp, MrId src_mr, std::size_t src_off,
                        std::size_t bytes, std::string label,
                        std::function<void()> action,
-                       const std::vector<EventId>& after, bool san_note,
-                       std::uint64_t wire_bytes) {
+                       const std::vector<EventId>& after,
+                       std::uint64_t wire_bytes,
+                       const cuem::Claims* claims) {
   checked_qp(qp);
   Qp& q = qps_[static_cast<size_t>(qp)];
   TIDACC_CHECK_MSG(
@@ -195,44 +195,46 @@ WrId Fabric::post_send(QpId qp, MrId src_mr, std::size_t src_off,
   }
   return submit(qp, OpKind::kNetSend, src_mr, src_off, desc.mr,
                 static_cast<std::size_t>(desc.off), bytes, std::move(label),
-                std::move(action), after, san_note, wire_bytes);
+                std::move(action), after, wire_bytes, claims);
 }
 
 WrId Fabric::rdma_read(QpId qp, MrId dst_mr, std::size_t dst_off,
                        MrId src_mr, std::size_t src_off, std::size_t bytes,
                        std::string label, std::function<void()> action,
-                       const std::vector<EventId>& after, bool san_note,
-                       std::uint64_t wire_bytes) {
+                       const std::vector<EventId>& after,
+                       std::uint64_t wire_bytes,
+                       const cuem::Claims* claims) {
   const Qp& q = checked_qp(qp);
   TIDACC_CHECK_MSG(checked_mr(src_mr, src_off, bytes).node == q.remote,
                    "fabric: rdma_read source must be a remote MR");
   TIDACC_CHECK_MSG(checked_mr(dst_mr, dst_off, bytes).node == q.local,
                    "fabric: rdma_read destination must be a local MR");
   return submit(qp, OpKind::kRdmaRead, src_mr, src_off, dst_mr, dst_off,
-                bytes, std::move(label), std::move(action), after, san_note,
-                wire_bytes);
+                bytes, std::move(label), std::move(action), after, wire_bytes,
+                claims);
 }
 
 WrId Fabric::rdma_write(QpId qp, MrId src_mr, std::size_t src_off,
                         MrId dst_mr, std::size_t dst_off, std::size_t bytes,
                         std::string label, std::function<void()> action,
-                        const std::vector<EventId>& after, bool san_note,
-                        std::uint64_t wire_bytes) {
+                        const std::vector<EventId>& after,
+                        std::uint64_t wire_bytes,
+                        const cuem::Claims* claims) {
   const Qp& q = checked_qp(qp);
   TIDACC_CHECK_MSG(checked_mr(src_mr, src_off, bytes).node == q.local,
                    "fabric: rdma_write source must be a local MR");
   TIDACC_CHECK_MSG(checked_mr(dst_mr, dst_off, bytes).node == q.remote,
                    "fabric: rdma_write destination must be a remote MR");
   return submit(qp, OpKind::kRdmaWrite, src_mr, src_off, dst_mr, dst_off,
-                bytes, std::move(label), std::move(action), after, san_note,
-                wire_bytes);
+                bytes, std::move(label), std::move(action), after, wire_bytes,
+                claims);
 }
 
 WrId Fabric::submit(QpId qp, OpKind kind, MrId src_mr, std::size_t src_off,
                     MrId dst_mr, std::size_t dst_off, std::size_t bytes,
                     std::string label, std::function<void()> action,
-                    const std::vector<EventId>& after, bool san_note,
-                    std::uint64_t wire_bytes) {
+                    const std::vector<EventId>& after,
+                    std::uint64_t wire_bytes, const cuem::Claims* claims) {
   Platform& p = Platform::instance();
   Qp& q = qps_[static_cast<size_t>(qp)];
   const Mr& src = checked_mr(src_mr, src_off, bytes);
@@ -261,20 +263,15 @@ WrId Fabric::submit(QpId qp, OpKind kind, MrId src_mr, std::size_t src_off,
   const int graph_node =
       p.op_graph() != nullptr ? p.op_graph()->last_node_of_stream(q.stream)
                               : -1;
-  if (san_note) {
+  if (claims != nullptr) {
+    cuem::claim(q.stream, *claims);
+  } else {
     const char* op = to_string(kind);
-    cuem::san::note_kernel_access(
-        q.stream, reinterpret_cast<const void*>(src.base + src_off), bytes,
-        /*write=*/false, op);
-    cuem::san::note_kernel_access(
-        q.stream, reinterpret_cast<const void*>(dst.base + dst_off), bytes,
-        /*write=*/true, op);
-    p.graph_note_stream_access(
-        q.stream, reinterpret_cast<const void*>(src.base + src_off), bytes,
-        /*write=*/false);
-    p.graph_note_stream_access(
-        q.stream, reinterpret_cast<const void*>(dst.base + dst_off), bytes,
-        /*write=*/true);
+    const sim::ByteBox payload = sim::ByteBox::span(0, bytes);
+    cuem::claim(q.stream, reinterpret_cast<const void*>(src.base + src_off),
+                payload, cuem::Role::kRead, op);
+    cuem::claim(q.stream, reinterpret_cast<const void*>(dst.base + dst_off),
+                payload, cuem::Role::kWrite, op);
   }
 
   Wr wr;

@@ -44,6 +44,10 @@
 #include "net/fabric_config.hpp"
 #include "sim/platform.hpp"
 
+namespace tidacc::cuem {
+struct Claims;
+}  // namespace tidacc::cuem
+
 namespace tidacc::sim {
 
 using QpId = int;
@@ -132,35 +136,41 @@ class Fabric {
   /// buffer (fails loudly when none is posted, or when the payload
   /// overflows it). `action` performs the real data movement in functional
   /// mode; the send starts after every event in `after` (-1 entries are
-  /// skipped); `san_note` off lets callers with strided payloads record
-  /// precise box accesses themselves.
+  /// skipped).
   /// `wire_bytes` > 0 routes the payload through the fabric's wire codec:
   /// only that many bytes traverse the link while both ends pay the
   /// encode/decode stages (FabricConfig::codec). 0 = raw.
+  /// The request claims (cuem::claim) what it reads and writes on its
+  /// queue pair's stream: `claims` when given — a strided payload passes
+  /// its boxes — else its source and destination ranges, flat, named by
+  /// its kind.
   WrId post_send(QpId qp, MrId src_mr, std::size_t src_off,
                  std::size_t bytes, std::string label = {},
                  std::function<void()> action = {},
-                 const std::vector<EventId>& after = {}, bool san_note = true,
-                 std::uint64_t wire_bytes = 0);
+                 const std::vector<EventId>& after = {},
+                 std::uint64_t wire_bytes = 0,
+                 const cuem::Claims* claims = nullptr);
 
   // --- one-sided RDMA ---
 
   /// Reads `bytes` from the remote `src_mr` into the local `dst_mr`
-  /// (request/response round trip on the wire). `after` and `wire_bytes`
-  /// as post_send.
+  /// (request/response round trip on the wire). `after`, `wire_bytes` and
+  /// `claims` as post_send.
   WrId rdma_read(QpId qp, MrId dst_mr, std::size_t dst_off, MrId src_mr,
                  std::size_t src_off, std::size_t bytes,
                  std::string label = {}, std::function<void()> action = {},
-                 const std::vector<EventId>& after = {}, bool san_note = true,
-                 std::uint64_t wire_bytes = 0);
+                 const std::vector<EventId>& after = {},
+                 std::uint64_t wire_bytes = 0,
+                 const cuem::Claims* claims = nullptr);
 
   /// Writes `bytes` from the local `src_mr` into the remote `dst_mr`.
-  /// `after` and `wire_bytes` as post_send.
+  /// `after`, `wire_bytes` and `claims` as post_send.
   WrId rdma_write(QpId qp, MrId src_mr, std::size_t src_off, MrId dst_mr,
                   std::size_t dst_off, std::size_t bytes,
                   std::string label = {}, std::function<void()> action = {},
-                  const std::vector<EventId>& after = {}, bool san_note = true,
-                  std::uint64_t wire_bytes = 0);
+                  const std::vector<EventId>& after = {},
+                  std::uint64_t wire_bytes = 0,
+                  const cuem::Claims* claims = nullptr);
 
   // --- completion queue ---
 
@@ -261,8 +271,8 @@ class Fabric {
   WrId submit(QpId qp, OpKind kind, MrId src_mr, std::size_t src_off,
               MrId dst_mr, std::size_t dst_off, std::size_t bytes,
               std::string label, std::function<void()> action,
-              const std::vector<EventId>& after, bool san_note,
-              std::uint64_t wire_bytes);
+              const std::vector<EventId>& after, std::uint64_t wire_bytes,
+              const cuem::Claims* claims);
   const Wr& checked_wr(WrId wr) const;
   /// Blocks the host until `w` completes and marks it reaped (the caller
   /// drops it from its queue pair's outstanding list).

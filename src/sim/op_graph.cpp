@@ -38,7 +38,14 @@ const char* to_string(EdgeOrigin o) {
 }
 
 bool conflicts(const AccessRange& a, const AccessRange& b) {
-  return (a.write || b.write) && a.lo < b.hi && b.lo < a.hi;
+  if (!a.write && !b.write) {
+    return false;
+  }
+  if (a.base == b.base) {
+    return boxes_overlap(a.box, b.box);
+  }
+  return a.base + a.box.offset < b.base + box_end(b.box) &&
+         b.base + b.box.offset < a.base + box_end(a.box);
 }
 
 int OpGraph::add_node(OpNode n) {
@@ -232,18 +239,13 @@ void OpGraph::on_host_join_last_op() {
   }
 }
 
-void OpGraph::note_stream_access(StreamId s, const void* ptr,
-                                 std::size_t bytes, bool write) {
-  if (ptr == nullptr || bytes == 0) {
-    return;
-  }
+void OpGraph::note_access(StreamId s, const AccessRange& access) {
   const auto it = last_op_on_stream_.find(s);
-  if (it == last_op_on_stream_.end()) {
+  if (box_end(access.box) == access.box.offset ||
+      it == last_op_on_stream_.end()) {
     return;
   }
-  const auto lo = reinterpret_cast<std::uint64_t>(ptr);
-  nodes_[static_cast<size_t>(it->second)].accesses.push_back(
-      AccessRange{lo, lo + bytes, write});
+  nodes_[static_cast<size_t>(it->second)].accesses.push_back(access);
 }
 
 int OpGraph::on_recv_post(std::string label, SimTime t) {

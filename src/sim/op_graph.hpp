@@ -43,6 +43,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sim/byte_box.hpp"
 #include "sim/platform.hpp"
 #include "sim/trace.hpp"
 
@@ -68,13 +69,19 @@ enum class EdgeOrigin : int {
 
 const char* to_string(EdgeOrigin o);
 
-/// Half-open byte interval an op reads or writes, in the process's own
-/// address space (host and device buffers are both simulator-side
-/// allocations, so raw addresses are a valid global resource namespace).
+/// Bytes an op reads or writes: `box` counts from `base`, the start of the
+/// buffer it lies in, in the process's own address space (host and device
+/// buffers are both simulator-side allocations, so raw addresses are a
+/// valid global resource namespace). Boxes on one base compare exactly;
+/// boxes on different bases compare by their spans.
 struct AccessRange {
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;  ///< exclusive
-  bool write = false;
+  AccessRange(std::uint64_t base_address, const ByteBox& footprint,
+              bool writes)
+      : base(base_address), box(footprint), write(writes) {}
+
+  std::uint64_t base;
+  ByteBox box;
+  bool write;
 };
 
 /// True when `a` and `b` touch a common byte and at least one writes.
@@ -225,11 +232,10 @@ class OpGraph {
   /// (the fabric uses kCq for completion-queue waits and polls).
   void set_join_origin_hint(EdgeOrigin o);
 
-  /// Attaches a byte-range access to the newest kOp node on `s`. Called by
-  /// the cuem copy paths and the array-level kernel annotations right after
-  /// they enqueue; no-op when the stream has no op yet.
-  void note_stream_access(StreamId s, const void* ptr, std::size_t bytes,
-                          bool write);
+  /// Attaches an access to the newest kOp node on `s`. Fed by cuem::claim
+  /// only, right after the op's enqueue; no-op for an empty box or when the
+  /// stream has no op yet.
+  void note_access(StreamId s, const AccessRange& access);
 
   /// Records a fabric receive-credit posting; returns the kRecvPost node.
   int on_recv_post(std::string label, SimTime t);

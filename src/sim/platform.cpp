@@ -133,13 +133,6 @@ void Platform::hb_note_event_query_success(EventId e) {
   }
 }
 
-void Platform::graph_note_stream_access(StreamId s, const void* ptr,
-                                        std::size_t bytes, bool write) {
-  if (graph_ != nullptr) {
-    graph_->note_stream_access(s, ptr, bytes, write);
-  }
-}
-
 std::vector<StreamId> Platform::live_user_streams() const {
   std::vector<StreamId> out;
   for (size_t s = static_cast<size_t>(num_devices_);

@@ -239,8 +239,6 @@ class Platform {
 
   const HbClock& hb_host_clock() const { return hb_host_; }
   const HbClock& hb_stream_clock(StreamId s) const;
-  /// Clock of the most recently scheduled op (copy/kernel/peer copy).
-  const HbClock& hb_last_op_clock() const { return hb_last_op_; }
 
   /// Advances the host's own clock component. Called on every enqueue and
   /// by the sanitizer on every host memory access it records, so a host
@@ -272,12 +270,6 @@ class Platform {
   /// scheduled while attached, so attach before the work of interest.
   void set_op_graph(OpGraph* g) { graph_ = g; }
   OpGraph* op_graph() const { return graph_; }
-
-  /// Forwards a byte-range access of the newest op on `s` to the attached
-  /// graph (data-dependence attribution for the false-serialization lint).
-  /// No-op when no graph is attached.
-  void graph_note_stream_access(StreamId s, const void* ptr,
-                                std::size_t bytes, bool write);
 
   /// Live non-default streams (leak sweep at device reset).
   std::vector<StreamId> live_user_streams() const;

@@ -1085,6 +1085,69 @@ TEST_F(ClusterTest, StagedSourcesFeedingTwoNodesStageBeforeEverySend) {
 #endif
 }
 
+TEST_F(ClusterTest, OutOfCoreFallbackSendsLandBeforeTheirGhostsArePushed) {
+  // Out of core the exchange falls back to the host: the priced sends
+  // deliver ghost cells to the destinations' host buffers, so no push of a
+  // destination's ghosts to its device may start before each send carrying
+  // them ends. Streaming would push them first; the fallback drains
+  // instead. The sanitizer build checks the sends' claims against every
+  // push and upload too.
+#ifdef TIDACC_CUEM_SANITIZER
+  cuem::CuemSanOptions san;
+  san.enabled = true;
+  san.fatal = true;
+  cuem::san::configure(san);
+#endif
+  ClusterOptions opts = two_nodes(NetPath::kStaged);
+  opts.multi.max_slots_per_device = 2;
+  opts.multi.delta_transfers = true;
+  opts.multi.streaming_guard = StreamingGuard::kForceStreaming;
+  ClusterTileArray<double> u(Box::cube(32), Index3{32, 32, 4}, 1, opts);
+  u.fill(pattern);
+  sim::Trace& trace = cuem::platform().trace();
+  trace.set_recording(true);
+  const auto region_after = [](const std::string& label, const char* tag) {
+    return std::stoi(label.substr(label.rfind(tag) + 2));
+  };
+  for (int step = 0; step < 3; ++step) {
+    const std::size_t begin = trace.events().size();
+    u.fill_boundary(Boundary::kPeriodic);
+    for (int r = 0; r < u.num_regions(); ++r) {
+      compute_gpu(u, r, unit_cost(),
+                  [](DeviceView<double> v, int i, int j, int k) {
+                    v(i, j, k) = 0.5 * (v(i, j, k - 1) + v(i, j, k + 1));
+                  });
+    }
+    std::vector<const sim::TraceEvent*> sends;
+    std::vector<const sim::TraceEvent*> pushes;
+    for (std::size_t e = begin; e < trace.events().size(); ++e) {
+      const sim::TraceEvent& ev = trace.events()[e];
+      if (ev.label.starts_with("S:R")) {
+        sends.push_back(&ev);
+      } else if (ev.label.starts_with("dH2D:R") ||
+                 ev.label.starts_with("zdH2D:R")) {
+        pushes.push_back(&ev);
+      }
+    }
+    ASSERT_FALSE(sends.empty()) << "step " << step;
+    for (const sim::TraceEvent* send : sends) {
+      for (const sim::TraceEvent* push : pushes) {
+        if (region_after(push->label, ":R") ==
+            region_after(send->label, ">R")) {
+          EXPECT_GE(push->start, send->finish)
+              << "step " << step << ": " << push->label << " vs "
+              << send->label;
+        }
+      }
+    }
+  }
+  u.release_all_to_host();
+#ifdef TIDACC_CUEM_SANITIZER
+  EXPECT_TRUE(cuem::san::clean()) << cuem::san::report_json();
+  cuem::san::configure(cuem::CuemSanOptions{});
+#endif
+}
+
 TEST_F(ClusterTest, TwoNodeWorkloadIsRaceFreeUnderSanitizer) {
 #ifndef TIDACC_CUEM_SANITIZER
   GTEST_SKIP() << "built without TIDACC_CUEM_SANITIZER";

@@ -289,7 +289,7 @@ TEST_F(CuemSanTest, BoxesOnOneGridRaceOnlyWhereTheyMeet) {
   const auto box = [](std::size_t slice, std::size_t row, std::size_t col,
                       std::size_t width, std::size_t height,
                       std::size_t depth) {
-    cuem::san::BoxShape b;
+    sim::ByteBox b;
     b.offset = slice * kSlice + row * kRow + col * sizeof(double);
     b.width = width * sizeof(double);
     b.height = height;
@@ -298,14 +298,14 @@ TEST_F(CuemSanTest, BoxesOnOneGridRaceOnlyWhereTheyMeet) {
     b.slice_pitch = kSlice;
     return b;
   };
-  const auto kernel = [d](cuemStream_t s, const cuem::san::BoxShape& b,
+  const auto kernel = [d](cuemStream_t s, const sim::ByteBox& b,
                           bool write) {
     sim::KernelProfile prof;
     prof.elements = 1;
     ASSERT_EQ(cuem::launch(s, cuem::LaunchGeometry{}, prof, "k", nullptr),
               cuemSuccess);
-    cuem::san::note_kernel_box_access(
-        s, static_cast<char*>(d) + b.offset, b, write, "k");
+    cuem::claim(s, d, b, write ? cuem::Role::kWrite : cuem::Role::kRead,
+                "k");
   };
   // Interior plane (slice 1, rows/cols 1..128) vs the column at col 0.
   kernel(s1, box(1, 1, 1, 128, 128, 1), /*write=*/false);
@@ -330,7 +330,8 @@ TEST_F(CuemSanTest, HostAccessRacesInFlightDeviceToHostCopy) {
   ASSERT_EQ(cuemMemcpyAsync(h, d, 105'000'000, cuemMemcpyDeviceToHost, s),
             cuemSuccess);
   // The D2H is still writing the pinned buffer when the host reads it.
-  cuem::san::note_host_access(h, 4096, /*write=*/false, "test host read");
+  cuem::claim(-1, h, sim::ByteBox::span(0, 4096), cuem::Role::kRead,
+              "test host read");
   EXPECT_TRUE(json_names("race"));
   ASSERT_EQ(cuemStreamSynchronize(s), cuemSuccess);
   EXPECT_EQ(cuemStreamDestroy(s), cuemSuccess);
@@ -348,7 +349,8 @@ TEST_F(CuemSanTest, SyncedHostAccessIsNotARace) {
   ASSERT_EQ(cuemMemcpyAsync(h, d, 4096, cuemMemcpyDeviceToHost, s),
             cuemSuccess);
   ASSERT_EQ(cuemStreamSynchronize(s), cuemSuccess);
-  cuem::san::note_host_access(h, 4096, /*write=*/false, "test host read");
+  cuem::claim(-1, h, sim::ByteBox::span(0, 4096), cuem::Role::kRead,
+              "test host read");
   EXPECT_FALSE(json_names("race"));
   EXPECT_TRUE(cuem::san::clean());
   EXPECT_EQ(cuemStreamDestroy(s), cuemSuccess);

@@ -537,39 +537,52 @@ TEST_F(MultiArrayTest, OneReplayKernelPerDevice) {
 TEST_F(MultiArrayTest, DeviceExchangeClaimsItsDataToTheOpGraph) {
   // The schedule lint can only check a transfer queued behind an op that
   // says what it touches: each replay kernel claims its descriptors and
-  // slots, each peer copy its source and destination slots.
-  enable_all_peers(2);
-  cuem::platform().trace().set_recording(true);
-  MultiAccTileArray<double> a(Box::cube(8), Index3{8, 8, 2}, 1);
-  a.fill(pattern);
-  for (int r = 0; r < a.num_regions(); ++r) {
-    a.acquire_on_device(r);
-  }
-  sim::OpGraph g;
-  cuem::platform().set_op_graph(&g);
-  for (int step = 0; step < 2; ++step) {  // a build, then a pure replay
-    a.fill_boundary_device(Boundary::kPeriodic);
-  }
-  cuem::platform().set_op_graph(nullptr);
-  int replays = 0;
-  int peers = 0;
-  for (const sim::OpNode& n : g.nodes()) {
-    const bool replay = n.label.rfind("ghost:D", 0) == 0;
-    const bool peer = n.label.rfind("G:R", 0) == 0;
-    if (!replay && !peer) {
-      continue;
+  // ghost boxes, each peer copy its source and destination boxes. Without
+  // peer access a copy stages through the host in two hops, and each hop
+  // claims its side and the bounce buffer between them.
+  for (const bool peer_access : {true, false}) {
+    SCOPED_TRACE(peer_access ? "direct" : "host-staged");
+    cuem::configure(DeviceConfig::k40m(), /*functional=*/true,
+                    /*num_devices=*/2, Interconnect::nvlink());
+    oacc::reset();
+    if (peer_access) {
+      enable_all_peers(2);
     }
-    replays += replay ? 1 : 0;
-    peers += peer ? 1 : 0;
-    bool reads = false;
-    bool writes = false;
-    for (const sim::AccessRange& x : n.accesses) {
-      (x.write ? writes : reads) = true;
+    cuem::platform().trace().set_recording(true);
+    MultiAccTileArray<double> a(Box::cube(8), Index3{8, 8, 2}, 1);
+    a.fill(pattern);
+    for (int r = 0; r < a.num_regions(); ++r) {
+      a.acquire_on_device(r);
     }
-    EXPECT_TRUE(reads && writes) << n.label;
+    sim::OpGraph g;
+    cuem::platform().set_op_graph(&g);
+    for (int step = 0; step < 2; ++step) {  // a build, then a pure replay
+      a.fill_boundary_device(Boundary::kPeriodic);
+    }
+    cuem::platform().set_op_graph(nullptr);
+    int replays = 0;
+    int peer_ops = 0;
+    for (const sim::OpNode& n : g.nodes()) {
+      const bool replay = n.label.rfind("ghost:D", 0) == 0;
+      const bool peer = n.label.rfind("G:R", 0) == 0;
+      if (!replay && !peer) {
+        continue;
+      }
+      replays += replay ? 1 : 0;
+      peer_ops += peer ? 1 : 0;
+      const bool hop = n.label.ends_with(":d2h") || n.label.ends_with(":h2d");
+      EXPECT_EQ(hop, !peer_access && peer) << n.label;
+      bool reads = false;
+      bool writes = false;
+      for (const sim::AccessRange& x : n.accesses) {
+        (x.write ? writes : reads) = true;
+      }
+      EXPECT_TRUE(reads && writes) << n.label;
+    }
+    EXPECT_EQ(replays, 4);
+    EXPECT_EQ(static_cast<std::uint64_t>(peer_ops),
+              (peer_access ? 1 : 2) * a.peer_ghost_copies());
   }
-  EXPECT_EQ(replays, 4);
-  EXPECT_EQ(static_cast<std::uint64_t>(peers), a.peer_ghost_copies());
 }
 
 TEST_F(MultiArrayTest, DeviceExchangeMatchesHostExchangeBitwise) {

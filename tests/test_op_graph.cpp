@@ -30,6 +30,11 @@ DeviceConfig zero_overhead_config() {
   return cfg;
 }
 
+/// Access to the bytes [lo, hi) of the buffer at address 0.
+AccessRange span(std::uint64_t lo, std::uint64_t hi, bool write) {
+  return AccessRange(0, ByteBox::span(lo, hi - lo), write);
+}
+
 /// Hand-built node covering [start, finish) with the given kind.
 int put(OpGraph& g, OpKind kind, SimTime start, SimTime finish,
         std::vector<AccessRange> accesses = {},
@@ -46,13 +51,39 @@ int put(OpGraph& g, OpKind kind, SimTime start, SimTime finish,
 // --- access ranges ---
 
 TEST(AccessRange, ConflictNeedsOverlapAndAWrite) {
-  const AccessRange r{0, 100, false};
-  const AccessRange w{50, 150, true};
-  const AccessRange w2{100, 200, true};
+  const AccessRange r = span(0, 100, false);
+  const AccessRange w = span(50, 150, true);
+  const AccessRange w2 = span(100, 200, true);
   EXPECT_TRUE(conflicts(r, w));    // overlap, one writes
   EXPECT_TRUE(conflicts(w, w));    // overlap, both write
   EXPECT_FALSE(conflicts(r, r));   // overlap, neither writes
   EXPECT_FALSE(conflicts(r, w2));  // half-open intervals: [0,100) vs [100,..)
+
+  // One slot of 4 slices of 10 rows of 10 doubles: its i = 0 and i = 9
+  // ghost faces take one cell of every row, so their rows interleave and
+  // their spans overlap, but they share no byte.
+  constexpr std::uint64_t kSlot = 0x10000;
+  constexpr std::size_t kRow = 10 * sizeof(double);
+  const auto face = [](std::size_t col) {
+    ByteBox b;
+    b.offset = col * sizeof(double);
+    b.width = sizeof(double);
+    b.height = 10;
+    b.depth = 4;
+    b.row_pitch = kRow;
+    b.slice_pitch = 10 * kRow;
+    return AccessRange(kSlot, b, /*write=*/true);
+  };
+  EXPECT_FALSE(conflicts(face(0), face(9)));
+  EXPECT_TRUE(conflicts(face(0), face(0)));
+  // A flat span over one of their rows (row 3 of slice 1) meets both.
+  const AccessRange row(kSlot, ByteBox::span(13 * kRow, kRow), false);
+  EXPECT_TRUE(conflicts(row, face(0)));
+  EXPECT_TRUE(conflicts(face(9), row));
+  // The same row of another buffer at the same offset does not.
+  const AccessRange elsewhere(kSlot + 0x10000, ByteBox::span(13 * kRow, kRow),
+                              true);
+  EXPECT_FALSE(conflicts(elsewhere, face(0)));
 }
 
 // --- critical path & slack on a hand-built DAG ---
@@ -158,9 +189,9 @@ TEST(OpGraphLint, FlagsIndependentTransferBehindKernel) {
   // Kernel writes [0,100); the transfer reads a disjoint buffer but was
   // made to wait for the kernel by a stream edge that binds its start.
   const int a = put(g, OpKind::kKernel, 0, 100,
-                    {AccessRange{0, 100, true}}, "K");
+                    {span(0, 100, true)}, "K");
   const int b = put(g, OpKind::kCopyH2D, 100, 150,
-                    {AccessRange{1000, 1100, true}}, "T");
+                    {span(1000, 1100, true)}, "T");
   g.add_edge(a, b, EdgeOrigin::kStream);
   const std::vector<FalseSerialization> fs = g.false_serializations();
   ASSERT_EQ(fs.size(), 1u);
@@ -173,9 +204,9 @@ TEST(OpGraphLint, FlagsIndependentTransferBehindKernel) {
 TEST(OpGraphLint, RealDependencyIsNotFlagged) {
   OpGraph g;
   const int a = put(g, OpKind::kKernel, 0, 100,
-                    {AccessRange{0, 100, true}});
+                    {span(0, 100, true)});
   const int b = put(g, OpKind::kCopyD2H, 100, 150,
-                    {AccessRange{0, 100, false}});  // reads what A wrote
+                    {span(0, 100, false)});  // reads what A wrote
   g.add_edge(a, b, EdgeOrigin::kStream);
   EXPECT_TRUE(g.false_serializations().empty());
 }
@@ -193,11 +224,11 @@ TEST(OpGraphLint, TiedEdgeIsNotBindingAlone) {
   // Two predecessors finish at the transfer's start: neither edge alone
   // pinned it, so neither is reported.
   const int a = put(g, OpKind::kKernel, 0, 100,
-                    {AccessRange{0, 100, true}});
+                    {span(0, 100, true)});
   const int a2 = put(g, OpKind::kKernel, 0, 100,
-                     {AccessRange{200, 300, true}});
+                     {span(200, 300, true)});
   const int b = put(g, OpKind::kCopyH2D, 100, 150,
-                    {AccessRange{1000, 1100, true}});
+                    {span(1000, 1100, true)});
   g.add_edge(a, b, EdgeOrigin::kStream);
   g.add_edge(a2, b, EdgeOrigin::kEvent);
   EXPECT_TRUE(g.false_serializations().empty());
@@ -208,9 +239,9 @@ TEST(OpGraphLint, EngineEdgesAreNeverFindings) {
   // Back-to-back transfers on one DMA engine: the serialization is the
   // hardware's, not the schedule's.
   const int a = put(g, OpKind::kCopyH2D, 0, 100,
-                    {AccessRange{0, 100, true}});
+                    {span(0, 100, true)});
   const int b = put(g, OpKind::kCopyH2D, 100, 200,
-                    {AccessRange{1000, 1100, true}});
+                    {span(1000, 1100, true)});
   g.add_edge(a, b, EdgeOrigin::kEngine);
   EXPECT_TRUE(g.false_serializations().empty());
 }
