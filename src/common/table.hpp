@@ -24,8 +24,6 @@ class Table {
   /// Renders the whole table, headers and separators included.
   std::string render() const;
 
-  std::size_t num_rows() const { return rows_.size(); }
-
  private:
   struct Row {
     std::vector<std::string> cells;

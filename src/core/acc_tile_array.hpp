@@ -1,15 +1,13 @@
 // AccTileArray — the paper's single-GPU tileArray (TiDA-acc): a
-// MultiAccTileArray on one device. The caching protocol of §IV-B4 and the
-// dual-path ghost exchange of §IV-B6 live in core/multi_acc_array.hpp; this
-// facade maps AccOptions onto MultiAccOptions, carries the caching
-// ablation, and keeps the one-device accessors. Like a devices = 1
-// MultiAccTileArray, an AccTileArray lives on device 0.
+// MultiAccTileArray pinned to device 0. The caching protocol of §IV-B4 and
+// the dual-path ghost exchange of §IV-B6 live in core/multi_acc_array.hpp,
+// and its options are MultiAccOptions (AccOptions names the same struct).
 //
 // AccTile and AccTileIterator — the tiles compute() consumes — bind to any
 // MultiAccTileArray.
 #pragma once
 
-#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -18,60 +16,24 @@
 
 namespace tidacc::core {
 
-/// Construction options for AccTileArray. Every field but disable_caching
-/// means what its MultiAccOptions namesake does.
-struct AccOptions {
-  tida::HostAlloc host_alloc = tida::HostAlloc::kPinned;
-  /// Cap on device slots (MultiAccOptions::max_slots_per_device).
-  int max_slots = std::numeric_limits<int>::max();
-  /// Disables the paper's caching (§IV-B4): every device acquire re-uploads
-  /// even when the region is already resident. Ablation-only switch — shows
-  /// what the cache table is worth.
-  bool disable_caching = false;
-  int ncomp = 1;
-  SlotPolicyKind slot_policy = SlotPolicyKind::kStaticModulo;
-  bool delta_transfers = false;
-  StreamingGuard streaming_guard = StreamingGuard::kAuto;
-  int time_block_k = 1;
-  Compression compression = Compression::kOff;
-};
+using AccOptions = MultiAccOptions;
 
 template <typename T>
 class AccTileArray : public MultiAccTileArray<T> {
  public:
-  using Multi = MultiAccTileArray<T>;
-
   AccTileArray(const tida::Box& domain, const tida::Index3& region_size,
                int ghost, AccOptions opts = {})
-      : Multi(domain, region_size, ghost, multi_options(opts)) {
-    this->disable_caching_ = opts.disable_caching;
-  }
-
-  /// Region→slot policy of the device's pool.
-  SlotPolicyKind slot_policy() const {
-    return this->scheduler().policy_kind();
-  }
-
-  /// Remaps slot→stream (see DevicePool::set_stream_permutation).
-  /// Fuzzing/ablation hook.
-  using Multi::set_stream_permutation;
-  void set_stream_permutation(const std::vector<int>& perm) {
-    Multi::set_stream_permutation(0, perm);
-  }
+      : MultiAccTileArray<T>(domain, region_size, ghost, on_device_0(opts)) {}
 
  private:
-  static MultiAccOptions multi_options(const AccOptions& o) {
-    MultiAccOptions m;
-    m.host_alloc = o.host_alloc;
-    m.devices = 1;
-    m.max_slots_per_device = o.max_slots;
-    m.ncomp = o.ncomp;
-    m.slot_policy = o.slot_policy;
-    m.delta_transfers = o.delta_transfers;
-    m.streaming_guard = o.streaming_guard;
-    m.time_block_k = o.time_block_k;
-    m.compression = o.compression;
-    return m;
+  static AccOptions on_device_0(AccOptions o) {
+    TIDACC_CHECK_MSG(o.devices == 0 || o.devices == 1,
+                     "AccTileArray lives on device 0: devices must be 0 or "
+                     "1, got devices=" +
+                         std::to_string(o.devices) +
+                         " (use MultiAccTileArray to span devices)");
+    o.devices = 1;
+    return o;
   }
 };
 

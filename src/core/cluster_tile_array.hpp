@@ -23,11 +23,15 @@
 // overlap), which is the ablation baseline the cluster bench compares
 // against.
 //
-// Sharding: regions keep the base class's block placement, so with
-// devices_per_node contiguous device ordinals per node every node owns a
-// contiguous slab of regions; faces between slabs become network traffic,
-// faces inside a slab reuse the base class's device exchange (replay
-// kernels and peer copies) unchanged.
+// Sharding: regions keep the base class's placement, and each node owns
+// devices_per_node contiguous device ordinals. Under block placement every
+// node owns a contiguous slab of regions; under round-robin consecutive
+// regions cycle through every node's devices. Faces between regions on
+// different nodes become network traffic, faces within a node reuse the
+// base class's device exchange (replay kernels and peer copies)
+// unchanged. Temporal blocking composes as on one node: the exchange
+// refreshes the whole k-wide ghost ring, cross-node parts included, and
+// compute_k runs in the slots.
 //
 // Two wire paths, priced by the fabric:
 //   * GPUDirect (fabric permits it): the destination node posts an
@@ -67,6 +71,8 @@ const char* to_string(NetPath p);
 NetPath parse_net_path(const std::string& flag);
 
 struct ClusterOptions {
+  /// The array's own options, every one meaning what it does for a
+  /// MultiAccTileArray; devices = 0 spans every device of every node.
   MultiAccOptions multi;
   /// Simulated nodes; devices are grouped into contiguous blocks of
   /// num_devices() / nodes ordinals. 1 means "no fabric at all".
@@ -97,17 +103,6 @@ class ClusterTileArray : public MultiAccTileArray<T> {
     }
     TIDACC_CHECK_MSG(this->num_devices() % nodes_ == 0,
                      "device count must be a multiple of the node count");
-    TIDACC_CHECK_MSG(opts.multi.placement == DevicePlacement::kBlock,
-                     "cluster sharding needs block placement (contiguous "
-                     "region slabs per node)");
-    TIDACC_CHECK_MSG(
-        opts.multi.time_block_k == 1,
-        "the cluster exchange does not compose with temporal blocking: "
-        "ClusterOptions::nodes=" +
-            std::to_string(opts.nodes) +
-            " requires MultiAccOptions::time_block_k=1, got time_block_k=" +
-            std::to_string(opts.multi.time_block_k) +
-            " (drop one of the two)");
     TIDACC_CHECK_MSG(
         wire_compression_ == Compression::kOff ||
             opts.fabric.codec.available,
@@ -158,9 +153,6 @@ class ClusterTileArray : public MultiAccTileArray<T> {
                        : fabric_->node_of_device(this->device_of_region(region));
   }
   bool gpudirect_path() const { return use_gpudirect_; }
-
-  /// Wire codec policy this array was built with.
-  Compression wire_compression() const { return wire_compression_; }
 
   /// The fabric joining the nodes. A 1-node array has none: throws.
   const sim::Fabric& fabric() const {

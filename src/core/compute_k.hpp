@@ -53,7 +53,7 @@ void compute_k(MultiAccTileArray<T>& a, int region, int k, int radius,
                    "array was built for a smaller time_block_k");
   TIDACC_CHECK_MSG(a.has_scratch(),
                    "compute_k needs the in-slot scratch double buffer "
-                   "(AccOptions::time_block_k > 1)");
+                   "(MultiAccOptions::time_block_k > 1)");
   const tida::Region<T> reg = a.region(region);
   TIDACC_CHECK_MSG(radius * k <= a.ghost(),
                    "ghost width must be at least radius * k for depth-k "
@@ -120,7 +120,7 @@ struct TimeBlockPrediction {
 /// from its descriptors (the compute terms that grow with k). Returns 1
 /// when blocking never wins — always when every region has a slot. The
 /// caller then builds the array with ghost = radius * k and
-/// AccOptions::time_block_k = k. `table` (optional) receives one row per
+/// MultiAccOptions::time_block_k = k. `table` (optional) receives one row per
 /// candidate for bench emission.
 inline int choose_time_block_k(const tida::Box& domain,
                                const tida::Index3& region_size, int radius,

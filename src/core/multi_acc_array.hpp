@@ -81,16 +81,23 @@ enum class StreamingGuard : int { kAuto = 0, kForceStreaming, kForceDrain };
 /// wire buys nothing while the codec stages would delay the hint.
 enum class Compression : int { kOff = 0, kOn = 1, kAuto = 2 };
 
-/// Construction options for MultiAccTileArray.
+/// Construction options for every tile array: MultiAccTileArray,
+/// AccTileArray (core/acc_tile_array.hpp: AccOptions is this struct) and,
+/// as ClusterOptions::multi, ClusterTileArray.
 struct MultiAccOptions {
   tida::HostAlloc host_alloc = tida::HostAlloc::kPinned;
   /// Number of devices to distribute over; 0 means every device the
-  /// platform exposes. Must not exceed cuemGetDeviceCount.
+  /// platform exposes. Must not exceed cuemGetDeviceCount. AccTileArray
+  /// lives on device 0 and accepts only 0 or 1.
   int devices = 0;
   DevicePlacement placement = DevicePlacement::kBlock;
-  /// Cap on device slots per device; used by the limited-memory
+  /// Cap on device slots, per device; used by the limited-memory
   /// experiments (Fig. 8) to emulate a device that only holds N regions.
-  int max_slots_per_device = std::numeric_limits<int>::max();
+  int max_slots = std::numeric_limits<int>::max();
+  /// Disables the paper's caching (§IV-B4): every device acquire
+  /// re-uploads even when the region is already resident. Ablation-only
+  /// switch — shows what the cache table is worth.
+  bool disable_caching = false;
   /// Components per cell (BoxLib-style multi-component arrays).
   int ncomp = 1;
   /// Region→slot scheduling policy within each device's pool. The default
@@ -146,6 +153,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
         pending_xfer_(static_cast<std::size_t>(this->num_regions()), -1),
         evicted_(static_cast<std::size_t>(this->num_regions()), -1),
         placement_(opts.placement),
+        disable_caching_(opts.disable_caching),
         delta_transfers_(opts.delta_transfers),
         streaming_guard_(opts.streaming_guard),
         time_block_k_(opts.time_block_k),
@@ -200,7 +208,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
       schedule_->reserve(d, s.regions.size() * per_region);
       s.pool = std::make_unique<DevicePool>(
           slot_bytes, static_cast<int>(s.regions.size()),
-          opts.max_slots_per_device, make_slot_policy(opts.slot_policy),
+          opts.max_slots, make_slot_policy(opts.slot_policy),
           /*with_scratch=*/opts.time_block_k > 1);
       DescriptorBuffers& buffers = schedule_->device(d).buffers;
       if (buffers.device() != nullptr && buffers.stream < 0) {
@@ -214,7 +222,6 @@ class MultiAccTileArray : public tida::TileArray<T> {
 
   /// Devices this array distributes over (not necessarily all used).
   int num_devices() const { return num_devices_; }
-  DevicePlacement placement() const { return placement_; }
 
   /// Owning device of a region.
   int device_of_region(int region) const {
@@ -256,9 +263,6 @@ class MultiAccTileArray : public tida::TileArray<T> {
 
   /// Temporal blocking depth this array was built for (1 = off).
   int time_block_k() const { return time_block_k_; }
-
-  /// Codec policy this array was built with.
-  Compression compression() const { return compression_; }
 
   /// True when every slot carries an in-slot scratch double buffer
   /// (time_block_k > 1 at construction).
@@ -1569,8 +1573,8 @@ class MultiAccTileArray : public tida::TileArray<T> {
   std::uint64_t peer_ghost_copies_ = 0;
   std::uint64_t streaming_exchanges_ = 0;
   std::optional<tida::Boundary> last_boundary_;
-  /// Caching ablation (AccOptions::disable_caching): every device acquire
-  /// round-trips the region even when it is already resident.
+  /// Caching ablation (MultiAccOptions::disable_caching): every device
+  /// acquire round-trips the region even when it is already resident.
   bool disable_caching_ = false;
   bool delta_transfers_ = false;
   StreamingGuard streaming_guard_ = StreamingGuard::kAuto;

@@ -84,14 +84,4 @@ std::vector<const Allocation*> PointerRegistry::all_allocations() const {
   return out;
 }
 
-std::size_t PointerRegistry::bytes_in_space(MemSpace space) const {
-  std::size_t total = 0;
-  for (const auto& [base, alloc] : by_base_) {
-    if (alloc.space == space) {
-      total += alloc.size;
-    }
-  }
-  return total;
-}
-
 }  // namespace tidacc::cuem

@@ -71,9 +71,6 @@ class PointerRegistry {
 
   std::size_t live_count() const { return by_base_.size(); }
 
-  /// Sum of sizes of live allocations in `space`.
-  std::size_t bytes_in_space(MemSpace space) const;
-
  private:
   std::map<std::uintptr_t, Allocation> by_base_;
 };

@@ -148,10 +148,6 @@ void Fabric::destroy_qp(QpId qp) {
   qps_[static_cast<size_t>(qp)].alive = false;
 }
 
-int Fabric::qp_stream(QpId qp) const { return checked_qp(qp).stream; }
-int Fabric::qp_local_node(QpId qp) const { return checked_qp(qp).local; }
-int Fabric::qp_remote_node(QpId qp) const { return checked_qp(qp).remote; }
-
 void Fabric::post_recv(QpId qp, MrId dst_mr, std::size_t dst_off,
                        std::size_t capacity) {
   const Qp& q = checked_qp(qp);

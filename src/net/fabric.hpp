@@ -119,12 +119,6 @@ class Fabric {
   QpId create_qp(int local_node, int remote_node);
   void destroy_qp(QpId qp);
 
-  /// The platform stream backing `qp` (for event edges and sanitizer
-  /// annotations).
-  int qp_stream(QpId qp) const;
-  int qp_local_node(QpId qp) const;
-  int qp_remote_node(QpId qp) const;
-
   // --- two-sided send/recv ---
 
   /// Posts a receive descriptor on `qp`'s remote end: the next send on

@@ -106,7 +106,6 @@ class Platform {
   const DeviceConfig& config() const { return cfg_; }
 
   bool functional() const { return functional_; }
-  void set_functional(bool on) { functional_ = on; }
 
   // --- devices ---
 
@@ -131,8 +130,6 @@ class Platform {
   /// Destroys a stream. Pending virtual work is allowed to complete (CUDA
   /// semantics: destruction is deferred), so this only invalidates the id.
   void destroy_stream(StreamId s);
-
-  int num_streams() const { return static_cast<int>(stream_avail_.size()); }
 
   /// True when `s` names a live (created, not destroyed) stream.
   bool stream_valid(StreamId s) const {
@@ -289,7 +286,6 @@ class Platform {
   /// assignments, which is exactly the schedule-space exploration the
   /// fuzzer needs, without breaking replayability. 0 disables (default).
   void set_transfer_jitter(SimTime max_ns, std::uint64_t seed);
-  SimTime transfer_jitter_max() const { return jitter_max_ns_; }
 
   // --- snapshot ---
 

@@ -47,7 +47,7 @@ inline std::vector<std::uint8_t> world_bytes(const cuem::san::Options& san) {
 
   MultiAccOptions mo;
   mo.devices = 2;
-  mo.max_slots_per_device = 2;
+  mo.max_slots = 2;
   mo.slot_policy = SlotPolicyKind::kLru;
   mo.delta_transfers = true;
   MultiAccTileArray<double> multi(tida::Box::cube(16),

@@ -5,13 +5,16 @@
 // a 1-node ClusterTileArray reproduces MultiAccTileArray bit-for-bit, the
 // overlap win of exchange_begin/exchange_end over the blocking exchange,
 // the event-ordered epoch (exchange_end leaves requests in flight, the
-// drain follows last use) and snapshot round trips with fabric state.
+// drain follows last use), snapshot round trips with fabric state, and
+// the options every tile array shares composing with the cluster exchange
+// (temporal blocking, round-robin placement, the caching ablation).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "core/cluster_tile_array.hpp"
 #include "core/tidacc.hpp"
 #include "core/world_snapshot.hpp"
+#include "kernels/heat.hpp"
 #include "net/fabric.hpp"
 #include "sim/trace.hpp"
 
@@ -1099,7 +1103,7 @@ TEST_F(ClusterTest, OutOfCoreFallbackSendsLandBeforeTheirGhostsArePushed) {
   cuem::san::configure(san);
 #endif
   ClusterOptions opts = two_nodes(NetPath::kStaged);
-  opts.multi.max_slots_per_device = 2;
+  opts.multi.max_slots = 2;
   opts.multi.delta_transfers = true;
   opts.multi.streaming_guard = StreamingGuard::kForceStreaming;
   ClusterTileArray<double> u(Box::cube(32), Index3{32, 32, 4}, 1, opts);
@@ -1146,6 +1150,214 @@ TEST_F(ClusterTest, OutOfCoreFallbackSendsLandBeforeTheirGhostsArePushed) {
   EXPECT_TRUE(cuem::san::clean()) << cuem::san::report_json();
   cuem::san::configure(cuem::CuemSanOptions{});
 #endif
+}
+
+// --- one options struct: every option composes with the cluster ---
+
+constexpr int kHeatN = 16;
+constexpr int kHeatSteps = 6;  // whole blocks at k = 2 and at k = 3
+
+/// kernels::heat_reference's field after kHeatSteps steps.
+std::vector<double> heat_reference_field() {
+  std::vector<double> u(static_cast<std::size_t>(kHeatN) * kHeatN * kHeatN);
+  kernels::heat_init_flat(u.data(), kHeatN);
+  kernels::heat_reference(u, kHeatN, kHeatSteps);
+  return u;
+}
+
+/// The heat equation on 16^3 in eight 2-cell slabs on a fresh 2-device
+/// platform, stepped in blocks of k sub-steps per residency (compute_k)
+/// over a ghost ring k cells wide: at k = 3 every region is thinner than
+/// its ghost, whose ring then spans two neighbours on each side.
+template <typename Array>
+struct BlockedHeat {
+  template <typename Opts>
+  BlockedHeat(const Opts& opts, int depth)
+      : k(depth), u(Box::cube(kHeatN), Index3{kHeatN, kHeatN, 2}, k, opts) {
+    u.fill([](const Index3& p) {
+      return kernels::heat_initial(p.i, p.j, p.k);
+    });
+  }
+
+  void compute(const std::vector<int>& regions) {
+    for (const int r : regions) {
+      compute_k(u, r, k, /*radius=*/1, kernels::heat_cost(),
+                [](DeviceView<double> in, DeviceView<double> out, int i,
+                   int j, int kk) {
+                  out(i, j, kk) = kernels::heat_point(in, i, j, kk);
+                });
+    }
+  }
+
+  /// One block: a periodic exchange, then k sub-steps on every region. A
+  /// split-phase block computes the node-interior regions between
+  /// exchange_begin and exchange_end, the node-boundary ones after.
+  void block(bool split) {
+    std::vector<int> interior;
+    std::vector<int> boundary;
+    if constexpr (std::is_same_v<Array, ClusterTileArray<double>>) {
+      boundary = u.node_boundary_regions(Boundary::kPeriodic);
+    }
+    for (int r = 0; r < u.num_regions(); ++r) {
+      if (std::find(boundary.begin(), boundary.end(), r) == boundary.end()) {
+        interior.push_back(r);
+      }
+    }
+    if constexpr (std::is_same_v<Array, ClusterTileArray<double>>) {
+      if (split) {
+        u.exchange_begin(Boundary::kPeriodic);
+        compute(interior);
+        u.exchange_end();
+        compute(boundary);
+        return;
+      }
+    }
+    u.fill_boundary(Boundary::kPeriodic);
+    compute(interior);
+    compute(boundary);
+  }
+
+  /// kHeatSteps steps, in blocks of k.
+  void run(bool split) {
+    for (int s = 0; s < kHeatSteps; s += k) {
+      block(split);
+    }
+  }
+
+  /// The whole field, once home.
+  std::vector<double> field() {
+    u.release_all_to_host();
+    std::vector<double> out(static_cast<std::size_t>(kHeatN) * kHeatN *
+                            kHeatN);
+    u.copy_out(out.data());
+    return out;
+  }
+
+  FreshPlatform platform;  // first member: configured before the array
+  int k;
+  Array u;
+};
+
+/// The field after kHeatSteps steps in blocks of k.
+template <typename Array, typename Opts>
+std::vector<double> blocked_heat(const Opts& opts, int k, bool split) {
+  BlockedHeat<Array> h(opts, k);
+  h.run(split);
+  return h.field();
+}
+
+/// `multi` on one node, then on two nodes on both wire paths in both
+/// exchange modes: every field is kernels::heat_reference's, bit for bit.
+void expect_heat_reference_on_every_path(const MultiAccOptions& multi,
+                                         int k) {
+  const std::vector<double> ref = heat_reference_field();
+  ClusterOptions one;
+  one.multi = multi;
+  const std::vector<double> one_node =
+      blocked_heat<ClusterTileArray<double>>(one, k, /*split=*/false);
+  EXPECT_TRUE(bitwise_equal(one_node, ref));
+  for (const NetPath path : {NetPath::kGpuDirect, NetPath::kStaged}) {
+    for (const bool split : {false, true}) {
+      SCOPED_TRACE(std::string(to_string(path)) +
+                   (split ? " split-phase" : " blocking"));
+      ClusterOptions two = two_nodes(path);
+      two.multi = multi;
+      EXPECT_TRUE(bitwise_equal(
+          blocked_heat<ClusterTileArray<double>>(two, k, split), one_node));
+    }
+  }
+}
+
+TEST_F(ClusterTest, TemporalBlockingMatchesTheHeatReferenceOnEveryPath) {
+  for (const int k : {2, 3}) {
+    for (const bool out_of_core : {false, true}) {
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   (out_of_core ? " out of core" : " resident"));
+      MultiAccOptions multi;
+      multi.time_block_k = k;
+      if (out_of_core) {
+        multi.max_slots = 2;  // 4 regions per device: the host fallback
+      }
+      expect_heat_reference_on_every_path(multi, k);
+    }
+  }
+}
+
+TEST_F(ClusterTest, RoundRobinAndTheCachingAblationMatchTheHeatReference) {
+  MultiAccOptions rr;
+  rr.time_block_k = 2;
+  rr.placement = DevicePlacement::kRoundRobin;
+  {
+    SCOPED_TRACE("round-robin");
+    expect_heat_reference_on_every_path(rr, 2);
+  }
+  MultiAccOptions uncached;
+  uncached.time_block_k = 2;
+  uncached.disable_caching = true;
+  {
+    SCOPED_TRACE("caching disabled");
+    expect_heat_reference_on_every_path(uncached, 2);
+  }
+  uncached.devices = 2;
+  EXPECT_TRUE(bitwise_equal(
+      blocked_heat<MultiAccTileArray<double>>(uncached, 2, /*split=*/false),
+      heat_reference_field()));
+  // The ablation acts on two devices: every acquire re-uploads its region.
+  const auto h2d_bytes = [](const MultiAccOptions& o) {
+    BlockedHeat<MultiAccTileArray<double>> h(o, 2);
+    h.run(/*split=*/false);
+    return h.u.h2d_bytes();
+  };
+  MultiAccOptions cached = uncached;
+  cached.disable_caching = false;
+  EXPECT_GT(h2d_bytes(uncached), h2d_bytes(cached));
+}
+
+TEST_F(ClusterTest, TemporalBlockingCaptureRestoreReplaysBitwise) {
+  ClusterOptions o = two_nodes(NetPath::kGpuDirect);
+  o.multi.time_block_k = 2;
+  BlockedHeat<ClusterTileArray<double>> h(o, 2);
+  h.block(/*split=*/true);  // mid-campaign: swapped slot buffers, live MRs
+
+  sim::SnapshotWriter w;
+  world_capture(w);
+  h.u.capture(w);
+  const std::vector<std::uint8_t> snap = w.take();
+
+  const auto tail = [&h] {
+    h.block(/*split=*/true);
+    h.block(/*split=*/false);
+    std::vector<double> cells = h.field();
+    return std::make_pair(std::move(cells), cuem::platform().now());
+  };
+  const auto first = tail();
+  {
+    sim::SnapshotReader r(snap);
+    world_restore(r);
+    h.u.restore(r);
+    ASSERT_TRUE(r.at_end());
+  }
+  const auto second = tail();
+  EXPECT_TRUE(bitwise_equal(first.first, second.first));
+  EXPECT_EQ(first.second, second.second);
+}
+
+TEST_F(ClusterTest, AccTileArrayAskedForTwoDevicesNamesDevices) {
+  for (const int devices : {0, 1}) {
+    AccOptions o;
+    o.devices = devices;
+    AccTileArray<double> u(Box::cube(16), Index3{16, 16, 2}, 1, o);
+    EXPECT_EQ(u.num_devices(), 1);
+  }
+  AccOptions o;
+  o.devices = 2;
+  try {
+    AccTileArray<double> u(Box::cube(16), Index3{16, 16, 2}, 1, o);
+    FAIL() << "an AccTileArray on two devices must not construct";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("devices=2"), std::string::npos) << msg;
+  }
 }
 
 TEST_F(ClusterTest, TwoNodeWorkloadIsRaceFreeUnderSanitizer) {

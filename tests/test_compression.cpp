@@ -3,13 +3,14 @@
 // path, loud failures on codec-less configs and bad directions, bitwise
 // equality of compressed workloads across every array class and policy,
 // the kAuto never-slower guarantee, logical-vs-wire byte accounting, the
-// cluster/time_block_k composition guard, the one-shot host-fallback
+// cluster/time_block_k composition, the one-shot host-fallback
 // warning, and snapshot round trips with compression on.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -317,7 +318,7 @@ std::uint64_t run_multi(Compression mode) {
   oacc::reset();
   MultiAccOptions o;
   o.devices = 2;
-  o.max_slots_per_device = 2;  // out of core on each device
+  o.max_slots = 2;  // out of core on each device
   o.delta_transfers = true;
   o.compression = mode;
   MultiAccTileArray<double> u(Box::cube(16), Index3{16, 16, 2}, 1, o);
@@ -415,21 +416,41 @@ TEST(CompressionPolicyTest, ClusterRejectsWireCompressionWithoutACodec) {
 
 // --- satellite guards: composition + host-fallback warning ---
 
-TEST(CompressionPolicyTest, ClusterRejectsTemporalBlockingNamingBothKnobs) {
-  cuem::configure(DeviceConfig::k40m(), /*functional=*/true,
-                  /*num_devices=*/2, Interconnect::pcie());
-  oacc::reset();
-  ClusterOptions o;
-  o.nodes = 2;
-  o.multi.time_block_k = 2;
-  try {
+TEST(CompressionPolicyTest, ClusterComposesTemporalBlockingWithCompression) {
+  // k = 2 blocks on two nodes: the (compressed) wire and PCIe legs carry
+  // the 2-wide ghost ring, and every codec policy yields the raw field.
+  const auto run = [](Compression mode) {
+    cuem::configure(DeviceConfig::k40m(), /*functional=*/true,
+                    /*num_devices=*/2, Interconnect::pcie());
+    oacc::reset();
+    ClusterOptions o;
+    o.nodes = 2;
+    o.multi.time_block_k = 2;
+    o.multi.compression = mode;
+    o.compression = mode;
     ClusterTileArray<double> u(Box::cube(16), Index3{16, 16, 2}, 2, o);
-    FAIL() << "cluster + time_block_k must not construct";
-  } catch (const Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("nodes=2"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("time_block_k=2"), std::string::npos) << msg;
-  }
+    u.fill(heat_fill);
+    for (int s = 0; s < 2; ++s) {
+      u.fill_boundary(Boundary::kPeriodic);
+      for (int r = 0; r < u.num_regions(); ++r) {
+        compute_k(u, r, 2, /*radius=*/1, unit_cost(),
+                  [](DeviceView<double> in, DeviceView<double> out, int i,
+                     int j, int k) {
+                    out(i, j, k) = 0.5 * in(i, j, k) +
+                                   0.125 * (in(i, j, k - 1) + in(i, j, k + 1) +
+                                            in(i - 1, j, k) + in(i + 1, j, k));
+                  });
+      }
+    }
+    return std::make_pair(host_checksum(u),
+                          u.fabric().counters().compressed_wrs);
+  };
+  const auto raw = run(Compression::kOff);
+  EXPECT_EQ(raw.second, 0u);
+  const auto on = run(Compression::kOn);
+  EXPECT_GT(on.second, 0u);
+  EXPECT_EQ(on.first, raw.first);
+  EXPECT_EQ(run(Compression::kAuto).first, raw.first);
 }
 
 TEST(CompressionPolicyTest, HostFallbackExchangeWarnsExactlyOnce) {
@@ -438,7 +459,7 @@ TEST(CompressionPolicyTest, HostFallbackExchangeWarnsExactlyOnce) {
   oacc::reset();
   ClusterOptions o;
   o.nodes = 2;
-  o.multi.max_slots_per_device = 2;  // under-provisioned: 4 regions/device
+  o.multi.max_slots = 2;  // under-provisioned: 4 regions/device
   ClusterTileArray<double> u(Box::cube(16), Index3{16, 16, 2}, 1, o);
   u.fill(heat_fill);
   u.assume_host_initialized();

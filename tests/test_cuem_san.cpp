@@ -649,7 +649,7 @@ TEST_F(CuemSanTest, StreamingExchangeTwoDevicesIsClean) {
   oacc::reset();
   core::MultiAccOptions opts;
   opts.devices = 2;
-  opts.max_slots_per_device = 2;  // 3 regions per device
+  opts.max_slots = 2;  // 3 regions per device
   run_streaming_workload<core::MultiAccTileArray<double>>(opts);
   EXPECT_TRUE(cuem::san::clean())
       << "unexpected findings:\n" << cuem::san::report_json();

@@ -575,7 +575,7 @@ TEST_F(DeltaTest, TwoDeviceStreamingSendsCrossDeviceFacesThroughTheHost) {
   MultiAccOptions opts;
   opts.devices = 2;
   opts.placement = DevicePlacement::kRoundRobin;
-  opts.max_slots_per_device = 2;
+  opts.max_slots = 2;
   opts.delta_transfers = true;
   opts.streaming_guard = StreamingGuard::kForceStreaming;
   MultiAccTileArray<double> u(Box::cube(16), Index3{16, 16, 2}, 1, opts);
@@ -735,7 +735,7 @@ HeatRun run_multi_heat(bool delta) {
   constexpr int n = 12;
   MultiAccOptions opts;
   opts.devices = 2;
-  opts.max_slots_per_device = 2;
+  opts.max_slots = 2;
   opts.delta_transfers = delta;
   opts.streaming_guard = StreamingGuard::kForceStreaming;
   MultiAccTileArray<double> u(Box::cube(n), Index3{n, n, 2}, 1, opts);

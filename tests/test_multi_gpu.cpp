@@ -783,7 +783,7 @@ TEST_F(MultiArrayTest, PeerCopyIndexWorkPaidByTheFirstExchangeCarryingThem) {
   const Box domain = Box::cube(8);
   const Index3 rs{8, 8, 1};
   MultiAccOptions streaming;
-  streaming.max_slots_per_device = 3;
+  streaming.max_slots = 3;
   streaming.delta_transfers = true;
   streaming.streaming_guard = StreamingGuard::kForceStreaming;
   MultiAccTileArray<double> lim(domain, rs, 1, streaming);
@@ -823,7 +823,7 @@ TEST_F(MultiArrayTest, PeerCopyIndexWorkPaidByTheFirstExchangeCarryingThem) {
 TEST_F(MultiArrayTest, EvictionOrdersVictimD2HBeforeNewcomerH2D) {
   enable_all_peers(2);
   MultiAccOptions opts;
-  opts.max_slots_per_device = 2;  // 4 regions/device share 2 slots each
+  opts.max_slots = 2;  // 4 regions/device share 2 slots each
   MultiAccTileArray<double> a(Box::cube(16), Index3{16, 16, 2}, 0, opts);
   ASSERT_EQ(a.num_regions(), 8);
   ASSERT_FALSE(a.all_regions_fit());

@@ -440,7 +440,7 @@ TEST(WorldSnapshot, RestoreRejectsMismatchedArrays) {
          o.compression = core::Compression::kOn;
        })},
       {"device-pool snapshot has a different slot count",
-       option([](MultiAccOptions& o) { o.max_slots_per_device = 2; })},
+       option([](MultiAccOptions& o) { o.max_slots = 2; })},
       {"scheduler snapshot was taken under a different slot policy",
        option([](MultiAccOptions& o) {
          o.slot_policy = core::SlotPolicyKind::kLru;

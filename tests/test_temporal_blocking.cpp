@@ -370,7 +370,7 @@ TEST_F(TemporalBlockingTest, MultiDeviceBlockedMatchesFlatReference) {
   const int n = 16, k = 2, radius = 1, steps = 6;
   MultiAccOptions o;
   o.devices = 2;
-  o.max_slots_per_device = 2;  // 4 regions on 2 devices: out of core
+  o.max_slots = 2;  // 4 regions on 2 devices: out of core
   o.delta_transfers = true;
   o.streaming_guard = StreamingGuard::kForceStreaming;
   o.time_block_k = k;

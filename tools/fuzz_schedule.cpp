@@ -3,15 +3,16 @@
 // the cuem-sanitizer (fatal mode) as the primary oracle and a data
 // checksum + determinism replay as secondary invariants (docs/FUZZING.md).
 //
-// Outer loop: draw *world* knobs (slot policy, delta transfers, slot
-// budget, device count, node count, fabric preset, transfer compression
-// policy, sibling array, ghost width) from the seed, build a
-// fresh world, run a warmup step, and capture one snapshot (world +
-// arrays). Inner loop: restore the snapshot, draw *dynamic* knobs (transfer
-// jitter, prefetch depth, region visit order, residency-ordered traversal,
-// split-phase overlap), and replay the tail. The workload is the Fig. 8
-// limited-memory halo pattern: a slab-decomposed AccTileArray<double> doing
-// fill_boundary + an in-place ghost-reading stencil each step. A world with
+// Outer loop: draw *world* knobs (slot policy, delta transfers, caching
+// ablation, slot budget, device count, node count, fabric preset, transfer
+// compression policy, sibling array, ghost width, device placement) from
+// the seed, build a fresh world, run a warmup step, and capture one
+// snapshot (world + arrays). Inner loop: restore the snapshot, draw
+// *dynamic* knobs (transfer jitter, prefetch depth, region visit order,
+// residency-ordered traversal, split-phase overlap), and replay the tail.
+// The workload is the Fig. 8 limited-memory halo pattern: a
+// slab-decomposed MultiAccTileArray<double> doing fill_boundary + an
+// in-place ghost-reading stencil each step. A world with
 // the sibling knob carries a second array on the same layout, with its own
 // field and its own halo step each step: the two share the layout's
 // exchange schedule (descriptors, their upload and the wire groups), so a
@@ -45,7 +46,9 @@
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <ostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -67,9 +70,12 @@
 namespace {
 
 using namespace tidacc;
-using core::AccTileArray;
 
 // --- knobs ---
+//
+// Each knob struct lists its knobs once, in a fields(Ar&) template: the
+// repro file writer and reader and the JSON report all run that list, so
+// a failure's JSON entry carries every key of its repro file.
 
 // Fixed per world config; changing any of these changes the snapshot.
 struct WorldKnobs {
@@ -102,6 +108,27 @@ struct WorldKnobs {
   // (and, on cluster worlds, several wire groups) from the same cells.
   // The sweep reads only +-1, so either width is legal.
   int ghost = 1;
+  // Region->device placement of multi-device and cluster worlds.
+  core::DevicePlacement placement = core::DevicePlacement::kBlock;
+
+  template <typename Ar>
+  void fields(Ar& ar) {
+    ar("policy", policy);
+    ar("delta", delta);
+    ar("disable_caching", disable_caching);
+    ar("max_slots", max_slots);
+    ar("num_devices", num_devices);
+    ar("guard", guard);
+    ar("n", n);
+    ar("regions", regions);
+    ar("nodes", nodes);
+    ar("fabric", fabric);
+    ar("net_path", path);
+    ar("compression", compression);
+    ar("sibling", sibling);
+    ar("ghost", ghost);
+    ar("placement", placement);
+  }
 };
 
 // Mutated per iteration on top of a restored snapshot.
@@ -117,16 +144,19 @@ struct DynKnobs {
   /// exchange.
   bool residency_order = false;
   int steps = 3;                  ///< tail steps replayed after restore
-};
 
-const char* policy_name(core::SlotPolicyKind k) {
-  switch (k) {
-    case core::SlotPolicyKind::kStaticModulo: return "static";
-    case core::SlotPolicyKind::kLru: return "lru";
-    case core::SlotPolicyKind::kBeladyOracle: return "belady";
+  template <typename Ar>
+  void fields(Ar& ar) {
+    ar("jitter_max", jitter_max);
+    ar("jitter_seed", jitter_seed);
+    ar("prefetch_depth", prefetch_depth);
+    ar("order_seed", order_seed);
+    ar("stream_perm_seed", stream_perm_seed);
+    ar("overlap", overlap);
+    ar("residency_order", residency_order);
+    ar("steps", steps);
   }
-  return "?";
-}
+};
 
 WorldKnobs draw_world(std::uint64_t seed, std::uint64_t config_index,
                       int n, int regions, int force_nodes,
@@ -191,6 +221,12 @@ WorldKnobs draw_world(std::uint64_t seed, std::uint64_t config_index,
   // iteration time of a ghost-1 world.
   const int slab = (w.n + w.regions - 1) / w.regions;
   w.ghost = rng.next_below(4) == 0 ? slab + 1 : 1;
+  // Drawn last, for the same reason. Round-robin puts neighbouring regions
+  // on different devices (and, with one device per node, on different
+  // nodes), so nearly every face becomes a peer copy or a wire message.
+  if (rng.next_below(2) == 0 && w.num_devices > 1) {
+    w.placement = core::DevicePlacement::kRoundRobin;
+  }
   return w;
 }
 
@@ -521,34 +557,71 @@ Outcome run_case(const std::vector<std::uint8_t>& snap,
 }
 
 // --- repro files (plain key=value lines; no JSON parser in tree) ---
+//
+// A knob is a bool (0/1 in a repro file, true/false in JSON), a number, a
+// string, or an enum. The slot policy, wire path and placement are written
+// by name (core::to_string, quoted in JSON); the streaming guard by its
+// number.
 
-void write_repro(const std::string& path, const WorldKnobs& w,
-                 const DynKnobs& d, const Outcome& o) {
+template <typename T>
+concept NamedKnob = requires(T v) { core::to_string(v); };
+
+void parse_knob(const std::string& s, core::SlotPolicyKind& k) {
+  k = core::parse_slot_policy(s);
+}
+void parse_knob(const std::string& s, core::NetPath& p) {
+  p = core::parse_net_path(s);
+}
+void parse_knob(const std::string& s, core::DevicePlacement& p) {
+  p = core::parse_placement(s);
+}
+
+/// Writes one `key=value` line per knob.
+struct ReproWriter {
+  std::ostream& out;
+
+  template <typename T>
+  void operator()(const char* key, const T& v) {
+    out << key << '=';
+    if constexpr (NamedKnob<T>) {
+      out << core::to_string(v);
+    } else if constexpr (std::is_enum_v<T> || std::is_same_v<T, bool>) {
+      out << static_cast<int>(v);
+    } else {
+      out << v;
+    }
+    out << '\n';
+  }
+};
+
+/// Sets the knob a `key=value` line names; other knobs stay as they are.
+struct ReproReader {
+  const std::string& key;
+  const std::string& val;
+
+  template <typename T>
+  void operator()(const char* name, T& v) {
+    if (key != name) {
+      return;
+    }
+    if constexpr (NamedKnob<T>) {
+      parse_knob(val, v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      v = val;
+    } else {
+      v = static_cast<T>(std::strtoull(val.c_str(), nullptr, 10));
+    }
+  }
+};
+
+void write_repro(const std::string& path, WorldKnobs w, DynKnobs d,
+                 const Outcome& o) {
   std::ofstream f(path);
   f << "# fuzz_schedule repro — run with: fuzz_schedule --repro=" << path
     << "\n";
-  f << "policy=" << policy_name(w.policy) << "\n";
-  f << "delta=" << (w.delta ? 1 : 0) << "\n";
-  f << "disable_caching=" << (w.disable_caching ? 1 : 0) << "\n";
-  f << "max_slots=" << w.max_slots << "\n";
-  f << "num_devices=" << w.num_devices << "\n";
-  f << "guard=" << static_cast<int>(w.guard) << "\n";
-  f << "n=" << w.n << "\n";
-  f << "regions=" << w.regions << "\n";
-  f << "nodes=" << w.nodes << "\n";
-  f << "fabric=" << w.fabric << "\n";
-  f << "net_path=" << core::to_string(w.path) << "\n";
-  f << "compression=" << w.compression << "\n";
-  f << "sibling=" << (w.sibling ? 1 : 0) << "\n";
-  f << "ghost=" << w.ghost << "\n";
-  f << "jitter_max=" << d.jitter_max << "\n";
-  f << "jitter_seed=" << d.jitter_seed << "\n";
-  f << "prefetch_depth=" << d.prefetch_depth << "\n";
-  f << "order_seed=" << d.order_seed << "\n";
-  f << "stream_perm_seed=" << d.stream_perm_seed << "\n";
-  f << "overlap=" << (d.overlap ? 1 : 0) << "\n";
-  f << "residency_order=" << (d.residency_order ? 1 : 0) << "\n";
-  f << "steps=" << d.steps << "\n";
+  ReproWriter wr{f};
+  w.fields(wr);
+  d.fields(wr);
   f << "# kind=" << o.kind << "\n";
 }
 
@@ -566,29 +639,9 @@ bool parse_repro(const std::string& path, WorldKnobs& w, DynKnobs& d) {
     if (eq == std::string::npos) continue;
     const std::string key = line.substr(0, eq);
     const std::string val = line.substr(eq + 1);
-    const std::uint64_t num = std::strtoull(val.c_str(), nullptr, 10);
-    if (key == "policy") w.policy = core::parse_slot_policy(val);
-    else if (key == "delta") w.delta = num != 0;
-    else if (key == "disable_caching") w.disable_caching = num != 0;
-    else if (key == "max_slots") w.max_slots = static_cast<int>(num);
-    else if (key == "num_devices") w.num_devices = static_cast<int>(num);
-    else if (key == "guard") w.guard = static_cast<core::StreamingGuard>(num);
-    else if (key == "n") w.n = static_cast<int>(num);
-    else if (key == "regions") w.regions = static_cast<int>(num);
-    else if (key == "nodes") w.nodes = static_cast<int>(num);
-    else if (key == "fabric") w.fabric = val;
-    else if (key == "net_path") w.path = core::parse_net_path(val);
-    else if (key == "compression") w.compression = static_cast<int>(num);
-    else if (key == "sibling") w.sibling = num != 0;
-    else if (key == "ghost") w.ghost = static_cast<int>(num);
-    else if (key == "jitter_max") d.jitter_max = num;
-    else if (key == "jitter_seed") d.jitter_seed = num;
-    else if (key == "prefetch_depth") d.prefetch_depth = static_cast<int>(num);
-    else if (key == "order_seed") d.order_seed = num;
-    else if (key == "stream_perm_seed") d.stream_perm_seed = num;
-    else if (key == "overlap") d.overlap = num != 0;
-    else if (key == "residency_order") d.residency_order = num != 0;
-    else if (key == "steps") d.steps = static_cast<int>(num);
+    ReproReader rd{key, val};
+    w.fields(rd);
+    d.fields(rd);
   }
   return true;
 }
@@ -615,6 +668,27 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// Writes `, "key": value` per knob.
+struct JsonWriter {
+  std::ostream& out;
+
+  template <typename T>
+  void operator()(const char* key, const T& v) {
+    out << ", \"" << key << "\": ";
+    if constexpr (std::is_same_v<T, bool>) {
+      out << (v ? "true" : "false");
+    } else if constexpr (NamedKnob<T>) {
+      out << '"' << core::to_string(v) << '"';
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      out << '"' << json_escape(v) << '"';
+    } else if constexpr (std::is_enum_v<T>) {
+      out << static_cast<int>(v);
+    } else {
+      out << v;
+    }
+  }
+};
+
 void write_report(const std::string& path, std::uint64_t seed,
                   std::uint64_t iters_done, double iters_per_sec,
                   bool lint_enabled, std::uint64_t linted_iters,
@@ -635,28 +709,13 @@ void write_report(const std::string& path, std::uint64_t seed,
 #endif
     << ",\n  \"failures\": [";
   for (std::size_t i = 0; i < failures.size(); ++i) {
-    const Failure& x = failures[i];
+    Failure x = failures[i];
     f << (i ? "," : "") << "\n    {\"iter\": " << x.iter
-      << ", \"kind\": \"" << json_escape(x.kind)
-      << "\", \"policy\": \"" << policy_name(x.world.policy)
-      << "\", \"delta\": " << (x.world.delta ? "true" : "false")
-      << ", \"max_slots\": " << x.world.max_slots
-      << ", \"num_devices\": " << x.world.num_devices
-      << ", \"guard\": " << static_cast<int>(x.world.guard)
-      << ", \"nodes\": " << x.world.nodes
-      << ", \"fabric\": \"" << json_escape(x.world.fabric)
-      << "\", \"net_path\": \"" << core::to_string(x.world.path)
-      << "\", \"compression\": " << x.world.compression
-      << ", \"sibling\": " << (x.world.sibling ? "true" : "false")
-      << ", \"ghost\": " << x.world.ghost
-      << ", \"jitter_max\": " << x.dyn.jitter_max
-      << ", \"prefetch_depth\": " << x.dyn.prefetch_depth
-      << ", \"order_seed\": " << x.dyn.order_seed
-      << ", \"stream_perm_seed\": " << x.dyn.stream_perm_seed
-      << ", \"overlap\": " << (x.dyn.overlap ? "true" : "false")
-      << ", \"residency_order\": "
-      << (x.dyn.residency_order ? "true" : "false")
-      << ", \"repro\": \"" << json_escape(x.repro_path)
+      << ", \"kind\": \"" << json_escape(x.kind) << '"';
+    JsonWriter jw{f};
+    x.world.fields(jw);
+    x.dyn.fields(jw);
+    f << ", \"repro\": \"" << json_escape(x.repro_path)
       << "\", \"detail\": \"" << json_escape(x.detail) << "\"}";
   }
   f << (failures.empty() ? "]" : "\n  ]") << "\n}\n";
@@ -682,53 +741,26 @@ void configure_world(const WorldKnobs& w) {
 #endif
 }
 
-core::AccOptions acc_options(const WorldKnobs& w) {
-  core::AccOptions o;
-  o.max_slots = w.max_slots;
-  o.delta_transfers = w.delta;
-  o.disable_caching = w.disable_caching;
-  o.slot_policy = w.policy;
-  o.streaming_guard = w.guard;
-  o.compression = static_cast<core::Compression>(w.compression);
-  return o;
-}
-
-core::MultiAccOptions multi_acc_options(const WorldKnobs& w) {
-  // disable_caching has no multi-device analogue; the other knobs map 1:1.
-  // max_slots is a per-device budget in the multi array, so divide the
-  // world's total across the devices — keeping the slots:regions pressure
-  // of the single-device run, which is what drives eviction/re-acquire
-  // schedules (and the races hiding in them).
+/// The options of a world's arrays. max_slots is a per-device budget, so
+/// the world's total divides across the devices — keeping the
+/// slots:regions pressure of the single-device run, which is what drives
+/// eviction/re-acquire schedules (and the races hiding in them).
+core::MultiAccOptions array_options(const WorldKnobs& w) {
   core::MultiAccOptions o;
   o.devices = w.num_devices;
-  o.max_slots_per_device = std::max(1, w.max_slots / w.num_devices);
+  o.placement = w.placement;
+  o.max_slots = std::max(1, w.max_slots / w.num_devices);
+  o.disable_caching = w.disable_caching;
   o.delta_transfers = w.delta;
   o.slot_policy = w.policy;
   o.streaming_guard = w.guard;
   o.compression = static_cast<core::Compression>(w.compression);
   return o;
-}
-
-/// The array of a world without nodes: a single-device world builds an
-/// AccTileArray (the only array that takes disable_caching), a
-/// multi-device world a MultiAccTileArray. A shared_ptr, because its
-/// deleter destroys the array as the type it was built as.
-std::shared_ptr<core::MultiAccTileArray<double>> make_array(
-    const WorldKnobs& w) {
-  const int slab = (w.n + w.regions - 1) / w.regions;
-  if (w.num_devices > 1) {
-    return std::make_shared<core::MultiAccTileArray<double>>(
-        tida::Box::cube(w.n), tida::Index3{w.n, w.n, slab}, w.ghost,
-        multi_acc_options(w));
-  }
-  return std::make_shared<AccTileArray<double>>(
-      tida::Box::cube(w.n), tida::Index3{w.n, w.n, slab}, w.ghost,
-      acc_options(w));
 }
 
 core::ClusterOptions cluster_options(const WorldKnobs& w) {
   core::ClusterOptions o;
-  o.multi = multi_acc_options(w);
+  o.multi = array_options(w);
   o.nodes = w.nodes;
   o.fabric = sim::FabricConfig::parse(w.fabric);
   // kAuto on a GPUDirect-less preset degrades to staged by itself; only
@@ -742,21 +774,21 @@ core::ClusterOptions cluster_options(const WorldKnobs& w) {
 /// sibling knob. They must outlive every restore of the world's snapshot
 /// (the restore contract is address-stable), so they are built once per
 /// config block. Worlds with nodes > 1 hold cluster arrays (fabric QP/MR
-/// state rides inside their snapshots), the others arrays behind
-/// MultiAccTileArray pointers (see make_array).
+/// state rides inside their snapshots), the others MultiAccTileArrays.
 struct World {
-  std::vector<std::shared_ptr<core::MultiAccTileArray<double>>> multi;
+  std::vector<std::unique_ptr<core::MultiAccTileArray<double>>> multi;
   std::vector<std::unique_ptr<core::ClusterTileArray<double>>> cluster;
 
   explicit World(const WorldKnobs& w) {
-    const int slab = (w.n + w.regions - 1) / w.regions;
+    const tida::Box domain = tida::Box::cube(w.n);
+    const tida::Index3 slab{w.n, w.n, (w.n + w.regions - 1) / w.regions};
     for (int i = 0; i < (w.sibling ? 2 : 1); ++i) {
       if (w.nodes > 1) {
         cluster.push_back(std::make_unique<core::ClusterTileArray<double>>(
-            tida::Box::cube(w.n), tida::Index3{w.n, w.n, slab}, w.ghost,
-            cluster_options(w)));
+            domain, slab, w.ghost, cluster_options(w)));
       } else {
-        multi.push_back(make_array(w));
+        multi.push_back(std::make_unique<core::MultiAccTileArray<double>>(
+            domain, slab, w.ghost, array_options(w)));
       }
     }
   }
@@ -950,7 +982,7 @@ int main(int argc, char** argv) {
     failures.push_back(x);
     std::printf("iter %llu: %s (%s, policy=%s slots=%d) -> %s\n",
                 static_cast<unsigned long long>(i), x.kind.c_str(),
-                x.detail.c_str(), policy_name(world->policy),
+                x.detail.c_str(), core::to_string(world->policy),
                 world->max_slots, x.repro_path.c_str());
   };
 
@@ -1076,7 +1108,7 @@ int main(int argc, char** argv) {
       failures.push_back(x);
       std::printf("iter %llu: %s (%s, policy=%s slots=%d) -> %s\n",
                   static_cast<unsigned long long>(i), o.kind.c_str(),
-                  o.detail.c_str(), policy_name(world->policy),
+                  o.detail.c_str(), core::to_string(world->policy),
                   world->max_slots, x.repro_path.c_str());
       if (static_cast<int>(failures.size()) >= max_failures ||
           expect_failure) {

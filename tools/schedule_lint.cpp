@@ -281,7 +281,7 @@ ScenarioResult scenario_halo(const char* name, const core::MultiAccOptions& o) {
 core::MultiAccOptions halo_options(int devices, int slots, bool streaming) {
   core::MultiAccOptions o;
   o.devices = devices;
-  o.max_slots_per_device = slots;
+  o.max_slots = slots;
   o.delta_transfers = streaming;
   o.streaming_guard = streaming ? core::StreamingGuard::kForceStreaming
                                 : core::StreamingGuard::kAuto;
@@ -298,7 +298,7 @@ ScenarioResult scenario_cluster(const char* name, const char* fabric,
   const int slab = (n + regions - 1) / regions;
   core::ClusterOptions o;
   o.multi.devices = 2;
-  o.multi.max_slots_per_device = regions + 2;  // wire path needs residency
+  o.multi.max_slots = regions + 2;  // wire path needs residency
   o.nodes = 2;
   o.fabric = sim::FabricConfig::parse(fabric);
   o.path = path;
