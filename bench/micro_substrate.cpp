@@ -72,16 +72,27 @@ void BM_EnqueueKernel(benchmark::State& state) {
 BENCHMARK(BM_EnqueueKernel);
 
 void BM_ExchangePlan(benchmark::State& state) {
+  // One periodic plan: 8^3 blocks, Arg regions per dimension, ghost 1; Arg 0
+  // is perfbench cluster_overlap's layout, 512^3 in 128 slabs of
+  // 512x512x4 under ghost 4 (3,328 copies).
   const int regions_per_dim = static_cast<int>(state.range(0));
-  const tida::Partition part(tida::Box::cube(regions_per_dim * 8),
-                             tida::Index3::uniform(8));
+  const tida::Partition part =
+      regions_per_dim == 0
+          ? tida::Partition(tida::Box::cube(512), tida::Index3{512, 512, 4})
+          : tida::Partition(tida::Box::cube(regions_per_dim * 8),
+                            tida::Index3::uniform(8));
+  const int ghost = regions_per_dim == 0 ? 4 : 1;
+  std::size_t copies = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tida::compute_exchange_plan(part, 1, tida::Boundary::kPeriodic));
+    const std::vector<tida::GhostCopy> plan =
+        tida::compute_exchange_plan(part, ghost, tida::Boundary::kPeriodic);
+    copies = plan.size();
+    benchmark::DoNotOptimize(plan.data());
   }
   state.SetItemsProcessed(state.iterations() * part.num_regions());
+  state.counters["copies"] = static_cast<double>(copies);
 }
-BENCHMARK(BM_ExchangePlan)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_ExchangePlan)->Arg(0)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_FunctionalHeatStep(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

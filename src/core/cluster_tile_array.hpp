@@ -51,6 +51,7 @@
 #include <initializer_list>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -166,15 +167,14 @@ class ClusterTileArray : public MultiAccTileArray<T> {
   /// Regions with at least one cross-node face under `bc`, in id order —
   /// the set that must wait for exchange_end before computing. Every other
   /// region is node-interior: it may compute between exchange_begin and
-  /// exchange_end. One pass over the plan.
+  /// exchange_end. The ends of the layout's cross-node region pairs.
   std::vector<int> node_boundary_regions(tida::Boundary bc) {
     std::vector<char> crosses(static_cast<std::size_t>(this->num_regions()));
     if (nodes_ > 1) {
-      for (const tida::GhostCopy& c : this->exchange_plan(bc)) {
-        if (node_of_region(c.src_region) != node_of_region(c.dst_region)) {
-          crosses[static_cast<std::size_t>(c.src_region)] = 1;
-          crosses[static_cast<std::size_t>(c.dst_region)] = 1;
-        }
+      const tida::PairIndex& index = this->exchange_pairs(bc);
+      for (const std::size_t p : wire_pairs(bc)) {
+        crosses[static_cast<std::size_t>(index.pairs[p].src_region)] = 1;
+        crosses[static_cast<std::size_t>(index.pairs[p].dst_region)] = 1;
       }
     }
     std::vector<int> out;
@@ -184,6 +184,14 @@ class ClusterTileArray : public MultiAccTileArray<T> {
       }
     }
     return out;
+  }
+
+  /// The cross-node region pairs under `bc`, one wire message each, as
+  /// indices into exchange_pairs(bc), in pair order: the layout's, derived
+  /// once (ExchangeSchedule::wire_pairs).
+  const std::vector<std::size_t>& wire_pairs(tida::Boundary bc) {
+    const auto node_of = [this](int region) { return node_of_region(region); };
+    return this->schedule_->wire_pairs(bc, this->exchange_pairs(bc), node_of);
   }
 
   // --- split-phase exchange ---
@@ -380,7 +388,7 @@ class ClusterTileArray : public MultiAccTileArray<T> {
   /// buffers (staged), not the registered regions the fabric would claim
   /// flat — interleaved rows of disjoint faces must not collide.
   cuem::Claims wire_claims(const std::vector<tida::GhostCopy>& plan,
-                           const std::vector<std::size_t>& copies) const {
+                           std::span<const std::size_t> copies) const {
     cuem::Claims claims(use_gpudirect_ ? "rdma-ghost" : "staged-ghost");
     for (const std::size_t c : copies) {
       this->add_ghost_boxes(claims, plan[c], /*on_host=*/!use_gpudirect_);
@@ -455,11 +463,11 @@ class ClusterTileArray : public MultiAccTileArray<T> {
     // a single wire message, like an MPI halo exchange: one work request's
     // posting cost amortizes over the whole payload, which is what lets
     // the wire time (and not the host's posting loop) dominate the epoch.
-    // The groups are the layout's (ExchangeSchedule), derived once.
+    // The groups are the layout's cross-node region pairs
+    // (ExchangeSchedule), derived once.
     ExchangeSchedule::Wire& wire = this->schedule_->wire(bc);
-    const auto node_of = [this](int region) { return node_of_region(region); };
-    const std::vector<std::vector<std::size_t>>& groups =
-        this->schedule_->wire_groups(bc, plan, node_of);
+    const tida::PairIndex& index = this->exchange_pairs(bc);
+    const std::vector<std::size_t>& groups = wire_pairs(bc);
     const bool building = !wire.built;
     wire.built = true;
 
@@ -472,28 +480,29 @@ class ClusterTileArray : public MultiAccTileArray<T> {
     std::vector<sim::EventId> staged;
     if (!use_gpudirect_) {
       staged.assign(static_cast<std::size_t>(this->num_regions()), -1);
-      for (const std::vector<std::size_t>& group : groups) {
-        const int src = plan[group.front()].src_region;
-        cuem::DeviceGuard guard(this->device_of_region(src));
+      for (const std::size_t g : groups) {
+        const tida::RegionPair& pair = index.pairs[g];
+        cuem::DeviceGuard guard(this->device_of_region(pair.src_region));
         std::vector<tida::Box> src_boxes;
-        for (const std::size_t c : group) {
+        for (const std::size_t c : index.copies_of(pair)) {
           src_boxes.push_back(plan[c].src_box);
         }
-        this->copy_boxes(src, src_boxes, cuemMemcpyDeviceToHost,
-                         sources.stream[static_cast<std::size_t>(src)],
-                         sim::PayloadKind::kFaceShell);
+        this->copy_boxes(
+            pair.src_region, src_boxes, cuemMemcpyDeviceToHost,
+            sources.stream[static_cast<std::size_t>(pair.src_region)],
+            sim::PayloadKind::kFaceShell);
       }
-      for (const std::vector<std::size_t>& group : groups) {
-        const auto src =
-            static_cast<std::size_t>(plan[group.front()].src_region);
+      for (const std::size_t g : groups) {
+        const auto src = static_cast<std::size_t>(index.pairs[g].src_region);
         if (staged[src] < 0) {
           staged[src] = p.record_event(sources.stream[src]);
         }
       }
     }
 
-    for (const std::vector<std::size_t>& group : groups) {
-      const tida::GhostCopy& head = plan[group.front()];
+    for (const std::size_t g : groups) {
+      const tida::RegionPair& head = index.pairs[g];
+      const std::span<const std::size_t> group = index.copies_of(head);
       const int src_node = node_of_region(head.src_region);
       const int dst_node = node_of_region(head.dst_region);
       const cuemStream_t src_stream =
@@ -511,10 +520,7 @@ class ClusterTileArray : public MultiAccTileArray<T> {
         ExchangeSchedule::pay_index_work(group.size(),
                                          static_cast<SimTime>(nodes_));
       }
-      std::uint64_t bytes = 0;
-      for (const std::size_t c : group) {
-        bytes += plan[c].dst_box.volume() * this->ncomp() * sizeof(T);
-      }
+      const std::uint64_t bytes = head.cells * this->ncomp() * sizeof(T);
       const std::string label = "N:R" + std::to_string(head.src_region) +
                                 ">R" + std::to_string(head.dst_region);
       sim::QpId qp = -1;
@@ -524,7 +530,7 @@ class ClusterTileArray : public MultiAccTileArray<T> {
         // read; the functional copy applies between slot buffers exactly
         // like a peer copy's.
         qp = qp_for(dst_node, src_node);
-        auto action = [this, bc, &group]() {
+        auto action = [this, bc, group]() {
           const auto& pl = this->exchange_plan(bc);
           for (const std::size_t c : group) {
             this->apply_copy_device(pl[c]);
@@ -549,7 +555,7 @@ class ClusterTileArray : public MultiAccTileArray<T> {
         // exchange_end.
         qp = qp_for(src_node, dst_node);
         fabric_->post_recv(qp, host_mr_of(head.dst_region), 0, bytes);
-        auto action = [this, bc, &group]() {
+        auto action = [this, bc, group]() {
           const auto& pl = this->exchange_plan(bc);
           for (const std::size_t c : group) {
             this->apply_copy_host(pl[c]);

@@ -193,9 +193,10 @@ inline int choose_time_block_k(const tida::Box& domain,
     const auto all_regions = static_cast<std::uint64_t>(regions);
     const double replay = static_cast<double>(
         cfg.kernel_launch_ns + cfg.oacc_dispatch_extra_ns +
-        ghost_update_profile(all_regions * ring_cells, elem_bytes,
-                             all_regions * descriptors_per_region(part, ghost) *
-                                 sizeof(GhostDescriptor))
+        ghost_update_profile(
+            all_regions * ring_cells, elem_bytes,
+            all_regions * tida::descriptors_per_region(part, ghost) *
+                sizeof(GhostDescriptor))
             .duration_ns(cfg));
     const double tex = issued_copy_ns(sim::OpKind::kCopyD2H, ring_bytes) +
                        static_cast<double>(cfg.host_copy_ns(ring_bytes)) +

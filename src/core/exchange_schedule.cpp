@@ -27,21 +27,6 @@ DevicePlacement parse_placement(const std::string& s) {
   TIDACC_FAIL("unknown placement '" + s + "' (expected block|round-robin)");
 }
 
-std::size_t descriptors_per_region(const tida::Partition& part, int ghost) {
-  if (ghost == 0) {
-    return 0;
-  }
-  tida::Index3 m = part.domain().extent();
-  for (int r = 0; r < part.num_regions(); ++r) {
-    m = tida::Index3::min(m, part.region_box(r).extent());
-  }
-  std::size_t pieces = 1;
-  for (const int extent : {m.i, m.j, m.k}) {
-    pieces *= 1 + 2 * static_cast<std::size_t>((ghost + extent - 1) / extent);
-  }
-  return pieces - 1;
-}
-
 DescriptorBuffers::DescriptorBuffers(std::size_t count)
     : generation_(sim::Platform::generation()) {
   const std::size_t bytes = count * sizeof(GhostDescriptor);
@@ -100,46 +85,34 @@ void ExchangeSchedule::reserve(int d, std::size_t capacity) {
   dev.buffers = DescriptorBuffers(2 * capacity);
 }
 
-const ExchangeSchedule::DestinationGroups&
-ExchangeSchedule::destination_groups(tida::Boundary bc,
-                                     const std::vector<tida::GhostCopy>& plan,
-                                     const std::vector<int>& owner) {
-  std::optional<DestinationGroups>& groups =
-      destinations_[static_cast<std::size_t>(bc)];
-  if (groups) {
-    return *groups;
-  }
-  groups.emplace(devices_.size());
-  for (std::size_t begin = 0; begin < plan.size();) {
-    const int dst = plan[begin].dst_region;
-    std::size_t end = begin;
-    while (end < plan.size() && plan[end].dst_region == dst) {
-      ++end;
-    }
-    (*groups)[static_cast<std::size_t>(owner[static_cast<std::size_t>(dst)])]
-        .emplace_back(begin, end);
-    begin = end;
-  }
-  return *groups;
-}
-
-const std::vector<std::size_t>& ExchangeSchedule::local_copies(
-    int d, tida::Boundary bc, const std::vector<tida::GhostCopy>& plan,
+const ExchangeSchedule::Local& ExchangeSchedule::local(
+    int d, tida::Boundary bc, const tida::PairIndex& index,
     const std::vector<int>& owner) {
-  DescriptorSet& set = descriptors(d, bc);
-  if (set.local) {
-    return *set.local;
+  std::optional<Local>& local = descriptors(d, bc).local;
+  if (local) {
+    return *local;
   }
-  set.local.emplace();
-  for (std::size_t c = 0; c < plan.size(); ++c) {
-    if (owner[static_cast<std::size_t>(plan[c].dst_region)] == d &&
-        owner[static_cast<std::size_t>(plan[c].src_region)] == d) {
-      set.local->push_back(c);
+  local.emplace();
+  const auto on_d = [&owner, d](int region) {
+    return owner[static_cast<std::size_t>(region)] == d;
+  };
+  for (int dst = 0; dst < static_cast<int>(owner.size()); ++dst) {
+    if (on_d(dst)) {
+      index.append_copies(
+          dst,
+          [&](std::size_t p) {
+            if (!on_d(index.pairs[p].src_region)) {
+              return false;
+            }
+            local->pairs.push_back(p);
+            return true;
+          },
+          local->copies);
     }
   }
-  TIDACC_CHECK_MSG(set.local->size() <= device(d).capacity,
+  TIDACC_CHECK_MSG(local->copies.size() <= device(d).capacity,
                    "ghost descriptors overflow their buffer");
-  return *set.local;
+  return *local;
 }
 
 }  // namespace tidacc::core

@@ -9,12 +9,14 @@
 // cell boxes. So a Jacobi-style pair of arrays (u, un) shares one schedule
 // (ExchangeSchedule::of), like AMReX's one FillBoundary copy pattern per box
 // layout and distribution:
-//   * per device and boundary, the same-device copy list, the descriptor
-//     buffers (device plus pinned staging) and whether the index work is
-//     paid and the descriptors uploaded;
-//   * per boundary, the destination groups of the plan per device and the
-//     cluster's cross-node wire groups, with whether their index work is
-//     paid.
+//   * per device and boundary, the same-device region pairs and their
+//     copies, the descriptor buffers (device plus pinned staging) and
+//     whether the index work is paid and the descriptors uploaded;
+//   * per boundary, the cluster's cross-node region pairs (its wire
+//     messages), with whether their index work is paid.
+// The views are built from the layout's pair index (tida::PairIndex): one
+// pass over its pairs, never over the plan, so the exchange decides per
+// (source, destination) region pair what depends only on the placement.
 // The first exchange on the layout under a boundary pays the index work
 // (pay_index_work, between its peer copies or wire posts) and the one
 // upload; every later exchange, by any array on the layout, only replays.
@@ -28,7 +30,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -74,18 +75,6 @@ static_assert(sizeof(GhostDescriptor) == 48,
 struct NoCopies {
   bool operator()(int, int) const { return false; }
 };
-
-/// Descriptors one region of `part` can receive under either boundary with
-/// `ghost` layers, bounded without building a plan so the buffers can be
-/// sized at construction. Along each dimension a ghost piece of a region is
-/// either the region's own range (one region of the partition's tensor
-/// grid) or a band `ghost` thick beside it. The band starts at a region
-/// boundary (the periodic wrap lands on one too), so it crosses at most
-/// c = ceil(ghost / m) regions, m the smallest region extent along that
-/// dimension. Over the 26 pieces that is prod(1 + 2c) - 1: exactly 26 when
-/// every region is at least `ghost` wide. The array sizes its buffers with
-/// it and choose_time_block_k prices the replay's descriptor reads with it.
-std::size_t descriptors_per_region(const tida::Partition& part, int ghost);
 
 /// The device buffer one device's ghost descriptors live in and the pinned
 /// host copy they are uploaded from. Released with the last array on the
@@ -143,6 +132,16 @@ class ExchangeSchedule {
     bool operator==(const Layout&) const = default;
   };
 
+  /// The copies between two regions of one device: what its replay kernel
+  /// applies.
+  struct Local {
+    /// Indices of those region pairs in the layout's PairIndex, in pair
+    /// order.
+    std::vector<std::size_t> pairs;
+    /// Their plan indices, in plan order: the descriptor order.
+    std::vector<std::size_t> copies;
+  };
+
   /// One boundary's ghost descriptors on one device.
   struct DescriptorSet {
     /// Position of the first descriptor in the device's buffers.
@@ -153,10 +152,9 @@ class ExchangeSchedule {
     /// exchange that carries peer copies, which need not be the one that
     /// built the descriptors (the streaming exchange carries none).
     bool peers_indexed = false;
-    /// Plan indices of the copies between two regions of the device, in
-    /// descriptor order: what its replay kernel applies (laid out on first
-    /// use).
-    std::optional<std::vector<std::size_t>> local;
+    /// The region pairs between two regions of the device and their
+    /// copies, laid out on first use.
+    std::optional<Local> local;
   };
 
   /// One device's descriptors, per boundary (indexed by tida::Boundary),
@@ -167,18 +165,15 @@ class ExchangeSchedule {
     DescriptorBuffers buffers;
   };
 
-  /// Destination groups [begin, end) of plan indices (the plan is grouped
-  /// by destination region), per owning device, in plan order.
-  using DestinationGroups =
-      std::vector<std::vector<std::pair<std::size_t, std::size_t>>>;
-
-  /// One boundary's cross-node wire messages: per (source, destination)
-  /// region pair on different nodes, the plan indices of the boxes one
-  /// message carries, in plan order of each pair's first box.
+  /// One boundary's cross-node wire messages: one per (source,
+  /// destination) region pair on different nodes, carrying the pair's
+  /// boxes.
   struct Wire {
     /// Index work paid.
     bool built = false;
-    std::optional<std::vector<std::vector<std::size_t>>> groups;
+    /// Indices of those pairs in the layout's PairIndex, in pair order
+    /// (laid out on first use).
+    std::optional<std::vector<std::size_t>> pairs;
   };
 
   explicit ExchangeSchedule(int devices)
@@ -209,48 +204,32 @@ class ExchangeSchedule {
   /// Per boundary, indexed by tida::Boundary.
   std::array<Wire, 2>& wires() { return wire_; }
 
-  /// The plan's destination groups under `bc` for region owners `owner`.
-  const DestinationGroups& destination_groups(
-      tida::Boundary bc, const std::vector<tida::GhostCopy>& plan,
-      const std::vector<int>& owner);
+  /// Device `d`'s region pairs and copies under `bc` (DescriptorSet::local)
+  /// from the layout's pair index `index`, for region owners `owner`.
+  const Local& local(int d, tida::Boundary bc, const tida::PairIndex& index,
+                     const std::vector<int>& owner);
 
-  /// Device `d`'s copies between two of its regions under `bc`
-  /// (DescriptorSet::local).
-  const std::vector<std::size_t>& local_copies(
-      int d, tida::Boundary bc, const std::vector<tida::GhostCopy>& plan,
-      const std::vector<int>& owner);
-
-  /// The wire groups under `bc` (Wire::groups), regions on nodes
+  /// The cross-node pairs under `bc` (Wire::pairs), regions on nodes
   /// `node_of(region)`.
   template <typename NodeOf>
-  const std::vector<std::vector<std::size_t>>& wire_groups(
-      tida::Boundary bc, const std::vector<tida::GhostCopy>& plan,
-      const NodeOf& node_of) {
-    std::optional<std::vector<std::vector<std::size_t>>>& groups =
-        wire(bc).groups;
-    if (groups) {
-      return *groups;
-    }
-    groups.emplace();
-    std::map<std::pair<int, int>, std::size_t> group_of;
-    for (std::size_t c = 0; c < plan.size(); ++c) {
-      const tida::GhostCopy& gc = plan[c];
-      if (node_of(gc.src_region) == node_of(gc.dst_region)) {
-        continue;
+  const std::vector<std::size_t>& wire_pairs(tida::Boundary bc,
+                                             const tida::PairIndex& index,
+                                             const NodeOf& node_of) {
+    std::optional<std::vector<std::size_t>>& pairs = wire(bc).pairs;
+    if (!pairs) {
+      pairs.emplace();
+      for (std::size_t p = 0; p < index.pairs.size(); ++p) {
+        const tida::RegionPair& pair = index.pairs[p];
+        if (node_of(pair.src_region) != node_of(pair.dst_region)) {
+          pairs->push_back(p);
+        }
       }
-      const auto [it, fresh] = group_of.try_emplace(
-          std::pair(gc.src_region, gc.dst_region), groups->size());
-      if (fresh) {
-        groups->emplace_back();
-      }
-      (*groups)[it->second].push_back(c);
     }
-    return *groups;
+    return *pairs;
   }
 
  private:
   std::vector<Device> devices_;
-  std::array<std::optional<DestinationGroups>, 2> destinations_;
   std::array<Wire, 2> wire_;
 };
 

@@ -34,6 +34,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -192,7 +193,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
     schedule_ = ExchangeSchedule::of(ExchangeSchedule::Layout{
         domain, region_size, ghost, num_devices_, placement_, nodes});
     const std::size_t per_region =
-        descriptors_per_region(this->partition(), ghost);
+        tida::descriptors_per_region(this->partition(), ghost);
     const std::size_t slot_bytes =
         this->partition().max_region_volume(ghost) * opts.ncomp * sizeof(T);
     for (int d = 0; d < num_devices_; ++d) {
@@ -579,8 +580,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
       // the devices, the rest is pipelined region by region through the
       // host (core/streaming_exchange.hpp) — but only when the
       // exchange-level cost model says it beats one pipelined drain.
-      const detail::HostHalf half =
-          detail::host_half(*this, this->exchange_plan(bc));
+      const detail::HostHalf half = detail::host_half(*this, bc);
       if (streaming_guard_ == StreamingGuard::kForceStreaming ||
           detail::streaming_cheaper<T>(*this, bc, half)) {
         detail::streaming_exchange(*this, bc, half);
@@ -992,29 +992,31 @@ class MultiAccTileArray : public tida::TileArray<T> {
 
   /// Marks the sources of exchange_on_devices(bc, peer, ...): one event on
   /// every stream a carried copy reads through, or writes through on the
-  /// device. `wire(src, dst)` accepts the cross-device copies between
-  /// device-current regions that a cluster wire carries besides, off both
-  /// regions' streams, so both ends are marked. Call it before queueing
-  /// anything behind those streams' last writes (the streaming exchange's
-  /// pulls, the cluster's staging copies), so the exchange waits for those
-  /// writes alone. An idle stream gets no event: the successful query
-  /// already ordered its work before the host's next launch.
+  /// device, decided per region pair. `wire(src, dst)` accepts the
+  /// cross-device copies between device-current regions that a cluster
+  /// wire carries besides, off both regions' streams, so both ends are
+  /// marked. Call it before queueing anything behind those streams' last
+  /// writes (the streaming exchange's pulls, the cluster's staging copies),
+  /// so the exchange waits for those writes alone. An idle stream gets no
+  /// event: the successful query already ordered its work before the
+  /// host's next launch.
   template <typename Peer, typename Wire = NoCopies>
   SourceMarks mark_sources(tida::Boundary bc, const Peer& peer,
                            const Wire& wire = {}) {
     SourceMarks marks{current_streams(), {}};
     std::vector<char> touched(static_cast<std::size_t>(this->num_regions()));
-    for (const tida::GhostCopy& c : this->exchange_plan(bc)) {
-      const bool one_device =
-          device_of_region(c.src_region) == device_of_region(c.dst_region);
-      const bool remote = !one_device && wire(c.src_region, c.dst_region);
-      if (!remote &&
-          !marks.carries(*this, peer, c.src_region, c.dst_region)) {
+    for (const tida::RegionPair& pair : this->exchange_pairs(bc).pairs) {
+      const int src = pair.src_region;
+      const int dst = pair.dst_region;
+      const bool one_device = owner_[static_cast<std::size_t>(src)] ==
+                              owner_[static_cast<std::size_t>(dst)];
+      const bool remote = !one_device && wire(src, dst);
+      if (!remote && !marks.carries(*this, peer, src, dst)) {
         continue;
       }
-      touched[static_cast<std::size_t>(c.src_region)] = 1;
+      touched[static_cast<std::size_t>(src)] = 1;
       if (one_device || remote) {
-        touched[static_cast<std::size_t>(c.dst_region)] = 1;
+        touched[static_cast<std::size_t>(dst)] = 1;
       }
     }
     for (std::size_t r = 0; r < touched.size(); ++r) {
@@ -1071,27 +1073,33 @@ class MultiAccTileArray : public tida::TileArray<T> {
       tida::Boundary bc, const Peer& peer, SimTime host_cpus,
       const SourceMarks& sources) {
     constexpr bool carries_peers = !std::is_same_v<Peer, NoCopies>;
-    const auto& plan = this->exchange_plan(bc);
-    const ExchangeSchedule::DestinationGroups& groups =
-        schedule_->destination_groups(bc, plan, owner_);
+    const tida::PairIndex& index = this->exchange_pairs(bc);
     CompletionEdges edges;
     for (int d = 0; d < num_devices_; ++d) {
       ExchangeSchedule::DescriptorSet& set = schedule_->descriptors(d, bc);
       const bool building = shard(d).pool && !set.built;
       const bool indexing_peers =
           carries_peers && shard(d).pool && !set.peers_indexed;
-      for (const auto& [begin, end] : groups[static_cast<std::size_t>(d)]) {
+      // The device's destination groups, in plan order: its regions in id
+      // order, each with the pairs writing into it.
+      for (const int dst : shard(d).regions) {
+        const std::span<const tida::RegionPair> group = index.pairs_into(dst);
+        if (group.empty()) {
+          continue;
+        }
         if (building || indexing_peers) {
           std::size_t indexed = 0;
-          for (std::size_t c = begin; c < end; ++c) {
-            const int src = plan[c].src_region;
-            indexed += device_of_region(src) == d
-                           ? building
-                           : indexing_peers && peer(src, plan[c].dst_region);
+          for (const tida::RegionPair& pair : group) {
+            const int src = pair.src_region;
+            const bool counted =
+                owner_[static_cast<std::size_t>(src)] == d
+                    ? building
+                    : indexing_peers && peer(src, dst);
+            indexed += counted ? pair.count() : 0;
           }
           ExchangeSchedule::pay_index_work(indexed, host_cpus);
         }
-        issue_peer_copies(bc, begin, end, peer, sources, edges);
+        issue_peer_copies(bc, dst, peer, sources, edges);
       }
       if (building) {
         upload_descriptors(d, bc);
@@ -1112,10 +1120,11 @@ class MultiAccTileArray : public tida::TileArray<T> {
     }
   }
 
-  /// Plan indices of device `d`'s copies between two of its regions under
-  /// `bc`, in descriptor order (laid out on first use on the layout).
-  const std::vector<std::size_t>& local_copies(int d, tida::Boundary bc) {
-    return schedule_->local_copies(d, bc, this->exchange_plan(bc), owner_);
+  /// Device `d`'s region pairs and copies between two of its regions under
+  /// `bc`, the copies in descriptor order (laid out on first use on the
+  /// layout).
+  const ExchangeSchedule::Local& local_copies(int d, tida::Boundary bc) {
+    return schedule_->local(d, bc, this->exchange_pairs(bc), owner_);
   }
 
   /// One planned copy as its descriptor.
@@ -1137,7 +1146,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
     const DescriptorBuffers& buffers = schedule_->device(d).buffers;
     ExchangeSchedule::DescriptorSet& set = schedule_->descriptors(d, bc);
     set.built = true;
-    const std::vector<std::size_t>& local = local_copies(d, bc);
+    const std::vector<std::size_t>& local = local_copies(d, bc).copies;
     if (local.empty()) {
       return;
     }
@@ -1158,36 +1167,40 @@ class MultiAccTileArray : public tida::TileArray<T> {
         labeled() ? "desc:D" + std::to_string(d) : std::string()));
   }
 
-  /// The carried cross-device copies among plan[begin, end) — one
-  /// destination's group — on the destination's stream, after one wait
-  /// per distinct source stream. The event recorded behind them joins
-  /// `edges` for those sources: the next kernel on a source must not
-  /// overwrite cells still being read.
+  /// The carried cross-device copies into region `dst` — one
+  /// destination's group — on its stream, in plan order, after one wait
+  /// per distinct source stream. Whether a copy is carried is decided once
+  /// per region pair. The event recorded behind them joins `edges` for
+  /// those sources: the next kernel on a source must not overwrite cells
+  /// still being read.
   template <typename Peer>
-  void issue_peer_copies(tida::Boundary bc, std::size_t begin,
-                         std::size_t end, const Peer& peer,
+  void issue_peer_copies(tida::Boundary bc, int dst, const Peer& peer,
                          const SourceMarks& sources, CompletionEdges& edges) {
     const auto& plan = this->exchange_plan(bc);
+    const tida::PairIndex& index = this->exchange_pairs(bc);
     std::vector<std::size_t> copies;
     std::vector<cuemStream_t> srcs;
-    for (std::size_t c = begin; c < end; ++c) {
-      const int src = plan[c].src_region;
-      const int dst = plan[c].dst_region;
-      if (device_of_region(src) == device_of_region(dst) ||
-          !sources.carries(*this, peer, src, dst)) {
-        continue;
-      }
-      copies.push_back(c);
-      const cuemStream_t s = sources.stream[static_cast<std::size_t>(src)];
-      if (std::find(srcs.begin(), srcs.end(), s) == srcs.end()) {
-        srcs.push_back(s);
-      }
-    }
+    index.append_copies(
+        dst,
+        [&](std::size_t p) {
+          const int src = index.pairs[p].src_region;
+          if (owner_[static_cast<std::size_t>(src)] ==
+                  owner_[static_cast<std::size_t>(dst)] ||
+              !sources.carries(*this, peer, src, dst)) {
+            return false;
+          }
+          // Pairs come in order of first copy, so the sources do too.
+          const cuemStream_t s = sources.stream[static_cast<std::size_t>(src)];
+          if (std::find(srcs.begin(), srcs.end(), s) == srcs.end()) {
+            srcs.push_back(s);
+          }
+          return true;
+        },
+        copies);
     if (copies.empty()) {
       return;
     }
     sim::Platform& p = sim::Platform::instance();
-    const int dst = plan[begin].dst_region;
     const cuemStream_t dstream =
         sources.stream[static_cast<std::size_t>(dst)];
     for (const cuemStream_t s : srcs) {
@@ -1228,21 +1241,20 @@ class MultiAccTileArray : public tida::TileArray<T> {
     if (!s.pool) {
       return;
     }
-    const std::vector<std::size_t>& local = local_copies(d, bc);
-    const auto& plan = this->exchange_plan(bc);
+    const ExchangeSchedule::Local& local = local_copies(d, bc);
+    const tida::PairIndex& index = this->exchange_pairs(bc);
     const auto current = [&sources](int region) {
       return sources.stream[static_cast<std::size_t>(region)] >= 0;
     };
-    // Per region: 1 when the replay only reads it, 2 when it writes it.
+    // The cells it copies and the regions it touches, pair by pair.
     std::uint64_t cells = 0;
     std::vector<char> touched(static_cast<std::size_t>(this->num_regions()));
-    for (const std::size_t c : local) {
-      const tida::GhostCopy& gc = plan[c];
-      if (current(gc.src_region) && current(gc.dst_region)) {
-        cells += gc.dst_box.volume();
-        char& src = touched[static_cast<std::size_t>(gc.src_region)];
-        src = std::max<char>(src, 1);
-        touched[static_cast<std::size_t>(gc.dst_region)] = 2;
+    for (const std::size_t p : local.pairs) {
+      const tida::RegionPair& pair = index.pairs[p];
+      if (current(pair.src_region) && current(pair.dst_region)) {
+        cells += pair.cells;
+        touched[static_cast<std::size_t>(pair.src_region)] = 1;
+        touched[static_cast<std::size_t>(pair.dst_region)] = 1;
       }
     }
     if (cells == 0) {
@@ -1273,7 +1285,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
     }
     const GhostDescriptor* desc =
         buffers.device() + schedule_->descriptors(d, bc).offset;
-    const std::size_t count = local.size();
+    const std::size_t count = local.copies.size();
     auto action = [this, slot = std::move(slot), desc, count]() {
       const tida::Index3 last{1, 1, 1};
       for (std::size_t i = 0; i < count; ++i) {
@@ -1303,11 +1315,15 @@ class MultiAccTileArray : public tida::TileArray<T> {
     ++device_ghost_updates_;
     cuem::Claims claims(op.c_str());
     claims.add(desc, sim::ByteBox::span(0, desc_bytes), cuem::Role::kRead);
-    for (const std::size_t c : local) {
-      const tida::GhostCopy& gc = plan[c];
-      if (current(gc.src_region) && current(gc.dst_region)) {
-        add_ghost_boxes(claims, gc);
-        note_device_write(gc.dst_region, gc.dst_box);
+    // Per copy only for a listener or the dirty tracker.
+    if (claims.heard || delta_transfers_) {
+      const auto& plan = this->exchange_plan(bc);
+      for (const std::size_t c : local.copies) {
+        const tida::GhostCopy& gc = plan[c];
+        if (current(gc.src_region) && current(gc.dst_region)) {
+          add_ghost_boxes(claims, gc);
+          note_device_write(gc.dst_region, gc.dst_box);
+        }
       }
     }
     cuem::claim(xs, claims);

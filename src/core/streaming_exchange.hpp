@@ -105,16 +105,24 @@ struct HostHalf {
   std::vector<std::vector<tida::Box>> pulls;
 };
 
+/// The host half under `bc`. Which copies it takes is decided per region
+/// pair; the pulls are derived copy by copy, in plan order.
 template <typename A>
-HostHalf host_half(const A& a, const std::vector<tida::GhostCopy>& plan) {
+HostHalf host_half(A& a, tida::Boundary bc) {
+  const auto& plan = a.exchange_plan(bc);
+  const tida::PairIndex& index = a.exchange_pairs(bc);
   HostHalf half;
   half.pulls.resize(static_cast<std::size_t>(a.num_regions()));
-  for (std::size_t i = 0; i < plan.size(); ++i) {
+  for (int dst = 0; dst < a.num_regions(); ++dst) {
+    index.append_copies(
+        dst,
+        [&](std::size_t p) {
+          return !on_device(a, index.pairs[p].src_region, dst);
+        },
+        half.copies);
+  }
+  for (const std::size_t i : half.copies) {
     const tida::GhostCopy& c = plan[i];
-    if (on_device(a, c.src_region, c.dst_region)) {
-      continue;
-    }
-    half.copies.push_back(i);
     if (a.location(c.src_region) != Loc::kDevice) {
       continue;
     }
@@ -189,12 +197,13 @@ bool streaming_cheaper(A& a, tida::Boundary bc, const HostHalf& half) {
   auto cells = std::vector<std::uint64_t>(
       static_cast<std::size_t>(a.num_devices()));
   auto touched = std::vector<char>(n);
-  for (const tida::GhostCopy& c : plan) {
-    if (on_device(a, c.src_region, c.dst_region)) {
-      cells[static_cast<std::size_t>(a.device_of_region(c.dst_region))] +=
-          c.dst_box.volume();
-      touched[static_cast<std::size_t>(c.src_region)] = 1;
-      touched[static_cast<std::size_t>(c.dst_region)] = 1;
+  const tida::PairIndex& index = a.exchange_pairs(bc);
+  for (const tida::RegionPair& pair : index.pairs) {
+    if (on_device(a, pair.src_region, pair.dst_region)) {
+      cells[static_cast<std::size_t>(a.device_of_region(pair.dst_region))] +=
+          pair.cells;
+      touched[static_cast<std::size_t>(pair.src_region)] = 1;
+      touched[static_cast<std::size_t>(pair.dst_region)] = 1;
     }
   }
   std::set<cuemStream_t> touched_streams;
@@ -207,7 +216,7 @@ bool streaming_cheaper(A& a, tida::Boundary bc, const HostHalf& half) {
     if (!a.shard(d).pool) {
       continue;
     }
-    const std::size_t copies = a.local_copies(d, bc).size();
+    const std::size_t copies = a.local_copies(d, bc).copies.size();
     const std::uint64_t desc_bytes = copies * sizeof(GhostDescriptor);
     if (!a.schedule_->descriptors(d, bc).built && desc_bytes > 0) {
       host_leg += static_cast<SimTime>(copies) *
@@ -286,7 +295,7 @@ bool streaming_cheaper(A& a, tida::Boundary bc, const HostHalf& half) {
       std::max({pull_leg, push_leg, host_leg, compute_leg}) + latency;
   const SimTime drain_ns =
       std::max(drain_d2h, drain_h2d) +
-      cfg.host_copy_ns(tida::plan_cells(plan) * elem_bytes);
+      cfg.host_copy_ns(index.cells * elem_bytes);
   return stream_ns <= drain_ns;
 }
 

@@ -1,6 +1,8 @@
 #include "tida/ghost.hpp"
 
+#include <algorithm>
 #include <array>
+#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -21,35 +23,73 @@ const char* to_string(Boundary b) {
 
 namespace {
 
-/// A 1D interval with the periodic wrap shift that maps it into the domain.
+/// A 1D interval with the periodic wrap shift that maps it into the domain,
+/// and the region-grid coordinates [first, last] of the regions its source
+/// cells (interval + shift) lie in.
 struct Segment {
   int lo;
-  int hi;     // inclusive; empty if hi < lo
+  int hi;     // inclusive
   int shift;  // src = dst + shift
-  bool empty() const { return hi < lo; }
+  int first;
+  int last;
 };
 
-/// Splits [lo, hi] against the domain interval [dlo, dhi] into up to three
-/// segments: below-domain (wraps by +extent), inside (no wrap), above-domain
-/// (wraps by -extent). For non-periodic domains the outside segments are
-/// dropped.
-std::array<Segment, 3> split_dim(int lo, int hi, int dlo, int dhi,
-                                 bool periodic) {
+/// The non-empty parts of a 1D interval: at most three.
+struct Segments {
+  std::array<Segment, 3> seg{};
+  int count = 0;
+
+  const Segment* begin() const { return seg.data(); }
+  const Segment* end() const { return seg.data() + count; }
+};
+
+/// One dimension of a partition's region grid: per grid coordinate, the
+/// valid range of its regions and the segments of their ghost piece on each
+/// side — the band below the range, the range itself, the band above. The
+/// regions form a tensor grid, so a region's ghost pieces are products of
+/// one side per dimension, and their sub-boxes of uniform wrap products of
+/// one segment per side.
+struct Axis {
+  std::vector<int> lo;
+  std::vector<int> hi;
+  std::vector<std::array<Segments, 3>> sides;
+};
+
+Axis axis(int dlo, int dhi, int size, int ghost, bool periodic) {
   const int extent = dhi - dlo + 1;
-  std::array<Segment, 3> out{};
-  // below
-  out[0] = Segment{lo, std::min(hi, dlo - 1), periodic ? extent : 0};
-  if (!periodic) {
-    out[0].hi = out[0].lo - 1;  // mark empty
+  const int n = (extent + size - 1) / size;
+  const auto coord = [dlo, size](int cell) { return (cell - dlo) / size; };
+  // Splits [lo, hi] against the domain, in order: below it (wraps by
+  // +extent), inside (no wrap), above (wraps by -extent). Without a
+  // periodic boundary the outside parts are dropped, and so is every empty
+  // part.
+  const auto split = [&](int lo, int hi) {
+    Segments out;
+    const auto add = [&](int a, int b, int shift) {
+      if (a <= b) {
+        out.seg[static_cast<std::size_t>(out.count++)] =
+            Segment{a, b, shift, coord(a + shift), coord(b + shift)};
+      }
+    };
+    if (periodic) {
+      add(lo, std::min(hi, dlo - 1), extent);
+    }
+    add(std::max(lo, dlo), std::min(hi, dhi), 0);
+    if (periodic) {
+      add(std::max(lo, dhi + 1), hi, -extent);
+    }
+    return out;
+  };
+  Axis a;
+  for (int g = 0; g < n; ++g) {
+    const int lo = dlo + g * size;
+    const int hi = std::min(lo + size - 1, dhi);
+    a.lo.push_back(lo);
+    a.hi.push_back(hi);
+    a.sides.push_back({split(lo - ghost, lo - 1), split(lo, hi),
+                       split(hi + 1, hi + ghost)});
   }
-  // inside
-  out[1] = Segment{std::max(lo, dlo), std::min(hi, dhi), 0};
-  // above
-  out[2] = Segment{std::max(lo, dhi + 1), hi, periodic ? -extent : 0};
-  if (!periodic) {
-    out[2].hi = out[2].lo - 1;
-  }
-  return out;
+  return a;
 }
 
 }  // namespace
@@ -67,59 +107,55 @@ std::vector<GhostCopy> compute_exchange_plan(const Partition& part, int ghost,
       !periodic || (domain.extent().i >= ghost && domain.extent().j >= ghost &&
                     domain.extent().k >= ghost),
       "periodic exchange requires domain extent >= ghost width");
+  plan.reserve(static_cast<std::size_t>(part.num_regions()) *
+               descriptors_per_region(part, ghost));
 
+  const Index3 size = part.region_size();
+  const Index3 grid = part.grid_dims();
+  const Axis ai = axis(domain.lo.i, domain.hi.i, size.i, ghost, periodic);
+  const Axis aj = axis(domain.lo.j, domain.hi.j, size.j, ghost, periodic);
+  const Axis ak = axis(domain.lo.k, domain.hi.k, size.k, ghost, periodic);
+  // Appends the copies feeding one sub-box of `dst`'s ghost zone of uniform
+  // wrap, the product of segments si, sj and sk: one per region its source
+  // cells lie in, by ascending id.
+  const auto feed = [&](int dst, const Segment& si, const Segment& sj,
+                        const Segment& sk) {
+    const Index3 shift{si.shift, sj.shift, sk.shift};
+    for (int qk = sk.first; qk <= sk.last; ++qk) {
+      for (int qj = sj.first; qj <= sj.last; ++qj) {
+        for (int qi = si.first; qi <= si.last; ++qi) {
+          const auto i = static_cast<std::size_t>(qi);
+          const auto j = static_cast<std::size_t>(qj);
+          const auto k = static_cast<std::size_t>(qk);
+          const Box piece{{std::max(si.lo + si.shift, ai.lo[i]),
+                           std::max(sj.lo + sj.shift, aj.lo[j]),
+                           std::max(sk.lo + sk.shift, ak.lo[k])},
+                          {std::min(si.hi + si.shift, ai.hi[i]),
+                           std::min(sj.hi + sj.shift, aj.hi[j]),
+                           std::min(sk.hi + sk.shift, ak.hi[k])}};
+          plan.push_back(GhostCopy{(qk * grid.j + qj) * grid.i + qi, dst,
+                                   piece, piece.shift(-shift), shift});
+        }
+      }
+    }
+  };
   for (int dst = 0; dst < part.num_regions(); ++dst) {
-    const Box valid = part.region_box(dst);
-    // The 26 face/edge/corner boxes tiling the ghost zone of `dst`.
-    for (int dk = -1; dk <= 1; ++dk) {
-      for (int dj = -1; dj <= 1; ++dj) {
-        for (int di = -1; di <= 1; ++di) {
-          if (di == 0 && dj == 0 && dk == 0) {
-            continue;
+    const Index3 g = part.grid_coord(dst);
+    const auto& sides_i = ai.sides[static_cast<std::size_t>(g.i)];
+    const auto& sides_j = aj.sides[static_cast<std::size_t>(g.j)];
+    const auto& sides_k = ak.sides[static_cast<std::size_t>(g.k)];
+    // The 26 face/edge/corner boxes tiling the ghost zone of `dst`, each
+    // split into its sub-boxes of uniform wrap.
+    for (std::size_t dk = 0; dk < 3; ++dk) {
+      for (std::size_t dj = 0; dj < 3; ++dj) {
+        for (std::size_t di = 0; di < 3; ++di) {
+          if (di == 1 && dj == 1 && dk == 1) {
+            continue;  // the valid box itself
           }
-          const auto side = [&](int d, int lo, int hi) -> Segment {
-            if (d < 0) {
-              return {lo - ghost, lo - 1, 0};
-            }
-            if (d > 0) {
-              return {hi + 1, hi + ghost, 0};
-            }
-            return {lo, hi, 0};
-          };
-          const Segment gi = side(di, valid.lo.i, valid.hi.i);
-          const Segment gj = side(dj, valid.lo.j, valid.hi.j);
-          const Segment gk = side(dk, valid.lo.k, valid.hi.k);
-          const Box ghost_box{{gi.lo, gj.lo, gk.lo}, {gi.hi, gj.hi, gk.hi}};
-          if (ghost_box.empty()) {
-            continue;
-          }
-
-          // Split against the domain so each sub-box has a uniform wrap.
-          const auto segs_i = split_dim(ghost_box.lo.i, ghost_box.hi.i,
-                                        domain.lo.i, domain.hi.i, periodic);
-          const auto segs_j = split_dim(ghost_box.lo.j, ghost_box.hi.j,
-                                        domain.lo.j, domain.hi.j, periodic);
-          const auto segs_k = split_dim(ghost_box.lo.k, ghost_box.hi.k,
-                                        domain.lo.k, domain.hi.k, periodic);
-          for (const Segment& si : segs_i) {
-            for (const Segment& sj : segs_j) {
-              for (const Segment& sk : segs_k) {
-                if (si.empty() || sj.empty() || sk.empty()) {
-                  continue;
-                }
-                const Box dst_box{{si.lo, sj.lo, sk.lo},
-                                  {si.hi, sj.hi, sk.hi}};
-                const Index3 shift{si.shift, sj.shift, sk.shift};
-                const Box src_area = dst_box.shift(shift);
-                // Source cells come from the valid boxes of owning regions.
-                for (const int src : part.regions_intersecting(src_area)) {
-                  const Box piece = part.region_box(src).intersect(src_area);
-                  if (piece.empty()) {
-                    continue;
-                  }
-                  plan.push_back(GhostCopy{src, dst, piece,
-                                           piece.shift(-shift), shift});
-                }
+          for (const Segment& si : sides_i[di]) {
+            for (const Segment& sj : sides_j[dj]) {
+              for (const Segment& sk : sides_k[dk]) {
+                feed(dst, si, sj, sk);
               }
             }
           }
@@ -136,6 +172,72 @@ std::uint64_t plan_cells(const std::vector<GhostCopy>& plan) {
     cells += c.dst_box.volume();
   }
   return cells;
+}
+
+std::size_t descriptors_per_region(const Partition& part, int ghost) {
+  if (ghost == 0) {
+    return 0;
+  }
+  Index3 m = part.domain().extent();
+  for (int r = 0; r < part.num_regions(); ++r) {
+    m = Index3::min(m, part.region_box(r).extent());
+  }
+  std::size_t pieces = 1;
+  for (const int extent : {m.i, m.j, m.k}) {
+    pieces *= 1 + 2 * static_cast<std::size_t>((ghost + extent - 1) / extent);
+  }
+  return pieces - 1;
+}
+
+PairIndex index_pairs(const std::vector<GhostCopy>& plan, int num_regions) {
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  PairIndex index;
+  index.into.resize(static_cast<std::size_t>(num_regions));
+  index.copies.resize(plan.size());
+  // The pair of each source region within the current destination.
+  std::vector<std::size_t> pair_of(static_cast<std::size_t>(num_regions),
+                                   kNone);
+  for (std::size_t begin = 0; begin < plan.size();) {
+    const int dst = plan[begin].dst_region;
+    const std::size_t first = index.pairs.size();
+    auto& into = index.into[static_cast<std::size_t>(dst)];
+    TIDACC_CHECK_MSG(into.first == into.second,
+                     "exchange plan not grouped by destination");
+    // The destination's pairs, in order of first copy, with their copy
+    // counts (in `end` for now) and cells.
+    std::size_t end = begin;
+    for (; end < plan.size() && plan[end].dst_region == dst; ++end) {
+      const GhostCopy& c = plan[end];
+      std::size_t& p = pair_of[static_cast<std::size_t>(c.src_region)];
+      if (p == kNone) {
+        p = index.pairs.size();
+        index.pairs.push_back(RegionPair{c.src_region, dst});
+      }
+      ++index.pairs[p].end;
+      index.pairs[p].cells += c.dst_box.volume();
+    }
+    // The destination's copies fill [begin, end) of `copies` too, pair by
+    // pair.
+    std::size_t at = begin;
+    for (std::size_t p = first; p < index.pairs.size(); ++p) {
+      RegionPair& pair = index.pairs[p];
+      const std::size_t count = pair.end;
+      pair.begin = pair.end = at;
+      at += count;
+      index.cells += pair.cells;
+    }
+    for (std::size_t c = begin; c < end; ++c) {
+      RegionPair& pair = index.pairs[pair_of[static_cast<std::size_t>(
+          plan[c].src_region)]];
+      index.copies[pair.end++] = c;
+    }
+    for (std::size_t p = first; p < index.pairs.size(); ++p) {
+      pair_of[static_cast<std::size_t>(index.pairs[p].src_region)] = kNone;
+    }
+    into = {first, index.pairs.size()};
+    begin = end;
+  }
+  return index;
 }
 
 LayoutPlans::LayoutPlans(Partition part, int ghost)
@@ -163,6 +265,14 @@ const std::vector<GhostCopy>& LayoutPlans::plan(Boundary bc) {
       plans_[static_cast<std::size_t>(bc)];
   if (!p) {
     p = compute_exchange_plan(part_, ghost_, bc);
+  }
+  return *p;
+}
+
+const PairIndex& LayoutPlans::pairs(Boundary bc) {
+  std::optional<PairIndex>& p = pairs_[static_cast<std::size_t>(bc)];
+  if (!p) {
+    p = index_pairs(plan(bc), part_.num_regions());
   }
   return *p;
 }

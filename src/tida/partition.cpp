@@ -68,26 +68,17 @@ int Partition::region_of_cell(const Index3& cell) const {
       {rel.i / region_size_.i, rel.j / region_size_.j, rel.k / region_size_.k});
 }
 
-std::vector<int> Partition::regions_intersecting(const Box& box) const {
-  std::vector<int> out;
+Box Partition::regions_intersecting(const Box& box) const {
   const Box clipped = box.intersect(domain_);
   if (clipped.empty()) {
-    return out;
+    return Box{};
   }
-  // Regions tile the domain on a regular grid, so the cells of `clipped`
-  // fall in a contiguous range of grid coordinates; walking it k-j-i gives
-  // the ids in ascending order, as a scan over every region would.
   const Index3 lo = clipped.lo - domain_.lo;
   const Index3 hi = clipped.hi - domain_.lo;
-  for (int gk = lo.k / region_size_.k; gk <= hi.k / region_size_.k; ++gk) {
-    for (int gj = lo.j / region_size_.j; gj <= hi.j / region_size_.j; ++gj) {
-      for (int gi = lo.i / region_size_.i; gi <= hi.i / region_size_.i;
-           ++gi) {
-        out.push_back(region_at_coord({gi, gj, gk}));
-      }
-    }
-  }
-  return out;
+  return Box{{lo.i / region_size_.i, lo.j / region_size_.j,
+              lo.k / region_size_.k},
+             {hi.i / region_size_.i, hi.j / region_size_.j,
+              hi.k / region_size_.k}};
 }
 
 std::uint64_t Partition::max_region_volume(int ghost) const {

@@ -37,9 +37,12 @@ class Partition {
   /// Region id owning a domain cell (-1 if outside the domain).
   int region_of_cell(const Index3& cell) const;
 
-  /// Ids of regions whose valid boxes intersect `box`, ascending. Costs
-  /// the number of ids returned, not the number of regions.
-  std::vector<int> regions_intersecting(const Box& box) const;
+  /// The regions whose valid boxes intersect `box`, as the box of their
+  /// region-grid coordinates (empty when none do): regions tile the domain
+  /// on a regular grid, so they always form one such range. Walking it
+  /// k-j-i (region_at_coord) visits their ids in ascending order. Costs
+  /// O(1), not the number of regions.
+  Box regions_intersecting(const Box& box) const;
 
   /// The largest region volume (used to size uniform device buffers).
   std::uint64_t max_region_volume(int ghost) const;

@@ -286,6 +286,10 @@ class TileArray {
     return layout_->plan(bc);
   }
 
+  /// The exchange plan's copies grouped by (source, destination) region
+  /// pair (LayoutPlans::pairs).
+  const PairIndex& exchange_pairs(Boundary bc) { return layout_->pairs(bc); }
+
   /// Executes one planned copy on host buffers, all components (also used
   /// by tests).
   void apply_copy_host(const GhostCopy& c) {

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -801,6 +802,147 @@ TEST_F(ClusterTest, WireIndexWorkChargedOncePerLayoutAndBoundary) {
   EXPECT_LT(exchange_ns(u, Boundary::kNone), kMillisecond);
   restore(built);
   EXPECT_TRUE(cells(u, v) == single);
+}
+
+/// A cluster array whose exchange schedule views the test can read.
+class ScheduleProbe : public ClusterTileArray<double> {
+ public:
+  using ClusterTileArray<double>::ClusterTileArray;
+
+  /// Plan indices of device `d`'s replay-kernel copies (descriptor order).
+  const std::vector<std::size_t>& local(int d, Boundary bc) {
+    return local_copies(d, bc).copies;
+  }
+};
+
+/// The views the exchange schedule derived by scanning the plan before it
+/// derived them from region pairs, kept as the reference.
+struct PlanScanViews {
+  /// Per device, [begin, end) plan ranges of its destinations' copies.
+  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> destinations;
+  /// Per device, the plan indices of copies between two of its regions.
+  std::vector<std::vector<std::size_t>> local;
+  /// Per cross-node (source, destination) pair, in plan order of its first
+  /// copy, the pair's plan indices.
+  std::vector<std::vector<std::size_t>> wire;
+  std::vector<int> node_boundary;
+};
+
+PlanScanViews plan_scan_views(ScheduleProbe& a, Boundary bc) {
+  const std::vector<tida::GhostCopy>& plan = a.exchange_plan(bc);
+  const auto device = [&a](int r) { return a.device_of_region(r); };
+  const auto node = [&a](int r) { return a.node_of_region(r); };
+  PlanScanViews v;
+  v.destinations.resize(static_cast<std::size_t>(a.num_devices()));
+  v.local.resize(static_cast<std::size_t>(a.num_devices()));
+  for (std::size_t begin = 0; begin < plan.size();) {
+    const int dst = plan[begin].dst_region;
+    std::size_t end = begin;
+    while (end < plan.size() && plan[end].dst_region == dst) {
+      ++end;
+    }
+    v.destinations[static_cast<std::size_t>(device(dst))].emplace_back(begin,
+                                                                       end);
+    begin = end;
+  }
+  std::map<std::pair<int, int>, std::size_t> group_of;
+  std::vector<char> crosses(static_cast<std::size_t>(a.num_regions()));
+  for (std::size_t c = 0; c < plan.size(); ++c) {
+    const int src = plan[c].src_region;
+    const int dst = plan[c].dst_region;
+    if (device(src) == device(dst)) {
+      v.local[static_cast<std::size_t>(device(dst))].push_back(c);
+    }
+    if (node(src) != node(dst)) {
+      const auto [it, fresh] =
+          group_of.try_emplace(std::pair(src, dst), v.wire.size());
+      if (fresh) {
+        v.wire.emplace_back();
+      }
+      v.wire[it->second].push_back(c);
+      crosses[static_cast<std::size_t>(src)] = 1;
+      crosses[static_cast<std::size_t>(dst)] = 1;
+    }
+  }
+  for (int r = 0; r < a.num_regions(); ++r) {
+    if (crosses[static_cast<std::size_t>(r)]) {
+      v.node_boundary.push_back(r);
+    }
+  }
+  return v;
+}
+
+TEST(ClusterSchedule, PairViewsEqualThePlanScans) {
+  // 2, 4 and 8 nodes of one or more devices, block and round-robin
+  // placement, slabs (ghost 1 and slab + 1, the ghost reaching past the
+  // neighbour) and 3-D blocks, whose neighbours' pieces interleave in the
+  // plan: the schedule's pair-built views must be the plan scans' lists.
+  struct Geometry {
+    Index3 region_size;
+    int ghost;
+  };
+  const std::vector<Geometry> geometries = {
+      {{16, 16, 2}, 1}, {{16, 16, 2}, 3}, {{8, 8, 4}, 1}, {{8, 8, 4}, 5}};
+  int worlds = 0;
+  for (const int nodes : {2, 4, 8}) {
+    for (const int devices : {nodes, 8}) {
+      for (const DevicePlacement placement :
+           {DevicePlacement::kBlock, DevicePlacement::kRoundRobin}) {
+        for (const Geometry& g : geometries) {
+          cuem::configure(DeviceConfig::k40m(), /*functional=*/false, 8,
+                          Interconnect::pcie());
+          oacc::reset();
+          ClusterOptions opts;
+          opts.nodes = nodes;
+          opts.multi.devices = devices;
+          opts.multi.placement = placement;
+          ScheduleProbe a(Box::cube(16), g.region_size, g.ghost, opts);
+          for (const Boundary bc : {Boundary::kNone, Boundary::kPeriodic}) {
+            const std::string where =
+                std::to_string(nodes) + " nodes, " + std::to_string(devices) +
+                " devices, " + to_string(placement) + ", regions " +
+                g.region_size.to_string() + ", ghost " +
+                std::to_string(g.ghost) + ", " + to_string(bc);
+            const PlanScanViews want = plan_scan_views(a, bc);
+            const tida::PairIndex& index = a.exchange_pairs(bc);
+            for (int d = 0; d < a.num_devices(); ++d) {
+              // Destination groups: each region of the device with copies,
+              // its pairs covering one contiguous plan range.
+              std::vector<std::pair<std::size_t, std::size_t>> groups;
+              for (const int dst : a.regions_of_device(d)) {
+                std::vector<std::size_t> copies;
+                for (const tida::RegionPair& pair : index.pairs_into(dst)) {
+                  const auto mine = index.copies_of(pair);
+                  copies.insert(copies.end(), mine.begin(), mine.end());
+                }
+                if (!copies.empty()) {
+                  std::sort(copies.begin(), copies.end());
+                  EXPECT_EQ(copies.back() + 1 - copies.front(), copies.size())
+                      << where;
+                  groups.emplace_back(copies.front(), copies.back() + 1);
+                }
+              }
+              EXPECT_EQ(groups, want.destinations[static_cast<std::size_t>(d)])
+                  << where << ", device " << d;
+              EXPECT_EQ(a.local(d, bc),
+                        want.local[static_cast<std::size_t>(d)])
+                  << where << ", device " << d;
+            }
+            std::vector<std::vector<std::size_t>> wire;
+            for (const std::size_t p : a.wire_pairs(bc)) {
+              const auto copies = index.copies_of(index.pairs[p]);
+              wire.emplace_back(copies.begin(), copies.end());
+            }
+            EXPECT_EQ(wire, want.wire) << where;
+            EXPECT_EQ(a.node_boundary_regions(bc), want.node_boundary)
+                << where;
+            ++worlds;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(worlds, 3 * 2 * 2 * 4 * 2);
 }
 
 TEST_F(ClusterTest, SnapshotRejectsAnOpenEpoch) {
