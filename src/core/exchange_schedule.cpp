@@ -61,18 +61,36 @@ DescriptorBuffers::~DescriptorBuffers() {
   (void)cuemFreeHost(host_);
 }
 
+ExchangeSchedule::ExchangeSchedule(const Layout& layout)
+    : layout_(layout),
+      regions_(static_cast<std::size_t>(layout.devices)),
+      devices_(static_cast<std::size_t>(layout.devices)) {
+  const int nreg =
+      tida::Partition(layout.domain, layout.region_size).num_regions();
+  const int chunk = (nreg + layout.devices - 1) / layout.devices;
+  for (int r = 0; r < nreg; ++r) {
+    const int d = layout.placement == DevicePlacement::kBlock
+                      ? r / chunk
+                      : r % layout.devices;
+    std::vector<int>& mine = regions_[static_cast<std::size_t>(d)];
+    device_.push_back(d);
+    local_id_.push_back(static_cast<int>(mine.size()));
+    mine.push_back(r);
+  }
+}
+
 std::shared_ptr<ExchangeSchedule> ExchangeSchedule::of(const Layout& layout) {
   static WeakRegistry<std::pair<Layout, std::uint64_t>, ExchangeSchedule>
       live;
-  return live.get(std::pair(layout, sim::Platform::generation()), [&] {
-    return std::make_shared<ExchangeSchedule>(layout.devices);
-  });
+  return live.get(std::pair(layout, sim::Platform::generation()),
+                  [&] { return std::make_shared<ExchangeSchedule>(layout); });
 }
 
-void ExchangeSchedule::pay_index_work(std::size_t copies, SimTime cpus) {
+void ExchangeSchedule::pay_index_work(std::size_t copies) const {
   sim::Platform& p = sim::Platform::instance();
   p.host_advance(static_cast<SimTime>(copies) *
-                 p.config().host_index_calc_ns_per_copy / cpus);
+                 p.config().host_index_calc_ns_per_copy /
+                 static_cast<SimTime>(layout_.nodes));
 }
 
 void ExchangeSchedule::reserve(int d, std::size_t capacity) {
@@ -85,34 +103,35 @@ void ExchangeSchedule::reserve(int d, std::size_t capacity) {
   dev.buffers = DescriptorBuffers(2 * capacity);
 }
 
-const ExchangeSchedule::Local& ExchangeSchedule::local(
-    int d, tida::Boundary bc, const tida::PairIndex& index,
-    const std::vector<int>& owner) {
-  std::optional<Local>& local = descriptors(d, bc).local;
-  if (local) {
-    return *local;
+const ExchangeSchedule::Pairs& ExchangeSchedule::pairs(
+    tida::Boundary bc, const tida::PairIndex& index) {
+  std::optional<Pairs>& out = pairs_[static_cast<std::size_t>(bc)];
+  if (out) {
+    return *out;
   }
-  local.emplace();
-  const auto on_d = [&owner, d](int region) {
-    return owner[static_cast<std::size_t>(region)] == d;
-  };
-  for (int dst = 0; dst < static_cast<int>(owner.size()); ++dst) {
-    if (on_d(dst)) {
-      index.append_copies(
-          dst,
-          [&](std::size_t p) {
-            if (!on_d(index.pairs[p].src_region)) {
-              return false;
-            }
-            local->pairs.push_back(p);
-            return true;
-          },
-          local->copies);
-    }
+  out.emplace();
+  out->local.resize(devices_.size());
+  // Destination by destination in id order: the pairs in pair order, each
+  // device's copies in plan order.
+  for (int dst = 0; dst < static_cast<int>(device_.size()); ++dst) {
+    Local& local = out->local[static_cast<std::size_t>(device_of(dst))];
+    index.append_copies(
+        dst,
+        [&](std::size_t p) {
+          const PairClass cls = class_of(index.pairs[p].src_region, dst);
+          if (cls == PairClass::kWire) {
+            out->wire.push_back(p);
+          }
+          if (cls == PairClass::kLocal) {
+            local.pairs.push_back(p);
+          }
+          return cls == PairClass::kLocal;
+        },
+        local.copies);
+    TIDACC_CHECK_MSG(local.copies.size() <= device(device_of(dst)).capacity,
+                     "ghost descriptors overflow their buffer");
   }
-  TIDACC_CHECK_MSG(local->copies.size() <= device(d).capacity,
-                   "ghost descriptors overflow their buffer");
-  return *local;
+  return *out;
 }
 
 }  // namespace tidacc::core

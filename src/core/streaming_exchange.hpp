@@ -82,20 +82,13 @@ inline sim::KernelProfile ghost_update_profile(
 
 namespace detail {
 
-/// True when the planned copy src → dst belongs to the device half: both
-/// regions resident on the same device.
-template <typename A>
-bool on_device(const A& a, int src, int dst) {
-  return a.location(src) == Loc::kDevice && a.location(dst) == Loc::kDevice &&
-         a.device_of_region(src) == a.device_of_region(dst);
-}
-
 /// The host half of one exchange, derived once per fill_boundary call for
 /// both streaming_cheaper and streaming_exchange, so the predictor prices
 /// exactly the pulls the exchange issues.
 struct HostHalf {
-  /// Plan indices of every copy not on_device, in plan order (so grouped
-  /// by destination region).
+  /// Plan indices of every copy outside the device half (which takes the
+  /// copies between two regions resident on one device), in plan order (so
+  /// grouped by destination region).
   std::vector<std::size_t> copies;
   /// Per source region, the source cells of those copies that its device
   /// copy has written since the copies last agreed — the only cells the
@@ -106,7 +99,8 @@ struct HostHalf {
 };
 
 /// The host half under `bc`. Which copies it takes is decided per region
-/// pair; the pulls are derived copy by copy, in plan order.
+/// pair, from its regions' devices (the schedule's placement) and
+/// residency; the pulls are derived copy by copy, in plan order.
 template <typename A>
 HostHalf host_half(A& a, tida::Boundary bc) {
   const auto& plan = a.exchange_plan(bc);
@@ -114,10 +108,13 @@ HostHalf host_half(A& a, tida::Boundary bc) {
   HostHalf half;
   half.pulls.resize(static_cast<std::size_t>(a.num_regions()));
   for (int dst = 0; dst < a.num_regions(); ++dst) {
+    const bool resident = a.location(dst) == Loc::kDevice;
     index.append_copies(
         dst,
         [&](std::size_t p) {
-          return !on_device(a, index.pairs[p].src_region, dst);
+          const int src = index.pairs[p].src_region;
+          return !resident || a.location(src) != Loc::kDevice ||
+                 a.device_of_region(src) != a.device_of_region(dst);
         },
         half.copies);
   }
@@ -186,11 +183,12 @@ bool streaming_cheaper(A& a, tida::Boundary bc, const HostHalf& half) {
     return ns;
   };
 
-  // Device half: one replay kernel per device over its on_device copies,
-  // reading every descriptor the device holds for `bc`. While the layout's
-  // descriptors on a device are unbuilt, the host also pays their index
-  // work and the upload. Each touched stream costs its source event, the
-  // replay's wait on it and its wait on the replay's completion event.
+  // Device half: one replay kernel per device over its same-device pairs
+  // whose regions are both resident, reading every descriptor the device
+  // holds for `bc`. While the layout's descriptors on a device are unbuilt,
+  // the host also pays their index work and the upload. Each touched
+  // stream costs its source event, the replay's wait on it and its wait on
+  // the replay's completion event.
   SimTime compute_leg = 0;
   SimTime host_leg = 0;
   SimTime upload_leg = 0;
@@ -198,12 +196,15 @@ bool streaming_cheaper(A& a, tida::Boundary bc, const HostHalf& half) {
       static_cast<std::size_t>(a.num_devices()));
   auto touched = std::vector<char>(n);
   const tida::PairIndex& index = a.exchange_pairs(bc);
-  for (const tida::RegionPair& pair : index.pairs) {
-    if (on_device(a, pair.src_region, pair.dst_region)) {
-      cells[static_cast<std::size_t>(a.device_of_region(pair.dst_region))] +=
-          pair.cells;
-      touched[static_cast<std::size_t>(pair.src_region)] = 1;
-      touched[static_cast<std::size_t>(pair.dst_region)] = 1;
+  const auto resident = [&a](int r) { return a.location(r) == Loc::kDevice; };
+  for (int d = 0; d < a.num_devices(); ++d) {
+    for (const std::size_t p : a.local_copies(d, bc).pairs) {
+      const tida::RegionPair& pair = index.pairs[p];
+      if (resident(pair.src_region) && resident(pair.dst_region)) {
+        cells[static_cast<std::size_t>(d)] += pair.cells;
+        touched[static_cast<std::size_t>(pair.src_region)] = 1;
+        touched[static_cast<std::size_t>(pair.dst_region)] = 1;
+      }
     }
   }
   std::set<cuemStream_t> touched_streams;
@@ -213,7 +214,7 @@ bool streaming_cheaper(A& a, tida::Boundary bc, const HostHalf& half) {
     }
   }
   for (int d = 0; d < a.num_devices(); ++d) {
-    if (!a.shard(d).pool) {
+    if (!a.pool(d)) {
       continue;
     }
     const std::size_t copies = a.local_copies(d, bc).copies.size();
@@ -318,8 +319,7 @@ void streaming_exchange(A& a, tida::Boundary bc, const HostHalf& half) {
 
   // Device half's sources, marked before the pulls queue behind them. Faces
   // crossing devices take the host half, so no peer copies.
-  const NoCopies no_peers;
-  const auto sources = a.mark_sources(bc, no_peers);
+  const auto sources = a.mark_sources(bc, /*peers=*/false);
 
   // What the host waits for before it writes a resident region's ghost
   // boxes: the transfers that read them, its last upload and its previous
@@ -366,7 +366,7 @@ void streaming_exchange(A& a, tida::Boundary bc, const HostHalf& half) {
   // boxes the replay neither reads nor writes (each ghost cell has one
   // source in the plan), so it runs beside the replay. Every other stream
   // waits at once.
-  const auto edges = a.exchange_on_devices(bc, no_peers, 1, sources);
+  const auto edges = a.exchange_on_devices(bc, /*peers=*/false, sources);
   std::vector<char> pushes(n, 0);
   for (const std::size_t c : host) {
     pushes[static_cast<std::size_t>(plan[c].dst_region)] = 1;
