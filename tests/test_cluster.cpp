@@ -594,15 +594,12 @@ std::vector<sim::TraceEvent> golden_run(Opts opts) {
   return cuem::platform().trace().events();
 }
 
-TEST(ClusterGoldenTrace, OneNodeMatchesMultiAccTileArrayBitForBit) {
-  const std::vector<sim::TraceEvent> multi =
-      golden_run<MultiAccTileArray<double>>(MultiAccOptions{});
-  const SimTime multi_end = cuem::platform().now();
-  ClusterOptions one;  // nodes = 1: no fabric at all
-  const std::vector<sim::TraceEvent> cluster =
-      golden_run<ClusterTileArray<double>>(one);
-  const SimTime cluster_end = cuem::platform().now();
-
+/// Every field of every trace event, and the end time, agree.
+void expect_same_trace(const std::vector<sim::TraceEvent>& multi,
+                       SimTime multi_end,
+                       const std::vector<sim::TraceEvent>& cluster,
+                       SimTime cluster_end) {
+  ASSERT_FALSE(multi.empty());
   ASSERT_EQ(multi.size(), cluster.size());
   for (std::size_t i = 0; i < multi.size(); ++i) {
     SCOPED_TRACE("event " + std::to_string(i) + " '" + multi[i].label + "'");
@@ -616,6 +613,87 @@ TEST(ClusterGoldenTrace, OneNodeMatchesMultiAccTileArrayBitForBit) {
     EXPECT_EQ(multi[i].device, cluster[i].device);
   }
   EXPECT_EQ(multi_end, cluster_end);
+}
+
+TEST(ClusterGoldenTrace, OneNodeMatchesMultiAccTileArrayBitForBit) {
+  const std::vector<sim::TraceEvent> multi =
+      golden_run<MultiAccTileArray<double>>(MultiAccOptions{});
+  const SimTime multi_end = cuem::platform().now();
+  ClusterOptions one;  // nodes = 1: no wire pair
+  const std::vector<sim::TraceEvent> cluster =
+      golden_run<ClusterTileArray<double>>(one);
+  expect_same_trace(multi, multi_end, cluster, cuem::platform().now());
+}
+
+/// What one out-of-core golden run leaves: its trace, its end time, the
+/// array's streaming exchanges and the warnings the platform raised.
+struct OutOfCoreRun {
+  std::vector<sim::TraceEvent> events;
+  SimTime end = 0;
+  std::uint64_t streaming = 0;
+  std::uint64_t warnings = 0;
+};
+
+/// 16^3 in eight 2-cell slabs on 2 devices with 2 slots each and delta
+/// transfers on, so only half the regions fit: three steps of `exchange`
+/// then a sweep over every region, each acquire evicting another region.
+template <typename Array, typename Opts, typename Exchange>
+OutOfCoreRun out_of_core_golden_run(Opts opts, Exchange exchange) {
+  cuem::configure(DeviceConfig::k40m(), /*functional=*/true,
+                  /*num_devices=*/2, Interconnect::nvlink());
+  oacc::reset();
+  enable_all_peers(2);
+  Array arr(Box::cube(16), Index3{16, 16, 2}, 1, opts);
+  arr.fill(pattern);
+  const oacc::LoopCost cost = unit_cost();
+  for (int step = 0; step < 3; ++step) {
+    exchange(arr);
+    for (int r = 0; r < arr.num_regions(); ++r) {
+      compute_gpu(arr, r, cost,
+                  [](DeviceView<double> v, int i, int j, int k) {
+                    v(i, j, k) = 0.5 * (v(i, j, k - 1) + v(i, j, k + 1));
+                  });
+    }
+  }
+  arr.release_all_to_host();
+  const sim::Platform& p = cuem::platform();
+  return {p.trace().events(), p.now(), arr.streaming_exchanges(),
+          p.trace().stats().num_warnings};
+}
+
+TEST(ClusterGoldenTrace, OneNodeOutOfCoreMatchesMultiAccTileArrayBitForBit) {
+  // Out of core a 1-node cluster array streams or drains exactly as the
+  // base class does, through fill_boundary and through the split phase,
+  // and warns about no host fallback: it has no wire pair.
+  const auto fill = [](auto& a) { a.fill_boundary(Boundary::kPeriodic); };
+  const auto split = [](ClusterTileArray<double>& a) {
+    a.exchange_begin(Boundary::kPeriodic);
+    a.exchange_end();
+  };
+  for (const StreamingGuard guard :
+       {StreamingGuard::kForceStreaming, StreamingGuard::kForceDrain,
+        StreamingGuard::kAuto}) {
+    SCOPED_TRACE("guard " + std::to_string(static_cast<int>(guard)));
+    MultiAccOptions opts;
+    opts.max_slots = 2;
+    opts.delta_transfers = true;
+    opts.streaming_guard = guard;
+    ClusterOptions one;
+    one.multi = opts;
+    const OutOfCoreRun multi =
+        out_of_core_golden_run<MultiAccTileArray<double>>(opts, fill);
+    const OutOfCoreRun cluster =
+        guard == StreamingGuard::kAuto
+            ? out_of_core_golden_run<ClusterTileArray<double>>(one, split)
+            : out_of_core_golden_run<ClusterTileArray<double>>(one, fill);
+    expect_same_trace(multi.events, multi.end, cluster.events, cluster.end);
+    EXPECT_EQ(multi.streaming, cluster.streaming);
+    if (guard == StreamingGuard::kForceStreaming) {
+      EXPECT_GT(cluster.streaming, 0u);
+    }
+    EXPECT_EQ(multi.warnings, 0u);
+    EXPECT_EQ(cluster.warnings, 0u);
+  }
 }
 
 // --- snapshot round trip with fabric state ---
