@@ -52,9 +52,6 @@ template <typename T>
 sim::FabricCounters net_of(const core::ClusterTileArray<T>& a,
                            const core::ClusterTileArray<T>& b) {
   sim::FabricCounters out;
-  if (a.num_nodes() <= 1) {
-    return out;
-  }
   for (const sim::FabricCounters& c :
        {a.fabric().counters(), b.fabric().counters()}) {
     out.sends += c.sends;

@@ -41,8 +41,8 @@
 //     two-sided send into the destination's host buffer, H2D push at
 //     exchange_end — three hops, like pre-GPUDirect MPI.
 //
-// With nodes == 1 no fabric is constructed and every call forwards to
-// MultiAccTileArray, bit-identically (checksums and golden traces match).
+// One path at every node count: with nodes == 1 the layout has no wire
+// pair, and the exchange matches MultiAccTileArray's bit for bit.
 #pragma once
 
 #include <algorithm>
@@ -77,7 +77,7 @@ struct ClusterOptions {
   /// MultiAccTileArray; devices = 0 spans every device of every node.
   MultiAccOptions multi;
   /// Simulated nodes; devices are grouped into contiguous blocks of
-  /// num_devices() / nodes ordinals. 1 means "no fabric at all".
+  /// num_devices() / nodes ordinals; one node's fabric has no queue pair.
   int nodes = 1;
   sim::FabricConfig fabric = sim::FabricConfig::infiniband();
   NetPath path = NetPath::kAuto;
@@ -98,34 +98,26 @@ class ClusterTileArray : public MultiAccTileArray<T> {
                    int ghost, ClusterOptions opts = {})
       : Multi(domain, region_size, ghost, opts.multi, opts.nodes),
         nodes_(opts.nodes),
+        use_gpudirect_(opts.path == NetPath::kGpuDirect ||
+                       (opts.path == NetPath::kAuto && opts.fabric.gpudirect)),
         wire_compression_(opts.compression) {
     TIDACC_CHECK_MSG(nodes_ >= 1, "node count must be at least 1");
-    if (nodes_ == 1) {
-      return;  // degenerates to MultiAccTileArray exactly
-    }
     TIDACC_CHECK_MSG(this->num_devices() % nodes_ == 0,
                      "device count must be a multiple of the node count");
-    TIDACC_CHECK_MSG(
-        wire_compression_ == Compression::kOff ||
-            opts.fabric.codec.available,
-        "wire compression requested on a fabric without a codec "
-        "(FabricConfig::codec.available is false)");
-    TIDACC_CHECK_MSG(opts.multi.host_alloc == tida::HostAlloc::kPinned,
-                     "cluster arrays need pinned host buffers (the NIC "
-                     "cannot register pageable memory)");
-    switch (opts.path) {
-      case NetPath::kAuto:
-        use_gpudirect_ = opts.fabric.gpudirect;
-        break;
-      case NetPath::kGpuDirect:
-        TIDACC_CHECK_MSG(opts.fabric.gpudirect,
-                         "NetPath::kGpuDirect on a fabric without GPUDirect "
-                         "support ('" + opts.fabric.name + "')");
-        use_gpudirect_ = true;
-        break;
-      case NetPath::kStaged:
-        use_gpudirect_ = false;
-        break;
+    if (nodes_ > 1) {
+      // What the wire needs, checked only where there is one.
+      TIDACC_CHECK_MSG(
+          wire_compression_ == Compression::kOff ||
+              opts.fabric.codec.available,
+          "wire compression requested on a fabric without a codec "
+          "(FabricConfig::codec.available is false)");
+      TIDACC_CHECK_MSG(opts.multi.host_alloc == tida::HostAlloc::kPinned,
+                       "cluster arrays need pinned host buffers (the NIC "
+                       "cannot register pageable memory)");
+      TIDACC_CHECK_MSG(
+          opts.path != NetPath::kGpuDirect || opts.fabric.gpudirect,
+          "NetPath::kGpuDirect on a fabric without GPUDirect support ('" +
+              opts.fabric.name + "')");
     }
     fabric_ = std::make_unique<sim::Fabric>(
         nodes_, opts.fabric, this->num_devices() / nodes_);
@@ -153,14 +145,8 @@ class ClusterTileArray : public MultiAccTileArray<T> {
   }
   bool gpudirect_path() const { return use_gpudirect_; }
 
-  /// The fabric joining the nodes. A 1-node array has none: throws.
-  const sim::Fabric& fabric() const {
-    TIDACC_CHECK_MSG(fabric_ != nullptr,
-                     "ClusterTileArray::fabric(): num_nodes() is " +
-                         std::to_string(nodes_) +
-                         ", and a 1-node array builds no fabric");
-    return *fabric_;
-  }
+  /// The fabric joining the nodes (on one node: no queue pair).
+  const sim::Fabric& fabric() const { return *fabric_; }
 
   /// Regions with at least one cross-node face under `bc`, in id order —
   /// the set that must wait for exchange_end before computing. Every other
@@ -168,12 +154,10 @@ class ClusterTileArray : public MultiAccTileArray<T> {
   /// exchange_end. The ends of the layout's cross-node region pairs.
   std::vector<int> node_boundary_regions(tida::Boundary bc) {
     std::vector<char> crosses(static_cast<std::size_t>(this->num_regions()));
-    if (nodes_ > 1) {
-      const tida::PairIndex& index = this->exchange_pairs(bc);
-      for (const std::size_t p : wire_pairs(bc)) {
-        crosses[static_cast<std::size_t>(index.pairs[p].src_region)] = 1;
-        crosses[static_cast<std::size_t>(index.pairs[p].dst_region)] = 1;
-      }
+    const tida::PairIndex& index = this->exchange_pairs(bc);
+    for (const std::size_t p : wire_pairs(bc)) {
+      crosses[static_cast<std::size_t>(index.pairs[p].src_region)] = 1;
+      crosses[static_cast<std::size_t>(index.pairs[p].dst_region)] = 1;
     }
     std::vector<int> out;
     for (int r = 0; r < this->num_regions(); ++r) {
@@ -202,10 +186,6 @@ class ClusterTileArray : public MultiAccTileArray<T> {
     epoch_open_ = true;
     epoch_bc_ = bc;
     this->last_boundary_ = bc;
-    if (nodes_ == 1) {
-      Multi::fill_boundary(bc);
-      return;
-    }
     if (this->loc_.any_on_device() && this->all_regions_fit()) {
       exchange_begin_device(bc);
       return;
@@ -225,9 +205,6 @@ class ClusterTileArray : public MultiAccTileArray<T> {
   void exchange_end() {
     TIDACC_CHECK_MSG(epoch_open_, "exchange_end without exchange_begin");
     epoch_open_ = false;
-    if (nodes_ == 1) {
-      return;
-    }
     for (const sim::QpId qp : qp_) {
       while (qp >= 0 && fabric_->poll(qp)) {
         // Reaps, oldest first, every request already complete.
@@ -268,14 +245,8 @@ class ClusterTileArray : public MultiAccTileArray<T> {
 
   /// Full exchange with no compute overlapped, the ablation baseline:
   /// exchange_begin, a host wait on each of the epoch's work requests, then
-  /// exchange_end, which finds them all reaped. Shadows, not overrides:
-  /// callers holding a MultiAccTileArray reference get the base
-  /// (fabric-less) exchange.
+  /// exchange_end, which finds them all reaped.
   void fill_boundary(tida::Boundary bc) {
-    if (nodes_ == 1) {
-      Multi::fill_boundary(bc);
-      return;
-    }
     exchange_begin(bc);
     for (const EpochWr& e : epoch_wrs_) {
       fabric_->wait(e.wr);
@@ -317,16 +288,14 @@ class ClusterTileArray : public MultiAccTileArray<T> {
     ar.expect(wire_compression_,
               "cluster snapshot disagrees on wire compression");
     ar(host_fallback_warned_);
-    if (nodes_ > 1) {
-      // MRs registered after the snapshot no longer exist in the fabric
-      // tables, and restore replaces the pointer cache to match (in-process
-      // addresses are stable, so the saved pointers still name the same
-      // buffers).
-      sim::CountedU32 mrs{mr_cache_};
-      ar(*fabric_, mrs);
-      for (bool& built : this->schedule_->wire_built()) {
-        ar(built);
-      }
+    // MRs registered after the snapshot no longer exist in the fabric
+    // tables, and restore replaces the pointer cache to match (in-process
+    // addresses are stable, so the saved pointers still name the same
+    // buffers).
+    sim::CountedU32 mrs{mr_cache_};
+    ar(*fabric_, mrs);
+    for (bool& built : this->schedule_->wire_built()) {
+      ar(built);
     }
     ar(net_exchanges_, rdma_ghost_reads_, staged_ghost_sends_);
   }
@@ -576,26 +545,30 @@ class ClusterTileArray : public MultiAccTileArray<T> {
     this->wait_on(this->exchange_on_devices(bc, /*peers=*/true, sources));
   }
 
-  /// Out-of-core or host-resident: drains every region, exchanges on the
-  /// host, then prices each wire pair as one synchronous staged send
-  /// between the nodes' pinned host buffers (post_staged) and waits for
-  /// them — no overlap to be had here. The sends deliver ghost cells the
-  /// host exchange already wrote, so no device may read those cells
-  /// before the sends land: the drain keeps the exchange from pushing them
-  /// ahead of the wire.
+  /// Out-of-core or host-resident: the base class's exchange by location,
+  /// then each wire pair priced as one synchronous staged send between the
+  /// nodes' pinned host buffers (post_staged), waited for — no overlap to
+  /// be had here. With wire pairs it drains every region first: the sends
+  /// deliver ghost cells the host exchange already wrote, so no device may
+  /// read those cells before the sends land, and the drain keeps the
+  /// exchange from pushing them ahead of the wire. With none (one node) it
+  /// streams or drains as MultiAccTileArray::fill_boundary does.
   void exchange_on_host(tida::Boundary bc) {
-    if (!host_fallback_warned_) {
-      host_fallback_warned_ = true;
-      sim::Platform::instance().trace().note_warning(
-          "cluster exchange fell back to the host path (regions out of "
-          "core or host-resident): cross-node faces move as synchronous "
-          "host sends with no compute overlap — see DESIGN.md");
+    const std::vector<std::size_t>& pairs = wire_pairs(bc);
+    if (!pairs.empty()) {
+      if (!host_fallback_warned_) {
+        host_fallback_warned_ = true;
+        sim::Platform::instance().trace().note_warning(
+            "cluster exchange fell back to the host path (regions out of "
+            "core or host-resident): cross-node faces move as synchronous "
+            "host sends with no compute overlap — see DESIGN.md");
+      }
+      this->release_all_to_host();
     }
-    this->release_all_to_host();
-    Multi::fill_boundary(bc);
+    this->exchange_by_location(bc);
     const tida::PairIndex& index = this->exchange_pairs(bc);
     std::vector<sim::WrId> wrs;
-    for (const std::size_t p : wire_pairs(bc)) {
+    for (const std::size_t p : pairs) {
       const tida::RegionPair& pair = index.pairs[p];
       wrs.push_back(post_staged(
           bc,

@@ -540,41 +540,11 @@ class MultiAccTileArray : public tida::TileArray<T> {
 
   // --- ghost exchange (paper §IV-B6, extended across devices) ---
 
-  /// Refreshes all ghost cells. Dispatches by data location: pure host
-  /// exchange when everything was last touched on the host; the device
-  /// exchange (replay kernels and peer copies) when the data lives on the
-  /// devices and every region fits; otherwise the streaming exchange (the
-  /// replay kernels for faces between regions resident on one device, the
-  /// host path for every face touching an evicted region or crossing
-  /// devices) or a drain to the host and a host exchange.
+  /// Refreshes all ghost cells (exchange_by_location). A multi-node array
+  /// is rejected: its cross-node faces need ClusterTileArray's exchange.
   void fill_boundary(tida::Boundary bc) {
-    last_boundary_ = bc;
-    if (!loc_.any_on_device()) {
-      sync_all_pending_host();
-      claim_host_buffers("fill_boundary_host");
-      this->fill_boundary_host(bc);
-      return;
-    }
-    if (all_regions_fit()) {
-      fill_boundary_device(bc);
-      return;
-    }
-    if (delta_transfers_ && streaming_guard_ != StreamingGuard::kForceDrain) {
-      // Mixed/limited-memory with dirty tracking: resident faces stay on
-      // the devices, the rest is pipelined region by region through the
-      // host (core/streaming_exchange.hpp) — but only when the
-      // exchange-level cost model says it beats one pipelined drain.
-      const detail::HostHalf half = detail::host_half(*this, bc);
-      if (streaming_guard_ == StreamingGuard::kForceStreaming ||
-          detail::streaming_cheaper<T>(*this, bc, half)) {
-        detail::streaming_exchange(*this, bc, half);
-        return;
-      }
-    }
-    // Mixed/limited-memory: drain to host and exchange there.
-    release_all_to_host();
-    claim_host_buffers("fill_boundary_host");
-    this->fill_boundary_host(bc);
+    check_one_node();
+    exchange_by_location(bc);
   }
 
   /// Boundary of the last exchange (fill_boundary, fill_boundary_device or
@@ -593,9 +563,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
   /// barrier: the host never waits. Faces between nodes move only through
   /// ClusterTileArray's exchange.
   void fill_boundary_device(tida::Boundary bc) {
-    TIDACC_CHECK_MSG(schedule_->layout().nodes == 1,
-                     "a multi-node array's cross-node faces move only "
-                     "through ClusterTileArray's exchange");
+    check_one_node();
     last_boundary_ = bc;
     for (int r = 0; r < this->num_regions(); ++r) {
       acquire_on_device(r);
@@ -707,6 +675,50 @@ class MultiAccTileArray : public tida::TileArray<T> {
   // Protected rather than private: ClusterTileArray extends the exchange
   // across simulated nodes and reuses the pools, location/dirty tracking
   // and copy plumbing wholesale; AccTileArray sets the caching ablation.
+
+  /// Refreshes all ghost cells, dispatching by data location: pure host
+  /// exchange when everything was last touched on the host; the device
+  /// exchange (replay kernels and peer copies) when the data lives on the
+  /// devices and every region fits; otherwise the streaming exchange (the
+  /// replay kernels for faces between regions resident on one device, the
+  /// host path for every face touching an evicted region or crossing
+  /// devices) or a drain to the host and a host exchange. fill_boundary's
+  /// body, and the exchange ClusterTileArray's fallback runs on the host.
+  void exchange_by_location(tida::Boundary bc) {
+    last_boundary_ = bc;
+    if (!loc_.any_on_device()) {
+      sync_all_pending_host();
+      claim_host_buffers("fill_boundary_host");
+      this->fill_boundary_host(bc);
+      return;
+    }
+    if (all_regions_fit()) {
+      fill_boundary_device(bc);
+      return;
+    }
+    if (delta_transfers_ && streaming_guard_ != StreamingGuard::kForceDrain) {
+      // Mixed/limited-memory with dirty tracking: resident faces stay on
+      // the devices, the rest is pipelined region by region through the
+      // host (core/streaming_exchange.hpp) — but only when the
+      // exchange-level cost model says it beats one pipelined drain.
+      const detail::HostHalf half = detail::host_half(*this, bc);
+      if (streaming_guard_ == StreamingGuard::kForceStreaming ||
+          detail::streaming_cheaper<T>(*this, bc, half)) {
+        detail::streaming_exchange(*this, bc, half);
+        return;
+      }
+    }
+    // Mixed/limited-memory: drain to host and exchange there.
+    release_all_to_host();
+    claim_host_buffers("fill_boundary_host");
+    this->fill_boundary_host(bc);
+  }
+
+  void check_one_node() const {
+    TIDACC_CHECK_MSG(schedule_->layout().nodes == 1,
+                     "a multi-node array's cross-node faces move only "
+                     "through ClusterTileArray's exchange");
+  }
 
   /// Device `d`'s slot pool; null when the device holds no region.
   std::unique_ptr<DevicePool>& pool(int d) {

@@ -548,21 +548,66 @@ TEST_F(ClusterTest, EpochMisuseFailsLoudly) {
   a.exchange_end();
 }
 
-TEST_F(ClusterTest, OneNodeArrayHasNoFabric) {
+TEST_F(ClusterTest, OneNodeFabricHasNoQueuePairAndMovesNothing) {
+  // A 1-node array builds its fabric like any other, but with no second
+  // node there is no queue pair: it creates no stream a MultiAccTileArray
+  // does not, and its exchanges, counted like any other, put nothing on
+  // the wire.
+  const std::size_t multi_streams = [] {
+    const MultiAccTileArray<double> m(Box::cube(16), Index3{16, 16, 2}, 1);
+    return cuem::platform().live_user_streams().size();
+  }();
+  cuem::configure(DeviceConfig::k40m(), /*functional=*/true,
+                  /*num_devices=*/2, Interconnect::pcie());
+  oacc::reset();
   ClusterTileArray<double> a(Box::cube(16), Index3{16, 16, 2}, 1);
   ASSERT_EQ(a.num_nodes(), 1);
-  EXPECT_THROW((void)a.fabric(), Error);
-  try {
-    (void)a.fabric();
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("num_nodes() is 1"),
-              std::string::npos)
-        << e.what();
+  EXPECT_EQ(a.fabric().num_nodes(), 1);
+  EXPECT_EQ(cuem::platform().live_user_streams().size(), multi_streams);
+  EXPECT_TRUE(a.wire_pairs(Boundary::kPeriodic).empty());
+  a.fill(pattern);
+  a.fill_boundary(Boundary::kPeriodic);  // host-resident
+  for (int r = 0; r < a.num_regions(); ++r) {
+    a.acquire_on_device(r);
   }
-  EXPECT_NO_THROW((void)ClusterTileArray<double>(Box::cube(16),
-                                                 Index3{16, 16, 2}, 1,
-                                                 two_nodes())
-                      .fabric());
+  a.exchange_begin(Boundary::kPeriodic);  // resident
+  a.exchange_end();
+  EXPECT_EQ(a.net_exchanges(), 2u);
+  EXPECT_EQ(a.rdma_ghost_reads(), 0u);
+  EXPECT_EQ(a.staged_ghost_sends(), 0u);
+  const sim::FabricCounters& c = a.fabric().counters();
+  EXPECT_EQ(c.sends + c.rdma_reads + c.rdma_writes + c.compressed_wrs, 0u);
+  EXPECT_EQ(c.net_bytes + c.gpudirect_bytes + c.net_wire_bytes, 0u);
+}
+
+TEST_F(ClusterTest, BaseClassExchangeRejectsAMultiNodeArray) {
+  // A 2-node array's cross-node faces move only through the cluster's
+  // exchange: called through the base class, fill_boundary refuses it
+  // resident, host-resident and out of core alike, naming the cluster.
+  ClusterOptions ooc = two_nodes();
+  ooc.multi.max_slots = 2;
+  for (const ClusterOptions& opts : {two_nodes(), ooc}) {
+    ClusterTileArray<double> a(Box::cube(16), Index3{16, 16, 2}, 1, opts);
+    a.fill(pattern);
+    MultiAccTileArray<double>& base = a;
+    const auto rejected = [&base](const char* where) {
+      SCOPED_TRACE(where);
+      try {
+        base.fill_boundary(Boundary::kPeriodic);
+        ADD_FAILURE() << "a 2-node array exchanged through the base class";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("ClusterTileArray"),
+                  std::string::npos)
+            << e.what();
+      }
+    };
+    rejected("host-resident");
+    for (int r = 0; r < a.num_regions(); ++r) {
+      a.acquire_on_device(r);
+    }
+    rejected(a.all_regions_fit() ? "resident" : "out of core");
+    EXPECT_EQ(a.fabric().counters().net_bytes, 0u);
+  }
 }
 
 // --- golden trace: 1-node ClusterTileArray == MultiAccTileArray ---
@@ -1089,8 +1134,7 @@ TEST(ClusterSchedule, PlacementFollowsTheLayout) {
     EXPECT_EQ(a.devices_per_node(), world.devices / world.nodes) << where;
     for (int r = 0; r < regions; ++r) {
       EXPECT_EQ(a.device_of_region(r), device(r)) << where << ", region " << r;
-      EXPECT_EQ(a.node_of_region(r),
-                world.nodes == 1 ? 0 : a.fabric().node_of_device(device(r)))
+      EXPECT_EQ(a.node_of_region(r), a.fabric().node_of_device(device(r)))
           << where << ", region " << r;
     }
     for (int d = 0; d < world.devices; ++d) {

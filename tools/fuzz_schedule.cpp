@@ -363,7 +363,7 @@ void halo_step(Array& u, const VisitOrder& order, int depth,
 // pure schedule mutation, which is exactly what makes it fuzzable.
 void halo_step(core::ClusterTileArray<double>& u, const VisitOrder& order,
                int depth, const oacc::LoopCost& cost, bool overlap) {
-  if (!overlap || u.num_nodes() == 1) {
+  if (!overlap) {
     u.fill_boundary(tida::Boundary::kPeriodic);
     sweep_all(u, order.after_exchange(u), depth, cost);
     return;
