@@ -227,19 +227,20 @@ class ClusterTileArray : public MultiAccTileArray<T> {
       p.stream_wait_event(edge.first, fabric_->wr_event(wr));
     }
     epoch_wrs_.clear();
-    if (!epoch_staged_.empty()) {
-      const auto& plan = this->exchange_plan(epoch_bc_);
-      for (const std::size_t c : epoch_staged_) {
-        const tida::GhostCopy& gc = plan[c];
-        cuem::DeviceGuard guard(this->device_of_region(gc.dst_region));
-        this->copy_boxes(gc.dst_region, {gc.dst_box},
-                         cuemMemcpyHostToDevice,
-                         this->stream_of_region(gc.dst_region),
-                         sim::PayloadKind::kGhostRefresh);
-        this->note_device_write(gc.dst_region, gc.dst_box);
+    const tida::PairIndex& index = this->exchange_pairs(epoch_bc_);
+    for (const std::size_t g : epoch_staged_) {
+      const tida::RegionPair& pair = index.pairs[g];
+      const std::vector<tida::Box> boxes =
+          payload_boxes(epoch_bc_, pair, /*src=*/false);
+      cuem::DeviceGuard guard(this->device_of_region(pair.dst_region));
+      this->copy_boxes(pair.dst_region, boxes, cuemMemcpyHostToDevice,
+                       this->stream_of_region(pair.dst_region),
+                       sim::PayloadKind::kGhostRefresh);
+      for (const tida::Box& b : boxes) {
+        this->note_device_write(pair.dst_region, b);
       }
-      epoch_staged_.clear();
     }
+    epoch_staged_.clear();
     ++net_exchanges_;
   }
 
@@ -349,6 +350,22 @@ class ClusterTileArray : public MultiAccTileArray<T> {
     return claims;
   }
 
+  /// Wire pair `pair`'s source (`src`) or ghost boxes under `bc` as one
+  /// payload: disjoint (a source's copies may read the same cells), then
+  /// coalesced, so a slab pair's face, edges and corners are one box.
+  std::vector<tida::Box> payload_boxes(tida::Boundary bc,
+                                       const tida::RegionPair& pair,
+                                       bool src) {
+    const auto& plan = this->exchange_plan(bc);
+    std::vector<tida::Box> boxes;
+    for (const std::size_t c : this->exchange_pairs(bc).copies_of(pair)) {
+      std::vector<tida::Box> fresh = tida::subtract_box(
+          src ? plan[c].src_box : plan[c].dst_box, boxes);
+      boxes.insert(boxes.end(), fresh.begin(), fresh.end());
+    }
+    return tida::coalesce(std::move(boxes));
+  }
+
   /// Posts wire pair `pair` under `bc` on `qp` as one two-sided send from
   /// its source's pinned host buffer into its destination's: the receive,
   /// then the send of the pair's cells, claiming their host boxes, raw or
@@ -440,24 +457,21 @@ class ClusterTileArray : public MultiAccTileArray<T> {
     const bool building = !std::exchange(
         this->schedule_->wire_built()[static_cast<std::size_t>(bc)], true);
 
-    // Staged path: every group's source boxes go down first, on the
-    // source's stream, and each send waits on the event behind its
-    // source's last staging copy. A region thinner than the ghost feeds
-    // two neighbours from the same cells, so two groups stage the same
-    // host bytes: staging them all before any send reads them keeps every
-    // copy ordered before each send that reads its bytes.
+    // Staged path: every group's payload goes down first, on the source's
+    // stream, and each send waits on the event behind its source's last
+    // staging copy. A region thinner than the ghost feeds two neighbours
+    // from the same cells, so two groups stage the same host bytes:
+    // staging them all before any send reads them keeps every copy ordered
+    // before each send that reads its bytes.
     std::vector<sim::EventId> staged;
     if (!use_gpudirect_) {
       staged.assign(static_cast<std::size_t>(this->num_regions()), -1);
       for (const std::size_t g : groups) {
         const tida::RegionPair& pair = index.pairs[g];
         cuem::DeviceGuard guard(this->device_of_region(pair.src_region));
-        std::vector<tida::Box> src_boxes;
-        for (const std::size_t c : index.copies_of(pair)) {
-          src_boxes.push_back(plan[c].src_box);
-        }
         this->copy_boxes(
-            pair.src_region, src_boxes, cuemMemcpyDeviceToHost,
+            pair.src_region, payload_boxes(bc, pair, /*src=*/true),
+            cuemMemcpyDeviceToHost,
             sources.stream[static_cast<std::size_t>(pair.src_region)],
             sim::PayloadKind::kFaceShell);
       }
@@ -520,8 +534,8 @@ class ClusterTileArray : public MultiAccTileArray<T> {
         ++rdma_ghost_reads_;
       } else {
         // Staged: one two-sided send from the source's pinned buffer into
-        // the destination's once the boxes landed there, H2D push at
-        // exchange_end.
+        // the destination's once the boxes landed there, and the pair's
+        // ghost boxes pushed as one payload at exchange_end.
         qp = qp_for(src_node, dst_node);
         auto action = [this, bc, group]() {
           const auto& pl = this->exchange_plan(bc);
@@ -533,7 +547,7 @@ class ClusterTileArray : public MultiAccTileArray<T> {
             bc, qp, head, label, std::move(action),
             after(qp, {staged[static_cast<std::size_t>(head.src_region)],
                        sources.on(dst_stream)}));
-        epoch_staged_.insert(epoch_staged_.end(), group.begin(), group.end());
+        epoch_staged_.push_back(g);
       }
       epoch_wrs_.push_back(EpochWr{wr, qp, src_stream, dst_stream});
     }
@@ -608,7 +622,7 @@ class ClusterTileArray : public MultiAccTileArray<T> {
   bool epoch_open_ = false;
   tida::Boundary epoch_bc_ = tida::Boundary::kNone;
   std::vector<EpochWr> epoch_wrs_;
-  /// Plan indices whose staged payloads still need the H2D push.
+  /// Wire pairs whose staged payloads still need the H2D push.
   std::vector<std::size_t> epoch_staged_;
 
   std::uint64_t net_exchanges_ = 0;

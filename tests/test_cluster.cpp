@@ -1244,7 +1244,8 @@ TEST_F(ClusterTest, ExchangeEndLeavesRequestsInFlightAndChargesApiCostsOnly) {
   // exchange_end orders the regions on the wire after their requests
   // instead of waiting for them: it returns before any completes, having
   // spent one API call per stream edge (source and destination of each
-  // request, each on its own queue pair here) and per staged push.
+  // request, each on its own queue pair here) and per staged push, one per
+  // coalesced ghost box of each wire pair.
   for (const NetPath path : {NetPath::kGpuDirect, NetPath::kStaged}) {
     SCOPED_TRACE(to_string(path));
     ResidentPair w(two_nodes(path, slow_link()));
@@ -1261,15 +1262,64 @@ TEST_F(ClusterTest, ExchangeEndLeavesRequestsInFlightAndChargesApiCostsOnly) {
     }
     SimTime pushes = 0;
     if (path == NetPath::kStaged) {
-      for (const tida::GhostCopy& c : w.u.exchange_plan(Boundary::kPeriodic)) {
-        pushes += w.u.node_of_region(c.src_region) !=
-                  w.u.node_of_region(c.dst_region);
+      const std::vector<tida::GhostCopy>& plan =
+          w.u.exchange_plan(Boundary::kPeriodic);
+      const tida::PairIndex& index = w.u.exchange_pairs(Boundary::kPeriodic);
+      for (const std::size_t pair : w.u.wire_pairs(Boundary::kPeriodic)) {
+        std::vector<Box> ghost;
+        for (const std::size_t c : index.copies_of(index.pairs[pair])) {
+          ghost.push_back(plan[c].dst_box);
+        }
+        pushes += static_cast<SimTime>(tida::coalesce(ghost).size());
       }
+      EXPECT_EQ(pushes, wrs);  // a slab's ghost plane is one box
     }
     EXPECT_EQ(spent,
               (2 * static_cast<SimTime>(wrs) + pushes) *
                   p.config().host_api_overhead_ns);
   }
+}
+
+TEST_F(ClusterTest, StagedWirePairsStageAndPushAsOnePayload) {
+  // The staged path moves each wire pair as one payload on all three
+  // hops: one send, and one pitched copy per coalesced box of the pair's
+  // source cells (staging) and of its ghost cells (push). A slab pair's
+  // face, edge and corner pieces tile one plane on each side, so 4 pairs
+  // take 4 copies each way, not one per planned copy (36). The push and
+  // the send carry each pair's 18x18 ghost plane; staging reads each
+  // source cell once, and the periodic wrap in i and j reads only the
+  // 16x16 source plane's own cells again.
+  ResidentPair w(two_nodes(NetPath::kStaged));
+  sim::Trace& trace = cuem::platform().trace();
+  trace.set_recording(true);
+  const TransferAccounting before = w.u.transfers();
+  const std::size_t first = trace.events().size();
+  w.u.fill_boundary(Boundary::kPeriodic);
+  std::uint64_t stages = 0;
+  std::uint64_t pushes = 0;
+  for (std::size_t e = first; e < trace.events().size(); ++e) {
+    const std::string& label = trace.events()[e].label;
+    stages += label.starts_with("dD2H:R") ? 1 : 0;
+    pushes += label.starts_with("dH2D:R") ? 1 : 0;
+  }
+  const tida::PairIndex& index = w.u.exchange_pairs(Boundary::kPeriodic);
+  std::uint64_t cells = 0;
+  for (const std::size_t p : w.u.wire_pairs(Boundary::kPeriodic)) {
+    cells += index.pairs[p].cells;
+  }
+  const std::uint64_t pairs = w.u.wire_pairs(Boundary::kPeriodic).size();
+  ASSERT_EQ(pairs, 4u);
+  ASSERT_EQ(cells, pairs * 18 * 18);
+  EXPECT_EQ(w.u.staged_ghost_sends(), pairs);
+  EXPECT_EQ(stages, pairs);
+  EXPECT_EQ(pushes, pairs);
+  const TransferAccounting& after = w.u.transfers();
+  EXPECT_EQ(after.delta_d2h_ops - before.delta_d2h_ops, pairs);
+  EXPECT_EQ(after.delta_h2d_ops - before.delta_h2d_ops, pairs);
+  EXPECT_EQ(after.d2h_bytes - before.d2h_bytes,
+            pairs * 16 * 16 * sizeof(double));
+  EXPECT_EQ(after.h2d_bytes - before.h2d_bytes, cells * sizeof(double));
+  EXPECT_EQ(w.u.fabric().counters().net_bytes, cells * sizeof(double));
 }
 
 TEST_F(ClusterTest, SplitPhaseBlockingAndOneNodeFieldsAreBitwiseEqual) {

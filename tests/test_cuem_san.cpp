@@ -775,8 +775,8 @@ TEST(CuemSanSnapshot, SanitizerWorldBytesArePinned) {
   const std::vector<std::uint8_t> bytes = snapshot_probe::world_bytes(opts);
   cuem::san::configure(cuem::CuemSanOptions{});
   cuem::configure(DeviceConfig::k40m(), true);
-  EXPECT_EQ(bytes.size(), 116466u);
-  EXPECT_EQ(snapshot_probe::fnv1a(bytes), 0xfaa965ddba640124ull);
+  EXPECT_EQ(bytes.size(), 97586u);
+  EXPECT_EQ(snapshot_probe::fnv1a(bytes), 0x8f68f84c7eaace5aull);
 }
 
 }  // namespace

@@ -344,11 +344,11 @@ TEST(WorldSnapshot, TimingWorldBytesArePinned) {
   const std::vector<std::uint8_t> bytes =
       snapshot_probe::world_bytes(cuem::san::Options{});
 #ifdef TIDACC_CUEM_SANITIZER
-  EXPECT_EQ(bytes.size(), 18688u);
-  EXPECT_EQ(snapshot_probe::fnv1a(bytes), 0x1e595dfa3d660068ull);
+  EXPECT_EQ(bytes.size(), 13632u);
+  EXPECT_EQ(snapshot_probe::fnv1a(bytes), 0xa1d89d77cd6cf7beull);
 #else
-  EXPECT_EQ(bytes.size(), 18672u);
-  EXPECT_EQ(snapshot_probe::fnv1a(bytes), 0x8bf9fdefdf79b572ull);
+  EXPECT_EQ(bytes.size(), 13616u);
+  EXPECT_EQ(snapshot_probe::fnv1a(bytes), 0x9cb3111caa7edd90ull);
 #endif
 }
 
